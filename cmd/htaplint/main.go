@@ -6,7 +6,6 @@
 //	guardedby  //htap:guardedby fields are touched only under their mutex
 //	detmerge   //htap:deterministic code has no iteration-order variance
 //	ctxflow    blocking API takes a context; library code mints no roots
-//	noshims    the deprecated linear join shims gain no new callers
 //
 // Usage:
 //
@@ -26,7 +25,6 @@ import (
 	"elastichtap/internal/lint/detmerge"
 	"elastichtap/internal/lint/guardedby"
 	"elastichtap/internal/lint/hotalloc"
-	"elastichtap/internal/lint/noshims"
 )
 
 var analyzers = []*lint.Analyzer{
@@ -34,7 +32,6 @@ var analyzers = []*lint.Analyzer{
 	guardedby.Analyzer,
 	detmerge.Analyzer,
 	ctxflow.Analyzer,
-	noshims.Analyzer,
 }
 
 func main() {

@@ -8,6 +8,7 @@
 package main
 
 import (
+	"context"
 	"fmt"
 	"log"
 	"os"
@@ -56,7 +57,7 @@ func main() {
 	// More commits after the checkpoint: these survive only in the WAL.
 	sys.Run(500)
 	commits := sys.Core().OLTPE.Manager().Commits()
-	before, err := sys.Query(elastichtap.Q6(db))
+	before, err := sys.QueryContext(context.Background(), elastichtap.Q6(db))
 	if err != nil {
 		log.Fatal(err)
 	}
@@ -70,7 +71,7 @@ func main() {
 	fmt.Printf("recovered: checkpoint %d + %d WAL transactions = %d commits (original saw %d)\n",
 		info.Seq, info.Replayed, info.Commits, commits)
 
-	after, err := sys2.Query(elastichtap.Q6(sys2.DB()))
+	after, err := sys2.QueryContext(context.Background(), elastichtap.Q6(sys2.DB()))
 	if err != nil {
 		log.Fatal(err)
 	}

@@ -109,7 +109,7 @@ func TestRecoveryDeterminism(t *testing.T) {
 				if err != nil {
 					t.Fatal(err)
 				}
-				rep, err := sys.Query(elastichtap.Q6(sys.DB()))
+				rep, err := sys.QueryContext(context.Background(), elastichtap.Q6(sys.DB()))
 				if err != nil {
 					t.Fatal(err)
 				}

@@ -3,9 +3,9 @@
 // go/types only (the module vendors nothing and CI builds offline). It
 // exists to machine-check the invariants the engine's correctness rests
 // on — zero-allocation hot paths, mutex-guarded state, deterministic
-// merges, context plumbing, and the retirement of the deprecated linear
-// join shims — via the htaplint multichecker (cmd/htaplint) and the
-// per-analyzer unit tests (internal/lint/linttest).
+// merges and context plumbing — via the htaplint multichecker
+// (cmd/htaplint) and the per-analyzer unit tests
+// (internal/lint/linttest).
 //
 // Analyzers see one package at a time: its parsed files, type
 // information and the htap source annotations:

@@ -170,6 +170,12 @@ func (e *Engine) Sockets() int { return e.sockets }
 // finish their in-flight morsel and exit (a retiring worker stays on as
 // caretaker while queued morsels remain and no active worker exists, so a
 // shrink to zero can never strand a running task).
+//
+// Shrinks are therefore asynchronous: SetPlacement returns once the
+// retirements are requested, not once the goroutines have exited, and a
+// retiring worker (the caretaker in particular) may still claim morsels
+// submitted after the call returns. PoolSize drops immediately; only
+// Close waits for the goroutines.
 func (e *Engine) SetPlacement(p topology.Placement) {
 	e.mu.Lock()
 	defer e.mu.Unlock()

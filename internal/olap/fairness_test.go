@@ -82,6 +82,14 @@ func TestDRRIdleTenantYieldsPool(t *testing.T) {
 		t.Fatal(err)
 	}
 	e.SetPlacement(topology.Placement{PerSocket: []int{0}})
+	// The shrink is asynchronous (see SetPlacement): wait for the retiring
+	// workers to exit, or the caretaker claims light's morsels ahead of the
+	// manual grab loop below.
+	e.mu.Lock()
+	for e.nlive > 0 {
+		e.cond.Wait()
+	}
+	e.mu.Unlock()
 
 	light, err := e.SubmitTenant(&sumQuery{exec: &sumExec{}}, src, TenantInfo{Name: "light", Weight: 1})
 	if err != nil {

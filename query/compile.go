@@ -5,8 +5,6 @@ import (
 	"fmt"
 	"math"
 	"reflect"
-	"sort"
-	"sync"
 
 	"elastichtap/internal/columnar"
 	"elastichtap/internal/costmodel"
@@ -51,8 +49,8 @@ type ftest struct {
 	flo, fhi float64
 }
 
-// match evaluates the test row-at-a-time (dimension builds; the fact-side
-// block path uses the vectorized loops in filterAll/filterSel instead).
+// match evaluates the test against one raw column word (dimension
+// builds, and fact-side predicates that do not canonicalize to a range).
 func (t *ftest) match(w int64) bool {
 	switch t.kind {
 	case fIntRange:
@@ -127,7 +125,7 @@ type joinPlan struct {
 	payCols    []int // dimension physical columns of the projected payload
 	preds      []dimFilter
 	// payBase is the join's first global payload index: payload column i
-	// occupies slot nscan+payBase+i, shared by every execution path.
+	// occupies slot nscan+payBase+i.
 	payBase int
 	// words is the per-row broadcast width in 8-byte words — the distinct
 	// dimension columns touched (keys, payload, predicate columns) —
@@ -172,9 +170,9 @@ type Compiled struct {
 	// (and feed) the same cache as the statement it was stamped from. Nil
 	// for parameterless plans.
 	cache *stmtCache
-	// fuse is the Bind-time fusion decision (see kernel.go). It is shared
-	// by every WithArgs clone: the shape is value-independent, and each
-	// Prepare specializes a concrete kernel from the clone's stamped
+	// fuse is the Bind-time accumulator/emit layout (see kernel.go). It is
+	// shared by every WithArgs clone: the shape is value-independent, and
+	// each Prepare specializes a concrete kernel from the clone's stamped
 	// predicate values.
 	fuse *fuseShape
 }
@@ -198,27 +196,13 @@ func (c *Compiled) FactTable() string { return c.fact }
 // Columns implements olap.Query.
 func (c *Compiled) Columns() []int { return c.cols }
 
-// Prepare implements olap.Query. Plans whose shape the fused compiler
-// covers (see kernel.go) specialize into a single-pass kernel from the
-// statement's current predicate values; the rest run the staged path
-// below, which builds each join's key→payload table from the dimension's
-// active instance (dimensions are static under the transactional
-// workload) and reports its broadcast volume. Single-column keys hash
-// raw int64 words; composite keys hash a fixed-width array. Payload
-// rows share one slab so a large build side costs one allocation per
-// growth, not one per key.
+// Prepare implements olap.Query: every plan specializes into a
+// single-pass fused kernel from the statement's current predicate values
+// (see kernel.go). Each join's key→payload table is built from the
+// dimension's active instance (dimensions are static under the
+// transactional workload) and its broadcast volume is reported.
 func (c *Compiled) Prepare() (olap.Exec, int64) {
-	if c.fuse != nil && c.fuse.ok && !disableFusion.Load() {
-		return c.prepareFused()
-	}
-	e := &exec{c: c}
-	var buildBytes int64
-	for _, j := range c.joins {
-		bld, scanned := buildStaged(j)
-		e.builds = append(e.builds, bld)
-		buildBytes += scanned * int64(j.words) * columnar.WordBytes
-	}
-	return e, buildBytes
+	return c.prepareFused()
 }
 
 // indexedDimRows narrows one join's build-side scan through the
@@ -254,64 +238,6 @@ func indexedDimRows(j *joinPlan) ([]int64, bool) {
 	return nil, false
 }
 
-// buildStaged loads one join's map-backed build side, pre-filtered
-// through the dimension's secondary index when an Eq predicate allows
-// it. Returns the build and the number of dimension rows actually read
-// (the broadcast volume the cost model is charged).
-func buildStaged(j *joinPlan) (stagedBuild, int64) {
-	dt := j.dim.Table()
-	rows := dt.Rows()
-	npay := len(j.payCols)
-	single := len(j.keyCols) == 1
-	var bld stagedBuild
-	if single {
-		bld.m1 = make(map[int64][]int64)
-	} else {
-		bld.mK = make(map[jkey][]int64)
-	}
-	cands, narrowed := indexedDimRows(j)
-	scanned := rows
-	if narrowed {
-		scanned = int64(len(cands))
-	}
-	var slab []int64
-	add := func(r int64) {
-		for i := range j.preds {
-			f := &j.preds[i]
-			if !f.match(dt.ReadActive(r, f.col)) {
-				return
-			}
-		}
-		var pay []int64
-		if npay > 0 {
-			start := len(slab)
-			for _, pc := range j.payCols {
-				slab = append(slab, dt.ReadActive(r, pc))
-			}
-			pay = slab[start:len(slab):len(slab)]
-		}
-		if single {
-			bld.m1[dt.ReadActive(r, j.keyCols[0])] = pay
-		} else {
-			var k jkey
-			for d, kc := range j.keyCols {
-				k[d] = dt.ReadActive(r, kc)
-			}
-			bld.mK[k] = pay
-		}
-	}
-	if narrowed {
-		for _, r := range cands {
-			add(r)
-		}
-	} else {
-		for r := int64(0); r < rows; r++ {
-			add(r)
-		}
-	}
-	return bld, scanned
-}
-
 // Bind compiles the plan against a catalog: table and column names resolve
 // to physical indexes, predicates specialize to the column types, and the
 // work class is fixed from the plan shape. Join payload columns resolve
@@ -339,9 +265,9 @@ func (p *Plan) Bind(cat Catalog) (*Compiled, error) {
 		return nil, fmt.Errorf("query: plan %q has no aggregates; add Agg(query.Count()) at minimum", p.Name())
 	}
 
-	// Resolve the joins first — graph edges or the deprecated shims — so
-	// payload names are settled (explicit or inferred) before the fact
-	// scan list forms, and the execution order is fixed (order.go).
+	// Resolve the join graph first, so payload names are settled (inferred
+	// from downstream demand) before the fact scan list forms, and the
+	// execution order is fixed (order.go).
 	written, ordered, factPreds, err := p.resolveJoins(cat, schema)
 	if err != nil {
 		return nil, err
@@ -391,7 +317,7 @@ func (p *Plan) Bind(cat Catalog) (*Compiled, error) {
 	}
 	for _, pr := range preds {
 		if isPayload[pr.col] {
-			return nil, fmt.Errorf("query: Filter on join payload column %q; use JoinFilter (build side) or Having (after aggregation)", pr.col)
+			return nil, fmt.Errorf("query: Filter on join payload column %q; use Relation.Filter (build side) or Having (after aggregation)", pr.col)
 		}
 		addRef(pr.col)
 	}
@@ -399,9 +325,6 @@ func (p *Plan) Bind(cat Catalog) (*Compiled, error) {
 		for i, fk := range rj.spec.factKeys {
 			if rj.keySrc[i] != "" {
 				continue // sourced from another relation's payload
-			}
-			if len(p.graph) == 0 && isPayload[fk] {
-				return nil, fmt.Errorf("query: join fact key %q is itself a payload column", fk)
 			}
 			addRef(fk)
 		}
@@ -598,9 +521,6 @@ func (p *Plan) Bind(cat Catalog) (*Compiled, error) {
 		c.cache = &stmtCache{}
 	}
 	c.fuse = buildFuseShape(c)
-	if !c.fuse.ok {
-		logFallback(c.name, c.fuse.reason)
-	}
 	return c, nil
 }
 
@@ -853,7 +773,7 @@ type gkey [maxGroupCols]int64
 // denseLen bounds the dense fast path for single-column group keys: keys
 // in [0, denseLen) index a flat accumulator array instead of a hash map
 // (warehouse ids, line numbers, small dictionary codes); larger keys
-// spill to the map.
+// spill to the hash table.
 const denseLen = 1024
 
 // acc is one aggregate's partial state. Sum and Avg use sum+count, Min/Max
@@ -865,593 +785,8 @@ type acc struct {
 	seen  bool
 }
 
-// stagedBuild is one join's build side: single-column keys hash raw
-// words (m1), composite keys hash fixed-width arrays (mK). Values are
-// the projected payload words (nil for semi-joins).
-type stagedBuild struct {
-	m1 map[int64][]int64
-	mK map[jkey][]int64
-}
-
-type exec struct {
-	c *Compiled
-	// builds holds one build side per compiled join, in execution order.
-	builds []stagedBuild
-	// scratch pools selection-vector, payload-vector and accumulator-row
-	// buffers across the task's morsels and workers: locals are per-morsel
-	// (for the engine's deterministic ordered merge), so reusable scratch
-	// must live with the exec, not the local.
-	scratch sync.Pool
-}
-
-// scratchBufs is transient per-block working memory; contents never
-// outlive one Consume call, so pooling cannot affect results.
-type scratchBufs struct {
-	sel  []int32
-	rows [][]acc
-	pay  [][]int64
-	cols [][]int64
-}
-
-func (e *exec) getScratch() *scratchBufs {
-	if s, ok := e.scratch.Get().(*scratchBufs); ok {
-		return s
-	}
-	return &scratchBufs{}
-}
-
-// payloadVecs returns npay vectors of length n for the probe to fill at
-// surviving row indexes; downstream kernels index them like block columns.
-func (s *scratchBufs) payloadVecs(npay, n int) [][]int64 {
-	if cap(s.pay) < npay {
-		s.pay = make([][]int64, npay)
-	}
-	s.pay = s.pay[:npay]
-	for k := range s.pay {
-		if cap(s.pay[k]) < n {
-			s.pay[k] = make([]int64, n)
-		}
-		s.pay[k] = s.pay[k][:n]
-	}
-	return s.pay
-}
-
-type local struct {
-	e       *exec
-	global  []acc          // ungrouped accumulators
-	flat    []acc          // single-key fast path: flat[key*naggs+j]
-	present []bool         // flat occupancy, indexed by key
-	dense   bool           // single-key plan: flat path enabled
-	groups  map[gkey][]acc // grouped accumulators (spill / composite keys)
-
-	// spillKeys records groups insertion order so Merge can walk the
-	// spilled keys deterministically instead of ranging the map.
-	spillKeys []gkey
-}
-
-// NewLocal implements olap.Exec. Locals are per-morsel (the engine merges
-// them in morsel order for deterministic results), so group state
-// allocates lazily, sized to the key domain each morsel actually touches.
-func (e *exec) NewLocal() olap.Local {
-	l := &local{e: e, dense: len(e.c.groups) == 1}
-	if len(e.c.groups) == 0 {
-		l.global = make([]acc, len(e.c.aggs))
-	}
-	return l
-}
-
-// ensureDense grows the flat accumulator array to cover key k. Growth
-// doubles, so a morsel touching only small keys (Q1's 15 line numbers, a
-// handful of warehouse ids) pays for a few dozen slots, not denseLen.
-func (l *local) ensureDense(k int64, nagg int) {
-	if int(k) < len(l.present) {
-		return
-	}
-	n := 16
-	for n <= int(k) {
-		n *= 2
-	}
-	if n > denseLen {
-		n = denseLen
-	}
-	flat := make([]acc, n*nagg)
-	copy(flat, l.flat)
-	present := make([]bool, n)
-	copy(present, l.present)
-	l.flat, l.present = flat, present
-}
-
-// Consume implements olap.Local with exec-pooled scratch — the path for
-// callers that drive Locals directly, without an engine worker.
-func (l *local) Consume(b olap.Block) {
-	sc := l.e.getScratch()
-	l.consume(b, sc)
-	l.e.scratch.Put(sc)
-}
-
-// ConsumeScratch implements olap.ScratchConsumer: scratch comes from the
-// claiming pool worker (or inline drainer), which owns it for its whole
-// lifetime — so concurrent morsels never bounce scratch between cores
-// and a warmed worker allocates nothing here.
-func (l *local) ConsumeScratch(b olap.Block, ws *olap.Scratch) {
-	sc, ok := ws.Kernel.(*scratchBufs)
-	if !ok {
-		sc = &scratchBufs{}
-		ws.Kernel = sc
-	}
-	l.consume(b, sc)
-}
-
-// consume is the staged pipeline: each filter runs as a tight range loop
-// producing/compacting a selection vector, the hash join probes the
-// surviving rows (materializing payload vectors for full joins), and
-// each aggregate then updates in its own pass — so per-row work never
-// dispatches through interfaces or closures (the pushdown the builder
-// promises).
-func (l *local) consume(b olap.Block, sc *scratchBufs) {
-	c := l.e.c
-	sel := sc.sel[:0]
-	if len(c.filters) == 0 {
-		for i := 0; i < b.N; i++ {
-			sel = append(sel, int32(i))
-		}
-	} else {
-		for fi := range c.filters {
-			f := &c.filters[fi]
-			vec := b.Cols[f.slot]
-			if fi == 0 {
-				sel = filterAll(&f.ftest, vec, b.N, sel)
-			} else {
-				sel = filterSel(&f.ftest, vec, sel)
-			}
-		}
-	}
-	if len(sel) == 0 {
-		sc.sel = sel // retain scratch capacity
-		return
-	}
-	cols := b.Cols
-	if len(c.joins) > 0 {
-		// Assemble the full column view (fact scan + every payload vector)
-		// up front: a later join may probe an earlier join's payload slot,
-		// so all virtual slots must be addressable before the first probe.
-		var pay [][]int64
-		if c.npayTotal > 0 {
-			pay = sc.payloadVecs(c.npayTotal, b.N)
-			cols = append(sc.cols[:0], b.Cols...)
-			cols = append(cols, pay...)
-			sc.cols = cols[:0]
-		}
-		for ji := range c.joins {
-			j := c.joins[ji]
-			bld := &l.e.builds[ji]
-			npay := len(j.payCols)
-			out := sel[:0]
-			if len(j.probeSlots) == 1 {
-				vec := cols[j.probeSlots[0]]
-				for _, i := range sel {
-					v, ok := bld.m1[vec[i]]
-					if !ok {
-						continue
-					}
-					for k := 0; k < npay; k++ {
-						pay[j.payBase+k][i] = v[k]
-					}
-					out = append(out, i)
-				}
-			} else {
-				for _, i := range sel {
-					var k jkey
-					for d, s := range j.probeSlots {
-						k[d] = cols[s][i]
-					}
-					v, ok := bld.mK[k]
-					if !ok {
-						continue
-					}
-					for pi := 0; pi < npay; pi++ {
-						pay[j.payBase+pi][i] = v[pi]
-					}
-					out = append(out, i)
-				}
-			}
-			sel = out
-			if len(sel) == 0 {
-				break
-			}
-		}
-	}
-	sc.sel = sel // retain scratch capacity
-	if len(sel) == 0 {
-		return
-	}
-
-	if l.global != nil {
-		l.updateAccs(cols, sel, nil)
-		return
-	}
-	if l.dense {
-		l.updateDense(cols, sel)
-		return
-	}
-	// Composite keys: resolve each selected row's accumulator row once,
-	// then update aggregate-by-aggregate.
-	rows := sc.rows[:0]
-	for _, i := range sel {
-		var k gkey
-		for j, s := range c.groups {
-			k[j] = cols[s][i]
-		}
-		rows = append(rows, l.lookupSpill(k))
-	}
-	sc.rows = rows
-	l.updateAccs(cols, sel, rows)
-}
-
-// denseAt returns the j-th accumulator of key k: flat-array for keys the
-// occupancy pass covered, spill map otherwise.
-func (l *local) denseAt(k int64, j, nagg int) *acc {
-	if uint64(k) < uint64(len(l.present)) {
-		return &l.flat[int(k)*nagg+j]
-	}
-	return &l.lookupSpill(gkey{k})[j]
-}
-
-// updateDense is the single-key group path: accumulators live in one flat
-// array indexed by key*naggs, out-of-range keys spill to the map. The
-// aggregate kind dispatch is hoisted out of the row loops.
-func (l *local) updateDense(cols [][]int64, sel []int32) {
-	c := l.e.c
-	nagg := len(c.aggs)
-	kvec := cols[c.groups[0]]
-	maxk := int64(-1)
-	for _, i := range sel {
-		if k := kvec[i]; uint64(k) < denseLen && k > maxk {
-			maxk = k
-		}
-	}
-	if maxk >= 0 {
-		l.ensureDense(maxk, nagg)
-	}
-	for _, i := range sel {
-		if k := kvec[i]; uint64(k) < uint64(len(l.present)) {
-			l.present[k] = true
-		}
-	}
-	for j := range c.aggs {
-		a := &c.aggs[j]
-		switch {
-		case a.kind == aggCount:
-			for _, i := range sel {
-				l.denseAt(kvec[i], j, nagg).count++
-			}
-		case a.kind == aggCountIf:
-			cvec := cols[a.condSlot]
-			for _, i := range sel {
-				// Touch the accumulator unconditionally: a spill-range
-				// group whose rows all fail the condition must still
-				// exist (and emit 0), exactly like a dense-range one.
-				st := l.denseAt(kvec[i], j, nagg)
-				if a.cond.match(cvec[i]) {
-					st.count++
-				}
-			}
-		case a.kind == aggSum || a.kind == aggAvg:
-			vec := cols[a.slot]
-			if a.decode {
-				for _, i := range sel {
-					st := l.denseAt(kvec[i], j, nagg)
-					st.sum += columnar.DecodeFloat(vec[i])
-					st.count++
-				}
-			} else {
-				for _, i := range sel {
-					st := l.denseAt(kvec[i], j, nagg)
-					st.sum += float64(vec[i])
-					st.count++
-				}
-			}
-		default: // aggMin, aggMax
-			vec := cols[a.slot]
-			isMin := a.kind == aggMin
-			for _, i := range sel {
-				st := l.denseAt(kvec[i], j, nagg)
-				v := float64(vec[i])
-				if a.decode {
-					v = columnar.DecodeFloat(vec[i])
-				}
-				if !st.seen || (isMin && v < st.ext) || (!isMin && v > st.ext) {
-					st.ext = v
-					st.seen = true
-				}
-			}
-		}
-	}
-}
-
-func (l *local) lookupSpill(k gkey) []acc {
-	if l.groups == nil {
-		l.groups = make(map[gkey][]acc)
-	}
-	accs := l.groups[k]
-	if accs == nil {
-		accs = make([]acc, len(l.e.c.aggs))
-		l.groups[k] = accs
-		l.spillKeys = append(l.spillKeys, k)
-	}
-	return accs
-}
-
-// updateAccs applies every aggregate over the selected rows. rows[ri] is
-// the accumulator row for sel[ri]; nil rows means the ungrouped global
-// accumulators. Each accumulator sees its updates in row order, so totals
-// are bit-identical to a row-at-a-time evaluation.
-func (l *local) updateAccs(cols [][]int64, sel []int32, rows [][]acc) {
-	c := l.e.c
-	for j := range c.aggs {
-		a := &c.aggs[j]
-		if rows == nil {
-			l.updateGlobal(cols, sel, j)
-			continue
-		}
-		if a.kind == aggCount {
-			for ri := range sel {
-				rows[ri][j].count++
-			}
-			continue
-		}
-		if a.kind == aggCountIf {
-			cvec := cols[a.condSlot]
-			for ri, i := range sel {
-				if a.cond.match(cvec[i]) {
-					rows[ri][j].count++
-				}
-			}
-			continue
-		}
-		vec := cols[a.slot]
-		for ri, i := range sel {
-			st := &rows[ri][j]
-			v := float64(vec[i])
-			if a.decode {
-				v = columnar.DecodeFloat(vec[i])
-			}
-			switch a.kind {
-			case aggSum, aggAvg:
-				st.sum += v
-				st.count++
-			case aggMin:
-				if !st.seen || v < st.ext {
-					st.ext = v
-					st.seen = true
-				}
-			case aggMax:
-				if !st.seen || v > st.ext {
-					st.ext = v
-					st.seen = true
-				}
-			}
-		}
-	}
-}
-
-// updateGlobal streams one ungrouped aggregate over the selection with
-// register accumulation (the hot path for ScanReduce plans like Q6).
-func (l *local) updateGlobal(cols [][]int64, sel []int32, j int) {
-	a := &l.e.c.aggs[j]
-	st := &l.global[j]
-	switch a.kind {
-	case aggCount:
-		st.count += int64(len(sel))
-	case aggCountIf:
-		cvec := cols[a.condSlot]
-		for _, i := range sel {
-			if a.cond.match(cvec[i]) {
-				st.count++
-			}
-		}
-	case aggSum, aggAvg:
-		vec := cols[a.slot]
-		s := st.sum
-		if a.decode {
-			for _, i := range sel {
-				s += columnar.DecodeFloat(vec[i])
-			}
-		} else {
-			for _, i := range sel {
-				s += float64(vec[i])
-			}
-		}
-		st.sum = s
-		st.count += int64(len(sel))
-	case aggMin:
-		vec := cols[a.slot]
-		for _, i := range sel {
-			v := float64(vec[i])
-			if a.decode {
-				v = columnar.DecodeFloat(vec[i])
-			}
-			if !st.seen || v < st.ext {
-				st.ext = v
-				st.seen = true
-			}
-		}
-	case aggMax:
-		vec := cols[a.slot]
-		for _, i := range sel {
-			v := float64(vec[i])
-			if a.decode {
-				v = columnar.DecodeFloat(vec[i])
-			}
-			if !st.seen || v > st.ext {
-				st.ext = v
-				st.seen = true
-			}
-		}
-	}
-}
-
-// filterAll scans the whole block through one test, appending survivors.
-func filterAll(t *ftest, vec []int64, n int, sel []int32) []int32 {
-	switch t.kind {
-	case fIntRange:
-		lo, hi := t.ilo, t.ihi
-		for i := 0; i < n; i++ {
-			if w := vec[i]; w >= lo && w <= hi {
-				sel = append(sel, int32(i))
-			}
-		}
-	case fIntNe:
-		v := t.ilo
-		for i := 0; i < n; i++ {
-			if vec[i] != v {
-				sel = append(sel, int32(i))
-			}
-		}
-	case fIntNotRange:
-		lo, hi := t.ilo, t.ihi
-		for i := 0; i < n; i++ {
-			if w := vec[i]; w < lo || w > hi {
-				sel = append(sel, int32(i))
-			}
-		}
-	case fFloatRange:
-		lo, hi := t.flo, t.fhi
-		for i := 0; i < n; i++ {
-			if d := columnar.DecodeFloat(vec[i]); d >= lo && d <= hi {
-				sel = append(sel, int32(i))
-			}
-		}
-	case fFloatNe:
-		v := t.flo
-		for i := 0; i < n; i++ {
-			if columnar.DecodeFloat(vec[i]) != v {
-				sel = append(sel, int32(i))
-			}
-		}
-	case fFloatNotRange:
-		lo, hi := t.flo, t.fhi
-		for i := 0; i < n; i++ {
-			if d := columnar.DecodeFloat(vec[i]); d < lo || d > hi {
-				sel = append(sel, int32(i))
-			}
-		}
-	}
-	return sel
-}
-
-// filterSel compacts an existing selection in place through one test.
-func filterSel(t *ftest, vec []int64, sel []int32) []int32 {
-	out := sel[:0]
-	switch t.kind {
-	case fIntRange:
-		lo, hi := t.ilo, t.ihi
-		for _, i := range sel {
-			if w := vec[i]; w >= lo && w <= hi {
-				out = append(out, i)
-			}
-		}
-	case fIntNe:
-		v := t.ilo
-		for _, i := range sel {
-			if vec[i] != v {
-				out = append(out, i)
-			}
-		}
-	case fIntNotRange:
-		lo, hi := t.ilo, t.ihi
-		for _, i := range sel {
-			if w := vec[i]; w < lo || w > hi {
-				out = append(out, i)
-			}
-		}
-	case fFloatRange:
-		lo, hi := t.flo, t.fhi
-		for _, i := range sel {
-			if d := columnar.DecodeFloat(vec[i]); d >= lo && d <= hi {
-				out = append(out, i)
-			}
-		}
-	case fFloatNe:
-		v := t.flo
-		for _, i := range sel {
-			if columnar.DecodeFloat(vec[i]) != v {
-				out = append(out, i)
-			}
-		}
-	case fFloatNotRange:
-		lo, hi := t.flo, t.fhi
-		for _, i := range sel {
-			if d := columnar.DecodeFloat(vec[i]); d < lo || d > hi {
-				out = append(out, i)
-			}
-		}
-	}
-	return out
-}
-
-// Merge implements olap.Exec: the engine passes per-morsel partials in
-// morsel order, so combining them in slice order yields bit-identical
-// float totals across runs, worker counts and work stealing; grouped
-// rows emit sorted ascending by key for a stable output order. Having
-// predicates then drop rows, and an OrderBy re-sorts the survivors under
-// the plan's total order (bounded-heap top-k when Limit is set) — both
-// over fully merged, deterministic values, so ordered results stay
-// bitwise reproducible too.
-//
-//htap:deterministic
-func (e *exec) Merge(locals []olap.Local) olap.Result {
-	c := e.c
-	res := olap.Result{Cols: c.outCols}
-	if len(c.groups) == 0 {
-		total := make([]acc, len(c.aggs))
-		for _, li := range locals {
-			mergeAccs(total, li.(*local).global, c.aggs)
-		}
-		res.Rows = [][]float64{emitRow(c, gkey{}, total)}
-		return finishRes(c, res)
-	}
-	total := make(map[gkey][]acc)
-	var keys []gkey
-	merge := func(k gkey, accs []acc) {
-		t := total[k]
-		if t == nil {
-			t = make([]acc, len(c.aggs))
-			total[k] = t
-			keys = append(keys, k)
-		}
-		mergeAccs(t, accs, c.aggs)
-	}
-	for _, li := range locals {
-		ll := li.(*local)
-		if ll.flat != nil {
-			nagg := len(c.aggs)
-			for kv, on := range ll.present {
-				if on {
-					merge(gkey{int64(kv)}, ll.flat[kv*nagg:(kv+1)*nagg])
-				}
-			}
-		}
-		for _, k := range ll.spillKeys {
-			merge(k, ll.groups[k])
-		}
-	}
-	sort.Slice(keys, func(i, j int) bool {
-		for d := 0; d < len(c.groups); d++ {
-			if keys[i][d] != keys[j][d] {
-				return keys[i][d] < keys[j][d]
-			}
-		}
-		return false
-	})
-	for _, k := range keys {
-		res.Rows = append(res.Rows, emitRow(c, k, total[k]))
-	}
-	return finishRes(c, res)
-}
-
-// finishRes applies the post-aggregation stages shared by the staged and
-// fused paths: Having over emitted rows, then the ordered (top-k) merge.
+// finishRes applies the post-aggregation stages: Having over emitted
+// rows, then the ordered (top-k) merge.
 //
 //htap:deterministic
 func finishRes(c *Compiled, res olap.Result) olap.Result {
@@ -1474,53 +809,4 @@ func finishRes(c *Compiled, res olap.Result) olap.Result {
 		res.Rows = olap.SortRows(res.Rows, c.order, c.limit)
 	}
 	return res
-}
-
-//htap:deterministic
-func mergeAccs(dst, src []acc, aggs []aggPlan) {
-	for j := range aggs {
-		switch aggs[j].kind {
-		case aggCount, aggCountIf:
-			dst[j].count += src[j].count
-		case aggSum, aggAvg:
-			dst[j].sum += src[j].sum
-			dst[j].count += src[j].count
-		case aggMin:
-			if src[j].seen && (!dst[j].seen || src[j].ext < dst[j].ext) {
-				dst[j].ext = src[j].ext
-				dst[j].seen = true
-			}
-		case aggMax:
-			if src[j].seen && (!dst[j].seen || src[j].ext > dst[j].ext) {
-				dst[j].ext = src[j].ext
-				dst[j].seen = true
-			}
-		}
-	}
-}
-
-//htap:deterministic
-func emitRow(c *Compiled, k gkey, accs []acc) []float64 {
-	row := make([]float64, 0, len(c.groups)+len(c.aggs))
-	for d := range c.groups {
-		row = append(row, float64(k[d]))
-	}
-	for j, a := range c.aggs {
-		st := accs[j]
-		switch a.kind {
-		case aggCount, aggCountIf:
-			row = append(row, float64(st.count))
-		case aggSum:
-			row = append(row, st.sum)
-		case aggAvg:
-			if st.count == 0 {
-				row = append(row, 0)
-			} else {
-				row = append(row, st.sum/float64(st.count))
-			}
-		case aggMin, aggMax:
-			row = append(row, st.ext)
-		}
-	}
-	return row
 }

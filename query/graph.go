@@ -1,15 +1,13 @@
 package query
 
-// Graph-shaped join surface. Where the deprecated Join/SemiJoin shims
-// describe a single linear fact→dimension step, JoinGraph accepts an
-// arbitrary n-way join graph: named relation nodes (Rel) composed with
-// directed equi-join edges (JoinOn), where an edge's source columns may
-// live on the fact table or on any other joined relation. The written
-// edge order carries no semantic weight — Bind orders the joins itself
-// (greedily by default, smallest indexed/filtered relation first,
-// subject to connectivity; see order.go) and results are identical
-// under every valid order, because each join is a lookup against a
-// unique dimension key.
+// Graph-shaped join surface: JoinGraph accepts an arbitrary n-way join
+// graph — named relation nodes (Rel) composed with directed equi-join
+// edges (JoinOn), where an edge's source columns may live on the fact
+// table or on any other joined relation. The written edge order carries
+// no semantic weight — Bind orders the joins itself (greedily by default,
+// smallest indexed/filtered relation first, subject to connectivity; see
+// order.go) and results are identical under every valid order, because
+// each join is a lookup against a unique dimension key.
 //
 //	fact := query.Rel("orderline")
 //	stock := query.Rel("stock")
@@ -26,7 +24,7 @@ package query
 // (GroupBy, aggregates, CountIf conditions, or a later edge's source
 // side) is projected automatically; a relation with no demanded columns
 // degenerates to an existence-only semi-join. Relation predicates
-// (Relation.Filter) restrict the relation's build side, like JoinFilter.
+// (Relation.Filter) restrict the relation's build side.
 
 import (
 	"errors"
@@ -42,8 +40,11 @@ var ErrDisconnectedJoinGraph = errors.New("query: join graph is disconnected fro
 
 // ErrAmbiguousColumn reports a column name reachable from two relations
 // of the plan (or from a relation and the fact table), so a downstream
-// reference to it cannot be resolved. Qualify the plan by renaming the
-// column in the schema or restructuring the graph. Surfaced at Bind.
+// reference to it cannot be resolved. A relation's key column equated to
+// the fact column of the same name is not ambiguous: the join makes them
+// equal and the name reads the fact column. Otherwise qualify the plan by
+// renaming the column in the schema or restructuring the graph. Surfaced
+// at Bind.
 var ErrAmbiguousColumn = errors.New("query: ambiguous column")
 
 // maxJoins bounds the number of joined relations in one plan.
@@ -65,9 +66,8 @@ func Rel(name string) *Relation { return &Relation{name: name} }
 func (r *Relation) Name() string { return r.name }
 
 // Filter appends build-side predicates: only relation rows passing all
-// of them participate in the join (the graph form of JoinFilter). For
-// the fact relation the predicates push into the scan instead, exactly
-// like Plan.Filter.
+// of them participate in the join. For the fact relation the predicates
+// push into the scan instead, exactly like Plan.Filter.
 func (r *Relation) Filter(preds ...Pred) *Relation {
 	r.preds = append(r.preds, preds...)
 	return r
@@ -126,13 +126,8 @@ func JoinOn(from, to *Relation, on ...string) JoinEdge {
 // order; Bind chooses the execution order (see OrderJoins). The graph's
 // shape is validated eagerly — malformed edges, a fact-targeting edge,
 // or a relation not connected to the fact table fail the plan here, so
-// Plan.Err reports ErrDisconnectedJoinGraph before Bind runs. Cannot be
-// combined with the deprecated Join/SemiJoin shims.
+// Plan.Err reports ErrDisconnectedJoinGraph before Bind runs.
 func (p *Plan) JoinGraph(edges ...JoinEdge) *Plan {
-	if len(p.joins) > 0 {
-		p.fail(fmt.Errorf("query: JoinGraph cannot be mixed with Join/SemiJoin"))
-		return p
-	}
 	if len(p.graph) > 0 {
 		p.fail(fmt.Errorf("query: JoinGraph called twice"))
 		return p

@@ -162,19 +162,29 @@ func TestJoinGraphDisconnectedCycle(t *testing.T) {
 }
 
 // TestJoinGraphAmbiguousFactColumn: a group column present on both the
-// fact table and a joined relation cannot be resolved. The ambiguity
+// fact table and a joined relation cannot be resolved — unless the
+// relation holds it as the key equated to that same fact column
+// (TestCompositeJoinKey groups by one). A non-key column, or a key equated
+// to a differently named fact column, stays ambiguous. The ambiguity
 // needs schemas, so it surfaces at Bind, not eagerly.
 func TestJoinGraphAmbiguousFactColumn(t *testing.T) {
 	cat, _ := newFixture(t)
-	p := Scan("sales").
-		JoinGraph(JoinOn(Rel("sales"), Rel("daily"), "day", "day", "pid", "pid")).
-		GroupBy("pid").
-		Agg(Count())
-	if err := p.Err(); err != nil {
-		t.Fatalf("eager Plan.Err() = %v, want nil (ambiguity is schema-dependent)", err)
-	}
-	if _, err := p.Bind(cat); !errors.Is(err, ErrAmbiguousColumn) {
-		t.Fatalf("Bind = %v, want ErrAmbiguousColumn", err)
+	for _, p := range []*Plan{
+		Scan("sales").
+			JoinGraph(JoinOn(Rel("sales"), Rel("daily"), "day", "day")).
+			GroupBy("pid").
+			Agg(Count()),
+		Scan("sales").
+			JoinGraph(JoinOn(Rel("sales"), Rel("daily"), "qty", "day", "pid", "pid")).
+			GroupBy("day").
+			Agg(Count()),
+	} {
+		if err := p.Err(); err != nil {
+			t.Fatalf("eager Plan.Err() = %v, want nil (ambiguity is schema-dependent)", err)
+		}
+		if _, err := p.Bind(cat); !errors.Is(err, ErrAmbiguousColumn) {
+			t.Fatalf("Bind = %v, want ErrAmbiguousColumn", err)
+		}
 	}
 }
 

@@ -1,10 +1,7 @@
 package query
 
-// Fused single-pass kernels. Where the staged path in compile.go runs
-// each operator as its own vectorized pass over a materialized selection
-// vector (filter → selection, probe → payload vectors, one pass per
-// aggregate), the fused path compiles the whole plan into one loop over
-// the block: every row is filtered, probed, group-resolved and
+// Fused single-pass kernels: the whole plan compiles into one loop over
+// the block — every row is filtered, probed, group-resolved and
 // accumulated before the next row is touched, with no intermediate
 // selection or payload materialization at all.
 //
@@ -16,23 +13,19 @@ package query
 // Sum/Avg over the same column share one sum+count, Count piggybacks on
 // any sum), and how output columns map onto them.
 //
-// Results are bitwise identical to the staged path: each (group,
-// accumulator) pair sees its float updates in ascending row order in
-// both, and the morsel-ordered merge is shared, so DeepEqual-exactness
-// against the hand-coded oracles holds under stealing and resizes.
+// Results are bitwise deterministic: within a morsel each (group,
+// accumulator) pair sees its float updates in ascending row order, and
+// Merge folds the per-morsel partials in morsel order, so
+// DeepEqual-exactness against the hand-coded oracles and the plan-level
+// interpreter in reference_test.go holds under stealing and resizes.
 
 import (
-	"log"
 	"sync/atomic"
 
 	"elastichtap/internal/columnar"
 	"elastichtap/internal/index"
 	"elastichtap/internal/olap"
 )
-
-// disableFusion is a test knob forcing the staged fallback path so its
-// exactness stays covered even while fusion handles every shape.
-var disableFusion atomic.Bool
 
 // disableIndexSkip is a test knob forcing every morsel through the row
 // loop, so index-skipped executions can be checked bit-identical against
@@ -69,34 +62,20 @@ type emitSpec struct {
 	cnt  int
 }
 
-// fuseShape is the Bind-time fusion decision: whether the plan fuses,
-// and the value-independent accumulator/emit layout shared by every
-// stamping of a prepared statement.
+// fuseShape is the Bind-time, value-independent accumulator/emit layout
+// shared by every stamping of a prepared statement.
 type fuseShape struct {
-	ok     bool
-	reason string
-	accs   []accSpec
-	emits  []emitSpec
+	accs  []accSpec
+	emits []emitSpec
 }
 
-// maxFusedFilters and maxFusedAccs bound the fused compiler; plans past
-// them fall back to the staged path (selected automatically, logged).
-const (
-	maxFusedFilters = 8
-	maxFusedAccs    = 32
-)
-
-// buildFuseShape decides fusibility and lays out deduplicated
-// accumulators. Sum/Avg over the same (slot, decode) share one
-// accumulator — its count field counts selected rows, exactly what
-// Count emits — so Q1's five output aggregates run on two physical
-// accumulators, matching the hand-coded kernel.
+// buildFuseShape lays out deduplicated accumulators. Sum/Avg over the
+// same (slot, decode) share one accumulator — its count field counts
+// selected rows, exactly what Count emits — so Q1's five output
+// aggregates run on two physical accumulators, matching the hand-coded
+// kernel.
 func buildFuseShape(c *Compiled) *fuseShape {
-	s := &fuseShape{ok: true}
-	if len(c.filters) > maxFusedFilters {
-		s.ok, s.reason = false, "more than 8 filters"
-		return s
-	}
+	s := &fuseShape{}
 	type dk struct {
 		kind   fAccKind
 		slot   int
@@ -154,24 +133,7 @@ func buildFuseShape(c *Compiled) *fuseShape {
 			s.emits[ei].acc, s.emits[ei].cnt = countAcc, countAcc
 		}
 	}
-	if len(s.accs) > maxFusedAccs {
-		s.ok, s.reason = false, "more than 32 accumulators"
-	}
 	return s
-}
-
-// logFallback announces a staged-path selection once per Bind.
-func logFallback(name, reason string) {
-	log.Printf("query: %s: fused kernel unavailable (%s); using staged fallback", name, reason)
-}
-
-// Fused reports whether this plan compiles to the fused single-pass
-// kernel; when it does not, reason says why the staged fallback runs.
-func (c *Compiled) Fused() (bool, string) {
-	if c.fuse == nil {
-		return false, "not bound"
-	}
-	return c.fuse.ok, c.fuse.reason
 }
 
 // --- Prepare-time specialization ---

@@ -81,6 +81,17 @@ func newBenchCatalog(tb testing.TB) (Catalog, *oltp.Engine) {
 	return testCatalog{e}, e
 }
 
+// semiDim1 is the selective single-key existence join against bdim1.
+func semiDim1() JoinEdge {
+	return JoinOn(Rel("bfact"), Rel("bdim1").Filter(Between("w", 1, 60)), "k1", "id")
+}
+
+// joinDimC is the composite-key join against bdimc; "pay" projects when a
+// plan demands it downstream.
+func joinDimC() JoinEdge {
+	return JoinOn(Rel("bfact"), Rel("bdimc"), "jk", "jk", "k2", "k2")
+}
+
 // runKernelBench binds the plan once, then measures end-to-end morsel
 // execution on a single worker so per-row kernel cost is the only
 // variable.
@@ -139,7 +150,7 @@ func BenchmarkKernelFilterCountDict(b *testing.B) {
 func BenchmarkKernelFilterProbeSum(b *testing.B) {
 	runKernelBench(b, Scan("bfact").
 		Filter(Between("qty", 5, 45)).
-		SemiJoin("bdim1", "k1", "id", Between("w", 1, 60)).
+		JoinGraph(semiDim1()).
 		Agg(Sum("amount").As("rev")), 3)
 }
 
@@ -149,8 +160,7 @@ func BenchmarkKernelFilterProbeSum(b *testing.B) {
 func BenchmarkKernelFilterProbeGroupSum(b *testing.B) {
 	runKernelBench(b, Scan("bfact").
 		Filter(Between("qty", 5, 45)).
-		Join("bdimc", "jk", "jk", "pay").
-		On("k2", "k2").
+		JoinGraph(joinDimC()).
 		GroupBy("pay").
 		Agg(Sum("amount").As("rev")), 4)
 }
@@ -160,8 +170,7 @@ func BenchmarkKernelFilterProbeGroupSum(b *testing.B) {
 // gather, inlined hash chain, open-addressed group table).
 func BenchmarkKernelProbeGroupSumSpill(b *testing.B) {
 	runKernelBench(b, Scan("bfact").
-		Join("bdimc", "jk", "jk", "pay").
-		On("k2", "k2").
+		JoinGraph(joinDimC()).
 		GroupBy("jk", "pay").
 		Agg(Sum("amount").As("rev")), 4)
 }

@@ -43,8 +43,8 @@ func hashGK(k *gkey, n int) uint64 {
 
 // joinTab1 is the single-key join build table: linear-probed slots keyed
 // by the raw int64 word, payload rows packed in one slab at fixed
-// stride. build presizes it from the dimension's row count — like the
-// map build it replaces — so loading never rehashes.
+// stride. build presizes it from the dimension's row count, so an
+// unpredicated load never rehashes.
 type joinTab1 struct {
 	mask  uint64
 	shift uint8
@@ -89,10 +89,10 @@ func (t *joinTab1) grow() {
 
 // build loads the dimension's predicate-passing rows, narrowed through
 // the dimension's secondary index when an Eq predicate allows it (see
-// indexedDimRows). Duplicate keys keep the last row's payload, matching
-// the map build it replaces — posting rows iterate ascending, so the
-// narrowed build resolves duplicates identically. Returns the number of
-// dimension rows read (the cost model's broadcast volume).
+// indexedDimRows). Duplicate keys keep the last row's payload; posting
+// rows iterate ascending, so the narrowed build resolves duplicates
+// identically to the full scan. Returns the number of dimension rows
+// read (the cost model's broadcast volume).
 func (t *joinTab1) build(j *joinPlan) int64 {
 	dt := j.dim.Table()
 	rows := dt.Rows()
@@ -142,7 +142,7 @@ func (t *joinTab1) build(j *joinPlan) int64 {
 				break
 			}
 			if s.key == k {
-				s.off = off // last row wins, like the map build
+				s.off = off // last row wins
 				break
 			}
 			h = (h + 1) & t.mask
@@ -275,8 +275,6 @@ type groupTab struct {
 	nkey  int
 }
 
-var zeroAccRow [maxFusedAccs]acc
-
 func newGroupTab(nacc, nkey int) *groupTab {
 	return &groupTab{mask: 63, shift: 58, slots: make([]int32, 64), nacc: nacc, nkey: nkey}
 }
@@ -324,7 +322,11 @@ func (t *groupTab) lookup(k *gkey) []acc {
 	}
 	idx := len(t.keys)
 	t.keys = append(t.keys, *k)
-	t.arena = append(t.arena, zeroAccRow[:t.nacc]...)
+	// One zero acc at a time: append(arena, make([]acc, nacc)...) only skips
+	// its temporary without -race, and the alloc budgets hold under both.
+	for range t.nacc {
+		t.arena = append(t.arena, acc{})
+	}
 	t.slots[h] = int32(idx + 1)
 	off := idx * t.nacc
 	return t.arena[off : off+t.nacc]
@@ -373,8 +375,8 @@ func (e *fexec) NewLocal() olap.Local {
 	return l
 }
 
-// growDense doubles the flat array to cover key k (capped at denseLen),
-// the same policy as the staged path so flat contents stay identical.
+// growDense doubles the flat array from 16 to cover key k, capped at
+// denseLen; keys past the cap go through lookupTab.
 //
 //htap:coldpath
 func (l *flocal) growDense(k int64) {
@@ -598,9 +600,10 @@ func (e *fexec) filterRow(cols [][]int64, i int) bool {
 	return true
 }
 
-// update applies every specialized op to row i's accumulator row. Update
-// order is ascending row order per accumulator — the same order as the
-// staged per-aggregate passes — so float totals are bit-identical.
+// update applies every specialized op to row i's accumulator row. Rows
+// arrive in ascending order, so each (group, accumulator) pair adds its
+// floats in ascending row order — the invariant that makes per-morsel
+// totals bitwise reproducible.
 func (e *fexec) update(accs []acc, cols [][]int64, pay []int64, i int) {
 	for o := range e.ops {
 		op := &e.ops[o]
@@ -807,9 +810,10 @@ func (e *fexec) emitRow(k gkey, accs []acc) []float64 {
 }
 
 // Merge implements olap.Exec. The engine passes locals in morsel order;
-// totals accumulate in that order and grouped rows emit sorted by key,
-// exactly like the staged merge, so fused results are bitwise identical
-// under any stealing or resize interleaving.
+// totals accumulate in that order and grouped rows emit sorted ascending
+// by key, so results are bitwise identical under any stealing or resize
+// interleaving. Having predicates then drop rows and an OrderBy re-sorts
+// the survivors (finishRes) — both over fully merged values.
 //
 //htap:deterministic
 func (e *fexec) Merge(locals []olap.Local) olap.Result {
@@ -832,8 +836,8 @@ func (e *fexec) Merge(locals []olap.Local) olap.Result {
 		ll := li.(*flocal)
 		// specDenseSumIF keeps its dense cells in 24-byte sumIF form with
 		// no occupancy stores: the shared count is unconditional, so
-		// cnt>0 is exactly the staged path's present bit, and the fold
-		// below adds the same values in the same ascending-key order.
+		// cnt>0 is exactly the generic dense path's present bit, and the
+		// fold below adds the same values in the same ascending-key order.
 		for kv := range ll.flatIF {
 			g := &ll.flatIF[kv]
 			if g.cnt > 0 {

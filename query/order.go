@@ -1,10 +1,8 @@
 package query
 
-// Bind-time join resolution and ordering. Both join surfaces — the
-// graph form (JoinGraph) and the deprecated linear shims — funnel into
-// the same machinery here: relations resolve to dimension handles,
-// payloads settle (explicit for the shims, inferred from downstream
-// demand for graphs), and the joins are ordered for execution.
+// Bind-time join resolution and ordering: the join graph's relations
+// resolve to dimension handles, payloads settle (inferred from downstream
+// demand), and the joins are ordered for execution.
 //
 // Ordering is greedy and statistics-free, the zero-maintenance policy
 // the paper's HTAP setting wants: no histograms or cardinality sketches
@@ -46,11 +44,7 @@ type rjoin struct {
 // modes bind to identical metadata, and in execution order — plus any
 // predicates the graph attached to the fact relation.
 func (p *Plan) resolveJoins(cat Catalog, schema columnar.Schema) (written, ordered []*rjoin, factPreds []Pred, err error) {
-	if len(p.graph) > 0 {
-		written, factPreds, err = p.resolveGraph(cat, schema)
-	} else {
-		written, err = p.resolveShims(cat, schema)
-	}
+	written, factPreds, err = p.resolveGraph(cat, schema)
 	if err != nil {
 		return nil, nil, nil, err
 	}
@@ -59,38 +53,6 @@ func (p *Plan) resolveJoins(cat Catalog, schema columnar.Schema) (written, order
 		return nil, nil, nil, err
 	}
 	return written, ordered, factPreds, nil
-}
-
-// resolveShims lifts the deprecated Join/SemiJoin specs (at most one
-// today, but the machinery is shared) into resolution state.
-func (p *Plan) resolveShims(cat Catalog, schema columnar.Schema) ([]*rjoin, error) {
-	var out []*rjoin
-	for _, spec := range p.joins {
-		dh := cat.Handle(spec.dim)
-		if dh == nil {
-			return nil, fmt.Errorf("query: unknown dimension table %q", spec.dim)
-		}
-		rj := &rjoin{spec: spec, dh: dh, schema: dh.Table().Schema()}
-		for _, fk := range spec.factKeys {
-			src := ""
-			if schema.ColumnIndex(fk) < 0 {
-				// Not a fact column: it must be another join's payload.
-				for _, other := range p.joins {
-					if other == spec {
-						continue
-					}
-					for _, pc := range other.payload {
-						if pc == fk {
-							src = other.dim
-						}
-					}
-				}
-			}
-			rj.keySrc = append(rj.keySrc, src)
-		}
-		out = append(out, rj)
-	}
-	return out, nil
 }
 
 // resolveGraph turns the edge list into per-relation join specs: edges
@@ -170,7 +132,10 @@ func (p *Plan) resolveGraph(cat Catalog, schema columnar.Schema) ([]*rjoin, []Pr
 	}
 	// Payload inference (b): downstream demand owned by exactly one
 	// relation projects from it; a name owned by several relations (or a
-	// relation and the fact table) is ambiguous.
+	// relation and the fact table) is ambiguous — unless every relation
+	// holds it only as the key column equated to the fact column of the
+	// same name, where both sides carry one value per surviving row and the
+	// name reads the fact column.
 	var demand []string
 	demand = append(demand, p.groups...)
 	for _, a := range p.aggs {
@@ -189,6 +154,15 @@ func (p *Plan) resolveGraph(cat Catalog, schema columnar.Schema) ([]*rjoin, []Pr
 			}
 		}
 		inFact := schema.ColumnIndex(name) >= 0
+		if inFact {
+			kept := owners[:0]
+			for _, n := range owners {
+				if !keyedOnFact(n, name) {
+					kept = append(kept, n)
+				}
+			}
+			owners = kept
+		}
 		switch {
 		case inFact && len(owners) > 0:
 			return nil, nil, fmt.Errorf("%w: %q is reachable from fact table %q and relation %q",
@@ -201,6 +175,17 @@ func (p *Plan) resolveGraph(cat Catalog, schema columnar.Schema) ([]*rjoin, []Pr
 		}
 	}
 	return written, factPreds, nil
+}
+
+// keyedOnFact reports whether the relation's column col is a key column
+// equated to the fact table's own column of the same name.
+func keyedOnFact(rj *rjoin, col string) bool {
+	for i, dk := range rj.spec.dimKeys {
+		if dk == col && rj.spec.factKeys[i] == col && rj.keySrc[i] == "" {
+			return true
+		}
+	}
+	return false
 }
 
 func addPayload(rj *rjoin, col string) {

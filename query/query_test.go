@@ -1,7 +1,3 @@
-//lint:file-ignore SA1019 this file exercises the deprecated linear join
-// shims (Join, SemiJoin, On, JoinFilter) on purpose, pinning the
-// shim-equals-graph equivalence until removal.
-
 package query
 
 import (
@@ -85,14 +81,28 @@ func newFixture(t *testing.T) (Catalog, *oltp.Engine) {
 	return testCatalog{e}, e
 }
 
+// joinProduct is the one-edge sales ⋈ product graph on pid, with the
+// product side restricted by preds.
+func joinProduct(preds ...Pred) JoinEdge {
+	return JoinOn(Rel("sales"), Rel("product").Filter(preds...), "pid", "pid")
+}
+
 func run(t *testing.T, e *oltp.Engine, q olap.Query) olap.Result {
+	t.Helper()
+	return runWorkers(t, e, q, 1)
+}
+
+// runWorkers executes q over its whole fact table on a pool of the given
+// size.
+func runWorkers(t *testing.T, e *oltp.Engine, q olap.Query, workers int) olap.Result {
 	t.Helper()
 	tab := e.Table(q.FactTable()).Table()
 	src := olap.Source{Table: tab, Parts: []olap.Part{{
 		Data: tab.Active(), Lo: 0, Hi: tab.Rows(), Socket: 0, Label: "test",
 	}}}
 	eng := olap.NewEngine(1)
-	eng.SetPlacement(topology.Placement{PerSocket: []int{1}})
+	defer eng.Close()
+	eng.SetPlacement(topology.Placement{PerSocket: []int{workers}})
 	res, _, err := eng.ExecuteContext(context.Background(), q, src)
 	if err != nil {
 		t.Fatal(err)
@@ -191,7 +201,7 @@ func TestStringEqualityPredicate(t *testing.T) {
 func TestSemiJoinWithDimensionPredicate(t *testing.T) {
 	cat, e := newFixture(t)
 	q, err := Scan("sales").
-		SemiJoin("product", "pid", "pid", Gt("price", 3.1)).
+		JoinGraph(joinProduct(Gt("price", 3.1))).
 		Agg(Sum("amount").As("revenue"), Count().As("matches")).
 		Bind(cat)
 	if err != nil {
@@ -242,7 +252,19 @@ func TestClassInference(t *testing.T) {
 	if c := Scan("sales").GroupBy("pid").Agg(Count()).Class(); c != costmodel.ScanGroupBy {
 		t.Errorf("groupby class = %v", c)
 	}
-	if c := Scan("sales").SemiJoin("product", "pid", "pid").GroupBy("pid").Agg(Count()).Class(); c != costmodel.JoinProbe {
+	// Payloads are inferred at Bind: unbound, a join plan assumes the
+	// heavier class; bound, pid reads the fact column, nothing projects
+	// from product, and the join is an existence probe.
+	semi := Scan("sales").JoinGraph(joinProduct()).GroupBy("pid").Agg(Count())
+	if c := semi.Class(); c != costmodel.JoinProject {
+		t.Errorf("unbound join class = %v", c)
+	}
+	cat, _ := newFixture(t)
+	q, err := semi.Bind(cat)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if c := q.Class(); c != costmodel.JoinProbe {
 		t.Errorf("join class = %v", c)
 	}
 }
@@ -287,11 +309,11 @@ func TestBindErrors(t *testing.T) {
 		{"string-sum", Scan("sales").Agg(Sum("tag")), "string column"},
 		{"fractional-int", Scan("sales").Filter(Eq("day", 1.5)).Agg(Count()), "non-integral"},
 		{"double-groupby", Scan("sales").GroupBy("day").GroupBy("pid").Agg(Count()), "GroupBy called twice"},
-		{"double-semijoin",
-			Scan("sales").SemiJoin("product", "pid", "pid").SemiJoin("product", "pid", "pid").Agg(Count()),
-			"already has a join"},
-		{"unknown-dim", Scan("sales").SemiJoin("nope", "pid", "pid").Agg(Count()), "unknown dimension"},
-		{"unknown-dim-col", Scan("sales").SemiJoin("product", "pid", "sku").Agg(Count()), "no column"},
+		{"unknown-dim", Scan("sales").JoinGraph(JoinOn(Rel("sales"), Rel("nope"), "pid", "pid")).Agg(Count()), "unknown dimension"},
+		{"unknown-dim-col", Scan("sales").JoinGraph(JoinOn(Rel("sales"), Rel("product"), "pid", "sku")).Agg(Count()), "no column"},
+		{"joingraph-twice",
+			Scan("sales").JoinGraph(joinProduct()).JoinGraph(joinProduct()).Agg(Count()),
+			"JoinGraph called twice"},
 		{"empty-table", Scan("").Agg(Count()), "empty table"},
 	}
 	for _, tc := range cases {
@@ -312,7 +334,7 @@ func TestBindErrors(t *testing.T) {
 func TestJoinProjectsPayloadIntoAggregation(t *testing.T) {
 	cat, e := newFixture(t)
 	q, err := Scan("sales").
-		Join("product", "pid", "pid", "price").
+		JoinGraph(joinProduct()).
 		GroupBy("day").
 		Agg(Sum("price").As("price_sum"), Count()).
 		Bind(cat)
@@ -344,11 +366,10 @@ func TestJoinProjectsPayloadIntoAggregation(t *testing.T) {
 	}
 }
 
-func TestJoinFilterRestrictsBuildSide(t *testing.T) {
+func TestRelationFilterRestrictsBuildSide(t *testing.T) {
 	cat, e := newFixture(t)
 	q, err := Scan("sales").
-		Join("product", "pid", "pid", "price").
-		JoinFilter(Gt("price", 3.1)).
+		JoinGraph(joinProduct(Gt("price", 3.1))).
 		Agg(Sum("amount").As("revenue"), Sum("price"), Count()).
 		Bind(cat)
 	if err != nil {
@@ -365,8 +386,7 @@ func TestJoinFilterRestrictsBuildSide(t *testing.T) {
 func TestCompositeJoinKey(t *testing.T) {
 	cat, e := newFixture(t)
 	q, err := Scan("sales").
-		Join("daily", "day", "day", "factor").
-		On("pid", "pid").
+		JoinGraph(JoinOn(Rel("sales"), Rel("daily"), "day", "day", "pid", "pid")).
 		GroupBy("day").
 		Agg(Sum("factor").As("fsum")).
 		Bind(cat)
@@ -500,7 +520,7 @@ func TestCountIfAndNot(t *testing.T) {
 
 	// CountIf over a join payload column, ungrouped, with a negated range.
 	q2, err := Scan("sales").
-		Join("product", "pid", "pid", "price").
+		JoinGraph(joinProduct()).
 		Agg(
 			CountIf(Between("price", 3.1, 6)).As("mid"),
 			CountIf(Not(Between("price", 3.1, 6))).As("rest"),
@@ -556,8 +576,8 @@ func TestPredTypeErrorsAreTyped(t *testing.T) {
 		Scan("sales").Filter(Between("amount", 1.0, "high")).Agg(Count()),
 		Scan("sales").Filter(Eq("tag", 7)).Agg(Count()),
 		Scan("sales").Filter(Eq("day", 1.5)).Agg(Count()),
-		Scan("sales").SemiJoin("product", "pid", "pid", Gt("price", "expensive")).Agg(Count()),
-		Scan("sales").Join("product", "pid", "pid", "price").JoinFilter(Le("price", []byte("x"))).Agg(Count()),
+		Scan("sales").JoinGraph(joinProduct(Gt("price", "expensive"))).Agg(Count()),
+		Scan("sales").JoinGraph(joinProduct(Le("price", []byte("x")))).Agg(Count()),
 		Scan("sales").GroupBy("pid").Agg(Count()).Having(Gt("count", "many")),
 		Scan("sales").Agg(CountIf(Eq("qty", "lots"))),
 	}
@@ -591,23 +611,19 @@ func TestJoinAndOrderBindErrors(t *testing.T) {
 		{"orderby-twice", Scan("sales").GroupBy("pid").Agg(Count()).OrderBy("count", true).OrderBy("pid", false), "OrderBy called twice"},
 		{"limit-nonpositive", Scan("sales").GroupBy("pid").Agg(Count()).OrderBy("count", true).Limit(0), "need > 0"},
 		{"having-unknown", Scan("sales").GroupBy("pid").Agg(Count()).Having(Gt("revenue", 1)), "not an output column"},
-		{"on-before-join", Scan("sales").On("day", "day").Agg(Count()), "On before Join"},
-		{"joinfilter-before-join", Scan("sales").JoinFilter(Eq("price", 1)).Agg(Count()), "JoinFilter before Join"},
-		{"join-twice", Scan("sales").Join("product", "pid", "pid").Join("daily", "day", "day").Agg(Count()), "already has a join"},
-		{"join-after-semijoin", Scan("sales").SemiJoin("product", "pid", "pid").Join("daily", "day", "day").Agg(Count()), "already has a join"},
 		{"too-many-keys",
-			Scan("sales").Join("daily", "day", "day").On("pid", "pid").On("qty", "factor").On("amount", "factor").Agg(Count()),
+			Scan("sales").JoinGraph(JoinOn(Rel("sales"), Rel("daily"),
+				"day", "day", "pid", "pid", "qty", "factor", "amount", "factor")).Agg(Count()),
 			"exceeds 3 columns"},
-		{"string-payload", Scan("sales").Join("product", "pid", "pid", "category").Agg(Count()), "string"},
-		{"ambiguous-payload", Scan("sales").Join("daily", "day", "day", "pid").Agg(Count()), "ambiguous"},
+		{"string-payload", Scan("sales").JoinGraph(joinProduct()).Agg(Sum("category")), "payload column \"category\" is a string"},
 		{"filter-on-payload",
-			Scan("sales").Join("product", "pid", "pid", "price").Filter(Gt("price", 1)).Agg(Count()),
-			"use JoinFilter"},
-		{"string-fact-key", Scan("sales").Join("product", "tag", "pid").Agg(Count()), "not int64"},
+			Scan("sales").JoinGraph(joinProduct()).Filter(Gt("price", 1)).Agg(Sum("price")),
+			"use Relation.Filter"},
+		{"string-fact-key", Scan("sales").JoinGraph(JoinOn(Rel("sales"), Rel("product"), "tag", "pid")).Agg(Count()), "not int64"},
 		{"group-on-float-payload",
-			Scan("sales").Join("product", "pid", "pid", "price").GroupBy("price").Agg(Count()),
+			Scan("sales").JoinGraph(joinProduct()).GroupBy("price").Agg(Count()),
 			"only int64 keys"},
-		{"unknown-payload", Scan("sales").Join("product", "pid", "pid", "sku").Agg(Count()), "no column"},
+		{"unknown-payload", Scan("sales").JoinGraph(joinProduct()).Agg(Sum("sku")), "no column"},
 	}
 	for _, tc := range cases {
 		_, err := tc.plan.Bind(cat)

@@ -113,10 +113,14 @@ func (s *System) TenantStats() []TenantStats {
 // elastichtap/query): one value per query.Param name in the plan.
 type Args = query.Args
 
-// QueryContext is Query with cancellation: the context is observed
+// QueryContext schedules and executes an analytical query adaptively: the
+// scheduler measures freshness, picks a state (Algorithm 2), migrates
+// resources (Algorithm 1), optionally ETLs, and executes. It fails with
+// ErrNoDatabase before LoadCH; see also Submit for asynchronous sessions
+// and Prepare for parameterized statements. The context is observed
 // through admission (switch, migration, ETL) and during execution at
-// morsel boundaries. A cancelled query fails with an error wrapping
-// ErrCancelled and the context's cause; the System stays fully usable.
+// morsel boundaries: a cancelled query fails with an error wrapping
+// ErrCancelled and the context's cause, and the System stays fully usable.
 func (s *System) QueryContext(ctx context.Context, q Query) (QueryReport, error) {
 	if s.db == nil {
 		return QueryReport{}, fmt.Errorf("elastichtap: Query: %w", ErrNoDatabase)
@@ -125,8 +129,9 @@ func (s *System) QueryContext(ctx context.Context, q Query) (QueryReport, error)
 	return rep, err
 }
 
-// QueryInStateContext is QueryInState with cancellation (see
-// QueryContext).
+// QueryInStateContext executes the query with the system pinned to a
+// state (static schedules, A/B comparisons), with QueryContext's
+// cancellation.
 func (s *System) QueryInStateContext(ctx context.Context, q Query, st State) (QueryReport, error) {
 	if s.db == nil {
 		return QueryReport{}, fmt.Errorf("elastichtap: QueryInState: %w", ErrNoDatabase)
@@ -135,10 +140,11 @@ func (s *System) QueryInStateContext(ctx context.Context, q Query, st State) (Qu
 	return rep, err
 }
 
-// QueryBatchContext is QueryBatch with cancellation: the batch shares one
-// snapshot and a single ETL, and the context is checked before each
-// member and during each execution. On cancellation the reports of the
-// queries that completed are returned alongside the error.
+// QueryBatchContext executes a batch of queries over one shared snapshot
+// with a single ETL (the paper's query-batch class, §2.3/§4.2). The
+// context is checked before each member and during each execution; on
+// cancellation the reports of the queries that completed are returned
+// alongside the error.
 func (s *System) QueryBatchContext(ctx context.Context, qs []Query) ([]QueryReport, error) {
 	if s.db == nil {
 		return nil, fmt.Errorf("elastichtap: QueryBatch: %w", ErrNoDatabase)
