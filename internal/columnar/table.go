@@ -64,10 +64,16 @@ type Table struct {
 	// them: appends are chunk-stable and row-disjoint from any scan.
 	updates atomic.Int64
 
-	// colUpdates counts lifetime in-place updates per column. Secondary
-	// indexes use it for staleness checks: a column whose counter has not
-	// moved since the index was built can serve lookups from postings
-	// alone, even while sibling columns of the same table churn.
+	// colUpdates counts, per column, every write that changed an existing
+	// cell of an instance. The only writers of an existing cell are
+	// UpdateCell and SyncTo, and both count (store first, then count), so a
+	// reader that loads the counter, reads cells, and finds the counter
+	// unmoved has seen no cell of that column change underneath it — in
+	// either instance. Secondary indexes and cached join build sides hang
+	// their staleness checks on that: a column whose counter has not moved
+	// since they were built serves from derived state alone, even while
+	// sibling columns churn, and a counter still at zero means both
+	// instances hold the appended values, identical in every source.
 	colUpdates []atomic.Int64
 
 	epoch atomic.Uint64
@@ -222,9 +228,10 @@ func (t *Table) RowTS(row int64) uint64 { return uint64(t.rowTS.Load(row)) }
 // means the table has only ever been appended to.
 func (t *Table) UpdateCount() int64 { return t.updates.Load() }
 
-// ColumnUpdateCount returns the lifetime number of in-place updates that
-// hit column col (across both instances); zero means the column has only
-// ever been written by appends, so all sources agree on its values.
+// ColumnUpdateCount returns the lifetime number of writes that changed an
+// existing cell of column col in either instance (transactional updates
+// and the sync that propagates them); zero means the column has only ever
+// been written by appends, so all sources agree on its values.
 func (t *Table) ColumnUpdateCount(col int) int64 { return t.colUpdates[col].Load() }
 
 // SwitchResult describes the outcome of an active-instance switch.
@@ -288,6 +295,12 @@ func (t *Table) Switch() SwitchResult {
 // §3.4). lock must acquire the record's exclusive lock and return its
 // release function, so the copy cannot race a committing transaction.
 // It returns the number of records copied.
+//
+// Only cells whose word differs are stored, and each such store counts in
+// colUpdates: the destination held the pre-update value until now, so
+// anything derived from the active instance since the switch (an index
+// built by a lookup racing the sync) is stale for exactly those columns.
+// Never-updated columns are identical in both instances and stay at zero.
 func (t *Table) SyncTo(snapIdx int, lock func(row int64) func()) int {
 	snap := t.inst[snapIdx]
 	dst := t.inst[1-snapIdx]
@@ -297,7 +310,10 @@ func (t *Table) SyncTo(snapIdx int, lock func(row int64) func()) int {
 		unlock := lock(row)
 		if !dst.dirty.Test(i) {
 			for c := range snap.cols {
-				dst.cols[c].Store(row, snap.cols[c].Load(row))
+				if v := snap.cols[c].Load(row); v != dst.cols[c].Load(row) {
+					dst.cols[c].Store(row, v)
+					t.colUpdates[c].Add(1)
+				}
 			}
 			copied++
 		}

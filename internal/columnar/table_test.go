@@ -143,6 +143,33 @@ func TestSyncSkipsReupdatedRows(t *testing.T) {
 	}
 }
 
+// TestSyncCountsTheCellsItChanges pins the colUpdates invariant: whoever
+// read the new active instance between Switch and SyncTo saw the
+// pre-update word, so the sync's store must move the column's counter —
+// and must leave the counters of columns it did not change alone.
+func TestSyncCountsTheCellsItChanges(t *testing.T) {
+	tab := NewTable(testSchema(), 8)
+	tab.AppendRows([][]int64{tab.EncodeRow(1, 1.0, "a"), tab.EncodeRow(2, 2.0, "b")}, 1)
+	tab.UpdateCell(0, 0, 100, 2)
+	sw := tab.Switch()
+	seen := tab.ColumnUpdateCount(0)
+	if stale := tab.ReadActive(0, 0); stale != 1 {
+		t.Fatalf("new active instance holds %d before sync, want the pre-update 1", stale)
+	}
+	tab.SyncTo(sw.SnapshotIndex, lockNothing)
+	if got := tab.ReadActive(0, 0); got != 100 {
+		t.Fatalf("sync did not propagate the update: %d", got)
+	}
+	if tab.ColumnUpdateCount(0) == seen {
+		t.Fatal("sync changed a cell of column 0 without counting it: a reader of the switch→sync window is never invalidated")
+	}
+	for c := 1; c < 3; c++ {
+		if n := tab.ColumnUpdateCount(c); n != 0 {
+			t.Fatalf("never-updated column %d counts %d after sync, want 0", c, n)
+		}
+	}
+}
+
 func TestFreshSince(t *testing.T) {
 	tab := NewTable(testSchema(), 8)
 	var rows [][]int64

@@ -376,11 +376,17 @@ func (s *System) RunQueryContext(ctx context.Context, q olap.Query, opt QueryOpt
 	base := s.Model.OLTPThroughput(costmodel.OLTPLoad{
 		Workers: adm.oltpPlace, HomeSocket: s.Cfg.OLTPSocket,
 	})
-	// Broadcast build sides come from dimension tables, whose size is fixed
-	// by the benchmark (items is 100k at every scale factor), so they are
-	// not subject to the byte-scale emulation. The measured stolen bytes
-	// tell the model how much payload actually crossed sockets under work
-	// stealing, replacing a purely modeled attribution.
+	// BuildBytes is each join's logical broadcast volume — the build-side
+	// rows a from-scratch build reads times the columns it touches —
+	// whether this execution built the table, extended a kept one or
+	// reused it as it was (query.Compiled.Prepare): the model prices the
+	// query's work, so the scheduler decides alike on a cold and a warm
+	// statement. Build sides are not all fixed-size (orders grows with
+	// every NewOrder), but they are real rows of this database rather than
+	// a stand-in for a larger fact table, so they are not subject to the
+	// byte-scale emulation. The measured stolen bytes tell the model how
+	// much payload actually crossed sockets under work stealing, replacing
+	// a purely modeled attribution.
 	scan := s.Model.OLAPScan(costmodel.ScanRequest{
 		Class:                 q.Class(),
 		BytesAt:               s.scaleAll(stats.BytesAt),
@@ -390,7 +396,7 @@ func (s *System) RunQueryContext(ctx context.Context, q olap.Query, opt QueryOpt
 		MeasuredRemoteBytesAt: s.scaleAll(stats.StolenBytesAt),
 		// Merged group counts grow with the fact table (Q3/Q18 group per
 		// order), so the sort volume scales with the emulated size like
-		// the payload bytes do — unlike the dimension-sized broadcast.
+		// the payload bytes do — unlike the unscaled broadcast.
 		SortRows: s.scale(res.SortedRows),
 	})
 	during := s.Model.OLTPThroughput(costmodel.OLTPLoad{

@@ -3,6 +3,7 @@ package txn
 import (
 	"errors"
 	"fmt"
+	"runtime"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -270,74 +271,59 @@ func (t *Txn) Read(ref *TableRef, row int64, col int) (int64, bool) {
 // the timestamp again. A row whose record lock is held is mid-commit —
 // its cells may be half-written even when the row timestamp looks stable
 // — so locked or unstable rows fall back to the version chain, where the
-// committer pushed the full-row pre-image before mutating anything.
+// locker pushed the full-row pre-image before mutating anything. It
+// pushes right after acquiring (Txn.lock), so a reader can catch the lock
+// held and the chain still short of that image: a row whose newest
+// timestamp is within the snapshot but which resolves nowhere is looked
+// at again, not reported invisible.
 func readCommitted(locks *LockTable, ref *TableRef, row int64, col int, asOf uint64) (int64, bool) {
 	if row >= ref.Table.Rows() {
 		return 0, false
 	}
 	k := LockKey{Tab: ref.ID, Row: row}
-	for attempt := 0; attempt < 3; attempt++ {
-		ts1 := ref.Table.RowTS(row)
-		if ts1 > asOf {
-			break
+	for {
+		for attempt := 0; attempt < 3; attempt++ {
+			ts1 := ref.Table.RowTS(row)
+			if ts1 > asOf {
+				break
+			}
+			if locks.Held(k) {
+				continue
+			}
+			v := ref.Table.ReadActive(row, col)
+			ts2 := ref.Table.RowTS(row)
+			if ts1 == ts2 && !locks.Held(k) {
+				return v, true
+			}
 		}
-		if locks.Held(k) {
-			continue
+		// Whoever moved the row past the snapshot pushed its pre-image
+		// before applying, so a chain lookup made after seeing the newer
+		// timestamp is final; one made before it is not.
+		newer := ref.Table.RowTS(row) > asOf
+		if img, ok := ref.Versions.ReadAsOf(row, asOf); ok {
+			return img[col], true
 		}
-		v := ref.Table.ReadActive(row, col)
-		ts2 := ref.Table.RowTS(row)
-		if ts1 == ts2 && !locks.Held(k) {
-			return v, true
+		if newer {
+			return 0, false
 		}
+		runtime.Gosched()
 	}
-	img, ok := ref.Versions.ReadAsOf(row, asOf)
-	if !ok {
-		return 0, false
-	}
-	return img[col], true
 }
 
 // Write buffers a cell write after taking the record's exclusive lock and
 // validating first-updater-wins. Returns ErrDie (caller should abort and
 // retry) or ErrConflict (snapshot-isolation write conflict).
 func (t *Txn) Write(ref *TableRef, row int64, col int, val int64) error {
-	if t.status != statusActive {
-		return ErrAborted
+	if err := t.lock(ref, row); err != nil {
+		return err
 	}
+	t.buffer(ref, row, col, val)
+	return nil
+}
+
+// buffer records a write to a row this transaction has locked.
+func (t *Txn) buffer(ref *TableRef, row int64, col int, val int64) {
 	k := t.lockKey(ref, row)
-	if _, mine := t.holding[k]; !mine {
-		var err error
-		if t.m.Policy() == NoWait {
-			err = t.m.locks.TryAcquire(k, t.priority)
-		} else {
-			err = t.m.locks.Acquire(k, t.priority)
-		}
-		if err != nil {
-			return err
-		}
-		if t.holding == nil {
-			t.holding = map[LockKey]struct{}{}
-		}
-		t.holding[k] = struct{}{}
-		t.held = append(t.held, k)
-		// First-updater-wins: a version committed after our snapshot means
-		// a concurrent writer already won.
-		if ref.Table.RowTS(row) > t.begin {
-			return ErrConflict
-		}
-		// Push the full-row pre-image NOW, not at commit: concurrent
-		// snapshot readers treat locked rows as mid-commit and resolve
-		// through the version chain, so the chain must already hold the
-		// pre-lock image. If this transaction aborts, the pushed version
-		// duplicates the live row (same timestamp, same values) — harmless
-		// until garbage collection reclaims it.
-		width := len(ref.Table.Schema().Columns)
-		img := make([]int64, width)
-		for c := 0; c < width; c++ {
-			img[c] = ref.Table.ReadActive(row, c)
-		}
-		ref.Versions.Push(row, ref.Table.RowTS(row), img)
-	}
 	if t.wIndex == nil {
 		t.wIndex = map[LockKey]map[int]int{}
 	}
@@ -348,22 +334,79 @@ func (t *Txn) Write(ref *TableRef, row int64, col int, val int64) error {
 	}
 	if wi, ok := cols[col]; ok {
 		t.writes[wi].val = val
-		return nil
+		return
 	}
 	cols[col] = len(t.writes)
 	t.writes = append(t.writes, writeOp{ref: ref, row: row, col: col, val: val})
+}
+
+// lock takes the record's exclusive lock for this transaction, once:
+// acquire under the conflict policy, validate first-updater-wins, push the
+// pre-image.
+func (t *Txn) lock(ref *TableRef, row int64) error {
+	if t.status != statusActive {
+		return ErrAborted
+	}
+	k := t.lockKey(ref, row)
+	if _, mine := t.holding[k]; mine {
+		return nil
+	}
+	var err error
+	if t.m.Policy() == NoWait {
+		err = t.m.locks.TryAcquire(k, t.priority)
+	} else {
+		err = t.m.locks.Acquire(k, t.priority)
+	}
+	if err != nil {
+		return err
+	}
+	if t.holding == nil {
+		t.holding = map[LockKey]struct{}{}
+	}
+	t.holding[k] = struct{}{}
+	t.held = append(t.held, k)
+	// First-updater-wins: a version committed after our snapshot means
+	// a concurrent writer already won.
+	if ref.Table.RowTS(row) > t.begin {
+		return ErrConflict
+	}
+	// Push the full-row pre-image NOW, not at commit: concurrent
+	// snapshot readers treat locked rows as mid-commit and resolve
+	// through the version chain, so the chain must already hold the
+	// pre-lock image. If this transaction aborts, the pushed version
+	// duplicates the live row (same timestamp, same values) — harmless
+	// until garbage collection reclaims it.
+	width := len(ref.Table.Schema().Columns)
+	img := make([]int64, width)
+	for c := 0; c < width; c++ {
+		img[c] = ref.Table.ReadActive(row, c)
+	}
+	ref.Versions.Push(row, ref.Table.RowTS(row), img)
 	return nil
 }
 
 // WriteFunc applies fn to the visible value and writes the result, a
 // convenience for read-modify-write cells (stock levels, order counters).
+// It locks the record first and reads under the lock: a snapshot read
+// taken before locking can miss a commit whose timestamp equals this
+// transaction's begin but whose cells were still being applied — such a
+// row resolves through its pre-image — and the first-updater check
+// (RowTS > begin) lets exactly that commit through, so fn(snapshot value)
+// would overwrite its update. Under the lock the in-place cell is the
+// newest committed value, and the check has vouched that it belongs to
+// this snapshot; a row committed after the snapshot is a conflict, to be
+// retried on a newer one.
 func (t *Txn) WriteFunc(ref *TableRef, row int64, col int, fn func(old int64) int64) error {
-	v, ok := t.Read(ref, row, col)
-	if !ok {
+	if row >= ref.Table.Rows() {
 		return fmt.Errorf("txn: row %d of table %q invisible to snapshot %d",
 			row, ref.Table.Schema().Name, t.begin)
 	}
-	return t.Write(ref, row, col, fn(v))
+	if err := t.lock(ref, row); err != nil {
+		return err
+	}
+	v, _ := t.Read(ref, row, col) // our own buffered write, or the cell in place
+	t.buffer(ref, row, col, fn(v))
+	return nil
 }
 
 // Insert buffers whole-row inserts; rows are appended to both instances at

@@ -175,6 +175,10 @@ type Compiled struct {
 	// each Prepare specializes a concrete kernel from the clone's stamped
 	// predicate values.
 	fuse *fuseShape
+	// builds keeps the dense join build tables between executions (see
+	// build.go). Like cache and fuse it is one pointer shared by every
+	// WithArgs clone; nil for plans without joins.
+	builds *buildCache
 }
 
 // havingFilter is a compiled post-aggregation predicate over one output
@@ -198,44 +202,23 @@ func (c *Compiled) Columns() []int { return c.cols }
 
 // Prepare implements olap.Query: every plan specializes into a
 // single-pass fused kernel from the statement's current predicate values
-// (see kernel.go). Each join's key→payload table is built from the
-// dimension's active instance (dimensions are static under the
-// transactional workload) and its broadcast volume is reported.
+// (see kernel.go), and each join gets its key→payload build table.
+//
+// Build sides are not static — orders grows with every NewOrder — so a
+// table is never assumed current. A densely keyed build table is kept on
+// the bound statement and shared by its WithArgs clones: the next Prepare
+// reuses it if the dimension has not grown, extends it with the rows
+// appended since, and rebuilds it from the dimension's active instance
+// when a key, payload or predicate column has ever been updated in place,
+// when the stamped build-side predicate values differ from the ones it
+// was filtered by, or when a new key falls outside its packed domain.
+// Hashed build tables are rebuilt every time (see build.go for the
+// choice). The returned byte count is the join's logical broadcast volume
+// — the dimension rows a from-scratch build reads times the columns it
+// touches — whatever this call actually read: the cost model prices the
+// query, not the cache.
 func (c *Compiled) Prepare() (olap.Exec, int64) {
 	return c.prepareFused()
-}
-
-// indexedDimRows narrows one join's build-side scan through the
-// dimension's secondary index: when an Eq predicate (an intact
-// single-word range after stamping) is served by a complete index, the
-// ascending posting rows replace the full scan. The remaining
-// predicates still run per row — postings only shrink the candidate
-// set, so the build side is identical to a full scan. Columns that have
-// ever been updated in place are left alone: their postings can lag a
-// concurrent writer, while a full ReadActive scan cannot.
-func indexedDimRows(j *joinPlan) ([]int64, bool) {
-	dh := j.dim
-	if dh.Sec == nil {
-		return nil, false
-	}
-	dt := dh.Table()
-	for i := range j.preds {
-		f := &j.preds[i]
-		if f.kind != fIntRange || f.ilo != f.ihi {
-			continue
-		}
-		if dt.ColumnUpdateCount(f.col) != 0 {
-			continue
-		}
-		post, wm, ok := dh.Sec.Lookup(f.col, f.ilo)
-		if !ok || wm != dt.Rows() {
-			continue
-		}
-		rows := make([]int64, 0, post.Count())
-		post.ForEach(func(r int64) { rows = append(rows, r) })
-		return rows, true
-	}
-	return nil, false
 }
 
 // Bind compiles the plan against a catalog: table and column names resolve
@@ -243,8 +226,11 @@ func indexedDimRows(j *joinPlan) ([]int64, bool) {
 // work class is fixed from the plan shape. Join payload columns resolve
 // against the dimension's schema and occupy virtual slots after the fact
 // scan list, so downstream group-by and aggregation address them exactly
-// like scanned columns. The returned query is reusable across executions;
-// the join build side is re-read at each Prepare.
+// like scanned columns. The returned query is reusable across executions
+// and carries what they share: the last stamping (params.go) and the
+// dense join build tables, which each Prepare brings up to the dimension's
+// current rows rather than re-reading it (see Prepare). A fresh Bind
+// starts cold.
 func (p *Plan) Bind(cat Catalog) (*Compiled, error) {
 	if p == nil {
 		return nil, fmt.Errorf("query: nil plan")
@@ -521,6 +507,9 @@ func (p *Plan) Bind(cat Catalog) (*Compiled, error) {
 		c.cache = &stmtCache{}
 	}
 	c.fuse = buildFuseShape(c)
+	if len(c.joins) > 0 {
+		c.builds = &buildCache{entries: make([]buildEntry, len(c.joins))}
+	}
 	return c, nil
 }
 

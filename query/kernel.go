@@ -181,8 +181,9 @@ type ffrange struct {
 
 const (
 	jNone  uint8 = iota
-	jOne         // one join, single-column key
-	jMany        // one join, composite key
+	jOne         // one join, single-column key, hashed
+	jMany        // one join, composite key, hashed
+	jDense       // one join, arithmetically packed keys (build.go)
 	jMulti       // two or more joins, probed in execution order
 )
 
@@ -219,11 +220,10 @@ type fexec struct {
 	// join
 	jkind      uint8
 	probeSlot  int   // jOne
-	probeSlots []int // jMany
+	probeSlots []int // jMany, jDense
 	nkey       int
 	npay       int
-	j1         joinTab1
-	jK         joinTabK
+	buildSide  // the single join's table
 	// jMulti: one fjoin per compiled join, execution order; payload
 	// columns land in a flat per-local buffer of npayTotal words.
 	joins     []fjoin
@@ -273,9 +273,8 @@ func (e *fexec) addRange(slot int, lo, hi int64) {
 
 // prepareFused builds the specialized kernel for one execution: filters
 // classify into range/generic forms from their stamped kinds, CountIf
-// conditions specialize, group keys resolve their sources, and the join
-// build side loads into an open-addressed table (cheaper to build and
-// probe than a Go map, and sized by matching rows, not dimension rows).
+// conditions specialize, group keys resolve their sources, and each join
+// gets its build side — reused, extended or built (build.go).
 func (c *Compiled) prepareFused() (olap.Exec, int64) {
 	e := &fexec{
 		c: c, sh: c.fuse,
@@ -355,48 +354,45 @@ func (c *Compiled) prepareFused() (olap.Exec, int64) {
 		}
 		e.ops = append(e.ops, op)
 	}
-	var buildBytes int64
+	// The kernel is picked from the shape before any table exists: the two
+	// fast loops that inline a hash probe need their join hashed.
 	switch len(c.joins) {
 	case 0:
 	case 1:
 		j := c.joins[0]
 		e.npay = len(j.payCols)
 		e.npayTotal = e.npay
-		var scanned int64
-		if len(j.keyCols) == 1 {
+		e.probeSlot, e.probeSlots, e.nkey = j.probeSlots[0], j.probeSlots, len(j.keyCols)
+		e.jkind = jMany
+		if e.nkey == 1 {
 			e.jkind = jOne
-			e.probeSlot = j.probeSlots[0]
-			scanned = e.j1.build(j)
-		} else {
-			e.jkind = jMany
-			e.probeSlots = j.probeSlots
-			e.nkey = len(j.keyCols)
-			scanned = e.jK.build(j)
 		}
-		buildBytes = scanned * int64(j.words) * columnar.WordBytes
 	default:
 		e.jkind = jMulti
 		e.npayTotal = c.npayTotal
-		for _, j := range c.joins {
-			fj := fjoin{
+	}
+	e.spec = e.pickSpec()
+	var buildBytes int64
+	for ji, j := range c.joins {
+		side, scanned := c.buildJoin(ji, e.spec == specGeneric)
+		buildBytes += scanned * int64(j.words) * columnar.WordBytes
+		if e.jkind == jMulti {
+			e.joins = append(e.joins, fjoin{
 				one:        len(j.keyCols) == 1,
 				probeSlots: j.probeSlots,
 				nkey:       len(j.keyCols),
 				npay:       len(j.payCols),
 				payBase:    j.payBase,
+				buildSide:  side,
+			})
+		} else {
+			e.buildSide = side
+			if side.dn != nil {
+				e.jkind = jDense
 			}
-			var scanned int64
-			if fj.one {
-				scanned = fj.j1.build(j)
-			} else {
-				scanned = fj.jK.build(j)
-			}
-			buildBytes += scanned * int64(j.words) * columnar.WordBytes
-			e.joins = append(e.joins, fj)
 		}
 	}
 	e.buildSkips()
-	e.spec = e.pickSpec()
 	return e, buildBytes
 }
 
@@ -404,13 +400,12 @@ func (c *Compiled) prepareFused() (olap.Exec, int64) {
 // slots or earlier joins' payload slots), its build table, and where its
 // payload lands in the per-local payload buffer.
 type fjoin struct {
-	one        bool  // single-column key: probe j1, else jK
+	one        bool  // single-column key: a hashed side probes j1, else jK
 	probeSlots []int // global slots of the key columns
 	nkey       int
 	npay       int
 	payBase    int // first index into the payload buffer
-	j1         joinTab1
-	jK         joinTabK
+	buildSide
 }
 
 // fskip is one morsel-skip probe: an Eq filter over a never-updated,

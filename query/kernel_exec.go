@@ -41,16 +41,18 @@ func hashGK(k *gkey, n int) uint64 {
 	return h
 }
 
-// joinTab1 is the single-key join build table: linear-probed slots keyed
-// by the raw int64 word, payload rows packed in one slab at fixed
-// stride. build presizes it from the dimension's row count, so an
-// unpredicated load never rehashes.
+// joinTab1 is the single-key hashed join build table: linear-probed slots
+// keyed by the raw int64 word, payload rows packed in one slab at fixed
+// stride. buildJoin presizes it from the dimension's row count, so an
+// unpredicated load never rehashes. (Densely keyed build sides skip
+// hashing altogether: see build.go.)
 type joinTab1 struct {
 	mask  uint64
 	shift uint8
 	slots []j1slot
 	slab  []int64
 	npay  int
+	n     int // keys held
 }
 
 type j1slot struct {
@@ -87,77 +89,40 @@ func (t *joinTab1) grow() {
 	}
 }
 
-// build loads the dimension's predicate-passing rows, narrowed through
-// the dimension's secondary index when an Eq predicate allows it (see
-// indexedDimRows). Duplicate keys keep the last row's payload; posting
-// rows iterate ascending, so the narrowed build resolves duplicates
-// identically to the full scan. Returns the number of dimension rows
-// read (the cost model's broadcast volume).
-func (t *joinTab1) build(j *joinPlan) int64 {
-	dt := j.dim.Table()
-	rows := dt.Rows()
-	t.npay = len(j.payCols)
-	cands, narrowed := indexedDimRows(j)
-	scanned := rows
-	// Presize for the rows that will actually be visited; a predicated
-	// un-narrowed build stays small and grows to its matches, keeping
-	// selective tables cache-resident.
-	n0 := int(rows)
-	if len(j.preds) > 0 {
-		n0 = 0
-	}
-	if narrowed {
-		scanned = int64(len(cands))
-		n0 = len(cands)
-	}
+// init presizes the table for n0 build rows of npay payload words.
+func (t *joinTab1) init(n0, npay int) {
 	nslots, shift := sizeFor(n0)
 	t.slots = make([]j1slot, nslots)
-	t.mask, t.shift = uint64(nslots-1), shift
-	if t.npay > 0 && n0 > 0 {
-		t.slab = make([]int64, 0, n0*t.npay)
+	t.mask, t.shift, t.npay = uint64(nslots-1), shift, npay
+	if npay > 0 && n0 > 0 {
+		t.slab = make([]int64, 0, n0*npay)
 	}
-	kc := j.keyCols[0]
-	n := 0
-	add := func(r int64) {
-		for i := range j.preds {
-			f := &j.preds[i]
-			if !f.match(dt.ReadActive(r, f.col)) {
-				return
-			}
-		}
-		off := int32(len(t.slab))
-		for _, pc := range j.payCols {
-			t.slab = append(t.slab, dt.ReadActive(r, pc))
-		}
-		if (n+1)*4 > len(t.slots)*3 {
-			t.grow()
-		}
-		k := dt.ReadActive(r, kc)
-		h := hash1(k, t.shift)
-		for {
-			s := &t.slots[h]
-			if !s.used {
-				s.key, s.off, s.used = k, off, true
-				n++
-				break
-			}
-			if s.key == k {
-				s.off = off // last row wins
-				break
-			}
-			h = (h + 1) & t.mask
-		}
+}
+
+// add loads row i of a build-side run (see buildJoin). Duplicate keys
+// keep the last row's payload; rows arrive ascending, index-narrowed or
+// not, so both resolve duplicates identically.
+func (t *joinTab1) add(run *dimRun, i int) {
+	off := int32(len(t.slab))
+	t.slab = run.appendPay(t.slab, i)
+	if (t.n+1)*4 > len(t.slots)*3 {
+		t.grow()
 	}
-	if narrowed {
-		for _, r := range cands {
-			add(r)
+	k := run.key(0, i)
+	h := hash1(k, t.shift)
+	for {
+		s := &t.slots[h]
+		if !s.used {
+			s.key, s.off, s.used = k, off, true
+			t.n++
+			return
 		}
-	} else {
-		for r := int64(0); r < rows; r++ {
-			add(r)
+		if s.key == k {
+			s.off = off // last row wins
+			return
 		}
+		h = (h + 1) & t.mask
 	}
-	return scanned
 }
 
 // joinTabK is the composite-key variant over fixed-width jkey arrays.
@@ -168,6 +133,7 @@ type joinTabK struct {
 	slab  []int64
 	npay  int
 	nkey  int
+	n     int // keys held
 }
 
 type jKslot struct {
@@ -194,71 +160,39 @@ func (t *joinTabK) grow() {
 	}
 }
 
-func (t *joinTabK) build(j *joinPlan) int64 {
-	dt := j.dim.Table()
-	rows := dt.Rows()
-	t.npay = len(j.payCols)
-	t.nkey = len(j.keyCols)
-	cands, narrowed := indexedDimRows(j)
-	scanned := rows
-	n0 := int(rows)
-	if len(j.preds) > 0 {
-		n0 = 0
-	}
-	if narrowed {
-		scanned = int64(len(cands))
-		n0 = len(cands)
-	}
+func (t *joinTabK) init(n0, nkey, npay int) {
 	nslots, shift := sizeFor(n0)
 	t.slots = make([]jKslot, nslots)
-	t.mask, t.shift = uint64(nslots-1), shift
-	if t.npay > 0 && n0 > 0 {
-		t.slab = make([]int64, 0, n0*t.npay)
+	t.mask, t.shift, t.nkey, t.npay = uint64(nslots-1), shift, nkey, npay
+	if npay > 0 && n0 > 0 {
+		t.slab = make([]int64, 0, n0*npay)
 	}
-	n := 0
-	add := func(r int64) {
-		for i := range j.preds {
-			f := &j.preds[i]
-			if !f.match(dt.ReadActive(r, f.col)) {
-				return
-			}
-		}
-		off := int32(len(t.slab))
-		for _, pc := range j.payCols {
-			t.slab = append(t.slab, dt.ReadActive(r, pc))
-		}
-		if (n+1)*4 > len(t.slots)*3 {
-			t.grow()
-		}
-		var k jkey
-		for d, kc := range j.keyCols {
-			k[d] = dt.ReadActive(r, kc)
-		}
-		h := hashJK(&k, t.nkey) >> t.shift
-		for {
-			s := &t.slots[h]
-			if !s.used {
-				s.key, s.off, s.used = k, off, true
-				n++
-				break
-			}
-			if s.key == k {
-				s.off = off
-				break
-			}
-			h = (h + 1) & t.mask
-		}
+}
+
+func (t *joinTabK) add(run *dimRun, i int) {
+	off := int32(len(t.slab))
+	t.slab = run.appendPay(t.slab, i)
+	if (t.n+1)*4 > len(t.slots)*3 {
+		t.grow()
 	}
-	if narrowed {
-		for _, r := range cands {
-			add(r)
-		}
-	} else {
-		for r := int64(0); r < rows; r++ {
-			add(r)
-		}
+	var k jkey
+	for d := range run.keys {
+		k[d] = run.key(d, i)
 	}
-	return scanned
+	h := hashJK(&k, t.nkey) >> t.shift
+	for {
+		s := &t.slots[h]
+		if !s.used {
+			s.key, s.off, s.used = k, off, true
+			t.n++
+			return
+		}
+		if s.key == k {
+			s.off = off
+			return
+		}
+		h = (h + 1) & t.mask
+	}
 }
 
 // groupTab is per-local spill group state: an open-addressed index over
@@ -508,6 +442,23 @@ func (e *fexec) probe(cols [][]int64, i int, pay *[]int64) bool {
 			}
 			h = (h + 1) & e.jK.mask
 		}
+	case jDense:
+		t := e.dn
+		var p uint64
+		for d, s := range e.probeSlots {
+			x := uint64(cols[s][i] - t.min[d])
+			if x >= t.span[d] {
+				return false
+			}
+			p += x * t.stride[d]
+		}
+		r := t.row(p)
+		if r == 0 {
+			return false
+		}
+		if e.npay > 0 {
+			*pay = t.slab[(r-1)*e.npay : r*e.npay]
+		}
 	}
 	return true
 }
@@ -520,6 +471,32 @@ func (e *fexec) probe(cols [][]int64, i int, pay *[]int64) bool {
 func (e *fexec) probeMulti(cols [][]int64, i int, payBuf []int64) bool {
 	for ji := range e.joins {
 		j := &e.joins[ji]
+		if t := j.dn; t != nil {
+			var p uint64
+			for d, s := range j.probeSlots {
+				var w int64
+				if s >= e.nscan {
+					w = payBuf[s-e.nscan]
+				} else {
+					w = cols[s][i]
+				}
+				x := uint64(w - t.min[d])
+				if x >= t.span[d] {
+					return false
+				}
+				p += x * t.stride[d]
+			}
+			r := t.row(p)
+			if r == 0 {
+				return false
+			}
+			if j.npay == 1 {
+				payBuf[j.payBase] = t.slab[r-1]
+			} else if j.npay > 0 {
+				copy(payBuf[j.payBase:j.payBase+j.npay], t.slab[(r-1)*j.npay:r*j.npay])
+			}
+			continue
+		}
 		if j.one {
 			var k int64
 			if s := j.probeSlots[0]; s >= e.nscan {
