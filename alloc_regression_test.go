@@ -2,6 +2,7 @@ package elastichtap
 
 import (
 	"context"
+	"runtime"
 	"testing"
 
 	"elastichtap/internal/ch"
@@ -184,5 +185,50 @@ func TestWALAppendAllocBudget(t *testing.T) {
 		}
 	}); avg > 1 {
 		t.Fatalf("warmed WAL append allocates %.2f times per record, budget 1", avg)
+	}
+}
+
+// TestTxnAllocBudget pins what one CH transaction allocates, workload body
+// included, on one client with no WAL. A Txn is two slices (lock set, write
+// set) plus its inserts; a pre-image is one row and its version; the apply
+// walks the write set in place. A map or a per-commit regrouping creeping
+// back into the write path shows here before it shows in the benchmark.
+func TestTxnAllocBudget(t *testing.T) {
+	for _, p := range []struct {
+		name          string
+		paymentPct    int
+		bytes, allocs float64 // per transaction, measured + 25 %
+	}{
+		// Measured 7903 B / 106.3 and 1537 B / 26.0 (8166 B and 1553 B under
+		// -race); with the write set indexed by maps and regrouped per
+		// commit it was 12722 B / 143 and 2985 B / 44. NewOrder's share
+		// includes the column chunks its ~10 order lines grow into.
+		{"NewOrder", 0, 9900, 133},
+		{"Payment", 100, 1950, 33},
+	} {
+		t.Run(p.name, func(t *testing.T) {
+			e := oltp.NewEngine()
+			db := ch.Load(e, ch.TinySizing(), 1)
+			mix := ch.NewMix(db, p.paymentPct, 1)
+			run := func(n int) {
+				for i := 0; i < n; i++ {
+					if _, err := e.Manager().RunWithRetry(0, mix.Next(0)); err != nil {
+						t.Fatal(err)
+					}
+				}
+			}
+			run(2000) // every updated row has its chain, columns have grown
+			const n = 4000
+			var before, after runtime.MemStats
+			runtime.ReadMemStats(&before)
+			run(n)
+			runtime.ReadMemStats(&after)
+			bytes := float64(after.TotalAlloc-before.TotalAlloc) / n
+			allocs := float64(after.Mallocs-before.Mallocs) / n
+			if bytes > p.bytes || allocs > p.allocs {
+				t.Fatalf("%s allocates %.0f B and %.1f objects per transaction, budget %.0f B and %.0f",
+					p.name, bytes, allocs, p.bytes, p.allocs)
+			}
+		})
 	}
 }

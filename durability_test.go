@@ -3,7 +3,6 @@ package elastichtap
 import (
 	"context"
 	"reflect"
-	"strings"
 	"testing"
 
 	"elastichtap/internal/wal"
@@ -194,22 +193,5 @@ func TestSyncNeverLosesOnlyUnsyncedTail(t *testing.T) {
 	}
 	if got := sys.inner.OLTPE.Manager().Commits(); info2.Commits != got {
 		t.Fatalf("kept-cache recovery found %d commits, live saw %d", info2.Commits, got)
-	}
-}
-
-func TestCheckpointRejectsEmptyTable(t *testing.T) {
-	sys, err := New()
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer sys.Close()
-	sys.LoadCH(0.005, 1)
-	var sink strings.Builder
-	if _, err := sys.Checkpoint(&sink, "neworder"); err == nil ||
-		!strings.Contains(err.Error(), "no rows") {
-		t.Fatalf("zero-row checkpoint accepted (err=%v)", err)
-	}
-	if sink.Len() != 0 {
-		t.Fatalf("zero-row checkpoint wrote %d bytes", sink.Len())
 	}
 }

@@ -112,11 +112,8 @@ package elastichtap
 import (
 	"errors"
 	"fmt"
-	"io"
 
 	"elastichtap/internal/ch"
-	"elastichtap/internal/checkpoint"
-	"elastichtap/internal/columnar"
 	"elastichtap/internal/core"
 	"elastichtap/internal/costmodel"
 	"elastichtap/internal/metrics"
@@ -396,38 +393,6 @@ const (
 	JoinProbe   = costmodel.JoinProbe
 	JoinProject = costmodel.JoinProject
 )
-
-// Checkpoint writes a consistent snapshot of the named table to w: the
-// active instance is switched and the quiescent twin serialized while
-// transactions continue (internal/checkpoint). Returns the rows written.
-func (s *System) Checkpoint(w io.Writer, table string) (int64, error) {
-	h := s.inner.OLTPE.Table(table)
-	if h == nil {
-		return 0, fmt.Errorf("elastichtap: unknown table %q", table)
-	}
-	// The serialization scan reads the snapshot instance without atomics;
-	// the pin keeps a concurrent query's switch from re-activating it
-	// mid-write for tables that take in-place updates.
-	snap, release := s.inner.PinnedSnapshot(h)
-	defer release()
-	if snap.Rows == 0 {
-		// A zero-row image of a populated table means the caller raced
-		// the load (or named a never-loaded table); it used to serialize
-		// silently and restore to nothing. Whole-database images, where
-		// empty tables are legitimate, go through CheckpointDB.
-		return 0, fmt.Errorf("elastichtap: Checkpoint %q: table snapshot has no rows (use CheckpointDB for whole-database images)", table)
-	}
-	if err := checkpoint.Write(w, h.Table(), snap.Inst, snap.Rows); err != nil {
-		return 0, err
-	}
-	return snap.Rows, nil
-}
-
-// RestoreTable reads a checkpoint produced by Checkpoint into a fresh
-// standalone table (not registered with the running system).
-func RestoreTable(r io.Reader) (*columnar.Table, error) {
-	return checkpoint.Read(r)
-}
 
 // Metrics returns a system-wide observability snapshot.
 func (s *System) Metrics() metrics.Snapshot { return s.inner.Metrics() }

@@ -3,11 +3,12 @@ package elastichtap
 import (
 	"context"
 	"errors"
-	"io"
 	"strings"
 	"sync"
 	"testing"
 	"time"
+
+	"elastichtap/internal/wal"
 )
 
 func newSystem(t *testing.T) (*System, *DB) {
@@ -256,7 +257,7 @@ func TestConcurrentQueriesCheckpointsAndPayments(t *testing.T) {
 		}
 	}()
 
-	// Checkpoints of an updated table: serializes a snapshot instance a
+	// Checkpoints of updated tables: serializes snapshot instances a
 	// concurrent switch would otherwise re-activate and overwrite.
 	bg.Add(1)
 	go func() {
@@ -267,7 +268,8 @@ func TestConcurrentQueriesCheckpointsAndPayments(t *testing.T) {
 				return
 			default:
 			}
-			if _, err := sys.Checkpoint(io.Discard, "district"); err != nil {
+			// A fresh file system each time: images are not kept.
+			if _, err := sys.CheckpointDB(wal.NewMemFS(), "ckpt"); err != nil {
 				t.Error(err)
 				return
 			}

@@ -5,7 +5,7 @@
 // consistent snapshot that can be written out while transactions continue
 // on the active instance — checkpointing without a stop-the-world pause.
 //
-// Table format v2 (little-endian; v1 readable, identical minus the CRCs):
+// Table format v2 (little-endian; the only version read or written):
 //
 //	magic "EHCP" | version u32
 //	header section: name, column count, per column (name, type), rows u64
@@ -30,9 +30,8 @@ import (
 )
 
 const (
-	magic      = "EHCP"
-	version    = 2
-	oldVersion = 1
+	magic   = "EHCP"
+	version = 2
 )
 
 // ErrCorrupt reports a checkpoint section whose checksum did not match.
@@ -79,13 +78,11 @@ func (cw *crcWriter) endSection() error {
 }
 
 // crcReader mirrors crcWriter: it accumulates a CRC32C over reads and
-// verifies each section trailer. With verify false (format v1) the
-// trailers are absent and endSection is a no-op.
+// verifies each section trailer.
 type crcReader struct {
-	r      *bufio.Reader
-	crc    uint32
-	verify bool
-	buf    [8]byte
+	r   *bufio.Reader
+	crc uint32
+	buf [8]byte
 }
 
 func (cr *crcReader) read(p []byte) error {
@@ -128,9 +125,6 @@ func (cr *crcReader) readStr() (string, error) {
 func (cr *crcReader) endSection(what string) error {
 	got := cr.crc
 	cr.crc = 0
-	if !cr.verify {
-		return nil
-	}
 	if _, err := io.ReadFull(cr.r, cr.buf[:4]); err != nil {
 		return fmt.Errorf("checkpoint: %s checksum: %w", what, err)
 	}
@@ -238,10 +232,10 @@ func decode(r io.Reader) (*image, error) {
 		return nil, err
 	}
 	ver := binary.LittleEndian.Uint32(head)
-	if ver != version && ver != oldVersion {
+	if ver != version {
 		return nil, fmt.Errorf("checkpoint: unsupported version %d", ver)
 	}
-	cr := &crcReader{r: br, verify: ver >= 2}
+	cr := &crcReader{r: br}
 	name, err := cr.readStr()
 	if err != nil {
 		return nil, err
@@ -347,24 +341,11 @@ func fill(t *columnar.Table, img *image) error {
 	return nil
 }
 
-// Read restores a checkpoint into a fresh twin-instance table. Both
-// instances receive the data (as a load would), with commit timestamp 0.
-func Read(r io.Reader) (*columnar.Table, error) {
-	img, err := decode(r)
-	if err != nil {
-		return nil, err
-	}
-	t := columnar.NewTable(img.schema, int64(img.rows))
-	if err := fill(t, img); err != nil {
-		return nil, err
-	}
-	return t, nil
-}
-
 // ReadInto restores a checkpoint into an existing, empty table — the
 // whole-database recovery path, where tables are created by the engine
-// (with their index and replica plumbing) before being filled. The
-// table's schema must match the checkpoint's exactly.
+// (with their index and replica plumbing) before being filled. Both
+// instances receive the data (as a load would), with commit timestamp 0.
+// The table's schema must match the checkpoint's exactly.
 func ReadInto(r io.Reader, t *columnar.Table) error {
 	img, err := decode(r)
 	if err != nil {

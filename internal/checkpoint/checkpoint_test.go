@@ -9,6 +9,12 @@ import (
 	"elastichtap/internal/oltp"
 )
 
+// restore reads a table checkpoint into a fresh table of tab's schema.
+func restore(raw []byte, tab *columnar.Table) (*columnar.Table, error) {
+	fresh := columnar.NewTable(tab.Schema(), 0)
+	return fresh, ReadInto(bytes.NewReader(raw), fresh)
+}
+
 func TestRoundTrip(t *testing.T) {
 	db := ch.Load(oltp.NewEngine(), ch.TinySizing(), 3)
 	tab := db.OrderLine.Table()
@@ -18,7 +24,7 @@ func TestRoundTrip(t *testing.T) {
 	if err := Write(&buf, tab, sw.Snapshot, sw.SnapshotRows); err != nil {
 		t.Fatal(err)
 	}
-	restored, err := Read(&buf)
+	restored, err := restore(buf.Bytes(), tab)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -64,7 +70,7 @@ func TestCheckpointWhileTransactionsContinue(t *testing.T) {
 	}
 	<-done
 
-	restored, err := Read(&buf)
+	restored, err := restore(buf.Bytes(), tab)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -78,7 +84,11 @@ func TestCheckpointWhileTransactionsContinue(t *testing.T) {
 }
 
 func TestBadMagic(t *testing.T) {
-	if _, err := Read(bytes.NewReader([]byte("NOPE0000"))); err == nil {
+	tab := columnar.NewTable(columnar.Schema{
+		Name:    "t",
+		Columns: []columnar.ColumnDef{{Name: "v", Type: columnar.Int64}},
+	}, 0)
+	if _, err := restore([]byte("NOPE0000"), tab); err == nil {
 		t.Fatal("bad magic accepted")
 	}
 }
@@ -92,7 +102,7 @@ func TestTruncatedStream(t *testing.T) {
 		t.Fatal(err)
 	}
 	for _, cut := range []int{4, 10, buf.Len() / 2, buf.Len() - 1} {
-		if _, err := Read(bytes.NewReader(buf.Bytes()[:cut])); err == nil {
+		if _, err := restore(buf.Bytes()[:cut], tab); err == nil {
 			t.Fatalf("truncated stream at %d accepted", cut)
 		}
 	}
@@ -108,7 +118,7 @@ func TestEmptyTable(t *testing.T) {
 	if err := Write(&buf, tab, sw.Snapshot, 0); err != nil {
 		t.Fatal(err)
 	}
-	restored, err := Read(&buf)
+	restored, err := restore(buf.Bytes(), tab)
 	if err != nil {
 		t.Fatal(err)
 	}

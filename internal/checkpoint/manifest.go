@@ -143,7 +143,7 @@ func WriteManifest(w io.Writer, m *Manifest) error {
 // ReadManifest parses and checksum-verifies a manifest.
 func ReadManifest(r io.Reader) (*Manifest, error) {
 	br := bufio.NewReaderSize(r, 1<<16)
-	cr := &crcReader{r: br, verify: true}
+	cr := &crcReader{r: br}
 	head := make([]byte, 4)
 	if err := cr.read(head); err != nil {
 		return nil, fmt.Errorf("checkpoint: manifest magic: %w", err)

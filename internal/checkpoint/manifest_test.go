@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"encoding/binary"
 	"reflect"
+	"strings"
 	"testing"
 
 	"elastichtap/internal/ch"
@@ -84,46 +85,30 @@ func TestCheckpointBitFlipDetected(t *testing.T) {
 	for _, at := range []int{10, len(raw) / 3, len(raw) / 2, len(raw) - 20} {
 		mut := append([]byte(nil), raw...)
 		mut[at] ^= 0x01
-		if _, err := Read(bytes.NewReader(mut)); err == nil {
+		if _, err := restore(mut, tab); err == nil {
 			t.Fatalf("bit flip at offset %d restored without error", at)
 		}
 	}
 }
 
-// TestReadsVersion1 keeps backward compatibility: a v1 file (no section
-// checksums) must still restore.
-func TestReadsVersion1(t *testing.T) {
+// TestRejectsVersion1: nothing writes the checksum-less v1 format any
+// more, and a file claiming it is refused before any section is read.
+func TestRejectsVersion1(t *testing.T) {
 	tab := columnar.NewTable(columnar.Schema{
 		Name:    "v1tab",
-		Columns: []columnar.ColumnDef{{Name: "a", Type: columnar.Int64}, {Name: "b", Type: columnar.Int64}},
+		Columns: []columnar.ColumnDef{{Name: "a", Type: columnar.Int64}},
 	}, 4)
-	tab.AppendRows([][]int64{{1, 10}, {2, 20}, {3, 30}}, 0)
-
-	// Hand-write the v1 format: identical to v2 minus every checksum.
+	tab.AppendRows([][]int64{{1}, {2}, {3}}, 0)
+	sw := tab.Switch()
 	var buf bytes.Buffer
-	le := binary.LittleEndian
-	w32 := func(v uint32) { b := make([]byte, 4); le.PutUint32(b, v); buf.Write(b) }
-	w64 := func(v uint64) { b := make([]byte, 8); le.PutUint64(b, v); buf.Write(b) }
-	wstr := func(s string) { w32(uint32(len(s))); buf.WriteString(s) }
-	buf.WriteString(magic)
-	w32(oldVersion)
-	wstr("v1tab")
-	w32(2)
-	wstr("a")
-	buf.WriteByte(byte(columnar.Int64))
-	wstr("b")
-	buf.WriteByte(byte(columnar.Int64))
-	w64(3)
-	for _, v := range []int64{1, 2, 3, 10, 20, 30} {
-		w64(uint64(v))
-	}
-
-	restored, err := Read(bytes.NewReader(buf.Bytes()))
-	if err != nil {
+	if err := Write(&buf, tab, sw.Snapshot, sw.SnapshotRows); err != nil {
 		t.Fatal(err)
 	}
-	if restored.Rows() != 3 || restored.ReadActive(2, 1) != 30 {
-		t.Fatalf("v1 restore: rows=%d cell=%d", restored.Rows(), restored.ReadActive(2, 1))
+	raw := buf.Bytes()
+	binary.LittleEndian.PutUint32(raw[len(magic):], 1)
+	_, err := restore(raw, tab)
+	if err == nil || !strings.Contains(err.Error(), "unsupported version 1") {
+		t.Fatalf("v1 file: err = %v, want unsupported version", err)
 	}
 }
 

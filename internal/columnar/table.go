@@ -9,8 +9,8 @@ import (
 )
 
 // Instance is one of a table's two columnar copies. Rows above the visible
-// watermark exist physically (inserts go to both instances) but belong to a
-// later epoch and are exposed only after the instance becomes active again.
+// watermark exist physically (inserts go to both instances) but are exposed
+// only after the instance becomes active again.
 type Instance struct {
 	cols    []*Words
 	visible atomic.Int64 // rows exposed to readers of this instance
@@ -18,14 +18,10 @@ type Instance struct {
 	// and has not yet been propagated to the twin (the paper's
 	// update-indication bits, §3.2).
 	dirty *bitset.Atomic
-	epoch atomic.Uint64 // epoch number of the last activation
 }
 
 // Visible returns the number of rows readable in this instance.
 func (in *Instance) Visible() int64 { return in.visible.Load() }
-
-// Epoch returns the instance's last activation epoch.
-func (in *Instance) Epoch() uint64 { return in.epoch.Load() }
 
 // DirtyCount returns the number of rows updated here since the last sync.
 func (in *Instance) DirtyCount() int { return in.dirty.Count() }
@@ -33,14 +29,6 @@ func (in *Instance) DirtyCount() int { return in.dirty.Count() }
 // Col exposes raw column storage for scans. OLAP access paths scan the
 // inactive instance only, which no writer updates below the watermark.
 func (in *Instance) Col(c int) *Words { return in.cols[c] }
-
-// ColumnStats are the per-column instance statistics the SM maintains:
-// rows at the time of switch, an updated-tuples flag, and the epoch (§3.2).
-type ColumnStats struct {
-	RowsAtSwitch int64
-	HasUpdates   bool
-	Epoch        uint64
-}
 
 // Table is a twin-instance columnar table plus the shared metadata both
 // copies use: string dictionaries, per-row commit timestamps, and the
@@ -74,9 +62,9 @@ type Table struct {
 	// since they were built serves from derived state alone, even while
 	// sibling columns churn, and a counter still at zero means both
 	// instances hold the appended values, identical in every source.
+	// This is the one per-column update signal the table keeps (the
+	// "updated tuples" flag of the SM's column statistics, §3.2).
 	colUpdates []atomic.Int64
-
-	epoch atomic.Uint64
 
 	appendMu sync.Mutex // serializes row allocation across committing txns
 	switchMu sync.Mutex // serializes instance switches
@@ -86,9 +74,6 @@ type Table struct {
 	// ("returns the starting address of the inactive instance when no
 	// active OLTP worker thread is using it any more", §3.2).
 	applyMu sync.RWMutex
-
-	statsMu sync.Mutex
-	stats   [2][]ColumnStats
 }
 
 // NewTable builds an empty twin-instance table.
@@ -110,7 +95,6 @@ func NewTable(schema Schema, capHint int64) *Table {
 			in.cols[i] = newWords(capHint)
 		}
 		t.inst[k] = in
-		t.stats[k] = make([]ColumnStats, len(schema.Columns))
 	}
 	t.rowTS = newWords(capHint)
 	t.dirtyOLAP = bitset.New(int(capHint))
@@ -138,9 +122,6 @@ func (t *Table) Inactive() *Instance { return t.inst[1-t.active.Load()] }
 
 // Instance returns instance k (0 or 1).
 func (t *Table) Instance(k int) *Instance { return t.inst[k] }
-
-// Epoch returns the current switch epoch.
-func (t *Table) Epoch() uint64 { return t.epoch.Load() }
 
 // DirtyOLAP exposes the updated-since-OLAP-sync bitset.
 func (t *Table) DirtyOLAP() *bitset.Atomic { return t.dirtyOLAP }
@@ -197,17 +178,13 @@ func (t *Table) EndApply() { t.applyMu.RUnlock() }
 // record's exclusive lock (MV2PL), hold BeginApply for multi-cell batches,
 // and push the pre-image to the version store before calling.
 func (t *Table) UpdateCell(row int64, col int, v int64, ts uint64) {
-	a := t.active.Load()
-	in := t.inst[a]
+	in := t.inst[t.active.Load()]
 	in.cols[col].Store(row, v)
 	in.dirty.Set(int(row))
 	t.dirtyOLAP.Set(int(row))
 	t.updates.Add(1)
 	t.colUpdates[col].Add(1)
 	t.rowTS.Store(row, int64(ts))
-	t.statsMu.Lock()
-	t.stats[a][col].HasUpdates = true
-	t.statsMu.Unlock()
 }
 
 // ReadCell reads one cell of the given instance with atomic semantics,
@@ -242,11 +219,6 @@ type SwitchResult struct {
 	SnapshotIndex int
 	// SnapshotRows is the row count of the snapshot.
 	SnapshotRows int64
-	// DirtyRows is how many records must be propagated to the new active
-	// instance by the RDE sync.
-	DirtyRows int
-	// Epoch is the new epoch number.
-	Epoch uint64
 }
 
 // Switch makes the inactive instance active and returns the old active
@@ -263,29 +235,18 @@ func (t *Table) Switch() SwitchResult {
 	oldA := t.active.Load()
 	newA := 1 - oldA
 	rows := t.rows.Load()
-	epoch := t.epoch.Add(1)
 	// The new active instance exposes everything committed so far,
 	// including inserts that were hidden while it was inactive.
 	for _, c := range t.inst[newA].cols {
 		c.ensure(rows)
 	}
 	t.inst[newA].visible.Store(rows)
-	t.inst[newA].epoch.Store(epoch)
 	t.active.Store(newA)
-	dirty := t.inst[oldA].DirtyCount()
-	t.statsMu.Lock()
-	for c := range t.stats[oldA] {
-		t.stats[oldA][c].RowsAtSwitch = rows
-		t.stats[oldA][c].Epoch = epoch
-	}
-	t.statsMu.Unlock()
 	t.appendMu.Unlock()
 	return SwitchResult{
 		Snapshot:      t.inst[oldA],
 		SnapshotIndex: int(oldA),
 		SnapshotRows:  rows,
-		DirtyRows:     dirty,
-		Epoch:         epoch,
 	}
 }
 
@@ -320,13 +281,6 @@ func (t *Table) SyncTo(snapIdx int, lock func(row int64) func()) int {
 		unlock()
 	})
 	return copied
-}
-
-// Stats returns a copy of the per-column stats of instance k.
-func (t *Table) Stats(k int) []ColumnStats {
-	t.statsMu.Lock()
-	defer t.statsMu.Unlock()
-	return append([]ColumnStats(nil), t.stats[k]...)
 }
 
 // EncodeRow converts friendly Go values into raw Words following the

@@ -57,9 +57,6 @@ func TestSwitchExposesInserts(t *testing.T) {
 	if tab.Active().Visible() != 2 {
 		t.Fatalf("new active visible = %d", tab.Active().Visible())
 	}
-	if sw.Epoch != 1 || tab.Epoch() != 1 {
-		t.Fatalf("epoch = %d/%d", sw.Epoch, tab.Epoch())
-	}
 	// Snapshot sees both rows.
 	if got := sw.Snapshot.Col(0).Load(1); got != 2 {
 		t.Fatalf("snapshot row 1 col 0 = %d", got)
@@ -84,9 +81,8 @@ func TestUpdateGoesToActiveOnly(t *testing.T) {
 	if tab.RowTS(0) != 5 {
 		t.Fatalf("rowTS = %d", tab.RowTS(0))
 	}
-	st := tab.Stats(a)
-	if !st[0].HasUpdates {
-		t.Fatal("column stats missing HasUpdates")
+	if tab.ColumnUpdateCount(0) != 1 || tab.ColumnUpdateCount(1) != 0 {
+		t.Fatalf("column update counts = %d, %d, want 1, 0", tab.ColumnUpdateCount(0), tab.ColumnUpdateCount(1))
 	}
 }
 

@@ -2,6 +2,7 @@ package core
 
 import (
 	"context"
+	"strings"
 	"testing"
 
 	"elastichtap/internal/ch"
@@ -302,5 +303,43 @@ func TestConfigValidation(t *testing.T) {
 	cfg.ElasticCores = -1
 	if cfg.Validate() == nil {
 		t.Fatal("negative elastic cores accepted")
+	}
+}
+
+// TestMetricsShowALeakedSnapshot: version chains trim to the oldest active
+// snapshot, so a transaction nobody finishes must be visible from Metrics.
+func TestMetricsShowALeakedSnapshot(t *testing.T) {
+	sys, _ := newTestSystem(t)
+	defer sys.Close()
+	sys.InjectTransactions(200)
+	quiet := sys.Metrics()
+	if quiet.SnapshotLag != 0 {
+		t.Fatalf("snapshot lag with nothing active = %d", quiet.SnapshotLag)
+	}
+	if quiet.VersionRows == 0 {
+		t.Fatal("NewOrder updated districts and stock but no version is reported")
+	}
+
+	leaked := sys.OLTPE.Manager().Begin()
+	sys.InjectTransactions(200)
+	held := sys.Metrics()
+	if held.SnapshotLag < 200 {
+		t.Fatalf("snapshot lag behind a leaked transaction = %d, want >= 200", held.SnapshotLag)
+	}
+	if held.VersionRows <= quiet.VersionRows+200 {
+		t.Fatalf("versions %d -> %d: chains were not held for the leaked snapshot", quiet.VersionRows, held.VersionRows)
+	}
+	if !strings.Contains(held.String(), "oldest snapshot lag") {
+		t.Fatalf("snapshot lag not rendered:\n%s", held)
+	}
+
+	leaked.Abort()
+	sys.InjectTransactions(200)
+	after := sys.Metrics()
+	if after.SnapshotLag != 0 {
+		t.Fatalf("snapshot lag after the leak ended = %d", after.SnapshotLag)
+	}
+	if after.VersionRows >= held.VersionRows {
+		t.Fatalf("versions %d -> %d: chains did not collapse after the leak ended", held.VersionRows, after.VersionRows)
 	}
 }

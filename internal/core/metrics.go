@@ -20,6 +20,11 @@ func (s *System) Metrics() metrics.Snapshot {
 		OLAPCores:    s.Ledger.CountTotal(topology.OLAP),
 		OLAPPoolSize: s.OLAPE.PoolSize(),
 	}
+	// MinActive first: the clock only moves forward, so the difference
+	// cannot go negative.
+	mgr := s.OLTPE.Manager()
+	oldest := mgr.MinActive()
+	snap.SnapshotLag = mgr.Now() - oldest
 	tables := s.OLTPE.Tables()
 	snap.Tables = len(tables)
 	for _, h := range tables {

@@ -302,7 +302,7 @@ func (s *System) admitQuery(ctx context.Context, q olap.Query, opt QueryOptions,
 	adm.src = s.X.SourceFor(adm.method, factSnap)
 	// Pin the fact table against snapshot re-activation and in-place ETL
 	// before admission ends: every writer cycle (query admissions,
-	// PinnedSnapshot) serializes on admitMu, so no switch can slip in
+	// CheckpointDB) serializes on admitMu, so no switch can slip in
 	// between this RLock and the execution it protects.
 	adm.release = s.X.BeginScan(q.FactTable())
 	return adm, nil
@@ -482,19 +482,6 @@ func (s *System) Close() {
 		s.OLTPE.Workers().Stop()
 		s.OLAPE.Close()
 	})
-}
-
-// PinnedSnapshot switches and syncs the table under the same admission
-// serialization queries use, and returns its consistent snapshot pinned
-// against re-activation — no later switch or ETL can write into it until
-// release is called. Serialization readers (Checkpoint) use this so their
-// non-atomic scans can't race a concurrent query's exchange cycle.
-func (s *System) PinnedSnapshot(h *oltp.TableHandle) (*rde.Snapshot, func()) {
-	s.admitMu.Lock()
-	defer s.admitMu.Unlock()
-	set := s.X.SwitchAndSync([]*oltp.TableHandle{h})
-	name := h.Table().Schema().Name
-	return set.Snap(name), s.X.BeginScan(name)
 }
 
 // CheckpointDB writes a whole-database checkpoint under dir on cfs and

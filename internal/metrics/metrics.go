@@ -46,7 +46,12 @@ type Snapshot struct {
 	TotalRows   int64
 	DirtyRows   int64 // update-indication bits pending instance sync
 	FreshRows   int64 // rows the OLAP replicas lack
-	VersionRows int   // live MVCC versions
+	VersionRows int   // live MVCC versions: about one per row ever updated, more while SnapshotLag is large
+	// SnapshotLag is the transaction clock minus the oldest active begin
+	// timestamp (txn.Manager.MinActive). Pre-image pushes trim version
+	// chains back to that snapshot and no further, so a leaked transaction
+	// shows here, and in VersionRows, rather than only in a heap profile.
+	SnapshotLag uint64
 
 	// Resource and data exchange.
 	Switches   int64
@@ -84,6 +89,7 @@ func (s Snapshot) WriteTo(w io.Writer) (int64, error) {
 		{"dirty rows (twin sync pending)", s.DirtyRows},
 		{"fresh rows (replica lag)", s.FreshRows},
 		{"mvcc versions", s.VersionRows},
+		{"oldest snapshot lag (timestamps)", s.SnapshotLag},
 		{"instance switches", s.Switches},
 		{"synced rows", s.SyncedRows},
 		{"etl bytes", s.ETLBytes},

@@ -3,6 +3,12 @@
 // Manager (internal/txn), cuckoo-hash primary indexes (internal/cuckoo)
 // and an elastic Worker pool Manager whose size and placement the RDE
 // engine adjusts at runtime.
+//
+// The engine runs no background maintenance. Pre-image versions
+// (internal/vm) are reclaimed by the transactions that push them: each
+// push trims its row's chain back to the oldest active snapshot, so there
+// is no collector to start or stop, and a transaction that never finishes
+// holds every chain at its begin timestamp (metrics.Snapshot.SnapshotLag).
 package oltp
 
 import (

@@ -68,56 +68,7 @@ func (lt *LockTable) Acquire(k LockKey, priority uint64) error {
 	if priority == 0 {
 		panic("txn: priority 0 is reserved for the free state")
 	}
-	sh := lt.shardOf(k)
-	sh.mu.Lock()
-	defer sh.mu.Unlock()
-	st := sh.locks[k]
-	if st == nil {
-		st = &lockState{cond: sync.NewCond(&sh.mu)}
-		sh.locks[k] = st
-	}
-	for {
-		switch {
-		case st.holder == 0:
-			st.holder = priority
-			return nil
-		case st.holder == priority:
-			return nil // reentrant
-		case priority > st.holder:
-			// Requester is younger: die.
-			return ErrDie
-		default:
-			// Requester is older: wait for the younger holder to finish.
-			st.waiters++
-			st.cond.Wait()
-			st.waiters--
-		}
-	}
-}
-
-// TryAcquire takes the lock if free (or reentrantly held) and otherwise
-// fails immediately with ErrDie — the no-wait conflict policy.
-func (lt *LockTable) TryAcquire(k LockKey, priority uint64) error {
-	if priority == 0 {
-		panic("txn: priority 0 is reserved for the free state")
-	}
-	sh := lt.shardOf(k)
-	sh.mu.Lock()
-	defer sh.mu.Unlock()
-	st := sh.locks[k]
-	if st == nil {
-		st = &lockState{cond: sync.NewCond(&sh.mu)}
-		sh.locks[k] = st
-	}
-	switch st.holder {
-	case 0:
-		st.holder = priority
-		return nil
-	case priority:
-		return nil // reentrant
-	default:
-		return ErrDie
-	}
+	return lt.acquire(k, priority)
 }
 
 // AcquireSync takes the lock with the lowest possible priority, always
@@ -125,6 +76,14 @@ func (lt *LockTable) TryAcquire(k LockKey, priority uint64) error {
 // instance synchronization; holding a single lock at a time keeps it out
 // of any deadlock cycle.
 func (lt *LockTable) AcquireSync(k LockKey) {
+	_ = lt.acquire(k, syncPriority) // a sync requester never dies
+}
+
+// acquire is the one wait loop. A transaction (priority below
+// syncPriority) re-enters its own lock and dies to an older holder; a sync
+// requester does neither and waits for whoever holds the lock, another
+// sync included.
+func (lt *LockTable) acquire(k LockKey, priority uint64) error {
 	sh := lt.shardOf(k)
 	sh.mu.Lock()
 	defer sh.mu.Unlock()
@@ -134,11 +93,21 @@ func (lt *LockTable) AcquireSync(k LockKey) {
 		sh.locks[k] = st
 	}
 	for st.holder != 0 {
+		if priority != syncPriority {
+			if st.holder == priority {
+				return nil // reentrant
+			}
+			if priority > st.holder {
+				return ErrDie // requester is younger
+			}
+		}
+		// Requester is older (or a sync): wait for the holder to finish.
 		st.waiters++
 		st.cond.Wait()
 		st.waiters--
 	}
-	st.holder = syncPriority
+	st.holder = priority
+	return nil
 }
 
 // Release frees the lock on k. The caller must be the holder.

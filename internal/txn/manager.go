@@ -30,30 +30,20 @@ type TableRef struct {
 	Versions *vm.Store
 }
 
-// ConflictPolicy selects how lock conflicts resolve.
-type ConflictPolicy int8
-
-const (
-	// WaitDie (default): older requesters wait, younger ones abort, and
-	// restarts keep their original priority — deadlock-free and
-	// starvation-free. The paper's deadlock-avoidance choice (§3.2).
-	WaitDie ConflictPolicy = iota
-	// NoWait: any conflict aborts the requester immediately. Simpler and
-	// lower-latency under low contention, but abort-heavy under skew; the
-	// ablation benchmarks compare the two.
-	NoWait
-)
-
-// Manager issues timestamps, tracks active transactions for garbage
-// collection, and owns the record lock table.
+// Manager issues timestamps, tracks active transactions for version
+// reclamation, and owns the record lock table. Lock conflicts resolve by
+// wait-die (§3.2): older requesters wait, younger ones abort, and restarts
+// keep their original priority — deadlock-free and starvation-free.
 type Manager struct {
+	// clock only moves forward. Begin timestamps are drawn under mu, so
+	// that a timestamp and its entry in active appear together; commit
+	// timestamps are drawn without it.
 	clock atomic.Uint64
 	locks *LockTable
 
 	mu     sync.Mutex
-	tables []*TableRef
-	active map[uint64]struct{}
-	policy ConflictPolicy
+	tables []*TableRef         //htap:guardedby mu
+	active map[uint64]struct{} //htap:guardedby mu
 
 	// log, when set, receives every committed write set before it is
 	// applied (write-ahead). gate lets a checkpoint exclude the window
@@ -75,7 +65,7 @@ func NewManager() *Manager {
 	}
 }
 
-// Register assigns a lock/GC namespace to a table.
+// Register assigns a lock and version-store namespace to a table.
 func (m *Manager) Register(t *columnar.Table) *TableRef {
 	m.mu.Lock()
 	defer m.mu.Unlock()
@@ -87,20 +77,6 @@ func (m *Manager) Register(t *columnar.Table) *TableRef {
 // Locks exposes the record lock table (the RDE engine shares it for
 // instance synchronization).
 func (m *Manager) Locks() *LockTable { return m.locks }
-
-// SetPolicy selects the conflict policy for subsequent lock requests.
-func (m *Manager) SetPolicy(p ConflictPolicy) {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	m.policy = p
-}
-
-// Policy returns the current conflict policy.
-func (m *Manager) Policy() ConflictPolicy {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	return m.policy
-}
 
 // Now returns the current timestamp without advancing the clock.
 func (m *Manager) Now() uint64 { return m.clock.Load() }
@@ -139,11 +115,12 @@ func (m *Manager) Aborts() uint64 { return m.aborts.Load() }
 // Begin starts a snapshot-isolated transaction whose wait-die priority is
 // its begin timestamp.
 func (m *Manager) Begin() *Txn {
-	ts := m.clock.Add(1)
 	m.mu.Lock()
+	ts := m.clock.Add(1)
 	m.active[ts] = struct{}{}
+	watermark := m.minActiveLocked()
 	m.mu.Unlock()
-	return &Txn{m: m, begin: ts, priority: ts, status: statusActive}
+	return &Txn{m: m, begin: ts, priority: ts, watermark: watermark, status: statusActive}
 }
 
 // BeginWithPriority starts a transaction that reads a fresh snapshot but
@@ -165,11 +142,21 @@ func (m *Manager) finish(t *Txn) {
 }
 
 // MinActive returns the begin timestamp of the oldest active transaction,
-// or the current clock when none are active. The vm garbage collector uses
-// it as its reclamation watermark.
+// or the current clock when none are active: the version-reclamation
+// watermark. No transaction reads as of an earlier timestamp — the active
+// ones began at or after it, and every later Begin draws from a clock
+// already past it — and it never decreases, so a value read earlier is
+// merely conservative.
 func (m *Manager) MinActive() uint64 {
 	m.mu.Lock()
 	defer m.mu.Unlock()
+	return m.minActiveLocked()
+}
+
+// minActiveLocked is MinActive for callers already inside the mu section.
+//
+//htap:locked mu
+func (m *Manager) minActiveLocked() uint64 {
 	min := m.clock.Load()
 	for ts := range m.active {
 		if ts < min {
@@ -177,20 +164,6 @@ func (m *Manager) MinActive() uint64 {
 		}
 	}
 	return min
-}
-
-// GC truncates version chains no active transaction can read and returns
-// the number of versions reclaimed.
-func (m *Manager) GC() int {
-	watermark := m.MinActive()
-	m.mu.Lock()
-	tables := append([]*TableRef(nil), m.tables...)
-	m.mu.Unlock()
-	n := 0
-	for _, ref := range tables {
-		n += ref.Versions.GC(watermark)
-	}
-	return n
 }
 
 type txnStatus int8
@@ -222,12 +195,16 @@ type Txn struct {
 	m        *Manager
 	begin    uint64
 	priority uint64 // wait-die priority; begin of the first attempt
-	status   txnStatus
+	// watermark is Manager.MinActive as of Begin, handed to every
+	// pre-image push of this transaction.
+	watermark uint64
+	status    txnStatus
 
+	// held and writes are the lock set and the write set, each kept once,
+	// in acquisition and first-write order. Membership is a backward
+	// linear probe: a NewOrder touches under 64 cells, a Payment 3 rows.
 	held    []LockKey
-	holding map[LockKey]struct{}
 	writes  []writeOp
-	wIndex  map[LockKey]map[int]int // lock key -> col -> writes index
 	inserts []insertOp
 }
 
@@ -241,6 +218,26 @@ func (t *Txn) lockKey(ref *TableRef, row int64) LockKey {
 	return LockKey{Tab: ref.ID, Row: row}
 }
 
+// holds reports whether this transaction has taken the lock on k.
+func (t *Txn) holds(k LockKey) bool {
+	for i := len(t.held) - 1; i >= 0; i-- {
+		if t.held[i] == k {
+			return true
+		}
+	}
+	return false
+}
+
+// written returns the buffered write to (ref, row, col), or nil.
+func (t *Txn) written(ref *TableRef, row int64, col int) *writeOp {
+	for i := len(t.writes) - 1; i >= 0; i-- {
+		if w := &t.writes[i]; w.row == row && w.col == col && w.ref == ref {
+			return w
+		}
+	}
+	return nil
+}
+
 // Read returns the visible value of (row, col): the transaction's own
 // uncommitted write if present, the current in-place value if its newest
 // version is within the snapshot, or the version-chain image otherwise.
@@ -249,13 +246,10 @@ func (t *Txn) Read(ref *TableRef, row int64, col int) (int64, bool) {
 	if t.status != statusActive {
 		return 0, false
 	}
-	k := t.lockKey(ref, row)
-	if cols, ok := t.wIndex[k]; ok {
-		if wi, ok := cols[col]; ok {
-			return t.writes[wi].val, true
-		}
+	if w := t.written(ref, row, col); w != nil {
+		return w.val, true
 	}
-	if _, mine := t.holding[k]; mine {
+	if t.holds(t.lockKey(ref, row)) {
 		// We hold the record lock (validated rowTS <= begin at acquire),
 		// so the in-place cells are stable and visible.
 		if row >= ref.Table.Rows() {
@@ -323,47 +317,26 @@ func (t *Txn) Write(ref *TableRef, row int64, col int, val int64) error {
 
 // buffer records a write to a row this transaction has locked.
 func (t *Txn) buffer(ref *TableRef, row int64, col int, val int64) {
-	k := t.lockKey(ref, row)
-	if t.wIndex == nil {
-		t.wIndex = map[LockKey]map[int]int{}
-	}
-	cols := t.wIndex[k]
-	if cols == nil {
-		cols = map[int]int{}
-		t.wIndex[k] = cols
-	}
-	if wi, ok := cols[col]; ok {
-		t.writes[wi].val = val
+	if w := t.written(ref, row, col); w != nil {
+		w.val = val
 		return
 	}
-	cols[col] = len(t.writes)
 	t.writes = append(t.writes, writeOp{ref: ref, row: row, col: col, val: val})
 }
 
 // lock takes the record's exclusive lock for this transaction, once:
-// acquire under the conflict policy, validate first-updater-wins, push the
-// pre-image.
+// acquire under wait-die, validate first-updater-wins, push the pre-image.
 func (t *Txn) lock(ref *TableRef, row int64) error {
 	if t.status != statusActive {
 		return ErrAborted
 	}
 	k := t.lockKey(ref, row)
-	if _, mine := t.holding[k]; mine {
+	if t.holds(k) {
 		return nil
 	}
-	var err error
-	if t.m.Policy() == NoWait {
-		err = t.m.locks.TryAcquire(k, t.priority)
-	} else {
-		err = t.m.locks.Acquire(k, t.priority)
-	}
-	if err != nil {
+	if err := t.m.locks.Acquire(k, t.priority); err != nil {
 		return err
 	}
-	if t.holding == nil {
-		t.holding = map[LockKey]struct{}{}
-	}
-	t.holding[k] = struct{}{}
 	t.held = append(t.held, k)
 	// First-updater-wins: a version committed after our snapshot means
 	// a concurrent writer already won.
@@ -374,14 +347,14 @@ func (t *Txn) lock(ref *TableRef, row int64) error {
 	// snapshot readers treat locked rows as mid-commit and resolve
 	// through the version chain, so the chain must already hold the
 	// pre-lock image. If this transaction aborts, the pushed version
-	// duplicates the live row (same timestamp, same values) — harmless
-	// until garbage collection reclaims it.
+	// duplicates the live row (same timestamp, same values) — harmless,
+	// and cut like any other by a later push.
 	width := len(ref.Table.Schema().Columns)
 	img := make([]int64, width)
 	for c := 0; c < width; c++ {
 		img[c] = ref.Table.ReadActive(row, c)
 	}
-	ref.Versions.Push(row, ref.Table.RowTS(row), img)
+	ref.Versions.Push(row, ref.Table.RowTS(row), img, t.watermark)
 	return nil
 }
 
@@ -420,8 +393,8 @@ func (t *Txn) Insert(ref *TableRef, rows [][]int64, onCommit func(firstRow int64
 	return nil
 }
 
-// Commit applies the write set to the active instances, pushing full-row
-// pre-images to the delta store first (newest-to-oldest chains), appends
+// Commit applies the write set to the active instances (the full-row
+// pre-images went to the delta store when the locks were taken), appends
 // inserts to both instances, and releases all locks. With a WAL attached
 // (Manager.SetWAL) the write set is appended to the log first; the
 // in-memory application runs under the log's lock, so log order equals
@@ -439,40 +412,11 @@ func (t *Txn) Commit() error {
 	t.m.gate.RLock()
 	commitTS := t.m.clock.Add(1)
 
-	// Apply the write set in place, pinning each table's active instance
-	// for ALL of this transaction's writes to it, so a concurrent instance
-	// switch cannot split a row's (or a table's) cells across the twins.
-	// Pre-images were pushed at lock time, so snapshot readers can already
-	// resolve around these rows.
-	var order []*TableRef
-	perTable := map[*TableRef][]writeOp{}
-	for _, w := range t.writes {
-		if _, seen := perTable[w.ref]; !seen {
-			order = append(order, w.ref)
-		}
-		perTable[w.ref] = append(perTable[w.ref], w)
-	}
-	apply := func() {
-		for _, ref := range order {
-			ref.Table.BeginApply()
-			for _, w := range perTable[ref] {
-				ref.Table.UpdateCell(w.row, w.col, w.val, commitTS)
-			}
-			ref.Table.EndApply()
-		}
-		for _, ins := range t.inserts {
-			first := ins.ref.Table.AppendRows(ins.rows, commitTS)
-			if ins.onCommit != nil {
-				ins.onCommit(first)
-			}
-		}
-	}
-
 	var syncErr error
 	if log := t.m.log.Load(); log != nil {
 		// Read-only transactions log a zero-op record too: recovery then
 		// reconstructs the exact clock and commit count, not just state.
-		if _, err := log.Append(t.record(commitTS), apply); err != nil {
+		if _, err := log.Append(t.record(commitTS), func() { t.apply(commitTS) }); err != nil {
 			if !wal.IsSyncFailure(err) {
 				// The record never reached the log and apply did not run:
 				// nothing committed. Abort.
@@ -486,7 +430,7 @@ func (t *Txn) Commit() error {
 			syncErr = err
 		}
 	} else {
-		apply()
+		t.apply(commitTS)
 	}
 	t.m.gate.RUnlock()
 	t.releaseAll()
@@ -494,6 +438,43 @@ func (t *Txn) Commit() error {
 	t.m.finish(t)
 	t.m.commits.Add(1)
 	return syncErr
+}
+
+// apply writes the write set in place, then appends the inserts. Tables
+// are taken in first-touch order and each is pinned once, for ALL of this
+// transaction's writes to it, so a concurrent instance switch cannot split
+// a row's (or a table's) cells across the twins. Pre-images were pushed at
+// lock time, so snapshot readers can already resolve around these rows.
+func (t *Txn) apply(commitTS uint64) {
+	for i := range t.writes {
+		ref := t.writes[i].ref
+		if t.wroteBefore(i, ref) {
+			continue // applied under the pin of its first write
+		}
+		ref.Table.BeginApply()
+		for _, w := range t.writes[i:] {
+			if w.ref == ref {
+				ref.Table.UpdateCell(w.row, w.col, w.val, commitTS)
+			}
+		}
+		ref.Table.EndApply()
+	}
+	for _, ins := range t.inserts {
+		first := ins.ref.Table.AppendRows(ins.rows, commitTS)
+		if ins.onCommit != nil {
+			ins.onCommit(first)
+		}
+	}
+}
+
+// wroteBefore reports whether a write earlier than writes[i] is to ref.
+func (t *Txn) wroteBefore(i int, ref *TableRef) bool {
+	for j := i - 1; j >= 0; j-- {
+		if t.writes[j].ref == ref {
+			return true
+		}
+	}
+	return false
 }
 
 // record builds the WAL record for this transaction's write set.
@@ -545,7 +526,6 @@ func (t *Txn) releaseAll() {
 		t.m.locks.Release(k)
 	}
 	t.held = nil
-	t.holding = nil
 }
 
 // RunWithRetry executes body in a fresh transaction, retrying on wait-die

@@ -2,6 +2,7 @@ package txn
 
 import (
 	"errors"
+	"math/rand"
 	"sync"
 	"testing"
 
@@ -203,20 +204,107 @@ func TestGCReclaimsOldVersions(t *testing.T) {
 		}); err != nil {
 			t.Fatal(err)
 		}
-	}
-	if ref.Versions.ChainLen(0) != 10 {
-		t.Fatalf("chain = %d", ref.Versions.ChainLen(0))
-	}
-	reclaimed := m.GC()
-	if reclaimed == 0 {
-		t.Fatal("GC reclaimed nothing with no active transactions")
+		// No other transaction is active: each push drops its predecessor.
+		if n := ref.Versions.ChainLen(0); n != 1 {
+			t.Fatalf("chain after update %d = %d, want 1", i, n)
+		}
 	}
 	// The newest committed value must survive.
 	tx := m.Begin()
 	if v, _ := tx.Read(ref, 0, 1); v != 9 {
-		t.Fatalf("after GC value = %d", v)
+		t.Fatalf("after trimming value = %d", v)
 	}
 	tx.Abort()
+}
+
+// TestVersionsBoundedByRowsLocked: with one client nothing but the last
+// pre-image of each row is ever kept, however many transactions run.
+func TestVersionsBoundedByRowsLocked(t *testing.T) {
+	const rows = 300
+	m, ref := newTestTable(t, rows)
+	locked := map[int64]bool{}
+	rng := rand.New(rand.NewSource(7))
+	for i := 0; i < 100_000; i++ {
+		row := rng.Int63n(rows)
+		locked[row] = true
+		if _, err := m.RunWithRetry(0, func(tx *Txn) error {
+			return tx.WriteFunc(ref, row, 1, func(v int64) int64 { return v + 1 })
+		}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if n := ref.Versions.Len(); n > len(locked) {
+		t.Fatalf("%d versions live for %d distinct rows locked", n, len(locked))
+	}
+}
+
+// TestSnapshotReaderSurvivesTrimming: the version an active reader needs
+// outlives every push made while it runs, and the first push after it
+// finishes collapses the chain.
+func TestSnapshotReaderSurvivesTrimming(t *testing.T) {
+	m, ref := newTestTable(t, 1)
+	update := func(v int64) {
+		t.Helper()
+		if _, err := m.RunWithRetry(0, func(tx *Txn) error {
+			return tx.Write(ref, 0, 1, v)
+		}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	update(42)
+	reader := m.Begin() // pins the snapshot that reads 42
+	for i := 0; i < 10_000; i++ {
+		update(int64(1000 + i))
+	}
+	if v, ok := reader.Read(ref, 0, 1); !ok || v != 42 {
+		t.Fatalf("pinned snapshot lost: %d,%v", v, ok)
+	}
+	// Everything committed after the reader began is still chained, and
+	// nothing older than what it reads is.
+	if n := ref.Versions.ChainLen(0); n != 10_000 {
+		t.Fatalf("chain under an active reader = %d, want 10000", n)
+	}
+	reader.Abort()
+	update(7)
+	if n := ref.Versions.ChainLen(0); n != 1 {
+		t.Fatalf("chain after the reader finished = %d, want 1", n)
+	}
+}
+
+// TestMinActiveNeverPassesABeginningTxn: the watermark must not overtake a
+// transaction that has drawn its timestamp but is not yet in the active
+// set — pushes trim to it, so that would cut a snapshot about to be read.
+func TestMinActiveNeverPassesABeginningTxn(t *testing.T) {
+	m := NewManager()
+	const beginners = 4
+	handed := make(chan *Txn, 64) // keeps the beginners ahead of the checker
+	var wg sync.WaitGroup
+	for g := 0; g < beginners; g++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for i := 0; i < 5000; i++ {
+				handed <- m.Begin()
+			}
+		}()
+	}
+	go func() {
+		wg.Wait()
+		close(handed)
+	}()
+	for {
+		// A watermark read now bounds every transaction active now or
+		// begun later, whichever this one turns out to be.
+		w := m.MinActive()
+		tx, ok := <-handed
+		if !ok {
+			break
+		}
+		if tx.Begin() < w {
+			t.Errorf("MinActive() = %d passed a transaction with begin %d", w, tx.Begin())
+		}
+		tx.Abort()
+	}
 }
 
 func TestConcurrentTransfersConserveMoney(t *testing.T) {
@@ -294,47 +382,6 @@ func TestLockReentrant(t *testing.T) {
 	}
 	if err := lt.Acquire(k, 5); err != nil {
 		t.Fatalf("reentrant acquire: %v", err)
-	}
-	lt.Release(k)
-}
-
-func TestNoWaitPolicyAbortsImmediately(t *testing.T) {
-	m, ref := newTestTable(t, 1)
-	m.SetPolicy(NoWait)
-	if m.Policy() != NoWait {
-		t.Fatal("policy not set")
-	}
-	older := m.Begin()
-	younger := m.Begin()
-	if err := younger.Write(ref, 0, 1, 5); err != nil {
-		t.Fatal(err)
-	}
-	// Under no-wait even the OLDER requester aborts instead of waiting.
-	if err := older.Write(ref, 0, 1, 6); !errors.Is(err, ErrDie) {
-		t.Fatalf("err = %v, want immediate ErrDie under no-wait", err)
-	}
-	older.Abort()
-	if err := younger.Commit(); err != nil {
-		t.Fatal(err)
-	}
-	// Back to wait-die: older waits again.
-	m.SetPolicy(WaitDie)
-	if m.Policy() != WaitDie {
-		t.Fatal("policy not restored")
-	}
-}
-
-func TestTryAcquireReentrant(t *testing.T) {
-	lt := NewLockTable()
-	k := LockKey{Tab: 9, Row: 9}
-	if err := lt.TryAcquire(k, 5); err != nil {
-		t.Fatal(err)
-	}
-	if err := lt.TryAcquire(k, 5); err != nil {
-		t.Fatalf("reentrant try-acquire: %v", err)
-	}
-	if err := lt.TryAcquire(k, 6); !errors.Is(err, ErrDie) {
-		t.Fatalf("conflicting try-acquire: %v", err)
 	}
 	lt.Release(k)
 }

@@ -3,6 +3,13 @@
 // the MVCC survey of Wu et al. Updates push full-row pre-images before
 // overwriting the active instance in place, so snapshot-isolated readers
 // can traverse to the version visible at their begin timestamp.
+//
+// Versions are reclaimed where they are pushed: every Push carries the
+// oldest snapshot any transaction can still read (txn.Manager.MinActive)
+// and drops what lies behind it, so a chain holds one version per commit
+// the oldest active reader has not seen, plus one. There is no background
+// collector and nothing to start; a row that was ever updated keeps its
+// last pre-image.
 package vm
 
 import "sync"
@@ -42,25 +49,36 @@ func (s *Store) shardOf(row int64) *shard {
 	return &s.shards[uint64(row)%shardCount]
 }
 
-// Push prepends a pre-image that was current as of commit timestamp ts.
-// Callers must hold the record's exclusive lock, so pushes for one row are
-// serialized; reads may proceed concurrently.
-func (s *Store) Push(row int64, ts uint64, image []int64) {
+// Push prepends a pre-image that was current as of commit timestamp ts, then
+// cuts the chain after its newest version with TS <= watermark. watermark is
+// the pusher's reclamation bound: no transaction, running or yet to begin,
+// reads as of a timestamp below it, and a reader at or above it stops at that
+// version, so nothing older can be reached again. A stale (smaller) watermark
+// only keeps more. Callers must hold the record's exclusive lock, so pushes
+// for one row are serialized and a chain is ordered by TS; reads may proceed
+// concurrently.
+func (s *Store) Push(row int64, ts uint64, image []int64, watermark uint64) {
 	sh := s.shardOf(row)
 	sh.mu.Lock()
-	sh.chains[row] = &Version{TS: ts, Image: image, Older: sh.chains[row]}
+	head := &Version{TS: ts, Image: image, Older: sh.chains[row]}
+	sh.chains[row] = head
+	for v := head; v != nil; v = v.Older {
+		if v.TS <= watermark {
+			v.Older = nil
+			break
+		}
+	}
 	sh.mu.Unlock()
 }
 
 // ReadAsOf returns the newest image of the row with TS <= ts, traversing
 // newest-to-oldest. ok is false when no version old enough exists (the row
-// was created after ts, or its history was garbage collected).
+// was created after ts, or ts is below a watermark some Push has trimmed to).
 func (s *Store) ReadAsOf(row int64, ts uint64) (image []int64, ok bool) {
 	sh := s.shardOf(row)
 	sh.mu.RLock()
-	v := sh.chains[row]
-	sh.mu.RUnlock()
-	for ; v != nil; v = v.Older {
+	defer sh.mu.RUnlock() // Push cuts links under the write lock
+	for v := sh.chains[row]; v != nil; v = v.Older {
 		if v.TS <= ts {
 			return v.Image, true
 		}
@@ -92,45 +110,6 @@ func (s *Store) Len() int {
 			}
 		}
 		sh.mu.RUnlock()
-	}
-	return n
-}
-
-// GC truncates every chain after the newest version with TS <= minActive:
-// that version may still be read by the oldest active transaction, anything
-// older cannot. Rows whose entire chain is reclaimable are removed. It
-// returns the number of versions dropped.
-func (s *Store) GC(minActive uint64) int {
-	dropped := 0
-	for i := range s.shards {
-		sh := &s.shards[i]
-		sh.mu.Lock()
-		for row, v := range sh.chains {
-			if v.TS <= minActive {
-				// The head already satisfies every active reader; the whole
-				// tail (and, if nothing can read even the head... keep head).
-				dropped += chainLenLocked(v.Older)
-				v.Older = nil
-				continue
-			}
-			for cur := v; cur != nil; cur = cur.Older {
-				if cur.Older != nil && cur.Older.TS <= minActive {
-					dropped += chainLenLocked(cur.Older.Older)
-					cur.Older.Older = nil
-					break
-				}
-			}
-			_ = row
-		}
-		sh.mu.Unlock()
-	}
-	return dropped
-}
-
-func chainLenLocked(v *Version) int {
-	n := 0
-	for ; v != nil; v = v.Older {
-		n++
 	}
 	return n
 }

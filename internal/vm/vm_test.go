@@ -1,15 +1,16 @@
 package vm
 
 import (
+	"math/rand"
 	"testing"
 	"testing/quick"
 )
 
 func TestPushReadAsOf(t *testing.T) {
 	s := NewStore()
-	s.Push(1, 10, []int64{100})
-	s.Push(1, 20, []int64{200})
-	s.Push(1, 30, []int64{300})
+	s.Push(1, 10, []int64{100}, 0)
+	s.Push(1, 20, []int64{200}, 0)
+	s.Push(1, 30, []int64{300}, 0)
 
 	cases := []struct {
 		ts   uint64
@@ -38,7 +39,7 @@ func TestPushReadAsOf(t *testing.T) {
 func TestNewestToOldestOrder(t *testing.T) {
 	s := NewStore()
 	for ts := uint64(1); ts <= 5; ts++ {
-		s.Push(7, ts, []int64{int64(ts)})
+		s.Push(7, ts, []int64{int64(ts)}, 0)
 	}
 	if s.ChainLen(7) != 5 {
 		t.Fatalf("chain len = %d", s.ChainLen(7))
@@ -60,17 +61,17 @@ func TestMissingRow(t *testing.T) {
 
 func TestGC(t *testing.T) {
 	s := NewStore()
-	for ts := uint64(10); ts <= 50; ts += 10 {
-		s.Push(1, ts, []int64{int64(ts)})
+	for ts := uint64(10); ts <= 40; ts += 10 {
+		s.Push(1, ts, []int64{int64(ts)}, 0)
 	}
 	// Oldest active reader at 35: versions 10 and 20 are unreachable
 	// (30 is the newest visible at 35, and must stay).
-	dropped := s.GC(35)
-	if dropped != 2 {
-		t.Fatalf("dropped = %d, want 2", dropped)
+	s.Push(1, 50, []int64{50}, 35)
+	if n := s.ChainLen(1); n != 3 {
+		t.Fatalf("chain = %d, want 3 (50, 40, 30)", n)
 	}
 	if img, ok := s.ReadAsOf(1, 35); !ok || img[0] != 30 {
-		t.Fatalf("visible at 35 after GC: %v %v", img, ok)
+		t.Fatalf("visible at 35 after trim: %v %v", img, ok)
 	}
 	if _, ok := s.ReadAsOf(1, 15); ok {
 		t.Fatal("reclaimed version still readable")
@@ -79,20 +80,64 @@ func TestGC(t *testing.T) {
 
 func TestGCHeadOnly(t *testing.T) {
 	s := NewStore()
-	s.Push(1, 10, []int64{1})
-	if dropped := s.GC(100); dropped != 0 {
-		t.Fatalf("head must survive, dropped %d", dropped)
-	}
+	s.Push(1, 10, []int64{1}, 100)
 	if img, ok := s.ReadAsOf(1, 100); !ok || img[0] != 1 {
 		t.Fatal("head lost")
+	}
+	// A pushed version at or below the watermark is all its row keeps.
+	s.Push(1, 20, []int64{2}, 100)
+	if n := s.ChainLen(1); n != 1 {
+		t.Fatalf("chain = %d, want 1", n)
+	}
+	if img, ok := s.ReadAsOf(1, 100); !ok || img[0] != 2 {
+		t.Fatalf("head after trim: %v %v", img, ok)
+	}
+}
+
+// TestTrimAgreesWithKeepEverything drives random pushes with random
+// non-decreasing watermarks against a store that never trims: every read at
+// or above the watermark must see the same version.
+func TestTrimAgreesWithKeepEverything(t *testing.T) {
+	rng := rand.New(rand.NewSource(1))
+	const rows = 8
+	s, oracle := NewStore(), NewStore()
+	rowTS := make([]uint64, rows)
+	var clock, watermark uint64
+	for i := 0; i < 5000; i++ {
+		row := rng.Int63n(rows)
+		// One in four pushes repeats the row's timestamp, as the pre-image
+		// of a transaction that then aborts does.
+		if rng.Intn(4) != 0 {
+			clock += uint64(1 + rng.Intn(3))
+			rowTS[row] = clock
+		}
+		if rng.Intn(3) == 0 {
+			watermark += uint64(rng.Int63n(int64(clock-watermark) + 1))
+		}
+		img := []int64{int64(i)}
+		s.Push(row, rowTS[row], img, watermark)
+		oracle.Push(row, rowTS[row], img, 0)
+		for r := int64(0); r < rows; r++ {
+			for _, at := range []uint64{watermark, watermark + uint64(rng.Intn(4)), clock, clock + 1} {
+				got, gok := s.ReadAsOf(r, at)
+				want, wok := oracle.ReadAsOf(r, at)
+				if gok != wok || (gok && got[0] != want[0]) {
+					t.Fatalf("push %d: ReadAsOf(row %d, %d) with watermark %d = %v,%v; untrimmed %v,%v",
+						i, r, at, watermark, got, gok, want, wok)
+				}
+			}
+		}
+	}
+	if s.Len() >= oracle.Len()/10 {
+		t.Fatalf("trimmed store holds %d of %d versions", s.Len(), oracle.Len())
 	}
 }
 
 func TestLen(t *testing.T) {
 	s := NewStore()
-	s.Push(1, 1, []int64{1})
-	s.Push(1, 2, []int64{2})
-	s.Push(200, 1, []int64{3})
+	s.Push(1, 1, []int64{1}, 0)
+	s.Push(1, 2, []int64{2}, 0)
+	s.Push(200, 1, []int64{3}, 0)
 	if s.Len() != 3 {
 		t.Fatalf("Len = %d", s.Len())
 	}
@@ -123,7 +168,7 @@ func TestQuickVisibilityMatchesReference(t *testing.T) {
 			sorted[i], sorted[min] = sorted[min], sorted[i]
 		}
 		for _, ts := range sorted {
-			s.Push(3, ts, []int64{int64(ts)})
+			s.Push(3, ts, []int64{int64(ts)}, 0)
 		}
 		var want uint64
 		for _, ts := range sorted {
