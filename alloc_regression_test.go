@@ -189,24 +189,34 @@ func TestWALAppendAllocBudget(t *testing.T) {
 }
 
 // TestTxnAllocBudget pins what one CH transaction allocates, workload body
-// included, on one client with no WAL. A Txn is two slices (lock set, write
-// set) plus its inserts; a pre-image is one row and its version; the apply
-// walks the write set in place. A map or a per-commit regrouping creeping
-// back into the write path shows here before it shows in the benchmark.
+// included, on one client with no WAL. RunWithRetry recycles one Txn (lock
+// set, write set, insert arena, pre-image buffer); a pre-image push reuses
+// the version it trims; the lock table keeps its states by value. What is
+// left is the body's own closures — one for Payment, two for NewOrder (the
+// body and the order's index callback) — and, for NewOrder, the column
+// chunks its ~12 inserted rows grow into. A buffer that stops being reused,
+// a map or a boxed row creeping back into the write path shows here before
+// it shows in the benchmark.
 func TestTxnAllocBudget(t *testing.T) {
 	for _, p := range []struct {
 		name          string
 		paymentPct    int
 		bytes, allocs float64 // per transaction, measured + 25 %
+		raceBytes     float64 // same under -race, where the pool is lossy
+		raceAllocs    float64
 	}{
-		// Measured 7903 B / 106.3 and 1537 B / 26.0 (8166 B and 1553 B under
-		// -race); with the write set indexed by maps and regrouped per
-		// commit it was 12722 B / 143 and 2985 B / 44. NewOrder's share
-		// includes the column chunks its ~10 order lines grow into.
-		{"NewOrder", 0, 9900, 133},
-		{"Payment", 100, 1950, 33},
+		// Measured 1785 B / 2.0 and 64 B / 1.0 (3148 B / 7.2 and 353 B / 4.4
+		// under -race); 7903 B / 106.3 and 1537 B / 26.0 when every record
+		// lock allocated its pre-image, version, lock state and condition
+		// variable and every inserted row was boxed through EncodeRow.
+		{"NewOrder", 0, 2250, 2.5, 3950, 9},
+		{"Payment", 100, 80, 1.25, 450, 5.5},
 	} {
 		t.Run(p.name, func(t *testing.T) {
+			maxBytes, maxAllocs := p.bytes, p.allocs
+			if raceEnabled {
+				maxBytes, maxAllocs = p.raceBytes, p.raceAllocs
+			}
 			e := oltp.NewEngine()
 			db := ch.Load(e, ch.TinySizing(), 1)
 			mix := ch.NewMix(db, p.paymentPct, 1)
@@ -225,9 +235,9 @@ func TestTxnAllocBudget(t *testing.T) {
 			runtime.ReadMemStats(&after)
 			bytes := float64(after.TotalAlloc-before.TotalAlloc) / n
 			allocs := float64(after.Mallocs-before.Mallocs) / n
-			if bytes > p.bytes || allocs > p.allocs {
-				t.Fatalf("%s allocates %.0f B and %.1f objects per transaction, budget %.0f B and %.0f",
-					p.name, bytes, allocs, p.bytes, p.allocs)
+			if bytes > maxBytes || allocs > maxAllocs {
+				t.Fatalf("%s allocates %.0f B and %.1f objects per transaction, budget %.0f B and %.1f",
+					p.name, bytes, allocs, maxBytes, maxAllocs)
 			}
 		})
 	}

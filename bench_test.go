@@ -11,10 +11,13 @@ package elastichtap
 
 import (
 	"context"
+	"fmt"
 	"testing"
+	"time"
 
 	"elastichtap/internal/ch"
 	"elastichtap/internal/ch/golden"
+	"elastichtap/internal/columnar"
 	"elastichtap/internal/core"
 	"elastichtap/internal/experiments"
 	"elastichtap/internal/olap"
@@ -243,6 +246,92 @@ func BenchmarkNewOrderThroughput(b *testing.B) {
 	e.Workers().SetPlacement(placementOf(8))
 	b.ResetTimer()
 	e.Workers().ExecuteBatch(b.N)
+}
+
+// txnsPerOp is how many transactions one iteration of the BenchmarkTxn*
+// pair commits: CI records three iterations (-benchtime 3x), so the unit of
+// work has to be large enough to mean something at that count. The per-
+// transaction figures are reported as ns/txn, B/txn and allocs/txn.
+const txnsPerOp = 2000
+
+// benchTxn commits CH transactions of one kind on one client through
+// RunWithRetry, with no WAL: the commit path the bench/ workloads time.
+func benchTxn(b *testing.B, paymentPct int) {
+	e := oltp.NewEngine()
+	db := ch.Load(e, ch.SizingForScale(0.01), 1)
+	mix := ch.NewMix(db, paymentPct, 3)
+	run := func(n int) {
+		for i := 0; i < n; i++ {
+			if _, err := e.Manager().RunWithRetry(0, mix.Next(0)); err != nil {
+				b.Fatal(err)
+			}
+		}
+	}
+	run(txnsPerOp) // chains pushed, buffers grown, the Txn pooled
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		run(txnsPerOp)
+	}
+	perTxn := float64(b.N) * txnsPerOp
+	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/perTxn, "ns/txn")
+}
+
+// BenchmarkTxnPayment: three record locks, five in-place cells, one insert.
+func BenchmarkTxnPayment(b *testing.B) { benchTxn(b, 100) }
+
+// BenchmarkTxnNewOrder: about eleven record locks and twelve inserted rows.
+func BenchmarkTxnNewOrder(b *testing.B) { benchTxn(b, 0) }
+
+// BenchmarkWordsLoadStore is the cell access path alone: one Store and one
+// Load per cell over four chunks of a column, ns/cell.
+func BenchmarkWordsLoadStore(b *testing.B) {
+	const cells = 4 * columnar.ChunkSize
+	tab := columnar.NewTable(columnar.Schema{Name: "w", Columns: []columnar.ColumnDef{
+		{Name: "v", Type: columnar.Int64},
+	}}, cells)
+	w := tab.Active().Col(0)
+	b.ResetTimer()
+	var sum int64
+	for i := 0; i < b.N; i++ {
+		for r := int64(0); r < cells; r++ {
+			w.Store(r, r)
+			sum += w.Load(r)
+		}
+	}
+	if want := int64(b.N) * cells * (cells - 1) / 2; sum != want {
+		b.Fatalf("sum = %d, want %d", sum, want)
+	}
+	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/(float64(b.N)*cells), "ns/cell")
+}
+
+// BenchmarkAppendRows appends 8192 orderline-shaped rows to a fresh table,
+// one row per call (a transaction's insert) and in one call (a load or a
+// replayed batch), ns/row.
+func BenchmarkAppendRows(b *testing.B) {
+	const rows = 8192
+	schema := ch.Schemas()[ch.TOrderLine]
+	batch := make([][]int64, rows)
+	for i := range batch {
+		batch[i] = make([]int64, len(schema.Columns))
+		for c := range batch[i] {
+			batch[i][c] = int64(i*len(schema.Columns) + c)
+		}
+	}
+	for _, per := range []int{1, rows} {
+		b.Run(fmt.Sprintf("rows=%d", per), func(b *testing.B) {
+			var busy time.Duration
+			for i := 0; i < b.N; i++ {
+				tab := columnar.NewTable(schema, rows)
+				t0 := time.Now()
+				for lo := 0; lo < rows; lo += per {
+					tab.AppendRows(batch[lo:lo+per], 1)
+				}
+				busy += time.Since(t0)
+			}
+			b.ReportMetric(float64(busy.Nanoseconds())/(float64(b.N)*rows), "ns/row")
+		})
+	}
 }
 
 // BenchmarkQ6Execution measures the real scan rate of the OLAP engine.

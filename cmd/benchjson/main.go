@@ -46,7 +46,11 @@ type Report struct {
 	// Recovery groups the durability-path benchmarks — WAL append and
 	// replay, whole-database checkpointing, crash recovery — so the
 	// trajectory of the recovery story reads as one unit.
-	Recovery    map[string]*Bench  `json:"recovery,omitempty"`
+	Recovery map[string]*Bench `json:"recovery,omitempty"`
+	// Txn groups the storage-access and commit-path benchmarks — one
+	// client's Payment and NewOrder, the cell Load/Store pair, row and
+	// batch appends — the engine-side view of bench/'s txn_per_s.
+	Txn         map[string]*Bench  `json:"txn,omitempty"`
 	GapRatios   map[string]float64 `json:"gap_ratios,omitempty"`
 	OrderRatios map[string]float64 `json:"order_ratios,omitempty"`
 }
@@ -59,15 +63,22 @@ func recoveryBench(name string) bool {
 		strings.HasPrefix(n, "BenchmarkWAL")
 }
 
-// splitRecovery moves the durability benchmarks out of the flat map into
-// the report's recovery group.
-func splitRecovery(rep *Report) {
+// txnBench reports whether a benchmark belongs to the commit-path group.
+func txnBench(name string) bool {
+	n := baseName(name)
+	return strings.HasPrefix(n, "BenchmarkTxn") || n == "BenchmarkWordsLoadStore" ||
+		strings.HasPrefix(n, "BenchmarkAppendRows")
+}
+
+// splitGroup moves the benchmarks member picks out of the flat map into
+// one of the report's named groups.
+func splitGroup(rep *Report, member func(name string) bool, group *map[string]*Bench) {
 	for name, b := range rep.Benchmarks {
-		if recoveryBench(name) {
-			if rep.Recovery == nil {
-				rep.Recovery = map[string]*Bench{}
+		if member(name) {
+			if *group == nil {
+				*group = map[string]*Bench{}
 			}
-			rep.Recovery[name] = b
+			(*group)[name] = b
 			delete(rep.Benchmarks, name)
 		}
 	}
@@ -254,7 +265,8 @@ func main() {
 	}
 	rep.GapRatios = gapRatios(rep)
 	rep.OrderRatios = orderRatios(rep)
-	splitRecovery(rep)
+	splitGroup(rep, recoveryBench, &rep.Recovery)
+	splitGroup(rep, txnBench, &rep.Txn)
 	var dst io.Writer = os.Stdout
 	if *out != "" {
 		f, err := os.Create(*out)

@@ -134,3 +134,30 @@ BenchmarkQ1Builder-8     10   220 ns/op
 		t.Fatalf("Q1 ratio = %v, want 1.1", got)
 	}
 }
+
+// TestGroupsSplitOutOfTheFlatMap: durability and commit-path benchmarks
+// leave the flat map for their named groups, sub-benchmarks and -cpu
+// suffixes included; everything else stays.
+func TestGroupsSplitOutOfTheFlatMap(t *testing.T) {
+	rep, err := parse(strings.NewReader(`BenchmarkQ6Builder-2   3   1009042 ns/op
+BenchmarkTxnPayment-2   3   2932812 ns/op   1466 ns/txn   128725 B/op   2000 allocs/op
+BenchmarkWordsLoadStore-2   3   918304 ns/op   14.00 ns/cell
+BenchmarkAppendRows/rows=8192-2   3   1819222 ns/op   42.31 ns/row
+BenchmarkWALAppend-2   3   1000 ns/op
+BenchmarkRecovery   3   5000 ns/op
+`))
+	if err != nil {
+		t.Fatal(err)
+	}
+	splitGroup(rep, recoveryBench, &rep.Recovery)
+	splitGroup(rep, txnBench, &rep.Txn)
+	if len(rep.Benchmarks) != 1 || rep.Benchmarks["BenchmarkQ6Builder-2"] == nil {
+		t.Fatalf("flat map = %v", rep.Benchmarks)
+	}
+	if len(rep.Recovery) != 2 || len(rep.Txn) != 3 {
+		t.Fatalf("recovery = %v, txn = %v", rep.Recovery, rep.Txn)
+	}
+	if b := rep.Txn["BenchmarkAppendRows/rows=8192-2"]; b == nil || b.Metrics["ns/row"] != 42.31 {
+		t.Fatalf("append sub-benchmark = %+v", b)
+	}
+}

@@ -10,75 +10,114 @@ import (
 	"sync/atomic"
 )
 
-const wordBits = 64
+const (
+	wordBits = 64
+	// chunkWords is the number of words per storage chunk (4 KiB, 32 Ki
+	// bits). Words live in chunks so that growing never moves one: a bit
+	// set while the bitmap grows lands in the same word either way.
+	chunkWords = 512
+	chunkBits  = chunkWords * wordBits
+)
 
 // Atomic is a bitmap whose Set/Clear/Test operations are safe for
-// concurrent use. Growth takes a short exclusive lock; steady-state
-// operations only take a read lock plus one atomic word access.
+// concurrent use and take no lock: the chunk directory is an immutable
+// slice published through an atomic pointer, as columnar.Words publishes
+// its own, and a bit operation is one atomic access to a word that never
+// moves. Only growth locks (growMu, growers only): it copies the
+// directory, appends zeroed chunks, publishes it and then raises the
+// logical length, so an index below the length always has its chunk.
 type Atomic struct {
-	mu    sync.RWMutex
-	words []uint64
-	n     int // logical length in bits
+	dir    atomic.Pointer[[][]uint64]
+	n      atomic.Int64 // logical length in bits; only grows
+	growMu sync.Mutex
 }
 
 // New returns a bitmap with capacity for n bits, all zero.
 func New(n int) *Atomic {
-	if n < 0 {
-		n = 0
-	}
-	return &Atomic{words: make([]uint64, (n+wordBits-1)/wordBits), n: n}
+	b := &Atomic{}
+	b.dir.Store(new([][]uint64))
+	b.Grow(n)
+	return b
 }
 
 // Len returns the logical size of the bitmap in bits.
-func (b *Atomic) Len() int {
-	b.mu.RLock()
-	defer b.mu.RUnlock()
-	return b.n
-}
+func (b *Atomic) Len() int { return int(b.n.Load()) }
 
 // Grow extends the bitmap to hold at least n bits (new bits are zero).
+//
+//htap:coldpath
 func (b *Atomic) Grow(n int) {
-	b.mu.Lock()
-	defer b.mu.Unlock()
-	if n <= b.n {
+	b.growMu.Lock()
+	defer b.growMu.Unlock()
+	if int64(n) <= b.n.Load() {
 		return
 	}
-	need := (n + wordBits - 1) / wordBits
-	if need > len(b.words) {
-		words := make([]uint64, need+need/2)
-		copy(words, b.words)
-		b.words = words
+	old := *b.dir.Load()
+	if need := (n + chunkBits - 1) / chunkBits; need > len(old) {
+		dir := make([][]uint64, need)
+		copy(dir, old)
+		for i := len(old); i < need; i++ {
+			dir[i] = make([]uint64, chunkWords)
+		}
+		b.dir.Store(&dir)
 	}
-	b.n = n
+	b.n.Store(int64(n))
+}
+
+// word returns the address of word wi, which must lie below the length.
+func (b *Atomic) word(wi int) *uint64 {
+	return &(*b.dir.Load())[wi/chunkWords][wi%chunkWords]
 }
 
 // Set sets bit i, growing the bitmap if needed. It reports whether the bit
 // transitioned from 0 to 1.
+//
+//htap:hotpath
 func (b *Atomic) Set(i int) bool {
 	if i < 0 {
 		return false
 	}
-	b.mu.RLock()
-	if i < b.n {
-		old := orWord(&b.words[i/wordBits], uint64(1)<<(i%wordBits))
-		b.mu.RUnlock()
-		return old&(uint64(1)<<(i%wordBits)) == 0
+	if int64(i) >= b.n.Load() {
+		b.Grow(i + 1)
 	}
-	b.mu.RUnlock()
-	b.Grow(i + 1)
-	return b.Set(i)
+	mask := uint64(1) << (i % wordBits)
+	return orWord(b.word(i/wordBits), mask)&mask == 0
+}
+
+// SetRange sets bits [lo, hi), growing the bitmap if needed: one atomic OR
+// per word instead of one per bit.
+//
+//htap:hotpath
+func (b *Atomic) SetRange(lo, hi int) {
+	if lo < 0 {
+		lo = 0
+	}
+	if lo >= hi {
+		return
+	}
+	if int64(hi) > b.n.Load() {
+		b.Grow(hi)
+	}
+	loW, hiW := lo/wordBits, (hi-1)/wordBits
+	for wi := loW; wi <= hiW; wi++ {
+		mask := ^uint64(0)
+		if wi == loW {
+			mask &= ^uint64(0) << (lo % wordBits)
+		}
+		if wi == hiW && hi%wordBits != 0 {
+			mask &= ^uint64(0) >> (wordBits - hi%wordBits)
+		}
+		orWord(b.word(wi), mask)
+	}
 }
 
 // Clear clears bit i. It reports whether the bit transitioned from 1 to 0.
 func (b *Atomic) Clear(i int) bool {
-	b.mu.RLock()
-	defer b.mu.RUnlock()
-	if i < 0 || i >= b.n {
+	if i < 0 || int64(i) >= b.n.Load() {
 		return false
 	}
 	mask := uint64(1) << (i % wordBits)
-	old := andWord(&b.words[i/wordBits], ^mask)
-	return old&mask != 0
+	return andWord(b.word(i/wordBits), ^mask)&mask != 0
 }
 
 // orWord and andWord are CAS-loop equivalents of atomic.{Or,And}Uint64,
@@ -104,12 +143,22 @@ func andWord(addr *uint64, mask uint64) (old uint64) {
 
 // Test reports whether bit i is set.
 func (b *Atomic) Test(i int) bool {
-	b.mu.RLock()
-	defer b.mu.RUnlock()
-	if i < 0 || i >= b.n {
+	if i < 0 || int64(i) >= b.n.Load() {
 		return false
 	}
-	return atomic.LoadUint64(&b.words[i/wordBits])&(uint64(1)<<(i%wordBits)) != 0
+	return atomic.LoadUint64(b.word(i/wordBits))&(uint64(1)<<(i%wordBits)) != 0
+}
+
+// words calls fn with the address of every word holding bits below the
+// length as of the call, in ascending order, until fn returns false.
+func (b *Atomic) words(fn func(wi int, w *uint64) bool) {
+	n := int(b.n.Load())
+	dir := *b.dir.Load()
+	for wi, end := 0, (n+wordBits-1)/wordBits; wi < end; wi++ {
+		if !fn(wi, &dir[wi/chunkWords][wi%chunkWords]) {
+			return
+		}
+	}
 }
 
 // AnyInRange reports whether any bit in [lo, hi) is set. Like ForEachSet it
@@ -117,13 +166,10 @@ func (b *Atomic) Test(i int) bool {
 // morsel skipping only relies on it for bit ranges that are no longer being
 // mutated.
 func (b *Atomic) AnyInRange(lo, hi int) bool {
-	b.mu.RLock()
-	words, n := b.words, b.n
-	b.mu.RUnlock()
 	if lo < 0 {
 		lo = 0
 	}
-	if hi > n {
+	if n := int(b.n.Load()); hi > n {
 		hi = n
 	}
 	if lo >= hi {
@@ -131,7 +177,7 @@ func (b *Atomic) AnyInRange(lo, hi int) bool {
 	}
 	loW, hiW := lo/wordBits, (hi-1)/wordBits
 	for wi := loW; wi <= hiW; wi++ {
-		w := atomic.LoadUint64(&words[wi])
+		w := atomic.LoadUint64(b.word(wi))
 		if wi == loW {
 			w &= ^uint64(0) << (lo % wordBits)
 		}
@@ -147,12 +193,11 @@ func (b *Atomic) AnyInRange(lo, hi int) bool {
 
 // Count returns the number of set bits.
 func (b *Atomic) Count() int {
-	b.mu.RLock()
-	defer b.mu.RUnlock()
 	c := 0
-	for i := range b.words {
-		c += bits.OnesCount64(atomic.LoadUint64(&b.words[i]))
-	}
+	b.words(func(_ int, w *uint64) bool {
+		c += bits.OnesCount64(atomic.LoadUint64(w))
+		return true
+	})
 	return c
 }
 
@@ -160,21 +205,12 @@ func (b *Atomic) Count() int {
 // sees a weakly consistent view under concurrent mutation, which matches
 // the RDE's needs: bits set after the scan started may or may not be seen.
 func (b *Atomic) ForEachSet(fn func(i int)) {
-	b.mu.RLock()
-	words, n := b.words, b.n
-	b.mu.RUnlock()
-	for wi := range words {
-		w := atomic.LoadUint64(&words[wi])
-		for w != 0 {
-			bit := bits.TrailingZeros64(w)
-			i := wi*wordBits + bit
-			if i >= n {
-				return
-			}
-			fn(i)
-			w &^= 1 << bit
+	b.words(func(wi int, addr *uint64) bool {
+		for w := atomic.LoadUint64(addr); w != 0; w &= w - 1 {
+			fn(wi*wordBits + bits.TrailingZeros64(w))
 		}
-	}
+		return true
+	})
 }
 
 // DrainSet atomically claims and clears set bits, invoking fn once per
@@ -182,31 +218,21 @@ func (b *Atomic) ForEachSet(fn func(i int)) {
 // clear the corresponding bit" sync loop (§3.4 S2): concurrent setters
 // after the claim are preserved for the next sync.
 func (b *Atomic) DrainSet(fn func(i int)) int {
-	b.mu.RLock()
-	words, n := b.words, b.n
-	b.mu.RUnlock()
 	drained := 0
-	for wi := range words {
-		w := atomic.SwapUint64(&words[wi], 0)
-		for w != 0 {
-			bit := bits.TrailingZeros64(w)
-			i := wi*wordBits + bit
-			w &^= 1 << bit
-			if i >= n {
-				continue
-			}
-			fn(i)
+	b.words(func(wi int, addr *uint64) bool {
+		for w := atomic.SwapUint64(addr, 0); w != 0; w &= w - 1 {
+			fn(wi*wordBits + bits.TrailingZeros64(w))
 			drained++
 		}
-	}
+		return true
+	})
 	return drained
 }
 
 // Reset clears all bits without shrinking.
 func (b *Atomic) Reset() {
-	b.mu.RLock()
-	defer b.mu.RUnlock()
-	for i := range b.words {
-		atomic.StoreUint64(&b.words[i], 0)
-	}
+	b.words(func(_ int, w *uint64) bool {
+		atomic.StoreUint64(w, 0)
+		return true
+	})
 }

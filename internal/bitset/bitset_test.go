@@ -206,3 +206,29 @@ func TestQuickSetClearIdempotence(t *testing.T) {
 		t.Fatal(err)
 	}
 }
+
+// TestQuickSetRangeMatchesSetLoop: SetRange(lo, hi) leaves exactly the
+// bits a Set loop would, growth included, whatever was set before.
+func TestQuickSetRangeMatchesSetLoop(t *testing.T) {
+	f := func(pre []uint16, lo, n uint16) bool {
+		a, b := New(70), New(70)
+		for _, i := range pre {
+			a.Set(int(i))
+			b.Set(int(i))
+		}
+		hi := int(lo) + int(n%300)
+		a.SetRange(int(lo), hi)
+		for i := int(lo); i < hi; i++ {
+			b.Set(i)
+		}
+		if a.Len() != b.Len() || a.Count() != b.Count() {
+			return false
+		}
+		same := true
+		b.ForEachSet(func(i int) { same = same && a.Test(i) })
+		return same
+	}
+	if err := quick.Check(f, &quick.Config{MaxCount: 300}); err != nil {
+		t.Fatal(err)
+	}
+}

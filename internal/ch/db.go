@@ -33,6 +33,8 @@ type DB struct {
 	Region    *oltp.TableHandle
 
 	day atomic.Int64
+	// distTxn is distTxnCode's result plus one; 0 = not yet resolved.
+	distTxn atomic.Int64
 
 	// prepared caches the bound form of the parameterized evaluation
 	// plans (see PreparedPlan), one Bind per query per database.

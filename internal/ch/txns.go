@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"math/rand"
 	"sync"
+	"sync/atomic"
 
 	"elastichtap/internal/columnar"
 	"elastichtap/internal/oltp"
@@ -19,18 +20,33 @@ func lookup(h *oltp.TableHandle, key uint64) (int64, error) {
 	return int64(row), nil
 }
 
+// maxOrderLines is the most order lines one NewOrder carries (5-15, TPC-C).
+const maxOrderLines = 15
+
+// distTxnCode returns the dictionary code of the dist-info string every
+// transactional order line carries, resolving it on first use: one
+// dictionary lookup per database, not one per order line.
+func (db *DB) distTxnCode() int64 {
+	if c := db.distTxn.Load(); c != 0 {
+		return c - 1
+	}
+	c := db.OrderLine.Table().Dict(OLDistInfo).Code("dist-txn")
+	db.distTxn.Store(c + 1)
+	return c
+}
+
 // NewOrder builds the TPC-C NewOrder transaction body for warehouse w:
 // read the customer's district, claim the next order id, read item prices,
 // decrement stock read-modify-write, and insert the order, its neworder
-// marker and 5-15 order lines (per the TPC-C specification, §5.1).
+// marker and 5-15 order lines (per the TPC-C specification, §5.1). Rows are
+// written as raw words straight into the transaction's insert slots.
 func (db *DB) NewOrder(rng *rand.Rand, w int64) oltp.TxnFunc {
 	s := db.Sizing
 	d := 1 + rng.Int63n(int64(s.DistrictsPerWH))
 	c := 1 + rng.Int63n(int64(s.CustomersPerDistrict))
-	olCnt := 5 + rng.Intn(11)
-	items := make([]int64, olCnt)
-	qtys := make([]int64, olCnt)
-	for i := range items {
+	olCnt := 5 + rng.Intn(maxOrderLines-4)
+	var items, qtys [maxOrderLines]int64
+	for i := 0; i < olCnt; i++ {
 		items[i] = 1 + rng.Int63n(int64(s.Items))
 		qtys[i] = 1 + rng.Int63n(10)
 	}
@@ -49,20 +65,27 @@ func (db *DB) NewOrder(rng *rand.Rand, w int64) oltp.TxnFunc {
 			return err
 		}
 
-		ot := db.Orders.Table()
-		orderRow := ot.EncodeRow(oID, d, w, c, day, int64(0), int64(olCnt), int64(1))
-		if err := t.Insert(db.Orders.Ref, [][]int64{orderRow}, func(first int64) {
+		o, err := t.Insert(db.Orders.Ref, 1, func(first int64) {
 			db.Orders.Index.Put(OrderKey(w, d, oID), uint64(first))
-		}); err != nil {
+		})
+		if err != nil {
 			return err
 		}
-		nt := db.NewOrderT.Table()
-		if err := t.Insert(db.NewOrderT.Ref, [][]int64{nt.EncodeRow(oID, d, w)}, nil); err != nil {
+		o[OID], o[ODID], o[OWID], o[OCID] = oID, d, w, c
+		o[OEntryD], o[OCarrierID], o[OOlCnt], o[OAllLocal] = day, 0, int64(olCnt), 1
+		no, err := t.Insert(db.NewOrderT.Ref, 1, nil)
+		if err != nil {
 			return err
 		}
+		no[NOOID], no[NODID], no[NOWID] = oID, d, w
 
-		olt := db.OrderLine.Table()
-		lines := make([][]int64, 0, olCnt)
+		// The order lines' slot is filled as the loop goes: no Insert is
+		// called until it is full.
+		lines, err := t.Insert(db.OrderLine.Ref, olCnt, nil)
+		if err != nil {
+			return err
+		}
+		distInfo := db.distTxnCode()
 		for i := 0; i < olCnt; i++ {
 			iRow, err := lookup(db.Item, ItemKey(items[i]))
 			if err != nil {
@@ -92,14 +115,18 @@ func (db *DB) NewOrder(rng *rand.Rand, w int64) oltp.TxnFunc {
 			}); err != nil {
 				return err
 			}
-			lines = append(lines, olt.EncodeRow(
-				oID, d, w, int64(i+1), items[i], w, day,
-				qty, float64(qty)*price, "dist-txn",
-			))
+			ol := lines[i*olWidth : (i+1)*olWidth]
+			ol[OLOID], ol[OLDID], ol[OLWID], ol[OLNumber] = oID, d, w, int64(i+1)
+			ol[OLIID], ol[OLSupplyWID], ol[OLDeliveryD] = items[i], w, day
+			ol[OLQuantity], ol[OLAmount] = qty, columnar.EncodeFloat(float64(qty)*price)
+			ol[OLDistInfo] = distInfo
 		}
-		return t.Insert(db.OrderLine.Ref, lines, nil)
+		return nil
 	}
 }
+
+// olWidth is the orderline table's column count.
+const olWidth = OLDistInfo + 1
 
 // Payment builds the TPC-C Payment transaction body: update warehouse and
 // district year-to-date totals, update the customer's balance and payment
@@ -143,10 +170,13 @@ func (db *DB) Payment(rng *rand.Rand, w int64) oltp.TxnFunc {
 		}); err != nil {
 			return err
 		}
-		ht := db.History.Table()
-		return t.Insert(db.History.Ref, [][]int64{
-			ht.EncodeRow(c, d, w, d, w, day, amount),
-		}, nil)
+		h, err := t.Insert(db.History.Ref, 1, nil)
+		if err != nil {
+			return err
+		}
+		h[HCID], h[HCDID], h[HCWID], h[HDID], h[HWID] = c, d, w, d, w
+		h[HDate], h[HAmount] = day, columnar.EncodeFloat(amount)
+		return nil
 	}
 }
 
@@ -162,38 +192,48 @@ func addFloat(delta float64) func(old int64) int64 {
 // deterministic RNG.
 type Mix struct {
 	DB *DB
-	// PaymentPct is the percentage (0-100) of Payment transactions.
+	// PaymentPct is the percentage (0-100) of Payment transactions; set it
+	// before the workload runs.
 	PaymentPct int
 
-	mu   sync.Mutex
-	rngs map[int]*rand.Rand
 	seed int64
+	// rngs is indexed by worker: an immutable slice, replaced (never
+	// edited) under mu the first time a higher worker number shows up, so
+	// the per-transaction path is one atomic load. A worker's RNG is
+	// seeded by its number alone and used by that worker alone.
+	rngs atomic.Pointer[[]*rand.Rand]
+	mu   sync.Mutex
 }
 
 // NewMix returns a workload mix with deterministic per-worker RNGs.
 func NewMix(db *DB, paymentPct int, seed int64) *Mix {
-	return &Mix{DB: db, PaymentPct: paymentPct, rngs: map[int]*rand.Rand{}, seed: seed}
+	m := &Mix{DB: db, PaymentPct: paymentPct, seed: seed}
+	m.rngs.Store(new([]*rand.Rand))
+	return m
 }
 
 func (m *Mix) rng(worker int) *rand.Rand {
+	if rngs := *m.rngs.Load(); worker < len(rngs) {
+		return rngs[worker]
+	}
 	m.mu.Lock()
 	defer m.mu.Unlock()
-	r := m.rngs[worker]
-	if r == nil {
-		r = rand.New(rand.NewSource(m.seed + int64(worker)*7919))
-		m.rngs[worker] = r
+	rngs := *m.rngs.Load()
+	if worker >= len(rngs) {
+		rngs = append(make([]*rand.Rand, 0, worker+1), rngs...)
+		for i := len(rngs); i <= worker; i++ {
+			rngs = append(rngs, rand.New(rand.NewSource(m.seed+int64(i)*7919)))
+		}
+		m.rngs.Store(&rngs)
 	}
-	return r
+	return rngs[worker]
 }
 
 // Next implements oltp.Workload.
 func (m *Mix) Next(worker int) oltp.TxnFunc {
 	r := m.rng(worker)
-	m.mu.Lock()
 	w := int64(worker%m.DB.Sizing.Warehouses) + 1
-	pct := m.PaymentPct
-	m.mu.Unlock()
-	if pct > 0 && r.Intn(100) < pct {
+	if pct := m.PaymentPct; pct > 0 && r.Intn(100) < pct {
 		return m.DB.Payment(r, w)
 	}
 	return m.DB.NewOrder(r, w)

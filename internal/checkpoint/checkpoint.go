@@ -310,8 +310,8 @@ func decode(r io.Reader) (*image, error) {
 
 // fill loads a decoded image into an empty table: dictionaries first (so
 // raw codes stay valid — codes are assigned in order of first appearance,
-// and the checkpoint stores them in code order), then rows in batches
-// with commit timestamp 0.
+// and the checkpoint stores them in code order), then the decoded columns
+// as they are, in one column-major append with commit timestamp 0.
 func fill(t *columnar.Table, img *image) error {
 	for c, strs := range img.dicts {
 		d := t.Dict(c)
@@ -321,23 +321,7 @@ func fill(t *columnar.Table, img *image) error {
 			}
 		}
 	}
-	const batch = 1 << 13
-	rowsBuf := make([][]int64, 0, batch)
-	ncols := len(img.schema.Columns)
-	for i := uint64(0); i < img.rows; i++ {
-		row := make([]int64, ncols)
-		for c := range img.cols {
-			row[c] = img.cols[c][i]
-		}
-		rowsBuf = append(rowsBuf, row)
-		if len(rowsBuf) == batch {
-			t.AppendRows(rowsBuf, 0)
-			rowsBuf = rowsBuf[:0]
-		}
-	}
-	if len(rowsBuf) > 0 {
-		t.AppendRows(rowsBuf, 0)
-	}
+	t.AppendColumns(img.cols, 0)
 	return nil
 }
 

@@ -5,59 +5,93 @@ import (
 	"sync/atomic"
 )
 
+// chunkShift is log2(ChunkSize).
+const chunkShift = 14
+
 // ChunkSize is the number of rows per storage chunk. Chunked growth keeps
 // already-handed-out slices stable while the table appends, so analytical
 // scans can run concurrently with transactional inserts.
-const ChunkSize = 1 << 14
+const ChunkSize = 1 << chunkShift
 
-// Words is a growable chunked array of raw 8-byte values. Cell writes use
-// atomic stores so a concurrently appended-to chunk can be handed to
-// readers without tearing; the chunk directory is guarded by a RWMutex
-// taken once per ChunkSize rows.
+// Words is a growable chunked array of raw 8-byte values.
+//
+// The chunk directory is an immutable slice published through an atomic
+// pointer. Growing (ensure) is the only operation that takes a lock, and
+// only growers take it: under growMu a grower copies the directory,
+// appends freshly allocated chunks and stores the new pointer. A published
+// directory is therefore never written again and always lists allocated
+// chunks, and chunks never move — so a reader may load the directory,
+// index it and touch a cell without synchronizing with anyone, and a chunk
+// slice handed out by Scan or Slice stays valid however far the array
+// grows afterwards.
+//
+// What a reader may assume is what its caller established: storage for a
+// row exists once an ensure covering it has returned (the table ensures
+// every column before it publishes a row count), single cells are read and
+// written with atomic loads and stores, and whole runs are read without
+// atomics only where no writer touches them concurrently (rows of an
+// inactive instance, or rows not yet published).
 type Words struct {
-	mu     sync.RWMutex
-	chunks [][]int64
+	dir    atomic.Pointer[[][]int64]
+	growMu sync.Mutex // serializes growers; readers never take it
 }
 
 func newWords(capHint int64) *Words {
 	w := &Words{}
+	w.dir.Store(new([][]int64))
 	w.ensure(capHint)
 	return w
 }
 
 // ensure guarantees storage for rows [0, n).
 func (w *Words) ensure(n int64) {
-	need := int((n + ChunkSize - 1) / ChunkSize)
-	w.mu.RLock()
-	have := len(w.chunks)
-	w.mu.RUnlock()
-	if have >= need {
-		return
+	need := int((n + ChunkSize - 1) >> chunkShift)
+	if len(*w.dir.Load()) < need {
+		w.grow(need)
 	}
-	w.mu.Lock()
-	for len(w.chunks) < need {
-		w.chunks = append(w.chunks, make([]int64, ChunkSize))
-	}
-	w.mu.Unlock()
 }
 
-func (w *Words) chunk(ci int) []int64 {
-	w.mu.RLock()
-	c := w.chunks[ci]
-	w.mu.RUnlock()
-	return c
+// grow publishes a directory of at least need chunks.
+//
+//htap:coldpath
+func (w *Words) grow(need int) {
+	w.growMu.Lock()
+	defer w.growMu.Unlock()
+	old := *w.dir.Load()
+	if len(old) >= need {
+		return
+	}
+	dir := make([][]int64, need)
+	copy(dir, old)
+	for i := len(old); i < need; i++ {
+		dir[i] = make([]int64, ChunkSize)
+	}
+	w.dir.Store(&dir)
 }
 
 // Store atomically writes the value at row i (storage must exist).
+//
+//htap:hotpath
 func (w *Words) Store(i int64, v int64) {
-	c := w.chunk(int(i / ChunkSize))
-	atomic.StoreInt64(&c[i%ChunkSize], v)
+	atomic.StoreInt64(&(*w.dir.Load())[i>>chunkShift][i&(ChunkSize-1)], v)
 }
 
 // Load atomically reads the value at row i.
+//
+//htap:hotpath
 func (w *Words) Load(i int64) int64 {
-	c := w.chunk(int(i / ChunkSize))
-	return atomic.LoadInt64(&c[i%ChunkSize])
+	return atomic.LoadInt64(&(*w.dir.Load())[i>>chunkShift][i&(ChunkSize-1)])
+}
+
+// run returns the raw storage for rows [lo, hi) cut at lo's chunk
+// boundary: the longest prefix of the range that is contiguous in memory.
+func (w *Words) run(lo, hi int64) []int64 {
+	off := lo & (ChunkSize - 1)
+	end := off + (hi - lo)
+	if end > ChunkSize {
+		end = ChunkSize
+	}
+	return (*w.dir.Load())[lo>>chunkShift][off:end]
 }
 
 // Scan iterates rows [lo, hi) in chunk-sized runs, invoking fn with the raw
@@ -66,15 +100,9 @@ func (w *Words) Load(i int64) int64 {
 // no writer mutates concurrently (e.g. an inactive instance snapshot).
 func (w *Words) Scan(lo, hi int64, fn func(vals []int64, base int64)) {
 	for i := lo; i < hi; {
-		ci := int(i / ChunkSize)
-		off := i % ChunkSize
-		end := int64(ChunkSize)
-		if rem := hi - (i - off); rem < end {
-			end = rem
-		}
-		c := w.chunk(ci)
-		fn(c[off:end], i)
-		i += end - off
+		vals := w.run(i, hi)
+		fn(vals, i)
+		i += int64(len(vals))
 	}
 }
 
@@ -82,11 +110,10 @@ func (w *Words) Scan(lo, hi int64, fn func(vals []int64, base int64)) {
 // single chunk (hi-lo <= ChunkSize and no chunk boundary crossed). Like
 // Scan, callers must not read ranges a writer mutates concurrently.
 func (w *Words) Slice(lo, hi int64) []int64 {
-	if lo/ChunkSize != (hi-1)/ChunkSize {
+	if hi > lo && lo>>chunkShift != (hi-1)>>chunkShift {
 		panic("columnar: Slice range crosses a chunk boundary")
 	}
-	c := w.chunk(int(lo / ChunkSize))
-	return c[lo%ChunkSize : (hi-1)%ChunkSize+1]
+	return w.run(lo, hi)
 }
 
 // CopyRange copies rows [lo, hi) from src into w at the same positions.
@@ -97,11 +124,11 @@ func (w *Words) Slice(lo, hi int64) []int64 {
 // update-indication bits keep such rows fresh for the next ETL.
 func (w *Words) CopyRange(src *Words, lo, hi int64) {
 	w.ensure(hi)
-	src.Scan(lo, hi, func(vals []int64, base int64) {
-		dst := w.chunk(int(base / ChunkSize))
-		off := base % ChunkSize
+	for i := lo; i < hi; {
+		vals, dst := src.run(i, hi), w.run(i, hi)
 		for j := range vals {
-			dst[off+int64(j)] = atomic.LoadInt64(&vals[j])
+			dst[j] = atomic.LoadInt64(&vals[j])
 		}
-	})
+		i += int64(len(vals))
+	}
 }

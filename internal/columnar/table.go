@@ -131,33 +131,72 @@ func (t *Table) DirtyOLAP() *bitset.Atomic { return t.dirtyOLAP }
 // them with commit timestamp ts, and returns the first row ID. rows[i]
 // must have one raw word per column; use EncodeRow for friendly values.
 func (t *Table) AppendRows(rows [][]int64, ts uint64) int64 {
-	n := int64(len(rows))
+	for _, row := range rows {
+		if len(row) != len(t.schema.Columns) {
+			panic(fmt.Sprintf("columnar: row width %d != schema width %d for table %q",
+				len(row), len(t.schema.Columns), t.schema.Name))
+		}
+	}
+	return t.appendRun(int64(len(rows)), ts, rows, nil)
+}
+
+// AppendColumns is AppendRows for a source that is already columnar:
+// cols[c] holds column c of the new rows, every column the same length.
+// A checkpoint restore hands its decoded columns straight in.
+func (t *Table) AppendColumns(cols [][]int64, ts uint64) int64 {
+	if len(cols) != len(t.schema.Columns) {
+		panic(fmt.Sprintf("columnar: %d columns != schema width %d for table %q",
+			len(cols), len(t.schema.Columns), t.schema.Name))
+	}
+	for _, col := range cols {
+		if len(col) != len(cols[0]) {
+			panic(fmt.Sprintf("columnar: ragged columns (%d and %d rows) for table %q",
+				len(col), len(cols[0]), t.schema.Name))
+		}
+	}
+	return t.appendRun(int64(len(cols[0])), ts, nil, cols)
+}
+
+// appendRun is the one append loop. The n new rows come from rows
+// (row-major) or, when cols is non-nil, from cols (column-major); widths
+// are the caller's to check. It works a chunk run at a time, column by
+// column: the destination run of instance 0 is resolved once and filled,
+// then copied to instance 1's run. The cells lie above the published row
+// count, where nothing reads, so they need no atomic stores: storing
+// rows/visible last, under appendMu, is what publishes them.
+func (t *Table) appendRun(n int64, ts uint64, rows, cols [][]int64) int64 {
 	if n == 0 {
 		return t.rows.Load()
 	}
 	t.appendMu.Lock()
 	base := t.rows.Load()
 	end := base + n
-	for k := 0; k < 2; k++ {
-		for _, c := range t.inst[k].cols {
-			c.ensure(end)
-		}
+	a, b := t.inst[0].cols, t.inst[1].cols
+	for c := range a {
+		a[c].ensure(end)
+		b[c].ensure(end)
 	}
 	t.rowTS.ensure(end)
-	for i, row := range rows {
-		if len(row) != len(t.schema.Columns) {
-			t.appendMu.Unlock()
-			panic(fmt.Sprintf("columnar: row width %d != schema width %d for table %q",
-				len(row), len(t.schema.Columns), t.schema.Name))
+	for r := base; r < end; {
+		stamps := t.rowTS.run(r, end)
+		off := int(r - base)
+		for c := range a {
+			dst := a[c].run(r, end)
+			if cols != nil {
+				copy(dst, cols[c][off:])
+			} else {
+				for i := range dst {
+					dst[i] = rows[off+i][c]
+				}
+			}
+			copy(b[c].run(r, end), dst)
 		}
-		r := base + int64(i)
-		for c, v := range row {
-			t.inst[0].cols[c].Store(r, v)
-			t.inst[1].cols[c].Store(r, v)
+		for i := range stamps {
+			stamps[i] = int64(ts)
 		}
-		t.rowTS.Store(r, int64(ts))
-		t.dirtyOLAP.Set(int(r))
+		r += int64(len(stamps))
 	}
+	t.dirtyOLAP.SetRange(int(base), int(end))
 	// Publish: new rows become visible in the active instance only.
 	t.rows.Store(end)
 	t.inst[t.active.Load()].visible.Store(end)
@@ -177,6 +216,8 @@ func (t *Table) EndApply() { t.applyMu.RUnlock() }
 // marking the record's update-indication bits. Callers must hold the
 // record's exclusive lock (MV2PL), hold BeginApply for multi-cell batches,
 // and push the pre-image to the version store before calling.
+//
+//htap:hotpath
 func (t *Table) UpdateCell(row int64, col int, v int64, ts uint64) {
 	in := t.inst[t.active.Load()]
 	in.cols[col].Store(row, v)
@@ -191,6 +232,18 @@ func (t *Table) UpdateCell(row int64, col int, v int64, ts uint64) {
 // suitable for transactional point reads against the active instance.
 func (t *Table) ReadCell(inst int, row int64, col int) int64 {
 	return t.inst[inst].cols[col].Load(row)
+}
+
+// ReadRow gathers the first len(dst) cells of a row of the given instance
+// into dst, each with atomic semantics — a record's pre-image, taken by the
+// holder of its lock.
+//
+//htap:hotpath
+func (t *Table) ReadRow(inst int, row int64, dst []int64) {
+	cols := t.inst[inst].cols
+	for c := range dst {
+		dst[c] = cols[c].Load(row)
+	}
 }
 
 // ReadActive reads one cell of the active instance.

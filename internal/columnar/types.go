@@ -7,6 +7,23 @@
 // switch. The Resource and Data Exchange engine switches the active
 // instance to hand the OLAP engine a consistent snapshot without
 // interfering with transaction execution.
+//
+// Access discipline. A column is a Words: plain chunks behind an atomically
+// published directory, so a cell access is a load and takes no lock. Who
+// may do what is decided above it:
+//
+//   - Only appends grow a column (AppendRows, AppendColumns, and the
+//     replica's CopyRange), one at a time under the table's appendMu; rows
+//     are written above the published row count, where nothing reads, and
+//     the count is stored last.
+//   - An existing cell is written only by UpdateCell (the holder of the
+//     record's lock, inside BeginApply/EndApply) and by SyncTo (under the
+//     record lock its caller supplies); both use atomic stores and count in
+//     colUpdates.
+//   - Point reads (ReadCell, ReadRow) use atomic loads and are always safe;
+//     what version they see is the transaction manager's business. Run
+//     reads (Scan, Slice) are plain loads, for rows no writer touches: an
+//     inactive instance below its snapshot row count, or a replica.
 package columnar
 
 import (

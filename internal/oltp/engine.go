@@ -97,6 +97,12 @@ func (e *Engine) Tables() []*TableHandle {
 
 // TxnFunc is one transaction's logic; it runs against a snapshot-isolated
 // txn.Txn and is retried by the worker on wait-die or write conflicts.
+//
+// A body must not retain t, or an insert slot obtained from it, past its
+// own return: txn.Manager.RunWithRetry runs every attempt in one recycled
+// Txn and hands it to the next transaction as soon as this one is done. A
+// caller that needs to hold a transaction open takes its own from
+// txn.Manager.Begin.
 type TxnFunc func(t *txn.Txn) error
 
 // Workload produces transaction bodies for a worker. Implementations must

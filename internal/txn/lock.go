@@ -25,17 +25,29 @@ type LockKey struct {
 	Row int64
 }
 
+// lockState is one record's lock, stored by value in its shard's map and
+// only while the lock is held or waited for.
 type lockState struct {
 	holder  uint64 // priority (begin TS) of the holder; 0 = free
-	waiters int
-	cond    *sync.Cond
+	waiters int32
+	// committing is set by the holder (MarkCommitting) before it draws its
+	// commit timestamp and stays set until the release: while it is unset,
+	// the holder's commit timestamp does not exist yet and will therefore be
+	// later than the begin timestamp of any transaction already running.
+	// A sync holder rewrites cells from the moment it has the lock, so it
+	// holds it in this state throughout.
+	committing bool
 }
 
 const lockShards = 256
 
 type lockShard struct {
 	mu    sync.Mutex
-	locks map[LockKey]*lockState
+	locks map[LockKey]lockState
+	// freed is signalled whenever a lock of this shard with waiters is
+	// released; requesters blocked on any key of the shard share it and
+	// re-check their own key. Waiting is rare, keys per shard few.
+	freed sync.Cond
 }
 
 // LockTable is a sharded exclusive-lock manager for record locks. Both the
@@ -49,7 +61,9 @@ type LockTable struct {
 func NewLockTable() *LockTable {
 	lt := &LockTable{}
 	for i := range lt.shards {
-		lt.shards[i].locks = make(map[LockKey]*lockState)
+		sh := &lt.shards[i]
+		sh.locks = make(map[LockKey]lockState)
+		sh.freed.L = &sh.mu
 	}
 	return lt
 }
@@ -82,57 +96,83 @@ func (lt *LockTable) AcquireSync(k LockKey) {
 // acquire is the one wait loop. A transaction (priority below
 // syncPriority) re-enters its own lock and dies to an older holder; a sync
 // requester does neither and waits for whoever holds the lock, another
-// sync included.
+// sync included — and, as the one holder that writes cells without a
+// commit, takes the lock already marked committing.
+//
+//htap:hotpath
 func (lt *LockTable) acquire(k LockKey, priority uint64) error {
 	sh := lt.shardOf(k)
 	sh.mu.Lock()
-	defer sh.mu.Unlock()
 	st := sh.locks[k]
-	if st == nil {
-		st = &lockState{cond: sync.NewCond(&sh.mu)}
-		sh.locks[k] = st
-	}
 	for st.holder != 0 {
 		if priority != syncPriority {
 			if st.holder == priority {
+				sh.mu.Unlock()
 				return nil // reentrant
 			}
 			if priority > st.holder {
+				sh.mu.Unlock()
 				return ErrDie // requester is younger
 			}
 		}
 		// Requester is older (or a sync): wait for the holder to finish.
+		// The entry outlives the release while anyone waits on it.
 		st.waiters++
-		st.cond.Wait()
+		sh.locks[k] = st
+		sh.freed.Wait()
+		st = sh.locks[k]
 		st.waiters--
+		sh.locks[k] = st
 	}
 	st.holder = priority
+	st.committing = priority == syncPriority
+	sh.locks[k] = st
+	sh.mu.Unlock()
 	return nil
 }
 
+// MarkCommitting flags the held lock on k as belonging to a transaction
+// that is about to draw its commit timestamp (see lockState.committing).
+// The caller must be the holder.
+//
+//htap:hotpath
+func (lt *LockTable) MarkCommitting(k LockKey) {
+	sh := lt.shardOf(k)
+	sh.mu.Lock()
+	st := sh.locks[k]
+	st.committing = true
+	sh.locks[k] = st
+	sh.mu.Unlock()
+}
+
 // Release frees the lock on k. The caller must be the holder.
+//
+//htap:hotpath
 func (lt *LockTable) Release(k LockKey) {
 	sh := lt.shardOf(k)
 	sh.mu.Lock()
 	st := sh.locks[k]
-	if st == nil || st.holder == 0 {
+	if st.holder == 0 {
 		sh.mu.Unlock()
 		panic("txn: release of unheld lock")
 	}
-	st.holder = 0
 	if st.waiters > 0 {
-		st.cond.Broadcast()
+		sh.locks[k] = lockState{waiters: st.waiters}
+		sh.freed.Broadcast()
 	} else {
 		delete(sh.locks, k) // bound the table: no waiters, no state to keep
 	}
 	sh.mu.Unlock()
 }
 
-// Held reports whether the lock is currently held (diagnostics).
-func (lt *LockTable) Held(k LockKey) bool {
+// Probe reports whether the lock on k is held and, if so, whether its
+// holder has marked it committing.
+//
+//htap:hotpath
+func (lt *LockTable) Probe(k LockKey) (held, committing bool) {
 	sh := lt.shardOf(k)
 	sh.mu.Lock()
-	defer sh.mu.Unlock()
 	st := sh.locks[k]
-	return st != nil && st.holder != 0
+	sh.mu.Unlock()
+	return st.holder != 0, st.committing
 }

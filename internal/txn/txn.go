@@ -1,0 +1,501 @@
+package txn
+
+import (
+	"fmt"
+	"runtime"
+
+	"elastichtap/internal/wal"
+)
+
+type txnStatus int8
+
+const (
+	statusActive txnStatus = iota
+	statusCommitted
+	statusAborted
+)
+
+type writeOp struct {
+	ref *TableRef
+	row int64
+	col int
+	val int64
+}
+
+// insertOp is one Insert call: whole rows of ref's table held in the
+// transaction's arena as arena[lo:hi], width words each.
+type insertOp struct {
+	ref      *TableRef
+	lo, hi   int
+	width    int
+	onCommit func(firstRow int64)
+}
+
+// Txn is a snapshot-isolated MV2PL transaction. Reads see the database as
+// of the begin timestamp (plus the transaction's own writes); writes take
+// exclusive record locks immediately (growing phase) and are applied to
+// the active instance at commit.
+type Txn struct {
+	m        *Manager
+	begin    uint64
+	priority uint64 // wait-die priority; begin of the first attempt
+	// watermark is Manager.MinActive as of Begin, handed to every
+	// pre-image push of this transaction.
+	watermark uint64
+	slot      int // index of begin in Manager.active
+	status    txnStatus
+
+	// held and writes are the lock set and the write set, each kept once,
+	// in acquisition and first-write order. Membership is a backward
+	// linear probe: a NewOrder touches under 64 cells, a Payment 3 rows.
+	held    []LockKey
+	writes  []writeOp
+	inserts []insertOp
+	// arena holds every inserted row of the transaction, row-major, in
+	// Insert order; it is what the commit log records and what the apply
+	// appends, so an inserted row is written once by the body and never
+	// copied again.
+	arena []int64
+
+	// Scratch kept across the transactions a recycled Txn runs: the
+	// pre-image gather buffer, the arena's rows as AppendRows takes them,
+	// and the commit record.
+	img  []int64
+	rows [][]int64
+	rec  wal.Record
+}
+
+// Begin returns the transaction's begin (snapshot) timestamp.
+func (t *Txn) Begin() uint64 { return t.begin }
+
+// Priority returns the wait-die priority (smaller = older = wins).
+func (t *Txn) Priority() uint64 { return t.priority }
+
+func (t *Txn) lockKey(ref *TableRef, row int64) LockKey {
+	return LockKey{Tab: ref.ID, Row: row}
+}
+
+// holds reports whether this transaction has taken the lock on k.
+func (t *Txn) holds(k LockKey) bool {
+	for i := len(t.held) - 1; i >= 0; i-- {
+		if t.held[i] == k {
+			return true
+		}
+	}
+	return false
+}
+
+// written returns the buffered write to (ref, row, col), or nil.
+func (t *Txn) written(ref *TableRef, row int64, col int) *writeOp {
+	for i := len(t.writes) - 1; i >= 0; i-- {
+		if w := &t.writes[i]; w.row == row && w.col == col && w.ref == ref {
+			return w
+		}
+	}
+	return nil
+}
+
+// grow doubles whichever of the lock, write and insert lists is full.
+//
+//htap:coldpath
+func (t *Txn) grow() {
+	if len(t.held) == cap(t.held) {
+		t.held = append(t.held, LockKey{})[:len(t.held)]
+	}
+	if len(t.writes) == cap(t.writes) {
+		t.writes = append(t.writes, writeOp{})[:len(t.writes)]
+	}
+	if len(t.inserts) == cap(t.inserts) {
+		t.inserts = append(t.inserts, insertOp{})[:len(t.inserts)]
+	}
+}
+
+// Read returns the visible value of (row, col): the transaction's own
+// uncommitted write if present, the current in-place value if its newest
+// version is within the snapshot, or the version-chain image otherwise.
+// ok is false when the row is invisible (inserted after the snapshot).
+//
+//htap:hotpath
+func (t *Txn) Read(ref *TableRef, row int64, col int) (int64, bool) {
+	if t.status != statusActive {
+		return 0, false
+	}
+	if w := t.written(ref, row, col); w != nil {
+		return w.val, true
+	}
+	if t.holds(t.lockKey(ref, row)) {
+		// We hold the record lock (validated rowTS <= begin at acquire),
+		// so the in-place cells are stable and visible.
+		if row >= ref.Table.Rows() {
+			return 0, false
+		}
+		return ref.Table.ReadActive(row, col), true
+	}
+	return readCommitted(t.m.locks, ref, row, col, t.begin)
+}
+
+// readCommitted resolves a snapshot read against storage.
+//
+// A row's cells change in place only while its record lock is held in the
+// committing state: a transaction marks its locks committing, then draws
+// its commit timestamp, then applies, then releases (an instance sync
+// holds the lock in that state throughout). So the active instance is
+// read optimistically, seqlock fashion: row timestamp, probe, cell, probe,
+// row timestamp. Two equal timestamps with no committing holder on either
+// side of the cell pin one committed version — an apply that began after
+// the first probe is still holding the lock at the second, one that ended
+// before the second probe has published its timestamp before the second
+// load. A holder that is not committing has written nothing, and whatever
+// it commits will carry a timestamp drawn after this reader began; the
+// cells in place are the reader's version and are read as if unlocked.
+//
+// A committing holder may be on either side of the snapshot — its commit
+// timestamp may predate asOf while its cells are half-written, and its
+// pre-image would then be a value the snapshot must NOT see — so the reader
+// yields until the lock is released and looks again. Only a row whose
+// timestamp has moved past the snapshot goes to the version chain: whoever
+// moved it pushed the pre-image before applying, so that lookup is final.
+//
+//htap:hotpath
+func readCommitted(locks *LockTable, ref *TableRef, row int64, col int, asOf uint64) (int64, bool) {
+	if row >= ref.Table.Rows() {
+		return 0, false
+	}
+	k := LockKey{Tab: ref.ID, Row: row}
+	for {
+		ts := ref.Table.RowTS(row)
+		if ts > asOf {
+			return ref.Versions.ReadAsOf(row, col, asOf)
+		}
+		if _, committing := locks.Probe(k); !committing {
+			v := ref.Table.ReadActive(row, col)
+			if _, committing = locks.Probe(k); !committing && ref.Table.RowTS(row) == ts {
+				return v, true
+			}
+		}
+		runtime.Gosched()
+	}
+}
+
+// Write buffers a cell write after taking the record's exclusive lock and
+// validating first-updater-wins. Returns ErrDie (caller should abort and
+// retry) or ErrConflict (snapshot-isolation write conflict).
+//
+//htap:hotpath
+func (t *Txn) Write(ref *TableRef, row int64, col int, val int64) error {
+	if err := t.lock(ref, row); err != nil {
+		return err
+	}
+	t.buffer(ref, row, col, val)
+	return nil
+}
+
+// buffer records a write to a row this transaction has locked.
+func (t *Txn) buffer(ref *TableRef, row int64, col int, val int64) {
+	if w := t.written(ref, row, col); w != nil {
+		w.val = val
+		return
+	}
+	if len(t.writes) == cap(t.writes) {
+		t.grow()
+	}
+	t.writes = t.writes[:len(t.writes)+1]
+	t.writes[len(t.writes)-1] = writeOp{ref: ref, row: row, col: col, val: val}
+}
+
+// lock takes the record's exclusive lock for this transaction, once:
+// acquire under wait-die, validate first-updater-wins, push the pre-image.
+//
+//htap:hotpath
+func (t *Txn) lock(ref *TableRef, row int64) error {
+	if t.status != statusActive {
+		return ErrAborted
+	}
+	k := t.lockKey(ref, row)
+	if t.holds(k) {
+		return nil
+	}
+	if err := t.m.locks.Acquire(k, t.priority); err != nil {
+		return err
+	}
+	if len(t.held) == cap(t.held) {
+		t.grow()
+	}
+	t.held = t.held[:len(t.held)+1]
+	t.held[len(t.held)-1] = k
+	// First-updater-wins: a version committed after our snapshot means
+	// a concurrent writer already won.
+	ts := ref.Table.RowTS(row)
+	if ts > t.begin {
+		return ErrConflict
+	}
+	// Push the full-row pre-image NOW, not at commit: once this
+	// transaction's commit timestamp is past a reader's snapshot, that
+	// reader resolves through the version chain, so the chain must hold
+	// the pre-lock image before the first cell is applied. If this
+	// transaction aborts, the pushed version duplicates the live row
+	// (same timestamp, same values) — harmless, and cut like any other
+	// by a later push.
+	width := len(ref.Table.Schema().Columns)
+	if cap(t.img) < width {
+		t.growImage(width)
+	}
+	img := t.img[:width]
+	ref.Table.ReadRow(ref.Table.ActiveIndex(), row, img)
+	ref.Versions.Push(row, ts, img, t.watermark)
+	return nil
+}
+
+// growImage resizes the pre-image gather buffer (Push copies out of it).
+//
+//htap:coldpath
+func (t *Txn) growImage(width int) { t.img = make([]int64, width) }
+
+// WriteFunc applies fn to the visible value and writes the result, a
+// convenience for read-modify-write cells (stock levels, order counters).
+// It locks the record first and reads under the lock: a snapshot read
+// taken before locking can miss a commit whose timestamp equals this
+// transaction's begin but whose cells were still being applied — such a
+// row resolves through its pre-image — and the first-updater check
+// (RowTS > begin) lets exactly that commit through, so fn(snapshot value)
+// would overwrite its update. Under the lock the in-place cell is the
+// newest committed value, and the check has vouched that it belongs to
+// this snapshot; a row committed after the snapshot is a conflict, to be
+// retried on a newer one.
+//
+//htap:hotpath
+func (t *Txn) WriteFunc(ref *TableRef, row int64, col int, fn func(old int64) int64) error {
+	if row >= ref.Table.Rows() {
+		return t.errInvisible(ref, row)
+	}
+	if err := t.lock(ref, row); err != nil {
+		return err
+	}
+	v, _ := t.Read(ref, row, col) // our own buffered write, or the cell in place
+	t.buffer(ref, row, col, fn(v))
+	return nil
+}
+
+//htap:coldpath
+func (t *Txn) errInvisible(ref *TableRef, row int64) error {
+	return fmt.Errorf("txn: row %d of table %q invisible to snapshot %d",
+		row, ref.Table.Schema().Name, t.begin)
+}
+
+// Insert buffers n whole-row inserts into ref's table and returns the rows
+// for the caller to fill: one flat row-major slot of n × (table width) raw
+// words, zeroed, inside the transaction's insert arena. The slot is valid
+// until the next Insert call or the end of the transaction body, whichever
+// comes first — fill it before either. The rows are appended to both
+// instances at commit and onCommit (may be nil) receives the first assigned
+// row ID so the caller can maintain primary-key indexes.
+//
+//htap:hotpath
+func (t *Txn) Insert(ref *TableRef, n int, onCommit func(firstRow int64)) ([]int64, error) {
+	if t.status != statusActive {
+		return nil, ErrAborted
+	}
+	width := len(ref.Table.Schema().Columns)
+	lo := len(t.arena)
+	hi := lo + n*width
+	if hi > cap(t.arena) {
+		t.growArena(hi)
+	}
+	t.arena = t.arena[:hi]
+	slot := t.arena[lo:hi:hi]
+	clear(slot)
+	if len(t.inserts) == cap(t.inserts) {
+		t.grow()
+	}
+	t.inserts = t.inserts[:len(t.inserts)+1]
+	t.inserts[len(t.inserts)-1] = insertOp{ref: ref, lo: lo, hi: hi, width: width, onCommit: onCommit}
+	return slot, nil
+}
+
+// growArena moves the arena to a backing array of at least n words. Slots
+// handed out earlier keep pointing into the old one, which is why a slot
+// must be filled before the next Insert.
+//
+//htap:coldpath
+func (t *Txn) growArena(n int) {
+	arena := make([]int64, len(t.arena), n+n/2)
+	copy(arena, t.arena)
+	t.arena = arena
+}
+
+// Commit applies the write set to the active instances (the full-row
+// pre-images went to the delta store when the locks were taken), appends
+// inserts to both instances, and releases all locks. With a WAL attached
+// (Manager.SetWAL) the write set is appended to the log first; the
+// in-memory application runs under the log's lock, so log order equals
+// apply order and insert replay reassigns identical row IDs.
+//
+// Every held lock is marked committing before the commit timestamp is
+// drawn: a snapshot reader that finds a lock held but unmarked knows the
+// holder's commit lies after its own begin (see readCommitted). The marks
+// go on inside the commit gate, so a committer parked at a CommitBarrier
+// stalls no reader.
+//
+// A nil return means committed and durable per the log's sync policy. An
+// error satisfying wal.IsSyncFailure means the commit DID apply in
+// memory — reads will see it — but the fsync failed, so it may not
+// survive a crash; the log refuses further appends. Any other log error
+// means the commit never applied and the transaction aborted.
+//
+//htap:hotpath
+func (t *Txn) Commit() error {
+	if t.status != statusActive {
+		return ErrAborted
+	}
+	t.m.gate.RLock()
+	for _, k := range t.held {
+		t.m.locks.MarkCommitting(k)
+	}
+	commitTS := t.m.clock.Add(1)
+
+	var syncErr error
+	if log := t.m.log.Load(); log != nil {
+		if err := t.logAndApply(log, commitTS); err != nil {
+			if !wal.IsSyncFailure(err) {
+				// The record never reached the log and apply did not run:
+				// nothing committed. Abort.
+				t.m.gate.RUnlock()
+				t.end(statusAborted)
+				return errLogAppend(err)
+			}
+			syncErr = err
+		}
+	} else {
+		t.apply(commitTS)
+	}
+	t.m.gate.RUnlock()
+	t.end(statusCommitted)
+	return syncErr
+}
+
+// logAndApply is the write-ahead half of Commit. Read-only transactions
+// log a zero-op record too: recovery then reconstructs the exact clock and
+// commit count, not just state. Off the allocation-free path only for the
+// closure the log runs under its lock; the record itself is reused.
+//
+//htap:coldpath
+func (t *Txn) logAndApply(log *wal.Log, commitTS uint64) error {
+	_, err := log.Append(t.record(commitTS), func() { t.apply(commitTS) })
+	return err
+}
+
+//htap:coldpath
+func errLogAppend(err error) error { return fmt.Errorf("txn: commit log append: %w", err) }
+
+// apply writes the write set in place, then appends the inserts. Tables
+// are taken in first-touch order and each is pinned once, for ALL of this
+// transaction's writes to it, so a concurrent instance switch cannot split
+// a row's (or a table's) cells across the twins. Pre-images were pushed at
+// lock time, so snapshot readers can already resolve around these rows.
+//
+//htap:hotpath
+func (t *Txn) apply(commitTS uint64) {
+	for i := range t.writes {
+		ref := t.writes[i].ref
+		if t.wroteBefore(i, ref) {
+			continue // applied under the pin of its first write
+		}
+		ref.Table.BeginApply()
+		for _, w := range t.writes[i:] {
+			if w.ref == ref {
+				ref.Table.UpdateCell(w.row, w.col, w.val, commitTS)
+			}
+		}
+		ref.Table.EndApply()
+	}
+	for i := range t.inserts {
+		ins := &t.inserts[i]
+		first := ins.ref.Table.AppendRows(t.insertedRows(ins), commitTS)
+		if ins.onCommit != nil {
+			ins.onCommit(first)
+		}
+	}
+}
+
+// insertedRows returns the arena rows of one insert as row slices, built in
+// the transaction's scratch and valid until the next call.
+func (t *Txn) insertedRows(ins *insertOp) [][]int64 {
+	n := (ins.hi - ins.lo) / ins.width
+	if cap(t.rows) < n {
+		t.growRows(n)
+	}
+	rows := t.rows[:n]
+	for i := range rows {
+		off := ins.lo + i*ins.width
+		rows[i] = t.arena[off : off+ins.width]
+	}
+	return rows
+}
+
+//htap:coldpath
+func (t *Txn) growRows(n int) { t.rows = make([][]int64, n+n/2) }
+
+// wroteBefore reports whether a write earlier than writes[i] is to ref.
+func (t *Txn) wroteBefore(i int, ref *TableRef) bool {
+	for j := i - 1; j >= 0; j-- {
+		if t.writes[j].ref == ref {
+			return true
+		}
+	}
+	return false
+}
+
+// record builds the WAL record for this transaction's write set in the
+// transaction's reusable record; insert ops alias the arena.
+func (t *Txn) record(commitTS uint64) *wal.Record {
+	rec := &t.rec
+	rec.TxnID, rec.CommitTS, rec.Ops = t.begin, commitTS, rec.Ops[:0]
+	for _, w := range t.writes {
+		rec.Ops = append(rec.Ops, wal.Op{
+			Kind:  wal.OpUpdate,
+			Table: w.ref.Table.Schema().Name,
+			Row:   w.row,
+			Col:   uint32(w.col),
+			Val:   w.val,
+		})
+	}
+	for _, ins := range t.inserts {
+		if ins.hi == ins.lo {
+			continue
+		}
+		rec.Ops = append(rec.Ops, wal.Op{
+			Kind:  wal.OpInsert,
+			Table: ins.ref.Table.Schema().Name,
+			NRows: (ins.hi - ins.lo) / ins.width,
+			Width: ins.width,
+			Vals:  t.arena[ins.lo:ins.hi],
+		})
+	}
+	return rec
+}
+
+// Abort drops buffered work and releases all locks.
+//
+//htap:hotpath
+func (t *Txn) Abort() {
+	if t.status == statusActive {
+		t.end(statusAborted)
+	}
+}
+
+// end releases every lock, leaves the active set and counts the outcome.
+func (t *Txn) end(status txnStatus) {
+	for _, k := range t.held {
+		t.m.locks.Release(k)
+	}
+	t.held = t.held[:0]
+	t.status = status
+	t.m.mu.Lock()
+	t.m.active[t.slot] = 0
+	t.m.mu.Unlock()
+	if status == statusCommitted {
+		t.m.commits.Add(1)
+	} else {
+		t.m.aborts.Add(1)
+	}
+}

@@ -154,9 +154,11 @@ func TestInsertVisibility(t *testing.T) {
 	before := m.Begin()
 	tx := m.Begin()
 	var firstRow int64 = -1
-	if err := tx.Insert(ref, [][]int64{{9, 900}}, func(first int64) { firstRow = first }); err != nil {
+	slot, err := tx.Insert(ref, 1, func(first int64) { firstRow = first })
+	if err != nil {
 		t.Fatal(err)
 	}
+	copy(slot, []int64{9, 900})
 	if err := tx.Commit(); err != nil {
 		t.Fatal(err)
 	}
@@ -369,7 +371,7 @@ func TestLockTableSyncNeverDies(t *testing.T) {
 	}()
 	lt.Release(k)
 	<-done
-	if lt.Held(k) {
+	if held, _ := lt.Probe(k); held {
 		t.Fatal("lock leaked")
 	}
 }

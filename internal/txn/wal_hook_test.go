@@ -24,9 +24,11 @@ func TestCommitWritesAhead(t *testing.T) {
 	if err := tx.Write(ref, 0, 1, 777); err != nil {
 		t.Fatal(err)
 	}
-	if err := tx.Insert(ref, [][]int64{{9, 900}, {10, 1000}}, nil); err != nil {
+	slot, err := tx.Insert(ref, 2, nil)
+	if err != nil {
 		t.Fatal(err)
 	}
+	copy(slot, []int64{9, 900, 10, 1000})
 	if err := tx.Commit(); err != nil {
 		t.Fatal(err)
 	}

@@ -10,6 +10,17 @@
 // the oldest active reader has not seen, plus one. There is no background
 // collector and nothing to start; a row that was ever updated keeps its
 // last pre-image.
+//
+// Reclaimed versions are recycled, image buffer included: the first version
+// a push cuts off becomes that push's own node, and one more is parked on
+// the shard for the next push that cuts nothing (anything beyond that is
+// left to the Go collector, so the store holds no more than one idle
+// version per shard). With one writer a chain is one version, which every
+// push to the row overwrites in place — a steady-state push allocates
+// nothing. That is also why Push copies the image it is given and ReadAsOf
+// hands out a cell rather than the image slice: an image is rewritten under
+// the shard's write lock, so it may only be read under the shard's read
+// lock, never through a slice that outlives it.
 package vm
 
 import "sync"
@@ -29,6 +40,7 @@ type Version struct {
 type shard struct {
 	mu     sync.RWMutex
 	chains map[int64]*Version
+	spare  *Version // one trimmed version awaiting reuse
 }
 
 // Store holds version chains for one table, sharded by row ID.
@@ -49,41 +61,77 @@ func (s *Store) shardOf(row int64) *shard {
 	return &s.shards[uint64(row)%shardCount]
 }
 
-// Push prepends a pre-image that was current as of commit timestamp ts, then
-// cuts the chain after its newest version with TS <= watermark. watermark is
-// the pusher's reclamation bound: no transaction, running or yet to begin,
-// reads as of a timestamp below it, and a reader at or above it stops at that
-// version, so nothing older can be reached again. A stale (smaller) watermark
-// only keeps more. Callers must hold the record's exclusive lock, so pushes
-// for one row are serialized and a chain is ordered by TS; reads may proceed
-// concurrently.
+// Push prepends a copy of image, the pre-image that was current as of commit
+// timestamp ts, and cuts the chain after its newest version with TS <=
+// watermark. watermark is the pusher's reclamation bound: no transaction,
+// running or yet to begin, reads as of a timestamp below it, and a reader at
+// or above it stops at that version, so nothing older can be reached again.
+// A stale (smaller) watermark only keeps more. Callers must hold the
+// record's exclusive lock, so pushes for one row are serialized and a chain
+// is ordered by TS; reads may proceed concurrently. image is the caller's
+// to reuse once Push returns.
+//
+//htap:hotpath
 func (s *Store) Push(row int64, ts uint64, image []int64, watermark uint64) {
 	sh := s.shardOf(row)
 	sh.mu.Lock()
-	head := &Version{TS: ts, Image: image, Older: sh.chains[row]}
-	sh.chains[row] = head
-	for v := head; v != nil; v = v.Older {
-		if v.TS <= watermark {
-			v.Older = nil
-			break
+	old := sh.chains[row]
+	// Trim first, so what is cut can carry the new head.
+	older, cut := old, (*Version)(nil)
+	if ts <= watermark {
+		older, cut = nil, old
+	} else {
+		for v := old; v != nil; v = v.Older {
+			if v.TS <= watermark {
+				cut, v.Older = v.Older, nil
+				break
+			}
 		}
+	}
+	head := cut
+	if head == nil {
+		head, sh.spare = sh.spare, nil
+	} else if head.Older != nil {
+		sh.spare = head.Older
+		sh.spare.Older = nil
+	}
+	if head == nil || cap(head.Image) < len(image) {
+		head = newVersion(len(image))
+	}
+	head.TS = ts
+	head.Image = head.Image[:len(image)]
+	copy(head.Image, image)
+	head.Older = older
+	if head != old {
+		sh.chains[row] = head
 	}
 	sh.mu.Unlock()
 }
 
-// ReadAsOf returns the newest image of the row with TS <= ts, traversing
-// newest-to-oldest. ok is false when no version old enough exists (the row
-// was created after ts, or ts is below a watermark some Push has trimmed to).
-func (s *Store) ReadAsOf(row int64, ts uint64) (image []int64, ok bool) {
+// newVersion allocates a version with room for a width-word image: a row's
+// first push, or one made while snapshot readers keep its chain growing.
+//
+//htap:coldpath
+func newVersion(width int) *Version {
+	return &Version{Image: make([]int64, width)}
+}
+
+// ReadAsOf returns cell col of the newest image of the row with TS <= ts,
+// traversing newest-to-oldest. ok is false when no version old enough
+// exists (the row was created after ts, or ts is below a watermark some
+// Push has trimmed to).
+//
+//htap:hotpath
+func (s *Store) ReadAsOf(row int64, col int, ts uint64) (cell int64, ok bool) {
 	sh := s.shardOf(row)
 	sh.mu.RLock()
-	defer sh.mu.RUnlock() // Push cuts links under the write lock
+	defer sh.mu.RUnlock() // Push cuts links and rewrites images under the write lock
 	for v := sh.chains[row]; v != nil; v = v.Older {
 		if v.TS <= ts {
-			return v.Image, true
+			return v.Image[col], true
 		}
 	}
-	return nil, false
+	return 0, false
 }
 
 // ChainLen returns the length of the row's chain (diagnostics, tests).

@@ -1,7 +1,9 @@
 package vm
 
 import (
+	"math"
 	"math/rand"
+	"sync/atomic"
 	"testing"
 	"testing/quick"
 )
@@ -26,12 +28,12 @@ func TestPushReadAsOf(t *testing.T) {
 		{1000, 300, true},
 	}
 	for _, c := range cases {
-		img, ok := s.ReadAsOf(1, c.ts)
+		img, ok := s.ReadAsOf(1, 0, c.ts)
 		if ok != c.ok {
 			t.Fatalf("ReadAsOf(%d) ok=%v want %v", c.ts, ok, c.ok)
 		}
-		if ok && img[0] != c.want {
-			t.Fatalf("ReadAsOf(%d) = %d want %d", c.ts, img[0], c.want)
+		if ok && img != c.want {
+			t.Fatalf("ReadAsOf(%d) = %d want %d", c.ts, img, c.want)
 		}
 	}
 }
@@ -46,15 +48,15 @@ func TestNewestToOldestOrder(t *testing.T) {
 	}
 	// The newest version must be found without full traversal semantics:
 	// ReadAsOf(max) returns TS=5.
-	img, _ := s.ReadAsOf(7, 100)
-	if img[0] != 5 {
-		t.Fatalf("newest = %d", img[0])
+	img, _ := s.ReadAsOf(7, 0, 100)
+	if img != 5 {
+		t.Fatalf("newest = %d", img)
 	}
 }
 
 func TestMissingRow(t *testing.T) {
 	s := NewStore()
-	if _, ok := s.ReadAsOf(9, 100); ok {
+	if _, ok := s.ReadAsOf(9, 0, 100); ok {
 		t.Fatal("missing row must not resolve")
 	}
 }
@@ -70,10 +72,10 @@ func TestGC(t *testing.T) {
 	if n := s.ChainLen(1); n != 3 {
 		t.Fatalf("chain = %d, want 3 (50, 40, 30)", n)
 	}
-	if img, ok := s.ReadAsOf(1, 35); !ok || img[0] != 30 {
+	if img, ok := s.ReadAsOf(1, 0, 35); !ok || img != 30 {
 		t.Fatalf("visible at 35 after trim: %v %v", img, ok)
 	}
-	if _, ok := s.ReadAsOf(1, 15); ok {
+	if _, ok := s.ReadAsOf(1, 0, 15); ok {
 		t.Fatal("reclaimed version still readable")
 	}
 }
@@ -81,7 +83,7 @@ func TestGC(t *testing.T) {
 func TestGCHeadOnly(t *testing.T) {
 	s := NewStore()
 	s.Push(1, 10, []int64{1}, 100)
-	if img, ok := s.ReadAsOf(1, 100); !ok || img[0] != 1 {
+	if img, ok := s.ReadAsOf(1, 0, 100); !ok || img != 1 {
 		t.Fatal("head lost")
 	}
 	// A pushed version at or below the watermark is all its row keeps.
@@ -89,7 +91,7 @@ func TestGCHeadOnly(t *testing.T) {
 	if n := s.ChainLen(1); n != 1 {
 		t.Fatalf("chain = %d, want 1", n)
 	}
-	if img, ok := s.ReadAsOf(1, 100); !ok || img[0] != 2 {
+	if img, ok := s.ReadAsOf(1, 0, 100); !ok || img != 2 {
 		t.Fatalf("head after trim: %v %v", img, ok)
 	}
 }
@@ -119,9 +121,9 @@ func TestTrimAgreesWithKeepEverything(t *testing.T) {
 		oracle.Push(row, rowTS[row], img, 0)
 		for r := int64(0); r < rows; r++ {
 			for _, at := range []uint64{watermark, watermark + uint64(rng.Intn(4)), clock, clock + 1} {
-				got, gok := s.ReadAsOf(r, at)
-				want, wok := oracle.ReadAsOf(r, at)
-				if gok != wok || (gok && got[0] != want[0]) {
+				got, gok := s.ReadAsOf(r, 0, at)
+				want, wok := oracle.ReadAsOf(r, 0, at)
+				if gok != wok || (gok && got != want) {
 					t.Fatalf("push %d: ReadAsOf(row %d, %d) with watermark %d = %v,%v; untrimmed %v,%v",
 						i, r, at, watermark, got, gok, want, wok)
 				}
@@ -176,13 +178,69 @@ func TestQuickVisibilityMatchesReference(t *testing.T) {
 				want = ts
 			}
 		}
-		img, ok := s.ReadAsOf(3, uint64(probe))
+		img, ok := s.ReadAsOf(3, 0, uint64(probe))
 		if want == 0 {
 			return !ok
 		}
-		return ok && img[0] == int64(want)
+		return ok && img == int64(want)
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 200}); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// TestReadersNeverSeeARecycledImage: one writer pushes, trims and recycles a
+// row's versions 100 000 times — with a watermark two commits behind, every
+// push cuts a version and writes the new image into it — while a reader
+// loops ReadAsOf on the same row. The image pushed for timestamp ts is
+// ts*8+col in every cell, so a cell read from a buffer that was being
+// rewritten, or from one recycled to another timestamp, cannot match.
+func TestReadersNeverSeeARecycledImage(t *testing.T) {
+	const (
+		pushes = 100_000
+		width  = 4
+		row    = 5
+	)
+	s := NewStore()
+	var pushed atomic.Uint64 // newest timestamp whose Push has returned
+	done := make(chan struct{})
+	go func() {
+		defer close(done)
+		img := make([]int64, width)
+		for ts := uint64(1); ts <= pushes; ts++ {
+			for c := range img {
+				img[c] = int64(ts)*8 + int64(c)
+			}
+			var watermark uint64
+			if ts > 2 {
+				watermark = ts - 2
+			}
+			s.Push(row, ts, img, watermark)
+			// A neighbour in the same shard takes and returns the spare.
+			s.Push(row+shardCount, ts, img, ts)
+			pushed.Store(ts)
+		}
+	}()
+	for i := 0; ; i++ {
+		col := i % width
+		lo := pushed.Load()
+		if lo == pushes {
+			break
+		}
+		// The newest version: pushed no earlier than lo, no later than now.
+		cell, ok := s.ReadAsOf(row, col, math.MaxUint64)
+		hi := pushed.Load() + 1 // the push in flight may already be visible
+		if lo > 0 && (!ok || cell%8 != int64(col) || uint64(cell/8) < lo || uint64(cell/8) > hi) {
+			t.Fatalf("newest cell %d of col %d = %d,%v with pushes %d..%d", col, col, cell, ok, lo, hi)
+		}
+		// As of lo: version lo itself, unless the watermark has moved past
+		// it and it was cut — never an older one, never another's buffer.
+		if cell, ok := s.ReadAsOf(row, col, lo); ok && cell != int64(lo)*8+int64(col) {
+			t.Fatalf("ReadAsOf(col %d, ts %d) = %d, want %d", col, lo, cell, int64(lo)*8+int64(col))
+		}
+	}
+	<-done
+	if n := s.ChainLen(row); n > 3 {
+		t.Fatalf("chain = %d versions with a watermark two commits behind", n)
 	}
 }
