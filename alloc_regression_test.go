@@ -242,3 +242,34 @@ func TestTxnAllocBudget(t *testing.T) {
 		})
 	}
 }
+
+// TestAdmitAllocBudget pins what the exchange allocates to admit one query
+// — the table list, SwitchAndSync, MeasureFreshness, ETL over all twelve
+// tables — when the stale population is inserts only, so nothing scales
+// with rows: the snapshot set and its one slice of snapshots. The catalog
+// hands out its own slice of handles, freshness is a popcount and the
+// per-table closures stay on the stack. (Each synced row still costs one
+// closure on top — the release function its record lock returns.) A
+// per-switch map, a snapshot allocated per table or a copied table list
+// shows here.
+func TestAdmitAllocBudget(t *testing.T) {
+	f := newAdmitFixture(t, ch.TinySizing(), 64, 0)
+	f.populate()
+	f.admit(t) // replica columns sized
+	const n = 50
+	var allocs uint64
+	var before, after runtime.MemStats
+	for i := 0; i < n; i++ {
+		f.populate()
+		runtime.ReadMemStats(&before)
+		f.tables = f.sys.OLTPE.Tables()
+		f.admit(t)
+		runtime.ReadMemStats(&after)
+		allocs += after.Mallocs - before.Mallocs
+	}
+	// Measured 2.0, with and without -race (18.0 with a map of twelve
+	// snapshot pointers per switch and a copied table list).
+	if got := float64(allocs) / n; got > 2.5 {
+		t.Fatalf("admission allocates %.1f objects per query, budget 2.5", got)
+	}
+}

@@ -853,6 +853,101 @@ func BenchmarkInstanceSwitch(b *testing.B) {
 	}
 }
 
+// admitFixture is a primed system plus a stale population it can re-create
+// at will: order lines appended past the replica's watermark and rows of
+// stock, customer and district updated in place below theirs — what the
+// admission head of a query (switch and sync, freshness, delta-ETL) has to
+// work through, in fixed amounts.
+type admitFixture struct {
+	sys      *core.System
+	db       *ch.DB
+	tables   []*oltp.TableHandle
+	appended [][]int64
+	updated  int // distinct rows updated per populate, over the three tables
+	bump     int64
+}
+
+func newAdmitFixture(tb testing.TB, sizing ch.Sizing, appended, updated int) *admitFixture {
+	tb.Helper()
+	sys, err := core.NewSystem(core.DefaultSystemConfig())
+	if err != nil {
+		tb.Fatal(err)
+	}
+	tb.Cleanup(sys.Close)
+	f := &admitFixture{sys: sys, db: ch.Load(sys.OLTPE, sizing, 1), updated: updated}
+	sys.PrimeReplicas()
+	f.tables = sys.OLTPE.Tables()
+	width := len(f.db.OrderLine.Table().Schema().Columns)
+	f.appended = make([][]int64, appended)
+	for i := range f.appended {
+		f.appended[i] = make([]int64, width)
+	}
+	if rows := f.db.Stock.Table().Rows() + f.db.Customer.Table().Rows() + f.db.District.Table().Rows(); int64(updated) > rows {
+		tb.Fatalf("%d rows to update, the three tables hold %d", updated, rows)
+	}
+	return f
+}
+
+// populate makes the fixed population stale again, stamped at the current
+// clock so the next switch's snapshot contains all of it.
+func (f *admitFixture) populate() {
+	ts := f.sys.OLTPE.Manager().Now()
+	f.db.OrderLine.Table().AppendRows(f.appended, ts)
+	f.bump++
+	left := f.updated
+	for _, u := range []struct {
+		h   *oltp.TableHandle
+		col int
+	}{{f.db.District, ch.DNextOID}, {f.db.Customer, ch.CPaymentCnt}, {f.db.Stock, ch.SOrderCnt}} {
+		t := u.h.Table()
+		n := min(int64(left), t.Rows())
+		t.BeginApply()
+		for row := int64(0); row < n; row++ {
+			t.UpdateCell(row, u.col, f.bump, ts)
+		}
+		t.EndApply()
+		left -= int(n)
+	}
+}
+
+// admit is the exchange's share of one query admission. It returns the
+// time the freshness measurement took and checks the three steps saw
+// exactly the population.
+func (f *admitFixture) admit(tb testing.TB) time.Duration {
+	x := f.sys.X
+	set := x.SwitchAndSync(f.tables)
+	t0 := time.Now()
+	fresh := x.MeasureFreshness(f.tables, ch.TOrderLine, 3)
+	d := time.Since(t0)
+	etl := x.ETL(set)
+	if n := int64(len(f.appended)); set.CopiedRows != int64(f.updated) || fresh.QueryFreshRows != n ||
+		etl.InsertedRows != n || etl.UpdatedRows != int64(f.updated) {
+		tb.Fatalf("admission synced %d rows, measured %d fresh order lines, copied %d inserted and %d updated rows; population is %d appended, %d updated",
+			set.CopiedRows, fresh.QueryFreshRows, etl.InsertedRows, etl.UpdatedRows, n, f.updated)
+	}
+	return d
+}
+
+// BenchmarkAdmit times what a query waits for before it runs, at SF 0.01:
+// with 20 000 order lines appended and 3 000 rows of stock, customer and
+// district updated since the last ETL, one SwitchAndSync, one
+// MeasureFreshness (freshness-ns, on its own) and one ETL.
+func BenchmarkAdmit(b *testing.B) {
+	f := newAdmitFixture(b, ch.SizingForScale(0.01), 20_000, 3_000)
+	f.populate()
+	f.admit(b) // replica columns grown, version of every path taken once
+	var fresh time.Duration
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		b.StopTimer()
+		f.populate()
+		b.StartTimer()
+		fresh += f.admit(b)
+	}
+	b.ReportMetric(float64(fresh.Nanoseconds())/float64(b.N), "freshness-ns")
+}
+
 // BenchmarkCuckooVsMap compares the cuckoo index against the stdlib map
 // baseline (DESIGN.md §6); see also internal/cuckoo benchmarks.
 func BenchmarkCuckooVsMap(b *testing.B) {

@@ -22,6 +22,9 @@ import (
 
 // Bench is one parsed benchmark result line.
 type Bench struct {
+	// Pkg is the package whose run printed the line: the last "pkg:"
+	// header above it. One input may hold several packages' runs.
+	Pkg         string             `json:"pkg,omitempty"`
 	N           int64              `json:"n"`
 	NsPerOp     float64            `json:"ns_per_op"`
 	BytesPerOp  float64            `json:"bytes_per_op,omitempty"`
@@ -40,7 +43,6 @@ type Bench struct {
 type Report struct {
 	Goos       string            `json:"goos,omitempty"`
 	Goarch     string            `json:"goarch,omitempty"`
-	Pkg        string            `json:"pkg,omitempty"`
 	CPU        string            `json:"cpu,omitempty"`
 	Benchmarks map[string]*Bench `json:"benchmarks"`
 	// Recovery groups the durability-path benchmarks — WAL append and
@@ -50,7 +52,11 @@ type Report struct {
 	// Txn groups the storage-access and commit-path benchmarks — one
 	// client's Payment and NewOrder, the cell Load/Store pair, row and
 	// batch appends — the engine-side view of bench/'s txn_per_s.
-	Txn         map[string]*Bench  `json:"txn,omitempty"`
+	Txn map[string]*Bench `json:"txn,omitempty"`
+	// Admit holds the query-admission benchmark — switch and sync,
+	// freshness measurement and delta-ETL over a fixed stale population —
+	// the engine-side view of bench/'s core.admit_ms.
+	Admit       map[string]*Bench  `json:"admit,omitempty"`
 	GapRatios   map[string]float64 `json:"gap_ratios,omitempty"`
 	OrderRatios map[string]float64 `json:"order_ratios,omitempty"`
 }
@@ -69,6 +75,9 @@ func txnBench(name string) bool {
 	return strings.HasPrefix(n, "BenchmarkTxn") || n == "BenchmarkWordsLoadStore" ||
 		strings.HasPrefix(n, "BenchmarkAppendRows")
 }
+
+// admitBench reports whether a benchmark belongs to the admission group.
+func admitBench(name string) bool { return baseName(name) == "BenchmarkAdmit" }
 
 // splitGroup moves the benchmarks member picks out of the flat map into
 // one of the report's named groups.
@@ -96,9 +105,11 @@ var graphJoinQueries = map[string]bool{"Q2": true, "Q5": true, "Q7": true}
 //	BenchmarkQ6Builder-8   3   1009042 ns/op   2847.06 MB/s   276045 B/op   67 allocs/op
 //
 // with an arbitrary tail of "<value> <unit>" pairs. Header lines (goos,
-// goarch, pkg, cpu) fill the report envelope; everything else is ignored.
+// goarch, cpu) fill the report envelope and each "pkg:" header names the
+// package of the benchmark lines below it; everything else is ignored.
 func parse(r io.Reader) (*Report, error) {
 	rep := &Report{Benchmarks: map[string]*Bench{}}
+	pkg := ""
 	sc := bufio.NewScanner(r)
 	sc.Buffer(make([]byte, 0, 64*1024), 1<<20)
 	for sc.Scan() {
@@ -109,7 +120,7 @@ func parse(r io.Reader) (*Report, error) {
 		}{
 			{"goos: ", &rep.Goos},
 			{"goarch: ", &rep.Goarch},
-			{"pkg: ", &rep.Pkg},
+			{"pkg: ", &pkg},
 			{"cpu: ", &rep.CPU},
 		} {
 			if strings.HasPrefix(line, hdr.prefix) {
@@ -127,7 +138,7 @@ func parse(r io.Reader) (*Report, error) {
 		if err != nil {
 			continue
 		}
-		b := &Bench{N: n}
+		b := &Bench{Pkg: pkg, N: n}
 		ok := true
 		for i := 2; i+1 < len(fields); i += 2 {
 			v, err := strconv.ParseFloat(fields[i], 64)
@@ -267,6 +278,7 @@ func main() {
 	rep.OrderRatios = orderRatios(rep)
 	splitGroup(rep, recoveryBench, &rep.Recovery)
 	splitGroup(rep, txnBench, &rep.Txn)
+	splitGroup(rep, admitBench, &rep.Admit)
 	var dst io.Writer = os.Stdout
 	if *out != "" {
 		f, err := os.Create(*out)

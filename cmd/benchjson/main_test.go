@@ -21,7 +21,7 @@ func TestParseBenchOutput(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if rep.Goos != "linux" || rep.Goarch != "amd64" || rep.Pkg != "elastichtap" {
+	if rep.Goos != "linux" || rep.Goarch != "amd64" {
 		t.Fatalf("envelope = %+v", rep)
 	}
 	if len(rep.Benchmarks) != 3 {
@@ -31,7 +31,7 @@ func TestParseBenchOutput(t *testing.T) {
 	if b == nil {
 		t.Fatal("Q6Builder missing")
 	}
-	if b.N != 3 || b.NsPerOp != 1009042 || b.BytesPerOp != 276045 || b.AllocsPerOp != 67 || b.MBPerSec != 2847.06 {
+	if b.Pkg != "elastichtap" || b.N != 3 || b.NsPerOp != 1009042 || b.BytesPerOp != 276045 || b.AllocsPerOp != 67 || b.MBPerSec != 2847.06 {
 		t.Fatalf("Q6Builder = %+v", b)
 	}
 	s := rep.Benchmarks["BenchmarkSyncClaim-8"]
@@ -135,9 +135,38 @@ BenchmarkQ1Builder-8     10   220 ns/op
 	}
 }
 
-// TestGroupsSplitOutOfTheFlatMap: durability and commit-path benchmarks
-// leave the flat map for their named groups, sub-benchmarks and -cpu
-// suffixes included; everything else stays.
+// TestPackageRecordedPerBenchmark: CI benches two packages into one file,
+// so each benchmark carries the package of the run that printed it — not
+// whichever "pkg:" header happened to come last.
+func TestPackageRecordedPerBenchmark(t *testing.T) {
+	rep, err := parse(strings.NewReader(`goos: linux
+pkg: elastichtap
+BenchmarkAdmit-2   3   1893941 ns/op   4062 freshness-ns   1846352 B/op   3035 allocs/op
+BenchmarkQ6Builder-2   3   1009042 ns/op
+PASS
+ok  	elastichtap	3.1s
+goos: linux
+pkg: elastichtap/internal/wal
+BenchmarkWALAppend-2   3   1000 ns/op
+PASS
+`))
+	if err != nil {
+		t.Fatal(err)
+	}
+	for name, want := range map[string]string{
+		"BenchmarkAdmit-2":     "elastichtap",
+		"BenchmarkQ6Builder-2": "elastichtap",
+		"BenchmarkWALAppend-2": "elastichtap/internal/wal",
+	} {
+		if b := rep.Benchmarks[name]; b == nil || b.Pkg != want {
+			t.Fatalf("%s = %+v, want package %q", name, b, want)
+		}
+	}
+}
+
+// TestGroupsSplitOutOfTheFlatMap: durability, commit-path and admission
+// benchmarks leave the flat map for their named groups, sub-benchmarks and
+// -cpu suffixes included; everything else stays.
 func TestGroupsSplitOutOfTheFlatMap(t *testing.T) {
 	rep, err := parse(strings.NewReader(`BenchmarkQ6Builder-2   3   1009042 ns/op
 BenchmarkTxnPayment-2   3   2932812 ns/op   1466 ns/txn   128725 B/op   2000 allocs/op
@@ -145,12 +174,14 @@ BenchmarkWordsLoadStore-2   3   918304 ns/op   14.00 ns/cell
 BenchmarkAppendRows/rows=8192-2   3   1819222 ns/op   42.31 ns/row
 BenchmarkWALAppend-2   3   1000 ns/op
 BenchmarkRecovery   3   5000 ns/op
+BenchmarkAdmit-2   3   1893941 ns/op   4062 freshness-ns   1846352 B/op   3035 allocs/op
 `))
 	if err != nil {
 		t.Fatal(err)
 	}
 	splitGroup(rep, recoveryBench, &rep.Recovery)
 	splitGroup(rep, txnBench, &rep.Txn)
+	splitGroup(rep, admitBench, &rep.Admit)
 	if len(rep.Benchmarks) != 1 || rep.Benchmarks["BenchmarkQ6Builder-2"] == nil {
 		t.Fatalf("flat map = %v", rep.Benchmarks)
 	}
@@ -159,5 +190,8 @@ BenchmarkRecovery   3   5000 ns/op
 	}
 	if b := rep.Txn["BenchmarkAppendRows/rows=8192-2"]; b == nil || b.Metrics["ns/row"] != 42.31 {
 		t.Fatalf("append sub-benchmark = %+v", b)
+	}
+	if b := rep.Admit["BenchmarkAdmit-2"]; len(rep.Admit) != 1 || b == nil || b.Metrics["freshness-ns"] != 4062 {
+		t.Fatalf("admit = %v", rep.Admit)
 	}
 }

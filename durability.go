@@ -218,10 +218,7 @@ func OpenFromDir(fs FS, dir string, opts ...Option) (*System, RecoveryInfo, erro
 			return nil, info, fmt.Errorf("elastichtap: OpenFromDir: %q restored %d rows, manifest says %d",
 				te.Name, h.Table().Rows(), te.Rows)
 		}
-		// The restore appended every row, marking them all OLAP-stale;
-		// the manifest knows which rows actually were.
 		bits := h.Table().DirtyOLAP()
-		bits.Reset()
 		for _, row := range te.Dirty {
 			bits.Set(int(row))
 		}
@@ -258,10 +255,7 @@ func OpenFromDir(fs FS, dir string, opts ...Option) (*System, RecoveryInfo, erro
 	// read (S2 ETLs first; split access excludes updated tables).
 	for _, te := range man.Tables {
 		h := db.Handle(te.Name)
-		rep := s.inner.X.Replica(h)
-		if te.ReplicaRows > 0 {
-			rep.CopyInserts(h.Table().Active(), 0, te.ReplicaRows)
-		}
+		h.Replica.CopyInserts(h.Table().Active(), 0, te.ReplicaRows)
 	}
 
 	mgr.RestoreState(clock, man.Commits+uint64(info.Replayed))

@@ -1,10 +1,15 @@
 package elastichtap
 
 import (
+	"bytes"
 	"context"
+	"io"
 	"reflect"
+	"sort"
 	"testing"
 
+	"elastichtap/internal/checkpoint"
+	"elastichtap/internal/rde"
 	"elastichtap/internal/wal"
 )
 
@@ -193,5 +198,162 @@ func TestSyncNeverLosesOnlyUnsyncedTail(t *testing.T) {
 	}
 	if got := sys.inner.OLTPE.Manager().Commits(); info2.Commits != got {
 		t.Fatalf("kept-cache recovery found %d commits, live saw %d", info2.Commits, got)
+	}
+}
+
+// readManifest returns the raw bytes and the decoded form of checkpoint
+// seq's manifest.
+func readManifest(t *testing.T, fs FS, seq uint64) ([]byte, *checkpoint.Manifest) {
+	t.Helper()
+	f, err := fs.Open(checkpoint.SeqDir("data", seq) + "/" + checkpoint.ManifestName)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer f.Close()
+	raw, err := io.ReadAll(f)
+	if err != nil {
+		t.Fatal(err)
+	}
+	man, err := checkpoint.ReadManifest(bytes.NewReader(raw))
+	if err != nil {
+		t.Fatal(err)
+	}
+	return raw, man
+}
+
+// staleSystem is durableSystem driven to a state where every kind of
+// staleness is present: replicas loaded by one ETL, then more NewOrders
+// and Payments on top (updated rows below the watermarks, inserted rows
+// above them, stock rows of new orders updated again).
+func staleSystem(t *testing.T, fs *wal.MemFS) *System {
+	t.Helper()
+	sys, db := durableSystem(t, fs, SyncAlways)
+	sys.Run(150)
+	if _, err := sys.QueryInStateContext(context.Background(), Q6(db), S2); err != nil {
+		t.Fatal(err)
+	}
+	sys.Run(150)
+	return sys
+}
+
+// TestCheckpointManifestsByteIdentical: the catalog has an order, so two
+// checkpoints of the same quiesced state list the tables the same way —
+// their manifests differ in nothing (the sequence number is only in the
+// directory name), and that order is the tables' creation order.
+func TestCheckpointManifestsByteIdentical(t *testing.T) {
+	fs := wal.NewMemFS()
+	sys := staleSystem(t, fs)
+	seqA, err := sys.CheckpointDB(fs, "data")
+	if err != nil {
+		t.Fatal(err)
+	}
+	seqB, err := sys.CheckpointDB(fs, "data")
+	if err != nil {
+		t.Fatal(err)
+	}
+	rawA, manA := readManifest(t, fs, seqA)
+	rawB, _ := readManifest(t, fs, seqB)
+	if !bytes.Equal(rawA, rawB) {
+		t.Fatalf("manifests of checkpoints %d and %d of one quiesced state differ", seqA, seqB)
+	}
+	tables := sys.inner.OLTPE.Tables()
+	if len(manA.Tables) != len(tables) {
+		t.Fatalf("manifest lists %d tables, catalog has %d", len(manA.Tables), len(tables))
+	}
+	for i, h := range tables {
+		if name := h.Table().Schema().Name; manA.Tables[i].Name != name {
+			t.Fatalf("manifest table %d is %q, creation order says %q", i, manA.Tables[i].Name, name)
+		}
+	}
+}
+
+// tableFreshness reads every table's freshness, in catalog order.
+func tableFreshness(s *System) []rde.Freshness {
+	var out []rde.Freshness
+	for _, h := range s.inner.OLTPE.Tables() {
+		out = append(out, s.inner.X.TableFreshness(h))
+	}
+	return out
+}
+
+// TestRestoresManifestWithInsertedRowIDs: before inserts were the replica
+// watermark alone, every appended row also carried a staleness bit, so a
+// manifest's Dirty list named the inserted rows above ReplicaRows next to
+// the updated ones. Such a manifest restores to the same freshness
+// numbers, the same first ETL and the same state afterwards as the
+// manifest this commit writes for the same database.
+func TestRestoresManifestWithInsertedRowIDs(t *testing.T) {
+	fs := wal.NewMemFS()
+	sys := staleSystem(t, fs)
+	seq, err := sys.CheckpointDB(fs, "data")
+	if err != nil {
+		t.Fatal(err)
+	}
+	live := tableFreshness(sys)
+
+	_, man := readManifest(t, fs, seq)
+	old := fs.Crash(false)
+	inserted, updated := 0, 0
+	for i := range man.Tables {
+		te := &man.Tables[i]
+		updated += len(te.Dirty)
+		seen := map[int64]bool{}
+		for _, row := range te.Dirty {
+			seen[row] = true
+		}
+		for row := te.ReplicaRows; row < te.Rows; row++ {
+			if !seen[row] {
+				te.Dirty = append(te.Dirty, row)
+				inserted++
+			}
+		}
+		sort.Slice(te.Dirty, func(a, b int) bool { return te.Dirty[a] < te.Dirty[b] })
+	}
+	if inserted == 0 || updated == 0 {
+		t.Fatalf("checkpoint has %d inserted and %d updated stale rows; the test needs both", inserted, updated)
+	}
+	f, err := old.Create(checkpoint.SeqDir("data", seq) + "/" + checkpoint.ManifestName)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := checkpoint.WriteManifest(f, man); err != nil {
+		t.Fatal(err)
+	}
+	if err := f.Sync(); err != nil {
+		t.Fatal(err)
+	}
+	f.Close()
+
+	type outcome struct {
+		before, after []rde.Freshness
+		etlBytes      int64
+		rows          [][]float64
+	}
+	restore := func(img FS) outcome {
+		s, info, err := OpenFromDir(img, "data")
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer s.Close()
+		if info.Seq != seq {
+			t.Fatalf("restored from checkpoint %d, want %d", info.Seq, seq)
+		}
+		o := outcome{before: tableFreshness(s)}
+		rep, err := s.QueryInStateContext(context.Background(), Q6(s.DB()), S2)
+		if err != nil {
+			t.Fatal(err)
+		}
+		o.etlBytes, o.rows, o.after = rep.ETLBytes, rep.Result.Rows, tableFreshness(s)
+		return o
+	}
+	got, want := restore(old), restore(fs.Crash(false))
+	if !reflect.DeepEqual(want.before, live) {
+		t.Fatalf("restored freshness\n%+v\nlive system had\n%+v", want.before, live)
+	}
+	if !reflect.DeepEqual(got, want) {
+		t.Fatalf("manifest with inserted row ids restored to\n%+v\nthis commit's manifest to\n%+v", got, want)
+	}
+	if want.etlBytes == 0 {
+		t.Fatal("first ETL after restore copied nothing")
 	}
 }

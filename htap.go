@@ -135,7 +135,6 @@ type options struct {
 	preferColocation        *bool
 	elasticCores            *int
 	byteScale               *float64
-	splitAccess             *bool
 }
 
 // Option configures a System under construction. Options validate in New;
@@ -195,12 +194,6 @@ func WithEmulatedScale(loadedSF, targetSF float64) Option {
 		}
 		o.byteScale = &x
 	}
-}
-
-// WithSplitAccess toggles the split access-path optimization in hybrid
-// states for insert-only fact tables (§5.2). Enabled by default.
-func WithSplitAccess(on bool) Option {
-	return func(o *options) { o.splitAccess = &on }
 }
 
 // State re-exports the scheduler states for report inspection.
@@ -282,9 +275,6 @@ func New(opts ...Option) (*System, error) {
 			return nil, fmt.Errorf("elastichtap: WithElasticCores %d, need >= 0", *o.elasticCores)
 		}
 		sysCfg.Scheduler.ElasticCores = *o.elasticCores
-	}
-	if o.splitAccess != nil {
-		sysCfg.Scheduler.SplitAccess = *o.splitAccess
 	}
 	if o.byteScale != nil {
 		if *o.byteScale <= 0 {

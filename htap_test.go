@@ -81,6 +81,7 @@ func TestFacadeStaticStates(t *testing.T) {
 func TestFacadeQueryBatch(t *testing.T) {
 	sys, db := newSystem(t)
 	sys.Run(50)
+	before := sys.Metrics()
 	reps, err := sys.QueryBatchContext(context.Background(), []Query{Q1(db), Q6(db), Q19(db)})
 	if err != nil {
 		t.Fatal(err)
@@ -97,6 +98,20 @@ func TestFacadeQueryBatch(t *testing.T) {
 	// Only the first pays the switch+ETL; the rest reuse the snapshot.
 	if reps[1].SyncSeconds != 0 || reps[2].SyncSeconds != 0 {
 		t.Fatal("batch re-switched mid-flight")
+	}
+	// Handing the first member's snapshot set back is the whole request to
+	// reuse it: one switch and one delta copy for the batch.
+	after := sys.Metrics()
+	if n := after.Switches - before.Switches; n != 1 {
+		t.Fatalf("batch of 3 switched %d times, want 1", n)
+	}
+	if reps[0].ETLBytes == 0 || reps[1].ETLBytes != 0 || reps[2].ETLBytes != 0 {
+		t.Fatalf("batch ETL bytes = %d, %d, %d; want the first member to copy the whole delta",
+			reps[0].ETLBytes, reps[1].ETLBytes, reps[2].ETLBytes)
+	}
+	if after.ETLBytes-before.ETLBytes != reps[0].ETLBytes {
+		t.Fatalf("exchange copied %d bytes over the batch, first member reported %d",
+			after.ETLBytes-before.ETLBytes, reps[0].ETLBytes)
 	}
 }
 

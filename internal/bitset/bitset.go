@@ -84,33 +84,6 @@ func (b *Atomic) Set(i int) bool {
 	return orWord(b.word(i/wordBits), mask)&mask == 0
 }
 
-// SetRange sets bits [lo, hi), growing the bitmap if needed: one atomic OR
-// per word instead of one per bit.
-//
-//htap:hotpath
-func (b *Atomic) SetRange(lo, hi int) {
-	if lo < 0 {
-		lo = 0
-	}
-	if lo >= hi {
-		return
-	}
-	if int64(hi) > b.n.Load() {
-		b.Grow(hi)
-	}
-	loW, hiW := lo/wordBits, (hi-1)/wordBits
-	for wi := loW; wi <= hiW; wi++ {
-		mask := ^uint64(0)
-		if wi == loW {
-			mask &= ^uint64(0) << (lo % wordBits)
-		}
-		if wi == hiW && hi%wordBits != 0 {
-			mask &= ^uint64(0) >> (wordBits - hi%wordBits)
-		}
-		orWord(b.word(wi), mask)
-	}
-}
-
 // Clear clears bit i. It reports whether the bit transitioned from 1 to 0.
 func (b *Atomic) Clear(i int) bool {
 	if i < 0 || int64(i) >= b.n.Load() {
@@ -192,12 +165,29 @@ func (b *Atomic) AnyInRange(lo, hi int) bool {
 }
 
 // Count returns the number of set bits.
-func (b *Atomic) Count() int {
+func (b *Atomic) Count() int { return b.CountBelow(b.Len()) }
+
+// CountBelow returns the number of set bits in [0, limit): a popcount a
+// word at a time, the last word masked. Bits at or above limit are never
+// read into the result, so setters and clearers up there cannot move it;
+// below limit it sees the same weakly consistent view as ForEachSet.
+func (b *Atomic) CountBelow(limit int) int {
+	if n := int(b.n.Load()); limit > n {
+		limit = n
+	}
+	if limit <= 0 {
+		return 0
+	}
+	dir := *b.dir.Load()
+	full := limit / wordBits
 	c := 0
-	b.words(func(_ int, w *uint64) bool {
-		c += bits.OnesCount64(atomic.LoadUint64(w))
-		return true
-	})
+	for wi := 0; wi < full; wi++ {
+		c += bits.OnesCount64(atomic.LoadUint64(&dir[wi/chunkWords][wi%chunkWords]))
+	}
+	if rem := limit % wordBits; rem != 0 {
+		w := atomic.LoadUint64(&dir[full/chunkWords][full%chunkWords])
+		c += bits.OnesCount64(w & (uint64(1)<<rem - 1))
+	}
 	return c
 }
 
@@ -227,12 +217,4 @@ func (b *Atomic) DrainSet(fn func(i int)) int {
 		return true
 	})
 	return drained
-}
-
-// Reset clears all bits without shrinking.
-func (b *Atomic) Reset() {
-	b.words(func(_ int, w *uint64) bool {
-		atomic.StoreUint64(w, 0)
-		return true
-	})
 }

@@ -1,6 +1,7 @@
 package bitset
 
 import (
+	"math/rand"
 	"sync"
 	"testing"
 	"testing/quick"
@@ -95,20 +96,6 @@ func TestDrainSet(t *testing.T) {
 	// Draining an empty set is a no-op.
 	if got := b.DrainSet(func(int) {}); got != 0 {
 		t.Fatalf("second drain = %d, want 0", got)
-	}
-}
-
-func TestReset(t *testing.T) {
-	b := New(64)
-	for i := 0; i < 64; i++ {
-		b.Set(i)
-	}
-	b.Reset()
-	if b.Count() != 0 {
-		t.Fatal("Reset must clear all bits")
-	}
-	if b.Len() != 64 {
-		t.Fatal("Reset must not shrink")
 	}
 }
 
@@ -207,28 +194,77 @@ func TestQuickSetClearIdempotence(t *testing.T) {
 	}
 }
 
-// TestQuickSetRangeMatchesSetLoop: SetRange(lo, hi) leaves exactly the
-// bits a Set loop would, growth included, whatever was set before.
-func TestQuickSetRangeMatchesSetLoop(t *testing.T) {
-	f := func(pre []uint16, lo, n uint16) bool {
-		a, b := New(70), New(70)
-		for _, i := range pre {
-			a.Set(int(i))
-			b.Set(int(i))
+// TestCountBelowMatchesBitOracle holds the prefix popcount to a bit-by-bit
+// recount for random contents, lengths and limits — limits on, just under
+// and just over word and chunk boundaries, and past the length — while
+// other goroutines set and clear bits at or above the limit: those must
+// never reach the result.
+func TestCountBelowMatchesBitOracle(t *testing.T) {
+	rng := rand.New(rand.NewSource(7))
+	edges := []int{0, 1, wordBits - 1, wordBits, wordBits + 1, chunkBits - 1, chunkBits, chunkBits + 1, 2 * chunkBits}
+	for round := 0; round < 20; round++ {
+		n := 1 + rng.Intn(2*chunkBits+200)
+		if round%4 == 0 {
+			n = edges[1+rng.Intn(len(edges)-1)]
 		}
-		hi := int(lo) + int(n%300)
-		a.SetRange(int(lo), hi)
-		for i := int(lo); i < hi; i++ {
-			b.Set(i)
+		b := New(n)
+		ref := make([]bool, n)
+		for k := rng.Intn(n + 1); k > 0; k-- {
+			i := rng.Intn(n)
+			if rng.Intn(4) == 0 {
+				b.Clear(i)
+				ref[i] = false
+			} else {
+				b.Set(i)
+				ref[i] = true
+			}
 		}
-		if a.Len() != b.Len() || a.Count() != b.Count() {
-			return false
+		below := make([]int, n+1) // below[i]: set bits in [0, i), counted one at a time
+		for i, set := range ref {
+			below[i+1] = below[i]
+			if set {
+				below[i+1]++
+			}
 		}
-		same := true
-		b.ForEachSet(func(i int) { same = same && a.Test(i) })
-		return same
-	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 300}); err != nil {
-		t.Fatal(err)
+		limits := append([]int{-3, n - 1, n, n + 1, n + chunkBits, rng.Intn(n + 1)}, edges...)
+		for _, limit := range limits {
+			want := below[min(max(limit, 0), n)]
+			// Churn above the limit, including growth past the length.
+			stop := make(chan struct{})
+			var wg sync.WaitGroup
+			wg.Add(1)
+			go func(lo int, seed int64) {
+				defer wg.Done()
+				if lo < 0 {
+					lo = 0
+				}
+				r := rand.New(rand.NewSource(seed))
+				for {
+					select {
+					case <-stop:
+						return
+					default:
+					}
+					// Only bits the oracle has clear, so each pair leaves
+					// the bitmap as it found it.
+					if i := lo + r.Intn(n+chunkBits); i >= n || !ref[i] {
+						b.Set(i)
+						b.Clear(i)
+					}
+				}
+			}(limit, int64(round))
+			for rep := 0; rep < 3; rep++ {
+				if got := b.CountBelow(limit); got != want {
+					close(stop)
+					wg.Wait()
+					t.Fatalf("round %d: CountBelow(%d) of %d bits = %d, oracle %d", round, limit, n, got, want)
+				}
+			}
+			close(stop)
+			wg.Wait()
+		}
+		if got, want := b.Count(), b.CountBelow(b.Len()); got != want {
+			t.Fatalf("Count %d != CountBelow(Len) %d", got, want)
+		}
 	}
 }

@@ -15,12 +15,14 @@ func TestDeliveryStampsOrderLines(t *testing.T) {
 	rng := rand.New(rand.NewSource(11))
 
 	// Insert a fresh order (carrier 0 = undelivered), then pretend the OLAP
-	// replica synchronized here: clear the freshness bits so only the
-	// delivery's updates remain visible below the watermark.
+	// replica synchronized here. Inserts set no update bit, so only the
+	// delivery's updates are visible below the watermark.
 	if _, err := mgr.RunWithRetry(10, db.NewOrder(rng, 1)); err != nil {
 		t.Fatal(err)
 	}
-	db.OrderLine.Table().DirtyOLAP().Reset()
+	if n := db.OrderLine.Table().DirtyOLAP().Count(); n != 0 {
+		t.Fatalf("loading and NewOrder set %d orderline update bits", n)
+	}
 	updBefore := db.OrderLine.Table().Active().DirtyCount()
 
 	if _, err := mgr.RunWithRetry(10, db.Delivery(rng, 1)); err != nil {
@@ -60,7 +62,6 @@ func TestDeliveryInvalidatesSplitAccess(t *testing.T) {
 	}
 	// Simulate the replica having synced everything BEFORE the delivery:
 	// the updated rows below the watermark are what split cannot see.
-	db.OrderLine.Table().DirtyOLAP().Reset()
 	watermark := db.OrderLine.Table().Rows()
 	if _, err := mgr.RunWithRetry(10, db.Delivery(rng, 1)); err != nil {
 		t.Fatal(err)

@@ -49,9 +49,12 @@ type TableEntry struct {
 	// ReplicaRows is the OLAP replica's insert watermark at capture;
 	// recovery re-copies rows [0, ReplicaRows) into the replica.
 	ReplicaRows int64
-	// Dirty lists the OLAP-stale row indices (updated but not yet
-	// delta-ETL'd) at capture, so restored freshness metrics match the
-	// live engine's exactly.
+	// Dirty lists the rows updated but not yet delta-ETL'd at capture, so
+	// restored freshness metrics match the live engine's exactly.
+	// Inserted rows are not listed — they are the rows at or above
+	// ReplicaRows. Manifests written before that was so list them too;
+	// the extra entries restore as bits above the watermark, which
+	// freshness does not count and the first ETL clears without a copy.
 	Dirty []int64
 	// FileCRC is the CRC32C of the entire table checkpoint file.
 	FileCRC uint32

@@ -135,12 +135,14 @@ func (o *appendOracle) check(t *testing.T, tab *Table, from int64) {
 		if got := tab.RowTS(r); got != o.ts[r] {
 			t.Fatalf("row %d stamp = %d, want %d", r, got, o.ts[r])
 		}
-		if !tab.DirtyOLAP().Test(int(r)) {
-			t.Fatalf("row %d not marked fresh for the OLAP replica", r)
-		}
 	}
-	if tab.DirtyOLAP().Test(len(o.rows)) {
-		t.Fatalf("fresh bit set past the last row %d", len(o.rows))
+	// An append sets no update bit: the appended rows are fresh by lying
+	// above the replica's watermark, and are counted once, as inserts.
+	if n := tab.DirtyOLAP().Count(); n != 0 {
+		t.Fatalf("appends set %d update bits, want none", n)
+	}
+	if st := tab.FreshSince(from); st.InsertedRows != int64(len(o.rows))-from || st.UpdatedRows != 0 {
+		t.Fatalf("fresh above watermark %d = %+v, want %d inserted and 0 updated", from, st, int64(len(o.rows))-from)
 	}
 }
 

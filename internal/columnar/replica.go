@@ -13,8 +13,6 @@ type Replica struct {
 	table *Table
 	cols  []*Words
 	rows  atomic.Int64
-
-	insertedBytes atomic.Int64 // lifetime ETL volume, diagnostics
 }
 
 // NewReplica returns an empty replica of the table.
@@ -27,17 +25,11 @@ func NewReplica(t *Table) *Replica {
 	return r
 }
 
-// Table returns the source table.
-func (r *Replica) Table() *Table { return r.table }
-
 // Rows returns the replica's watermark: rows [0, Rows) are loaded.
 func (r *Replica) Rows() int64 { return r.rows.Load() }
 
 // Col exposes raw column storage for analytical scans.
 func (r *Replica) Col(c int) *Words { return r.cols[c] }
-
-// BytesCopied returns the lifetime ETL volume into this replica.
-func (r *Replica) BytesCopied() int64 { return r.insertedBytes.Load() }
 
 // CopyInserts bulk-copies rows [lo, hi) of every column from the snapshot
 // instance and advances the watermark to hi. It returns the bytes copied.
@@ -51,9 +43,7 @@ func (r *Replica) CopyInserts(snap *Instance, lo, hi int64) int64 {
 	if hi > r.rows.Load() {
 		r.rows.Store(hi)
 	}
-	b := (hi - lo) * r.table.schema.RowBytes()
-	r.insertedBytes.Add(b)
-	return b
+	return (hi - lo) * r.table.schema.RowBytes()
 }
 
 // CopyRow copies a single (updated) row from the snapshot instance,
@@ -62,9 +52,7 @@ func (r *Replica) CopyRow(snap *Instance, row int64) int64 {
 	for c := range r.cols {
 		r.cols[c].Store(row, snap.cols[c].Load(row))
 	}
-	b := r.table.schema.RowBytes()
-	r.insertedBytes.Add(b)
-	return b
+	return r.table.schema.RowBytes()
 }
 
 // EqualRow reports whether the replica row matches the instance row

@@ -32,7 +32,7 @@ func (in *Instance) Col(c int) *Words { return in.cols[c] }
 
 // Table is a twin-instance columnar table plus the shared metadata both
 // copies use: string dictionaries, per-row commit timestamps, and the
-// dirty-versus-OLAP bitset that feeds freshness accounting.
+// updated-since-ETL bitset that feeds freshness accounting.
 type Table struct {
 	schema Schema
 	dicts  []*Dict
@@ -43,8 +43,11 @@ type Table struct {
 	rowTS *Words       // commit timestamp of each row's newest version
 	rows  atomic.Int64 // committed rows (visible in the active instance)
 
-	// dirtyOLAP marks rows updated since the OLAP replica last synchronized;
-	// it drives Nfq/Nft freshness accounting and delta-ETL.
+	// dirtyOLAP marks rows updated in place since the delta-ETL last drained
+	// them; only UpdateCell sets it. Inserts need no bits — every row at or
+	// above the replica's watermark is fresh — so a row inserted and then
+	// updated before its first ETL carries a bit above the watermark and is
+	// already counted as an insert: FreshSince counts the bits below it.
 	dirtyOLAP *bitset.Atomic
 
 	// updates counts lifetime in-place cell updates. Insert-only tables
@@ -123,7 +126,7 @@ func (t *Table) Inactive() *Instance { return t.inst[1-t.active.Load()] }
 // Instance returns instance k (0 or 1).
 func (t *Table) Instance(k int) *Instance { return t.inst[k] }
 
-// DirtyOLAP exposes the updated-since-OLAP-sync bitset.
+// DirtyOLAP exposes the updated-since-ETL bitset.
 func (t *Table) DirtyOLAP() *bitset.Atomic { return t.dirtyOLAP }
 
 // AppendRows allocates n new committed rows, writing each provided row to
@@ -196,7 +199,6 @@ func (t *Table) appendRun(n int64, ts uint64, rows, cols [][]int64) int64 {
 		}
 		r += int64(len(stamps))
 	}
-	t.dirtyOLAP.SetRange(int(base), int(end))
 	// Publish: new rows become visible in the active instance only.
 	t.rows.Store(end)
 	t.inst[t.active.Load()].visible.Store(end)
@@ -221,11 +223,15 @@ func (t *Table) EndApply() { t.applyMu.RUnlock() }
 func (t *Table) UpdateCell(row int64, col int, v int64, ts uint64) {
 	in := t.inst[t.active.Load()]
 	in.cols[col].Store(row, v)
+	// The timestamp goes out before the bits: the delta-ETL clears a
+	// row's dirtyOLAP bit and then reads its timestamp to learn whether the
+	// bit it cleared was this update's, so by the time the bit can be seen
+	// the timestamp must say so.
+	t.rowTS.Store(row, int64(ts))
 	in.dirty.Set(int(row))
 	t.dirtyOLAP.Set(int(row))
 	t.updates.Add(1)
 	t.colUpdates[col].Add(1)
-	t.rowTS.Store(row, int64(ts))
 }
 
 // ReadCell reads one cell of the given instance with atomic semantics,
@@ -392,26 +398,25 @@ func (t *Table) DecodeValue(col int, w int64) any {
 type FreshStats struct {
 	// Rows is the table's committed row count.
 	Rows int64
-	// UpdatedRows counts rows with dirtyOLAP bits set at or below the
-	// OLAP watermark (rows the replica has but that changed since).
+	// UpdatedRows counts rows below the OLAP watermark with their
+	// dirtyOLAP bit set (rows the replica has but that changed since).
 	UpdatedRows int64
-	// InsertedRows counts rows beyond the OLAP watermark.
+	// InsertedRows counts rows at or beyond the OLAP watermark.
 	InsertedRows int64
 }
 
+// FreshRows is the number of tuples that differ between the table and the
+// replica: every row is counted once, as an update or as an insert.
+func (st FreshStats) FreshRows() int64 { return st.UpdatedRows + st.InsertedRows }
+
 // FreshSince computes freshness statistics relative to an OLAP replica
-// that has synced rows [0, olapRows) and cleared bits at its last ETL.
+// that has absorbed rows [0, olapRows): the inserts are the rows above
+// that watermark, the updates a popcount of the bits below it.
 func (t *Table) FreshSince(olapRows int64) FreshStats {
 	rows := t.rows.Load()
-	var updated int64
-	t.dirtyOLAP.ForEachSet(func(i int) {
-		if int64(i) < olapRows {
-			updated++
-		}
-	})
-	inserted := rows - olapRows
-	if inserted < 0 {
-		inserted = 0
+	return FreshStats{
+		Rows:         rows,
+		UpdatedRows:  int64(t.dirtyOLAP.CountBelow(int(olapRows))),
+		InsertedRows: max(rows-olapRows, 0),
 	}
-	return FreshStats{Rows: rows, UpdatedRows: updated, InsertedRows: inserted}
 }

@@ -177,16 +177,23 @@ func TestFreshSince(t *testing.T) {
 	if st.InsertedRows != 10 || st.UpdatedRows != 0 {
 		t.Fatalf("fresh = %+v", st)
 	}
-	// Simulate an OLAP replica that has the first 10 rows and cleared bits.
-	tab.DirtyOLAP().Reset()
+	// An OLAP replica that has the first 10 rows: one of them is updated,
+	// one row is inserted and then updated before the replica sees it.
 	tab.UpdateCell(2, 0, 5, 2)
 	tab.AppendRows([][]int64{tab.EncodeRow(10, 0.0, "y")}, 3)
+	tab.UpdateCell(10, 0, 6, 4)
 	st = tab.FreshSince(10)
 	if st.UpdatedRows != 1 {
 		t.Fatalf("updated = %d, want 1", st.UpdatedRows)
 	}
 	if st.InsertedRows != 1 {
-		t.Fatalf("inserted = %d, want 1", st.InsertedRows)
+		t.Fatalf("inserted = %d, want 1 (the updated insert is one fresh row, not two)", st.InsertedRows)
+	}
+	if st.FreshRows() != 2 || st.Rows != 11 {
+		t.Fatalf("fresh = %+v, want 2 fresh of 11", st)
+	}
+	if !tab.DirtyOLAP().Test(10) {
+		t.Fatal("the updated insert lost its bit; the ETL after its first one would miss a re-update")
 	}
 }
 

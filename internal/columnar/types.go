@@ -8,6 +8,11 @@
 // instance to hand the OLAP engine a consistent snapshot without
 // interfering with transaction execution.
 //
+// What the OLAP replica is missing is two facts, each kept once: inserts
+// are the rows at or above the replica's row watermark — an append touches
+// no bitmap — and updates are the dirtyOLAP bits only UpdateCell sets
+// (Table.dirtyOLAP says why FreshSince counts them below the watermark).
+//
 // Access discipline. A column is a Words: plain chunks behind an atomically
 // published directory, so a cell access is a load and takes no lock. Who
 // may do what is decided above it:

@@ -278,8 +278,11 @@ func TestBatchSkipSwitchReusesSnapshot(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	if rep1.SyncSeconds <= 0 {
+		t.Fatal("sync must cost simulated time")
+	}
 	sys.InjectTransactions(10)
-	rep2, _, err := sys.RunQueryContext(context.Background(), q, QueryOptions{Batch: true, SkipSwitch: true}, set)
+	rep2, _, err := sys.RunQueryContext(context.Background(), q, QueryOptions{Batch: true}, set)
 	if err != nil {
 		t.Fatal(err)
 	}

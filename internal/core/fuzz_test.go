@@ -56,7 +56,7 @@ func TestFuzzRandomScheduleEquivalence(t *testing.T) {
 	set := sys.X.SwitchAndSync(sys.OLTPE.Tables())
 	sys.X.ETL(set)
 	snap := set.Snap(ch.TOrderLine)
-	repca := sys.X.Replica(db.OrderLine)
+	repca := db.OrderLine.Replica
 	if repca.Rows() != snap.Rows {
 		t.Fatalf("replica rows %d != snapshot %d", repca.Rows(), snap.Rows)
 	}
@@ -99,8 +99,9 @@ func TestFuzzConcurrentQueriesAndTransactions(t *testing.T) {
 
 	// The twins agree after a final sync.
 	set := sys.X.SwitchAndSync(sys.OLTPE.Tables())
-	for name, snap := range set.Snaps {
+	for _, snap := range set.Snaps {
 		tab := snap.Handle.Table()
+		name := tab.Schema().Name
 		for r := int64(0); r < snap.Rows; r += 13 {
 			for c := range tab.Schema().Columns {
 				if tab.ReadCell(0, r, c) != tab.ReadCell(1, r, c) {

@@ -4,6 +4,7 @@ import (
 	"sort"
 
 	"elastichtap/internal/metrics"
+	"elastichtap/internal/rde"
 	"elastichtap/internal/topology"
 )
 
@@ -31,9 +32,7 @@ func (s *System) Metrics() metrics.Snapshot {
 		t := h.Table()
 		snap.TotalRows += t.Rows()
 		snap.DirtyRows += int64(t.Active().DirtyCount() + t.Inactive().DirtyCount())
-		rep := s.X.Replica(h)
-		fresh := t.FreshSince(rep.Rows())
-		snap.FreshRows += fresh.UpdatedRows + fresh.InsertedRows
+		snap.FreshRows += h.Fresh().FreshRows()
 		snap.VersionRows += h.Ref.Versions.Len()
 	}
 	switches, synced, etl := s.X.Counters()
@@ -62,10 +61,6 @@ func (s *System) Metrics() metrics.Snapshot {
 		snap.Tenants = append(snap.Tenants, metrics.Tenant{Name: name, MorselsDispatched: morsels})
 	}
 	sort.Slice(snap.Tenants, func(i, j int) bool { return snap.Tenants[i].Name < snap.Tenants[j].Name })
-	if snap.TotalRows > 0 {
-		snap.FreshnessRate = float64(snap.TotalRows-snap.FreshRows) / float64(snap.TotalRows)
-	} else {
-		snap.FreshnessRate = 1
-	}
+	snap.FreshnessRate = rde.FreshRate(snap.FreshRows, snap.TotalRows)
 	return snap
 }

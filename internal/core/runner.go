@@ -101,7 +101,7 @@ func NewSystem(cfg SystemConfig) (*System, error) {
 		Model:  model,
 		OLTPE:  oltpE,
 		OLAPE:  olapE,
-		X:      rde.New(ledger, model, oltpE, olapE, cfg.OLTPSocket, cfg.OLAPSocket),
+		X:      rde.New(oltpE, cfg.OLTPSocket, cfg.OLAPSocket),
 		Sched:  sched,
 		WM:     workload.New(),
 	}
@@ -167,15 +167,6 @@ type QueryOptions struct {
 	ForceMethod *rde.AccessMethod
 	// Batch marks the query as part of a batch (Algorithm 2's QueryBatch).
 	Batch bool
-	// SkipSwitch reuses the previous snapshot instead of switching the
-	// active instance (subsequent queries of a batch). A reused snapshot
-	// outlives exchange cycles other queries run in the meantime, so a
-	// SkipSwitch query must read the OLAP replica — the Batch flag's S2
-	// path, which the facade's QueryBatch always takes. Combining
-	// SkipSwitch with a forced snapshot-reading state (S1/S3) while other
-	// queries run concurrently would scan an instance a later switch has
-	// re-activated for transaction writes.
-	SkipSwitch bool
 }
 
 // ForcedState is a convenience for building QueryOptions.
@@ -259,9 +250,13 @@ func (s *System) admitQuery(ctx context.Context, q olap.Query, opt QueryOptions,
 		return adm, fmt.Errorf("core: admit %s: %w", q.Name(), olap.ErrClosed)
 	}
 	tables := s.OLTPE.Tables()
-	if adm.set == nil || !opt.SkipSwitch {
+	if adm.set == nil {
 		adm.set = s.X.SwitchAndSync(tables)
-		adm.syncSeconds = adm.set.SyncSeconds * s.Cfg.ByteScale
+		var snapRows int64
+		for i := range adm.set.Snaps {
+			snapRows += adm.set.Snaps[i].Rows
+		}
+		adm.syncSeconds = s.Model.SyncTime(adm.set.CopiedRows, snapRows) * s.Cfg.ByteScale
 	}
 	factSnap := adm.set.Snap(q.FactTable())
 	if factSnap == nil {
@@ -315,6 +310,15 @@ func (s *System) admitQuery(ctx context.Context, q olap.Query, opt QueryOptions,
 // serialized; the execution itself runs as a task on the shared OLAP
 // worker pool, so concurrent callers interleave their morsels on the same
 // workers and scheduler migrations resize the pool mid-query.
+//
+// A non-nil snap is the request to reuse it instead of switching the
+// active instances again (subsequent queries of a batch); the set the
+// query ran on is returned either way. A reused snapshot outlives exchange
+// cycles other queries run in the meantime, so such a query must read the
+// OLAP replica — the Batch flag's S2 path, which the facade's QueryBatch
+// always takes. Reusing a set under a forced snapshot-reading state
+// (S1/S3) while other queries run concurrently would scan an instance a
+// later switch has re-activated for transaction writes.
 //
 // Cancellation is observed between admission phases and, during
 // execution, at morsel boundaries: a cancelled query returns an error
@@ -423,9 +427,6 @@ func (s *System) RunQueryContext(ctx context.Context, q olap.Query, opt QueryOpt
 		ScanUsage:       scan.Usage,
 	}
 	rep.ResponseSeconds = rep.ExecSeconds + rep.ETLSeconds
-	if s.Sched.Config().ChargeSyncToQuery {
-		rep.ResponseSeconds += adm.syncSeconds
-	}
 	return rep, adm.set, nil
 }
 
@@ -503,7 +504,6 @@ func (s *System) CheckpointDB(cfs wal.FS, dir string, extras map[string]int64) (
 	mgr := s.OLTPE.Manager()
 
 	type capture struct {
-		h     *oltp.TableHandle
 		snap  *rde.Snapshot
 		entry checkpoint.TableEntry
 		unpin func()
@@ -519,19 +519,17 @@ func (s *System) CheckpointDB(cfs wal.FS, dir string, extras map[string]int64) (
 		}
 		man.Clock = mgr.Now()
 		man.Commits = mgr.Commits()
-		for _, h := range tables {
-			t := h.Table()
-			name := t.Schema().Name
-			snap := set.Snap(name)
-			var dirty []int64
-			t.DirtyOLAP().ForEachSet(func(i int) { dirty = append(dirty, int64(i)) })
+		for i, h := range tables {
+			name := h.Table().Schema().Name
+			snap := &set.Snaps[i] // switched in table order
+			var dirty []int64     // updated rows only: inserts are Rows − ReplicaRows
+			h.Table().DirtyOLAP().ForEachSet(func(row int) { dirty = append(dirty, int64(row)) })
 			caps = append(caps, capture{
-				h:    h,
 				snap: snap,
 				entry: checkpoint.TableEntry{
 					Name:        name,
 					Rows:        snap.Rows,
-					ReplicaRows: s.X.Replica(h).Rows(),
+					ReplicaRows: h.Replica.Rows(),
 					Dirty:       dirty,
 				},
 				unpin: s.X.BeginScan(name),
@@ -557,7 +555,7 @@ func (s *System) CheckpointDB(cfs wal.FS, dir string, extras map[string]int64) (
 		if err != nil {
 			return 0, fmt.Errorf("core: checkpoint %s: %w", path, err)
 		}
-		err = checkpoint.Write(f, c.h.Table(), c.snap.Inst, c.entry.Rows)
+		err = checkpoint.Write(f, c.snap.Handle.Table(), c.snap.Inst, c.entry.Rows)
 		if err == nil {
 			err = f.Sync()
 		}

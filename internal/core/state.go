@@ -89,10 +89,6 @@ type Config struct {
 	// SplitAccess enables the split access-path optimization in hybrid
 	// states for insert-only fact tables (§5.2).
 	SplitAccess bool
-
-	// ChargeSyncToQuery adds the instance-switch sync time to the query
-	// response time (off by default; the paper reports it as negligible).
-	ChargeSyncToQuery bool
 }
 
 // DefaultConfig returns the paper's evaluation settings: α=0.5 (§5.3),

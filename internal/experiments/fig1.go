@@ -63,9 +63,6 @@ func figure1ETL(opt Options, freq int) (Fig1Row, error) {
 		var set *rde.SnapshotSet
 		for i := 0; i < freq && executed < totalQueries; i++ {
 			o := core.QueryOptions{ForceState: core.ForcedState(core.S2), Batch: true}
-			if set != nil {
-				o.SkipSwitch = true
-			}
 			rep, out, err := env.Sys.RunQueryContext(context.Background(), env.Q6(), o, set)
 			if err != nil {
 				return row, err
@@ -106,9 +103,6 @@ func figure1CoW(opt Options, freq int) (Fig1Row, error) {
 				ForceState:  core.ForcedState(core.S1),
 				ForceMethod: core.ForcedMethod(rde.ReadSnapshot),
 				Batch:       true,
-			}
-			if set != nil {
-				o.SkipSwitch = true
 			}
 			rep, out, err := env.Sys.RunQueryContext(context.Background(), env.Q6(), o, set)
 			if err != nil {

@@ -129,9 +129,6 @@ func Figure3b(opt Options) ([]Fig3bRow, error) {
 				var set *rde.SnapshotSet
 				for i := 0; i < batch && executed < totalQueries; i++ {
 					o := core.QueryOptions{ForceState: core.ForcedState(core.S2), Batch: true}
-					if set != nil {
-						o.SkipSwitch = true
-					}
 					rep, out, err := env.Sys.RunQueryContext(context.Background(), env.Q6(), o, set)
 					if err != nil {
 						return Fig3bRow{}, err

@@ -152,9 +152,10 @@ func (s *Set) CountEq(col int, v int64) (n int64, ok bool) {
 }
 
 // Refresh brings every built index up to the table's current row count,
-// rebuilding columns whose update counters moved. The RDE engine calls it
-// after each ETL delta batch and after instance switches; it never builds
-// an index that no lookup has demanded.
+// rebuilding columns whose update counters moved; it never builds an
+// index that no lookup has demanded. Lookup refreshes the column it
+// serves, so the engine never calls this: it is for callers that want the
+// refresh paid, or timed, ahead of the lookups.
 func (s *Set) Refresh() {
 	s.mu.Lock()
 	defer s.mu.Unlock()

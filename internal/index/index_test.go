@@ -6,27 +6,15 @@ import (
 	"testing"
 
 	"elastichtap/internal/ch"
-	"elastichtap/internal/costmodel"
-	"elastichtap/internal/olap"
 	"elastichtap/internal/oltp"
 	"elastichtap/internal/rde"
-	"elastichtap/internal/topology"
 )
 
 func newExchange(t *testing.T) (*rde.Exchange, *ch.DB) {
 	t.Helper()
-	topo := topology.DefaultConfig()
-	ledger, err := topology.NewLedger(topo)
-	if err != nil {
-		t.Fatal(err)
-	}
-	ledger.AssignSocket(0, topology.OLTP)
-	ledger.AssignSocket(1, topology.OLAP)
-	model := costmodel.New(topo, costmodel.DefaultParams())
 	engine := oltp.NewEngine()
 	db := ch.Load(engine, ch.TinySizing(), 1)
-	x := rde.New(ledger, model, engine, olap.NewEngine(topo.Sockets), 0, 1)
-	return x, db
+	return rde.New(engine, 0, 1), db
 }
 
 // probeCol is one (table, column) pair the property test checks.

@@ -23,22 +23,39 @@ import (
 	"elastichtap/internal/txn"
 )
 
-// TableHandle bundles a table with its transactional metadata.
+// TableHandle bundles a table with everything the engines keep per table,
+// created with it so that no layer needs a second catalog keyed by name.
 type TableHandle struct {
 	Ref   *txn.TableRef
 	Index *cuckoo.Table // primary-key index; may be nil for index-less tables
 	Sec   *index.Set    // lazily-built secondary indexes (bitmap/hash)
+
+	// Replica is the table's OLAP instance (empty until the first ETL);
+	// ScanLatch orders analytical scans against the exchange writers that
+	// overwrite cells a scan may be reading (rde.Exchange says when).
+	Replica   *columnar.Replica
+	ScanLatch sync.RWMutex
 }
 
 // Table returns the underlying columnar table.
 func (h *TableHandle) Table() *columnar.Table { return h.Ref.Table }
+
+// Fresh measures the table against its OLAP replica: the updated rows the
+// replica holds an older value of, the inserted rows it does not hold yet,
+// and the table's row count — the one count every freshness probe reads.
+func (h *TableHandle) Fresh() columnar.FreshStats {
+	return h.Table().FreshSince(h.Replica.Rows())
+}
 
 // Engine is the transactional engine.
 type Engine struct {
 	mgr *txn.Manager
 
 	mu     sync.RWMutex
-	tables map[string]*TableHandle
+	tables map[string]*TableHandle //htap:guardedby mu
+	// order holds the same handles in creation order. It only grows, and
+	// only by append, so a prefix handed to a caller never changes.
+	order []*TableHandle //htap:guardedby mu
 
 	wm *WorkerManager
 }
@@ -69,11 +86,12 @@ func (e *Engine) CreateTable(schema columnar.Schema, capHint int64, withIndex bo
 		panic(fmt.Sprintf("oltp: table %q already exists", schema.Name))
 	}
 	t := columnar.NewTable(schema, capHint)
-	h := &TableHandle{Ref: e.mgr.Register(t), Sec: index.NewSet(t)}
+	h := &TableHandle{Ref: e.mgr.Register(t), Sec: index.NewSet(t), Replica: columnar.NewReplica(t)}
 	if withIndex {
 		h.Index = cuckoo.New(int(capHint))
 	}
 	e.tables[schema.Name] = h
+	e.order = append(e.order, h)
 	return h
 }
 
@@ -84,15 +102,13 @@ func (e *Engine) Table(name string) *TableHandle {
 	return e.tables[name]
 }
 
-// Tables returns all handles (stable order not guaranteed).
+// Tables returns all handles in creation order — the order every switch,
+// sync, freshness sum and checkpoint manifest follows. The slice is the
+// catalog's own, capped at its length: read it, do not write to it.
 func (e *Engine) Tables() []*TableHandle {
 	e.mu.RLock()
 	defer e.mu.RUnlock()
-	out := make([]*TableHandle, 0, len(e.tables))
-	for _, h := range e.tables {
-		out = append(out, h)
-	}
-	return out
+	return e.order[:len(e.order):len(e.order)]
 }
 
 // TxnFunc is one transaction's logic; it runs against a snapshot-isolated

@@ -57,6 +57,38 @@ func TestCreateTableAndLookup(t *testing.T) {
 	e.CreateTable(testSchema(), 8, true)
 }
 
+// TestTablesKeepCreationOrder: the catalog has an order — every call
+// returns the handles as they were created, also while tables are being
+// added, and a caller appending to its copy cannot reach the catalog's.
+func TestTablesKeepCreationOrder(t *testing.T) {
+	e := NewEngine()
+	names := []string{"m", "z", "a", "k", "b", "y", "c", "x", "d", "w", "e", "v"}
+	var want []*TableHandle
+	for _, n := range names {
+		want = append(want, e.CreateTable(columnar.Schema{Name: n, Columns: testSchema().Columns}, 8, false))
+		for rep := 0; rep < 3; rep++ {
+			got := e.Tables()
+			if len(got) != len(want) {
+				t.Fatalf("Tables() has %d handles after %d creations", len(got), len(want))
+			}
+			for i := range want {
+				if got[i] != want[i] {
+					t.Fatalf("Tables()[%d] is %q, created %q there", i, got[i].Table().Schema().Name, names[i])
+				}
+			}
+		}
+		if h := want[len(want)-1]; h.Replica == nil || h.Replica.Rows() != 0 {
+			t.Fatalf("table %q created without an empty replica", n)
+		}
+	}
+	held := e.Tables()
+	_ = append(held, nil)
+	last := e.CreateTable(columnar.Schema{Name: "last", Columns: testSchema().Columns}, 8, false)
+	if got := e.Tables(); got[len(got)-1] != last {
+		t.Fatal("appending to a returned slice took the catalog's next slot")
+	}
+}
+
 func TestExecuteBatchCounts(t *testing.T) {
 	e := NewEngine()
 	h := e.CreateTable(testSchema(), 8, false)

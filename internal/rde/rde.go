@@ -1,8 +1,14 @@
 // Package rde implements the Resource and Data Exchange engine (§3.4): the
-// integration layer that owns memory and CPU resources, switches the OLTP
-// active instance, synchronizes the twin instances through the
-// update-indication bits, performs delta-ETL into the OLAP replicas, and
-// builds the access paths (olap.Source) each system state prescribes.
+// integration layer that switches the OLTP active instance, synchronizes
+// the twin instances through the update-indication bits, performs
+// delta-ETL into the OLAP replicas, measures freshness, and builds the
+// access paths (olap.Source) each system state prescribes.
+//
+// The exchange keeps no catalog of its own. A table's OLAP replica and its
+// scan latch are created with the table and live on its oltp.TableHandle;
+// the exchange reaches them through the handles it is given. It also
+// prices nothing: it reports rows and bytes moved, and internal/core turns
+// those into modeled seconds under the placement a query was admitted with.
 package rde
 
 import (
@@ -11,38 +17,29 @@ import (
 	"sync/atomic"
 
 	"elastichtap/internal/columnar"
-	"elastichtap/internal/costmodel"
 	"elastichtap/internal/olap"
 	"elastichtap/internal/oltp"
-	"elastichtap/internal/topology"
 	"elastichtap/internal/txn"
 )
 
 // Exchange is the RDE engine.
+//
+// Each table's ScanLatch (on its handle) orders in-flight analytical scans
+// (readers) against writers that mutate cells a scan could be reading
+// without atomics: the twin-instance sync after a switch re-activates the
+// instance a prior query snapshotted, and the delta-ETL overwrites updated
+// replica rows in place. Writers take a table's latch exclusively only
+// when the table has in-place updates (Table.UpdateCount > 0) — for
+// insert-only tables every write lands on rows beyond any scan's
+// watermark, so their scans are never waited on.
 type Exchange struct {
-	Ledger *topology.Ledger
-	Model  *costmodel.Model
-	OLTP   *oltp.Engine
-	OLAP   *olap.Engine
+	OLTP *oltp.Engine
 
 	// OLTPSocket hosts the twin instances and index; OLAPSocket hosts the
 	// OLAP replicas. At bootstrap each engine gets one full socket (§5.1).
 	OLTPSocket, OLAPSocket int
 
-	mu         sync.Mutex
-	exchangeMu sync.Mutex                   // serializes switch+sync/ETL cycles
-	replicas   map[string]*columnar.Replica //htap:guardedby mu
-
-	// latches order in-flight analytical scans (readers) against writers
-	// that mutate cells a scan could be reading without atomics: the
-	// twin-instance sync after a switch re-activates the instance a prior
-	// query snapshotted, and the delta-ETL overwrites updated replica
-	// rows in place. Writers take a table's latch exclusively only when
-	// the table has in-place updates (Table.UpdateCount > 0) — for
-	// insert-only tables every write lands on rows beyond any scan's
-	// watermark, so their scans are never waited on.
-	latchMu sync.Mutex
-	latches map[string]*sync.RWMutex //htap:guardedby latchMu
+	exchangeMu sync.Mutex // serializes switch+sync/ETL cycles
 
 	// probe, when set, fires at named internal points: "switch" after a
 	// table's instance switch but before the twin sync, "etl" between a
@@ -52,9 +49,7 @@ type Exchange struct {
 	probe atomic.Pointer[func(point, table string)]
 
 	// lifetime counters (diagnostics and tests)
-	switches   int64 //htap:guardedby mu
-	syncedRows int64 //htap:guardedby mu
-	etlBytes   int64 //htap:guardedby mu
+	switches, syncedRows, etlBytes atomic.Int64
 }
 
 // SetProbe installs (or, with nil, removes) the internal fault probe.
@@ -73,63 +68,27 @@ func (x *Exchange) fireProbe(point, table string) {
 	}
 }
 
-// New wires an exchange over the two engines. The OLTP engine keeps socket
-// oltpSocket, the OLAP engine olapSocket.
-func New(ledger *topology.Ledger, model *costmodel.Model, ol *oltp.Engine, oa *olap.Engine, oltpSocket, olapSocket int) *Exchange {
-	return &Exchange{
-		Ledger:     ledger,
-		Model:      model,
-		OLTP:       ol,
-		OLAP:       oa,
-		OLTPSocket: oltpSocket,
-		OLAPSocket: olapSocket,
-		replicas:   map[string]*columnar.Replica{},
-		latches:    map[string]*sync.RWMutex{},
-	}
+// New wires an exchange over the OLTP engine's tables. The OLTP engine
+// keeps socket oltpSocket, the OLAP engine olapSocket.
+func New(ol *oltp.Engine, oltpSocket, olapSocket int) *Exchange {
+	return &Exchange{OLTP: ol, OLTPSocket: oltpSocket, OLAPSocket: olapSocket}
 }
 
-// latch returns (creating on first use) the table's scan latch.
-func (x *Exchange) latch(table string) *sync.RWMutex {
-	x.latchMu.Lock()
-	defer x.latchMu.Unlock()
-	l := x.latches[table]
-	if l == nil {
-		l = new(sync.RWMutex)
-		x.latches[table] = l
-	}
-	return l
-}
-
-// BeginScan registers an in-flight analytical scan over the table's
+// BeginScan registers an in-flight analytical scan over the named table's
 // snapshot instance and replica, and returns the release function. While
 // held, the table's instance cannot be re-activated-and-synced and its
 // replica's updated rows cannot be overwritten by ETL, so the scan's
 // non-atomic block reads stay race-free even for update workloads.
 func (x *Exchange) BeginScan(table string) func() {
-	l := x.latch(table)
+	l := &x.OLTP.Table(table).ScanLatch
 	l.RLock()
 	return l.RUnlock
-}
-
-// Replica returns (creating on first use) the OLAP instance of a table.
-func (x *Exchange) Replica(h *oltp.TableHandle) *columnar.Replica {
-	name := h.Table().Schema().Name
-	x.mu.Lock()
-	defer x.mu.Unlock()
-	r := x.replicas[name]
-	if r == nil {
-		r = columnar.NewReplica(h.Table())
-		x.replicas[name] = r
-	}
-	return r
 }
 
 // Snapshot is one table's consistent snapshot after an instance switch.
 type Snapshot struct {
 	Handle *oltp.TableHandle
 	Inst   *columnar.Instance
-	// InstIndex is the snapshot's instance number (0 or 1).
-	InstIndex int
 	// Rows is the snapshot row count.
 	Rows int64
 	// SwitchTS is the transaction-manager clock at the switch; rows with a
@@ -139,20 +98,20 @@ type Snapshot struct {
 
 // SnapshotSet is the outcome of switching every requested table.
 type SnapshotSet struct {
-	Snaps map[string]*Snapshot
+	// Snaps holds one snapshot per table, in the order they were switched.
+	Snaps []Snapshot
 	// CopiedRows is how many records the twin-instance sync propagated.
 	CopiedRows int64
-	// SyncSeconds is the modeled duration of the sync ("negligible ...
-	// around 10ms to sync around 1 million modified tuples", §3.4).
-	SyncSeconds float64
 }
 
 // Snap returns the snapshot for a table name, or nil.
 func (s *SnapshotSet) Snap(name string) *Snapshot {
-	if s == nil {
-		return nil
+	for i := range s.Snaps {
+		if s.Snaps[i].Handle.Table().Schema().Name == name {
+			return &s.Snaps[i]
+		}
 	}
-	return s.Snaps[name]
+	return nil
 }
 
 // SwitchAndSync instructs the OLTP engine to switch the active instance of
@@ -177,7 +136,7 @@ func (x *Exchange) switchAndSync(tables []*oltp.TableHandle, recordLocks bool) *
 	// overlapping snapshots and race the twin synchronization.
 	x.exchangeMu.Lock()
 	defer x.exchangeMu.Unlock()
-	set := &SnapshotSet{Snaps: make(map[string]*Snapshot, len(tables))}
+	set := &SnapshotSet{Snaps: make([]Snapshot, 0, len(tables))}
 	locks := x.OLTP.Manager().Locks()
 	for _, h := range tables {
 		func() {
@@ -187,9 +146,8 @@ func (x *Exchange) switchAndSync(tables []*oltp.TableHandle, recordLocks bool) *
 			// and the sync below write into it — wait for those scans to
 			// drain. Insert-only tables switch without waiting.
 			if t.UpdateCount() > 0 {
-				lat := x.latch(t.Schema().Name)
-				lat.Lock()
-				defer lat.Unlock()
+				h.ScanLatch.Lock()
+				defer h.ScanLatch.Unlock()
 			}
 			ts := x.OLTP.Manager().Now()
 			sw := t.Switch()
@@ -205,25 +163,16 @@ func (x *Exchange) switchAndSync(tables []*oltp.TableHandle, recordLocks bool) *
 			}
 			copied := t.SyncTo(sw.SnapshotIndex, lock)
 			set.CopiedRows += int64(copied)
-			set.SyncSeconds += x.Model.SyncTime(int64(copied), sw.SnapshotRows)
-			if h.Sec != nil {
-				// Bring secondary indexes up to the switch boundary while
-				// the exclusive latch still fences analytical scans.
-				h.Sec.Refresh()
-			}
-			set.Snaps[t.Schema().Name] = &Snapshot{
-				Handle:    h,
-				Inst:      sw.Snapshot,
-				InstIndex: sw.SnapshotIndex,
-				Rows:      sw.SnapshotRows,
-				SwitchTS:  ts,
-			}
+			set.Snaps = append(set.Snaps, Snapshot{
+				Handle:   h,
+				Inst:     sw.Snapshot,
+				Rows:     sw.SnapshotRows,
+				SwitchTS: ts,
+			})
 		}()
 	}
-	x.mu.Lock()
-	x.switches++
-	x.syncedRows += set.CopiedRows
-	x.mu.Unlock()
+	x.switches.Add(1)
+	x.syncedRows.Add(set.CopiedRows)
 	return set
 }
 
@@ -232,9 +181,6 @@ type ETLResult struct {
 	Bytes        int64
 	UpdatedRows  int64
 	InsertedRows int64
-	// Seconds is the modeled copy duration using the OLAP engine's cores
-	// over the interconnect (§3.4 S2).
-	Seconds float64
 }
 
 // ETL copies the fresh delta of every snapshotted table into its OLAP
@@ -244,9 +190,10 @@ type ETLResult struct {
 // ETL rather than lost.
 func (x *Exchange) ETL(set *SnapshotSet) ETLResult {
 	var res ETLResult
-	for _, snap := range set.Snaps {
+	for i := range set.Snaps {
+		snap := &set.Snaps[i]
 		t := snap.Handle.Table()
-		rep := x.Replica(snap.Handle)
+		rep := snap.Handle.Replica
 		repRows := rep.Rows()
 		if t.UpdateCount() > 0 {
 			// CopyRow overwrites replica rows below the watermark that a
@@ -254,9 +201,8 @@ func (x *Exchange) ETL(set *SnapshotSet) ETLResult {
 			// out. Insert-only tables only append past every scan's
 			// watermark and need no exclusion.
 			func() {
-				lat := x.latch(t.Schema().Name)
-				lat.Lock()
-				defer lat.Unlock()
+				snap.Handle.ScanLatch.Lock()
+				defer snap.Handle.ScanLatch.Unlock()
 				res.addUpdates(snap, t, rep, repRows)
 			}()
 		} else {
@@ -267,21 +213,16 @@ func (x *Exchange) ETL(set *SnapshotSet) ETLResult {
 			res.Bytes += rep.CopyInserts(snap.Inst, repRows, snap.Rows)
 			res.InsertedRows += snap.Rows - repRows
 		}
-		if snap.Handle.Sec != nil {
-			// ETL batch boundary: extend built secondary indexes over the
-			// rows the replica just absorbed.
-			snap.Handle.Sec.Refresh()
-		}
 	}
-	res.Seconds = x.Model.ETLTime(res.Bytes, x.Ledger.Count(x.OLAPSocket, topology.OLAP))
-	x.mu.Lock()
-	x.etlBytes += res.Bytes
-	x.mu.Unlock()
+	x.etlBytes.Add(res.Bytes)
 	return res
 }
 
 // addUpdates drains the table's update-indication bits, copying eligible
-// updated rows into the replica (the in-place half of the delta-ETL).
+// updated rows into the replica (the in-place half of the delta-ETL). A
+// bit at or above the replica watermark belongs to a row updated before
+// its first ETL: it is cleared without a copy, the insert copy carries the
+// row.
 func (res *ETLResult) addUpdates(snap *Snapshot, t *columnar.Table, rep *columnar.Replica, repRows int64) {
 	bits := t.DirtyOLAP()
 	bits.ForEachSet(func(i int) {
@@ -335,55 +276,40 @@ func (x *Exchange) MeasureFreshness(tables []*oltp.TableHandle, factTable string
 	var f Freshness
 	var totalRows, freshRows int64
 	for _, h := range tables {
-		fresh, rows, updated := x.tableFresh(h)
-		f.Nft += fresh * h.Table().Schema().RowBytes()
-		totalRows += rows
+		st := h.Fresh()
+		fresh := st.FreshRows()
+		schema := h.Table().Schema()
+		f.Nft += fresh * schema.RowBytes()
+		totalRows += st.Rows
 		freshRows += fresh
-		if h.Table().Schema().Name == factTable {
+		if schema.Name == factTable {
 			f.QueryFreshRows = fresh
-			f.QueryUpdatedRows = updated
-			f.Nfq = fresh * h.Table().Schema().RowBytes()
+			f.QueryUpdatedRows = st.UpdatedRows
+			f.Nfq = fresh * schema.RowBytes()
 			f.NfqColumns = fresh * int64(nCols) * columnar.WordBytes
 		}
 	}
-	f.Rate = freshRate(freshRows, totalRows)
+	f.Rate = FreshRate(freshRows, totalRows)
 	return f
 }
 
-// tableFresh measures one table against its replica: the fresh rows
-// (updated + inserted since the replica watermark), the table's total
-// rows, and the updated subset — the shared ingredient of every
-// freshness probe, so the system-wide and per-table measures can never
-// drift apart.
-func (x *Exchange) tableFresh(h *oltp.TableHandle) (fresh, rows, updated int64) {
-	st := h.Table().FreshSince(x.Replica(h).Rows())
-	return st.UpdatedRows + st.InsertedRows, st.Rows, st.UpdatedRows
-}
-
-// freshRate is the freshness-rate metric over a row population: the
+// FreshRate is the freshness-rate metric over a row population: the
 // share of replica-identical tuples, 1 for an empty population.
-func freshRate(fresh, rows int64) float64 {
+func FreshRate(fresh, rows int64) float64 {
 	if rows > 0 {
 		return float64(rows-fresh) / float64(rows)
 	}
 	return 1
 }
 
-// TableFreshness measures one table's freshness in isolation: the rate
-// of replica-identical tuples over the table's total tuples, and the
-// full-row fresh bytes an ETL of just this table would copy. Workloads
-// that never touch orderline (payment-only mixes, custom fact tables)
-// read their real staleness here instead of a system-wide blend.
+// TableFreshness measures one table's freshness in isolation — the
+// measure above over that table alone: the rate of replica-identical
+// tuples over the table's total tuples, and as Nfq and Nft the full-row
+// fresh bytes an ETL of just this table would copy. Workloads that never
+// touch orderline (payment-only mixes, custom fact tables) read their
+// real staleness here instead of a system-wide blend.
 func (x *Exchange) TableFreshness(h *oltp.TableHandle) Freshness {
-	fresh, rows, updated := x.tableFresh(h)
-	bytes := fresh * h.Table().Schema().RowBytes()
-	return Freshness{
-		Nfq:              bytes,
-		Nft:              bytes,
-		QueryFreshRows:   fresh,
-		QueryUpdatedRows: updated,
-		Rate:             freshRate(fresh, rows),
-	}
+	return x.MeasureFreshness([]*oltp.TableHandle{h}, h.Table().Schema().Name, 0)
 }
 
 // AccessMethod selects how a query reads its fact table.
@@ -421,7 +347,7 @@ func (m AccessMethod) String() string {
 // both engines access memory allocated by the OLTP engine.
 func (x *Exchange) SourceFor(method AccessMethod, snap *Snapshot) olap.Source {
 	t := snap.Handle.Table()
-	rep := x.Replica(snap.Handle)
+	rep := snap.Handle.Replica
 	switch method {
 	case ReadReplica:
 		return olap.Source{Table: t, Parts: []olap.Part{
@@ -455,7 +381,5 @@ func (x *Exchange) SourceFor(method AccessMethod, snap *Snapshot) olap.Source {
 
 // Counters reports lifetime statistics.
 func (x *Exchange) Counters() (switches, syncedRows, etlBytes int64) {
-	x.mu.Lock()
-	defer x.mu.Unlock()
-	return x.switches, x.syncedRows, x.etlBytes
+	return x.switches.Load(), x.syncedRows.Load(), x.etlBytes.Load()
 }

@@ -6,26 +6,14 @@ import (
 
 	"elastichtap/internal/ch"
 	"elastichtap/internal/columnar"
-	"elastichtap/internal/costmodel"
-	"elastichtap/internal/olap"
 	"elastichtap/internal/oltp"
-	"elastichtap/internal/topology"
 )
 
 func newExchange(t *testing.T) (*Exchange, *ch.DB) {
 	t.Helper()
-	topo := topology.DefaultConfig()
-	ledger, err := topology.NewLedger(topo)
-	if err != nil {
-		t.Fatal(err)
-	}
-	ledger.AssignSocket(0, topology.OLTP)
-	ledger.AssignSocket(1, topology.OLAP)
-	model := costmodel.New(topo, costmodel.DefaultParams())
 	engine := oltp.NewEngine()
 	db := ch.Load(engine, ch.TinySizing(), 1)
-	x := New(ledger, model, engine, olap.NewEngine(topo.Sockets), 0, 1)
-	return x, db
+	return New(engine, 0, 1), db
 }
 
 func TestSwitchAndSyncProducesConsistentSnapshot(t *testing.T) {
@@ -59,9 +47,6 @@ func TestSwitchAndSyncProducesConsistentSnapshot(t *testing.T) {
 			}
 		}
 	}
-	if set2.SyncSeconds <= 0 {
-		t.Fatal("sync must cost simulated time")
-	}
 }
 
 func TestETLMakesReplicaFresh(t *testing.T) {
@@ -72,7 +57,7 @@ func TestETLMakesReplicaFresh(t *testing.T) {
 	if res.Bytes == 0 || res.InsertedRows == 0 {
 		t.Fatalf("initial ETL copied nothing: %+v", res)
 	}
-	rep := x.Replica(db.OrderLine)
+	rep := db.OrderLine.Replica
 	if rep.Rows() != db.OrderLine.Table().Rows() {
 		t.Fatalf("replica rows = %d, want %d", rep.Rows(), db.OrderLine.Table().Rows())
 	}
@@ -111,7 +96,7 @@ func TestETLPropagatesUpdates(t *testing.T) {
 		t.Fatal("ETL propagated no updated rows")
 	}
 	// The warehouse replica now matches the snapshot for row 1 (w=2).
-	rep := x.Replica(db.Warehouse)
+	rep := db.Warehouse.Replica
 	snap := set.Snap(ch.TWarehouse)
 	for r := int64(0); r < snap.Rows; r++ {
 		if !rep.EqualRow(snap.Inst, r) {
@@ -171,7 +156,7 @@ func TestSourceForMethods(t *testing.T) {
 	}
 	set = x.SwitchAndSync(tables)
 	snap := set.Snap(ch.TOrderLine)
-	repRows := x.Replica(db.OrderLine).Rows()
+	repRows := db.OrderLine.Replica.Rows()
 
 	replica := x.SourceFor(ReadReplica, snap)
 	if len(replica.Parts) != 1 || replica.Parts[0].Socket != 1 || replica.Parts[0].Hi != repRows {
@@ -203,8 +188,7 @@ func TestETLPreservesPostSnapshotBits(t *testing.T) {
 	wt := db.Warehouse.Table()
 	wt.UpdateCell(0, ch.WYtd, columnar.EncodeFloat(777), db.Engine.Manager().Now()+100)
 	x.ETL(set)
-	st := wt.FreshSince(x.Replica(db.Warehouse).Rows())
-	if st.UpdatedRows != 1 {
+	if st := db.Warehouse.Fresh(); st.UpdatedRows != 1 {
 		t.Fatalf("post-snapshot update lost: fresh updated = %d", st.UpdatedRows)
 	}
 }

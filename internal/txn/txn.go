@@ -368,6 +368,8 @@ func (t *Txn) Commit() error {
 	} else {
 		t.apply(commitTS)
 	}
+	// Inside the gate, so a CommitBarrier sees every logged commit counted.
+	t.m.commits.Add(1)
 	t.m.gate.RUnlock()
 	t.end(statusCommitted)
 	return syncErr
@@ -483,7 +485,7 @@ func (t *Txn) Abort() {
 	}
 }
 
-// end releases every lock, leaves the active set and counts the outcome.
+// end releases every lock, leaves the active set and counts an abort.
 func (t *Txn) end(status txnStatus) {
 	for _, k := range t.held {
 		t.m.locks.Release(k)
@@ -493,9 +495,7 @@ func (t *Txn) end(status txnStatus) {
 	t.m.mu.Lock()
 	t.m.active[t.slot] = 0
 	t.m.mu.Unlock()
-	if status == statusCommitted {
-		t.m.commits.Add(1)
-	} else {
+	if status == statusAborted {
 		t.m.aborts.Add(1)
 	}
 }

@@ -1,6 +1,7 @@
 package txn
 
 import (
+	"sync"
 	"testing"
 
 	"elastichtap/internal/wal"
@@ -132,4 +133,54 @@ func TestCommitSyncFailureStillApplies(t *testing.T) {
 	if v, _ := check.Read(ref, 0, 1); v != 5 {
 		t.Fatalf("sync-failed commit not visible: %d", v)
 	}
+}
+
+// TestCommitBarrierSeesLoggedCommitsCounted: inside a CommitBarrier the
+// commit counter covers exactly the records the log holds — a checkpoint
+// captures both there, and recovery adds the replayed suffix to the count.
+// A commit counted only after it left the gate would be in the log, and so
+// not replayed, yet missing from the captured count.
+func TestCommitBarrierSeesLoggedCommitsCounted(t *testing.T) {
+	m, ref := newTestTable(t, 4)
+	l, err := wal.Open(wal.NewMemFS(), "wal.log", wal.SyncNever, 0, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	m.SetWAL(l)
+	stop := make(chan struct{})
+	var wg sync.WaitGroup
+	for g := 0; g < 4; g++ {
+		wg.Add(1)
+		go func(row int64) {
+			defer wg.Done()
+			for v := int64(0); ; v++ {
+				select {
+				case <-stop:
+					return
+				default:
+				}
+				tx := m.Begin()
+				if err := tx.Write(ref, row, 1, v); err != nil {
+					t.Errorf("write: %v", err)
+					return
+				}
+				if err := tx.Commit(); err != nil {
+					t.Errorf("commit: %v", err)
+					return
+				}
+			}
+		}(int64(g))
+	}
+	for i := 0; i < 2000; i++ {
+		m.CommitBarrier(func() {
+			if appends, _, _ := l.Stats(); m.Commits() != uint64(appends) {
+				t.Errorf("barrier %d: %d commits counted, log holds %d records", i, m.Commits(), appends)
+			}
+		})
+		if t.Failed() {
+			break
+		}
+	}
+	close(stop)
+	wg.Wait()
 }

@@ -141,7 +141,10 @@ func (s *System) QueryInStateContext(ctx context.Context, q Query, st State) (Qu
 }
 
 // QueryBatchContext executes a batch of queries over one shared snapshot
-// with a single ETL (the paper's query-batch class, §2.3/§4.2). The
+// with a single ETL (the paper's query-batch class, §2.3/§4.2): the first
+// member switches the active instances and every later one is handed the
+// snapshot set the first returned, which is the whole request to reuse
+// it. The
 // context is checked before each member and during each execution; on
 // cancellation the reports of the queries that completed are returned
 // alongside the error.
@@ -152,11 +155,7 @@ func (s *System) QueryBatchContext(ctx context.Context, qs []Query) ([]QueryRepo
 	var out []QueryReport
 	var set *rde.SnapshotSet
 	for _, q := range qs {
-		opt := core.QueryOptions{Batch: true}
-		if set != nil {
-			opt.SkipSwitch = true
-		}
-		rep, next, err := s.inner.RunQueryContext(ctx, q, opt, set)
+		rep, next, err := s.inner.RunQueryContext(ctx, q, core.QueryOptions{Batch: true}, set)
 		if err != nil {
 			return out, err
 		}
