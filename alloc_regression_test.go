@@ -6,8 +6,10 @@ import (
 	"testing"
 
 	"elastichtap/internal/ch"
+	"elastichtap/internal/core"
 	"elastichtap/internal/olap"
 	"elastichtap/internal/oltp"
+	"elastichtap/internal/rde"
 	"elastichtap/internal/topology"
 	"elastichtap/internal/wal"
 	"elastichtap/query"
@@ -271,5 +273,32 @@ func TestAdmitAllocBudget(t *testing.T) {
 	// snapshot pointers per switch and a copied table list).
 	if got := float64(allocs) / n; got > 2.5 {
 		t.Fatalf("admission allocates %.1f objects per query, budget 2.5", got)
+	}
+}
+
+// TestSteadyStateMigrateZeroAllocs pins the scheduler's share of a query
+// that stays in the state the last one left: decide, re-enter the state
+// (both pools see the placement they already have) and read the cut the
+// cost model charges allocate nothing — the published placements are kept,
+// not recounted. Migrating away and back is what allocates (one slice per
+// engine).
+func TestSteadyStateMigrateZeroAllocs(t *testing.T) {
+	sys, err := core.NewSystem(core.DefaultSystemConfig())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer sys.Close()
+	fresh := rde.Freshness{Nfq: 10, Nft: 1000}
+	sys.Sched.MigrateTo(sys.Sched.Decide(fresh, false))
+	var cores int
+	if got := testing.AllocsPerRun(200, func() {
+		sys.Sched.MigrateTo(sys.Sched.Decide(fresh, false))
+		_, oltpP, olapP := sys.Sched.Placements()
+		cores = oltpP.Total() + olapP.Total()
+	}); got != 0 {
+		t.Fatalf("re-entering a state allocates %.1f objects, want 0", got)
+	}
+	if st := sys.Sched.State(); st != core.S3NI || cores != 28 {
+		t.Fatalf("steady state %v with %d cores, want S3-NI with 28", st, cores)
 	}
 }

@@ -1,12 +1,12 @@
 // Package elastichtap's benchmark suite regenerates every table and figure
-// of the paper's evaluation (DESIGN.md §5 maps IDs to artifacts). Each
+// of the paper's evaluation (README "Reproduction harness"). Each
 // benchmark runs the corresponding experiment once per iteration and
 // reports its headline quantity as custom metrics, so
 //
 //	go test -bench=. -benchmem
 //
 // doubles as the reproduction harness. The chbench command prints the full
-// row sets; EXPERIMENTS.md records paper-versus-measured values.
+// row sets.
 package elastichtap
 
 import (
@@ -167,7 +167,7 @@ func BenchmarkConvergence(b *testing.B) {
 	}
 }
 
-// --- Ablation benches (DESIGN.md §6) ---
+// --- Ablation benches ---
 
 // BenchmarkAblationAlpha sweeps the ETL sensitivity α: smaller α must ETL
 // more eagerly (more S2 decisions).
@@ -845,7 +845,6 @@ func BenchmarkInstanceSwitch(b *testing.B) {
 	}
 	db := ch.Load(sys.OLTPE, ch.TinySizing(), 1)
 	sys.OLTPE.Workers().SetWorkload(ch.NewMix(db, 30, 1))
-	sys.ApplyPlacements()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		sys.InjectTransactions(50)
@@ -949,7 +948,7 @@ func BenchmarkAdmit(b *testing.B) {
 }
 
 // BenchmarkCuckooVsMap compares the cuckoo index against the stdlib map
-// baseline (DESIGN.md §6); see also internal/cuckoo benchmarks.
+// baseline; see also internal/cuckoo benchmarks.
 func BenchmarkCuckooVsMap(b *testing.B) {
 	e := oltp.NewEngine()
 	db := ch.Load(e, ch.SizingForScale(0.01), 1)

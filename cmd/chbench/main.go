@@ -8,8 +8,8 @@
 //	chbench -fig 5a -sequences 100
 //	chbench -fig all -timeout 10m
 //
-// Output is one text table per artifact; EXPERIMENTS.md records the
-// expected shapes next to the paper's numbers. -timeout bounds the whole
+// Output is one text table per artifact; internal/experiments'
+// tests pin the expected shapes. -timeout bounds the whole
 // run: an expired deadline abandons the in-flight artifact and exits
 // non-zero instead of hanging a CI job.
 package main

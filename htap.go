@@ -11,13 +11,17 @@
 //     dispatch and cross-socket work stealing — running morsel-parallel
 //     columnar scans with pluggable access paths (contiguous, split
 //     fresh/cold);
-//   - an RDE (Resource and Data Exchange) engine that owns cores and
-//     memory, switches the OLTP active instance, synchronizes the twins,
-//     and ETLs fresh deltas into the OLAP replicas.
+//   - an RDE (Resource and Data Exchange) engine that exchanges data —
+//     it switches the OLTP active instance, synchronizes the twins and
+//     ETLs fresh deltas into the OLAP replicas — and resources: how many
+//     cores each engine has on each socket.
 //
 // A freshness-driven scheduler (the paper's Algorithms 1 and 2) migrates
 // the system between states S1 (co-located), S2 (isolated + ETL), S3-IS
-// (hybrid isolated) and S3-NI (hybrid non-isolated) per query.
+// (hybrid isolated) and S3-NI (hybrid non-isolated) per query. A state's
+// core assignment is a per-socket count for each engine, a pure function
+// of the state and the administrator's thresholds; a migration computes
+// it and resizes both worker pools in one step.
 //
 // The public surface is a session API in the shape Go database clients
 // expect — contexts everywhere, asynchronous submission, and prepared
@@ -142,8 +146,9 @@ type options struct {
 // with a descriptive error instead of being silently ignored.
 type Option func(*options)
 
-// WithTopology sets the modeled machine: socket count and cores per
-// socket. The default is the paper's 2x14-core server.
+// WithTopology sets the modeled machine: socket count (at least two, one
+// home socket per engine) and cores per socket. The default is the paper's
+// 2x14-core server.
 func WithTopology(sockets, coresPerSocket int) Option {
 	return func(o *options) { o.sockets, o.coresPerSocket = &sockets, &coresPerSocket }
 }
@@ -237,8 +242,8 @@ func New(opts ...Option) (*System, error) {
 
 	sysCfg := core.DefaultSystemConfig()
 	if o.sockets != nil {
-		if *o.sockets < 1 {
-			return nil, fmt.Errorf("elastichtap: WithTopology sockets %d, need >= 1", *o.sockets)
+		if *o.sockets < 2 {
+			return nil, fmt.Errorf("elastichtap: WithTopology sockets %d, need >= 2: the engines are homed on sockets 0 and 1", *o.sockets)
 		}
 		sysCfg.Topology.Sockets = *o.sockets
 	}

@@ -190,6 +190,7 @@ func TestFacadeOptionValidation(t *testing.T) {
 		{"alpha-high", WithAlpha(1.5), "WithAlpha"},
 		{"alpha-negative", WithAlpha(-0.1), "WithAlpha"},
 		{"topology", WithTopology(0, 14), "WithTopology"},
+		{"one-socket", WithTopology(1, 8), "WithTopology"}, // no second home socket: an error here, not a panic at the first hybrid migration
 		{"bandwidth", WithBandwidth(-1, 1), "WithBandwidth"},
 		{"elastic-cores", WithElasticCores(-1), "WithElasticCores"},
 		{"byte-scale", WithByteScale(0), "byte scale"},

@@ -7,7 +7,6 @@ import (
 
 	"elastichtap/internal/ch"
 	"elastichtap/internal/rde"
-	"elastichtap/internal/topology"
 )
 
 func newTestSystem(t *testing.T) (*System, *ch.DB) {
@@ -19,7 +18,6 @@ func newTestSystem(t *testing.T) (*System, *ch.DB) {
 	}
 	db := ch.Load(sys.OLTPE, ch.TinySizing(), 1)
 	sys.OLTPE.Workers().SetWorkload(ch.NewMix(db, 0, 1))
-	sys.ApplyPlacements()
 	return sys, db
 }
 
@@ -29,10 +27,11 @@ func TestBootstrapIsS2(t *testing.T) {
 		t.Fatalf("boot state = %v, want S2", sys.Sched.State())
 	}
 	// Each engine owns one full socket (§5.1).
-	if got := sys.Ledger.Count(0, topology.OLTP); got != 14 {
+	_, oltpP, olapP := sys.Sched.Placements()
+	if got := oltpP.On(0); got != 14 {
 		t.Fatalf("OLTP cores on socket 0 = %d", got)
 	}
-	if got := sys.Ledger.Count(1, topology.OLAP); got != 14 {
+	if got := olapP.On(1); got != 14 {
 		t.Fatalf("OLAP cores on socket 1 = %d", got)
 	}
 }
@@ -42,19 +41,19 @@ func TestMigrationsConserveCoresAndRespectFloors(t *testing.T) {
 	total := sys.Cfg.Topology.TotalCores()
 	for _, st := range []State{S1, S2, S3IS, S3NI, S1, S3NI, S2} {
 		sys.Sched.MigrateTo(st)
-		oltp := sys.Ledger.CountTotal(topology.OLTP)
-		olap := sys.Ledger.CountTotal(topology.OLAP)
+		_, oltpP, olapP := sys.Sched.Placements()
+		oltp, olap := oltpP.Total(), olapP.Total()
 		if oltp+olap != total {
 			t.Fatalf("state %v: %d+%d != %d cores", st, oltp, olap, total)
 		}
 		floor := sys.Sched.Config().OLTPCpuThres[0]
 		switch st {
 		case S1, S3NI:
-			if got := sys.Ledger.Count(0, topology.OLTP); got < floor {
+			if got := oltpP.On(0); got < floor {
 				t.Fatalf("state %v: OLTP below floor: %d < %d", st, got, floor)
 			}
 		case S2, S3IS:
-			if got := sys.Ledger.Count(0, topology.OLTP); got != 14 {
+			if got := oltpP.On(0); got != 14 {
 				t.Fatalf("state %v: OLTP should own its socket, has %d", st, got)
 			}
 		}
@@ -65,10 +64,11 @@ func TestMigrateS1TradesCores(t *testing.T) {
 	sys, _ := newTestSystem(t)
 	sys.Sched.MigrateTo(S1)
 	k := sys.Sched.Config().ElasticCores
-	if got := sys.Ledger.Count(0, topology.OLAP); got != k {
+	_, oltpP, olapP := sys.Sched.Placements()
+	if got := olapP.On(0); got != k {
 		t.Fatalf("OLAP cores on OLTP socket = %d, want %d", got, k)
 	}
-	if got := sys.Ledger.Count(1, topology.OLTP); got != k {
+	if got := oltpP.On(1); got != k {
 		t.Fatalf("OLTP cores on OLAP socket = %d, want %d (trade)", got, k)
 	}
 }
@@ -77,13 +77,14 @@ func TestMigrateS3NILendsWithoutTrading(t *testing.T) {
 	sys, _ := newTestSystem(t)
 	sys.Sched.MigrateTo(S3NI)
 	k := sys.Sched.Config().ElasticCores
-	if got := sys.Ledger.Count(0, topology.OLAP); got != k {
+	_, oltpP, olapP := sys.Sched.Placements()
+	if got := olapP.On(0); got != k {
 		t.Fatalf("borrowed cores = %d, want %d", got, k)
 	}
-	if got := sys.Ledger.Count(1, topology.OLTP); got != 0 {
+	if got := oltpP.On(1); got != 0 {
 		t.Fatalf("OLTP must not receive OLAP-socket cores in S3-NI, has %d", got)
 	}
-	if got := sys.Ledger.Count(1, topology.OLAP); got != 14 {
+	if got := olapP.On(1); got != 14 {
 		t.Fatalf("OLAP socket cores = %d", got)
 	}
 }

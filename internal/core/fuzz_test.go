@@ -44,7 +44,8 @@ func TestFuzzRandomScheduleEquivalence(t *testing.T) {
 		lastCount = count
 
 		total := sys.Cfg.Topology.TotalCores()
-		if got := sys.Sched.OLTPPlacement().Total() + sys.Sched.OLAPPlacement().Total(); got != total {
+		_, oltpP, olapP := sys.Sched.Placements()
+		if got := oltpP.Total() + olapP.Total(); got != total {
 			t.Fatalf("step %d: cores leaked: %d != %d", step, got, total)
 		}
 		if rep.ResponseSeconds < 0 || rep.ETLSeconds < 0 {

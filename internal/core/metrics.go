@@ -5,20 +5,19 @@ import (
 
 	"elastichtap/internal/metrics"
 	"elastichtap/internal/rde"
-	"elastichtap/internal/topology"
 )
 
 // Metrics collects a consistent observability snapshot from every engine.
 func (s *System) Metrics() metrics.Snapshot {
+	st, oltpP, olapP := s.Sched.Placements()
 	snap := metrics.Snapshot{
 		Commits:      s.OLTPE.Manager().Commits(),
 		Aborts:       s.OLTPE.Manager().Aborts(),
-		WorkerCount:  s.OLTPE.Workers().Placement().Total(),
 		Retried:      s.OLTPE.Workers().Retried(),
 		Failed:       s.OLTPE.Workers().Failed(),
-		State:        s.Sched.State().String(),
-		OLTPCores:    s.Ledger.CountTotal(topology.OLTP),
-		OLAPCores:    s.Ledger.CountTotal(topology.OLAP),
+		State:        st.String(),
+		OLTPCores:    oltpP.Total(),
+		OLAPCores:    olapP.Total(),
 		OLAPPoolSize: s.OLAPE.PoolSize(),
 	}
 	// MinActive first: the clock only moves forward, so the difference

@@ -4,119 +4,60 @@ import (
 	"elastichtap/internal/topology"
 )
 
-// Algorithm 1 — State Migration. Each function redistributes cores on the
-// ledger; enforcement (resizing the engine worker pools) happens in the
-// runner after migration. The administrator thresholds OLTPSockThres and
-// OLTPCpuThres bound how much compute can be revoked from the OLTP engine.
-
-// migrateS1 trades `elastic` cores between the sockets: the OLTP engine
-// cedes that many data-local cores to OLAP and receives the same number on
-// the OLAP socket, never dropping below the per-socket CPU floor.
+// layout is Algorithm 1 — State Migration — as a function of its inputs:
+// the cores each engine holds on each socket in state st. It has no
+// failing case for sockets inside the topology (NewScheduler checks them
+// once), and it does not depend on the state migrated from, so a candidate
+// state can be laid out, and priced, without migrating to it. The
+// administrator thresholds OLTPSockThres and OLTPCpuThres bound how much
+// compute can be revoked from the OLTP engine.
 //
-//htap:locked mu
-func (s *Scheduler) migrateS1(elastic int) {
-	cfg := s.ledger.Config()
-	oltpS, olapS := s.oltpSocket, s.olapSocket
-	x := elastic
-	if floor := s.cfg.cpuFloor(oltpS, cfg.CoresPerSocket); cfg.CoresPerSocket-x < floor {
-		x = cfg.CoresPerSocket - floor
-	}
-	if x < 0 {
-		x = 0
-	}
-	s.assignSplit(oltpS, cfg.CoresPerSocket-x, topology.OLTP, topology.OLAP)
-	s.assignSplit(olapS, x, topology.OLTP, topology.OLAP)
-	s.fillOtherSockets()
-}
-
-// migrateS2 gives each engine whole sockets per the administrator policy:
-// the OLTP engine keeps OLTPSockThres sockets (at least its home socket),
-// the OLAP engine receives the rest.
-//
-//htap:locked mu
-func (s *Scheduler) migrateS2() {
-	sockets := s.ledger.Config().Sockets
-	granted := 0
-	for d := 0; d < sockets; d++ {
-		// Grant OLTP its home socket first, then ascending others.
-		sock := (s.oltpSocket + d) % sockets
-		if granted < s.cfg.OLTPSockThres {
-			s.mustAssignSocket(sock, topology.OLTP)
-			granted++
-		} else {
-			s.mustAssignSocket(sock, topology.OLAP)
+//htap:hotpath
+func layout(st State, cfg Config, topo topology.Config, oltpSocket, olapSocket int) (oltp, olap topology.Placement) {
+	n := topo.CoresPerSocket
+	oltp, olap = newPlacement(topo.Sockets), newPlacement(topo.Sockets)
+	if st == S2 || st == S3IS {
+		// Whole sockets per the administrator policy: the OLTP engine keeps
+		// OLTPSockThres of them, its home socket first and then ascending,
+		// and the OLAP engine receives the rest. S3-IS differs from S2 in
+		// the access path (remote or split reads), not in the layout.
+		for d := 0; d < topo.Sockets; d++ {
+			sock := (oltpSocket + d) % topo.Sockets
+			if d < cfg.OLTPSockThres {
+				oltp.PerSocket[sock] = n
+			} else {
+				olap.PerSocket[sock] = n
+			}
 		}
+		return oltp, olap
 	}
+	// S1 and S3-NI move x elastic cores, never taking the OLTP engine below
+	// its per-socket CPU floor. S3-NI lends them: OLAP gains x data-local
+	// cores on the OLTP socket and keeps its own. S1 trades them: OLTP
+	// receives the same number on the OLAP socket. Sockets beyond the
+	// engine pair (Figure 1's 4-socket machine) stay with neither engine.
+	x := min(cfg.ElasticCores, n-cfg.cpuFloor(oltpSocket, n))
+	oltp.PerSocket[oltpSocket], olap.PerSocket[oltpSocket] = n-x, x
+	olap.PerSocket[olapSocket] = n
+	if st == S1 {
+		oltp.PerSocket[olapSocket], olap.PerSocket[olapSocket] = x, n-x
+	}
+	return oltp, olap
 }
 
-// migrateS3 covers both hybrid variants: ISOLATED keeps the S2 core
-// layout (socket-level isolation, remote/split reads); NON-ISOLATED lends
-// `elastic` OLTP cores to the OLAP engine on the OLTP socket.
+// newPlacement allocates the counts a placement keeps for as long as it
+// is published: once per engine per layout, nothing per query of a phase
+// that stays in its state.
 //
-//htap:locked mu
-func (s *Scheduler) migrateS3(isolated bool, elastic int) {
-	if isolated {
-		s.migrateS2()
-		return
-	}
-	cfg := s.ledger.Config()
-	k := elastic
-	if floor := s.cfg.cpuFloor(s.oltpSocket, cfg.CoresPerSocket); cfg.CoresPerSocket-k < floor {
-		k = cfg.CoresPerSocket - floor
-	}
-	if k < 0 {
-		k = 0
-	}
-	s.assignSplit(s.oltpSocket, cfg.CoresPerSocket-k, topology.OLTP, topology.OLAP)
-	s.mustAssignSocket(s.olapSocket, topology.OLAP)
-	s.fillOtherSockets()
+//htap:coldpath
+func newPlacement(sockets int) topology.Placement {
+	return topology.Placement{PerSocket: make([]int, sockets)}
 }
 
-// assignSplit gives the first n cores of the socket to `first` and the
-// rest to `second`.
-//
-//htap:locked mu
-func (s *Scheduler) assignSplit(socket, n int, first, second topology.Engine) {
-	cfg := s.ledger.Config()
-	for i := 0; i < cfg.CoresPerSocket; i++ {
-		owner := second
-		if i < n {
-			owner = first
-		}
-		if err := s.ledger.Assign(topology.CoreID{Socket: socket, Index: i}, owner); err != nil {
-			panic(err)
-		}
-	}
-}
-
-//htap:locked mu
-func (s *Scheduler) mustAssignSocket(socket int, e topology.Engine) {
-	if err := s.ledger.AssignSocket(socket, e); err != nil {
-		panic(err)
-	}
-}
-
-// fillOtherSockets assigns sockets beyond the engine pair (4-socket
-// machines) to the OLAP engine, matching Figure 1's setup where the two
-// engines occupy two sockets and the rest idle under OLAP ownership.
-//
-//htap:locked mu
-func (s *Scheduler) fillOtherSockets() {
-	for sock := 0; sock < s.ledger.Config().Sockets; sock++ {
-		if sock != s.oltpSocket && sock != s.olapSocket {
-			s.mustAssignSocket(sock, topology.Free)
-		}
-	}
-}
-
-// cpuFloor returns the per-socket OLTP core floor.
+// cpuFloor returns the per-socket OLTP core floor, within [0, cores].
 func (c Config) cpuFloor(socket, coresPerSocket int) int {
 	if socket < len(c.OLTPCpuThres) {
-		f := c.OLTPCpuThres[socket]
-		if f > coresPerSocket {
-			return coresPerSocket
-		}
-		return f
+		return max(min(c.OLTPCpuThres[socket], coresPerSocket), 0)
 	}
 	return 0
 }

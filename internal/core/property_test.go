@@ -5,7 +5,6 @@ import (
 	"testing/quick"
 
 	"elastichtap/internal/rde"
-	"elastichtap/internal/topology"
 )
 
 // Property tests over the scheduler's pure logic: Algorithm 2's decision
@@ -67,14 +66,14 @@ func TestQuickMigrationsConserveAndFloor(t *testing.T) {
 		for _, b := range seq {
 			st := states[int(b)%len(states)]
 			sys.Sched.MigrateTo(st)
-			oltp := sys.Ledger.CountTotal(topology.OLTP)
-			olap := sys.Ledger.CountTotal(topology.OLAP)
-			if oltp+olap != total {
+			_, oltpP, olapP := sys.Sched.Placements()
+			olap := olapP.Total()
+			if oltpP.Total()+olap != total {
 				return false
 			}
 			// In co-located/lending states the per-socket floor holds.
 			if st == S1 || st == S3NI {
-				if sys.Ledger.Count(0, topology.OLTP) < fl {
+				if oltpP.On(0) < fl {
 					return false
 				}
 			}

@@ -29,8 +29,8 @@ type SystemConfig struct {
 	OLTPSocket, OLAPSocket int
 	// ByteScale multiplies measured byte counts before they reach the cost
 	// model, letting a laptop-sized database emulate the paper's SF-300
-	// timings: shapes depend on ratios, which ByteScale preserves
-	// (DESIGN.md §2). 0 means 1.
+	// timings: shapes depend on ratios, which ByteScale preserves (see
+	// package experiments, "Scale emulation"). 0 means 1.
 	ByteScale float64
 }
 
@@ -50,13 +50,12 @@ func DefaultSystemConfig() SystemConfig {
 // System is the assembled HTAP system: OLTP engine, OLAP engine, RDE
 // exchange and the adaptive scheduler, over a modeled NUMA machine.
 type System struct {
-	Cfg    SystemConfig
-	Ledger *topology.Ledger
-	Model  *costmodel.Model
-	OLTPE  *oltp.Engine
-	OLAPE  *olap.Engine
-	X      *rde.Exchange
-	Sched  *Scheduler
+	Cfg   SystemConfig
+	Model *costmodel.Model
+	OLTPE *oltp.Engine
+	OLAPE *olap.Engine
+	X     *rde.Exchange
+	Sched *Scheduler
 	// WM is the multi-tenant workload manager: every query passes through
 	// its tenant's admission queue (quotas, backpressure) before the
 	// serialized scheduling protocol, and the tenant's weight drives the
@@ -79,52 +78,36 @@ type System struct {
 }
 
 // NewSystem bootstraps a system in state S2: each engine owns its socket,
-// worker pools sized accordingly (§5.1).
+// worker pools sized accordingly (§5.1). Engines that cannot be placed —
+// a home socket outside the machine, or one socket for both — are an
+// error here, not at the first migration.
 func NewSystem(cfg SystemConfig) (*System, error) {
 	if cfg.ByteScale <= 0 {
 		cfg.ByteScale = 1
 	}
-	ledger, err := topology.NewLedger(cfg.Topology)
-	if err != nil {
-		return nil, err
-	}
-	model := costmodel.New(cfg.Topology, cfg.Params)
 	oltpE := oltp.NewEngine()
 	olapE := olap.NewEngine(cfg.Topology.Sockets)
-	sched, err := NewScheduler(cfg.Scheduler, ledger, cfg.OLTPSocket, cfg.OLAPSocket)
+	// The one site where placements reach the worker pools: every
+	// migration — the boot into S2, RunQuery's, anyone's Sched.MigrateTo —
+	// resizes both immediately, so the OLAP pool sheds or gains workers
+	// while queries are still in flight.
+	sched, err := NewScheduler(cfg.Scheduler, cfg.Topology, cfg.OLTPSocket, cfg.OLAPSocket,
+		func(oltpP, olapP topology.Placement) {
+			oltpE.Workers().SetPlacement(oltpP)
+			olapE.SetPlacement(olapP)
+		})
 	if err != nil {
 		return nil, err
 	}
-	s := &System{
-		Cfg:    cfg,
-		Ledger: ledger,
-		Model:  model,
-		OLTPE:  oltpE,
-		OLAPE:  olapE,
-		X:      rde.New(oltpE, cfg.OLTPSocket, cfg.OLAPSocket),
-		Sched:  sched,
-		WM:     workload.New(),
-	}
-	// Every migration — from RunQuery or anyone calling Sched.MigrateTo —
-	// resizes both worker pools immediately, so the OLAP pool sheds or
-	// gains workers while queries are still in flight. The callback
-	// receives the migration's own placements (and runs under the
-	// scheduler lock), so concurrent migrations apply in order.
-	sched.OnMigrate(func(_ State, oltpP, olapP topology.Placement) {
-		s.OLTPE.Workers().SetPlacement(oltpP)
-		s.OLAPE.SetPlacement(olapP)
-	})
-	s.ApplyPlacements()
-	return s, nil
-}
-
-// ApplyPlacements pushes the ledger's current core distribution into both
-// engines' worker managers (the enforcement half of Algorithm 1), as one
-// consistent snapshot.
-func (s *System) ApplyPlacements() {
-	oltpP, olapP := s.Sched.Placements()
-	s.OLTPE.Workers().SetPlacement(oltpP)
-	s.OLAPE.SetPlacement(olapP)
+	return &System{
+		Cfg:   cfg,
+		Model: costmodel.New(cfg.Topology, cfg.Params),
+		OLTPE: oltpE,
+		OLAPE: olapE,
+		X:     rde.New(oltpE, cfg.OLTPSocket, cfg.OLAPSocket),
+		Sched: sched,
+		WM:    workload.New(),
+	}, nil
 }
 
 // scale applies the byte-scale emulation factor.
@@ -272,11 +255,11 @@ func (s *System) admitQuery(ctx context.Context, q olap.Query, opt QueryOptions,
 	if opt.ForceState != nil {
 		adm.state = *opt.ForceState
 	}
-	s.Sched.MigrateTo(adm.state) // OnMigrate resizes both worker pools
-	// One consistent snapshot for all of this query's cost charging; a
-	// concurrent migration can change the layout afterwards, but can
-	// never hand the model a half-applied one.
-	adm.oltpPlace, adm.olapPlace = s.Sched.Placements()
+	s.Sched.MigrateTo(adm.state) // resizes both worker pools
+	// One cut for all of this query's cost charging; a concurrent
+	// migration can change the layout afterwards, but the model is never
+	// handed one engine's cores from before it and the other's from after.
+	_, adm.oltpPlace, adm.olapPlace = s.Sched.Placements()
 
 	if adm.state == S2 {
 		if err := ctx.Err(); err != nil { // expired before the ETL copy
@@ -442,7 +425,7 @@ func (s *System) chooseMethod(st State, fresh rde.Freshness) rde.AccessMethod {
 	case S1:
 		return rde.ReadSnapshot
 	default:
-		if s.Sched.Config().SplitAccess && fresh.QueryUpdatedRows == 0 {
+		if s.Sched.config().SplitAccess && fresh.QueryUpdatedRows == 0 {
 			return rde.ReadSplit
 		}
 		return rde.ReadSnapshot
@@ -450,11 +433,9 @@ func (s *System) chooseMethod(st State, fresh rde.Freshness) rde.AccessMethod {
 }
 
 // OLTPThroughputNow reports the modeled transactional throughput with the
-// current placement and no analytical interference. The placement is read
-// under the scheduler lock so a concurrent migration can't hand the model
-// a half-applied layout.
+// current placement and no analytical interference.
 func (s *System) OLTPThroughputNow() float64 {
-	oltpP, _ := s.Sched.Placements()
+	_, oltpP, _ := s.Sched.Placements()
 	res := s.Model.OLTPThroughput(costmodel.OLTPLoad{
 		Workers:    oltpP,
 		HomeSocket: s.Cfg.OLTPSocket,

@@ -1,6 +1,8 @@
 package core
 
 import (
+	"fmt"
+	"slices"
 	"sync"
 
 	"elastichtap/internal/rde"
@@ -8,55 +10,79 @@ import (
 )
 
 // Scheduler owns the state machine: it decides the target state per query
-// (Algorithm 2) and enforces it on the core ledger (Algorithm 1). It is
-// safe for concurrent use — queries admit and migrate from any goroutine.
+// (Algorithm 2), lays the state out as cores per engine per socket
+// (Algorithm 1, the pure layout in migrate.go) and hands each layout to
+// the engines' worker pools. It is safe for concurrent use — queries admit
+// and migrate from any goroutine.
 type Scheduler struct {
-	// ledger is the core-ownership ledger. Migrations mutate it
-	// core-by-core, so reads outside mu can observe half-applied
-	// layouts.
-	//htap:guardedby mu
-	ledger *topology.Ledger
-
+	topo                   topology.Config
 	oltpSocket, olapSocket int
+	// apply resizes the two worker pools; MigrateTo is its only caller.
+	apply func(oltp, olap topology.Placement)
 
-	mu        sync.Mutex
-	cfg       Config                                              //htap:guardedby mu
-	state     State                                               //htap:guardedby mu
-	onMigrate func(State, topology.Placement, topology.Placement) //htap:guardedby mu
+	mu    sync.Mutex
+	cfg   Config //htap:guardedby mu
+	state State  //htap:guardedby mu
+	// oltp and olap are layout(state, cfg at the last layout): immutable
+	// values, replaced whole. stale marks a cfg newer than they are.
+	oltp, olap topology.Placement //htap:guardedby mu
+	stale      bool               //htap:guardedby mu
 }
 
-// NewScheduler builds a scheduler over the ledger. The system boots in S2,
-// full isolation, each engine owning one socket (§5.1).
-func NewScheduler(cfg Config, ledger *topology.Ledger, oltpSocket, olapSocket int) (*Scheduler, error) {
+// NewScheduler builds a scheduler for the machine and boots it in S2, full
+// isolation, each engine owning one socket (§5.1). Every layout, the boot
+// one included, reaches the worker pools through apply, which runs while
+// the scheduler lock is held — concurrent migrations resize the pools in
+// migration order and can never leave one sized for a stale state — and
+// must not call back into the Scheduler. The engines' home sockets must be
+// two different sockets of the machine: that is all Algorithm 1 needs to
+// place every state, so no later migration can fail.
+func NewScheduler(cfg Config, topo topology.Config, oltpSocket, olapSocket int, apply func(oltp, olap topology.Placement)) (*Scheduler, error) {
 	if err := cfg.Validate(); err != nil {
 		return nil, err
 	}
-	s := &Scheduler{
-		cfg:        cfg,
-		ledger:     ledger,
-		oltpSocket: oltpSocket,
-		olapSocket: olapSocket,
-		state:      S2,
+	if err := topo.Validate(); err != nil {
+		return nil, err
 	}
-	s.migrateS2()
+	for _, sock := range []int{oltpSocket, olapSocket} {
+		if sock < 0 || sock >= topo.Sockets {
+			return nil, fmt.Errorf("core: engine home socket %d outside the machine's %d socket(s)", sock, topo.Sockets)
+		}
+	}
+	if oltpSocket == olapSocket {
+		return nil, fmt.Errorf("core: OLTP and OLAP engines share home socket %d; the states need two", oltpSocket)
+	}
+	cfg.OLTPCpuThres = slices.Clone(cfg.OLTPCpuThres)
+	s := &Scheduler{cfg: cfg, topo: topo, oltpSocket: oltpSocket, olapSocket: olapSocket, apply: apply, stale: true}
+	s.MigrateTo(S2)
 	return s, nil
 }
 
-// Config returns the scheduler configuration.
+// Config returns the scheduler configuration. The copy is the caller's:
+// writing its OLTPCpuThres does not reach the scheduler.
 func (s *Scheduler) Config() Config {
+	cfg := s.config()
+	cfg.OLTPCpuThres = slices.Clone(cfg.OLTPCpuThres)
+	return cfg
+}
+
+// config is Config for this package's per-query reads: it shares the
+// scheduler's OLTPCpuThres, which nobody writes once SetConfig stored it.
+func (s *Scheduler) config() Config {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	return s.cfg
 }
 
 // SetConfig replaces the configuration (experiments sweep α and the
-// elastic-core budget at runtime).
+// elastic-core budget at runtime). The next MigrateTo lays out with it.
 func (s *Scheduler) SetConfig(cfg Config) error {
 	if err := cfg.Validate(); err != nil {
 		return err
 	}
+	cfg.OLTPCpuThres = slices.Clone(cfg.OLTPCpuThres)
 	s.mu.Lock()
-	s.cfg = cfg
+	s.cfg, s.stale = cfg, true
 	s.mu.Unlock()
 	return nil
 }
@@ -66,19 +92,6 @@ func (s *Scheduler) State() State {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	return s.state
-}
-
-// OnMigrate registers a callback invoked by every MigrateTo with the new
-// state and the per-engine placements that migration produced — the hook
-// through which the engines' worker pools learn of placement changes the
-// moment they happen, mid-query included. The callback runs while the
-// scheduler lock is held, so concurrent migrations apply their layouts in
-// migration order and can never leave a pool sized for a stale state; it
-// must not call back into the Scheduler.
-func (s *Scheduler) OnMigrate(fn func(st State, oltp, olap topology.Placement)) {
-	s.mu.Lock()
-	s.onMigrate = fn
-	s.mu.Unlock()
 }
 
 // Decide implements Algorithm 2 — freshness-driven resource scheduling.
@@ -91,7 +104,7 @@ func (s *Scheduler) OnMigrate(fn func(st State, oltp, olap topology.Placement)) 
 //	    else:                             S1
 //	else:                                 S2 (ETL)
 func (s *Scheduler) Decide(f rde.Freshness, queryBatch bool) State {
-	cfg := s.Config()
+	cfg := s.config()
 	if float64(f.Nfq) < cfg.Alpha*float64(f.Nft) && !queryBatch {
 		if !cfg.Elasticity {
 			return S3IS
@@ -104,53 +117,30 @@ func (s *Scheduler) Decide(f rde.Freshness, queryBatch bool) State {
 	return S2
 }
 
-// MigrateTo enforces the target state on the ledger (Algorithm 1), records
-// it, and notifies the OnMigrate listener so the engine worker pools
-// resize immediately — running queries shed or gain workers mid-flight.
-// Migrating to the current state re-applies the layout, which is
-// idempotent.
+// MigrateTo enforces the target state (Algorithm 1): it records the state
+// with its layout and resizes the engine worker pools at once — running
+// queries shed or gain workers mid-flight. Re-entering the current state,
+// what every query of a steady phase does, keeps the published placements
+// and re-applies them, which the pools take as a no-op.
+//
+//htap:hotpath
 func (s *Scheduler) MigrateTo(st State) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	switch st {
-	case S1:
-		s.migrateS1(s.cfg.ElasticCores)
-	case S2:
-		s.migrateS2()
-	case S3IS:
-		s.migrateS3(true, 0)
-	case S3NI:
-		s.migrateS3(false, s.cfg.ElasticCores)
+	if st != s.state || s.stale {
+		s.oltp, s.olap = layout(st, s.cfg, s.topo, s.oltpSocket, s.olapSocket)
+		s.state, s.stale = st, false
 	}
-	s.state = st
-	if s.onMigrate != nil {
-		// Still under s.mu: the layout this migration wrote is applied
-		// before any later migration can overwrite it.
-		s.onMigrate(st, s.ledger.PlacementOf(topology.OLTP), s.ledger.PlacementOf(topology.OLAP))
-	}
+	// Still under s.mu: this migration's layout is applied before any
+	// later migration can replace it.
+	s.apply(s.oltp, s.olap)
 }
 
-// OLTPPlacement returns the OLTP engine's core allocation.
-func (s *Scheduler) OLTPPlacement() topology.Placement {
+// Placements returns the current state and both engines' allocations as
+// one cut: no reader can see the state of one migration with the cores of
+// another. The placements are shared, not copied — read them only.
+func (s *Scheduler) Placements() (st State, oltp, olap topology.Placement) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	return s.ledger.PlacementOf(topology.OLTP)
-}
-
-// OLAPPlacement returns the OLAP engine's core allocation.
-func (s *Scheduler) OLAPPlacement() topology.Placement {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.ledger.PlacementOf(topology.OLAP)
-}
-
-// Placements returns both engines' allocations as one consistent
-// snapshot: migrations mutate the ledger core-by-core while holding the
-// scheduler lock, so reading under the same lock can never observe a
-// half-applied layout (unlike two bare OLTPPlacement/OLAPPlacement calls
-// racing a concurrent MigrateTo).
-func (s *Scheduler) Placements() (oltp, olap topology.Placement) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.ledger.PlacementOf(topology.OLTP), s.ledger.PlacementOf(topology.OLAP)
+	return s.state, s.oltp, s.olap
 }

@@ -3,6 +3,14 @@
 // (co-located), S2 (isolated + ETL), S3-IS (hybrid, socket-isolated) and
 // S3-NI (hybrid, non-isolated) — migrates between them with Algorithm 1,
 // and picks the state per query with the freshness-driven Algorithm 2.
+//
+// This is the resource half of the paper's RDE engine (internal/rde is the
+// data half). What it exchanges is a placement — how many cores an engine
+// has on each socket — and it keeps that fact once: Algorithm 1 is the
+// pure function layout (migrate.go) of the state, the administrator's
+// thresholds and the machine; the Scheduler holds the current state with
+// both engines' placements under one mutex; and Scheduler.MigrateTo is the
+// one place a placement reaches the OLTP and OLAP worker pools.
 package core
 
 import "fmt"

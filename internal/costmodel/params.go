@@ -2,7 +2,7 @@
 // the modeled NUMA machine (internal/topology). It replaces the hardware
 // effects the paper measures directly — core pinning, per-socket DRAM
 // bandwidth, interconnect saturation, cache-coherence penalties — which the
-// Go runtime scheduler hides (see DESIGN.md §2).
+// Go runtime scheduler hides.
 //
 // The engines execute real work on real data; they feed measured byte
 // counts and placements into this model, which returns deterministic

@@ -7,7 +7,7 @@ import (
 )
 
 // The cuckoo table is the OLTP primary index (§3.2); these benchmarks
-// compare it against the obvious stdlib-map baseline (DESIGN.md §6).
+// compare it against the obvious stdlib-map baseline.
 
 const benchKeys = 1 << 18
 

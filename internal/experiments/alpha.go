@@ -1,6 +1,6 @@
 package experiments
 
-// AlphaRow is one point of the α-sensitivity ablation (DESIGN.md §6): how
+// AlphaRow is one point of the α-sensitivity ablation: how
 // the ETL-sensitivity knob trades per-query latency against ETL frequency
 // in the adaptive schedule.
 type AlphaRow struct {

@@ -1,7 +1,8 @@
 // Package experiments regenerates every table and figure of the paper's
 // evaluation (§5). Each Figure* function returns structured rows; the
 // chbench command renders them as text and bench_test.go wraps them in
-// testing.B benchmarks. DESIGN.md §5 is the experiment index.
+// testing.B benchmarks; README "Reproduction harness" lists the entry
+// points.
 //
 // Scale emulation: experiments load a laptop-sized database (Options.SF)
 // and scale measured byte counts by EmulateSF/SF before they reach the
@@ -9,7 +10,7 @@
 // factors (300 for the sensitivity analysis, 30 for Figure 5). Injected
 // transaction counts are scaled by SF/EmulateSF, which keeps the fresh
 // fraction trajectory — the scheduler's input — aligned with the paper's
-// 2-MTPS regime (see DESIGN.md §2).
+// 2-MTPS regime.
 package experiments
 
 import (

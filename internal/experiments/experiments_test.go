@@ -11,7 +11,7 @@ import (
 
 // Experiments run at tiny scale here; the benches and chbench exercise the
 // full parameterizations. These tests pin the figure SHAPES the paper
-// reports — the claims DESIGN.md §5 enumerates.
+// reports.
 
 func tinyOpt() Options {
 	return Options{SF: 0.005, EmulateSF: 300, Seed: 1}

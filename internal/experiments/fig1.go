@@ -140,8 +140,9 @@ func cowThroughput(env *Env, rep core.QueryReport, freq int) float64 {
 	pages := math.Max(1, emuStockRows/rowsPerPage)
 
 	window := rep.ExecSeconds * float64(freq) // snapshot lifetime
+	_, oltpP, _ := env.Sys.Sched.Placements()
 	load := costmodel.OLTPLoad{
-		Workers:    env.Sys.Sched.OLTPPlacement(),
+		Workers:    oltpP,
 		HomeSocket: env.Sys.Cfg.OLTPSocket,
 		Background: rep.ScanUsage,
 	}

@@ -66,7 +66,7 @@ func Figure5(opt Options, sequences int, schedules []Schedule) ([]Fig5Series, er
 		// reproduction's whole-row accounting the ratio's dynamic range is
 		// ~[0.5, 0.8], so the equivalent operating point — ETL every few
 		// tens of sequences, one query paying the latency (§5.3) — sits near
-		// 0.6. EXPERIMENTS.md discusses the mapping.
+		// 0.6.
 		opt.Alpha = 0.6
 	}
 	if sequences <= 0 {
@@ -120,8 +120,7 @@ func runSchedule(opt Options, sched Schedule, sequences int) (Fig5Series, error)
 	// not with the analytical response time. Back-to-back dispatch at this
 	// model's interconnect ratio couples response time to fresh volume in
 	// a runaway loop the paper's testbed does not exhibit; the periodic
-	// driver reproduces the paper's near-linear growth (DESIGN.md §2,
-	// EXPERIMENTS.md F5).
+	// driver reproduces the paper's near-linear growth.
 	const arrivalPeriod = 1.5 // emulated seconds between sequence arrivals
 
 	series := Fig5Series{Schedule: sched}

@@ -39,8 +39,9 @@ func TailLatency(opt Options) ([]TailRow, error) {
 			if err != nil {
 				return TailRow{}, err
 			}
+			_, oltpP, _ := env.Sys.Sched.Placements()
 			tail := env.Sys.Model.OLTPTailLatency(costmodel.OLTPLoad{
-				Workers:    env.Sys.Sched.OLTPPlacement(),
+				Workers:    oltpP,
 				HomeSocket: env.Sys.Cfg.OLTPSocket,
 				Background: rep.ScanUsage,
 			})

@@ -35,11 +35,10 @@ type Tenant struct {
 // Snapshot is a point-in-time view of the whole system.
 type Snapshot struct {
 	// Transactional engine.
-	Commits     uint64
-	Aborts      uint64
-	WorkerCount int
-	Retried     uint64
-	Failed      uint64
+	Commits uint64
+	Aborts  uint64
+	Retried uint64
+	Failed  uint64
 
 	// Storage.
 	Tables      int

@@ -210,13 +210,6 @@ func (e *Engine) SetPlacement(p topology.Placement) {
 	e.cond.Broadcast()
 }
 
-// Placement returns the current allocation.
-func (e *Engine) Placement() topology.Placement {
-	e.mu.Lock()
-	defer e.mu.Unlock()
-	return e.placement.Clone()
-}
-
 // PoolSize returns the number of active (non-retiring) workers.
 func (e *Engine) PoolSize() int {
 	e.mu.Lock()

@@ -1,54 +1,18 @@
 // Package topology models the scale-up server the HTAP system runs on:
 // CPU sockets, cores per socket, per-socket memory bandwidth and the
-// cross-socket interconnect. It also provides the core-ownership Ledger the
-// RDE engine uses to hand compute resources to the OLTP and OLAP engines.
+// cross-socket interconnect — and the unit in which compute is handed to
+// an engine, the Placement: how many cores the engine has on each socket.
 //
 // The paper runs on a 2x14-core Xeon with real thread pinning. The Go
-// runtime hides core pinning, so placement is represented explicitly here
+// runtime hides core pinning, so nothing here names an individual core: a
+// placement is a per-socket count, internal/core decides it (Algorithm 1)
 // and its performance consequences are charged by internal/costmodel.
 package topology
 
 import (
 	"errors"
-	"fmt"
 	"sort"
-	"sync"
 )
-
-// Engine identifies the owner of a compute resource.
-type Engine int8
-
-const (
-	// Free marks a core owned by no engine (held by the RDE).
-	Free Engine = iota
-	// OLTP marks a core owned by the transactional engine.
-	OLTP
-	// OLAP marks a core owned by the analytical engine.
-	OLAP
-)
-
-// String returns the conventional short name of the engine.
-func (e Engine) String() string {
-	switch e {
-	case Free:
-		return "free"
-	case OLTP:
-		return "oltp"
-	case OLAP:
-		return "olap"
-	default:
-		return fmt.Sprintf("engine(%d)", int8(e))
-	}
-}
-
-// CoreID names a hardware thread as (socket, index-within-socket).
-type CoreID struct {
-	Socket int
-	Index  int
-}
-
-// String formats the core as "sN.cM".
-func (c CoreID) String() string { return fmt.Sprintf("s%d.c%d", c.Socket, c.Index) }
 
 // Config describes the machine. Bandwidths are bytes/second.
 type Config struct {
@@ -56,7 +20,6 @@ type Config struct {
 	CoresPerSocket int     // hardware threads per socket
 	LocalBW        float64 // per-socket DRAM bandwidth, bytes/s
 	InterconnectBW float64 // per-link cross-socket bandwidth, bytes/s (one direction)
-	MemPerSocket   int64   // bytes of DRAM attached to each socket
 }
 
 // DefaultConfig returns the paper's evaluation machine: 2 sockets x 14
@@ -69,16 +32,7 @@ func DefaultConfig() Config {
 		CoresPerSocket: 14,
 		LocalBW:        80e9,
 		InterconnectBW: 16e9,
-		MemPerSocket:   768 << 30,
 	}
-}
-
-// FourSocketConfig returns the 4-socket server used for Figure 1, where the
-// two engines occupy two of the four sockets.
-func FourSocketConfig() Config {
-	c := DefaultConfig()
-	c.Sockets = 4
-	return c
 }
 
 // Validate reports whether the configuration is usable.
@@ -101,141 +55,9 @@ func (c Config) Validate() error {
 // TotalCores returns the number of hardware threads on the machine.
 func (c Config) TotalCores() int { return c.Sockets * c.CoresPerSocket }
 
-// Ledger tracks which engine owns each core. It is the single source of
-// truth for compute placement; the RDE engine is its only writer during
-// state migrations, but reads may come from any goroutine.
-type Ledger struct {
-	cfg Config
-
-	mu    sync.RWMutex
-	owner [][]Engine // [socket][core]
-}
-
-// NewLedger builds a ledger with every core free.
-func NewLedger(cfg Config) (*Ledger, error) {
-	if err := cfg.Validate(); err != nil {
-		return nil, err
-	}
-	owner := make([][]Engine, cfg.Sockets)
-	for s := range owner {
-		owner[s] = make([]Engine, cfg.CoresPerSocket)
-	}
-	return &Ledger{cfg: cfg, owner: owner}, nil
-}
-
-// Config returns the machine description the ledger was built with.
-func (l *Ledger) Config() Config { return l.cfg }
-
-// Owner returns the engine owning the given core.
-func (l *Ledger) Owner(c CoreID) (Engine, error) {
-	if err := l.check(c); err != nil {
-		return Free, err
-	}
-	l.mu.RLock()
-	defer l.mu.RUnlock()
-	return l.owner[c.Socket][c.Index], nil
-}
-
-func (l *Ledger) check(c CoreID) error {
-	if c.Socket < 0 || c.Socket >= l.cfg.Sockets || c.Index < 0 || c.Index >= l.cfg.CoresPerSocket {
-		return fmt.Errorf("topology: core %v out of range for %dx%d machine", c, l.cfg.Sockets, l.cfg.CoresPerSocket)
-	}
-	return nil
-}
-
-// Assign transfers ownership of the core to the engine, regardless of the
-// previous owner. Use Free to return the core to the RDE.
-func (l *Ledger) Assign(c CoreID, e Engine) error {
-	if err := l.check(c); err != nil {
-		return err
-	}
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	l.owner[c.Socket][c.Index] = e
-	return nil
-}
-
-// AssignSocket gives every core of the socket to the engine.
-func (l *Ledger) AssignSocket(socket int, e Engine) error {
-	if socket < 0 || socket >= l.cfg.Sockets {
-		return fmt.Errorf("topology: socket %d out of range", socket)
-	}
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	for i := range l.owner[socket] {
-		l.owner[socket][i] = e
-	}
-	return nil
-}
-
-// NextFree returns the lowest-index free core on the socket, if any.
-func (l *Ledger) NextFree(socket int) (CoreID, bool) {
-	l.mu.RLock()
-	defer l.mu.RUnlock()
-	if socket < 0 || socket >= l.cfg.Sockets {
-		return CoreID{}, false
-	}
-	for i, e := range l.owner[socket] {
-		if e == Free {
-			return CoreID{Socket: socket, Index: i}, true
-		}
-	}
-	return CoreID{}, false
-}
-
-// NextOwned returns the highest-index core on the socket owned by the
-// engine, if any. Migrations revoke the most recently granted cores first.
-func (l *Ledger) NextOwned(socket int, e Engine) (CoreID, bool) {
-	l.mu.RLock()
-	defer l.mu.RUnlock()
-	if socket < 0 || socket >= l.cfg.Sockets {
-		return CoreID{}, false
-	}
-	for i := l.cfg.CoresPerSocket - 1; i >= 0; i-- {
-		if l.owner[socket][i] == e {
-			return CoreID{Socket: socket, Index: i}, true
-		}
-	}
-	return CoreID{}, false
-}
-
-// Count returns the number of cores the engine owns on the socket.
-func (l *Ledger) Count(socket int, e Engine) int {
-	l.mu.RLock()
-	defer l.mu.RUnlock()
-	if socket < 0 || socket >= l.cfg.Sockets {
-		return 0
-	}
-	n := 0
-	for _, o := range l.owner[socket] {
-		if o == e {
-			n++
-		}
-	}
-	return n
-}
-
-// CountTotal returns the number of cores the engine owns machine-wide.
-func (l *Ledger) CountTotal(e Engine) int {
-	n := 0
-	for s := 0; s < l.cfg.Sockets; s++ {
-		n += l.Count(s, e)
-	}
-	return n
-}
-
-// SocketsOwned returns the sockets where the engine owns every core.
-func (l *Ledger) SocketsOwned(e Engine) []int {
-	var out []int
-	for s := 0; s < l.cfg.Sockets; s++ {
-		if l.Count(s, e) == l.cfg.CoresPerSocket {
-			out = append(out, s)
-		}
-	}
-	return out
-}
-
-// Placement summarizes an engine's core allocation per socket.
+// Placement is an engine's compute allocation: a core count per socket.
+// The scheduler publishes each placement once and replaces it whole on the
+// next migration, so holders may share PerSocket but must not write it.
 type Placement struct {
 	// PerSocket[s] is the number of cores the engine owns on socket s.
 	PerSocket []int
@@ -306,45 +128,4 @@ func (p Placement) Clone() Placement {
 	out := Placement{PerSocket: make([]int, len(p.PerSocket))}
 	copy(out.PerSocket, p.PerSocket)
 	return out
-}
-
-// PlacementOf snapshots the engine's current core allocation.
-func (l *Ledger) PlacementOf(e Engine) Placement {
-	p := Placement{PerSocket: make([]int, l.cfg.Sockets)}
-	for s := 0; s < l.cfg.Sockets; s++ {
-		p.PerSocket[s] = l.Count(s, e)
-	}
-	return p
-}
-
-// Snapshot returns a copy of the full ownership table, for diagnostics.
-func (l *Ledger) Snapshot() [][]Engine {
-	l.mu.RLock()
-	defer l.mu.RUnlock()
-	out := make([][]Engine, len(l.owner))
-	for s := range l.owner {
-		out[s] = append([]Engine(nil), l.owner[s]...)
-	}
-	return out
-}
-
-// String renders the ownership table, one socket per line.
-func (l *Ledger) String() string {
-	snap := l.Snapshot()
-	s := ""
-	for i, row := range snap {
-		s += fmt.Sprintf("socket %d:", i)
-		for _, e := range row {
-			switch e {
-			case OLTP:
-				s += " T"
-			case OLAP:
-				s += " A"
-			default:
-				s += " ."
-			}
-		}
-		s += "\n"
-	}
-	return s
 }

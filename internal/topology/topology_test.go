@@ -1,9 +1,6 @@
 package topology
 
-import (
-	"testing"
-	"testing/quick"
-)
+import "testing"
 
 func TestConfigValidate(t *testing.T) {
 	if err := DefaultConfig().Validate(); err != nil {
@@ -18,77 +15,6 @@ func TestConfigValidate(t *testing.T) {
 	bad.InterconnectBW = bad.LocalBW * 2
 	if bad.Validate() == nil {
 		t.Fatal("interconnect faster than DRAM must fail")
-	}
-}
-
-func TestLedgerAssignAndCount(t *testing.T) {
-	l, err := NewLedger(DefaultConfig())
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got := l.CountTotal(Free); got != 28 {
-		t.Fatalf("free cores = %d", got)
-	}
-	if err := l.AssignSocket(0, OLTP); err != nil {
-		t.Fatal(err)
-	}
-	if err := l.AssignSocket(1, OLAP); err != nil {
-		t.Fatal(err)
-	}
-	if l.Count(0, OLTP) != 14 || l.Count(1, OLAP) != 14 {
-		t.Fatalf("counts wrong: %d %d", l.Count(0, OLTP), l.Count(1, OLAP))
-	}
-	if err := l.Assign(CoreID{Socket: 0, Index: 13}, OLAP); err != nil {
-		t.Fatal(err)
-	}
-	if l.Count(0, OLTP) != 13 || l.Count(0, OLAP) != 1 {
-		t.Fatal("single-core transfer not reflected")
-	}
-	owner, err := l.Owner(CoreID{Socket: 0, Index: 13})
-	if err != nil || owner != OLAP {
-		t.Fatalf("owner = %v, %v", owner, err)
-	}
-}
-
-func TestLedgerBoundsChecks(t *testing.T) {
-	l, _ := NewLedger(DefaultConfig())
-	if err := l.Assign(CoreID{Socket: 5, Index: 0}, OLTP); err == nil {
-		t.Fatal("out-of-range socket accepted")
-	}
-	if err := l.AssignSocket(-1, OLAP); err == nil {
-		t.Fatal("negative socket accepted")
-	}
-	if _, err := l.Owner(CoreID{Socket: 0, Index: 99}); err == nil {
-		t.Fatal("out-of-range core accepted")
-	}
-}
-
-func TestNextFreeAndNextOwned(t *testing.T) {
-	l, _ := NewLedger(DefaultConfig())
-	c, ok := l.NextFree(0)
-	if !ok || c != (CoreID{Socket: 0, Index: 0}) {
-		t.Fatalf("NextFree = %v, %v", c, ok)
-	}
-	l.Assign(CoreID{Socket: 0, Index: 0}, OLTP)
-	l.Assign(CoreID{Socket: 0, Index: 3}, OLTP)
-	c, ok = l.NextOwned(0, OLTP)
-	if !ok || c.Index != 3 {
-		t.Fatalf("NextOwned = %v, %v (want highest index)", c, ok)
-	}
-	if _, ok := l.NextOwned(1, OLTP); ok {
-		t.Fatal("NextOwned on empty socket should miss")
-	}
-}
-
-func TestSocketsOwned(t *testing.T) {
-	l, _ := NewLedger(DefaultConfig())
-	l.AssignSocket(1, OLAP)
-	if got := l.SocketsOwned(OLAP); len(got) != 1 || got[0] != 1 {
-		t.Fatalf("SocketsOwned = %v", got)
-	}
-	l.Assign(CoreID{Socket: 1, Index: 0}, OLTP)
-	if got := l.SocketsOwned(OLAP); len(got) != 0 {
-		t.Fatalf("partial socket reported as owned: %v", got)
 	}
 }
 
@@ -107,25 +33,6 @@ func TestPlacement(t *testing.T) {
 	c.PerSocket[0] = 99
 	if p.PerSocket[0] != 3 {
 		t.Fatal("Clone aliases storage")
-	}
-}
-
-func TestQuickCoreConservation(t *testing.T) {
-	// Property: any assignment sequence conserves total cores across owners.
-	cfg := DefaultConfig()
-	f := func(moves []uint16) bool {
-		l, _ := NewLedger(cfg)
-		for _, m := range moves {
-			s := int(m) % cfg.Sockets
-			i := int(m>>2) % cfg.CoresPerSocket
-			e := Engine(int(m>>9) % 3)
-			_ = l.Assign(CoreID{Socket: s, Index: i}, e)
-		}
-		total := l.CountTotal(Free) + l.CountTotal(OLTP) + l.CountTotal(OLAP)
-		return total == cfg.TotalCores()
-	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 100}); err != nil {
-		t.Fatal(err)
 	}
 }
 
