@@ -247,15 +247,14 @@ func TestTxnAllocBudget(t *testing.T) {
 
 // TestAdmitAllocBudget pins what the exchange allocates to admit one query
 // — the table list, SwitchAndSync, MeasureFreshness, ETL over all twelve
-// tables — when the stale population is inserts only, so nothing scales
-// with rows: the snapshot set and its one slice of snapshots. The catalog
-// hands out its own slice of handles, freshness is a popcount and the
-// per-table closures stay on the stack. (Each synced row still costs one
-// closure on top — the release function its record lock returns.) A
-// per-switch map, a snapshot allocated per table or a copied table list
-// shows here.
+// tables — over a stale population of inserted and updated rows, so nothing
+// scales with rows: the snapshot set and its one slice of snapshots. The
+// catalog hands out its own slice of handles, freshness is a popcount, the
+// per-table closures stay on the stack and a synced row costs a copy. A
+// per-switch map, a snapshot allocated per table, a copied table list or a
+// closure per row shows here.
 func TestAdmitAllocBudget(t *testing.T) {
-	f := newAdmitFixture(t, ch.TinySizing(), 64, 0)
+	f := newAdmitFixture(t, ch.TinySizing(), 64, 40)
 	f.populate()
 	f.admit(t) // replica columns sized
 	const n = 50

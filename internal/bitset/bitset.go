@@ -210,6 +210,9 @@ func (b *Atomic) ForEachSet(fn func(i int)) {
 func (b *Atomic) DrainSet(fn func(i int)) int {
 	drained := 0
 	b.words(func(wi int, addr *uint64) bool {
+		if atomic.LoadUint64(addr) == 0 {
+			return true // most words are clean: do not write them
+		}
 		for w := atomic.SwapUint64(addr, 0); w != 0; w &= w - 1 {
 			fn(wi*wordBits + bits.TrailingZeros64(w))
 			drained++

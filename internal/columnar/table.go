@@ -281,9 +281,10 @@ type SwitchResult struct {
 }
 
 // Switch makes the inactive instance active and returns the old active
-// instance as the consistent snapshot (§3.2). The caller (the RDE engine)
-// must follow up with SyncTo to propagate dirty records into the new
-// active instance before transactions read stale values; see rde.Exchange.
+// instance as the consistent snapshot (§3.2). Sync precedes the switch: the
+// caller (rde.Exchange) has drained the active instance's dirty records
+// into the inactive one with SyncTo and holds commits off until the flip,
+// so no transaction reads a stale value from the new active instance.
 func (t *Table) Switch() SwitchResult {
 	t.switchMu.Lock()
 	defer t.switchMu.Unlock()
@@ -309,37 +310,34 @@ func (t *Table) Switch() SwitchResult {
 	}
 }
 
-// SyncTo drains the snapshot instance's dirty bits, copying each marked
-// record into the now-active instance unless it has been re-updated there
-// in the meantime ("in case they have not been updated there as well",
-// §3.4). lock must acquire the record's exclusive lock and return its
-// release function, so the copy cannot race a committing transaction.
-// It returns the number of records copied.
+// SyncTo drains instance src's dirty bits, copying each marked record into
+// the other instance, and returns the number of records copied. Sync
+// precedes the switch: src is the active instance and the destination the
+// inactive one, which no transaction reads or writes, so nothing there is
+// newer than what is copied and lock has nothing to exclude (callers pass a
+// no-op). Commits may run meanwhile: a bit is cleared before its record is
+// read and UpdateCell sets it after its store, so a record committed during
+// its copy is marked again for the next call.
 //
 // Only cells whose word differs are stored, and each such store counts in
 // colUpdates: the destination held the pre-update value until now, so
-// anything derived from the active instance since the switch (an index
-// built by a lookup racing the sync) is stale for exactly those columns.
-// Never-updated columns are identical in both instances and stay at zero.
-func (t *Table) SyncTo(snapIdx int, lock func(row int64) func()) int {
-	snap := t.inst[snapIdx]
-	dst := t.inst[1-snapIdx]
-	copied := 0
-	snap.dirty.DrainSet(func(i int) {
+// anything derived from it since the update is stale for exactly those
+// columns. Never-updated columns are identical in both instances and stay
+// at zero.
+func (t *Table) SyncTo(src int, lock func(row int64) func()) int {
+	from := t.inst[src]
+	dst := t.inst[1-src]
+	return from.dirty.DrainSet(func(i int) {
 		row := int64(i)
 		unlock := lock(row)
-		if !dst.dirty.Test(i) {
-			for c := range snap.cols {
-				if v := snap.cols[c].Load(row); v != dst.cols[c].Load(row) {
-					dst.cols[c].Store(row, v)
-					t.colUpdates[c].Add(1)
-				}
+		for c := range from.cols {
+			if v := from.cols[c].Load(row); v != dst.cols[c].Load(row) {
+				dst.cols[c].Store(row, v)
+				t.colUpdates[c].Add(1)
 			}
-			copied++
 		}
 		unlock()
 	})
-	return copied
 }
 
 // EncodeRow converts friendly Go values into raw Words following the

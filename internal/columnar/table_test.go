@@ -97,18 +97,21 @@ func TestSwitchSyncTwinInvariant(t *testing.T) {
 		rows = append(rows, tab.EncodeRow(i, float64(i), "x"))
 	}
 	tab.AppendRows(rows, 1)
+	tab.SyncTo(tab.ActiveIndex(), lockNothing)
 	tab.Switch()
-	tab.SyncTo(1-tab.ActiveIndex(), lockNothing)
 
 	// Update a few rows on the active instance.
 	for _, r := range []int64{3, 50, 99} {
 		tab.UpdateCell(r, 0, r*1000, 7)
 	}
-	sw := tab.Switch()
-	copied := tab.SyncTo(sw.SnapshotIndex, lockNothing)
+	if n := tab.Inactive().DirtyCount(); n != 0 {
+		t.Fatalf("inactive instance carries %d dirty bits: only the active one is updated", n)
+	}
+	copied := tab.SyncTo(tab.ActiveIndex(), lockNothing)
 	if copied != 3 {
 		t.Fatalf("copied = %d, want 3", copied)
 	}
+	sw := tab.Switch()
 	// Twin invariant: both instances identical below the watermark.
 	for r := int64(0); r < sw.SnapshotRows; r++ {
 		for c := 0; c < 3; c++ {
@@ -117,47 +120,32 @@ func TestSwitchSyncTwinInvariant(t *testing.T) {
 			}
 		}
 	}
-	if sw.Snapshot.DirtyCount() != 0 {
-		t.Fatalf("dirty bits remain: %d", sw.Snapshot.DirtyCount())
-	}
-}
-
-func TestSyncSkipsReupdatedRows(t *testing.T) {
-	tab := NewTable(testSchema(), 8)
-	tab.AppendRows([][]int64{tab.EncodeRow(1, 1.0, "a")}, 1)
-	tab.Switch()
-	tab.SyncTo(1-tab.ActiveIndex(), lockNothing)
-	tab.UpdateCell(0, 0, 100, 2) // on active (epoch 1)
-	sw := tab.Switch()           // snapshot holds 100
-	// A "transaction" updates the row on the new active before sync.
-	tab.UpdateCell(0, 0, 200, 3)
-	tab.SyncTo(sw.SnapshotIndex, lockNothing)
-	// The newer value must survive: "in case they have not been updated
-	// there as well by that time" (§3.4).
-	if got := tab.ReadActive(0, 0); got != 200 {
-		t.Fatalf("sync overwrote newer value: %d", got)
+	// An instance goes inactive drained and stays that way.
+	if sw.Snapshot.DirtyCount() != 0 || tab.Active().DirtyCount() != 0 {
+		t.Fatalf("dirty bits remain: snapshot %d, active %d", sw.Snapshot.DirtyCount(), tab.Active().DirtyCount())
 	}
 }
 
 // TestSyncCountsTheCellsItChanges pins the colUpdates invariant: whoever
-// read the new active instance between Switch and SyncTo saw the
-// pre-update word, so the sync's store must move the column's counter —
-// and must leave the counters of columns it did not change alone.
+// read the inactive instance between an update and the sync that precedes
+// the next switch saw the pre-update word, so the sync's store must move
+// the column's counter — and must leave the counters of columns it did not
+// change alone.
 func TestSyncCountsTheCellsItChanges(t *testing.T) {
 	tab := NewTable(testSchema(), 8)
 	tab.AppendRows([][]int64{tab.EncodeRow(1, 1.0, "a"), tab.EncodeRow(2, 2.0, "b")}, 1)
 	tab.UpdateCell(0, 0, 100, 2)
-	sw := tab.Switch()
 	seen := tab.ColumnUpdateCount(0)
-	if stale := tab.ReadActive(0, 0); stale != 1 {
-		t.Fatalf("new active instance holds %d before sync, want the pre-update 1", stale)
+	inactive := 1 - tab.ActiveIndex()
+	if stale := tab.ReadCell(inactive, 0, 0); stale != 1 {
+		t.Fatalf("inactive instance holds %d before sync, want the pre-update 1", stale)
 	}
-	tab.SyncTo(sw.SnapshotIndex, lockNothing)
-	if got := tab.ReadActive(0, 0); got != 100 {
+	tab.SyncTo(tab.ActiveIndex(), lockNothing)
+	if got := tab.ReadCell(inactive, 0, 0); got != 100 {
 		t.Fatalf("sync did not propagate the update: %d", got)
 	}
 	if tab.ColumnUpdateCount(0) == seen {
-		t.Fatal("sync changed a cell of column 0 without counting it: a reader of the switch→sync window is never invalidated")
+		t.Fatal("sync changed a cell of column 0 without counting it: a reader of the update→sync window is never invalidated")
 	}
 	for c := 1; c < 3; c++ {
 		if n := tab.ColumnUpdateCount(c); n != 0 {
@@ -295,7 +283,7 @@ func TestQuickAppendReadBack(t *testing.T) {
 }
 
 func TestQuickSwitchRoundTrips(t *testing.T) {
-	// Property: after any number of update/switch/sync rounds, the active
+	// Property: after any number of update/sync/switch rounds, the active
 	// instance holds the newest value of every row.
 	f := func(updates []uint8) bool {
 		tab := NewTable(Schema{Name: "q", Columns: []ColumnDef{{Name: "v", Type: Int64}}}, 4)
@@ -305,8 +293,8 @@ func TestQuickSwitchRoundTrips(t *testing.T) {
 			rows[i] = []int64{0}
 		}
 		tab.AppendRows(rows, 1)
+		tab.SyncTo(tab.ActiveIndex(), lockNothing)
 		tab.Switch()
-		tab.SyncTo(1-tab.ActiveIndex(), lockNothing)
 		want := make([]int64, n)
 		ts := uint64(2)
 		for step, u := range updates {
@@ -316,8 +304,8 @@ func TestQuickSwitchRoundTrips(t *testing.T) {
 			ts++
 			want[r] = v
 			if step%3 == 2 {
-				sw := tab.Switch()
-				tab.SyncTo(sw.SnapshotIndex, lockNothing)
+				tab.SyncTo(tab.ActiveIndex(), lockNothing)
+				tab.Switch()
 			}
 		}
 		for r := int64(0); r < n; r++ {

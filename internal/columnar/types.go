@@ -22,9 +22,9 @@
 //     are written above the published row count, where nothing reads, and
 //     the count is stored last.
 //   - An existing cell is written only by UpdateCell (the holder of the
-//     record's lock, inside BeginApply/EndApply) and by SyncTo (under the
-//     record lock its caller supplies); both use atomic stores and count in
-//     colUpdates.
+//     record's lock, inside BeginApply/EndApply, in the active instance)
+//     and by SyncTo (in the inactive instance, which no transaction
+//     touches); both use atomic stores and count in colUpdates.
 //   - Point reads (ReadCell, ReadRow) use atomic loads and are always safe;
 //     what version they see is the transaction manager's business. Run
 //     reads (Scan, Slice) are plain loads, for rows no writer touches: an

@@ -30,13 +30,14 @@ func (s *System) Metrics() metrics.Snapshot {
 	for _, h := range tables {
 		t := h.Table()
 		snap.TotalRows += t.Rows()
-		snap.DirtyRows += int64(t.Active().DirtyCount() + t.Inactive().DirtyCount())
+		snap.DirtyRows += int64(t.Active().DirtyCount()) // nothing updates an inactive instance
 		snap.FreshRows += h.Fresh().FreshRows()
 		snap.VersionRows += h.Ref.Versions.Len()
 	}
 	switches, synced, etl := s.X.Counters()
 	snap.Switches = switches
 	snap.SyncedRows = synced
+	snap.BarrierSyncedRows = s.X.BarrierRows()
 	snap.ETLBytes = etl
 	// Join the workload manager's admission counters with the OLAP pool's
 	// measured per-tenant morsel dispatch. Tenants the pool has seen but

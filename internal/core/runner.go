@@ -467,12 +467,12 @@ func (s *System) Close() {
 }
 
 // CheckpointDB writes a whole-database checkpoint under dir on cfs and
-// returns its sequence number. The capture runs under the admission lock
-// and the transaction manager's commit barrier: no query exchange cycle
-// and no commit sits between its WAL append and its in-memory
-// application, so the captured (WAL position, clock, commit count, table
-// watermarks, OLAP dirty bits) are one transaction-consistent cut. The
-// quiesced switch then makes every inactive instance that cut's image.
+// returns its sequence number. The capture runs under the admission lock,
+// at the cut of an exchange cycle: inside the exchange's commit barrier,
+// right after the switch, no commit sits between its WAL append and its
+// in-memory application, so the captured (WAL position, clock, commit
+// count, table watermarks, OLAP dirty bits) are one transaction-consistent
+// cut and every inactive instance is that cut's image.
 //
 // Streaming happens after the barrier releases — transactions and queries
 // proceed while table files are written from the pinned snapshot
@@ -493,30 +493,31 @@ func (s *System) CheckpointDB(cfs wal.FS, dir string, extras map[string]int64) (
 	man := &checkpoint.Manifest{Extras: extras}
 
 	s.admitMu.Lock()
-	mgr.CommitBarrier(func() {
-		set := s.X.SwitchAndSyncQuiesced(tables)
+	s.X.SwitchAndSyncAt(tables, func(set *rde.SnapshotSet) {
 		if l := mgr.WAL(); l != nil {
 			man.WALPos = l.Pos()
 		}
-		man.Clock = mgr.Now()
+		man.Clock = set.SwitchTS
 		man.Commits = mgr.Commits()
 		for i, h := range tables {
-			name := h.Table().Schema().Name
-			snap := &set.Snaps[i] // switched in table order
-			var dirty []int64     // updated rows only: inserts are Rows − ReplicaRows
+			var dirty []int64 // updated rows only: inserts are Rows − ReplicaRows
 			h.Table().DirtyOLAP().ForEachSet(func(row int) { dirty = append(dirty, int64(row)) })
 			caps = append(caps, capture{
-				snap: snap,
+				snap: &set.Snaps[i],
 				entry: checkpoint.TableEntry{
-					Name:        name,
-					Rows:        snap.Rows,
+					Name:        h.Table().Schema().Name,
+					Rows:        set.Snaps[i].Rows,
 					ReplicaRows: h.Replica.Rows(),
 					Dirty:       dirty,
 				},
-				unpin: s.X.BeginScan(name),
 			})
 		}
 	})
+	// The exchange held scan latches through the cut, so the pins go on
+	// after it: no other cycle runs before admitMu is released.
+	for i := range caps {
+		caps[i].unpin = s.X.BeginScan(caps[i].entry.Name)
+	}
 	s.admitMu.Unlock()
 	defer func() {
 		for _, c := range caps {

@@ -55,7 +55,10 @@ type Snapshot struct {
 	// Resource and data exchange.
 	Switches   int64
 	SyncedRows int64
-	ETLBytes   int64
+	// BarrierSyncedRows is the share of SyncedRows copied inside the
+	// switch's commit barrier: how long committers were held at the gate.
+	BarrierSyncedRows int64
+	ETLBytes          int64
 
 	// Scheduler.
 	State         string
@@ -91,6 +94,7 @@ func (s Snapshot) WriteTo(w io.Writer) (int64, error) {
 		{"oldest snapshot lag (timestamps)", s.SnapshotLag},
 		{"instance switches", s.Switches},
 		{"synced rows", s.SyncedRows},
+		{"synced rows inside the commit barrier", s.BarrierSyncedRows},
 		{"etl bytes", s.ETLBytes},
 		{"freshness rate", fmt.Sprintf("%.4f", s.FreshnessRate)},
 	}

@@ -70,8 +70,8 @@ func NewEngine() *Engine {
 	return e
 }
 
-// Manager exposes the transaction manager (the RDE engine shares its lock
-// table for instance synchronization).
+// Manager exposes the transaction manager (the RDE engine switches the
+// instances inside its commit barrier).
 func (e *Engine) Manager() *txn.Manager { return e.mgr }
 
 // Workers exposes the worker pool manager.

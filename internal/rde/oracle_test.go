@@ -79,6 +79,13 @@ func (o *churnOracle) run(body oltp.TxnFunc) {
 // churn commits transactions on two goroutines until the returned stop is
 // called; stop returns once both have finished their last commit.
 func (o *churnOracle) churn(seed int64) (stop func()) {
+	return churn(seed*31, func(rng *rand.Rand) { o.run(o.body(rng)) })
+}
+
+// churn runs body in a loop on two goroutines, each with its own source of
+// randomness, until the returned stop is called; stop returns once both
+// have finished their last call.
+func churn(seed int64, body func(rng *rand.Rand)) (stop func()) {
 	done := make(chan struct{})
 	var wg sync.WaitGroup
 	for g := int64(0); g < 2; g++ {
@@ -91,9 +98,9 @@ func (o *churnOracle) churn(seed int64) (stop func()) {
 					return
 				default:
 				}
-				o.run(o.body(rng))
+				body(rng)
 			}
-		}(rand.New(rand.NewSource(seed*31 + g)))
+		}(rand.New(rand.NewSource(seed + g)))
 	}
 	return func() {
 		close(done)
@@ -208,14 +215,9 @@ func TestFreshnessOracleUnderChurn(t *testing.T) {
 		}
 		o.check("after insert-then-update")
 
-		// The exchange runs against committing transactions. The switch
-		// itself is the commit-barrier form CheckpointDB uses: a plain
-		// SwitchAndSync is only exact between commits (ROADMAP, open
-		// correctness item on switching under load), so it is the form
-		// the quiesced rounds below use.
+		// The exchange runs against committing transactions.
 		stop := o.churn(int64(round))
-		var set *rde.SnapshotSet
-		o.core.OLTPE.Manager().CommitBarrier(func() { set = x.SwitchAndSyncQuiesced(o.tables) })
+		set := x.SwitchAndSync(o.tables)
 		// Re-update a row the replica holds, after the switch: if this
 		// round ETLs, the row must stay fresh — the copy is of the older
 		// snapshot value.

@@ -1,8 +1,10 @@
 // Package rde implements the Resource and Data Exchange engine (§3.4): the
-// integration layer that switches the OLTP active instance, synchronizes
-// the twin instances through the update-indication bits, performs
-// delta-ETL into the OLAP replicas, measures freshness, and builds the
-// access paths (olap.Source) each system state prescribes.
+// integration layer that synchronizes the twin instances through the
+// update-indication bits and then switches the OLTP active instance — the
+// inactive instance is made current before it becomes visible, so the sync
+// takes no record lock — performs delta-ETL into the OLAP replicas,
+// measures freshness, and builds the access paths (olap.Source) each
+// system state prescribes.
 //
 // The exchange keeps no catalog of its own. A table's OLAP replica and its
 // scan latch are created with the table and live on its oltp.TableHandle;
@@ -19,19 +21,18 @@ import (
 	"elastichtap/internal/columnar"
 	"elastichtap/internal/olap"
 	"elastichtap/internal/oltp"
-	"elastichtap/internal/txn"
 )
 
 // Exchange is the RDE engine.
 //
 // Each table's ScanLatch (on its handle) orders in-flight analytical scans
 // (readers) against writers that mutate cells a scan could be reading
-// without atomics: the twin-instance sync after a switch re-activates the
-// instance a prior query snapshotted, and the delta-ETL overwrites updated
-// replica rows in place. Writers take a table's latch exclusively only
-// when the table has in-place updates (Table.UpdateCount > 0) — for
-// insert-only tables every write lands on rows beyond any scan's
-// watermark, so their scans are never waited on.
+// without atomics: the twin-instance sync writes, and the switch after it
+// re-activates, the instance a prior query snapshotted, and the delta-ETL
+// overwrites updated replica rows in place. Writers take a table's latch
+// exclusively only when the table has in-place updates
+// (Table.UpdateCount > 0) — for insert-only tables every write lands on
+// rows beyond any scan's watermark, so their scans are never waited on.
 type Exchange struct {
 	OLTP *oltp.Engine
 
@@ -42,14 +43,14 @@ type Exchange struct {
 	exchangeMu sync.Mutex // serializes switch+sync/ETL cycles
 
 	// probe, when set, fires at named internal points: "switch" after a
-	// table's instance switch but before the twin sync, "etl" between a
+	// table's instance switch, inside the commit barrier, "etl" between a
 	// table's update copy and its insert copy. The crash harness injects
 	// a panicking probe to model process death mid-exchange; production
 	// leaves it nil.
 	probe atomic.Pointer[func(point, table string)]
 
 	// lifetime counters (diagnostics and tests)
-	switches, syncedRows, etlBytes atomic.Int64
+	switches, syncedRows, barrierRows, etlBytes atomic.Int64
 }
 
 // SetProbe installs (or, with nil, removes) the internal fault probe.
@@ -76,7 +77,7 @@ func New(ol *oltp.Engine, oltpSocket, olapSocket int) *Exchange {
 
 // BeginScan registers an in-flight analytical scan over the named table's
 // snapshot instance and replica, and returns the release function. While
-// held, the table's instance cannot be re-activated-and-synced and its
+// held, the table's instance cannot be synced-and-re-activated and its
 // replica's updated rows cannot be overwritten by ETL, so the scan's
 // non-atomic block reads stay race-free even for update workloads.
 func (x *Exchange) BeginScan(table string) func() {
@@ -85,23 +86,26 @@ func (x *Exchange) BeginScan(table string) func() {
 	return l.RUnlock
 }
 
-// Snapshot is one table's consistent snapshot after an instance switch.
+// Snapshot is one table's share of a SnapshotSet: its now-inactive instance.
 type Snapshot struct {
 	Handle *oltp.TableHandle
 	Inst   *columnar.Instance
 	// Rows is the snapshot row count.
 	Rows int64
-	// SwitchTS is the transaction-manager clock at the switch; rows with a
-	// newer commit timestamp postdate the snapshot.
-	SwitchTS uint64
 }
 
-// SnapshotSet is the outcome of switching every requested table.
+// SnapshotSet is the outcome of switching every requested table at one
+// commit: a transaction is in every table's snapshot or in none.
 type SnapshotSet struct {
-	// Snaps holds one snapshot per table, in the order they were switched.
+	// Snaps holds one snapshot per table, in the order they were given.
 	Snaps []Snapshot
-	// CopiedRows is how many records the twin-instance sync propagated.
-	CopiedRows int64
+	// SwitchTS is the transaction-manager clock at the cut: every commit
+	// up to it is in the snapshots, every later one in none of them.
+	SwitchTS uint64
+	// CopiedRows is how many records the twin-instance sync propagated;
+	// BarrierRows is how many of them were copied with commits held at the
+	// gate, the rest while they flowed.
+	CopiedRows, BarrierRows int64
 }
 
 // Snap returns the snapshot for a table name, or nil.
@@ -114,65 +118,70 @@ func (s *SnapshotSet) Snap(name string) *Snapshot {
 	return nil
 }
 
-// SwitchAndSync instructs the OLTP engine to switch the active instance of
-// every table and immediately propagates divergent records to the new
-// active instance, taking per-record locks through the shared lock table
-// so copies never race committing transactions (§3.4).
+// SwitchAndSync brings the inactive instance of every table up to date and
+// then switches all of them at one commit (§3.2: the switch "returns the
+// starting address of the inactive instance when no active OLTP worker
+// thread is using it any more").
 func (x *Exchange) SwitchAndSync(tables []*oltp.TableHandle) *SnapshotSet {
-	return x.switchAndSync(tables, true)
+	return x.SwitchAndSyncAt(tables, nil)
 }
 
-// SwitchAndSyncQuiesced is SwitchAndSync for callers that have excluded
-// commit application (txn.Manager.CommitBarrier): no commit is mid-apply,
-// so cells are stable and the twin sync skips the per-record locks —
-// which would deadlock against a committer already holding record locks
-// while blocked on the barrier.
-func (x *Exchange) SwitchAndSyncQuiesced(tables []*oltp.TableHandle) *SnapshotSet {
-	return x.switchAndSync(tables, false)
-}
-
-func (x *Exchange) switchAndSync(tables []*oltp.TableHandle, recordLocks bool) *SnapshotSet {
-	// One exchange at a time: concurrent switch+sync cycles would hand out
-	// overlapping snapshots and race the twin synchronization.
+// SwitchAndSyncAt is SwitchAndSync with atCut, when non-nil, run on the
+// set at the cut itself, where it must not wait for a scan latch.
+//
+// Commits still flow while the active instances' update bits are drained
+// into the inactive ones: a bit is cleared before its row is read and set
+// after a cell is stored, so a row committed during its copy is marked
+// again. Then, inside one txn.Manager.CommitBarrier, the bits set meanwhile
+// are drained, every table is flipped and SwitchTS is drawn. A transaction
+// never sees an instance that lacks a committed value, and the sync never
+// writes a row a transaction could be writing.
+func (x *Exchange) SwitchAndSyncAt(tables []*oltp.TableHandle, atCut func(*SnapshotSet)) *SnapshotSet {
+	// One exchange at a time: concurrent cycles would hand out overlapping
+	// snapshots and sync into an instance the other is flipping.
 	x.exchangeMu.Lock()
 	defer x.exchangeMu.Unlock()
-	set := &SnapshotSet{Snaps: make([]Snapshot, 0, len(tables))}
-	locks := x.OLTP.Manager().Locks()
+	set := &SnapshotSet{Snaps: make([]Snapshot, len(tables))}
+	// Updated tables: the sync writes, and the flip then opens to
+	// transactions, the instance a prior query may still be scanning — wait
+	// for those scans to drain. Insert-only tables have nothing to sync and
+	// switch without waiting.
+	latched := make([]*oltp.TableHandle, 0, 16) // stays on the stack: a defer per table would not
+	defer func() {
+		for _, h := range latched {
+			h.ScanLatch.Unlock()
+		}
+	}()
 	for _, h := range tables {
-		func() {
-			t := h.Table()
-			// Updated tables: the switch re-activates the instance a
-			// prior query may still be scanning, after which transactions
-			// and the sync below write into it — wait for those scans to
-			// drain. Insert-only tables switch without waiting.
-			if t.UpdateCount() > 0 {
-				h.ScanLatch.Lock()
-				defer h.ScanLatch.Unlock()
-			}
-			ts := x.OLTP.Manager().Now()
-			sw := t.Switch()
-			x.fireProbe("switch", t.Schema().Name)
-			tabID := h.Ref.ID
-			lock := func(row int64) func() {
-				k := txn.LockKey{Tab: tabID, Row: row}
-				locks.AcquireSync(k)
-				return func() { locks.Release(k) }
-			}
-			if !recordLocks {
-				lock = func(int64) func() { return func() {} }
-			}
-			copied := t.SyncTo(sw.SnapshotIndex, lock)
-			set.CopiedRows += int64(copied)
-			set.Snaps = append(set.Snaps, Snapshot{
-				Handle:   h,
-				Inst:     sw.Snapshot,
-				Rows:     sw.SnapshotRows,
-				SwitchTS: ts,
-			})
-		}()
+		if h.Table().UpdateCount() > 0 {
+			h.ScanLatch.Lock()
+			latched = append(latched, h)
+		}
 	}
+	drain := func() (copied int64) {
+		for _, h := range tables {
+			t := h.Table() // no record lock: no transaction touches an inactive instance
+			copied += int64(t.SyncTo(t.ActiveIndex(), func(int64) func() { return func() {} }))
+		}
+		return copied
+	}
+	set.CopiedRows = drain()
+	x.OLTP.Manager().CommitBarrier(func() {
+		set.BarrierRows = drain()
+		set.CopiedRows += set.BarrierRows
+		for i, h := range tables {
+			sw := h.Table().Switch()
+			set.Snaps[i] = Snapshot{Handle: h, Inst: sw.Snapshot, Rows: sw.SnapshotRows}
+			x.fireProbe("switch", h.Table().Schema().Name)
+		}
+		set.SwitchTS = x.OLTP.Manager().Now()
+		if atCut != nil {
+			atCut(set)
+		}
+	})
 	x.switches.Add(1)
 	x.syncedRows.Add(set.CopiedRows)
+	x.barrierRows.Add(set.BarrierRows)
 	return set
 }
 
@@ -203,10 +212,10 @@ func (x *Exchange) ETL(set *SnapshotSet) ETLResult {
 			func() {
 				snap.Handle.ScanLatch.Lock()
 				defer snap.Handle.ScanLatch.Unlock()
-				res.addUpdates(snap, t, rep, repRows)
+				res.addUpdates(snap, set.SwitchTS, rep, repRows)
 			}()
 		} else {
-			res.addUpdates(snap, t, rep, repRows)
+			res.addUpdates(snap, set.SwitchTS, rep, repRows)
 		}
 		x.fireProbe("etl", t.Schema().Name)
 		if snap.Rows > repRows {
@@ -223,7 +232,8 @@ func (x *Exchange) ETL(set *SnapshotSet) ETLResult {
 // bit at or above the replica watermark belongs to a row updated before
 // its first ETL: it is cleared without a copy, the insert copy carries the
 // row.
-func (res *ETLResult) addUpdates(snap *Snapshot, t *columnar.Table, rep *columnar.Replica, repRows int64) {
+func (res *ETLResult) addUpdates(snap *Snapshot, switchTS uint64, rep *columnar.Replica, repRows int64) {
+	t := snap.Handle.Table()
 	bits := t.DirtyOLAP()
 	bits.ForEachSet(func(i int) {
 		row := int64(i)
@@ -231,7 +241,7 @@ func (res *ETLResult) addUpdates(snap *Snapshot, t *columnar.Table, rep *columna
 			return // postdates the snapshot; keep for next time
 		}
 		bits.Clear(i)
-		if t.RowTS(row) > snap.SwitchTS {
+		if t.RowTS(row) > switchTS {
 			// Re-updated after the snapshot: keep the record fresh for
 			// the next ETL; copying the (older) snapshot value now
 			// would only waste interconnect bandwidth.
@@ -383,3 +393,7 @@ func (x *Exchange) SourceFor(method AccessMethod, snap *Snapshot) olap.Source {
 func (x *Exchange) Counters() (switches, syncedRows, etlBytes int64) {
 	return x.switches.Load(), x.syncedRows.Load(), x.etlBytes.Load()
 }
+
+// BarrierRows reports how many of the lifetime synced rows were copied
+// inside the commit barrier: the work committers were held at the gate for.
+func (x *Exchange) BarrierRows() int64 { return x.barrierRows.Load() }

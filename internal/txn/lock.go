@@ -14,11 +14,6 @@ import (
 // restart rather than wait, which makes deadlock impossible.
 var ErrDie = errors.New("txn: wait-die abort (younger requester)")
 
-// syncPriority is the priority of RDE instance-synchronization lockers: it
-// is younger than every transaction, so transactions never die because of
-// a sync, and the sync itself always waits instead of dying.
-const syncPriority = ^uint64(0)
-
 // LockKey names a lockable record.
 type LockKey struct {
 	Tab uint32
@@ -34,8 +29,6 @@ type lockState struct {
 	// commit timestamp and stays set until the release: while it is unset,
 	// the holder's commit timestamp does not exist yet and will therefore be
 	// later than the begin timestamp of any transaction already running.
-	// A sync holder rewrites cells from the moment it has the lock, so it
-	// holds it in this state throughout.
 	committing bool
 }
 
@@ -50,9 +43,9 @@ type lockShard struct {
 	freed sync.Cond
 }
 
-// LockTable is a sharded exclusive-lock manager for record locks. Both the
-// transaction manager and the RDE's instance synchronization use it, so a
-// record copy can never race a committing transaction (§3.4).
+// LockTable is a sharded exclusive-lock manager for record locks. Only
+// transactions take them: the RDE's instance synchronization writes the
+// inactive instance, which no transaction touches (see rde.Exchange).
 type LockTable struct {
 	shards [lockShards]lockShard
 }
@@ -78,45 +71,26 @@ func (lt *LockTable) shardOf(k LockKey) *lockShard {
 // current holder is older than the requester, Acquire fails with ErrDie;
 // otherwise the requester waits. Re-acquiring with the holder's own
 // priority succeeds immediately (reentrant within one transaction).
+//
+//htap:hotpath
 func (lt *LockTable) Acquire(k LockKey, priority uint64) error {
 	if priority == 0 {
 		panic("txn: priority 0 is reserved for the free state")
 	}
-	return lt.acquire(k, priority)
-}
-
-// AcquireSync takes the lock with the lowest possible priority, always
-// waiting and never dying. The RDE engine uses it for one-row-at-a-time
-// instance synchronization; holding a single lock at a time keeps it out
-// of any deadlock cycle.
-func (lt *LockTable) AcquireSync(k LockKey) {
-	_ = lt.acquire(k, syncPriority) // a sync requester never dies
-}
-
-// acquire is the one wait loop. A transaction (priority below
-// syncPriority) re-enters its own lock and dies to an older holder; a sync
-// requester does neither and waits for whoever holds the lock, another
-// sync included — and, as the one holder that writes cells without a
-// commit, takes the lock already marked committing.
-//
-//htap:hotpath
-func (lt *LockTable) acquire(k LockKey, priority uint64) error {
 	sh := lt.shardOf(k)
 	sh.mu.Lock()
 	st := sh.locks[k]
 	for st.holder != 0 {
-		if priority != syncPriority {
-			if st.holder == priority {
-				sh.mu.Unlock()
-				return nil // reentrant
-			}
-			if priority > st.holder {
-				sh.mu.Unlock()
-				return ErrDie // requester is younger
-			}
+		if st.holder == priority {
+			sh.mu.Unlock()
+			return nil // reentrant
 		}
-		// Requester is older (or a sync): wait for the holder to finish.
-		// The entry outlives the release while anyone waits on it.
+		if priority > st.holder {
+			sh.mu.Unlock()
+			return ErrDie // requester is younger
+		}
+		// Requester is older: wait for the holder to finish. The entry
+		// outlives the release while anyone waits on it.
 		st.waiters++
 		sh.locks[k] = st
 		sh.freed.Wait()
@@ -124,8 +98,7 @@ func (lt *LockTable) acquire(k LockKey, priority uint64) error {
 		st.waiters--
 		sh.locks[k] = st
 	}
-	st.holder = priority
-	st.committing = priority == syncPriority
+	st.holder = priority // a free lock's state is zero: not committing
 	sh.locks[k] = st
 	sh.mu.Unlock()
 	return nil

@@ -53,9 +53,10 @@ type Manager struct {
 	pool sync.Pool
 
 	// log, when set, receives every committed write set before it is
-	// applied (write-ahead). gate lets a checkpoint exclude the window
-	// between a commit's log append and its in-memory application, so a
-	// captured (WAL position, table state) pair is always transaction
+	// applied (write-ahead). gate lets the instance switch, and a checkpoint
+	// capture riding on it, exclude the window between a commit's log
+	// append and its in-memory application, so a snapshot set and a
+	// captured (WAL position, table state) pair are always transaction
 	// consistent: committers hold it shared, CommitBarrier exclusive.
 	log  atomic.Pointer[wal.Log]
 	gate sync.RWMutex
@@ -78,10 +79,6 @@ func (m *Manager) Register(t *columnar.Table) *TableRef {
 	return ref
 }
 
-// Locks exposes the record lock table (the RDE engine shares it for
-// instance synchronization).
-func (m *Manager) Locks() *LockTable { return m.locks }
-
 // Now returns the current timestamp without advancing the clock.
 func (m *Manager) Now() uint64 { return m.clock.Load() }
 
@@ -94,9 +91,10 @@ func (m *Manager) SetWAL(l *wal.Log) { m.log.Store(l) }
 func (m *Manager) WAL() *wal.Log { return m.log.Load() }
 
 // CommitBarrier runs fn while no commit sits between its log append and
-// its in-memory application. A checkpoint captures its WAL position,
-// clock and table watermarks inside fn, making the checkpoint image plus
-// WAL-suffix replay exactly equal to the live state.
+// its in-memory application, and reopens the gate even if fn panics. The
+// exchange flips every active instance inside fn; a checkpoint captures
+// its WAL position, clock and table watermarks at that cut, making the
+// checkpoint image plus WAL-suffix replay equal to the live state.
 func (m *Manager) CommitBarrier(fn func()) {
 	m.gate.Lock()
 	defer m.gate.Unlock()

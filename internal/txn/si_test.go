@@ -1,4 +1,4 @@
-package txn
+package txn_test
 
 import (
 	"math/rand"
@@ -8,6 +8,9 @@ import (
 	"time"
 
 	"elastichtap/internal/columnar"
+	"elastichtap/internal/oltp"
+	"elastichtap/internal/rde"
+	"elastichtap/internal/txn"
 	"elastichtap/internal/wal"
 )
 
@@ -29,11 +32,16 @@ const (
 	siWidth
 )
 
-const siInitial = 100
+const (
+	siInitial = 100
+	siRows    = 8
+)
 
-func newSITable(rows int) (*Manager, *TableRef) {
-	m := NewManager()
-	tab := columnar.NewTable(columnar.Schema{
+// newSITable creates the oracle's table in an engine of its own, so that an
+// exchange can switch it.
+func newSITable(rows int) (*oltp.Engine, *oltp.TableHandle) {
+	e := oltp.NewEngine()
+	h := e.CreateTable(columnar.Schema{
 		Name: "si",
 		Columns: []columnar.ColumnDef{
 			{Name: "id", Type: columnar.Int64},
@@ -41,26 +49,57 @@ func newSITable(rows int) (*Manager, *TableRef) {
 			{Name: "cnt", Type: columnar.Int64},
 			{Name: "neg", Type: columnar.Int64},
 		},
-	}, int64(rows))
+	}, int64(rows), false)
 	rs := make([][]int64, rows)
 	for i := range rs {
 		rs[i] = []int64{int64(i), siInitial, 0, 0}
 	}
-	tab.AppendRows(rs, 0)
-	return m, m.Register(tab)
+	h.Table().AppendRows(rs, 0)
+	return e, h
 }
 
 func add(d int64) func(int64) int64 { return func(v int64) int64 { return v + d } }
 
 func TestSnapshotIsolationOracle(t *testing.T) {
+	e, h := newSITable(siRows)
+	runSIOracle(t, e.Manager(), h.Ref)
+}
+
+// TestSnapshotIsolationOracleAcrossSwitches holds the same history to the
+// same oracle while the exchange switches the table and ETLs it in a loop:
+// a transaction must find every committed value in whichever instance is
+// active when it looks.
+func TestSnapshotIsolationOracleAcrossSwitches(t *testing.T) {
+	e, h := newSITable(siRows)
+	x := rde.New(e, 0, 1)
+	stop, stopped := make(chan struct{}), make(chan struct{})
+	go func() {
+		defer close(stopped)
+		for {
+			select {
+			case <-stop:
+				return
+			default:
+				x.ETL(x.SwitchAndSync(e.Tables()))
+			}
+		}
+	}()
+	runSIOracle(t, e.Manager(), h.Ref)
+	close(stop)
+	<-stopped
+	if switches, _, _ := x.Counters(); switches < 10 {
+		t.Fatalf("only %d switches ran beside the history", switches)
+	}
+}
+
+func runSIOracle(t *testing.T, m *txn.Manager, ref *txn.TableRef) {
 	const (
-		rows    = 8
+		rows    = siRows
 		writers = 4
 		readers = 3
 		perW    = 300
 		retries = 100_000
 	)
-	m, ref := newSITable(rows)
 	var started, committed [rows]atomic.Int64 // counter increments, per row
 	var balDelta [rows]atomic.Int64           // committed transfer deltas, per row
 	var writing sync.WaitGroup
@@ -75,7 +114,7 @@ func TestSnapshotIsolationOracle(t *testing.T) {
 				a := rng.Int63n(rows)
 				if rng.Intn(3) == 0 {
 					started[a].Add(1)
-					if _, err := m.RunWithRetry(retries, func(tx *Txn) error {
+					if _, err := m.RunWithRetry(retries, func(tx *txn.Txn) error {
 						if err := tx.WriteFunc(ref, a, siCnt, add(1)); err != nil {
 							return err
 						}
@@ -89,7 +128,7 @@ func TestSnapshotIsolationOracle(t *testing.T) {
 				}
 				b := (a + 1 + rng.Int63n(rows-1)) % rows
 				amt := 1 + rng.Int63n(5)
-				if _, err := m.RunWithRetry(retries, func(tx *Txn) error {
+				if _, err := m.RunWithRetry(retries, func(tx *txn.Txn) error {
 					if err := tx.WriteFunc(ref, a, siBal, add(-amt)); err != nil {
 						return err
 					}
@@ -121,7 +160,7 @@ func TestSnapshotIsolationOracle(t *testing.T) {
 					atLeast[i] = committed[i].Load()
 				}
 				var snap [2][rows][siWidth]int64
-				if _, err := m.RunWithRetry(0, func(tx *Txn) error {
+				if _, err := m.RunWithRetry(0, func(tx *txn.Txn) error {
 					for pass := range snap {
 						for row := int64(0); row < rows; row++ {
 							for col := siBal; col < siWidth; col++ {
@@ -217,7 +256,8 @@ func (f *gatedFile) Write(p []byte) (int, error) {
 // the pre-image (and then, once the locks are gone, from the new cells):
 // it waits for the release and reads both rows as committed.
 func TestReaderBegunInsideACommitSeesAllOfIt(t *testing.T) {
-	m, ref := newSITable(2)
+	e, h := newSITable(2)
+	m, ref := e.Manager(), h.Ref
 	fs := &gatedFS{MemFS: wal.NewMemFS(), entered: make(chan struct{}), release: make(chan struct{})}
 	l, err := wal.Open(fs, "wal.log", wal.SyncNever, 0, 0)
 	if err != nil {
@@ -227,7 +267,7 @@ func TestReaderBegunInsideACommitSeesAllOfIt(t *testing.T) {
 
 	transferred := make(chan error, 1)
 	go func() {
-		_, err := m.RunWithRetry(0, func(tx *Txn) error {
+		_, err := m.RunWithRetry(0, func(tx *txn.Txn) error {
 			if err := tx.WriteFunc(ref, 0, siBal, add(-10)); err != nil {
 				return err
 			}

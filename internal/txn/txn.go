@@ -138,9 +138,8 @@ func (t *Txn) Read(ref *TableRef, row int64, col int) (int64, bool) {
 //
 // A row's cells change in place only while its record lock is held in the
 // committing state: a transaction marks its locks committing, then draws
-// its commit timestamp, then applies, then releases (an instance sync
-// holds the lock in that state throughout). So the active instance is
-// read optimistically, seqlock fashion: row timestamp, probe, cell, probe,
+// its commit timestamp, then applies, then releases. So the active instance
+// is read optimistically, seqlock fashion: row timestamp, probe, cell, probe,
 // row timestamp. Two equal timestamps with no committing holder on either
 // side of the cell pin one committed version — an apply that began after
 // the first probe is still holding the lock at the second, one that ended

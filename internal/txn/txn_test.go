@@ -357,25 +357,6 @@ func TestConcurrentTransfersConserveMoney(t *testing.T) {
 	}
 }
 
-func TestLockTableSyncNeverDies(t *testing.T) {
-	lt := NewLockTable()
-	k := LockKey{Tab: 1, Row: 5}
-	if err := lt.Acquire(k, 10); err != nil {
-		t.Fatal(err)
-	}
-	done := make(chan struct{})
-	go func() {
-		lt.AcquireSync(k) // must wait, not die
-		lt.Release(k)
-		close(done)
-	}()
-	lt.Release(k)
-	<-done
-	if held, _ := lt.Probe(k); held {
-		t.Fatal("lock leaked")
-	}
-}
-
 func TestLockReentrant(t *testing.T) {
 	lt := NewLockTable()
 	k := LockKey{Tab: 1, Row: 1}
