@@ -11,7 +11,6 @@ package elastichtap
 
 import (
 	"context"
-	"fmt"
 	"testing"
 	"time"
 
@@ -303,35 +302,6 @@ func BenchmarkWordsLoadStore(b *testing.B) {
 		b.Fatalf("sum = %d, want %d", sum, want)
 	}
 	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/(float64(b.N)*cells), "ns/cell")
-}
-
-// BenchmarkAppendRows appends 8192 orderline-shaped rows to a fresh table,
-// one row per call (a transaction's insert) and in one call (a load or a
-// replayed batch), ns/row.
-func BenchmarkAppendRows(b *testing.B) {
-	const rows = 8192
-	schema := ch.Schemas()[ch.TOrderLine]
-	batch := make([][]int64, rows)
-	for i := range batch {
-		batch[i] = make([]int64, len(schema.Columns))
-		for c := range batch[i] {
-			batch[i][c] = int64(i*len(schema.Columns) + c)
-		}
-	}
-	for _, per := range []int{1, rows} {
-		b.Run(fmt.Sprintf("rows=%d", per), func(b *testing.B) {
-			var busy time.Duration
-			for i := 0; i < b.N; i++ {
-				tab := columnar.NewTable(schema, rows)
-				t0 := time.Now()
-				for lo := 0; lo < rows; lo += per {
-					tab.AppendRows(batch[lo:lo+per], 1)
-				}
-				busy += time.Since(t0)
-			}
-			b.ReportMetric(float64(busy.Nanoseconds())/(float64(b.N)*rows), "ns/row")
-		})
-	}
 }
 
 // BenchmarkQ6Execution measures the real scan rate of the OLAP engine.

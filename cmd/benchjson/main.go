@@ -50,9 +50,14 @@ type Report struct {
 	// trajectory of the recovery story reads as one unit.
 	Recovery map[string]*Bench `json:"recovery,omitempty"`
 	// Txn groups the storage-access and commit-path benchmarks — one
-	// client's Payment and NewOrder, the cell Load/Store pair, row and
-	// batch appends — the engine-side view of bench/'s txn_per_s.
+	// client's Payment and NewOrder and the cell Load/Store pair — the
+	// engine-side view of bench/'s txn_per_s.
 	Txn map[string]*Bench `json:"txn,omitempty"`
+	// Columnar groups the twin-instance storage benchmarks — row and batch
+	// appends into chunks the twins share, and the first in-place update
+	// that splits one — the engine-side view of bench/'s setup_s and
+	// live_b_per_row.
+	Columnar map[string]*Bench `json:"columnar,omitempty"`
 	// Admit holds the query-admission benchmark — switch and sync,
 	// freshness measurement and delta-ETL over a fixed stale population —
 	// the engine-side view of bench/'s core.admit_ms.
@@ -72,8 +77,14 @@ func recoveryBench(name string) bool {
 // txnBench reports whether a benchmark belongs to the commit-path group.
 func txnBench(name string) bool {
 	n := baseName(name)
-	return strings.HasPrefix(n, "BenchmarkTxn") || n == "BenchmarkWordsLoadStore" ||
-		strings.HasPrefix(n, "BenchmarkAppendRows")
+	return strings.HasPrefix(n, "BenchmarkTxn") || n == "BenchmarkWordsLoadStore"
+}
+
+// columnarBench reports whether a benchmark belongs to the twin-storage
+// group.
+func columnarBench(name string) bool {
+	n := baseName(name)
+	return strings.HasPrefix(n, "BenchmarkAppendRows") || n == "BenchmarkFirstUpdateUnshare"
 }
 
 // admitBench reports whether a benchmark belongs to the admission group.
@@ -278,6 +289,7 @@ func main() {
 	rep.OrderRatios = orderRatios(rep)
 	splitGroup(rep, recoveryBench, &rep.Recovery)
 	splitGroup(rep, txnBench, &rep.Txn)
+	splitGroup(rep, columnarBench, &rep.Columnar)
 	splitGroup(rep, admitBench, &rep.Admit)
 	var dst io.Writer = os.Stdout
 	if *out != "" {

@@ -164,14 +164,15 @@ PASS
 	}
 }
 
-// TestGroupsSplitOutOfTheFlatMap: durability, commit-path and admission
-// benchmarks leave the flat map for their named groups, sub-benchmarks and
+// TestGroupsSplitOutOfTheFlatMap: durability, commit-path, twin-storage and
+// admission benchmarks leave the flat map for their named groups, sub-benchmarks and
 // -cpu suffixes included; everything else stays.
 func TestGroupsSplitOutOfTheFlatMap(t *testing.T) {
 	rep, err := parse(strings.NewReader(`BenchmarkQ6Builder-2   3   1009042 ns/op
 BenchmarkTxnPayment-2   3   2932812 ns/op   1466 ns/txn   128725 B/op   2000 allocs/op
 BenchmarkWordsLoadStore-2   3   918304 ns/op   14.00 ns/cell
 BenchmarkAppendRows/rows=8192-2   3   1819222 ns/op   42.31 ns/row
+BenchmarkFirstUpdateUnshare-2   3   9605416 ns/op   32168 ns/unshare   174.2 ns/update
 BenchmarkWALAppend-2   3   1000 ns/op
 BenchmarkRecovery   3   5000 ns/op
 BenchmarkAdmit-2   3   1893941 ns/op   4062 freshness-ns   1846352 B/op   3035 allocs/op
@@ -181,15 +182,19 @@ BenchmarkAdmit-2   3   1893941 ns/op   4062 freshness-ns   1846352 B/op   3035 a
 	}
 	splitGroup(rep, recoveryBench, &rep.Recovery)
 	splitGroup(rep, txnBench, &rep.Txn)
+	splitGroup(rep, columnarBench, &rep.Columnar)
 	splitGroup(rep, admitBench, &rep.Admit)
 	if len(rep.Benchmarks) != 1 || rep.Benchmarks["BenchmarkQ6Builder-2"] == nil {
 		t.Fatalf("flat map = %v", rep.Benchmarks)
 	}
-	if len(rep.Recovery) != 2 || len(rep.Txn) != 3 {
-		t.Fatalf("recovery = %v, txn = %v", rep.Recovery, rep.Txn)
+	if len(rep.Recovery) != 2 || len(rep.Txn) != 2 || len(rep.Columnar) != 2 {
+		t.Fatalf("recovery = %v, txn = %v, columnar = %v", rep.Recovery, rep.Txn, rep.Columnar)
 	}
-	if b := rep.Txn["BenchmarkAppendRows/rows=8192-2"]; b == nil || b.Metrics["ns/row"] != 42.31 {
+	if b := rep.Columnar["BenchmarkAppendRows/rows=8192-2"]; b == nil || b.Metrics["ns/row"] != 42.31 {
 		t.Fatalf("append sub-benchmark = %+v", b)
+	}
+	if b := rep.Columnar["BenchmarkFirstUpdateUnshare-2"]; b == nil || b.Metrics["ns/unshare"] != 32168 {
+		t.Fatalf("unshare benchmark = %+v", b)
 	}
 	if b := rep.Admit["BenchmarkAdmit-2"]; len(rep.Admit) != 1 || b == nil || b.Metrics["freshness-ns"] != 4062 {
 		t.Fatalf("admit = %v", rep.Admit)

@@ -230,11 +230,13 @@ func OpenFromDir(fs FS, dir string, opts ...Option) (*System, RecoveryInfo, erro
 	mgr := s.inner.OLTPE.Manager()
 	clock := man.Clock
 	if f, err := fs.Open(dir + "/" + walName); err == nil {
-		st, rerr := wal.Replay(f, man.WALPos, func(_ int64, rec *wal.Record) error {
+		var rows [][]int64 // applyRecord's scratch, grown once for the whole log
+		st, rerr := wal.Replay(f, man.WALPos, func(_ int64, rec *wal.Record) (err error) {
 			if rec.CommitTS > clock {
 				clock = rec.CommitTS
 			}
-			return applyRecord(db, rec)
+			rows, err = applyRecord(db, rec, rows)
+			return err
 		})
 		f.Close()
 		if rerr != nil {
@@ -264,35 +266,37 @@ func OpenFromDir(fs FS, dir string, opts ...Option) (*System, RecoveryInfo, erro
 }
 
 // applyRecord applies one replayed commit record to the database,
-// mirroring Txn.Commit's apply step.
-func applyRecord(db *ch.DB, rec *wal.Record) error {
+// mirroring Txn.Commit's apply step. rows is scratch for the row headers of
+// an insert — the words stay in the record — and is returned for the next
+// record to reuse, the way a recycled Txn keeps its own.
+func applyRecord(db *ch.DB, rec *wal.Record, rows [][]int64) ([][]int64, error) {
 	for i := range rec.Ops {
 		op := &rec.Ops[i]
 		h := db.Handle(op.Table)
 		if h == nil {
-			return fmt.Errorf("log names unknown table %q", op.Table)
+			return rows, fmt.Errorf("log names unknown table %q", op.Table)
 		}
 		t := h.Table()
 		switch op.Kind {
 		case wal.OpUpdate:
 			if op.Row >= t.Rows() {
-				return fmt.Errorf("log updates row %d of %q beyond %d rows", op.Row, op.Table, t.Rows())
+				return rows, fmt.Errorf("log updates row %d of %q beyond %d rows", op.Row, op.Table, t.Rows())
 			}
 			t.BeginApply()
 			t.UpdateCell(op.Row, int(op.Col), op.Val, rec.CommitTS)
 			t.EndApply()
 		case wal.OpInsert:
 			if op.Width != len(t.Schema().Columns) {
-				return fmt.Errorf("log inserts width %d into %q (width %d)", op.Width, op.Table, len(t.Schema().Columns))
+				return rows, fmt.Errorf("log inserts width %d into %q (width %d)", op.Width, op.Table, len(t.Schema().Columns))
 			}
-			rows := make([][]int64, op.NRows)
+			rows = rows[:0]
 			for r := 0; r < op.NRows; r++ {
-				rows[r] = op.Vals[r*op.Width : (r+1)*op.Width]
+				rows = append(rows, op.Vals[r*op.Width:(r+1)*op.Width])
 			}
 			t.AppendRows(rows, rec.CommitTS)
 		default:
-			return fmt.Errorf("log op kind %d", op.Kind)
+			return rows, fmt.Errorf("log op kind %d", op.Kind)
 		}
 	}
-	return nil
+	return rows, nil
 }

@@ -1,6 +1,7 @@
 package columnar
 
 import (
+	"slices"
 	"sync"
 	"sync/atomic"
 )
@@ -13,17 +14,27 @@ const chunkShift = 14
 // scans can run concurrently with transactional inserts.
 const ChunkSize = 1 << chunkShift
 
+// chunkBytes is the memory of one chunk.
+const chunkBytes = ChunkSize * 8
+
 // Words is a growable chunked array of raw 8-byte values.
 //
 // The chunk directory is an immutable slice published through an atomic
-// pointer. Growing (ensure) is the only operation that takes a lock, and
-// only growers take it: under growMu a grower copies the directory,
-// appends freshly allocated chunks and stores the new pointer. A published
+// pointer. Publishing a directory is the only operation that takes a lock,
+// and only publishers take it: under growMu a grower (ensure) copies the
+// directory, appends chunks and stores the new pointer. A published
 // directory is therefore never written again and always lists allocated
 // chunks, and chunks never move — so a reader may load the directory,
 // index it and touch a cell without synchronizing with anyone, and a chunk
 // slice handed out by Scan or Slice stays valid however far the array
 // grows afterwards.
+//
+// Two Words may list the same chunk: a table's twin instances do, for every
+// chunk no transaction has updated in place (ensureShared, sharesChunk).
+// Nothing but an append above the published row count writes such a chunk;
+// the first in-place write gives its side a copy first (privatize), and the
+// old chunk stays with the twin, untouched, under whatever slices of it
+// readers still hold.
 //
 // What a reader may assume is what its caller established: storage for a
 // row exists once an ensure covering it has returned (the table ensures
@@ -44,17 +55,23 @@ func newWords(capHint int64) *Words {
 }
 
 // ensure guarantees storage for rows [0, n).
-func (w *Words) ensure(n int64) {
+func (w *Words) ensure(n int64) { w.ensureShared(nil, n) }
+
+// ensureShared is ensure for the second of two twins: the chunks w lacks
+// are not allocated but taken from twin, which already covers rows [0, n),
+// so both list the same memory from there on.
+func (w *Words) ensureShared(twin *Words, n int64) {
 	need := int((n + ChunkSize - 1) >> chunkShift)
 	if len(*w.dir.Load()) < need {
-		w.grow(need)
+		w.grow(need, twin)
 	}
 }
 
-// grow publishes a directory of at least need chunks.
+// grow publishes a directory of at least need chunks, the new ones freshly
+// allocated or, given a twin, the twin's.
 //
 //htap:coldpath
-func (w *Words) grow(need int) {
+func (w *Words) grow(need int, twin *Words) {
 	w.growMu.Lock()
 	defer w.growMu.Unlock()
 	old := *w.dir.Load()
@@ -63,9 +80,42 @@ func (w *Words) grow(need int) {
 	}
 	dir := make([][]int64, need)
 	copy(dir, old)
-	for i := len(old); i < need; i++ {
-		dir[i] = make([]int64, ChunkSize)
+	if twin != nil {
+		copy(dir[len(old):], (*twin.dir.Load())[len(old):need])
+	} else {
+		for i := len(old); i < need; i++ {
+			dir[i] = make([]int64, ChunkSize)
+		}
 	}
+	w.dir.Store(&dir)
+}
+
+// sharesChunk reports whether w and twin list the same memory for row i's
+// chunk. Once false it stays false: chunks are only ever split, by
+// privatize.
+//
+//htap:hotpath
+func (w *Words) sharesChunk(twin *Words, i int64) bool {
+	return &(*w.dir.Load())[i>>chunkShift][0] == &(*twin.dir.Load())[i>>chunkShift][0]
+}
+
+// privatize gives w a copy of row i's chunk in place of the one it shares
+// with twin, and publishes the directory that lists it; if the chunk is
+// already w's own (another writer came first) nothing happens. The caller
+// keeps appenders out of the chunk for the duration, and nothing else
+// writes a shared chunk, so the copy is of memory at rest.
+//
+//htap:coldpath
+func (w *Words) privatize(twin *Words, i int64) {
+	w.growMu.Lock()
+	defer w.growMu.Unlock()
+	if !w.sharesChunk(twin, i) {
+		return
+	}
+	dir := slices.Clone(*w.dir.Load())
+	own := make([]int64, ChunkSize)
+	copy(own, dir[i>>chunkShift])
+	dir[i>>chunkShift] = own
 	w.dir.Store(&dir)
 }
 

@@ -8,9 +8,12 @@ import (
 	"elastichtap/internal/bitset"
 )
 
-// Instance is one of a table's two columnar copies. Rows above the visible
-// watermark exist physically (inserts go to both instances) but are exposed
-// only after the instance becomes active again.
+// Instance is one of a table's two columnar copies. Logically each holds
+// every row; physically a chunk is held once, listed by both instances'
+// directories, until a transaction updates a cell of it in place — only then
+// does the active instance get memory of its own for that chunk
+// (Table.unshare). Rows above the visible watermark are in the instance
+// (inserts go to both) but are exposed only after it becomes active again.
 type Instance struct {
 	cols    []*Words
 	visible atomic.Int64 // rows exposed to readers of this instance
@@ -63,13 +66,19 @@ type Table struct {
 	// either instance. Secondary indexes and cached join build sides hang
 	// their staleness checks on that: a column whose counter has not moved
 	// since they were built serves from derived state alone, even while
-	// sibling columns churn, and a counter still at zero means both
-	// instances hold the appended values, identical in every source.
+	// sibling columns churn, and a counter still at zero means every chunk
+	// of the column is still the one both instances share, holding the
+	// appended values — identical in every source because there is one.
+	// UpdateCell counts before it sets the row's update-indication bit, so
+	// whoever sees the bit (SyncTo) sees the column counted.
 	// This is the one per-column update signal the table keeps (the
 	// "updated tuples" flag of the SM's column statistics, §3.2).
 	colUpdates []atomic.Int64
 
-	appendMu sync.Mutex // serializes row allocation across committing txns
+	// appendMu serializes row allocation across committing transactions, and
+	// with it everything that decides which chunks the twins share: growth,
+	// the first-update split (unshare) and the switch.
+	appendMu sync.Mutex
 	switchMu sync.Mutex // serializes instance switches
 	// applyMu lets committing transactions pin the active instance for the
 	// duration of their in-place write batch: a switch concurrent with a
@@ -95,7 +104,12 @@ func NewTable(schema Schema, capHint int64) *Table {
 		in := &Instance{dirty: bitset.New(int(capHint))}
 		in.cols = make([]*Words, len(schema.Columns))
 		for i := range in.cols {
-			in.cols[i] = newWords(capHint)
+			if k == 0 {
+				in.cols[i] = newWords(capHint)
+			} else {
+				in.cols[i] = newWords(0)
+				in.cols[i].ensureShared(t.inst[0].cols[i], capHint)
+			}
 		}
 		t.inst[k] = in
 	}
@@ -129,10 +143,12 @@ func (t *Table) Instance(k int) *Instance { return t.inst[k] }
 // DirtyOLAP exposes the updated-since-ETL bitset.
 func (t *Table) DirtyOLAP() *bitset.Atomic { return t.dirtyOLAP }
 
-// AppendRows allocates n new committed rows, writing each provided row to
-// BOTH instances (§3.2: "inserts are pushed to both instances"), stamps
-// them with commit timestamp ts, and returns the first row ID. rows[i]
-// must have one raw word per column; use EncodeRow for friendly values.
+// AppendRows allocates n new committed rows holding the provided rows in
+// BOTH instances (§3.2: "inserts are pushed to both instances") — stored
+// once where the instances share the chunk, twice where an update has split
+// it — stamps them with commit timestamp ts, and returns the first row ID.
+// rows[i] must have one raw word per column; use EncodeRow for friendly
+// values.
 func (t *Table) AppendRows(rows [][]int64, ts uint64) int64 {
 	for _, row := range rows {
 		if len(row) != len(t.schema.Columns) {
@@ -164,9 +180,11 @@ func (t *Table) AppendColumns(cols [][]int64, ts uint64) int64 {
 // (row-major) or, when cols is non-nil, from cols (column-major); widths
 // are the caller's to check. It works a chunk run at a time, column by
 // column: the destination run of instance 0 is resolved once and filled,
-// then copied to instance 1's run. The cells lie above the published row
-// count, where nothing reads, so they need no atomic stores: storing
-// rows/visible last, under appendMu, is what publishes them.
+// and copied to instance 1's run only if that is other memory — a new chunk
+// is allocated once and listed by both instances, so it is not until an
+// update has split it. The cells lie above the published row count, where
+// nothing reads, so they need no atomic stores: storing rows/visible last,
+// under appendMu, is what publishes them.
 func (t *Table) appendRun(n int64, ts uint64, rows, cols [][]int64) int64 {
 	if n == 0 {
 		return t.rows.Load()
@@ -177,7 +195,7 @@ func (t *Table) appendRun(n int64, ts uint64, rows, cols [][]int64) int64 {
 	a, b := t.inst[0].cols, t.inst[1].cols
 	for c := range a {
 		a[c].ensure(end)
-		b[c].ensure(end)
+		b[c].ensureShared(a[c], end)
 	}
 	t.rowTS.ensure(end)
 	for r := base; r < end; {
@@ -192,7 +210,9 @@ func (t *Table) appendRun(n int64, ts uint64, rows, cols [][]int64) int64 {
 					dst[i] = rows[off+i][c]
 				}
 			}
-			copy(b[c].run(r, end), dst)
+			if twin := b[c].run(r, end); &twin[0] != &dst[0] {
+				copy(twin, dst)
+			}
 		}
 		for i := range stamps {
 			stamps[i] = int64(ts)
@@ -221,17 +241,58 @@ func (t *Table) EndApply() { t.applyMu.RUnlock() }
 //
 //htap:hotpath
 func (t *Table) UpdateCell(row int64, col int, v int64, ts uint64) {
-	in := t.inst[t.active.Load()]
+	act := t.active.Load()
+	in := t.inst[act]
+	if twin := t.inst[1-act].cols[col]; in.cols[col].sharesChunk(twin, row) {
+		t.unshare(in.cols[col], twin, row)
+	}
 	in.cols[col].Store(row, v)
 	// The timestamp goes out before the bits: the delta-ETL clears a
 	// row's dirtyOLAP bit and then reads its timestamp to learn whether the
 	// bit it cleared was this update's, so by the time the bit can be seen
-	// the timestamp must say so.
+	// the timestamp must say so. So does the column's count: SyncTo skips
+	// the columns that have none.
 	t.rowTS.Store(row, int64(ts))
+	t.colUpdates[col].Add(1)
 	in.dirty.Set(int(row))
 	t.dirtyOLAP.Set(int(row))
 	t.updates.Add(1)
-	t.colUpdates[col].Add(1)
+}
+
+// unshare is the first in-place write to a chunk the twins still share: the
+// active instance's column w gets a copy of its own, under appendMu so that
+// no appender is filling the chunk's tail while it is copied. The snapshot
+// instance keeps the old chunk — a scan holding a slice of it goes on
+// reading memory nobody writes — and a transaction that loaded w's old
+// directory reads the cell as it was before this update, which is what its
+// timestamp and lock-probe validation (txn's readCommitted) takes it for.
+//
+//htap:coldpath
+func (t *Table) unshare(w, twin *Words, row int64) {
+	t.appendMu.Lock()
+	w.privatize(twin, row)
+	t.appendMu.Unlock()
+}
+
+// TwinBytes reports where the two instances' cells are: shared is the bytes
+// of chunks both directories list (held once), private the bytes of chunks
+// only one lists (an updated chunk counts twice, once per instance). Their
+// sum is the memory under the twins; half of private is what the second
+// twin costs.
+func (t *Table) TwinBytes() (shared, private int64) {
+	t.appendMu.Lock()
+	defer t.appendMu.Unlock()
+	for c, w := range t.inst[0].cols {
+		a, b := *w.dir.Load(), *t.inst[1].cols[c].dir.Load()
+		for i := range a {
+			if &a[i][0] == &b[i][0] {
+				shared += chunkBytes
+			} else {
+				private += 2 * chunkBytes
+			}
+		}
+	}
+	return shared, private
 }
 
 // ReadCell reads one cell of the given instance with atomic semantics,
@@ -267,7 +328,7 @@ func (t *Table) UpdateCount() int64 { return t.updates.Load() }
 // ColumnUpdateCount returns the lifetime number of writes that changed an
 // existing cell of column col in either instance (transactional updates
 // and the sync that propagates them); zero means the column has only ever
-// been written by appends, so all sources agree on its values.
+// been written by appends, so the instances still share all of it.
 func (t *Table) ColumnUpdateCount(col int) int64 { return t.colUpdates[col].Load() }
 
 // SwitchResult describes the outcome of an active-instance switch.
@@ -296,10 +357,8 @@ func (t *Table) Switch() SwitchResult {
 	newA := 1 - oldA
 	rows := t.rows.Load()
 	// The new active instance exposes everything committed so far,
-	// including inserts that were hidden while it was inactive.
-	for _, c := range t.inst[newA].cols {
-		c.ensure(rows)
-	}
+	// including inserts that were hidden while it was inactive (appendRun
+	// keeps both instances' storage the same length).
 	t.inst[newA].visible.Store(rows)
 	t.active.Store(newA)
 	t.appendMu.Unlock()
@@ -322,8 +381,10 @@ func (t *Table) Switch() SwitchResult {
 // Only cells whose word differs are stored, and each such store counts in
 // colUpdates: the destination held the pre-update value until now, so
 // anything derived from it since the update is stale for exactly those
-// columns. Never-updated columns are identical in both instances and stay
-// at zero.
+// columns. Never-updated columns are one set of chunks under both instances:
+// they are not looked at and stay at zero. A cell that differs lies in a
+// chunk an update has already split, whichever instance is the source, so
+// the store never lands in shared memory.
 func (t *Table) SyncTo(src int, lock func(row int64) func()) int {
 	from := t.inst[src]
 	dst := t.inst[1-src]
@@ -331,6 +392,9 @@ func (t *Table) SyncTo(src int, lock func(row int64) func()) int {
 		row := int64(i)
 		unlock := lock(row)
 		for c := range from.cols {
+			if t.colUpdates[c].Load() == 0 {
+				continue
+			}
 			if v := from.cols[c].Load(row); v != dst.cols[c].Load(row) {
 				dst.cols[c].Store(row, v)
 				t.colUpdates[c].Add(1)

@@ -37,13 +37,13 @@ func TestAppendVisibility(t *testing.T) {
 	if tab.Active().Visible() != 1 {
 		t.Fatalf("active visible = %d", tab.Active().Visible())
 	}
-	// Inserts are physically in both instances but only visible in the
-	// active one (§3.2).
+	// Inserts are in both instances (the one chunk both list) but only
+	// visible in the active one (§3.2).
 	if tab.Inactive().Visible() != 0 {
 		t.Fatalf("inactive visible = %d, want 0", tab.Inactive().Visible())
 	}
 	if got := tab.ReadCell(1-tab.ActiveIndex(), 0, 0); got != 1 {
-		t.Fatalf("physical twin copy missing: %d", got)
+		t.Fatalf("inactive twin lacks the insert: %d", got)
 	}
 }
 

@@ -8,6 +8,12 @@
 // instance to hand the OLAP engine a consistent snapshot without
 // interfering with transaction execution.
 //
+// "Two full instances" is the logical picture. Physically the instances
+// list the same 128 KiB chunk of a column until a transaction first updates
+// a cell of it in place, and only that chunk is then held twice
+// (Table.unshare): a column nothing updates — most of CH — costs one copy,
+// and Table.TwinBytes says how much of the second twin is real.
+//
 // What the OLAP replica is missing is two facts, each kept once: inserts
 // are the rows at or above the replica's row watermark — an append touches
 // no bitmap — and updates are the dirtyOLAP bits only UpdateCell sets
@@ -24,7 +30,9 @@
 //   - An existing cell is written only by UpdateCell (the holder of the
 //     record's lock, inside BeginApply/EndApply, in the active instance)
 //     and by SyncTo (in the inactive instance, which no transaction
-//     touches); both use atomic stores and count in colUpdates.
+//     touches); both use atomic stores and count in colUpdates, and
+//     neither ever stores into a chunk the instances share — UpdateCell
+//     splits it first, SyncTo only finds a difference where one has.
 //   - Point reads (ReadCell, ReadRow) use atomic loads and are always safe;
 //     what version they see is the transaction manager's business. Run
 //     reads (Scan, Slice) are plain loads, for rows no writer touches: an

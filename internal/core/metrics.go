@@ -33,6 +33,9 @@ func (s *System) Metrics() metrics.Snapshot {
 		snap.DirtyRows += int64(t.Active().DirtyCount()) // nothing updates an inactive instance
 		snap.FreshRows += h.Fresh().FreshRows()
 		snap.VersionRows += h.Ref.Versions.Len()
+		shared, private := t.TwinBytes()
+		snap.TwinSharedBytes += shared
+		snap.TwinPrivateBytes += private
 	}
 	switches, synced, etl := s.X.Counters()
 	snap.Switches = switches

@@ -51,6 +51,12 @@ type Snapshot struct {
 	// chains back to that snapshot and no further, so a leaked transaction
 	// shows here, and in VersionRows, rather than only in a heap profile.
 	SnapshotLag uint64
+	// TwinSharedBytes and TwinPrivateBytes are where the twin instances'
+	// cells are (columnar.Table.TwinBytes, summed over tables): chunks both
+	// instances list, held once, and chunks an in-place update has split,
+	// held by each. Half of the private bytes is what the second twin costs.
+	TwinSharedBytes  int64
+	TwinPrivateBytes int64
 
 	// Resource and data exchange.
 	Switches   int64
@@ -92,6 +98,8 @@ func (s Snapshot) WriteTo(w io.Writer) (int64, error) {
 		{"fresh rows (replica lag)", s.FreshRows},
 		{"mvcc versions", s.VersionRows},
 		{"oldest snapshot lag (timestamps)", s.SnapshotLag},
+		{"twin bytes shared (held once)", s.TwinSharedBytes},
+		{"twin bytes private (split by updates)", s.TwinPrivateBytes},
 		{"instance switches", s.Switches},
 		{"synced rows", s.SyncedRows},
 		{"synced rows inside the commit barrier", s.BarrierSyncedRows},

@@ -20,7 +20,7 @@ package query
 // every WithArgs clone). An entry stays usable while every dimension
 // column it read — keys, payload, predicates — has ColumnUpdateCount()==0,
 // which means the column was only ever appended to and both instances
-// hold the same words (the invariant documented on columnar.Table's
+// read the same chunks (the invariant documented on columnar.Table's
 // colUpdates), and while the stamped build-side predicate values equal
 // the ones it was filtered by. A usable entry is extended with the rows
 // appended since it was built; anything else rebuilds from row 0. What
