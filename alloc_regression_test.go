@@ -159,6 +159,46 @@ func TestGraphJoinExecutionAllocBudget(t *testing.T) {
 	}
 }
 
+// TestNewLocalAllocBudget pins what one morsel's local costs to create,
+// per plan shape. The engine creates every local of a task in one loop at
+// Submit, so whatever a local allocates there sits next to its
+// neighbours': accumulators only, never a buffer a worker writes per row
+// (a multi-join plan's gathered payload words live on the consuming
+// goroutine's stack). The flocal itself; plus, for composite group keys,
+// the group table and its slots.
+func TestNewLocalAllocBudget(t *testing.T) {
+	e := oltp.NewEngine()
+	db := ch.Load(e, ch.TinySizing(), 1)
+	for _, p := range []struct {
+		name    string
+		plan    *query.Plan
+		objects float64
+	}{
+		// One more each for Q2, Q5 and Q7 (2, 2, 4) when a multi-join local
+		// carried its own payload buffer; the rest are as they were.
+		{"Q1", ch.Q1Plan(0), 1},
+		{"Q6", ch.Q6Plan(0, 0, 0, 0), 1},
+		{"Q19", ch.Q19Plan(0, 0, 0, 0), 1},
+		{"Q12", ch.Q12Plan(0), 1},
+		{"Q3", ch.Q3Plan(0), 3},
+		{"Q18", ch.Q18Plan(0, 0), 3},
+		{"Q2", ch.Q2Plan(0, 0), 1},
+		{"Q5", ch.Q5Plan(0), 1},
+		{"Q7", ch.Q7Plan(0), 3},
+	} {
+		t.Run(p.name, func(t *testing.T) {
+			q, err := p.plan.Bind(db)
+			if err != nil {
+				t.Fatal(err)
+			}
+			exec, _ := q.Prepare()
+			if got := testing.AllocsPerRun(20, func() { exec.NewLocal() }); got != p.objects {
+				t.Fatalf("%s: NewLocal allocates %.0f objects, want %.0f", p.name, got, p.objects)
+			}
+		})
+	}
+}
+
 // TestWALAppendAllocBudget pins the commit log's hot path: a warmed
 // Append — encode buffer grown, file with capacity headroom — must not
 // allocate per record beyond the filesystem's occasional slice growth

@@ -109,7 +109,7 @@
 //
 // The built-in Q1, Q3, Q6, Q12, Q18 and Q19 are themselves prepared
 // statements, bound once per database and stamped with their default
-// arguments; hand-coded executors remain in internal/ch as golden
+// arguments; hand-coded executors remain in internal/ch/golden as
 // references for the compiler's correctness tests.
 package elastichtap
 

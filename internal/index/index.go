@@ -2,9 +2,10 @@
 // tables: bitmap indexes (one bitset of row ids per distinct value) for
 // dictionary-encoded columns, and hash indexes (value → ascending row-id
 // postings) for int64 key columns. Indexes are built lazily on first
-// lookup and maintained incrementally — the RDE engine calls Refresh at
-// ETL batch boundaries and after instance switches, extending each built
-// index from its row watermark without rescanning history.
+// lookup and maintained incrementally where they are read: every Lookup
+// first extends the index it serves from its row watermark, without
+// rescanning history. Nothing refreshes them on a schedule — not the RDE
+// engine at ETL boundaries, not an instance switch.
 //
 // Because inserts are pushed to both columnar instances (§3.2), a column
 // that has never seen an in-place update holds identical values in every

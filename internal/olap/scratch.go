@@ -5,9 +5,10 @@ package olap
 // inline drainer owns one for the duration of its drain, so the buffers
 // are only ever touched by a single goroutine at a time and steady-state
 // execution allocates nothing per morsel: the engine's column-slice
-// header array and any kernel-owned scratch (selection vectors,
-// accumulator rows, payload buffers) are taken from here instead of a
-// shared sync.Pool that bounces between cores.
+// header array is taken from here instead of a shared sync.Pool that
+// bounces between cores. Kernel is the same offer to executors; none takes
+// it today — the fused kernels (query/kernel_exec.go) keep their per-row
+// scratch on the consuming goroutine's stack.
 type Scratch struct {
 	cols [][]int64
 
@@ -34,7 +35,9 @@ func (s *Scratch) colSlices(n int) [][]int64 {
 // The engine calls ConsumeScratch instead of Consume, passing the
 // claiming worker's (or inline drainer's) Scratch. Implementations must
 // not retain the Scratch or the Block's column slices beyond the call,
-// except via sc.Kernel which they own.
+// except via sc.Kernel which they own. No Local in this repository
+// implements it; the engine and the benchmark's hand-driven probe
+// (bench/probe.go) only test for it.
 type ScratchConsumer interface {
 	Local
 	ConsumeScratch(b Block, sc *Scratch)

@@ -115,9 +115,9 @@ func (m morsel) bytes(ncols int) int64 {
 // runMorsel consumes one morsel into its dedicated Local. Called without
 // e.mu; the morsel index was claimed exclusively, so no other goroutine
 // touches locals[mi]. sc is the claiming worker's (or inline drainer's)
-// scratch: the block's column-slice headers come from it, and Locals
-// that implement ScratchConsumer get it for kernel-owned buffers, so a
-// warmed worker runs a morsel with zero allocations.
+// scratch: the block's column-slice headers come from it, so a warmed
+// worker runs a morsel with zero allocations. A Local that implemented
+// ScratchConsumer would be handed it for buffers of its own; none does.
 func (t *Task) runMorsel(mi int, sc *Scratch) {
 	m := t.morsels[mi]
 	p := t.src.Parts[m.part]

@@ -4,7 +4,7 @@ package query
 // of two representations the table takes, and what of it outlives one
 // execution of a bound statement.
 //
-// A build side is either hashed (joinTab1/joinTabK in kernel_exec.go) or
+// A build side is either hashed (joinTab in kernel_exec.go) or
 // dense: when the key columns' observed [min, max] ranges multiply out to
 // at most denseCellsPerRow cells per build row, the keys are packed
 // arithmetically — Σ (k_d − min_d)·stride_d — into a flat []int32 of
@@ -53,8 +53,8 @@ var forceHashJoins atomic.Bool
 // one of the two hash tables selected by the key width.
 type buildSide struct {
 	dn *denseTab
-	j1 joinTab1
-	jK joinTabK
+	j1 joinTab[int64]
+	jK joinTab[jkey]
 }
 
 // denseTab is the arithmetically packed build table. It is immutable once
@@ -451,12 +451,22 @@ func (c *Compiled) buildJoin(ji int, dense bool) (side buildSide, scanned int64)
 	if narrowed {
 		n0 = len(cands)
 	}
-	if len(j.keyCols) == 1 {
+	if nkey := len(j.keyCols); nkey == 1 {
 		side.j1.init(n0, len(j.payCols))
-		scan(side.j1.add)
+		scan(func(run *dimRun, i int) {
+			k := run.key(0, i)
+			side.j1.add(k, hash1(k), hash1, run, i)
+		})
 	} else {
-		side.jK.init(n0, len(j.keyCols), len(j.payCols))
-		scan(side.jK.add)
+		hash := func(k jkey) uint64 { return hashJK(&k, nkey) }
+		side.jK.init(n0, len(j.payCols))
+		scan(func(run *dimRun, i int) {
+			var k jkey
+			for d := range run.keys {
+				k[d] = run.key(d, i)
+			}
+			side.jK.add(k, hashJK(&k, nkey), hash, run, i)
+		})
 	}
 	c.builds.rebuilt(ji, buildEntry{}, read)
 	return side, scanned

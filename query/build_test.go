@@ -82,7 +82,7 @@ func ordersFixture(tb testing.TB) (Catalog, *oltp.Engine) {
 
 // ordersPlans are the two probe paths over the fixture: one composite-key
 // join (the generic single-join probe) and a two-join chain whose second
-// key is the first join's payload (probeMulti). flag is the build-side
+// key is the first join's payload. flag is the build-side
 // predicate value, a Param or a literal.
 func ordersPlans(flag any) map[string]*Plan {
 	edge := func() JoinEdge {
@@ -252,7 +252,7 @@ func TestSparseKeysStayHashed(t *testing.T) {
 	if st := q.BuildStats(); st.Hits != 0 || st.Extends != 0 || st.Rebuilds != 2 {
 		t.Fatalf("sparse build side: %+v, want a rebuild per execution", st)
 	}
-	if exec, _ := q.Prepare(); exec.(*fexec).jkind != jOne || q.builds.entries[0].tab != nil {
+	if exec, _ := q.Prepare(); exec.(*fexec).joins[0].dn != nil || q.builds.entries[0].tab != nil {
 		t.Fatal("sparse build side went dense or was kept")
 	}
 	// The rule cuts both ways: the full (jk, k2) cross product packs.
@@ -260,7 +260,7 @@ func TestSparseKeysStayHashed(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if exec, _ := dense.Prepare(); exec.(*fexec).jkind != jDense {
+	if exec, _ := dense.Prepare(); exec.(*fexec).joins[0].dn == nil {
 		t.Fatal("a fully covered composite key domain did not pack densely")
 	}
 }

@@ -17,6 +17,11 @@ import (
 // database that NewOrder has grown, once with build sides packed densely
 // (and kept between its executions) and once with every build side
 // forced through the hash tables: same rows, same statistics, bit for bit.
+// Between them the two runs probe every table representation from a
+// one-join and from a multi-join plan: dense from Q12 and OLxItem (one
+// join) and Q2/Q5/Q7 (several, some of each keyed on an earlier join's
+// payload); forced, Q12 probes a composite-key hash table, OLxItem a
+// single-key one, Q5 and Q7 both kinds. Q3 runs its monomorphic loop.
 func TestDenseMatchesHashedOnCHGraphPlans(t *testing.T) {
 	e := oltp.NewEngine()
 	db := ch.Load(e, ch.SizingForScale(0.01), 1)
@@ -47,6 +52,14 @@ func TestDenseMatchesHashedOnCHGraphPlans(t *testing.T) {
 		"Q5":  func() *query.Plan { return ch.Q5Plan(0) },
 		"Q7":  func() *query.Plan { return ch.Q7Plan(0) },
 		"Q12": func() *query.Plan { return ch.Q12Plan(0) },
+		// The one shape CH lacks: a single-key payload join on its own
+		// (Q19's is a semi join and runs a monomorphic loop).
+		"OLxItem": func() *query.Plan {
+			return query.Scan(ch.TOrderLine).
+				JoinGraph(query.JoinOn(query.Rel(ch.TOrderLine), query.Rel(ch.TItem), "ol_i_id", "i_id")).
+				GroupBy("ol_number").
+				Agg(query.Sum("i_price").As("list"), query.Sum("ol_amount").As("paid"), query.Count().As("n"))
+		},
 	} {
 		t.Run(name, func(t *testing.T) {
 			dense, err := plan().Bind(db)

@@ -180,14 +180,6 @@ type ffrange struct {
 }
 
 const (
-	jNone  uint8 = iota
-	jOne         // one join, single-column key, hashed
-	jMany        // one join, composite key, hashed
-	jDense       // one join, arithmetically packed keys (build.go)
-	jMulti       // two or more joins, probed in execution order
-)
-
-const (
 	gNone uint8 = iota
 	gDense
 	gSpill
@@ -217,26 +209,16 @@ type fexec struct {
 	franges []ffrange
 	gens    []filter
 
-	// join
-	jkind      uint8
-	probeSlot  int   // jOne
-	probeSlots []int // jMany, jDense
-	nkey       int
-	npay       int
-	buildSide  // the single join's table
-	// jMulti: one fjoin per compiled join, execution order; payload
-	// columns land in a flat per-local buffer of npayTotal words.
-	joins     []fjoin
-	npayTotal int
+	// joins are the plan's joins in execution order, each with the table
+	// this execution probes: none, one, or several.
+	joins []fjoin
 
 	// skips are the morsel-skip probes (see buildSkips).
 	skips []fskip
 
 	// grouping
 	gkind uint8
-	gslot int  // gDense: block slot or payload index
-	gpay  bool // gDense: key comes from the payload
-	gsrc  []gsrc
+	gsrc  [maxGroupCols]gsrc // the first ngroup are set; gDense reads gsrc[0]
 
 	ops  []aggOp
 	spec uint8 // monomorphic fast-loop selection (kernel_fast.go)
@@ -295,18 +277,17 @@ func (c *Compiled) prepareFused() (olap.Exec, int64) {
 			e.gens = append(e.gens, *f)
 		}
 	}
-	switch {
-	case e.ngroup == 0:
+	switch e.ngroup {
+	case 0:
 		e.gkind = gNone
-	case e.ngroup == 1:
+	case 1:
 		e.gkind = gDense
-		e.gslot, e.gpay = e.srcOf(c.groups[0])
 	default:
 		e.gkind = gSpill
-		for _, s := range c.groups {
-			idx, pay := e.srcOf(s)
-			e.gsrc = append(e.gsrc, gsrc{pay: pay, idx: idx})
-		}
+	}
+	for d, s := range c.groups {
+		idx, pay := e.srcOf(s)
+		e.gsrc[d] = gsrc{pay: pay, idx: idx}
 	}
 	for ai := range c.fuse.accs {
 		as := &c.fuse.accs[ai]
@@ -356,55 +337,24 @@ func (c *Compiled) prepareFused() (olap.Exec, int64) {
 	}
 	// The kernel is picked from the shape before any table exists: the two
 	// fast loops that inline a hash probe need their join hashed.
-	switch len(c.joins) {
-	case 0:
-	case 1:
-		j := c.joins[0]
-		e.npay = len(j.payCols)
-		e.npayTotal = e.npay
-		e.probeSlot, e.probeSlots, e.nkey = j.probeSlots[0], j.probeSlots, len(j.keyCols)
-		e.jkind = jMany
-		if e.nkey == 1 {
-			e.jkind = jOne
-		}
-	default:
-		e.jkind = jMulti
-		e.npayTotal = c.npayTotal
-	}
 	e.spec = e.pickSpec()
+	e.joins = make([]fjoin, 0, len(c.joins))
 	var buildBytes int64
 	for ji, j := range c.joins {
 		side, scanned := c.buildJoin(ji, e.spec == specGeneric)
 		buildBytes += scanned * int64(j.words) * columnar.WordBytes
-		if e.jkind == jMulti {
-			e.joins = append(e.joins, fjoin{
-				one:        len(j.keyCols) == 1,
-				probeSlots: j.probeSlots,
-				nkey:       len(j.keyCols),
-				npay:       len(j.payCols),
-				payBase:    j.payBase,
-				buildSide:  side,
-			})
-		} else {
-			e.buildSide = side
-			if side.dn != nil {
-				e.jkind = jDense
-			}
-		}
+		e.joins = append(e.joins, fjoin{j, side})
 	}
 	e.buildSkips()
 	return e, buildBytes
 }
 
-// fjoin is one of a jMulti kernel's joins: its probe sources (fact scan
-// slots or earlier joins' payload slots), its build table, and where its
-// payload lands in the per-local payload buffer.
+// fjoin is one join of an execution: the compiled join — probe sources
+// (fact scan slots or earlier joins' payload slots), key and payload
+// widths, where its payload lands among the plan's payload words — and the
+// table this execution probes for it.
 type fjoin struct {
-	one        bool  // single-column key: a hashed side probes j1, else jK
-	probeSlots []int // global slots of the key columns
-	nkey       int
-	npay       int
-	payBase    int // first index into the payload buffer
+	*joinPlan
 	buildSide
 }
 

@@ -2,6 +2,8 @@ package query
 
 import (
 	"context"
+	"fmt"
+	"sync"
 	"testing"
 
 	"elastichtap/internal/columnar"
@@ -183,4 +185,71 @@ func BenchmarkKernelDenseGroupSumIntFloat(b *testing.B) {
 		Filter(Between("qty", 5, 45)).
 		GroupBy("gid").
 		Agg(Sum("qty").As("sq"), Sum("amount").As("sa")), 4)
+}
+
+// BenchmarkKernelMultiProbeWorkers consumes two consecutive morsels of a
+// two-join plan, through locals created back to back the way the engine
+// creates a task's, from one goroutine and from two. Every row matches
+// both joins, so every row gathers its payload words. ns/row is
+// goroutine time per consumed row: the two sub-benchmarks read the same
+// when the goroutines share nothing they write, and goroutines=2 reads
+// higher when something written per row is adjacent across locals.
+func BenchmarkKernelMultiProbeWorkers(b *testing.B) {
+	cat, e := newBenchCatalog(b)
+	dimg := e.CreateTable(columnar.Schema{Name: "bdimg", Columns: []columnar.ColumnDef{
+		{Name: "gid", Type: columnar.Int64},
+		{Name: "grp", Type: columnar.Int64},
+	}}, 16, false)
+	var rows [][]int64
+	for g := 0; g < 64; g++ {
+		rows = append(rows, dimg.Table().EncodeRow(int64(g), int64(g%8)))
+	}
+	dimg.Table().AppendRows(rows, 0)
+	q, err := Scan("bfact").
+		JoinGraph(joinDimC(), JoinOn(Rel("bfact"), Rel("bdimg"), "gid", "gid")).
+		GroupBy("grp").
+		Agg(Sum("pay").As("sp"), Sum("amount").As("rev")).
+		Bind(cat)
+	if err != nil {
+		b.Fatal(err)
+	}
+	exec, _ := q.Prepare()
+	const morsels, reps = 2, 8
+	inst := e.Table("bfact").Table().Active()
+	var blks [morsels]olap.Block
+	for m := range blks {
+		lo := int64(m) * columnar.ChunkSize
+		blks[m] = olap.Block{Base: lo, N: columnar.ChunkSize}
+		for _, c := range q.Columns() {
+			blks[m].Cols = append(blks[m].Cols, inst.Col(c).Slice(lo, lo+columnar.ChunkSize))
+		}
+	}
+	for _, goroutines := range []int{1, 2} {
+		b.Run(fmt.Sprintf("goroutines=%d", goroutines), func(b *testing.B) {
+			var locals [morsels]olap.Local
+			for m := range locals {
+				locals[m] = exec.NewLocal()
+			}
+			consume := func(m int) {
+				for r := 0; r < reps; r++ {
+					locals[m].Consume(blks[m])
+				}
+			}
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				if goroutines == 1 {
+					consume(0)
+					consume(1)
+					continue
+				}
+				var wg sync.WaitGroup
+				wg.Add(1)
+				go func() { defer wg.Done(); consume(1) }()
+				consume(0)
+				wg.Wait()
+			}
+			rowsPerGoroutine := float64(b.N) * reps * columnar.ChunkSize * morsels / float64(goroutines)
+			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/rowsPerGoroutine, "ns/row")
+		})
+	}
 }

@@ -17,9 +17,9 @@ import (
 // imul — cheaper than any avalanche mix and cheaper than Go's map hash.
 const fibMul = 0x9e3779b97f4a7c15
 
-// hash1 is the single-word table index: multiply, keep the top bits.
-func hash1(k int64, shift uint8) uint64 {
-	return uint64(k) * fibMul >> shift
+// hash1 is the single-word hash; a table indexes by its top bits.
+func hash1(k int64) uint64 {
+	return uint64(k) * fibMul
 }
 
 // hashJK folds composite keys with one xor-multiply per word; the final
@@ -41,22 +41,22 @@ func hashGK(k *gkey, n int) uint64 {
 	return h
 }
 
-// joinTab1 is the single-key hashed join build table: linear-probed slots
-// keyed by the raw int64 word, payload rows packed in one slab at fixed
-// stride. buildJoin presizes it from the dimension's row count, so an
+// joinTab is the hashed join build table, keyed by the raw int64 word
+// (single-column keys) or a fixed-width jkey (composite ones):
+// linear-probed slots, payload rows packed in one slab at fixed stride.
+// buildJoin presizes it from the dimension's row count, so an
 // unpredicated load never rehashes. (Densely keyed build sides skip
 // hashing altogether: see build.go.)
-type joinTab1 struct {
+type joinTab[K comparable] struct {
 	mask  uint64
 	shift uint8
-	slots []j1slot
+	slots []jslot[K]
 	slab  []int64
-	npay  int
 	n     int // keys held
 }
 
-type j1slot struct {
-	key  int64
+type jslot[K comparable] struct {
+	key  K
 	off  int32
 	used bool
 }
@@ -71,9 +71,21 @@ func sizeFor(n int) (int, uint8) {
 	return nslots, shift
 }
 
-func (t *joinTab1) grow() {
+// init presizes the table for n0 build rows of npay payload words.
+func (t *joinTab[K]) init(n0, npay int) {
+	nslots, shift := sizeFor(n0)
+	t.slots = make([]jslot[K], nslots)
+	t.mask, t.shift = uint64(nslots-1), shift
+	if npay > 0 && n0 > 0 {
+		t.slab = make([]int64, 0, n0*npay)
+	}
+}
+
+// grow doubles the slots; hash is the key's full-width hash, of which the
+// table indexes by the top bits.
+func (t *joinTab[K]) grow(hash func(K) uint64) {
 	old := t.slots
-	t.slots = make([]j1slot, len(old)*2)
+	t.slots = make([]jslot[K], len(old)*2)
 	t.mask = uint64(len(t.slots) - 1)
 	t.shift--
 	for i := range old {
@@ -81,7 +93,7 @@ func (t *joinTab1) grow() {
 		if !s.used {
 			continue
 		}
-		h := hash1(s.key, t.shift)
+		h := hash(s.key) >> t.shift
 		for t.slots[h].used {
 			h = (h + 1) & t.mask
 		}
@@ -89,27 +101,17 @@ func (t *joinTab1) grow() {
 	}
 }
 
-// init presizes the table for n0 build rows of npay payload words.
-func (t *joinTab1) init(n0, npay int) {
-	nslots, shift := sizeFor(n0)
-	t.slots = make([]j1slot, nslots)
-	t.mask, t.shift, t.npay = uint64(nslots-1), shift, npay
-	if npay > 0 && n0 > 0 {
-		t.slab = make([]int64, 0, n0*npay)
-	}
-}
-
-// add loads row i of a build-side run (see buildJoin). Duplicate keys
-// keep the last row's payload; rows arrive ascending, index-narrowed or
-// not, so both resolve duplicates identically.
-func (t *joinTab1) add(run *dimRun, i int) {
+// add loads row i of a build-side run (see buildJoin) under key k, whose
+// hash is hk; hash itself is only called to grow. Duplicate keys keep the
+// last row's payload; rows arrive ascending, index-narrowed or not, so
+// both resolve duplicates identically.
+func (t *joinTab[K]) add(k K, hk uint64, hash func(K) uint64, run *dimRun, i int) {
 	off := int32(len(t.slab))
 	t.slab = run.appendPay(t.slab, i)
 	if (t.n+1)*4 > len(t.slots)*3 {
-		t.grow()
+		t.grow(hash)
 	}
-	k := run.key(0, i)
-	h := hash1(k, t.shift)
+	h := hk >> t.shift
 	for {
 		s := &t.slots[h]
 		if !s.used {
@@ -119,76 +121,6 @@ func (t *joinTab1) add(run *dimRun, i int) {
 		}
 		if s.key == k {
 			s.off = off // last row wins
-			return
-		}
-		h = (h + 1) & t.mask
-	}
-}
-
-// joinTabK is the composite-key variant over fixed-width jkey arrays.
-type joinTabK struct {
-	mask  uint64
-	shift uint8
-	slots []jKslot
-	slab  []int64
-	npay  int
-	nkey  int
-	n     int // keys held
-}
-
-type jKslot struct {
-	key  jkey
-	off  int32
-	used bool
-}
-
-func (t *joinTabK) grow() {
-	old := t.slots
-	t.slots = make([]jKslot, len(old)*2)
-	t.mask = uint64(len(t.slots) - 1)
-	t.shift--
-	for i := range old {
-		s := old[i]
-		if !s.used {
-			continue
-		}
-		h := hashJK(&s.key, t.nkey) >> t.shift
-		for t.slots[h].used {
-			h = (h + 1) & t.mask
-		}
-		t.slots[h] = s
-	}
-}
-
-func (t *joinTabK) init(n0, nkey, npay int) {
-	nslots, shift := sizeFor(n0)
-	t.slots = make([]jKslot, nslots)
-	t.mask, t.shift, t.nkey, t.npay = uint64(nslots-1), shift, nkey, npay
-	if npay > 0 && n0 > 0 {
-		t.slab = make([]int64, 0, n0*npay)
-	}
-}
-
-func (t *joinTabK) add(run *dimRun, i int) {
-	off := int32(len(t.slab))
-	t.slab = run.appendPay(t.slab, i)
-	if (t.n+1)*4 > len(t.slots)*3 {
-		t.grow()
-	}
-	var k jkey
-	for d := range run.keys {
-		k[d] = run.key(d, i)
-	}
-	h := hashJK(&k, t.nkey) >> t.shift
-	for {
-		s := &t.slots[h]
-		if !s.used {
-			s.key, s.off, s.used = k, off, true
-			t.n++
-			return
-		}
-		if s.key == k {
-			s.off = off
 			return
 		}
 		h = (h + 1) & t.mask
@@ -274,9 +206,12 @@ type sumIF struct {
 	cnt      int64
 }
 
-// flocal is per-morsel fused state. Group storage allocates lazily and
-// grows with the keys the morsel actually touches; a warmed local
-// consuming a same-shaped block allocates nothing.
+// flocal is per-morsel fused state: accumulators and nothing else. The
+// engine creates a task's locals back to back, so anything a local owned
+// that a worker wrote per row would share cache lines with its
+// neighbours'. Group storage allocates lazily, by the goroutine that
+// consumes the morsel, and grows with the keys the morsel actually
+// touches; a warmed local consuming a same-shaped block allocates nothing.
 type flocal struct {
 	e         *fexec
 	globalBuf [4]acc
@@ -285,7 +220,6 @@ type flocal struct {
 	present   []bool  // gDense occupancy
 	flatIF    []sumIF // specDenseSumIF: dense cells, cnt>0 = present
 	tab       *groupTab
-	payBuf    []int64 // jMulti: the current row's gathered payload words
 }
 
 // NewLocal implements olap.Exec.
@@ -302,9 +236,6 @@ func (e *fexec) NewLocal() olap.Local {
 		// Spill plans always hash: building the table here keeps the
 		// per-block consume paths allocation-free (//htap:hotpath).
 		l.tab = newGroupTab(e.nacc, max(e.ngroup, 1))
-	}
-	if e.jkind == jMulti {
-		l.payBuf = make([]int64, e.npayTotal)
 	}
 	return l
 }
@@ -356,10 +287,21 @@ func (l *flocal) lookupTab(k gkey) []acc {
 	return l.tab.lookup(&k)
 }
 
+// payStackWords is the payload width Consume gathers on its stack; CH's
+// widest plan (Q7) carries seven words.
+const payStackWords = 16
+
+// widePay is the gather buffer of a plan wider than payStackWords: one
+// per consumed block, allocated by the goroutine that consumes it (never
+// next to another block's).
+//
+//htap:coldpath
+func widePay(n int) []int64 { return make([]int64, n) }
+
 // Consume implements olap.Local: one pass over the block, filter →
 // probe → group → accumulate per row. The loop splits per grouping kind
-// so the group-resolve branch is hoisted; filter ranges, the probe and
-// the op switch run inline with no per-row calls. A warmed local
+// so the group-resolve branch is hoisted; the filters, the probe and the
+// accumulator updates are one call each per surviving row. A warmed local
 // consuming a same-shaped block must not allocate (the runtime half of
 // this contract is alloc_regression_test.go).
 //
@@ -391,164 +333,119 @@ func (l *flocal) Consume(b olap.Block) {
 	case specSpillSumF:
 		l.runSpillSumF(b)
 	default:
+		// A multi-join plan gathers each row's payload words on this
+		// goroutine's stack: nothing two workers write is ever adjacent.
+		var stack [payStackWords]int64
+		buf := stack[:]
+		if n := e.c.npayTotal; n > len(stack) {
+			buf = widePay(n)
+		}
 		switch e.gkind {
 		case gNone:
-			l.consumeGlobal(b)
+			l.consumeGlobal(b, buf)
 		case gDense:
-			l.consumeDense(b)
+			l.consumeDense(b, buf)
 		default:
-			l.consumeSpill(b)
+			l.consumeSpill(b, buf)
 		}
 	}
 }
 
-// probe resolves the join for row i: reports whether it matched and
-// leaves the payload row in *pay. Small enough to inline into the
-// consume loops' row bodies.
-func (e *fexec) probe(cols [][]int64, i int, pay *[]int64) bool {
-	switch e.jkind {
-	case jOne:
-		k := cols[e.probeSlot][i]
-		h := hash1(k, e.j1.shift)
-		for {
-			s := &e.j1.slots[h]
-			if !s.used {
-				return false
-			}
-			if s.key == k {
-				if e.npay > 0 {
-					*pay = e.j1.slab[s.off : int(s.off)+e.npay]
-				}
-				return true
-			}
-			h = (h + 1) & e.j1.mask
-		}
-	case jMany:
-		var k jkey
-		for d, s := range e.probeSlots {
-			k[d] = cols[s][i]
-		}
-		h := hashJK(&k, e.nkey) >> e.jK.shift
-		for {
-			s := &e.jK.slots[h]
-			if !s.used {
-				return false
-			}
-			if s.key == k {
-				if e.npay > 0 {
-					*pay = e.jK.slab[s.off : int(s.off)+e.npay]
-				}
-				return true
-			}
-			h = (h + 1) & e.jK.mask
-		}
-	case jDense:
-		t := e.dn
-		var p uint64
-		for d, s := range e.probeSlots {
-			x := uint64(cols[s][i] - t.min[d])
-			if x >= t.span[d] {
-				return false
-			}
-			p += x * t.stride[d]
-		}
-		r := t.row(p)
-		if r == 0 {
-			return false
-		}
-		if e.npay > 0 {
-			*pay = t.slab[(r-1)*e.npay : r*e.npay]
-		}
-	}
-	return true
+// prober is what a block's probes read besides the row number: the plan's
+// joins, the block's columns, and buf, where a plan with several joins
+// gathers the row's payload words. It is one pointer and not six argument
+// words because probe is a single function over every join and table
+// form: with the six held in registers its inner loops spill their own
+// counters (Q12 +15 %).
+type prober struct {
+	joins []fjoin
+	cols  [][]int64
+	buf   []int64
+	nscan int
 }
 
-// probeMulti resolves a jMulti kernel's joins for row i in execution
-// order: each key gathers from fact block columns or from an earlier
-// join's words already landed in payBuf, and each match copies its
-// payload slab into payBuf at the join's payBase. Reports whether every
-// join matched.
-func (e *fexec) probeMulti(cols [][]int64, i int, payBuf []int64) bool {
-	for ji := range e.joins {
-		j := &e.joins[ji]
-		if t := j.dn; t != nil {
-			var p uint64
+// probe resolves the plan's joins for row i in execution order and
+// returns the row's payload words; ok is false when some join has no
+// match. Key word d of a join is read from its logical slot probeSlots[d]
+// (word). A plan with one join gets the matched build row itself, aliased
+// in its table's slab; a plan with several gathers each match's words into
+// buf at the join's payBase — where a later join keyed on them reads them
+// — and gets buf.
+//
+//htap:hotpath
+func (p *prober) probe(i int) (pay []int64, ok bool) {
+	for ji := range p.joins {
+		j := &p.joins[ji]
+		switch {
+		case j.dn != nil:
+			t := j.dn
+			var cell uint64
 			for d, s := range j.probeSlots {
-				var w int64
-				if s >= e.nscan {
-					w = payBuf[s-e.nscan]
-				} else {
-					w = cols[s][i]
-				}
-				x := uint64(w - t.min[d])
+				x := uint64(p.word(s, i) - t.min[d])
 				if x >= t.span[d] {
-					return false
+					return nil, false
 				}
-				p += x * t.stride[d]
+				cell += x * t.stride[d]
 			}
-			r := t.row(p)
+			r := t.row(cell)
 			if r == 0 {
-				return false
+				return nil, false
 			}
-			if j.npay == 1 {
-				payBuf[j.payBase] = t.slab[r-1]
-			} else if j.npay > 0 {
-				copy(payBuf[j.payBase:j.payBase+j.npay], t.slab[(r-1)*j.npay:r*j.npay])
-			}
-			continue
-		}
-		if j.one {
-			var k int64
-			if s := j.probeSlots[0]; s >= e.nscan {
-				k = payBuf[s-e.nscan]
-			} else {
-				k = cols[s][i]
-			}
-			h := hash1(k, j.j1.shift)
+			pay = t.slab[(r-1)*t.npay : r*t.npay]
+		case len(j.keyCols) == 1:
+			t := &j.j1
+			k := p.word(j.probeSlots[0], i)
+			h := hash1(k) >> t.shift
 			for {
-				sl := &j.j1.slots[h]
-				if !sl.used {
-					return false
+				s := &t.slots[h]
+				if !s.used {
+					return nil, false
 				}
-				if sl.key == k {
-					// Single-word payloads (the common case) skip memmove.
-					if j.npay == 1 {
-						payBuf[j.payBase] = j.j1.slab[sl.off]
-					} else if j.npay > 0 {
-						copy(payBuf[j.payBase:j.payBase+j.npay], j.j1.slab[sl.off:int(sl.off)+j.npay])
-					}
+				if s.key == k {
+					pay = t.slab[s.off : int(s.off)+len(j.payCols)]
 					break
 				}
-				h = (h + 1) & j.j1.mask
+				h = (h + 1) & t.mask
 			}
-			continue
-		}
-		var k jkey
-		for d, s := range j.probeSlots {
-			if s >= e.nscan {
-				k[d] = payBuf[s-e.nscan]
-			} else {
-				k[d] = cols[s][i]
+		default:
+			t := &j.jK
+			var k jkey
+			for d, s := range j.probeSlots {
+				k[d] = p.word(s, i)
 			}
-		}
-		h := hashJK(&k, j.nkey) >> j.jK.shift
-		for {
-			sl := &j.jK.slots[h]
-			if !sl.used {
-				return false
-			}
-			if sl.key == k {
-				if j.npay == 1 {
-					payBuf[j.payBase] = j.jK.slab[sl.off]
-				} else if j.npay > 0 {
-					copy(payBuf[j.payBase:j.payBase+j.npay], j.jK.slab[sl.off:int(sl.off)+j.npay])
+			h := hashJK(&k, len(j.keyCols)) >> t.shift
+			for {
+				s := &t.slots[h]
+				if !s.used {
+					return nil, false
 				}
-				break
+				if s.key == k {
+					pay = t.slab[s.off : int(s.off)+len(j.payCols)]
+					break
+				}
+				h = (h + 1) & t.mask
 			}
-			h = (h + 1) & j.jK.mask
+		}
+		if len(p.joins) == 1 {
+			return pay, true
+		}
+		// Single-word payloads (the common case) skip memmove.
+		if len(pay) == 1 {
+			p.buf[j.payBase] = pay[0]
+		} else {
+			copy(p.buf[j.payBase:], pay)
 		}
 	}
-	return true
+	return p.buf, true
+}
+
+// word reads row i's word of logical slot s: a fact block column, or past
+// the scan list the payload word an earlier join gathered.
+func (p *prober) word(s, i int) int64 {
+	if s < p.nscan {
+		return p.cols[s][i]
+	}
+	return p.buf[s-p.nscan]
 }
 
 // filterRow evaluates the specialized range filters then any generic
@@ -632,55 +529,52 @@ func (e *fexec) update(accs []acc, cols [][]int64, pay []int64, i int) {
 	}
 }
 
-func (l *flocal) consumeGlobal(b olap.Block) {
+func (l *flocal) consumeGlobal(b olap.Block, buf []int64) {
 	e := l.e
 	cols := b.Cols
 	accs := l.global
-	var pay []int64
-	if e.jkind == jMulti {
-		pay = l.payBuf
-	}
+	pr := prober{e.joins, cols, buf, e.nscan}
+	joined := len(e.joins) > 0
 	for i := 0; i < b.N; i++ {
 		if !e.filterRow(cols, i) {
 			continue
 		}
-		if e.jkind == jMulti {
-			if !e.probeMulti(cols, i, l.payBuf) {
+		var pay []int64
+		if joined {
+			var ok bool
+			if pay, ok = pr.probe(i); !ok {
 				continue
 			}
-		} else if e.jkind != jNone && !e.probe(cols, i, &pay) {
-			continue
 		}
 		e.update(accs, cols, pay, i)
 	}
 }
 
-func (l *flocal) consumeDense(b olap.Block) {
+func (l *flocal) consumeDense(b olap.Block, buf []int64) {
 	e := l.e
 	cols := b.Cols
 	nacc := e.nacc
+	g := &e.gsrc[0]
 	var kvec []int64
-	if !e.gpay {
-		kvec = cols[e.gslot]
+	if !g.pay {
+		kvec = cols[g.idx]
 	}
-	var pay []int64
-	if e.jkind == jMulti {
-		pay = l.payBuf
-	}
+	pr := prober{e.joins, cols, buf, e.nscan}
+	joined := len(e.joins) > 0
 	for i := 0; i < b.N; i++ {
 		if !e.filterRow(cols, i) {
 			continue
 		}
-		if e.jkind == jMulti {
-			if !e.probeMulti(cols, i, l.payBuf) {
+		var pay []int64
+		if joined {
+			var ok bool
+			if pay, ok = pr.probe(i); !ok {
 				continue
 			}
-		} else if e.jkind != jNone && !e.probe(cols, i, &pay) {
-			continue
 		}
 		var k int64
-		if e.gpay {
-			k = pay[e.gslot]
+		if g.pay {
+			k = pay[g.idx]
 		} else {
 			k = kvec[i]
 		}
@@ -698,27 +592,26 @@ func (l *flocal) consumeDense(b olap.Block) {
 	}
 }
 
-func (l *flocal) consumeSpill(b olap.Block) {
+func (l *flocal) consumeSpill(b olap.Block, buf []int64) {
 	e := l.e
 	cols := b.Cols
-	var pay []int64
-	if e.jkind == jMulti {
-		pay = l.payBuf
-	}
+	gs := e.gsrc[:e.ngroup]
+	pr := prober{e.joins, cols, buf, e.nscan}
+	joined := len(e.joins) > 0
 	for i := 0; i < b.N; i++ {
 		if !e.filterRow(cols, i) {
 			continue
 		}
-		if e.jkind == jMulti {
-			if !e.probeMulti(cols, i, l.payBuf) {
+		var pay []int64
+		if joined {
+			var ok bool
+			if pay, ok = pr.probe(i); !ok {
 				continue
 			}
-		} else if e.jkind != jNone && !e.probe(cols, i, &pay) {
-			continue
 		}
 		var k gkey
-		for d := range e.gsrc {
-			g := &e.gsrc[d]
+		for d := range gs {
+			g := &gs[d]
 			if g.pay {
 				k[d] = pay[g.idx]
 			} else {

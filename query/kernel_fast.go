@@ -43,23 +43,26 @@ func (e *fexec) pickSpec() uint8 {
 	}
 	ops := e.ops
 	blockSumF := len(ops) == 1 && ops[0].op == opSumFloat && !ops[0].pay
+	// The plan's only join, by key width: at most one of these is set.
+	joins := e.c.joins
+	semi1 := len(joins) == 1 && len(joins[0].keyCols) == 1 && len(joins[0].payCols) == 0
+	joinK := len(joins) == 1 && len(joins[0].keyCols) > 1
 	switch e.gkind {
 	case gNone:
-		if blockSumF && e.jkind == jNone && len(e.ranges) == 2 {
+		if blockSumF && len(joins) == 0 && len(e.ranges) == 2 {
 			return specGlobalSumF2
 		}
-		if blockSumF && e.jkind == jOne && e.npay == 0 && len(e.ranges) == 1 {
+		if blockSumF && semi1 && len(e.ranges) == 1 {
 			return specGlobalSemiSumF
 		}
 	case gDense:
-		if e.jkind == jNone && !e.gpay && len(e.ranges) == 1 &&
+		if len(joins) == 0 && len(e.ranges) == 1 &&
 			len(ops) == 2 && ops[0].op == opSumInt && !ops[0].pay &&
 			ops[1].op == opSumFloatNC && !ops[1].pay {
 			return specDenseSumIF
 		}
 	case gSpill:
-		if blockSumF && len(e.ranges) == 0 &&
-			(e.jkind == jNone || e.jkind == jMany) {
+		if blockSumF && len(e.ranges) == 0 && (len(joins) == 0 || joinK) {
 			return specSpillSumF
 		}
 	}
@@ -95,9 +98,10 @@ func (l *flocal) runGlobalSemiSumF(b olap.Block) {
 	e := l.e
 	cols := b.Cols
 	v0, lo0, span0 := cols[e.ranges[0].slot], e.ranges[0].lo, uint64(e.ranges[0].hi-e.ranges[0].lo)
-	kv := cols[e.probeSlot]
+	j := &e.joins[0]
+	kv := cols[j.probeSlots[0]]
 	av := cols[e.ops[0].slot]
-	slots, mask, shift := e.j1.slots, e.j1.mask, e.j1.shift
+	slots, mask, shift := j.j1.slots, j.j1.mask, j.j1.shift
 	st := &l.global[0]
 	sum, cnt := st.sum, st.count
 row:
@@ -133,7 +137,7 @@ func (l *flocal) runDenseSumIF(b olap.Block) {
 	e := l.e
 	cols := b.Cols
 	v0, lo0, span0 := cols[e.ranges[0].slot], e.ranges[0].lo, uint64(e.ranges[0].hi-e.ranges[0].lo)
-	kv := cols[e.gslot]
+	kv := cols[e.gsrc[0].idx]
 	qv := cols[e.ops[0].slot]
 	av := cols[e.ops[1].slot]
 	flat := l.flatIF
@@ -178,7 +182,7 @@ func (l *flocal) runSpillSumF(b olap.Block) {
 	// plan's exact key widths would run.
 	var g0v, g1v, g2v, g3v []int64
 	var g0i, g1i, g2i, g3i int
-	for d := range e.gsrc {
+	for d := range e.gsrc[:e.ngroup] {
 		g := &e.gsrc[d]
 		v, idx := []int64(nil), g.idx
 		if !g.pay {
@@ -195,23 +199,25 @@ func (l *flocal) runSpillSumF(b olap.Block) {
 			g3v, g3i = v, idx
 		}
 	}
-	join := e.jkind == jMany
+	join := len(e.joins) == 1
 	var pv0, pv1, pv2 []int64
-	var slots []jKslot
+	var slots []jslot[jkey]
+	var slab []int64
 	var mask uint64
 	var shift uint8
-	npay := e.npay
+	var npay int
 	if join {
-		pv0 = cols[e.probeSlots[0]]
-		if e.nkey > 1 {
-			pv1 = cols[e.probeSlots[1]]
+		j := &e.joins[0]
+		pv0 = cols[j.probeSlots[0]]
+		if len(j.probeSlots) > 1 {
+			pv1 = cols[j.probeSlots[1]]
 		}
-		if e.nkey > 2 {
-			pv2 = cols[e.probeSlots[2]]
+		if len(j.probeSlots) > 2 {
+			pv2 = cols[j.probeSlots[2]]
 		}
-		slots, mask, shift = e.jK.slots, e.jK.mask, e.jK.shift
+		slots, slab, mask, shift = j.jK.slots, j.jK.slab, j.jK.mask, j.jK.shift
+		npay = len(j.payCols)
 	}
-	slab := e.jK.slab
 	tab := l.tab // pre-sized by NewLocal for gSpill plans
 	var pay []int64
 row:

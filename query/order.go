@@ -260,7 +260,7 @@ func orderJoins(written []*rjoin, mode JoinOrder) ([]*rjoin, error) {
 // for Eq predicates on indexed columns, and halved per predicate the
 // index cannot answer. Lazy index builds mean the first plan over a
 // filtered dimension pays the build; every later plan gets exact counts
-// for free (refreshed at ETL batch boundaries and instance switches).
+// for the rows appended since (the lookup itself extends the index).
 func estimateJoin(rj *rjoin) int64 {
 	est := rj.dh.Table().Rows()
 	for _, pr := range rj.spec.preds {

@@ -14,6 +14,7 @@ import (
 	"maps"
 	"reflect"
 	"slices"
+	"strings"
 	"testing"
 
 	"elastichtap/internal/columnar"
@@ -280,11 +281,45 @@ func (e *refExec) Merge(locals []olap.Local) olap.Result {
 	return res
 }
 
+// probedTables prepares q and names the table each of its joins probes,
+// in execution order; "spec" when a monomorphic loop runs instead of the
+// generic ones.
+func probedTables(q *Compiled) string {
+	exec, _ := q.Prepare()
+	e := exec.(*fexec)
+	if e.spec != specGeneric {
+		return "spec"
+	}
+	var names []string
+	for _, j := range e.joins {
+		switch {
+		case j.dn != nil:
+			names = append(names, "dense")
+		case len(j.keyCols) == 1:
+			names = append(names, "hash1")
+		default:
+			names = append(names, "hashK")
+		}
+	}
+	return strings.Join(names, " ")
+}
+
 // TestFusedMatchesReference holds every kernel family — each monomorphic
 // fast loop, the generic loops in all three grouping kinds, the
-// post-aggregation stages — to the interpreter, bitwise, at 1 and 4 pool
-// workers. The ten-filter and many-aggregate plans have more filters and
-// accumulators (34 CountIf never dedupe) than any CH query.
+// post-aggregation stages — to the interpreter, bitwise, at 1, 2 and 4
+// pool workers. The ten-filter and many-aggregate plans have more filters
+// and accumulators (34 CountIf never dedupe) than any CH query.
+//
+// The generic probe is covered per table representation and join count.
+// Every plan with a join runs a second time with its build sides forced
+// through the hash tables ("-hashed"), which turns bdimc's dense table
+// into a composite-key hash table and leaves bdim1 (sparse: hashed either
+// way) alone:
+//
+//	            one join                         several joins
+//	dense       filter-probe-group-sum           chain-probe-group-sum (bdimc)
+//	hash, 1 key probe1-group-sum                 chain-probe-group-sum (bdim1, keyed on bdimc's payload)
+//	hash, n key filter-probe-group-sum-hashed    chain-probe-group-sum-hashed (bdimc)
 func TestFusedMatchesReference(t *testing.T) {
 	cat, e := newBenchCatalog(t)
 	cases := map[string]*Plan{
@@ -297,6 +332,11 @@ func TestFusedMatchesReference(t *testing.T) {
 			GroupBy("pay").Agg(Sum("amount").As("rev")),
 		"probe-group-sum-spill": Scan("bfact").JoinGraph(joinDimC()).
 			GroupBy("jk", "pay").Agg(Sum("amount").As("rev")),
+		"probe1-group-sum": Scan("bfact").JoinGraph(JoinOn(Rel("bfact"), Rel("bdim1"), "k1", "id")).
+			GroupBy("gid").Agg(Sum("w").As("sw"), Count().As("n")),
+		"chain-probe-group-sum": Scan("bfact").Filter(Between("qty", 5, 45)).
+			JoinGraph(joinDimC(), JoinOn(Rel("bdimc"), Rel("bdim1"), "pay", "id")).
+			GroupBy("pay").Agg(Sum("w").As("sw"), Sum("amount").As("rev")),
 		"dense-group-sum-int-float": Scan("bfact").Filter(Between("qty", 5, 45)).
 			GroupBy("gid").Agg(Sum("qty").As("sq"), Sum("amount").As("sa")),
 		"avg-having-topk": Scan("bfact").Filter(Ge("qty", 3)).GroupBy("gid").
@@ -318,18 +358,40 @@ func TestFusedMatchesReference(t *testing.T) {
 		cases["ten-filters-"+name] = shape().Filter(tenFilters...).Agg(Sum("amount"), Count())
 		cases["many-aggs-"+name] = shape().Filter(Between("qty", 5, 45)).Agg(manyAggs...)
 	}
-	for name, plan := range cases {
-		for _, workers := range []int{1, 4} {
+	// probed names, for the six cells above, the table each join of the
+	// plan must be probing through the generic loops.
+	probed := map[string]string{
+		"filter-probe-group-sum":        "dense",
+		"probe1-group-sum":              "hash1",
+		"filter-probe-group-sum-hashed": "hashK",
+		"chain-probe-group-sum":         "dense hash1",
+		"chain-probe-group-sum-hashed":  "hashK hash1",
+	}
+	check := func(name string, plan *Plan, hashed bool) {
+		for _, workers := range []int{1, 2, 4} {
 			t.Run(fmt.Sprintf("%s/workers=%d", name, workers), func(t *testing.T) {
+				forceHashJoins.Store(hashed)
+				defer forceHashJoins.Store(false)
 				q, err := plan.Bind(cat)
 				if err != nil {
 					t.Fatal(err)
+				}
+				if want, ok := probed[name]; ok {
+					if got := probedTables(q); got != want {
+						t.Fatalf("the generic loops probe %q, want %q", got, want)
+					}
 				}
 				fused := runWorkers(t, e, q, workers)
 				if ref := runWorkers(t, e, refQuery{plan, cat}, workers); !reflect.DeepEqual(fused, ref) {
 					t.Fatalf("fused result diverges from the reference:\nfused: %+v\nref:   %+v", fused, ref)
 				}
 			})
+		}
+	}
+	for name, plan := range cases {
+		check(name, plan, false)
+		if len(plan.graph) > 0 {
+			check(name+"-hashed", plan, true)
 		}
 	}
 }
