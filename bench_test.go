@@ -917,6 +917,28 @@ func BenchmarkAdmit(b *testing.B) {
 	b.ReportMetric(float64(fresh.Nanoseconds())/float64(b.N), "freshness-ns")
 }
 
+// BenchmarkPrimeReplicas times the first synchronization of the OLAP
+// replicas with a freshly loaded SF 0.01 database: one exchange cycle and
+// the ETL that absorbs every table. The replicas list the chunks the twins
+// share rather than copy them, so B/op is chunk directories, not data.
+func BenchmarkPrimeReplicas(b *testing.B) {
+	sizing := ch.SizingForScale(0.01)
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		b.StopTimer()
+		sys, err := core.NewSystem(core.DefaultSystemConfig())
+		if err != nil {
+			b.Fatal(err)
+		}
+		ch.Load(sys.OLTPE, sizing, 1)
+		b.StartTimer()
+		sys.PrimeReplicas()
+		b.StopTimer()
+		sys.Close()
+		b.StartTimer()
+	}
+}
+
 // BenchmarkCuckooVsMap compares the cuckoo index against the stdlib map
 // baseline; see also internal/cuckoo benchmarks.
 func BenchmarkCuckooVsMap(b *testing.B) {

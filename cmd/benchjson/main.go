@@ -54,8 +54,9 @@ type Report struct {
 	// engine-side view of bench/'s txn_per_s.
 	Txn map[string]*Bench `json:"txn,omitempty"`
 	// Columnar groups the twin-instance storage benchmarks — row and batch
-	// appends into chunks the twins share, and the first in-place update
-	// that splits one — the engine-side view of bench/'s setup_s and
+	// appends into chunks the twins share, the first in-place update that
+	// splits one, and the replica prime that lists them (B/op is what the
+	// replicas copy) — the engine-side view of bench/'s setup_s and
 	// live_b_per_row.
 	Columnar map[string]*Bench `json:"columnar,omitempty"`
 	// Admit holds the query-admission benchmark — switch and sync,
@@ -84,7 +85,7 @@ func txnBench(name string) bool {
 // group.
 func columnarBench(name string) bool {
 	n := baseName(name)
-	return strings.HasPrefix(n, "BenchmarkAppendRows") || n == "BenchmarkFirstUpdateUnshare"
+	return strings.HasPrefix(n, "BenchmarkAppendRows") || n == "BenchmarkFirstUpdateUnshare" || n == "BenchmarkPrimeReplicas"
 }
 
 // admitBench reports whether a benchmark belongs to the admission group.

@@ -173,6 +173,7 @@ BenchmarkTxnPayment-2   3   2932812 ns/op   1466 ns/txn   128725 B/op   2000 all
 BenchmarkWordsLoadStore-2   3   918304 ns/op   14.00 ns/cell
 BenchmarkAppendRows/rows=8192-2   3   1819222 ns/op   42.31 ns/row
 BenchmarkFirstUpdateUnshare-2   3   9605416 ns/op   32168 ns/unshare   174.2 ns/update
+BenchmarkPrimeReplicas-2   3   4127013 ns/op   210344 B/op   1012 allocs/op
 BenchmarkWALAppend-2   3   1000 ns/op
 BenchmarkRecovery   3   5000 ns/op
 BenchmarkAdmit-2   3   1893941 ns/op   4062 freshness-ns   1846352 B/op   3035 allocs/op
@@ -187,7 +188,7 @@ BenchmarkAdmit-2   3   1893941 ns/op   4062 freshness-ns   1846352 B/op   3035 a
 	if len(rep.Benchmarks) != 1 || rep.Benchmarks["BenchmarkQ6Builder-2"] == nil {
 		t.Fatalf("flat map = %v", rep.Benchmarks)
 	}
-	if len(rep.Recovery) != 2 || len(rep.Txn) != 2 || len(rep.Columnar) != 2 {
+	if len(rep.Recovery) != 2 || len(rep.Txn) != 2 || len(rep.Columnar) != 3 {
 		t.Fatalf("recovery = %v, txn = %v, columnar = %v", rep.Recovery, rep.Txn, rep.Columnar)
 	}
 	if b := rep.Columnar["BenchmarkAppendRows/rows=8192-2"]; b == nil || b.Metrics["ns/row"] != 42.31 {
@@ -195,6 +196,9 @@ BenchmarkAdmit-2   3   1893941 ns/op   4062 freshness-ns   1846352 B/op   3035 a
 	}
 	if b := rep.Columnar["BenchmarkFirstUpdateUnshare-2"]; b == nil || b.Metrics["ns/unshare"] != 32168 {
 		t.Fatalf("unshare benchmark = %+v", b)
+	}
+	if b := rep.Columnar["BenchmarkPrimeReplicas-2"]; b == nil || b.BytesPerOp != 210344 {
+		t.Fatalf("prime benchmark = %+v", b)
 	}
 	if b := rep.Admit["BenchmarkAdmit-2"]; len(rep.Admit) != 1 || b == nil || b.Metrics["freshness-ns"] != 4062 {
 		t.Fatalf("admit = %v", rep.Admit)

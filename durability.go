@@ -250,7 +250,8 @@ func OpenFromDir(fs FS, dir string, opts ...Option) (*System, RecoveryInfo, erro
 
 	db.RebuildIndexes()
 
-	// Replica watermarks: re-copy the prefix each replica had absorbed.
+	// Replica watermarks: each replica absorbs again the prefix it had
+	// absorbed — listing the chunks the twins share, copying the rest.
 	// Content for updated rows comes from the restored (fully applied)
 	// table rather than the historical ETL — unobservable, because those
 	// rows keep their staleness bits and are re-copied before any replica

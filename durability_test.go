@@ -73,6 +73,12 @@ func TestDurabilityRoundTrip(t *testing.T) {
 	if info.Commits != wantCommits {
 		t.Fatalf("recovered %d commits, live saw %d", info.Commits, wantCommits)
 	}
+	// Recovery re-absorbs each replica's prefix by listing the restored
+	// twins' chunks, not by copying them.
+	if m := sys2.Metrics(); m.ReplicaSharedBytes == 0 {
+		t.Fatalf("recovered replicas list no chunk with the twins: %d B shared, %d B own",
+			m.ReplicaSharedBytes, m.ReplicaOwnBytes)
+	}
 	db2 := sys2.DB()
 	gotQ6, err := sys2.QueryContext(context.Background(), Q6(db2))
 	if err != nil {

@@ -1,7 +1,9 @@
 package columnar
 
 import (
+	"maps"
 	"math/rand"
+	"slices"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -87,11 +89,13 @@ func TestWordsGrowWhileReading(t *testing.T) {
 	wg.Wait()
 }
 
-// appendOracle is the row-at-a-time model the table is held to: what every
-// cell of both twins, every row stamp, every watermark and every update
-// bit must be after any sequence of appends, in-place updates, syncs and
-// switches — and which chunks the twins may still hold once: exactly those
-// no update has landed in.
+// appendOracle is the row-at-a-time model the table and its replica are
+// held to: what every cell of both twins and of the replica, every row
+// stamp, every watermark and every update bit must be after any sequence
+// of appends, in-place updates, syncs, switches and replica absorbs — and
+// which chunks the three directories may still list together: the twins
+// exactly those no update has landed in, the replica those both twins
+// listed when it reached them and no writer has claimed since.
 type appendOracle struct {
 	width   int
 	inst    [2][]int64 // each twin's cells, row-major, held apart whatever the table does
@@ -99,9 +103,14 @@ type appendOracle struct {
 	active  int
 	visible [2]int64
 	pending [2]map[int64]bool // rows updated in a twin and not yet synced out of it
-	updated map[int64]bool    // rows updated since the (never run) ETL
+	updated map[int64]bool    // rows ever updated
 	split   map[[2]int]bool   // (column, chunk) pairs an update has landed in
 	chunks  int               // chunks the directories were created with
+
+	rep     []int64        // the replica's cells, row-major: what it last absorbed
+	repRows int64          // its watermark
+	repDir  int            // chunks in each of its column directories
+	repWith map[[2]int]int // (column, chunk) → bit k set while twin k lists the replica's chunk; absent: the replica's own
 }
 
 func newAppendOracle(width int, capHint int64) *appendOracle {
@@ -111,6 +120,80 @@ func newAppendOracle(width int, capHint int64) *appendOracle {
 		updated: map[int64]bool{},
 		split:   map[[2]int]bool{},
 		chunks:  int((capHint + ChunkSize - 1) / ChunkSize),
+		repWith: map[[2]int]int{},
+	}
+}
+
+// drop records that twin k's directory no longer lists the replica's chunk
+// (column c, chunk j): k has claimed it for an in-place store.
+func (o *appendOracle) drop(k, c, j int) {
+	key := [2]int{c, j}
+	if m := o.repWith[key] &^ (1 << k); m != 0 {
+		o.repWith[key] = m
+	} else {
+		delete(o.repWith, key)
+	}
+}
+
+// claim is the replica's claim on its chunk (c, j) before it stores twin
+// k's values there. It reports whether the chunk is k's own memory, which
+// holds the values already; otherwise the replica holds a copy from now on.
+func (o *appendOracle) claim(k, c, j int) (listed bool) {
+	if o.repWith[[2]int{c, j}]&(1<<k) != 0 {
+		return true
+	}
+	delete(o.repWith, [2]int{c, j})
+	return false
+}
+
+// absorb is CopyInserts(instance k, lo, hi); it returns the bytes listed.
+func (o *appendOracle) absorb(k int, lo, hi int64) (aliased int64) {
+	if hi <= lo {
+		return 0
+	}
+	dir := int((hi + ChunkSize - 1) / ChunkSize)
+	for c := 0; c < o.width; c++ {
+		for j := o.repDir; j < dir; j++ {
+			if !o.split[[2]int{c, j}] {
+				o.repWith[[2]int{c, j}] = 3
+			}
+		}
+		for r := lo; r < hi; {
+			j := int(r / ChunkSize)
+			end := min(int64(j+1)*ChunkSize, hi)
+			if o.claim(k, c, j) {
+				aliased += (end - r) * WordBytes
+			}
+			r = end
+		}
+	}
+	o.repDir = max(o.repDir, dir)
+	a, b := int(lo)*o.width, int(hi)*o.width
+	if len(o.rep) < b {
+		o.rep = append(o.rep, make([]int64, b-len(o.rep))...)
+	}
+	copy(o.rep[a:b], o.inst[k][a:b])
+	o.repRows = max(o.repRows, hi)
+	return aliased
+}
+
+// copyRow is CopyRow(instance k, row); it returns the bytes not stored.
+func (o *appendOracle) copyRow(k int, row int64) (aliased int64) {
+	for c := 0; c < o.width; c++ {
+		if o.claim(k, c, int(row/ChunkSize)) {
+			aliased += WordBytes
+		}
+		o.rep[int(row)*o.width+c] = o.inst[k][int(row)*o.width+c]
+	}
+	return aliased
+}
+
+func (o *appendOracle) checkReplicaRow(t *testing.T, rep *Replica, r int64) {
+	for c, want := range o.rep[int(r)*o.width : int(r+1)*o.width] {
+		if got := rep.Col(c).Load(r); got != want {
+			t.Helper()
+			t.Fatalf("replica row %d col %d = %d, want %d", r, c, got, want)
+		}
 	}
 }
 
@@ -136,12 +219,18 @@ func (o *appendOracle) update(row int64, col int, v int64, ts uint64) {
 	o.pending[o.active][row] = true
 	o.updated[row] = true
 	o.split[[2]int{col, int(row / ChunkSize)}] = true
+	o.drop(o.active, col, int(row/ChunkSize))
 }
 
 func (o *appendOracle) sync(src int) int {
 	n := len(o.pending[src])
 	for row := range o.pending[src] {
 		lo, hi := int(row)*o.width, int(row+1)*o.width
+		for c := 0; c < o.width; c++ {
+			if o.inst[src][lo+c] != o.inst[1-src][lo+c] {
+				o.drop(1-src, c, int(row/ChunkSize))
+			}
+		}
 		copy(o.inst[1-src][lo:hi], o.inst[src][lo:hi])
 	}
 	o.pending[src] = map[int64]bool{}
@@ -170,8 +259,9 @@ func (o *appendOracle) checkRow(t *testing.T, tab *Table, r int64) {
 
 // check compares the rows from `from` up and every row ever updated (the
 // rest were compared when they were appended and nothing has written them
-// since), then the counters and the sharing.
-func (o *appendOracle) check(t *testing.T, tab *Table, from int64) {
+// since), in the twins and in the replica, then the counters and the
+// sharing.
+func (o *appendOracle) check(t *testing.T, tab *Table, rep *Replica, from int64) {
 	t.Helper()
 	if tab.Rows() != o.rows() || tab.ActiveIndex() != o.active {
 		t.Fatalf("Rows = %d active = %d, want %d and %d", tab.Rows(), tab.ActiveIndex(), o.rows(), o.active)
@@ -193,18 +283,31 @@ func (o *appendOracle) check(t *testing.T, tab *Table, from int64) {
 		if r < from {
 			below++
 		}
+		if r < o.repRows {
+			o.checkReplicaRow(t, rep, r)
+		}
 	}
 	// An append sets no update bit: the appended rows are fresh by lying
-	// above the replica's watermark, and are counted once, as inserts.
+	// above the replica's watermark, and are counted once, as inserts. (No
+	// ETL runs here to clear the bits.)
 	if n := tab.DirtyOLAP().Count(); n != len(o.updated) {
 		t.Fatalf("%d update bits set, want one per updated row (%d)", n, len(o.updated))
 	}
 	if st := tab.FreshSince(from); st.InsertedRows != o.rows()-from || st.UpdatedRows != below {
 		t.Fatalf("fresh above watermark %d = %+v, want %d inserted and %d updated", from, st, o.rows()-from, below)
 	}
+	if rep.Rows() != o.repRows {
+		t.Fatalf("replica watermark = %d, want %d", rep.Rows(), o.repRows)
+	}
+	// The replica lists a chunk with a twin until one of them claims it.
+	all := int64(o.repDir * o.width)
+	if shared, own := rep.Bytes(); shared != int64(len(o.repWith))*chunkBytes || own != (all-int64(len(o.repWith)))*chunkBytes {
+		t.Fatalf("replica Bytes = %d shared, %d own; want %d chunks listed with a twin and %d of its own",
+			shared, own, len(o.repWith), all-int64(len(o.repWith)))
+	}
 	// The twins hold a chunk twice if and only if an update landed in it.
 	perCol := max(o.chunks, int((o.rows()+ChunkSize-1)/ChunkSize))
-	all := int64(perCol * len(tab.Schema().Columns))
+	all = int64(perCol * len(tab.Schema().Columns))
 	shared, private := tab.TwinBytes()
 	if split := int64(len(o.split)); private != 2*split*chunkBytes || shared != (all-split)*chunkBytes {
 		t.Fatalf("TwinBytes = %d shared, %d private; want %d chunks shared and %d held twice",
@@ -215,19 +318,25 @@ func (o *appendOracle) check(t *testing.T, tab *Table, from int64) {
 // TestAppendMatchesRowAtATimeOracle drives both append entry points with
 // random batch sizes that land on, before and across chunk boundaries,
 // interleaved with switches (with and without the sync that precedes them
-// in the engine) and with in-place updates: a chunk's first update lands
-// mid-chunk in one that is full, in the tail chunk that later appends go on
-// filling in both twins, and — the unsynced switches — in a chunk the other
-// twin was the first to split.
+// in the engine), with in-place updates and with replica absorbs: a chunk's
+// first update lands mid-chunk in one that is full, in the tail chunk that
+// later appends go on filling in both twins, and — the unsynced switches —
+// in a chunk the other twin was the first to split. The replica absorbs
+// updated rows and then inserts from either twin, the way an ETL does from
+// its snapshot and a batch reusing an old snapshot set does from an
+// instance re-activated since; a twin that is not the source may still
+// list the replica's chunk, and a sync-less switch leaves the source
+// holding values that twin does not.
 func TestAppendMatchesRowAtATimeOracle(t *testing.T) {
 	sizes := []int{0, 1, 2, 10, 63, 64, 65, 1000, ChunkSize / 3, ChunkSize - 1, ChunkSize, ChunkSize + 1, 2*ChunkSize + 3}
-	for seed := int64(1); seed <= 4; seed++ {
+	for seed := int64(1); seed <= 8; seed++ {
 		rng := rand.New(rand.NewSource(seed))
 		schema := Schema{Name: "a", Columns: []ColumnDef{
 			{Name: "x", Type: Int64}, {Name: "y", Type: Int64}, {Name: "z", Type: Int64},
 		}}
 		capHint := int64(rng.Intn(100))
 		tab := NewTable(schema, capHint)
+		rep := NewReplica(tab)
 		o := newAppendOracle(len(schema.Columns), capHint)
 		var next int64
 		var ts uint64
@@ -259,19 +368,54 @@ func TestAppendMatchesRowAtATimeOracle(t *testing.T) {
 			if want := o.append(batch, ts); got != want {
 				t.Fatalf("seed %d step %d: append of %d rows returned %d, want %d", seed, step, n, got, want)
 			}
-			o.check(t, tab, from)
+			o.check(t, tab, rep, from)
 			// Seed 1 never updates: every chunk stays shared to the end.
 			for u := rng.Intn(6); seed > 1 && u > 0 && o.rows() > 0; u-- {
 				row := rng.Int63n(o.rows())
-				if rng.Intn(2) == 0 { // in the tail chunk, which appends are still filling
+				switch rng.Intn(3) {
+				case 0: // in the tail chunk, which appends are still filling
 					row = o.rows() - 1 - rng.Int63n(min(o.rows(), ChunkSize/2))
+				case 1: // in a chunk the replica may list
+					row = rng.Int63n(max(o.repRows, 1))
 				}
 				col := rng.Intn(2) // column z is never updated
 				next++
 				ts++
 				tab.UpdateCell(row, col, next, ts)
 				o.update(row, col, next, ts)
-				o.check(t, tab, o.rows())
+				o.check(t, tab, rep, o.rows())
+			}
+			if rng.Intn(3) == 0 { // the drain that runs while commits flow
+				if got, want := tab.SyncTo(o.active, lockNothing), o.sync(o.active); got != want {
+					t.Fatalf("seed %d step %d: sync copied %d rows, want %d", seed, step, got, want)
+				}
+				o.check(t, tab, rep, o.rows())
+			}
+			if rng.Intn(2) == 0 {
+				k := 1 - o.active // the snapshot, or the instance a batch's old snapshot has become
+				if rng.Intn(2) == 0 {
+					k = o.active
+				}
+				src := tab.Instance(k)
+				rows := slices.Sorted(maps.Keys(o.updated))
+				for _, row := range rows {
+					if row < o.repRows {
+						_, aliased := rep.CopyRow(src, row)
+						if want := o.copyRow(k, row); aliased != want {
+							t.Fatalf("seed %d step %d: CopyRow(%d) left %d bytes unstored, want %d", seed, step, row, aliased, want)
+						}
+					}
+				}
+				lo, hi := o.repRows, o.visible[k]
+				bytes, aliased := rep.CopyInserts(src, lo, hi)
+				if want := o.absorb(k, lo, hi); aliased != want || bytes != max(hi-lo, 0)*schema.RowBytes() {
+					t.Fatalf("seed %d step %d: CopyInserts(%d, %d) = %d bytes, %d listed; want %d, %d",
+						seed, step, lo, hi, bytes, aliased, max(hi-lo, 0)*schema.RowBytes(), want)
+				}
+				for r := lo; r < hi; r++ {
+					o.checkReplicaRow(t, rep, r)
+				}
+				o.check(t, tab, rep, o.rows())
 			}
 			if rng.Intn(4) == 0 {
 				if rng.Intn(2) == 0 {
@@ -281,10 +425,13 @@ func TestAppendMatchesRowAtATimeOracle(t *testing.T) {
 				}
 				tab.Switch()
 				o.doSwitch()
-				o.check(t, tab, o.rows())
+				o.check(t, tab, rep, o.rows())
 			}
 		}
-		o.check(t, tab, 0)
+		o.check(t, tab, rep, 0)
+		for r := int64(0); r < o.repRows; r++ {
+			o.checkReplicaRow(t, rep, r)
+		}
 		if n := tab.ColumnUpdateCount(2); n != 0 {
 			t.Fatalf("seed %d: never-updated column counts %d", seed, n)
 		}

@@ -29,12 +29,17 @@ const chunkBytes = ChunkSize * 8
 // slice handed out by Scan or Slice stays valid however far the array
 // grows afterwards.
 //
-// Two Words may list the same chunk: a table's twin instances do, for every
-// chunk no transaction has updated in place (ensureShared, sharesChunk).
-// Nothing but an append above the published row count writes such a chunk;
-// the first in-place write gives its side a copy first (privatize), and the
-// old chunk stays with the twin, untouched, under whatever slices of it
-// readers still hold.
+// Up to three Words may list the same chunk: a table's twin instances and
+// its OLAP replica. The twins list every chunk no transaction has updated
+// in place (ensureShared); the replica lists a snapshot's chunk that both
+// twins still listed when it absorbed rows of it (ensureListing). No cell
+// below any lister's watermark is ever written in a chunk another
+// directory lists: every in-place writer first gives its own directory a
+// copy (privatize), and the old chunk stays with the other listers,
+// untouched, under whatever slices of it readers still hold. The one store
+// into a chunk several directories list is an append, which fills the tail
+// chunk above the published row count — above every lister's watermark,
+// where nothing reads.
 //
 // What a reader may assume is what its caller established: storage for a
 // row exists once an ensure covering it has returned (the table ensures
@@ -54,24 +59,48 @@ func newWords(capHint int64) *Words {
 	return w
 }
 
+// chunks is the number of chunks that hold rows [0, n).
+func chunks(n int64) int { return int((n + ChunkSize - 1) >> chunkShift) }
+
 // ensure guarantees storage for rows [0, n).
-func (w *Words) ensure(n int64) { w.ensureShared(nil, n) }
+func (w *Words) ensure(n int64) {
+	if len(*w.dir.Load()) < chunks(n) {
+		w.grow(chunks(n), nil)
+	}
+}
 
 // ensureShared is ensure for the second of two twins: the chunks w lacks
 // are not allocated but taken from twin, which already covers rows [0, n),
 // so both list the same memory from there on.
 func (w *Words) ensureShared(twin *Words, n int64) {
-	need := int((n + ChunkSize - 1) >> chunkShift)
-	if len(*w.dir.Load()) < need {
-		w.grow(need, twin)
+	if len(*w.dir.Load()) < chunks(n) {
+		w.grow(chunks(n), func(i int) []int64 { return (*twin.dir.Load())[i] })
 	}
 }
 
-// grow publishes a directory of at least need chunks, the new ones freshly
-// allocated or, given a twin, the twin's.
+// ensureListing is ensure for a replica that absorbs rows [0, n) of src,
+// one of two twins: a chunk w lacks that src and twin both still list is
+// listed by w as well, and the others are allocated. Appends go on filling
+// a listed tail chunk above the row count, which is above w's watermark.
+func (w *Words) ensureListing(src, twin *Words, n int64) {
+	if len(*w.dir.Load()) >= chunks(n) {
+		return
+	}
+	a, b := *src.dir.Load(), *twin.dir.Load()
+	w.grow(chunks(n), func(i int) []int64 {
+		if &a[i][0] == &b[i][0] {
+			return a[i]
+		}
+		return nil
+	})
+}
+
+// grow publishes a directory of at least need chunks. A new chunk is the
+// one list names for it or, where list is nil or names none, freshly
+// allocated.
 //
 //htap:coldpath
-func (w *Words) grow(need int, twin *Words) {
+func (w *Words) grow(need int, list func(i int) []int64) {
 	w.growMu.Lock()
 	defer w.growMu.Unlock()
 	old := *w.dir.Load()
@@ -80,36 +109,40 @@ func (w *Words) grow(need int, twin *Words) {
 	}
 	dir := make([][]int64, need)
 	copy(dir, old)
-	if twin != nil {
-		copy(dir[len(old):], (*twin.dir.Load())[len(old):need])
-	} else {
-		for i := len(old); i < need; i++ {
+	for i := len(old); i < need; i++ {
+		if list != nil {
+			dir[i] = list(i)
+		}
+		if dir[i] == nil {
 			dir[i] = make([]int64, ChunkSize)
 		}
 	}
 	w.dir.Store(&dir)
 }
 
-// sharesChunk reports whether w and twin list the same memory for row i's
-// chunk. Once false it stays false: chunks are only ever split, by
-// privatize.
+// sharesChunk reports whether w and o list the same memory for row i's
+// chunk — false where o has no chunk there yet, as a replica's directory
+// ends at its watermark. Once false for a chunk both list, it stays false:
+// a listed chunk is only ever dropped, by privatize.
 //
 //htap:hotpath
-func (w *Words) sharesChunk(twin *Words, i int64) bool {
-	return &(*w.dir.Load())[i>>chunkShift][0] == &(*twin.dir.Load())[i>>chunkShift][0]
+func (w *Words) sharesChunk(o *Words, i int64) bool {
+	od, j := *o.dir.Load(), i>>chunkShift
+	return j < int64(len(od)) && &(*w.dir.Load())[j][0] == &od[j][0]
 }
 
 // privatize gives w a copy of row i's chunk in place of the one it shares
-// with twin, and publishes the directory that lists it; if the chunk is
-// already w's own (another writer came first) nothing happens. The caller
-// keeps appenders out of the chunk for the duration, and nothing else
-// writes a shared chunk, so the copy is of memory at rest.
+// with a or b (b may be nil), and publishes the directory that lists it;
+// if neither lists w's chunk any more (another writer of w came first, or
+// the others dropped it in turn) nothing happens. The caller keeps
+// appenders out of the chunk for the duration, and no one stores into a
+// chunk another directory lists, so the copy is of memory at rest.
 //
 //htap:coldpath
-func (w *Words) privatize(twin *Words, i int64) {
+func (w *Words) privatize(i int64, a, b *Words) {
 	w.growMu.Lock()
 	defer w.growMu.Unlock()
-	if !w.sharesChunk(twin, i) {
+	if !w.sharesChunk(a, i) && (b == nil || !w.sharesChunk(b, i)) {
 		return
 	}
 	dir := slices.Clone(*w.dir.Load())
@@ -164,21 +197,4 @@ func (w *Words) Slice(lo, hi int64) []int64 {
 		panic("columnar: Slice range crosses a chunk boundary")
 	}
 	return w.run(lo, hi)
-}
-
-// CopyRange copies rows [lo, hi) from src into w at the same positions.
-// Source cells are read atomically: the bulk ETL copy may run after a
-// later exchange cycle re-activated the source instance (a batch reusing
-// its snapshot set), where transactions update cells in place. Row-level
-// consistency of concurrently updated rows is the caller's concern — the
-// update-indication bits keep such rows fresh for the next ETL.
-func (w *Words) CopyRange(src *Words, lo, hi int64) {
-	w.ensure(hi)
-	for i := lo; i < hi; {
-		vals, dst := src.run(i, hi), w.run(i, hi)
-		for j := range vals {
-			dst[j] = atomic.LoadInt64(&vals[j])
-		}
-		i += int64(len(vals))
-	}
 }

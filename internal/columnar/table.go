@@ -10,10 +10,11 @@ import (
 
 // Instance is one of a table's two columnar copies. Logically each holds
 // every row; physically a chunk is held once, listed by both instances'
-// directories, until a transaction updates a cell of it in place — only then
-// does the active instance get memory of its own for that chunk
-// (Table.unshare). Rows above the visible watermark are in the instance
-// (inserts go to both) but are exposed only after it becomes active again.
+// directories (and, once absorbed, by the table's replica), until a
+// transaction updates a cell of it in place — only then does the written
+// instance get memory of its own for that chunk (Table.claim). Rows above
+// the visible watermark are in the instance (inserts go to both) but are
+// exposed only after it becomes active again.
 type Instance struct {
 	cols    []*Words
 	visible atomic.Int64 // rows exposed to readers of this instance
@@ -42,6 +43,10 @@ type Table struct {
 
 	inst   [2]*Instance
 	active atomic.Int32
+	// replica is the table's OLAP replica, the third directory that may
+	// list an instance's chunk (NewReplica attaches it); nil for a table
+	// that has none, whose twins answer only to each other.
+	replica *Replica
 
 	rowTS *Words       // commit timestamp of each row's newest version
 	rows  atomic.Int64 // committed rows (visible in the active instance)
@@ -77,7 +82,7 @@ type Table struct {
 
 	// appendMu serializes row allocation across committing transactions, and
 	// with it everything that decides which chunks the twins share: growth,
-	// the first-update split (unshare) and the switch.
+	// the first-write split (unshare) and the switch.
 	appendMu sync.Mutex
 	switchMu sync.Mutex // serializes instance switches
 	// applyMu lets committing transactions pin the active instance for the
@@ -139,6 +144,14 @@ func (t *Table) Inactive() *Instance { return t.inst[1-t.active.Load()] }
 
 // Instance returns instance k (0 or 1).
 func (t *Table) Instance(k int) *Instance { return t.inst[k] }
+
+// twinOf returns the instance that is not in.
+func (t *Table) twinOf(in *Instance) *Instance {
+	if in == t.inst[0] {
+		return t.inst[1]
+	}
+	return t.inst[0]
+}
 
 // DirtyOLAP exposes the updated-since-ETL bitset.
 func (t *Table) DirtyOLAP() *bitset.Atomic { return t.dirtyOLAP }
@@ -243,9 +256,7 @@ func (t *Table) EndApply() { t.applyMu.RUnlock() }
 func (t *Table) UpdateCell(row int64, col int, v int64, ts uint64) {
 	act := t.active.Load()
 	in := t.inst[act]
-	if twin := t.inst[1-act].cols[col]; in.cols[col].sharesChunk(twin, row) {
-		t.unshare(in.cols[col], twin, row)
-	}
+	t.claim(in.cols[col], t.inst[1-act].cols[col], col, row)
 	in.cols[col].Store(row, v)
 	// The timestamp goes out before the bits: the delta-ETL clears a
 	// row's dirtyOLAP bit and then reads its timestamp to learn whether the
@@ -259,18 +270,44 @@ func (t *Table) UpdateCell(row int64, col int, v int64, ts uint64) {
 	t.updates.Add(1)
 }
 
-// unshare is the first in-place write to a chunk the twins still share: the
-// active instance's column w gets a copy of its own, under appendMu so that
-// no appender is filling the chunk's tail while it is copied. The snapshot
-// instance keeps the old chunk — a scan holding a slice of it goes on
-// reading memory nobody writes — and a transaction that loaded w's old
-// directory reads the cell as it was before this update, which is what its
-// timestamp and lock-probe validation (txn's readCommitted) takes it for.
+// claim readies w, column col of one instance, for an in-place store at
+// row: if twin (the other instance's column) or the replica lists w's chunk
+// too, w gets a copy of its own first. Both have to be asked. An update
+// that stores an equal value splits the active twin, the sync then stores
+// nothing, and after the switch the new active twin shares that chunk with
+// the replica alone.
+//
+//htap:hotpath
+func (t *Table) claim(w, twin *Words, col int, row int64) {
+	rep := t.replicaCol(col)
+	if w.sharesChunk(twin, row) || rep != nil && w.sharesChunk(rep, row) {
+		t.unshare(w, row, twin, rep)
+	}
+}
+
+// replicaCol returns the replica's column col, or nil without a replica.
+//
+//htap:hotpath
+func (t *Table) replicaCol(col int) *Words {
+	if t.replica == nil {
+		return nil
+	}
+	return t.replica.cols[col]
+}
+
+// unshare is the first in-place write to a chunk another directory lists:
+// w gets a copy of its own in place of the chunk it shares with a or b (b
+// may be nil), under appendMu so that no appender is filling the chunk's
+// tail while it is copied. The other listers keep the old chunk — a scan
+// holding a slice of it goes on reading memory nobody writes — and a
+// transaction that loaded w's old directory reads the cell as it was before
+// this update, which is what its timestamp and lock-probe validation (txn's
+// readCommitted) takes it for.
 //
 //htap:coldpath
-func (t *Table) unshare(w, twin *Words, row int64) {
+func (t *Table) unshare(w *Words, row int64, a, b *Words) {
 	t.appendMu.Lock()
-	w.privatize(twin, row)
+	w.privatize(row, a, b)
 	t.appendMu.Unlock()
 }
 
@@ -383,8 +420,8 @@ func (t *Table) Switch() SwitchResult {
 // anything derived from it since the update is stale for exactly those
 // columns. Never-updated columns are one set of chunks under both instances:
 // they are not looked at and stay at zero. A cell that differs lies in a
-// chunk an update has already split, whichever instance is the source, so
-// the store never lands in shared memory.
+// chunk an update has split between the twins, but the destination's half
+// may still be the chunk the replica lists, so the store claims it first.
 func (t *Table) SyncTo(src int, lock func(row int64) func()) int {
 	from := t.inst[src]
 	dst := t.inst[1-src]
@@ -396,6 +433,7 @@ func (t *Table) SyncTo(src int, lock func(row int64) func()) int {
 				continue
 			}
 			if v := from.cols[c].Load(row); v != dst.cols[c].Load(row) {
+				t.claim(dst.cols[c], from.cols[c], c, row)
 				dst.cols[c].Store(row, v)
 				t.colUpdates[c].Add(1)
 			}

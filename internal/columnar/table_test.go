@@ -226,7 +226,7 @@ func TestReplicaETLEquivalence(t *testing.T) {
 	tab.AppendRows(rows, 1)
 	rep := NewReplica(tab)
 	sw := tab.Switch()
-	if b := rep.CopyInserts(sw.Snapshot, 0, sw.SnapshotRows); b != 200*tab.Schema().RowBytes() {
+	if b, _ := rep.CopyInserts(sw.Snapshot, 0, sw.SnapshotRows); b != 200*tab.Schema().RowBytes() {
 		t.Fatalf("bytes = %d", b)
 	}
 	if rep.Rows() != 200 {

@@ -12,7 +12,10 @@
 // list the same 128 KiB chunk of a column until a transaction first updates
 // a cell of it in place, and only that chunk is then held twice
 // (Table.unshare): a column nothing updates — most of CH — costs one copy,
-// and Table.TwinBytes says how much of the second twin is real.
+// and Table.TwinBytes says how much of the second twin is real. The OLAP
+// replica is a third directory over the same chunks: it lists each chunk
+// both twins still share when it first absorbs rows of it, and
+// Replica.Bytes says how much of it is its own.
 //
 // What the OLAP replica is missing is two facts, each kept once: inserts
 // are the rows at or above the replica's row watermark — an append touches
@@ -23,16 +26,19 @@
 // published directory, so a cell access is a load and takes no lock. Who
 // may do what is decided above it:
 //
-//   - Only appends grow a column (AppendRows, AppendColumns, and the
-//     replica's CopyRange), one at a time under the table's appendMu; rows
-//     are written above the published row count, where nothing reads, and
-//     the count is stored last.
+//   - Only appends grow a column (AppendRows and AppendColumns, one at a
+//     time under the table's appendMu, and the replica's CopyInserts);
+//     rows are written above the published row count, where nothing
+//     reads, and the count is stored last.
 //   - An existing cell is written only by UpdateCell (the holder of the
-//     record's lock, inside BeginApply/EndApply, in the active instance)
-//     and by SyncTo (in the inactive instance, which no transaction
-//     touches); both use atomic stores and count in colUpdates, and
-//     neither ever stores into a chunk the instances share — UpdateCell
-//     splits it first, SyncTo only finds a difference where one has.
+//     record's lock, inside BeginApply/EndApply, in the active instance),
+//     by SyncTo (in the inactive instance, which no transaction touches),
+//     and by the replica's CopyRow and CopyInserts. Each claims the chunk
+//     first: where another directory lists it — the other twin or the
+//     replica, or for the replica a twin — the writer's directory gets a
+//     copy of its own (Table.claim, Replica.claim), so no store ever
+//     lands in memory another directory lists. UpdateCell and SyncTo use
+//     atomic stores and count in colUpdates.
 //   - Point reads (ReadCell, ReadRow) use atomic loads and are always safe;
 //     what version they see is the transaction manager's business. Run
 //     reads (Scan, Slice) are plain loads, for rows no writer touches: an

@@ -36,6 +36,9 @@ func (s *System) Metrics() metrics.Snapshot {
 		shared, private := t.TwinBytes()
 		snap.TwinSharedBytes += shared
 		snap.TwinPrivateBytes += private
+		shared, own := h.Replica.Bytes()
+		snap.ReplicaSharedBytes += shared
+		snap.ReplicaOwnBytes += own
 	}
 	switches, synced, etl := s.X.Counters()
 	snap.Switches = switches

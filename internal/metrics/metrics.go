@@ -57,6 +57,12 @@ type Snapshot struct {
 	// held by each. Half of the private bytes is what the second twin costs.
 	TwinSharedBytes  int64
 	TwinPrivateBytes int64
+	// ReplicaSharedBytes and ReplicaOwnBytes are where the OLAP replicas'
+	// cells are (columnar.Replica.Bytes, summed over tables): chunks a twin
+	// lists as well, held once with it, and chunks only the replica lists.
+	// The own bytes are what the replica costs on top of the twins.
+	ReplicaSharedBytes int64
+	ReplicaOwnBytes    int64
 
 	// Resource and data exchange.
 	Switches   int64
@@ -100,6 +106,8 @@ func (s Snapshot) WriteTo(w io.Writer) (int64, error) {
 		{"oldest snapshot lag (timestamps)", s.SnapshotLag},
 		{"twin bytes shared (held once)", s.TwinSharedBytes},
 		{"twin bytes private (split by updates)", s.TwinPrivateBytes},
+		{"replica bytes shared with a twin", s.ReplicaSharedBytes},
+		{"replica bytes of its own", s.ReplicaOwnBytes},
 		{"instance switches", s.Switches},
 		{"synced rows", s.SyncedRows},
 		{"synced rows inside the commit barrier", s.BarrierSyncedRows},

@@ -187,16 +187,23 @@ func (x *Exchange) SwitchAndSyncAt(tables []*oltp.TableHandle, atCut func(*Snaps
 
 // ETLResult summarizes one delta-ETL.
 type ETLResult struct {
-	Bytes        int64
+	// Bytes is the logical volume moved: every absorbed row at full width,
+	// whether its cells were copied or listed.
+	Bytes int64
+	// AliasedBytes is the part of Bytes the replica did not copy because
+	// its chunk is the snapshot's own: chunks both twins still shared when
+	// the replica reached them.
+	AliasedBytes int64
 	UpdatedRows  int64
 	InsertedRows int64
 }
 
-// ETL copies the fresh delta of every snapshotted table into its OLAP
-// replica: updated rows individually (guided by the update-indication
-// bits), inserted rows in bulk, then advances the replica watermark.
-// Bits for records updated after the snapshot are preserved for the next
-// ETL rather than lost.
+// ETL brings the fresh delta of every snapshotted table into its OLAP
+// replica: updated rows are copied individually (guided by the
+// update-indication bits), inserted rows in bulk — a chunk both twins
+// still share is listed rather than copied — then the replica watermark
+// advances. Bits for records updated after the snapshot are preserved for
+// the next ETL rather than lost.
 func (x *Exchange) ETL(set *SnapshotSet) ETLResult {
 	var res ETLResult
 	for i := range set.Snaps {
@@ -219,7 +226,7 @@ func (x *Exchange) ETL(set *SnapshotSet) ETLResult {
 		}
 		x.fireProbe("etl", t.Schema().Name)
 		if snap.Rows > repRows {
-			res.Bytes += rep.CopyInserts(snap.Inst, repRows, snap.Rows)
+			res.add(rep.CopyInserts(snap.Inst, repRows, snap.Rows))
 			res.InsertedRows += snap.Rows - repRows
 		}
 	}
@@ -249,10 +256,16 @@ func (res *ETLResult) addUpdates(snap *Snapshot, switchTS uint64, rep *columnar.
 			return
 		}
 		if row < repRows {
-			res.Bytes += rep.CopyRow(snap.Inst, row)
+			res.add(rep.CopyRow(snap.Inst, row))
 			res.UpdatedRows++
 		}
 	})
+}
+
+// add counts bytes absorbed, aliased of them listed instead of copied.
+func (res *ETLResult) add(bytes, aliased int64) {
+	res.Bytes += bytes
+	res.AliasedBytes += aliased
 }
 
 // Freshness is the scheduler's driving metric (§4.2).
@@ -354,7 +367,9 @@ func (m AccessMethod) String() string {
 // SourceFor builds the olap.Source realizing the access method for the
 // query's fact table. Data homed on the OLTP socket stays there even when
 // memory ownership moves between engines, matching the paper's S1 where
-// both engines access memory allocated by the OLTP engine.
+// both engines access memory allocated by the OLTP engine. The replica is
+// priced as one area on the OLAP socket, as the paper places it, though
+// the chunks it lists with the twins are the twins' memory.
 func (x *Exchange) SourceFor(method AccessMethod, snap *Snapshot) olap.Source {
 	t := snap.Handle.Table()
 	rep := snap.Handle.Replica
