@@ -672,38 +672,6 @@ func BenchmarkQ7Builder(b *testing.B) {
 	}
 }
 
-// benchOrdered runs one graph plan bound under a fixed join-ordering
-// mode; the Greedy/Written benchmark pairs built on it measure what the
-// zero-statistics greedy order is worth against the written edge order.
-func benchOrdered(b *testing.B, plan *query.Plan, words int64) {
-	db, eng, _ := benchGoldenSetup(b, 8)
-	q, err := plan.Bind(db)
-	if err != nil {
-		b.Fatal(err)
-	}
-	src := benchFactSource(db, q.FactTable())
-	b.SetBytes(src.Rows() * words * 8)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, _, err := eng.ExecuteContext(context.Background(), q, src); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
-func BenchmarkQ2OrderGreedy(b *testing.B) { benchOrdered(b, ch.Q2Plan(0, 0), 2) }
-func BenchmarkQ2OrderWritten(b *testing.B) {
-	benchOrdered(b, ch.Q2Plan(0, 0).OrderJoins(query.OrderWritten), 2)
-}
-func BenchmarkQ5OrderGreedy(b *testing.B) { benchOrdered(b, ch.Q5Plan(0), 3) }
-func BenchmarkQ5OrderWritten(b *testing.B) {
-	benchOrdered(b, ch.Q5Plan(0).OrderJoins(query.OrderWritten), 3)
-}
-func BenchmarkQ7OrderGreedy(b *testing.B) { benchOrdered(b, ch.Q7Plan(0), 7) }
-func BenchmarkQ7OrderWritten(b *testing.B) {
-	benchOrdered(b, ch.Q7Plan(0).OrderJoins(query.OrderWritten), 7)
-}
-
 // BenchmarkPlannerGraphBind measures full compilation throughput for a
 // six-relation join graph — resolution, greedy ordering, scan layout and
 // kernel fusion — reported as plans per second.

@@ -137,66 +137,6 @@ func TestBuilderGoldenSingleWorker(t *testing.T) {
 	}
 }
 
-// TestGreedyOrderMatchesWrittenOrder pins the planner's core invariant:
-// the written edge order carries no semantic weight. Each graph query is
-// bound twice — greedy ordering (the default) and the written order —
-// and both compiled forms must expose the same scan columns, produce
-// byte-identical rows, and charge the same build bytes, on one worker
-// and under multi-worker stealing alike.
-func TestGreedyOrderMatchesWrittenOrder(t *testing.T) {
-	e := oltp.NewEngine()
-	db := ch.Load(e, ch.SizingForScale(0.005), 11)
-	runNewOrders(t, e, db, 80)
-
-	one := olap.NewEngine(1)
-	defer one.Close()
-	one.SetPlacement(topology.Placement{PerSocket: []int{1}})
-	many := olap.NewEngine(2)
-	defer many.Close()
-	many.SetPlacement(topology.Placement{PerSocket: []int{0, 6}})
-
-	for _, p := range []struct {
-		name            string
-		greedy, written *query.Plan
-	}{
-		{"Q2", ch.Q2Plan(0, 0), ch.Q2Plan(0, 0).OrderJoins(query.OrderWritten)},
-		{"Q5", ch.Q5Plan(0), ch.Q5Plan(0).OrderJoins(query.OrderWritten)},
-		{"Q7", ch.Q7Plan(0), ch.Q7Plan(0).OrderJoins(query.OrderWritten)},
-	} {
-		g, err := p.greedy.Bind(db)
-		if err != nil {
-			t.Fatalf("%s: bind greedy: %v", p.name, err)
-		}
-		w, err := p.written.Bind(db)
-		if err != nil {
-			t.Fatalf("%s: bind written: %v", p.name, err)
-		}
-		if !reflect.DeepEqual(g.Columns(), w.Columns()) {
-			t.Fatalf("%s: scan columns differ: greedy %v, written %v", p.name, g.Columns(), w.Columns())
-		}
-		src := factSource(db, g.FactTable())
-		want, wantSt, err := one.ExecuteContext(context.Background(), g, src)
-		if err != nil {
-			t.Fatalf("%s: greedy: %v", p.name, err)
-		}
-		if len(want.Rows) == 0 {
-			t.Fatalf("%s: no rows; the pair tests nothing", p.name)
-		}
-		for _, eng := range []*olap.Engine{one, many} {
-			for _, q := range []olap.Query{g, w} {
-				got, st, err := eng.ExecuteContext(context.Background(), q, src)
-				if err != nil {
-					t.Fatalf("%s: %v", p.name, err)
-				}
-				assertResultsIdentical(t, p.name, got, want)
-				if st.BuildBytes != wantSt.BuildBytes {
-					t.Errorf("%s: build bytes %d != %d", p.name, st.BuildBytes, wantSt.BuildBytes)
-				}
-			}
-		}
-	}
-}
-
 // TestBuilderGoldenAcrossStates runs each pair through the full system in
 // every forced state at two scale factors. The engine merges per-morsel
 // partials in morsel order, so float totals are bitwise deterministic for

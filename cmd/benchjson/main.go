@@ -36,10 +36,7 @@ type Bench struct {
 // Report is the JSON document benchjson emits. GapRatios holds the
 // builder-vs-handcoded abstraction cost per query (builder ns/op over
 // handcoded ns/op) for every BenchmarkQ<n>Builder/BenchmarkQ<n>Handcoded
-// pair found in the input. OrderRatios holds the greedy-vs-written join
-// ordering cost (greedy ns/op over written ns/op) for every
-// BenchmarkQ<n>OrderGreedy/BenchmarkQ<n>OrderWritten pair — below 1
-// means the zero-statistics greedy order beat the written edge order.
+// pair found in the input.
 type Report struct {
 	Goos       string            `json:"goos,omitempty"`
 	Goarch     string            `json:"goarch,omitempty"`
@@ -62,9 +59,8 @@ type Report struct {
 	// Admit holds the query-admission benchmark — switch and sync,
 	// freshness measurement and delta-ETL over a fixed stale population —
 	// the engine-side view of bench/'s core.admit_ms.
-	Admit       map[string]*Bench  `json:"admit,omitempty"`
-	GapRatios   map[string]float64 `json:"gap_ratios,omitempty"`
-	OrderRatios map[string]float64 `json:"order_ratios,omitempty"`
+	Admit     map[string]*Bench  `json:"admit,omitempty"`
+	GapRatios map[string]float64 `json:"gap_ratios,omitempty"`
 }
 
 // recoveryBench reports whether a benchmark belongs to the durability
@@ -226,44 +222,12 @@ func gapRatios(rep *Report) map[string]float64 {
 	return ratios
 }
 
-// orderRatios pairs each BenchmarkQ<x>OrderGreedy with its
-// BenchmarkQ<x>OrderWritten twin, records the ns/op ratio in the
-// report's order_ratios map and as a greedy_vs_written metric on the
-// greedy entry, and returns the map.
-func orderRatios(rep *Report) map[string]float64 {
-	written := map[string]*Bench{}
-	greedy := map[string]*Bench{}
-	for name, b := range rep.Benchmarks {
-		n := strings.TrimPrefix(baseName(name), "Benchmark")
-		if q, ok := strings.CutSuffix(n, "OrderWritten"); ok {
-			written[q] = b
-		} else if q, ok := strings.CutSuffix(n, "OrderGreedy"); ok {
-			greedy[q] = b
-		}
-	}
-	ratios := map[string]float64{}
-	for q, wb := range written {
-		gb := greedy[q]
-		if gb == nil || wb.NsPerOp <= 0 {
-			continue
-		}
-		r := gb.NsPerOp / wb.NsPerOp
-		ratios[q] = r
-		if gb.Metrics == nil {
-			gb.Metrics = map[string]float64{}
-		}
-		gb.Metrics["greedy_vs_written"] = r
-	}
-	return ratios
-}
-
 func main() {
 	var (
-		in           = flag.String("in", "", "bench output file (default stdin)")
-		out          = flag.String("out", "", "JSON destination (default stdout)")
-		maxGap       = flag.Float64("maxgap", 0, "fail when any builder-vs-handcoded ns/op ratio exceeds this (0 disables; graph-join queries use -maxgapgraph)")
-		maxGapGraph  = flag.Float64("maxgapgraph", 0, "builder-vs-handcoded gate for the graph-join queries Q2/Q5/Q7 (0 disables)")
-		maxOrderLoss = flag.Float64("maxorderloss", 0, "fail when any greedy-vs-written ns/op ratio exceeds this, or when greedy wins on none (0 disables)")
+		in          = flag.String("in", "", "bench output file (default stdin)")
+		out         = flag.String("out", "", "JSON destination (default stdout)")
+		maxGap      = flag.Float64("maxgap", 0, "fail when any builder-vs-handcoded ns/op ratio exceeds this (0 disables; graph-join queries use -maxgapgraph)")
+		maxGapGraph = flag.Float64("maxgapgraph", 0, "builder-vs-handcoded gate for the graph-join queries Q2/Q5/Q7 (0 disables)")
 	)
 	flag.Parse()
 
@@ -287,7 +251,6 @@ func main() {
 		os.Exit(1)
 	}
 	rep.GapRatios = gapRatios(rep)
-	rep.OrderRatios = orderRatios(rep)
 	splitGroup(rep, recoveryBench, &rep.Recovery)
 	splitGroup(rep, txnBench, &rep.Txn)
 	splitGroup(rep, columnarBench, &rep.Columnar)
@@ -326,22 +289,6 @@ func main() {
 				fmt.Fprintf(os.Stderr, "benchjson: %s builder is %.2fx handcoded (gate %.2fx)\n", q, r, gate)
 				bad = true
 			}
-		}
-	}
-	if *maxOrderLoss > 0 && len(rep.OrderRatios) > 0 {
-		wins := 0
-		for q, r := range rep.OrderRatios {
-			if r > *maxOrderLoss {
-				fmt.Fprintf(os.Stderr, "benchjson: %s greedy order is %.2fx written order (gate %.2fx)\n", q, r, *maxOrderLoss)
-				bad = true
-			}
-			if r < 1 {
-				wins++
-			}
-		}
-		if wins == 0 {
-			fmt.Fprintln(os.Stderr, "benchjson: greedy ordering beat written order on no benched query")
-			bad = true
 		}
 	}
 	if bad {

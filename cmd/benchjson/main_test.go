@@ -68,32 +68,6 @@ func TestGapRatios(t *testing.T) {
 	}
 }
 
-func TestOrderRatios(t *testing.T) {
-	const out = `BenchmarkQ5OrderGreedy    5   100 ns/op
-BenchmarkQ5OrderWritten   5   125 ns/op
-BenchmarkQ7OrderGreedy-8  5   210 ns/op
-BenchmarkQ7OrderWritten-8 5   200 ns/op
-BenchmarkQ2OrderGreedy    5   300 ns/op
-`
-	rep, err := parse(strings.NewReader(out))
-	if err != nil {
-		t.Fatal(err)
-	}
-	ratios := orderRatios(rep)
-	if got := ratios["Q5"]; got != 0.8 {
-		t.Fatalf("Q5 order ratio = %v, want 0.8", got)
-	}
-	if got := ratios["Q7"]; got != 1.05 {
-		t.Fatalf("Q7 order ratio = %v, want 1.05", got)
-	}
-	if _, ok := ratios["Q2"]; ok {
-		t.Fatal("unpaired OrderGreedy produced a ratio")
-	}
-	if got := rep.Benchmarks["BenchmarkQ5OrderGreedy"].Metrics["greedy_vs_written"]; got != 0.8 {
-		t.Fatalf("greedy_vs_written metric = %v, want 0.8", got)
-	}
-}
-
 // TestGraphJoinQueriesGateSeparately: the graph-join queries carry their
 // own gap budget, so they must be in gap_ratios (tracked) but flagged as
 // graph queries for gating.

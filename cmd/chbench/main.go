@@ -26,7 +26,7 @@ import (
 
 func main() {
 	var (
-		fig       = flag.String("fig", "", "figure to regenerate: 1, 3a, 3b, 3c, 4, 5a, 5b, alpha, tail, tenants, joinorder, sync, convergence, all")
+		fig       = flag.String("fig", "", "figure to regenerate: 1, 3a, 3b, 3c, 4, 5a, 5b, alpha, tail, tenants, sync, convergence, all")
 		table     = flag.Int("table", 0, "table to regenerate (1)")
 		sf        = flag.Float64("sf", 0.01, "loaded scale factor")
 		seed      = flag.Int64("seed", 42, "generator seed")
@@ -61,7 +61,7 @@ func main() {
 		}
 	}
 	if *fig == "all" {
-		for _, name := range []string{"1", "3a", "3b", "3c", "4", "5a", "alpha", "tail", "tenants", "joinorder", "sync", "convergence"} {
+		for _, name := range []string{"1", "3a", "3b", "3c", "4", "5a", "alpha", "tail", "tenants", "sync", "convergence"} {
 			run(name)
 		}
 		experiments.Banner(os.Stdout, "Table 1: HTAP design classification")
@@ -153,13 +153,6 @@ func runFig(name string, opt experiments.Options, sequences, mtQueries int) erro
 			return err
 		}
 		experiments.RenderTail(os.Stdout, rows)
-	case "joinorder":
-		experiments.Banner(os.Stdout, "Join ordering: greedy vs written edge order (Q2/Q5/Q7)")
-		rows, err := experiments.JoinOrderSweep(opt, 0)
-		if err != nil {
-			return err
-		}
-		experiments.RenderJoinOrder(os.Stdout, rows)
 	case "tenants":
 		experiments.Banner(os.Stdout, "Multi-tenant serving: weighted fair shares and latency tails")
 		rows, err := experiments.MultiTenant(opt, mtQueries)

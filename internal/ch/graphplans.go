@@ -83,11 +83,11 @@ func q5(v func(string) any) *query.Plan {
 // semi-joined with items priced at or above minPrice, ordered by revenue
 // descending. minPrice <= 0 defaults to 50 (Q5Args).
 //
-// The item edge is written last on purpose: under OrderWritten the whole
-// stock → supplier → nation → region chain probes before the selective
-// item semi-join, while the greedy order hoists item first (its halved
-// estimate undercuts the stock fact-sized build) — the clearest
-// greedy-beats-written case in the evaluation set.
+// The item edge is written last on purpose: greedy ordering still probes
+// the selective item semi-join first, because its estimate (item rows,
+// halved for the price predicate) undercuts the stock build, which is
+// as large as the stock table; the stock → supplier → nation → region
+// chain follows in dependency order.
 func Q5Plan(minPrice float64) *query.Plan { return q5(inline(Q5Args(minPrice))) }
 
 // Q5PlanParam is Q5Plan with the item price floor as a parameter — a

@@ -166,18 +166,6 @@ func RenderTenants(w io.Writer, rows []TenantRow) {
 	tw.Flush()
 }
 
-// RenderJoinOrder writes the greedy-vs-written join-ordering sweep.
-func RenderJoinOrder(w io.Writer, rows []JoinOrderRow) {
-	tw := newTW(w)
-	fmt.Fprintln(tw, "query\trelations\tgreedy (ms)\twritten (ms)\tratio\tbuild (KB)\trows\tidentical")
-	for _, r := range rows {
-		fmt.Fprintf(tw, "%s\t%d\t%.2f\t%.2f\t%.3f\t%d\t%d\t%v\n",
-			r.Query, r.Relations, r.GreedyMs, r.WrittenMs, r.Ratio,
-			r.BuildKB, r.Rows, r.Match)
-	}
-	tw.Flush()
-}
-
 // RenderAlpha writes the α-sweep ablation.
 func RenderAlpha(w io.Writer, rows []AlphaRow) {
 	tw := newTW(w)

@@ -239,7 +239,7 @@ func (j *joinPlan) eachRow(lo, hi int64, cands []int64, read *int64, visit func(
 			run.pays[d] = in.Col(c).Slice(lo, hi)
 		}
 		for d := range j.preds {
-			preds[d] = in.Col(j.preds[d].col).Slice(lo, hi)
+			preds[d] = in.Col(j.preds[d].slot).Slice(lo, hi)
 		}
 	rows:
 		for i := 0; i < int(hi-lo); i++ {
@@ -283,10 +283,10 @@ func (j *joinPlan) narrowing(rows int64) (index.Postings, bool) {
 		if f.kind != fIntRange || f.ilo != f.ihi {
 			continue
 		}
-		if dt.ColumnUpdateCount(f.col) != 0 {
+		if dt.ColumnUpdateCount(f.slot) != 0 {
 			continue
 		}
-		post, wm, ok := dh.Sec.Lookup(f.col, f.ilo)
+		post, wm, ok := dh.Sec.Lookup(f.slot, f.ilo)
 		if !ok || wm != rows {
 			continue
 		}
@@ -308,7 +308,7 @@ func (j *joinPlan) appendOnly() bool {
 		}
 	}
 	for i := range j.preds {
-		if dt.ColumnUpdateCount(j.preds[i].col) != 0 {
+		if dt.ColumnUpdateCount(j.preds[i].slot) != 0 {
 			return false
 		}
 	}
@@ -342,7 +342,7 @@ type buildCache struct {
 type buildEntry struct {
 	tab   *denseTab
 	built int64
-	preds []dimFilter
+	preds []filter
 }
 
 // BuildStats returns the statement's build-side counters.

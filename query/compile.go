@@ -1,9 +1,7 @@
 package query
 
 import (
-	"errors"
 	"fmt"
-	"math"
 	"reflect"
 
 	"elastichtap/internal/columnar"
@@ -12,92 +10,10 @@ import (
 	"elastichtap/internal/oltp"
 )
 
-// ErrPredType reports a predicate literal whose Go type cannot compare
-// against the bound column: a string against an int64 column, a float
-// with a fractional part against an integer column, an int against a
-// string column. Bind wraps it with the offending column and value, so
-// errors.Is(err, ErrPredType) distinguishes literal-type mistakes from
-// unknown-name errors.
-var ErrPredType = errors.New("predicate literal type mismatch")
-
 // Catalog resolves table names to storage handles. *ch.DB (re-exported as
 // elastichtap.DB) satisfies it.
 type Catalog interface {
 	Handle(name string) *oltp.TableHandle
-}
-
-// fkind selects a filter evaluation strategy. Ordered predicates compile
-// to canonical inclusive ranges (Gt v becomes [v+1, max] for integers and
-// [nextafter(v), +inf] for floats), so block filtering runs as tight
-// range loops with no per-row calls.
-type fkind int8
-
-const (
-	fIntRange fkind = iota // also string dictionary codes
-	fIntNe
-	fIntNotRange
-	fFloatRange
-	fFloatNe
-	fFloatNotRange
-	fNever // statically unsatisfiable
-)
-
-// ftest is a compiled predicate test over raw column words.
-type ftest struct {
-	kind     fkind
-	ilo, ihi int64
-	flo, fhi float64
-}
-
-// match evaluates the test against one raw column word (dimension
-// builds, and fact-side predicates that do not canonicalize to a range).
-func (t *ftest) match(w int64) bool {
-	switch t.kind {
-	case fIntRange:
-		return w >= t.ilo && w <= t.ihi
-	case fIntNe:
-		return w != t.ilo
-	case fIntNotRange:
-		return w < t.ilo || w > t.ihi
-	case fFloatRange:
-		d := columnar.DecodeFloat(w)
-		return d >= t.flo && d <= t.fhi
-	case fFloatNe:
-		return columnar.DecodeFloat(w) != t.flo
-	case fFloatNotRange:
-		d := columnar.DecodeFloat(w)
-		return d < t.flo || d > t.fhi
-	default:
-		return false
-	}
-}
-
-// fmatch evaluates the test against an already-decoded float64 — the cell
-// type of emitted result rows (Having predicates).
-func (t *ftest) fmatch(v float64) bool {
-	switch t.kind {
-	case fFloatRange:
-		return v >= t.flo && v <= t.fhi
-	case fFloatNe:
-		return v != t.flo
-	case fFloatNotRange:
-		return v < t.flo || v > t.fhi
-	default:
-		return false
-	}
-}
-
-// filter is a compiled predicate over one scanned column slot.
-type filter struct {
-	slot int
-	ftest
-}
-
-// dimFilter is a compiled predicate over a dimension table's physical
-// column (evaluated row-at-a-time during build).
-type dimFilter struct {
-	col int
-	ftest
 }
 
 // aggPlan is one compiled aggregate: its kind, the column slot it reads
@@ -120,10 +36,10 @@ type jkey [maxJoinCols]int64
 // how to build the key→payload table from the dimension.
 type joinPlan struct {
 	dim        *oltp.TableHandle
-	probeSlots []int // global slots of the key columns (fact scan, or an earlier join's payload)
-	keyCols    []int // dimension physical columns of the keys
-	payCols    []int // dimension physical columns of the projected payload
-	preds      []dimFilter
+	probeSlots []int    // global slots of the key columns (fact scan, or an earlier join's payload)
+	keyCols    []int    // dimension physical columns of the keys
+	payCols    []int    // dimension physical columns of the projected payload
+	preds      []filter // build-side predicates; slot is the dimension column
 	// payBase is the join's first global payload index: payload column i
 	// occupies slot nscan+payBase+i.
 	payBase int
@@ -145,9 +61,9 @@ type Compiled struct {
 	factH   *oltp.TableHandle // fact handle; its secondary indexes drive morsel skipping
 	cols    []int
 	filters []filter
-	// joins holds the compiled hash joins in execution order (greedy by
-	// default; see order.go). Each probes the fact side — or an earlier
-	// join's payload — against its dimension build table.
+	// joins holds the compiled hash joins in execution order (greedy; see
+	// order.go). Each probes the fact side — or an earlier join's payload
+	// — against its dimension build table.
 	joins []*joinPlan
 	// npayTotal is the total projected payload width across all joins;
 	// payload columns occupy global slots nscan..nscan+npayTotal-1.
@@ -155,7 +71,7 @@ type Compiled struct {
 	groups    []int // slots of the group-key columns (fact or payload)
 	aggs      []aggPlan
 	outCols   []string
-	having    []havingFilter
+	having    []filter // slot is the output column
 	order     olap.Order
 	ordered   bool
 	limit     int
@@ -179,13 +95,6 @@ type Compiled struct {
 	// build.go). Like cache and fuse it is one pointer shared by every
 	// WithArgs clone; nil for plans without joins.
 	builds *buildCache
-}
-
-// havingFilter is a compiled post-aggregation predicate over one output
-// column (by index into the emitted row).
-type havingFilter struct {
-	col int
-	ftest
 }
 
 // Name implements olap.Query.
@@ -290,8 +199,7 @@ func (p *Plan) Bind(cat Catalog) (*Compiled, error) {
 
 	// Assemble the scan list: explicit projection order, or reference
 	// order (filters, probe keys, group keys, aggregate inputs) over the
-	// joins in written order — both ordering modes bind to an identical
-	// scan layout. Join payload columns never scan — the probe
+	// joins in written order. Join payload columns never scan — the probe
 	// materializes them.
 	var refs []string
 	seen := map[string]bool{}
@@ -366,15 +274,8 @@ func (p *Plan) Bind(cat Catalog) (*Compiled, error) {
 	}
 
 	for _, pr := range preds {
-		if len(predParams(pr)) > 0 {
-			idx := schema.ColumnIndex(pr.col) // resolved by the scan-list loop above
-			if err := c.noteParams(pr, schema.Columns[idx].Type, tab.Dict(idx), siteFilter, len(c.filters), 0); err != nil {
-				return nil, err
-			}
-			c.filters = append(c.filters, filter{slot: slots[pr.col], ftest: ftest{kind: fNever}})
-			continue
-		}
-		test, err := compileTest(tab, schema, pr)
+		idx := schema.ColumnIndex(pr.col) // resolved by the scan-list loop above
+		test, err := c.bindPred(pr, schema.Columns[idx].Type, tab.Dict(idx), siteFilter, len(c.filters), 0)
 		if err != nil {
 			return nil, err
 		}
@@ -434,15 +335,8 @@ func (p *Plan) Bind(cat Catalog) (*Compiled, error) {
 			if owner := payOwner[a.cond.col]; owner != nil {
 				ctab, cschema = owner.dh.Table(), owner.schema
 			}
-			if len(predParams(*a.cond)) > 0 {
-				idx := cschema.ColumnIndex(a.cond.col)
-				if err := c.noteParams(*a.cond, cschema.Columns[idx].Type, ctab.Dict(idx), siteCond, len(c.aggs), 0); err != nil {
-					return nil, err
-				}
-				ap.cond, ap.condSlot = &ftest{kind: fNever}, slot
-				break
-			}
-			test, err := compileTest(ctab, cschema, *a.cond)
+			idx := cschema.ColumnIndex(a.cond.col)
+			test, err := c.bindPred(*a.cond, cschema.Columns[idx].Type, ctab.Dict(idx), siteCond, len(c.aggs), 0)
 			if err != nil {
 				return nil, err
 			}
@@ -478,18 +372,12 @@ func (p *Plan) Bind(cat Catalog) (*Compiled, error) {
 		if col < 0 {
 			return nil, fmt.Errorf("query: Having column %q is not an output column (have %v)", pr.col, c.outCols)
 		}
-		if len(predParams(pr)) > 0 {
-			if err := c.noteParams(pr, columnar.Float64, nil, siteHaving, len(c.having), 0); err != nil {
-				return nil, err
-			}
-			c.having = append(c.having, havingFilter{col: col, ftest: ftest{kind: fNever}})
-			continue
-		}
-		test, err := makeFloatTest(pr)
+		// Every emitted cell is a float64, whatever the source column.
+		test, err := c.bindPred(pr, columnar.Float64, nil, siteHaving, len(c.having), 0)
 		if err != nil {
 			return nil, err
 		}
-		c.having = append(c.having, havingFilter{col: col, ftest: test})
+		c.having = append(c.having, filter{slot: col, ftest: test})
 	}
 	c.names = paramNames(c.params)
 	if p.orderCol != "" {
@@ -558,190 +446,15 @@ func compileJoin(c *Compiled, rj *rjoin, jidx int, schema columnar.Schema, slots
 		if col < 0 {
 			return nil, fmt.Errorf("query: dimension %q has no column %q", j.dim, pr.col)
 		}
-		if len(predParams(pr)) > 0 {
-			if err := c.noteParams(pr, dschema.Columns[col].Type, dt.Dict(col), siteJoin, len(jp.preds), jidx); err != nil {
-				return nil, err
-			}
-			jp.preds = append(jp.preds, dimFilter{col: col, ftest: ftest{kind: fNever}})
-			touched[col] = true
-			continue
-		}
-		test, err := compileTest(dt, dschema, pr)
+		test, err := c.bindPred(pr, dschema.Columns[col].Type, dt.Dict(col), siteJoin, len(jp.preds), jidx)
 		if err != nil {
 			return nil, err
 		}
-		jp.preds = append(jp.preds, dimFilter{col: col, ftest: test})
+		jp.preds = append(jp.preds, filter{slot: col, ftest: test})
 		touched[col] = true
 	}
 	jp.words = len(touched)
 	return jp, nil
-}
-
-// compileTest specializes a predicate to the column's storage type: int64
-// columns compare raw words, float64 columns compare decoded IEEE values,
-// and string columns compare dictionary codes (equality only). Ordered
-// comparisons canonicalize to inclusive ranges so the block path needs no
-// per-row calls.
-func compileTest(tab *columnar.Table, schema columnar.Schema, pr Pred) (ftest, error) {
-	idx := schema.ColumnIndex(pr.col)
-	if idx < 0 {
-		return ftest{}, fmt.Errorf("query: table %q has no column %q", schema.Name, pr.col)
-	}
-	switch schema.Columns[idx].Type {
-	case columnar.Int64:
-		return makeIntTest(pr)
-	case columnar.Float64:
-		return makeFloatTest(pr)
-	case columnar.String:
-		return makeStringTest(tab.Dict(idx), pr)
-	}
-	return ftest{}, fmt.Errorf("query: unsupported predicate %v on column %q", pr.op, pr.col)
-}
-
-// makeIntTest canonicalizes a predicate over an int64 column into a raw
-// word test. WithArgs re-runs only this step when stamping parameters, so
-// stamped tests are identical to freshly compiled ones.
-func makeIntTest(pr Pred) (ftest, error) {
-	lo, err := toInt64(pr.col, pr.lo)
-	if err != nil {
-		return ftest{}, err
-	}
-	t := ftest{kind: fIntRange, ilo: math.MinInt64, ihi: math.MaxInt64}
-	switch pr.op {
-	case opEq:
-		t.ilo, t.ihi = lo, lo
-	case opNe:
-		return ftest{kind: fIntNe, ilo: lo}, nil
-	case opGt:
-		if lo == math.MaxInt64 {
-			return ftest{kind: fNever}, nil
-		}
-		t.ilo = lo + 1
-	case opGe:
-		t.ilo = lo
-	case opLt:
-		if lo == math.MinInt64 {
-			return ftest{kind: fNever}, nil
-		}
-		t.ihi = lo - 1
-	case opLe:
-		t.ihi = lo
-	case opBetween:
-		hi, err := toInt64(pr.col, pr.hi)
-		if err != nil {
-			return ftest{}, err
-		}
-		t.ilo, t.ihi = lo, hi
-	case opNotBetween:
-		hi, err := toInt64(pr.col, pr.hi)
-		if err != nil {
-			return ftest{}, err
-		}
-		return ftest{kind: fIntNotRange, ilo: lo, ihi: hi}, nil
-	}
-	return t, nil
-}
-
-// makeFloatTest canonicalizes a predicate in IEEE float space — float64
-// columns, and the Having path where every emitted cell (group keys
-// included) is already a decoded float64.
-func makeFloatTest(pr Pred) (ftest, error) {
-	lo, err := toFloat64(pr.col, pr.lo)
-	if err != nil {
-		return ftest{}, err
-	}
-	t := ftest{kind: fFloatRange, flo: math.Inf(-1), fhi: math.Inf(1)}
-	switch pr.op {
-	case opEq:
-		t.flo, t.fhi = lo, lo
-	case opNe:
-		return ftest{kind: fFloatNe, flo: lo}, nil
-	case opGt:
-		t.flo = math.Nextafter(lo, math.Inf(1))
-	case opGe:
-		t.flo = lo
-	case opLt:
-		t.fhi = math.Nextafter(lo, math.Inf(-1))
-	case opLe:
-		t.fhi = lo
-	case opBetween, opNotBetween:
-		hi, err := toFloat64(pr.col, pr.hi)
-		if err != nil {
-			return ftest{}, err
-		}
-		if pr.op == opNotBetween {
-			return ftest{kind: fFloatNotRange, flo: lo, fhi: hi}, nil
-		}
-		t.flo, t.fhi = lo, hi
-	}
-	return t, nil
-}
-
-// makeStringTest resolves a string literal through the column's
-// dictionary: equality against a known code, never-match for unknown
-// strings (inequality then matches everything).
-func makeStringTest(dict *columnar.Dict, pr Pred) (ftest, error) {
-	s, ok := pr.lo.(string)
-	if !ok {
-		return ftest{}, fmt.Errorf("query: string column %q compared with %v (%T): %w", pr.col, pr.lo, pr.lo, ErrPredType)
-	}
-	if pr.op != opEq && pr.op != opNe {
-		return ftest{}, fmt.Errorf("query: string column %q supports only Eq/Ne, got %v", pr.col, pr.op)
-	}
-	code, known := dict.Lookup(s)
-	if pr.op == opEq {
-		if !known {
-			return ftest{kind: fNever}, nil
-		}
-		return ftest{kind: fIntRange, ilo: code, ihi: code}, nil
-	}
-	if !known {
-		return ftest{kind: fIntRange, ilo: math.MinInt64, ihi: math.MaxInt64}, nil
-	}
-	return ftest{kind: fIntNe, ilo: code}, nil
-}
-
-func toInt64(col string, v any) (int64, error) {
-	switch x := v.(type) {
-	case int:
-		return int64(x), nil
-	case int8:
-		return int64(x), nil
-	case int16:
-		return int64(x), nil
-	case int32:
-		return int64(x), nil
-	case int64:
-		return x, nil
-	case uint8:
-		return int64(x), nil
-	case uint16:
-		return int64(x), nil
-	case uint32:
-		return int64(x), nil
-	case float64:
-		if x != float64(int64(x)) {
-			return 0, fmt.Errorf("query: non-integral value %v for int64 column %q: %w", x, col, ErrPredType)
-		}
-		return int64(x), nil
-	default:
-		return 0, fmt.Errorf("query: value %v (%T) unusable for int64 column %q: %w", v, v, col, ErrPredType)
-	}
-}
-
-func toFloat64(col string, v any) (float64, error) {
-	switch x := v.(type) {
-	case float64:
-		return x, nil
-	case float32:
-		return float64(x), nil
-	case int:
-		return float64(x), nil
-	case int64:
-		return float64(x), nil
-	default:
-		return 0, fmt.Errorf("query: value %v (%T) unusable for float64 column %q: %w", v, v, col, ErrPredType)
-	}
 }
 
 // isNilCatalog also catches a typed-nil *ch.DB stored in the interface.
@@ -785,7 +498,7 @@ func finishRes(c *Compiled, res olap.Result) olap.Result {
 		for _, row := range res.Rows {
 			for i := range c.having {
 				h := &c.having[i]
-				if !h.fmatch(row[h.col]) {
+				if !h.fmatch(row[h.slot]) {
 					continue rows
 				}
 			}

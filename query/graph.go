@@ -4,10 +4,11 @@ package query
 // graph — named relation nodes (Rel) composed with directed equi-join
 // edges (JoinOn), where an edge's source columns may live on the fact
 // table or on any other joined relation. The written edge order carries
-// no semantic weight — Bind orders the joins itself (greedily by default,
-// smallest indexed/filtered relation first, subject to connectivity; see
-// order.go) and results are identical under every valid order, because
-// each join is a lookup against a unique dimension key.
+// no semantic weight — Bind orders the joins itself (greedily, smallest
+// indexed/filtered relation first, subject to connectivity; see order.go)
+// and results are identical under every valid order, because each join
+// is a lookup against a unique dimension key. The written order only
+// breaks ties between equal estimates and lays out the scan list.
 //
 //	fact := query.Rel("orderline")
 //	stock := query.Rel("stock")
@@ -123,10 +124,11 @@ func JoinOn(from, to *Relation, on ...string) JoinEdge {
 }
 
 // JoinGraph installs the plan's join graph. Edges may arrive in any
-// order; Bind chooses the execution order (see OrderJoins). The graph's
+// order; Bind chooses the execution order (see order.go). The graph's
 // shape is validated eagerly — malformed edges, a fact-targeting edge,
 // or a relation not connected to the fact table fail the plan here, so
-// Plan.Err reports ErrDisconnectedJoinGraph before Bind runs.
+// Plan.Err reports ErrDisconnectedJoinGraph before Bind runs. The check
+// is Bind's placement rule (placeJoins) run with no size estimates.
 func (p *Plan) JoinGraph(edges ...JoinEdge) *Plan {
 	if len(p.graph) > 0 {
 		p.fail(fmt.Errorf("query: JoinGraph called twice"))
@@ -147,88 +149,8 @@ func (p *Plan) JoinGraph(edges ...JoinEdge) *Plan {
 		}
 	}
 	p.graph = append(p.graph, edges...)
-	if err := checkConnected(p.table, p.graph); err != nil {
+	if _, err := placeJoins(p.table, p.graph, nil); err != nil {
 		p.fail(err)
 	}
-	return p
-}
-
-// checkConnected verifies every relation of the graph is placeable: a
-// relation can join once all its in-edge sources are placed (they
-// provide its probe columns), starting from the fact table. Anything
-// left over — an island, a cycle, or a source relation that is never
-// itself joined — is disconnected.
-func checkConnected(fact string, edges []JoinEdge) error {
-	placed := map[string]bool{fact: true}
-	pendingIn := map[string]int{} // relation → unplaced in-edge sources
-	var rels []string
-	note := func(name string) {
-		if _, ok := pendingIn[name]; !ok && name != fact {
-			pendingIn[name] = 0
-			rels = append(rels, name)
-		}
-	}
-	for _, e := range edges {
-		note(e.from.name)
-		note(e.to.name)
-	}
-	for progress := true; progress; {
-		progress = false
-		for _, r := range rels {
-			if placed[r] {
-				continue
-			}
-			ready := true
-			for _, e := range edges {
-				if e.to.name == r && !placed[e.from.name] {
-					ready = false
-					break
-				}
-			}
-			// A relation with no in-edges at all is only a source; it never
-			// joins, so it can never provide its columns.
-			hasIn := false
-			for _, e := range edges {
-				if e.to.name == r {
-					hasIn = true
-					break
-				}
-			}
-			if ready && hasIn {
-				placed[r] = true
-				progress = true
-			}
-		}
-	}
-	for _, r := range rels {
-		if !placed[r] {
-			return fmt.Errorf("%w: relation %q has no join path from fact table", ErrDisconnectedJoinGraph, r)
-		}
-	}
-	if len(rels) > maxJoins {
-		return fmt.Errorf("query: join graph has %d relations, max %d", len(rels), maxJoins)
-	}
-	return nil
-}
-
-// JoinOrder selects how Bind orders a plan's joins.
-type JoinOrder int8
-
-const (
-	// OrderGreedy (the default) places the smallest placeable relation
-	// first: exact index counts for Eq-filtered relations, raw row counts
-	// otherwise, with no statistics kept anywhere (see order.go).
-	OrderGreedy JoinOrder = iota
-	// OrderWritten places relations in first-mention order, subject to
-	// connectivity — the order the query author wrote. Results are
-	// identical to OrderGreedy; only the work differs.
-	OrderWritten
-)
-
-// OrderJoins overrides the plan's join ordering mode (OrderGreedy by
-// default). Exposed chiefly for the greedy-vs-written experiment sweep
-// and for pinning plans in benchmarks.
-func (p *Plan) OrderJoins(m JoinOrder) *Plan {
-	p.joinOrder = m
 	return p
 }

@@ -2,7 +2,9 @@ package query
 
 import (
 	"errors"
+	"fmt"
 	"reflect"
+	"strings"
 	"testing"
 
 	"elastichtap/internal/columnar"
@@ -61,8 +63,8 @@ func graphFixture(t *testing.T) (Catalog, *oltp.Engine) {
 
 // TestJoinGraphDimensionHop drives a fact → gprod → gmaker chain where
 // the second join's probe key comes entirely from the first join's
-// payload, grouping by a column two hops away, and checks both join
-// ordering modes produce the exact same rows.
+// payload, grouping by a column two hops away, and checks the chain
+// written backwards scans the same columns and produces the same rows.
 func TestJoinGraphDimensionHop(t *testing.T) {
 	cat, e := graphFixture(t)
 	build := func() *Plan {
@@ -92,15 +94,15 @@ func TestJoinGraphDimensionHop(t *testing.T) {
 		t.Fatalf("rows = %v, want %v", res.Rows, want)
 	}
 
-	written, err := build().OrderJoins(OrderWritten).Bind(cat)
+	backwards, err := ReverseEdges(build()).Bind(cat)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !reflect.DeepEqual(q.Columns(), written.Columns()) {
-		t.Fatalf("scan columns differ across orders: %v vs %v", q.Columns(), written.Columns())
+	if !reflect.DeepEqual(q.Columns(), backwards.Columns()) {
+		t.Fatalf("scan columns differ across edge orders: %v vs %v", q.Columns(), backwards.Columns())
 	}
-	if got := run(t, e, written); !reflect.DeepEqual(got, res) {
-		t.Fatalf("written order diverges: %+v vs %+v", got, res)
+	if got := run(t, e, backwards); !reflect.DeepEqual(got, res) {
+		t.Fatalf("reversed edges diverge: %+v vs %+v", got, res)
 	}
 }
 
@@ -126,40 +128,67 @@ func TestJoinGraphFilteredRelation(t *testing.T) {
 	}
 }
 
-// TestJoinGraphDisconnectedIsland covers the eager shape check: an edge
-// set that never touches the fact table fails at JoinGraph time, before
-// Bind, with the typed error.
-func TestJoinGraphDisconnectedIsland(t *testing.T) {
-	cat, _ := newFixture(t)
-	p := Scan("sales").
-		JoinGraph(JoinOn(Rel("product"), Rel("daily"), "pid", "pid")).
-		Agg(Count())
-	if err := p.Err(); !errors.Is(err, ErrDisconnectedJoinGraph) {
-		t.Fatalf("Plan.Err() = %v, want ErrDisconnectedJoinGraph", err)
+// TestJoinGraphPlacement holds JoinGraph's eager check and Bind to the
+// one placement rule: a relation joins once the source of every edge into
+// it is the fact table or an already joined relation. Both must agree on
+// every shape — the typed error for a disconnected graph, nil for a
+// placeable one.
+func TestJoinGraphPlacement(t *testing.T) {
+	cat, _ := graphFixture(t)
+	fact, prod, maker := Rel("gfact"), Rel("gprod"), Rel("gmaker")
+	wide := []JoinEdge{JoinOn(fact, prod, "pid", "pid")}
+	for i := 0; i < maxJoins; i++ {
+		wide = append(wide, JoinOn(fact, Rel(fmt.Sprintf("gextra%d", i)), "pid", "pid"))
 	}
-	if _, err := p.Bind(cat); !errors.Is(err, ErrDisconnectedJoinGraph) {
-		t.Fatalf("Bind = %v, want ErrDisconnectedJoinGraph", err)
+	for _, tc := range []struct {
+		name  string
+		edges []JoinEdge
+		want  error // nil: placeable
+	}{
+		{"island", []JoinEdge{JoinOn(prod, maker, "mid", "mid")}, ErrDisconnectedJoinGraph},
+		{"cycle", []JoinEdge{
+			JoinOn(prod, maker, "mid", "mid"),
+			JoinOn(maker, prod, "grade", "grade"),
+		}, ErrDisconnectedJoinGraph},
+		{"source-only", []JoinEdge{
+			JoinOn(fact, maker, "pid", "mid"),
+			JoinOn(prod, maker, "grade", "grade"),
+		}, ErrDisconnectedJoinGraph},
+		{"chain", []JoinEdge{
+			JoinOn(prod, maker, "mid", "mid"),
+			JoinOn(fact, prod, "pid", "pid"),
+		}, nil},
+		{"fan-out", []JoinEdge{
+			JoinOn(fact, prod, "pid", "pid"),
+			JoinOn(fact, maker, "day", "mid"),
+		}, nil},
+		{"composite-half-sourced", []JoinEdge{
+			JoinOn(fact, prod, "pid", "pid"),
+			JoinOn(fact, maker, "day", "region"),
+			JoinOn(prod, maker, "mid", "mid"),
+		}, nil},
+		{"too-many", wide, errTooMany},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			p := Scan("gfact").JoinGraph(tc.edges...).Agg(Count())
+			_, bindErr := p.Bind(cat)
+			for stage, err := range map[string]error{"Plan.Err": p.Err(), "Bind": bindErr} {
+				switch {
+				case tc.want == nil && err != nil:
+					t.Errorf("%s = %v, want nil", stage, err)
+				case tc.want == errTooMany && (err == nil || !strings.Contains(err.Error(), "max")):
+					t.Errorf("%s = %v, want the relation bound", stage, err)
+				case tc.want != nil && tc.want != errTooMany && !errors.Is(err, tc.want):
+					t.Errorf("%s = %v, want %v", stage, err, tc.want)
+				}
+			}
+		})
 	}
 }
 
-// TestJoinGraphDisconnectedCycle: relations that only reference each
-// other in a cycle are unplaceable even though every node has in-edges.
-func TestJoinGraphDisconnectedCycle(t *testing.T) {
-	cat, _ := graphFixture(t)
-	a, b := Rel("gprod"), Rel("gmaker")
-	p := Scan("gfact").
-		JoinGraph(
-			JoinOn(a, b, "mid", "mid"),
-			JoinOn(b, a, "grade", "grade"),
-		).
-		Agg(Count())
-	if err := p.Err(); !errors.Is(err, ErrDisconnectedJoinGraph) {
-		t.Fatalf("Plan.Err() = %v, want ErrDisconnectedJoinGraph", err)
-	}
-	if _, err := p.Bind(cat); !errors.Is(err, ErrDisconnectedJoinGraph) {
-		t.Fatalf("Bind = %v, want ErrDisconnectedJoinGraph", err)
-	}
-}
+// errTooMany marks TestJoinGraphPlacement's row past maxJoins, whose
+// error is untyped.
+var errTooMany = errors.New("too many relations")
 
 // TestJoinGraphAmbiguousFactColumn: a group column present on both the
 // fact table and a joined relation cannot be resolved — unless the

@@ -8,17 +8,19 @@ package query
 // the paper's HTAP setting wants: no histograms or cardinality sketches
 // survive the transactional churn, so the planner ranks relations by
 // what it can know exactly right now — the dimension's current row
-// count, sharpened to an exact match count when an Eq predicate hits a
-// secondary index (internal/index), halved per remaining predicate —
-// and repeatedly places the smallest placeable relation. Connectivity
-// constrains placement: a relation joins only once every source column
-// of its key (fact columns, or payloads of other relations) is
-// available. Results are order-independent — every join is a lookup
-// against a unique dimension key — so ordering affects work, never
-// answers.
+// count, sharpened to an exact match count when a predicate compiles to
+// one word of an indexed column (internal/index), halved per remaining
+// predicate — and repeatedly places the smallest placeable relation,
+// ties to the first written. Connectivity constrains placement: a
+// relation joins only once every relation its key columns come from
+// (the fact table, or a relation projecting them as payload) has
+// joined. JoinGraph checks the same rule eagerly (placeJoins). Results
+// are order-independent — every join is a lookup against a unique
+// dimension key — so ordering affects work, never answers.
 
 import (
 	"fmt"
+	"slices"
 
 	"elastichtap/internal/columnar"
 	"elastichtap/internal/oltp"
@@ -32,7 +34,6 @@ type rjoin struct {
 	// keySrc names the relation providing each fact-side key column; ""
 	// means the fact table itself.
 	keySrc []string
-	est    int64 // greedy size estimate
 	// payBase is the join's first global payload slot, assigned in
 	// execution order.
 	payBase int
@@ -40,17 +41,24 @@ type rjoin struct {
 
 // resolveJoins resolves the plan's joins against the catalog and orders
 // them. It returns the joins twice — in written (first-mention) order,
-// which fixes name resolution and scan-list layout so both ordering
-// modes bind to identical metadata, and in execution order — plus any
-// predicates the graph attached to the fact relation.
+// which fixes name resolution and scan-list layout, and in execution
+// order — plus any predicates the graph attached to the fact relation.
 func (p *Plan) resolveJoins(cat Catalog, schema columnar.Schema) (written, ordered []*rjoin, factPreds []Pred, err error) {
 	written, factPreds, err = p.resolveGraph(cat, schema)
 	if err != nil {
 		return nil, nil, nil, err
 	}
-	ordered, err = orderJoins(written, p.joinOrder)
+	est := make([]int64, len(written))
+	for i, rj := range written {
+		est[i] = estimateJoin(rj)
+	}
+	order, err := placeJoins(p.table, p.graph, est)
 	if err != nil {
 		return nil, nil, nil, err
+	}
+	ordered = make([]*rjoin, len(order))
+	for k, i := range order {
+		ordered[k] = written[i]
 	}
 	return written, ordered, factPreds, nil
 }
@@ -107,12 +115,6 @@ func (p *Plan) resolveGraph(cat Catalog, schema columnar.Schema) ([]*rjoin, []Pr
 	for _, e := range p.graph {
 		notePreds(e.from)
 		notePreds(e.to)
-	}
-	for _, e := range p.graph {
-		if e.from.name != p.table && nodes[e.from.name] == nil {
-			return nil, nil, fmt.Errorf("%w: relation %q is only an edge source and is never joined",
-				ErrDisconnectedJoinGraph, e.from.name)
-		}
 	}
 	// Payload inference (a): a non-fact edge source must project the
 	// referenced column for the downstream probe to read.
@@ -197,62 +199,62 @@ func addPayload(rj *rjoin, col string) {
 	rj.spec.payload = append(rj.spec.payload, col)
 }
 
-// orderJoins places the joins. A join is placeable once every key
-// column sourced from another relation is in a placed relation's
-// payload; among placeable joins, OrderGreedy picks the smallest
-// estimate (ties break on written order) and OrderWritten the earliest
-// written. An unplaceable remainder is a disconnected (or cyclic)
-// graph.
-func orderJoins(written []*rjoin, mode JoinOrder) ([]*rjoin, error) {
-	if len(written) == 0 {
-		return nil, nil
-	}
-	for _, rj := range written {
-		rj.est = estimateJoin(rj)
-	}
-	avail := map[string]bool{}
-	placeable := func(rj *rjoin) bool {
-		for i, fk := range rj.spec.factKeys {
-			if rj.keySrc[i] != "" && !avail[fk] {
-				return false
-			}
+// placeJoins is the one placement rule, over relation names: a relation
+// is placeable once the source of every edge into it is the fact table or
+// an already placed relation, and the placeable relation with the
+// smallest estimate goes next, ties to the first mentioned. The
+// relations are the edge targets in first-mention order — resolveGraph's
+// written order — est holds their estimates (nil: all equal), and the
+// result lists their indexes in execution order. A relation left
+// unplaced — on an island, on a cycle, or keyed by a relation that is
+// never itself joined — disconnects the graph. JoinGraph runs the rule
+// without estimates to validate the graph, Bind with estimateJoin's to
+// order it.
+func placeJoins(fact string, edges []JoinEdge, est []int64) ([]int, error) {
+	var buf [maxJoins]string
+	rels := buf[:0]
+	for _, e := range edges {
+		if !slices.Contains(rels, e.to.name) {
+			rels = append(rels, e.to.name)
 		}
-		return true
 	}
-	ordered := make([]*rjoin, 0, len(written))
-	done := make([]bool, len(written))
-	for len(ordered) < len(written) {
+	if len(rels) > maxJoins {
+		return nil, fmt.Errorf("query: join graph has %d relations, max %d", len(rels), maxJoins)
+	}
+	var placed [maxJoins]bool
+	isPlaced := func(name string) bool {
+		i := slices.Index(rels, name)
+		return name == fact || i >= 0 && placed[i]
+	}
+	order := make([]int, 0, len(rels))
+	for len(order) < len(rels) {
 		best := -1
-		for i, rj := range written {
-			if done[i] || !placeable(rj) {
+	next:
+		for i, r := range rels {
+			if placed[i] {
 				continue
 			}
-			if best < 0 {
-				best = i
-				if mode == OrderWritten {
-					break
+			for _, e := range edges {
+				if e.to.name == r && !isPlaced(e.from.name) {
+					continue next
 				}
-				continue
 			}
-			if rj.est < written[best].est {
+			if best < 0 || est != nil && est[i] < est[best] {
 				best = i
 			}
 		}
 		if best < 0 {
-			for i, rj := range written {
-				if !done[i] {
-					return nil, fmt.Errorf("%w: relation %q cannot be placed (no placed relation provides its key columns)",
-						ErrDisconnectedJoinGraph, rj.spec.dim)
+			for i, r := range rels {
+				if !placed[i] {
+					return nil, fmt.Errorf("%w: relation %q has no join path from the fact table",
+						ErrDisconnectedJoinGraph, r)
 				}
 			}
 		}
-		done[best] = true
-		ordered = append(ordered, written[best])
-		for _, pc := range written[best].spec.payload {
-			avail[pc] = true
-		}
+		placed[best] = true
+		order = append(order, best)
 	}
-	return ordered, nil
+	return order, nil
 }
 
 // estimateJoin sizes a relation with zero statistics: the dimension's
@@ -264,7 +266,7 @@ func orderJoins(written []*rjoin, mode JoinOrder) ([]*rjoin, error) {
 func estimateJoin(rj *rjoin) int64 {
 	est := rj.dh.Table().Rows()
 	for _, pr := range rj.spec.preds {
-		if n, ok := indexEqCount(rj.dh, rj.schema, pr); ok {
+		if n, ok := indexEqCount(rj, pr); ok {
 			if n < est {
 				est = n
 			}
@@ -275,41 +277,25 @@ func estimateJoin(rj *rjoin) int64 {
 	return est
 }
 
-// indexEqCount answers an Eq predicate exactly through the dimension's
-// secondary index: the posting count for the literal's word (dictionary
-// code for strings). Parameters, non-Eq operators, float columns and
-// unindexable columns report ok=false.
-func indexEqCount(dh *oltp.TableHandle, schema columnar.Schema, pr Pred) (int64, bool) {
-	if pr.op != opEq || dh.Sec == nil {
+// indexEqCount answers a literal predicate exactly when its compiled test
+// is a single word — the check buildSkips makes — through the
+// dimension's secondary index, or when the test never matches.
+// Parameters, ranges, float columns and unindexable columns report
+// ok=false; a predicate that does not compile is left for compileJoin to
+// reject.
+func indexEqCount(rj *rjoin, pr Pred) (int64, bool) {
+	col := rj.schema.ColumnIndex(pr.col)
+	if col < 0 || len(predParams(pr)) > 0 {
 		return 0, false
 	}
-	if _, isParam := pr.lo.(param); isParam {
+	t, err := compilePred(rj.schema.Columns[col].Type, rj.dh.Table().Dict(col), pr)
+	switch {
+	case err != nil:
+		return 0, false
+	case t.kind == fNever:
+		return 0, true
+	case t.kind != fIntRange || t.ilo != t.ihi || rj.dh.Sec == nil:
 		return 0, false
 	}
-	col := schema.ColumnIndex(pr.col)
-	if col < 0 {
-		return 0, false
-	}
-	var w int64
-	switch schema.Columns[col].Type {
-	case columnar.Int64:
-		v, err := toInt64(pr.col, pr.lo)
-		if err != nil {
-			return 0, false
-		}
-		w = v
-	case columnar.String:
-		s, ok := pr.lo.(string)
-		if !ok {
-			return 0, false
-		}
-		code, known := dh.Table().Dict(col).Lookup(s)
-		if !known {
-			return 0, true // an unknown literal matches nothing, exactly
-		}
-		w = code
-	default:
-		return 0, false
-	}
-	return dh.Sec.CountEq(col, w)
+	return rj.dh.Sec.CountEq(col, t.ilo)
 }

@@ -1,13 +1,93 @@
 package query
 
 import (
+	"errors"
 	"fmt"
+	"math"
 	"slices"
 	"sort"
 	"sync"
 
 	"elastichtap/internal/columnar"
 )
+
+// ErrPredType reports a predicate literal whose Go type cannot compare
+// against the bound column: a string against an int64 column, a float
+// with a fractional part against an integer column, an int against a
+// string column. Bind wraps it with the offending column and value, so
+// errors.Is(err, ErrPredType) distinguishes literal-type mistakes from
+// unknown-name errors.
+var ErrPredType = errors.New("predicate literal type mismatch")
+
+// fkind selects a filter evaluation strategy. Ordered predicates compile
+// to canonical inclusive ranges (Gt v becomes [v+1, max] for integers and
+// [nextafter(v), +inf] for floats), so block filtering runs as tight
+// range loops with no per-row calls.
+type fkind int8
+
+const (
+	fIntRange fkind = iota // also string dictionary codes
+	fIntNe
+	fIntNotRange
+	fFloatRange
+	fFloatNe
+	fFloatNotRange
+	fNever // statically unsatisfiable
+)
+
+// ftest is a compiled predicate test over raw column words.
+type ftest struct {
+	kind     fkind
+	ilo, ihi int64
+	flo, fhi float64
+}
+
+// match evaluates the test against one raw column word (dimension
+// builds, and fact-side predicates that do not canonicalize to a range).
+func (t *ftest) match(w int64) bool {
+	switch t.kind {
+	case fIntRange:
+		return w >= t.ilo && w <= t.ihi
+	case fIntNe:
+		return w != t.ilo
+	case fIntNotRange:
+		return w < t.ilo || w > t.ihi
+	case fFloatRange:
+		d := columnar.DecodeFloat(w)
+		return d >= t.flo && d <= t.fhi
+	case fFloatNe:
+		return columnar.DecodeFloat(w) != t.flo
+	case fFloatNotRange:
+		d := columnar.DecodeFloat(w)
+		return d < t.flo || d > t.fhi
+	default:
+		return false
+	}
+}
+
+// fmatch evaluates the test against an already-decoded float64 — the cell
+// type of emitted result rows (Having predicates).
+func (t *ftest) fmatch(v float64) bool {
+	switch t.kind {
+	case fFloatRange:
+		return v >= t.flo && v <= t.fhi
+	case fFloatNe:
+		return v != t.flo
+	case fFloatNotRange:
+		return v < t.flo || v > t.fhi
+	default:
+		return false
+	}
+}
+
+// filter is one compiled predicate site: a test and the word it reads —
+// a scan slot for fact filters, the dimension's physical column for
+// build-side predicates (evaluated row-at-a-time during build), the
+// output column for Having.
+type filter struct {
+	slot int
+	ftest
+}
 
 // Param is a named placeholder usable anywhere a predicate literal is:
 // Filter, Relation.Filter, Having, CountIf conditions, and either end of
@@ -74,48 +154,62 @@ func predParams(pr Pred) []string {
 	return names
 }
 
-// noteParams validates a parameterized predicate against its bound
-// column and records the stamping site. Everything knowable at Bind is
-// checked here — operator/type rules and any literal mixed in alongside
-// a placeholder (Between with one fixed end) — so Prepare surfaces type
-// errors once and only the placeholder values arrive later.
-func (c *Compiled) noteParams(pr Pred, typ columnar.Type, dict *columnar.Dict, kind siteKind, idx, jidx int) error {
-	for _, n := range predParams(pr) {
+// compilePred is the one predicate compiler: it specializes a predicate
+// holding values to a test over the column's storage type — raw words for
+// int64, decoded IEEE values for float64 (the type Having records, since
+// every emitted cell is one), dictionary codes for strings (equality
+// only; dict is set only for string columns). Ordered comparisons
+// canonicalize to inclusive ranges so the block path needs no per-row
+// calls. Bind compiles literals with it, validates placeholders with it
+// and estimates joins with it; WithArgs stamps with it, so stamped tests
+// are identical to freshly compiled ones.
+func compilePred(typ columnar.Type, dict *columnar.Dict, pr Pred) (ftest, error) {
+	switch typ {
+	case columnar.Int64:
+		return makeIntTest(pr)
+	case columnar.Float64:
+		return makeFloatTest(pr)
+	case columnar.String:
+		return makeStringTest(dict, pr)
+	}
+	return ftest{}, fmt.Errorf("query: unsupported predicate %v on column %q", pr.op, pr.col)
+}
+
+// bindPred compiles one predicate site at Bind. A literal predicate
+// compiles to its test. A parameterized one is validated by compiling it
+// with each placeholder at its type's zero value — so a bad literal beside
+// a placeholder, or an ordered string comparison, fails here rather than
+// at every stamping — and is recorded for WithArgs; until stamped it holds
+// a never-matching test.
+func (c *Compiled) bindPred(pr Pred, typ columnar.Type, dict *columnar.Dict, kind siteKind, idx, jidx int) (ftest, error) {
+	names := predParams(pr)
+	if len(names) == 0 {
+		return compilePred(typ, dict, pr)
+	}
+	for _, n := range names {
 		if n == "" {
-			return fmt.Errorf("query: Param with empty name on column %q", pr.col)
+			return ftest{}, fmt.Errorf("query: Param with empty name on column %q", pr.col)
 		}
 	}
-	if typ == columnar.String && pr.op != opEq && pr.op != opNe {
-		return fmt.Errorf("query: string column %q supports only Eq/Ne, got %v", pr.col, pr.op)
+	var zero any = int64(0)
+	switch typ {
+	case columnar.Float64:
+		zero = 0.0
+	case columnar.String:
+		zero = ""
 	}
-	checkLiteral := func(v any) error {
-		if _, ok := v.(param); ok {
-			return nil
-		}
-		switch typ {
-		case columnar.Int64:
-			_, err := toInt64(pr.col, v)
-			return err
-		case columnar.Float64:
-			_, err := toFloat64(pr.col, v)
-			return err
-		default: // columnar.String
-			if _, ok := v.(string); !ok {
-				return fmt.Errorf("query: string column %q compared with %v (%T): %w", pr.col, v, v, ErrPredType)
-			}
-			return nil
-		}
+	zpr := pr
+	if _, ok := zpr.lo.(param); ok {
+		zpr.lo = zero
 	}
-	if err := checkLiteral(pr.lo); err != nil {
-		return err
+	if _, ok := zpr.hi.(param); ok {
+		zpr.hi = zero
 	}
-	if pr.op == opBetween || pr.op == opNotBetween {
-		if err := checkLiteral(pr.hi); err != nil {
-			return err
-		}
+	if _, err := compilePred(typ, dict, zpr); err != nil {
+		return ftest{}, err
 	}
 	c.params = append(c.params, paramSite{kind: kind, idx: idx, jidx: jidx, pred: pr, typ: typ, dict: dict})
-	return nil
+	return ftest{kind: fNever}, nil
 }
 
 // paramNames computes the distinct placeholder names across the
@@ -231,24 +325,7 @@ func (c *Compiled) WithArgs(args Args) (*Compiled, error) {
 		pr := s.pred
 		pr.lo = resolveArg(pr.lo, args)
 		pr.hi = resolveArg(pr.hi, args)
-		var t ftest
-		var err error
-		if s.kind == siteHaving {
-			// Having compares emitted float64 cells regardless of the
-			// source column's storage type.
-			t, err = makeFloatTest(pr)
-		} else {
-			switch s.typ {
-			case columnar.Int64:
-				t, err = makeIntTest(pr)
-			case columnar.Float64:
-				t, err = makeFloatTest(pr)
-			case columnar.String:
-				t, err = makeStringTest(s.dict, pr)
-			default:
-				err = fmt.Errorf("query: unsupported parameter column type for %q", pr.col)
-			}
-		}
+		t, err := compilePred(s.typ, s.dict, pr)
 		if err != nil {
 			return nil, err
 		}
@@ -355,4 +432,149 @@ func argsEqual(stored, incoming Args) bool {
 		}
 	}
 	return true
+}
+
+// makeIntTest canonicalizes a predicate over an int64 column into a raw
+// word test.
+func makeIntTest(pr Pred) (ftest, error) {
+	lo, err := toInt64(pr.col, pr.lo)
+	if err != nil {
+		return ftest{}, err
+	}
+	t := ftest{kind: fIntRange, ilo: math.MinInt64, ihi: math.MaxInt64}
+	switch pr.op {
+	case opEq:
+		t.ilo, t.ihi = lo, lo
+	case opNe:
+		return ftest{kind: fIntNe, ilo: lo}, nil
+	case opGt:
+		if lo == math.MaxInt64 {
+			return ftest{kind: fNever}, nil
+		}
+		t.ilo = lo + 1
+	case opGe:
+		t.ilo = lo
+	case opLt:
+		if lo == math.MinInt64 {
+			return ftest{kind: fNever}, nil
+		}
+		t.ihi = lo - 1
+	case opLe:
+		t.ihi = lo
+	case opBetween:
+		hi, err := toInt64(pr.col, pr.hi)
+		if err != nil {
+			return ftest{}, err
+		}
+		t.ilo, t.ihi = lo, hi
+	case opNotBetween:
+		hi, err := toInt64(pr.col, pr.hi)
+		if err != nil {
+			return ftest{}, err
+		}
+		return ftest{kind: fIntNotRange, ilo: lo, ihi: hi}, nil
+	}
+	return t, nil
+}
+
+// makeFloatTest canonicalizes a predicate in IEEE float space — float64
+// columns, and the Having path where every emitted cell (group keys
+// included) is already a decoded float64.
+func makeFloatTest(pr Pred) (ftest, error) {
+	lo, err := toFloat64(pr.col, pr.lo)
+	if err != nil {
+		return ftest{}, err
+	}
+	t := ftest{kind: fFloatRange, flo: math.Inf(-1), fhi: math.Inf(1)}
+	switch pr.op {
+	case opEq:
+		t.flo, t.fhi = lo, lo
+	case opNe:
+		return ftest{kind: fFloatNe, flo: lo}, nil
+	case opGt:
+		t.flo = math.Nextafter(lo, math.Inf(1))
+	case opGe:
+		t.flo = lo
+	case opLt:
+		t.fhi = math.Nextafter(lo, math.Inf(-1))
+	case opLe:
+		t.fhi = lo
+	case opBetween, opNotBetween:
+		hi, err := toFloat64(pr.col, pr.hi)
+		if err != nil {
+			return ftest{}, err
+		}
+		if pr.op == opNotBetween {
+			return ftest{kind: fFloatNotRange, flo: lo, fhi: hi}, nil
+		}
+		t.flo, t.fhi = lo, hi
+	}
+	return t, nil
+}
+
+// makeStringTest resolves a string literal through the column's
+// dictionary: equality against a known code, never-match for unknown
+// strings (inequality then matches everything).
+func makeStringTest(dict *columnar.Dict, pr Pred) (ftest, error) {
+	s, ok := pr.lo.(string)
+	if !ok {
+		return ftest{}, fmt.Errorf("query: string column %q compared with %v (%T): %w", pr.col, pr.lo, pr.lo, ErrPredType)
+	}
+	if pr.op != opEq && pr.op != opNe {
+		return ftest{}, fmt.Errorf("query: string column %q supports only Eq/Ne, got %v", pr.col, pr.op)
+	}
+	code, known := dict.Lookup(s)
+	if pr.op == opEq {
+		if !known {
+			return ftest{kind: fNever}, nil
+		}
+		return ftest{kind: fIntRange, ilo: code, ihi: code}, nil
+	}
+	if !known {
+		return ftest{kind: fIntRange, ilo: math.MinInt64, ihi: math.MaxInt64}, nil
+	}
+	return ftest{kind: fIntNe, ilo: code}, nil
+}
+
+func toInt64(col string, v any) (int64, error) {
+	switch x := v.(type) {
+	case int:
+		return int64(x), nil
+	case int8:
+		return int64(x), nil
+	case int16:
+		return int64(x), nil
+	case int32:
+		return int64(x), nil
+	case int64:
+		return x, nil
+	case uint8:
+		return int64(x), nil
+	case uint16:
+		return int64(x), nil
+	case uint32:
+		return int64(x), nil
+	case float64:
+		if x != float64(int64(x)) {
+			return 0, fmt.Errorf("query: non-integral value %v for int64 column %q: %w", x, col, ErrPredType)
+		}
+		return int64(x), nil
+	default:
+		return 0, fmt.Errorf("query: value %v (%T) unusable for int64 column %q: %w", v, v, col, ErrPredType)
+	}
+}
+
+func toFloat64(col string, v any) (float64, error) {
+	switch x := v.(type) {
+	case float64:
+		return x, nil
+	case float32:
+		return float64(x), nil
+	case int:
+		return float64(x), nil
+	case int64:
+		return float64(x), nil
+	default:
+		return 0, fmt.Errorf("query: value %v (%T) unusable for float64 column %q: %w", v, v, col, ErrPredType)
+	}
 }

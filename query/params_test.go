@@ -128,7 +128,8 @@ func TestParamStringDictionary(t *testing.T) {
 
 // TestParamArgValidation covers the argument-set contract: unstamped
 // statements refuse to execute, missing/unknown names fail, wrong value
-// types fail with ErrPredType, and parameterless statements reject args.
+// types fail with ErrPredType, and parameterless statements reject args;
+// a bad literal beside a placeholder fails at Bind at every site kind.
 func TestParamArgValidation(t *testing.T) {
 	cat, _ := newFixture(t)
 	stmt, err := Scan("sales").
@@ -178,18 +179,30 @@ func TestParamArgValidation(t *testing.T) {
 		t.Fatal("empty parameter name must fail at Bind")
 	}
 	// A literal mixed in beside a placeholder is type-checked at Bind,
-	// not rediscovered on every stamping.
-	if _, err := Scan("sales").
-		Filter(Between("day", Param("lo"), "oops")).
-		Agg(Count()).
-		Bind(cat); !errors.Is(err, ErrPredType) {
-		t.Fatalf("mixed bad literal at Bind = %v, want ErrPredType", err)
-	}
-	if _, err := Scan("sales").
-		Filter(Between("day", Param("lo"), 9)).
-		Agg(Count()).
-		Bind(cat); err != nil {
-		t.Fatalf("mixed good literal at Bind = %v, want nil", err)
+	// not rediscovered on every stamping — at every predicate site.
+	for _, site := range []struct {
+		name string
+		plan func(lit any) *Plan
+	}{
+		{"fact filter", func(lit any) *Plan {
+			return Scan("sales").Filter(Between("day", Param("lo"), lit)).Agg(Count())
+		}},
+		{"build side", func(lit any) *Plan {
+			return Scan("sales").JoinGraph(joinProduct(Between("price", Param("lo"), lit))).Agg(Count())
+		}},
+		{"CountIf", func(lit any) *Plan {
+			return Scan("sales").Agg(CountIf(Between("qty", Param("lo"), lit)))
+		}},
+		{"Having", func(lit any) *Plan {
+			return Scan("sales").GroupBy("day").Agg(Sum("amount").As("rev")).Having(Between("rev", Param("lo"), lit))
+		}},
+	} {
+		if _, err := site.plan("oops").Bind(cat); !errors.Is(err, ErrPredType) {
+			t.Errorf("%s: mixed bad literal at Bind = %v, want ErrPredType", site.name, err)
+		}
+		if _, err := site.plan(9).Bind(cat); err != nil {
+			t.Errorf("%s: mixed good literal at Bind = %v, want nil", site.name, err)
+		}
 	}
 }
 

@@ -247,7 +247,6 @@ type Plan struct {
 	scanCols  []string
 	preds     []Pred
 	graph     []JoinEdge
-	joinOrder JoinOrder
 	groups    []string
 	aggs      []Agg
 	having    []Pred
