@@ -134,36 +134,6 @@ func (b *Atomic) words(fn func(wi int, w *uint64) bool) {
 	}
 }
 
-// AnyInRange reports whether any bit in [lo, hi) is set. Like ForEachSet it
-// sees a weakly consistent view under concurrent mutation; secondary-index
-// morsel skipping only relies on it for bit ranges that are no longer being
-// mutated.
-func (b *Atomic) AnyInRange(lo, hi int) bool {
-	if lo < 0 {
-		lo = 0
-	}
-	if n := int(b.n.Load()); hi > n {
-		hi = n
-	}
-	if lo >= hi {
-		return false
-	}
-	loW, hiW := lo/wordBits, (hi-1)/wordBits
-	for wi := loW; wi <= hiW; wi++ {
-		w := atomic.LoadUint64(b.word(wi))
-		if wi == loW {
-			w &= ^uint64(0) << (lo % wordBits)
-		}
-		if wi == hiW && (hi%wordBits) != 0 {
-			w &= ^uint64(0) >> (wordBits - hi%wordBits)
-		}
-		if w != 0 {
-			return true
-		}
-	}
-	return false
-}
-
 // Count returns the number of set bits.
 func (b *Atomic) Count() int { return b.CountBelow(b.Len()) }
 

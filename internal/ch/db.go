@@ -45,9 +45,6 @@ type DB struct {
 // Day returns the database's current logical date.
 func (db *DB) Day() int64 { return db.day.Load() }
 
-// AdvanceDay moves the logical date forward by n days.
-func (db *DB) AdvanceDay(n int64) { db.day.Add(n) }
-
 // SetDay restores the logical date (recovery only).
 func (db *DB) SetDay(d int64) { db.day.Store(d) }
 

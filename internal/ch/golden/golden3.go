@@ -22,9 +22,9 @@ import (
 // charged.
 func narrowedScan(h *oltp.TableHandle, col int, v int64) int64 {
 	t := h.Table()
-	if t.ColumnUpdateCount(col) == 0 && h.Sec != nil {
+	if t.ColumnUpdateCount(col) == 0 {
 		if post, wm, ok := h.Sec.Lookup(col, v); ok && wm == t.Rows() {
-			return post.Count()
+			return int64(len(post))
 		}
 	}
 	return t.Rows()

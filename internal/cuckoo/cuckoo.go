@@ -243,17 +243,3 @@ func (t *Table) Range(fn func(key, val uint64) bool) {
 		}
 	}
 }
-
-// Capacity returns the number of slots currently allocated.
-func (t *Table) Capacity() int {
-	t.mu.RLock()
-	defer t.mu.RUnlock()
-	return len(t.buckets) * bucketSlots
-}
-
-// Buckets returns the number of buckets (always a power of two).
-func (t *Table) Buckets() int {
-	t.mu.RLock()
-	defer t.mu.RUnlock()
-	return len(t.buckets)
-}

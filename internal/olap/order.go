@@ -47,9 +47,6 @@ func (o Order) before(a, b []float64) bool {
 func SortRows(rows [][]float64, ord Order, limit int) [][]float64 {
 	if limit <= 0 || limit >= len(rows) {
 		sort.Slice(rows, func(i, j int) bool { return ord.before(rows[i], rows[j]) })
-		if limit > 0 && limit < len(rows) {
-			rows = rows[:limit]
-		}
 		return rows
 	}
 	// Bounded heap over the row prefix: h = rows[:k] arranged with the

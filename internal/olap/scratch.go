@@ -6,18 +6,10 @@ package olap
 // are only ever touched by a single goroutine at a time and steady-state
 // execution allocates nothing per morsel: the engine's column-slice
 // header array is taken from here instead of a shared sync.Pool that
-// bounces between cores. Kernel is the same offer to executors; none takes
-// it today — the fused kernels (query/kernel_exec.go) keep their per-row
-// scratch on the consuming goroutine's stack.
+// bounces between cores. The fused kernels (query/kernel_exec.go) keep
+// their per-row scratch on the consuming goroutine's stack.
 type Scratch struct {
 	cols [][]int64
-
-	// Kernel is an opaque slot for executor-owned scratch. A kernel that
-	// implements ScratchConsumer stores whatever buffer struct it needs
-	// here on first use and finds it again on every later morsel the
-	// same worker runs — across morsels, queries, and plans. Ownership
-	// follows the Scratch: single-goroutine, no locking.
-	Kernel any
 }
 
 // colSlices returns a reusable [][]int64 of length n for the block's
@@ -34,10 +26,9 @@ func (s *Scratch) colSlices(n int) [][]int64 {
 // ScratchConsumer is implemented by Locals that want per-worker scratch.
 // The engine calls ConsumeScratch instead of Consume, passing the
 // claiming worker's (or inline drainer's) Scratch. Implementations must
-// not retain the Scratch or the Block's column slices beyond the call,
-// except via sc.Kernel which they own. No Local in this repository
-// implements it; the engine and the benchmark's hand-driven probe
-// (bench/probe.go) only test for it.
+// not retain the Scratch or the Block's column slices beyond the call.
+// No Local in this repository implements it; the engine and the
+// benchmark's hand-driven probe (bench/probe.go) only test for it.
 type ScratchConsumer interface {
 	Local
 	ConsumeScratch(b Block, sc *Scratch)

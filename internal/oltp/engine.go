@@ -28,7 +28,7 @@ import (
 type TableHandle struct {
 	Ref   *txn.TableRef
 	Index *cuckoo.Table // primary-key index; may be nil for index-less tables
-	Sec   *index.Set    // lazily-built secondary indexes (bitmap/hash)
+	Sec   *index.Set    // lazily-built secondary indexes (value → row ids)
 
 	// Replica is the table's OLAP instance (empty until the first ETL);
 	// ScanLatch orders analytical scans against the exchange writers that

@@ -146,7 +146,7 @@ func (o *churnOracle) check(step string) (fresh, rows int64) {
 		if st != want {
 			o.t.Errorf("%s: %s: Fresh() = %+v, recount %+v (%d rows differ from the replica)", step, name, st, want, differing)
 		}
-		if bits.AnyInRange(int(wm), int(n)) {
+		if bits.CountBelow(int(n)) > bits.CountBelow(int(wm)) {
 			o.sawBitAboveWatermark = true
 		}
 		if tab.UpdateCount() == 0 && bits.Count() != 0 {

@@ -68,9 +68,6 @@ type Txn struct {
 // Begin returns the transaction's begin (snapshot) timestamp.
 func (t *Txn) Begin() uint64 { return t.begin }
 
-// Priority returns the wait-die priority (smaller = older = wins).
-func (t *Txn) Priority() uint64 { return t.priority }
-
 func (t *Txn) lockKey(ref *TableRef, row int64) LockKey {
 	return LockKey{Tab: ref.ID, Row: row}
 }

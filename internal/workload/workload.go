@@ -275,15 +275,13 @@ func (m *Manager) resolve(name string) string {
 }
 
 // refill rolls the tenant's quota window forward to the one containing
-// now, zeroing the spend. Lazy: called on every admission and release, so
+// now, zeroing the spend — metered or not, so WindowBytes always reads the
+// current window's spend. Lazy: called on every admission and release, so
 // no timer goroutine is needed and a fake clock fully determines when
 // budgets refill. Callers hold m.mu.
 //
 //htap:locked Manager.mu
 func (t *tenant) refill(now time.Duration) {
-	if t.cfg.BytesPerWindow <= 0 {
-		return
-	}
 	if elapsed := now - t.windowStart; elapsed >= t.cfg.Window {
 		t.windowStart = now - now%t.cfg.Window
 		t.windowBytes = 0

@@ -197,6 +197,31 @@ func TestBytesBudgetWindowRefill(t *testing.T) {
 	}
 }
 
+// TestUnmeteredWindowRolls: a tenant without a byte budget still reports
+// only the current window's spend in WindowBytes, not its lifetime total.
+func TestUnmeteredWindowRolls(t *testing.T) {
+	clk := &fakeClock{}
+	m := NewWithClock(clk.Now)
+	if err := m.Register("free", Config{MaxConcurrent: Unlimited}); err != nil {
+		t.Fatal(err)
+	}
+	for _, name := range []string{DefaultTenant, "free"} {
+		release := func(n int64) {
+			g, err := m.Admit(context.Background(), name)
+			if err != nil {
+				t.Fatal(err)
+			}
+			g.Release(n)
+		}
+		release(100)
+		clk.Advance(5 * DefaultWindow)
+		release(7)
+		if st, _ := m.Tenant(name); st.WindowBytes != 7 || st.BytesScanned != 107 {
+			t.Fatalf("%s: WindowBytes %d, BytesScanned %d; want 7 and 107", name, st.WindowBytes, st.BytesScanned)
+		}
+	}
+}
+
 func TestCancelQueuedAdmissionFreesSlot(t *testing.T) {
 	m := New()
 	if err := m.Register("a", Config{MaxConcurrent: 1, MaxQueueDepth: 1}); err != nil {

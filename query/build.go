@@ -36,7 +36,6 @@ import (
 	"sync/atomic"
 
 	"elastichtap/internal/columnar"
-	"elastichtap/internal/index"
 )
 
 // denseCellsPerRow bounds a dense table's sparsity: it may address at
@@ -267,16 +266,16 @@ func (j *joinPlan) eachRow(lo, hi int64, cands []int64, read *int64, visit func(
 
 // narrowing looks for a secondary index that can stand in for a full scan
 // of one join's build side: an Eq predicate (an intact single-word range
-// after stamping) served by an index complete up to rows. The remaining
-// predicates still run per row — postings only shrink the candidate set,
-// so the build side is identical to a full scan. Columns that have ever
-// been updated in place are left alone: their postings can lag a
-// concurrent writer, while a scan of the active instance cannot.
-func (j *joinPlan) narrowing(rows int64) (index.Postings, bool) {
+// after stamping) served by an index complete up to rows. It returns the
+// index's own ascending row ids, or nil when no index serves; an absent
+// value narrows to an empty non-nil slice, since eachRow reads nil cands
+// as a full scan. The remaining predicates still run per row — postings
+// only shrink the candidate set, so the build side is identical to a full
+// scan. Columns that have ever been updated in place are left alone: their
+// postings can lag a concurrent writer, while a scan of the active
+// instance cannot.
+func (j *joinPlan) narrowing(rows int64) []int64 {
 	dh := j.dim
-	if dh.Sec == nil {
-		return index.Postings{}, false
-	}
 	dt := dh.Table()
 	for i := range j.preds {
 		f := &j.preds[i]
@@ -290,9 +289,12 @@ func (j *joinPlan) narrowing(rows int64) (index.Postings, bool) {
 		if !ok || wm != rows {
 			continue
 		}
-		return post, true
+		if post == nil {
+			post = []int64{}
+		}
+		return post
 	}
-	return index.Postings{}, false
+	return nil
 }
 
 // appendOnly reports whether every dimension column the join reads has
@@ -399,10 +401,10 @@ func (bc *buildCache) rebuilt(ji int, keep buildEntry, read int64) {
 func (c *Compiled) buildJoin(ji int, dense bool) (side buildSide, scanned int64) {
 	j := c.joins[ji]
 	rows := j.dim.Table().Rows()
-	post, narrowed := j.narrowing(rows)
+	cands := j.narrowing(rows)
 	scanned = rows
-	if narrowed {
-		scanned = post.Count()
+	if cands != nil {
+		scanned = int64(len(cands))
 	}
 	dense = dense && !forceHashJoins.Load()
 	var overflowed *denseTab
@@ -410,11 +412,6 @@ func (c *Compiled) buildJoin(ji int, dense bool) (side buildSide, scanned int64)
 		if side.dn, overflowed = c.builds.reuse(ji, j, rows); side.dn != nil {
 			return side, scanned
 		}
-	}
-	var cands []int64
-	if narrowed {
-		cands = make([]int64, 0, scanned) // non-nil even when empty
-		post.ForEach(func(r int64) { cands = append(cands, r) })
 	}
 	var read int64
 	scan := func(visit func(run *dimRun, i int)) {
@@ -448,7 +445,7 @@ func (c *Compiled) buildJoin(ji int, dense bool) (side buildSide, scanned int64)
 	if len(j.preds) > 0 {
 		n0 = 0
 	}
-	if narrowed {
+	if cands != nil {
 		n0 = len(cands)
 	}
 	if nkey := len(j.keyCols); nkey == 1 {

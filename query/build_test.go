@@ -96,6 +96,15 @@ func ordersPlans(flag any) map[string]*Plan {
 	}
 }
 
+// ordersEq is "single" with an Eq build-side predicate: the form a
+// secondary index narrows, so each build reads the index's own row ids.
+// It is not among ordersPlans, whose append test needs every appended
+// row to match.
+func ordersEq(flag any) *Plan {
+	return Scan("ofact").JoinGraph(JoinOn(Rel("ofact"), Rel("odim").Filter(Eq("flag", flag)), "w", "w", "o", "o")).
+		GroupBy("cust").Agg(Sum("amount").As("rev"), Count().As("n"))
+}
+
 // checkWarm executes the warm statement and holds it to a cold Bind of the
 // literal plan and to the reference interpreter.
 func checkWarm(t *testing.T, cat Catalog, e *oltp.Engine, stmt *Compiled, name string, flag int64) olap.Result {
@@ -105,7 +114,10 @@ func checkWarm(t *testing.T, cat Catalog, e *oltp.Engine, stmt *Compiled, name s
 		t.Fatal(err)
 	}
 	warm := run(t, e, q)
-	literal := ordersPlans(flag)[name]
+	literal, ok := ordersPlans(flag)[name]
+	if !ok {
+		literal = ordersEq(flag)
+	}
 	cold, err := literal.Bind(cat)
 	if err != nil {
 		t.Fatal(err)
@@ -267,12 +279,29 @@ func TestSparseKeysStayHashed(t *testing.T) {
 
 // TestBuildSideConcurrentSubmit runs one statement from several
 // goroutines while another appends to its build side. Under -race this
-// is the check that a published table is never written; the answers can
-// only grow with the dimension, and once the appender is done the warm
-// statement must agree with a cold one.
+// is the check that a published table is never written, and, for the Eq
+// variants, that a narrowed build reading the index's row ids races
+// nothing when a later lookup extends them; the answers can only grow
+// with the dimension, and once the appender is done the warm statement
+// must agree with a cold one. The appended rows carry flag 2.
 func TestBuildSideConcurrentSubmit(t *testing.T) {
+	type submit struct {
+		plan   *Plan
+		flag   int64
+		hashed bool
+	}
+	cases := map[string]submit{
+		"eq":        {plan: ordersEq(Param("f")), flag: 2},
+		"eq-hashed": {plan: ordersEq(Param("f")), flag: 2, hashed: true},
+	}
 	for name, plan := range ordersPlans(Param("f")) {
+		cases[name] = submit{plan: plan}
+	}
+	for name, sc := range cases {
 		t.Run(name, func(t *testing.T) {
+			forceHashJoins.Store(sc.hashed)
+			defer forceHashJoins.Store(false)
+			plan, flag := sc.plan, sc.flag
 			cat, e := ordersFixture(t)
 			stmt, err := plan.Bind(cat)
 			if err != nil {
@@ -320,7 +349,7 @@ func TestBuildSideConcurrentSubmit(t *testing.T) {
 							finished = true // one more execution, over the final dimension
 						case tick <- struct{}{}:
 						}
-						q, err := stmt.WithArgs(Args{"f": int64(0)})
+						q, err := stmt.WithArgs(Args{"f": flag})
 						if err != nil {
 							fail("%v", err)
 							return
@@ -343,8 +372,8 @@ func TestBuildSideConcurrentSubmit(t *testing.T) {
 				}()
 			}
 			wg.Wait()
-			checkWarm(t, cat, e, stmt, name, 0)
-			if st := stmt.BuildStats(); st.Extends == 0 {
+			checkWarm(t, cat, e, stmt, name, flag)
+			if st := stmt.BuildStats(); !sc.hashed && st.Extends == 0 {
 				t.Fatalf("no execution extended a kept table: %+v", st)
 			}
 		})

@@ -58,7 +58,6 @@ type Compiled struct {
 	name    string
 	class   costmodel.WorkClass
 	fact    string
-	factH   *oltp.TableHandle // fact handle; its secondary indexes drive morsel skipping
 	cols    []int
 	filters []filter
 	// joins holds the compiled hash joins in execution order (greedy; see
@@ -248,10 +247,9 @@ func (p *Plan) Bind(cat Catalog) (*Compiled, error) {
 	}
 
 	c := &Compiled{
-		name:  p.Name(),
-		fact:  p.table,
-		factH: h,
-		cols:  make([]int, len(scan)),
+		name: p.Name(),
+		fact: p.table,
+		cols: make([]int, len(scan)),
 	}
 	slots := map[string]int{}
 	for i, name := range scan {

@@ -232,30 +232,3 @@ func TestJoinGraphAmbiguousRelationColumn(t *testing.T) {
 		t.Fatalf("Bind = %v, want ErrAmbiguousColumn", err)
 	}
 }
-
-// TestIndexSkipMatchesFullScan pins the morsel-skip fast path: an Eq
-// filter over an indexed, never-updated fact column lets whole morsels
-// be skipped via the bitmap index, and the result must be bitwise
-// identical to the full scan with skipping disabled. k1 = 99999 matches
-// exactly one of the 128Ki bench rows, so most morsels skip.
-func TestIndexSkipMatchesFullScan(t *testing.T) {
-	cat, e := newBenchCatalog(t)
-	q, err := Scan("bfact").
-		Filter(Eq("k1", 99999)).
-		GroupBy("gid").
-		Agg(Sum("amount").As("rev"), Count()).
-		Bind(cat)
-	if err != nil {
-		t.Fatal(err)
-	}
-	skipped := run(t, e, q)
-	if len(skipped.Rows) == 0 {
-		t.Fatal("no rows matched; the test exercises nothing")
-	}
-	disableIndexSkip.Store(true)
-	defer disableIndexSkip.Store(false)
-	full := run(t, e, q)
-	if !reflect.DeepEqual(skipped, full) {
-		t.Fatalf("index-skip result diverges from full scan:\nskip: %+v\nfull: %+v", skipped, full)
-	}
-}

@@ -20,17 +20,9 @@ package query
 // interpreter in reference_test.go holds under stealing and resizes.
 
 import (
-	"sync/atomic"
-
 	"elastichtap/internal/columnar"
-	"elastichtap/internal/index"
 	"elastichtap/internal/olap"
 )
-
-// disableIndexSkip is a test knob forcing every morsel through the row
-// loop, so index-skipped executions can be checked bit-identical against
-// unskipped ones.
-var disableIndexSkip atomic.Bool
 
 // fAccKind is a physical accumulator kind after deduplication.
 type fAccKind uint8
@@ -213,9 +205,6 @@ type fexec struct {
 	// this execution probes: none, one, or several.
 	joins []fjoin
 
-	// skips are the morsel-skip probes (see buildSkips).
-	skips []fskip
-
 	// grouping
 	gkind uint8
 	gsrc  [maxGroupCols]gsrc // the first ngroup are set; gDense reads gsrc[0]
@@ -345,7 +334,6 @@ func (c *Compiled) prepareFused() (olap.Exec, int64) {
 		buildBytes += scanned * int64(j.words) * columnar.WordBytes
 		e.joins = append(e.joins, fjoin{j, side})
 	}
-	e.buildSkips()
 	return e, buildBytes
 }
 
@@ -356,40 +344,4 @@ func (c *Compiled) prepareFused() (olap.Exec, int64) {
 type fjoin struct {
 	*joinPlan
 	buildSide
-}
-
-// fskip is one morsel-skip probe: an Eq filter over a never-updated,
-// indexed fact column. A block lying wholly under the index watermark
-// whose posting set has no row inside the block's range cannot produce a
-// match, so Consume returns without touching any column data. Updated-in-
-// place or post-refresh rows are never skipped — blocks past the
-// watermark always scan.
-type fskip struct {
-	post index.Postings
-	wm   int64
-}
-
-// buildSkips collects the skip probes from the stamped filters. Runs per
-// Prepare, so parameterized Eq filters skip just like literal ones.
-func (e *fexec) buildSkips() {
-	h := e.c.factH
-	if h == nil || h.Sec == nil {
-		return
-	}
-	t := h.Table()
-	for i := range e.c.filters {
-		f := &e.c.filters[i]
-		if f.kind != fIntRange || f.ilo != f.ihi || f.slot >= e.nscan {
-			continue
-		}
-		col := e.c.cols[f.slot]
-		if t.ColumnUpdateCount(col) != 0 {
-			continue
-		}
-		post, wm, ok := h.Sec.Lookup(col, f.ilo)
-		if !ok {
-			continue
-		}
-		e.skips = append(e.skips, fskip{post: post, wm: wm})
-	}
 }

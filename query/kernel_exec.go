@@ -311,18 +311,6 @@ func (l *flocal) Consume(b olap.Block) {
 	if e.never || b.N == 0 {
 		return
 	}
-	// Morsel skipping: an Eq filter over a never-updated indexed fact
-	// column whose postings have no row in this block's range cannot
-	// match; blocks past the index watermark always scan.
-	if len(e.skips) > 0 && !disableIndexSkip.Load() {
-		end := b.Base + int64(b.N)
-		for i := range e.skips {
-			sk := &e.skips[i]
-			if end <= sk.wm && !sk.post.AnyInRange(b.Base, end) {
-				return
-			}
-		}
-	}
 	switch e.spec {
 	case specGlobalSumF2:
 		l.runGlobalSumF2(b)

@@ -278,8 +278,8 @@ func estimateJoin(rj *rjoin) int64 {
 }
 
 // indexEqCount answers a literal predicate exactly when its compiled test
-// is a single word — the check buildSkips makes — through the
-// dimension's secondary index, or when the test never matches.
+// is a single word — the check narrowing makes — through the dimension's
+// secondary index, or when the test never matches.
 // Parameters, ranges, float columns and unindexable columns report
 // ok=false; a predicate that does not compile is left for compileJoin to
 // reject.
@@ -294,7 +294,7 @@ func indexEqCount(rj *rjoin, pr Pred) (int64, bool) {
 		return 0, false
 	case t.kind == fNever:
 		return 0, true
-	case t.kind != fIntRange || t.ilo != t.ihi || rj.dh.Sec == nil:
+	case t.kind != fIntRange || t.ilo != t.ihi:
 		return 0, false
 	}
 	return rj.dh.Sec.CountEq(col, t.ilo)
