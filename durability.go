@@ -2,6 +2,8 @@ package elastichtap
 
 import (
 	"fmt"
+	"hash/crc32"
+	"io"
 	"time"
 
 	"elastichtap/internal/ch"
@@ -192,26 +194,29 @@ func OpenFromDir(fs FS, dir string, opts ...Option) (*System, RecoveryInfo, erro
 			return nil, info, fmt.Errorf("elastichtap: OpenFromDir: manifest names unknown table %q", te.Name)
 		}
 		path := seqDir + "/" + te.Name + ".ehcp"
-		crc, err := checkpoint.FileCRC(fs, path)
-		if err != nil {
-			s.Close()
-			return nil, info, fmt.Errorf("elastichtap: OpenFromDir: %w", err)
-		}
-		if crc != te.FileCRC {
-			s.Close()
-			return nil, info, fmt.Errorf("elastichtap: OpenFromDir: %s: file checksum %08x, manifest says %08x",
-				path, crc, te.FileCRC)
-		}
 		f, err := fs.Open(path)
 		if err != nil {
 			s.Close()
 			return nil, info, fmt.Errorf("elastichtap: OpenFromDir: %w", err)
 		}
-		err = checkpoint.ReadInto(f, h.Table())
+		// The whole-file checksum is taken in the restoring pass: every
+		// byte the restore reads goes through the hash, and what it leaves
+		// unread after the last section is drained into it, because the
+		// manifest's checksum covers trailing bytes too.
+		hash := crc32.New(wal.Castagnoli)
+		err = checkpoint.ReadInto(io.TeeReader(f, hash), h.Table())
+		if err == nil {
+			_, err = io.Copy(hash, f)
+		}
 		f.Close()
 		if err != nil {
 			s.Close()
 			return nil, info, fmt.Errorf("elastichtap: OpenFromDir: restoring %q: %w", te.Name, err)
+		}
+		if crc := hash.Sum32(); crc != te.FileCRC {
+			s.Close()
+			return nil, info, fmt.Errorf("elastichtap: OpenFromDir: %s: file checksum %08x, manifest says %08x",
+				path, crc, te.FileCRC)
 		}
 		if h.Table().Rows() != te.Rows {
 			s.Close()

@@ -6,8 +6,10 @@ import (
 	"io"
 	"reflect"
 	"sort"
+	"strings"
 	"testing"
 
+	"elastichtap/internal/ch"
 	"elastichtap/internal/checkpoint"
 	"elastichtap/internal/rde"
 	"elastichtap/internal/wal"
@@ -361,5 +363,105 @@ func TestRestoresManifestWithInsertedRowIDs(t *testing.T) {
 	}
 	if want.etlBytes == 0 {
 		t.Fatal("first ETL after restore copied nothing")
+	}
+}
+
+// checkpointedSystem loads a small database and checkpoints it, with no
+// log, into a fresh in-memory filesystem; it returns the filesystem and
+// the checkpoint's sequence number.
+func checkpointedSystem(t *testing.T) (*wal.MemFS, uint64) {
+	t.Helper()
+	sys, err := New()
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer sys.Close()
+	sys.LoadCH(0.005, 7)
+	fs := wal.NewMemFS()
+	seq, err := sys.CheckpointDB(fs, "data")
+	if err != nil {
+		t.Fatal(err)
+	}
+	return fs, seq
+}
+
+// TestOpenFromDirRejectsTrailingBytes: bytes after a table file's last
+// section pass every section checksum — the restore never reads them as
+// data — but the manifest's checksum is of the whole file, so an image
+// with a tail the manifest does not cover is refused: one stray byte, and a
+// tail longer than the restore reads ahead. A tail the manifest does cover
+// is part of the file it describes and restores; that needs the file
+// drained into the checksum after the restore's last section.
+func TestOpenFromDirRejectsTrailingBytes(t *testing.T) {
+	fs, seq := checkpointedSystem(t)
+	dir := checkpoint.SeqDir("data", seq)
+	path := dir + "/" + ch.TItem + ".ehcp"
+	withTail := func(extra int, covered bool) FS {
+		img := fs.Crash(true)
+		f, err := img.Append(path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, err := f.Write(bytes.Repeat([]byte{0xab}, extra)); err != nil {
+			t.Fatal(err)
+		}
+		f.Close()
+		if covered {
+			_, man := readManifest(t, img, seq)
+			for i := range man.Tables {
+				if man.Tables[i].Name == ch.TItem {
+					if man.Tables[i].FileCRC, err = checkpoint.FileCRC(img, path); err != nil {
+						t.Fatal(err)
+					}
+				}
+			}
+			mf, err := img.Create(dir + "/" + checkpoint.ManifestName)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if err := checkpoint.WriteManifest(mf, man); err != nil {
+				t.Fatal(err)
+			}
+			mf.Close()
+		}
+		return img
+	}
+	for _, extra := range []int{1, 1 << 20} {
+		s, _, err := OpenFromDir(withTail(extra, false), "data")
+		if err == nil {
+			s.Close()
+			t.Errorf("%d trailing bytes: image restored", extra)
+		} else if !strings.Contains(err.Error(), "file checksum") {
+			t.Errorf("%d trailing bytes: %v, want a file checksum mismatch", extra, err)
+		}
+	}
+	for _, img := range []FS{fs, withTail(1<<20, true)} {
+		s, _, err := OpenFromDir(img, "data")
+		if err != nil {
+			t.Fatalf("image the manifest covers: %v", err)
+		}
+		s.Close()
+	}
+}
+
+// TestOpenFromDirRejectsReplicaRowsAboveRows: a manifest whose checksum
+// holds but whose replica watermark lies past its table's rows is refused
+// with an error; recovery used to hand it to the replica re-copy, which
+// indexed past the restored chunks and panicked.
+func TestOpenFromDirRejectsReplicaRowsAboveRows(t *testing.T) {
+	fs, seq := checkpointedSystem(t)
+	_, man := readManifest(t, fs, seq)
+	man.Tables[0].ReplicaRows = man.Tables[0].Rows + 1<<20
+	f, err := fs.Create(checkpoint.SeqDir("data", seq) + "/" + checkpoint.ManifestName)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := checkpoint.WriteManifest(f, man); err != nil {
+		t.Fatal(err)
+	}
+	f.Close()
+	if s, _, err := OpenFromDir(fs, "data"); err == nil {
+		s.Close()
+		t.Fatal("manifest with replica rows above rows restored")
 	}
 }

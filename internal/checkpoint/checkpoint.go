@@ -16,6 +16,13 @@
 // Every section checksum is CRC32C (Castagnoli), shared with the WAL
 // framing, so a bit flip anywhere in a checkpoint file is detected at
 // restore instead of silently corrupting the database.
+//
+// Column data moves a chunk run at a time in both directions: Write
+// encodes each run of the snapshot instance into one buffer and hands it
+// out in one write, and ReadInto decodes each run of the file straight into
+// the table's own chunks (columnar.Table.AppendColumns) in one read — one
+// checksum update per run either way. A restore publishes no row unless
+// every section of the file, dictionaries included, has verified.
 package checkpoint
 
 import (
@@ -135,11 +142,13 @@ func (cr *crcReader) endSection(what string) error {
 	return nil
 }
 
-// Write serializes rows [0, rows) of the snapshot instance of a table.
-// The instance must be quiescent below the watermark (an inactive
-// instance after Switch, or any instance with no concurrent writers).
+// Write serializes rows [0, rows) of the snapshot instance of a table,
+// each column a chunk run at a time: a run is encoded into one buffer and
+// written, and checksummed, in one call. The instance must be quiescent
+// below the watermark (an inactive instance after Switch, or any instance
+// with no concurrent writers).
 func Write(w io.Writer, t *columnar.Table, inst *columnar.Instance, rows int64) error {
-	bw := bufio.NewWriterSize(w, 1<<20)
+	bw := bufio.NewWriterSize(w, maxRunBytes)
 	if _, err := bw.WriteString(magic); err != nil {
 		return err
 	}
@@ -170,18 +179,18 @@ func Write(w io.Writer, t *columnar.Table, inst *columnar.Instance, rows int64) 
 	if err := cw.endSection(); err != nil {
 		return err
 	}
+	buf := make([]byte, runBytes(rows))
 	for c := range schema.Columns {
 		var werr error
 		inst.Col(c).Scan(0, rows, func(vals []int64, _ int64) {
 			if werr != nil {
 				return
 			}
-			for _, v := range vals {
-				if err := cw.writeU64(uint64(v)); err != nil {
-					werr = err
-					return
-				}
+			raw := buf[:8*len(vals)]
+			for i, v := range vals {
+				binary.LittleEndian.PutUint64(raw[8*i:], uint64(v))
 			}
+			werr = cw.write(raw)
 		})
 		if werr != nil {
 			return werr
@@ -211,144 +220,195 @@ func Write(w io.Writer, t *columnar.Table, inst *columnar.Instance, rows int64) 
 	return bw.Flush()
 }
 
-// image is a decoded checkpoint file before any table is touched.
-type image struct {
-	schema columnar.Schema
-	rows   uint64
-	cols   [][]int64
-	dicts  map[int][]string // column -> dictionary strings in code order
-}
+// maxRunBytes is the encoded size of one chunk run, the most column data
+// moved by one read or write.
+const maxRunBytes = 8 * columnar.ChunkSize
 
-func decode(r io.Reader) (*image, error) {
-	br := bufio.NewReaderSize(r, 1<<20)
-	head := make([]byte, 4)
-	if _, err := io.ReadFull(br, head); err != nil {
-		return nil, fmt.Errorf("checkpoint: reading magic: %w", err)
-	}
-	if string(head) != magic {
-		return nil, fmt.Errorf("checkpoint: bad magic %q", head)
-	}
-	if _, err := io.ReadFull(br, head); err != nil {
-		return nil, err
-	}
-	ver := binary.LittleEndian.Uint32(head)
-	if ver != version {
-		return nil, fmt.Errorf("checkpoint: unsupported version %d", ver)
-	}
-	cr := &crcReader{r: br}
-	name, err := cr.readStr()
-	if err != nil {
-		return nil, err
-	}
-	ncols, err := cr.readU32()
-	if err != nil {
-		return nil, err
-	}
-	if ncols > 1<<10 {
-		return nil, fmt.Errorf("checkpoint: implausible column count %d", ncols)
-	}
-	img := &image{schema: columnar.Schema{Name: name}, dicts: map[int][]string{}}
-	for i := uint32(0); i < ncols; i++ {
-		cname, err := cr.readStr()
-		if err != nil {
-			return nil, err
-		}
-		var tb [1]byte
-		if err := cr.read(tb[:]); err != nil {
-			return nil, err
-		}
-		img.schema.Columns = append(img.schema.Columns, columnar.ColumnDef{
-			Name: cname, Type: columnar.Type(tb[0]),
-		})
-	}
-	if img.rows, err = cr.readU64(); err != nil {
-		return nil, err
-	}
-	if err := cr.endSection("header"); err != nil {
-		return nil, err
-	}
-	img.cols = make([][]int64, ncols)
-	for c := range img.cols {
-		img.cols[c] = make([]int64, img.rows)
-		for i := uint64(0); i < img.rows; i++ {
-			v, err := cr.readU64()
-			if err != nil {
-				return nil, fmt.Errorf("checkpoint: column %d row %d: %w", c, i, err)
-			}
-			img.cols[c][i] = int64(v)
-		}
-		if err := cr.endSection(fmt.Sprintf("column %d", c)); err != nil {
-			return nil, err
-		}
-	}
-	for c, def := range img.schema.Columns {
-		if def.Type != columnar.String {
-			continue
-		}
-		n, err := cr.readU32()
-		if err != nil {
-			return nil, err
-		}
-		if uint64(n) > img.rows+1<<16 {
-			return nil, fmt.Errorf("checkpoint: implausible dictionary size %d", n)
-		}
-		strs := make([]string, 0, n)
-		for code := uint32(0); code < n; code++ {
-			s, err := cr.readStr()
-			if err != nil {
-				return nil, err
-			}
-			strs = append(strs, s)
-		}
-		if err := cr.endSection(fmt.Sprintf("dictionary %d", c)); err != nil {
-			return nil, err
-		}
-		img.dicts[c] = strs
-	}
-	return img, nil
-}
-
-// fill loads a decoded image into an empty table: dictionaries first (so
-// raw codes stay valid — codes are assigned in order of first appearance,
-// and the checkpoint stores them in code order), then the decoded columns
-// as they are, in one column-major append with commit timestamp 0.
-func fill(t *columnar.Table, img *image) error {
-	for c, strs := range img.dicts {
-		d := t.Dict(c)
-		for code, s := range strs {
-			if got := d.Code(s); got != int64(code) {
-				return fmt.Errorf("checkpoint: dictionary code drift: %q -> %d, want %d", s, got, code)
-			}
-		}
-	}
-	t.AppendColumns(img.cols, 0)
-	return nil
-}
+// runBytes sizes the run buffer for a column of rows words.
+func runBytes(rows int64) int64 { return 8 * min(rows, columnar.ChunkSize) }
 
 // ReadInto restores a checkpoint into an existing, empty table — the
 // whole-database recovery path, where tables are created by the engine
 // (with their index and replica plumbing) before being filled. Both
 // instances receive the data (as a load would), with commit timestamp 0.
 // The table's schema must match the checkpoint's exactly.
+//
+// The header, the schema and the table's emptiness are checked before any
+// storage is touched. Each column section is then decoded a chunk run at a
+// time straight into the table's chunks — one read and one checksum update
+// per run — and its checksum checked after its last run; the dictionaries
+// follow the last column. Nothing is published unless every section has
+// verified: on any error the table still has no rows.
 func ReadInto(r io.Reader, t *columnar.Table) error {
-	img, err := decode(r)
+	cr := &crcReader{r: bufio.NewReaderSize(r, maxRunBytes)}
+	rows, err := readHeader(cr, t)
 	if err != nil {
 		return err
 	}
+	rs := &restorer{cr: cr, t: t, rows: rows, buf: make([]byte, runBytes(rows))}
+	if rows == 0 {
+		for c := range t.Schema().Columns {
+			if err := rs.endColumn(c); err != nil {
+				return err
+			}
+		}
+		return nil
+	}
+	_, err = t.AppendColumns(rows, 0, rs.run)
+	return err
+}
+
+// readHeader reads and verifies the magic, version and header section,
+// and checks them against t: same schema, no rows yet. It returns the
+// file's row count.
+func readHeader(cr *crcReader, t *columnar.Table) (int64, error) {
+	head := make([]byte, 4)
+	if _, err := io.ReadFull(cr.r, head); err != nil {
+		return 0, fmt.Errorf("checkpoint: reading magic: %w", err)
+	}
+	if string(head) != magic {
+		return 0, fmt.Errorf("checkpoint: bad magic %q", head)
+	}
+	if _, err := io.ReadFull(cr.r, head); err != nil {
+		return 0, err
+	}
+	if ver := binary.LittleEndian.Uint32(head); ver != version {
+		return 0, fmt.Errorf("checkpoint: unsupported version %d", ver)
+	}
+	name, err := cr.readStr()
+	if err != nil {
+		return 0, err
+	}
+	ncols, err := cr.readU32()
+	if err != nil {
+		return 0, err
+	}
+	if ncols > 1<<10 {
+		return 0, fmt.Errorf("checkpoint: implausible column count %d", ncols)
+	}
+	file := columnar.Schema{Name: name}
+	for i := uint32(0); i < ncols; i++ {
+		cname, err := cr.readStr()
+		if err != nil {
+			return 0, err
+		}
+		var tb [1]byte
+		if err := cr.read(tb[:]); err != nil {
+			return 0, err
+		}
+		file.Columns = append(file.Columns, columnar.ColumnDef{Name: cname, Type: columnar.Type(tb[0])})
+	}
+	rows, err := cr.readU64()
+	if err != nil {
+		return 0, err
+	}
+	if rows > maxRows {
+		return 0, fmt.Errorf("checkpoint: implausible row count %d", rows)
+	}
+	if err := cr.endSection("header"); err != nil {
+		return 0, err
+	}
 	if t.Rows() != 0 {
-		return fmt.Errorf("checkpoint: table %q not empty (%d rows)", t.Schema().Name, t.Rows())
+		return 0, fmt.Errorf("checkpoint: table %q not empty (%d rows)", t.Schema().Name, t.Rows())
 	}
 	want := t.Schema()
-	if want.Name != img.schema.Name || len(want.Columns) != len(img.schema.Columns) {
-		return fmt.Errorf("checkpoint: schema mismatch: file %q/%d cols, table %q/%d cols",
-			img.schema.Name, len(img.schema.Columns), want.Name, len(want.Columns))
+	if want.Name != file.Name || len(want.Columns) != len(file.Columns) {
+		return 0, fmt.Errorf("checkpoint: schema mismatch: file %q/%d cols, table %q/%d cols",
+			file.Name, len(file.Columns), want.Name, len(want.Columns))
 	}
 	for i, c := range want.Columns {
-		fc := img.schema.Columns[i]
+		fc := file.Columns[i]
 		if c.Name != fc.Name || c.Type != fc.Type {
-			return fmt.Errorf("checkpoint: column %d mismatch: file %s/%d, table %s/%d",
+			return 0, fmt.Errorf("checkpoint: column %d mismatch: file %s/%d, table %s/%d",
 				i, fc.Name, fc.Type, c.Name, c.Type)
 		}
 	}
-	return fill(t, img)
+	return int64(rows), nil
+}
+
+// maxRows bounds a table's row count in a header or a manifest: more rows
+// than any table's chunk directory could be asked to hold is damage, not
+// a checkpoint.
+const maxRows = 1 << 40
+
+// restorer decodes the column and dictionary sections of one checkpoint
+// file into the runs AppendColumns hands it, in file order: column 0's
+// runs, then column 1's, and the dictionaries after the last column.
+type restorer struct {
+	cr   *crcReader
+	t    *columnar.Table
+	rows int64
+	done int64  // rows of the current column decoded so far
+	buf  []byte // one chunk run of encoded words
+}
+
+// run decodes the next run of column c into dst with one read and one
+// checksum update, and closes the column after its last run.
+func (rs *restorer) run(c int, dst []int64) error {
+	raw := rs.buf[:8*len(dst)]
+	if err := rs.cr.read(raw); err != nil {
+		return fmt.Errorf("checkpoint: column %d row %d: %w", c, rs.done, err)
+	}
+	for i := range dst {
+		dst[i] = int64(binary.LittleEndian.Uint64(raw[8*i:]))
+	}
+	if rs.done += int64(len(dst)); rs.done < rs.rows {
+		return nil
+	}
+	rs.done = 0
+	return rs.endColumn(c)
+}
+
+// endColumn checks column c's section checksum and, after the last column,
+// reads the dictionaries.
+func (rs *restorer) endColumn(c int) error {
+	if err := rs.cr.endSection(fmt.Sprintf("column %d", c)); err != nil {
+		return err
+	}
+	if c < len(rs.t.Schema().Columns)-1 {
+		return nil
+	}
+	return rs.dictionaries()
+}
+
+// dictionaries reads and verifies every String column's dictionary, and
+// only then seats them in the table's dictionaries: codes are assigned in
+// order of first appearance and the checkpoint stores them in code order,
+// so the restored raw codes stay valid.
+func (rs *restorer) dictionaries() error {
+	cols := rs.t.Schema().Columns
+	dicts := make([][]string, len(cols))
+	for c, def := range cols {
+		if def.Type != columnar.String {
+			continue
+		}
+		n, err := rs.cr.readU32()
+		if err != nil {
+			return err
+		}
+		if int64(n) > rs.rows+1<<16 {
+			return fmt.Errorf("checkpoint: implausible dictionary size %d", n)
+		}
+		strs := make([]string, 0, n)
+		for code := uint32(0); code < n; code++ {
+			s, err := rs.cr.readStr()
+			if err != nil {
+				return err
+			}
+			strs = append(strs, s)
+		}
+		if err := rs.cr.endSection(fmt.Sprintf("dictionary %d", c)); err != nil {
+			return err
+		}
+		dicts[c] = strs
+	}
+	for c, strs := range dicts {
+		d := rs.t.Dict(c)
+		for code, s := range strs {
+			if got := d.Code(s); got != int64(code) {
+				return fmt.Errorf("checkpoint: dictionary code drift: %q -> %d, want %d", s, got, code)
+			}
+		}
+	}
+	return nil
 }

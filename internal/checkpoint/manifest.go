@@ -143,7 +143,10 @@ func WriteManifest(w io.Writer, m *Manifest) error {
 	return bw.Flush()
 }
 
-// ReadManifest parses and checksum-verifies a manifest.
+// ReadManifest parses and checksum-verifies a manifest. A manifest whose
+// checksum holds but whose table counts contradict each other — a replica
+// watermark above the row count, or a dirty row at or above it — is
+// rejected too: recovery would index past the rows it restored.
 func ReadManifest(r io.Reader) (*Manifest, error) {
 	br := bufio.NewReaderSize(r, 1<<16)
 	cr := &crcReader{r: br}
@@ -213,6 +216,9 @@ func ReadManifest(r io.Reader) (*Manifest, error) {
 			return nil, err
 		}
 		te.ReplicaRows = int64(rep)
+		if rows > maxRows || rep > rows {
+			return nil, fmt.Errorf("checkpoint: table %q claims %d replica rows of %d rows", te.Name, rep, rows)
+		}
 		nd, err := cr.readU32()
 		if err != nil {
 			return nil, err
@@ -225,6 +231,9 @@ func ReadManifest(r io.Reader) (*Manifest, error) {
 			row, err := cr.readU64()
 			if err != nil {
 				return nil, err
+			}
+			if row >= rows {
+				return nil, fmt.Errorf("checkpoint: table %q claims dirty row %d of %d rows", te.Name, row, rows)
 			}
 			te.Dirty = append(te.Dirty, int64(row))
 		}
@@ -300,7 +309,9 @@ func NextSeq(fs wal.FS, dir string) uint64 {
 	return max + 1
 }
 
-// FileCRC computes the whole-file CRC32C of name.
+// FileCRC computes the whole-file CRC32C of name in a pass of its own.
+// The engine takes the checksum in the pass that writes or restores the
+// file instead; this is for a reader that has only the path.
 func FileCRC(fs wal.FS, name string) (uint32, error) {
 	f, err := fs.Open(name)
 	if err != nil {

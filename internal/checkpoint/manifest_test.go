@@ -69,6 +69,29 @@ func TestManifestCorruptionDetected(t *testing.T) {
 	}
 }
 
+// TestManifestRejectsContradictoryCounts: a manifest with a valid
+// checksum whose replica watermark or dirty rows lie past its row count is
+// refused with an error, not handed to recovery.
+func TestManifestRejectsContradictoryCounts(t *testing.T) {
+	for name, bend := range map[string]func(te *TableEntry){
+		"replica rows above rows": func(te *TableEntry) { te.ReplicaRows = te.Rows + 1<<20 },
+		"replica rows one above":  func(te *TableEntry) { te.ReplicaRows = te.Rows + 1 },
+		"dirty row at rows":       func(te *TableEntry) { te.Dirty = append(te.Dirty, te.Rows) },
+		"negative dirty row":      func(te *TableEntry) { te.Dirty = append(te.Dirty, -1) },
+		"negative rows":           func(te *TableEntry) { te.Rows, te.ReplicaRows, te.Dirty = -1, -1, nil },
+	} {
+		m := sampleManifest()
+		bend(&m.Tables[0])
+		var buf bytes.Buffer
+		if err := WriteManifest(&buf, m); err != nil {
+			t.Fatal(err)
+		}
+		if _, err := ReadManifest(bytes.NewReader(buf.Bytes())); err == nil {
+			t.Errorf("%s: manifest accepted", name)
+		}
+	}
+}
+
 // TestCheckpointBitFlipDetected pins the v2 per-section checksums: any
 // single flipped bit in a table checkpoint must fail the restore rather
 // than silently corrupting data — the regression the version bump fixes.

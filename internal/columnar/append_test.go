@@ -1,6 +1,7 @@
 package columnar
 
 import (
+	"errors"
 	"maps"
 	"math/rand"
 	"slices"
@@ -363,7 +364,7 @@ func TestAppendMatchesRowAtATimeOracle(t *testing.T) {
 			if rng.Intn(2) == 0 {
 				got = tab.AppendRows(batch, ts)
 			} else {
-				got = tab.AppendColumns(cols, ts)
+				got = appendColumns(t, tab, cols, ts)
 			}
 			if want := o.append(batch, ts); got != want {
 				t.Fatalf("seed %d step %d: append of %d rows returned %d, want %d", seed, step, n, got, want)
@@ -438,25 +439,76 @@ func TestAppendMatchesRowAtATimeOracle(t *testing.T) {
 	}
 }
 
-// TestAppendRejectsWrongShapes: a short row or a ragged column set panics
-// before anything is stored or published.
+// appendColumns appends cols through AppendColumns, holding fill to its
+// contract: column 0's runs in row order, then column 1's, and so on, each
+// run as long as its chunk and the rows allow.
+func appendColumns(t *testing.T, tab *Table, cols [][]int64, ts uint64) int64 {
+	t.Helper()
+	n := len(cols[0])
+	base := tab.Rows()
+	cur, off := 0, 0
+	got, err := tab.AppendColumns(int64(n), ts, func(c int, dst []int64) error {
+		if c != cur {
+			if c != cur+1 || off != n {
+				t.Fatalf("fill of column %d after %d of column %d's %d rows", c, off, cur, n)
+			}
+			cur, off = c, 0
+		}
+		if end := base + int64(off+len(dst)); len(dst) == 0 || off+len(dst) > n ||
+			(end-1)>>chunkShift != (base+int64(off))>>chunkShift || end&(ChunkSize-1) != 0 && off+len(dst) != n {
+			t.Fatalf("column %d: run of %d at row %d of an append of %d above %d", c, len(dst), off, n, base)
+		}
+		off += copy(dst, cols[c][off:])
+		return nil
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if n > 0 && (cur != len(cols)-1 || off != n) {
+		t.Fatalf("fill stopped at column %d row %d of %d columns, %d rows", cur, off, len(cols), n)
+	}
+	return got
+}
+
+// TestAppendRejectsWrongShapes: a short row panics, and a column fill that
+// fails returns its error, before anything is stored or published; the
+// rows a failed fill wrote are overwritten by the next append.
 func TestAppendRejectsWrongShapes(t *testing.T) {
 	tab := NewTable(testSchema(), 4)
-	for name, fn := range map[string]func(){
-		"short row":      func() { tab.AppendRows([][]int64{{1, 2, 3}, {1, 2}}, 1) },
-		"missing column": func() { tab.AppendColumns([][]int64{{1}, {2}}, 1) },
-		"ragged columns": func() { tab.AppendColumns([][]int64{{1, 2}, {1, 2}, {1}}, 1) },
-	} {
-		func() {
-			defer func() {
-				if recover() == nil {
-					t.Errorf("%s: no panic", name)
-				}
-			}()
-			fn()
+	func() {
+		defer func() {
+			if recover() == nil {
+				t.Errorf("short row: no panic")
+			}
 		}()
-		if tab.Rows() != 0 {
-			t.Fatalf("%s: %d rows published", name, tab.Rows())
+		tab.AppendRows([][]int64{{1, 2, 3}, {1, 2}}, 1)
+	}()
+	if tab.Rows() != 0 {
+		t.Fatalf("short row: %d rows published", tab.Rows())
+	}
+	const n = ChunkSize + 9
+	for _, failAt := range []int{0, 1, 2} {
+		errFill := errors.New("fill failed")
+		calls := 0
+		_, err := tab.AppendColumns(n, 1, func(c int, dst []int64) error {
+			if calls++; c == failAt && calls > 2*c+1 { // the column's second run
+				return errFill
+			}
+			for i := range dst {
+				dst[i] = -1
+			}
+			return nil
+		})
+		if err != errFill {
+			t.Fatalf("fill failing in column %d: err = %v", failAt, err)
 		}
+		if tab.Rows() != 0 || tab.Active().Visible() != 0 {
+			t.Fatalf("fill failing in column %d: %d rows, %d visible", failAt, tab.Rows(), tab.Active().Visible())
+		}
+	}
+	row := tab.AppendRows([][]int64{{7, 8, 9}}, 2)
+	if row != 0 || tab.Rows() != 1 || tab.ReadActive(0, 0) != 7 || tab.RowTS(0) != 2 {
+		t.Fatalf("append after failed fills: row %d, %d rows, cell %d, ts %d",
+			row, tab.Rows(), tab.ReadActive(0, 0), tab.RowTS(0))
 	}
 }

@@ -16,14 +16,18 @@ func intSchema(name string, cols ...string) Schema {
 
 // appendSeq appends rows [lo, hi) whose every cell holds its row number.
 func appendSeq(tab *Table, lo, hi int64, ts uint64) {
-	cols := make([][]int64, len(tab.Schema().Columns))
-	for c := range cols {
-		cols[c] = make([]int64, hi-lo)
-		for i := range cols[c] {
-			cols[c][i] = lo + int64(i)
+	row := lo
+	if _, err := tab.AppendColumns(hi-lo, ts, func(_ int, dst []int64) error {
+		for i := range dst {
+			dst[i] = row + int64(i)
 		}
+		if row += int64(len(dst)); row == hi { // the column's last run
+			row = lo
+		}
+		return nil
+	}); err != nil {
+		panic(err)
 	}
-	tab.AppendColumns(cols, ts)
 }
 
 func twinsEqual(t *testing.T, tab *Table) {

@@ -169,59 +169,31 @@ func (t *Table) AppendRows(rows [][]int64, ts uint64) int64 {
 				len(row), len(t.schema.Columns), t.schema.Name))
 		}
 	}
-	return t.appendRun(int64(len(rows)), ts, rows, nil)
+	return t.appendRun(rows, ts)
 }
 
-// AppendColumns is AppendRows for a source that is already columnar:
-// cols[c] holds column c of the new rows, every column the same length.
-// A checkpoint restore hands its decoded columns straight in.
-func (t *Table) AppendColumns(cols [][]int64, ts uint64) int64 {
-	if len(cols) != len(t.schema.Columns) {
-		panic(fmt.Sprintf("columnar: %d columns != schema width %d for table %q",
-			len(cols), len(t.schema.Columns), t.schema.Name))
-	}
-	for _, col := range cols {
-		if len(col) != len(cols[0]) {
-			panic(fmt.Sprintf("columnar: ragged columns (%d and %d rows) for table %q",
-				len(col), len(cols[0]), t.schema.Name))
-		}
-	}
-	return t.appendRun(int64(len(cols[0])), ts, nil, cols)
-}
-
-// appendRun is the one append loop. The n new rows come from rows
-// (row-major) or, when cols is non-nil, from cols (column-major); widths
-// are the caller's to check. It works a chunk run at a time, column by
+// appendRun is AppendRows' loop. It works a chunk run at a time, column by
 // column: the destination run of instance 0 is resolved once and filled,
 // and copied to instance 1's run only if that is other memory — a new chunk
 // is allocated once and listed by both instances, so it is not until an
 // update has split it. The cells lie above the published row count, where
 // nothing reads, so they need no atomic stores: storing rows/visible last,
 // under appendMu, is what publishes them.
-func (t *Table) appendRun(n int64, ts uint64, rows, cols [][]int64) int64 {
+func (t *Table) appendRun(rows [][]int64, ts uint64) int64 {
+	n := int64(len(rows))
 	if n == 0 {
 		return t.rows.Load()
 	}
 	t.appendMu.Lock()
-	base := t.rows.Load()
-	end := base + n
+	base, end := t.reserve(n)
 	a, b := t.inst[0].cols, t.inst[1].cols
-	for c := range a {
-		a[c].ensure(end)
-		b[c].ensureShared(a[c], end)
-	}
-	t.rowTS.ensure(end)
 	for r := base; r < end; {
 		stamps := t.rowTS.run(r, end)
 		off := int(r - base)
 		for c := range a {
 			dst := a[c].run(r, end)
-			if cols != nil {
-				copy(dst, cols[c][off:])
-			} else {
-				for i := range dst {
-					dst[i] = rows[off+i][c]
-				}
+			for i := range dst {
+				dst[i] = rows[off+i][c]
 			}
 			if twin := b[c].run(r, end); &twin[0] != &dst[0] {
 				copy(twin, dst)
@@ -232,11 +204,74 @@ func (t *Table) appendRun(n int64, ts uint64, rows, cols [][]int64) int64 {
 		}
 		r += int64(len(stamps))
 	}
-	// Publish: new rows become visible in the active instance only.
-	t.rows.Store(end)
-	t.inst[t.active.Load()].visible.Store(end)
+	t.publish(end)
 	t.appendMu.Unlock()
 	return base
+}
+
+// AppendColumns is the column-major append, for a source that produces a
+// column at a time: a checkpoint restore decodes each column's section
+// straight into the table's chunks. It allocates n new rows in both
+// instances, then hands fill every chunk run of them, column by column and
+// in row order, to fill in place — dst is the run's storage in instance 0,
+// copied to instance 1 only where that is other memory. Once every run is
+// filled the rows are stamped with commit timestamp ts and published, and
+// the first row ID is returned. If fill fails, AppendColumns returns its
+// error and publishes nothing: the rows stay above the row count, where no
+// reader looks, and the next append overwrites them. fill runs under the
+// table's append lock, so it must not append to or update the table.
+func (t *Table) AppendColumns(n int64, ts uint64, fill func(c int, dst []int64) error) (int64, error) {
+	if n == 0 {
+		return t.rows.Load(), nil
+	}
+	t.appendMu.Lock()
+	defer t.appendMu.Unlock()
+	base, end := t.reserve(n)
+	a, b := t.inst[0].cols, t.inst[1].cols
+	for c := range a {
+		for r := base; r < end; {
+			dst := a[c].run(r, end)
+			if err := fill(c, dst); err != nil {
+				return 0, err
+			}
+			if twin := b[c].run(r, end); &twin[0] != &dst[0] {
+				copy(twin, dst)
+			}
+			r += int64(len(dst))
+		}
+	}
+	for r := base; r < end; {
+		stamps := t.rowTS.run(r, end)
+		for i := range stamps {
+			stamps[i] = int64(ts)
+		}
+		r += int64(len(stamps))
+	}
+	t.publish(end)
+	return base, nil
+}
+
+// reserve ensures storage for n rows above the row count in every column
+// of both instances — the second twin listing the first's new chunks — and
+// in the timestamps, and returns the rows' range. The caller holds
+// appendMu.
+func (t *Table) reserve(n int64) (base, end int64) {
+	base = t.rows.Load()
+	end = base + n
+	a, b := t.inst[0].cols, t.inst[1].cols
+	for c := range a {
+		a[c].ensure(end)
+		b[c].ensureShared(a[c], end)
+	}
+	t.rowTS.ensure(end)
+	return base, end
+}
+
+// publish makes rows below end visible in the active instance only. The
+// caller holds appendMu and has written every cell below end.
+func (t *Table) publish(end int64) {
+	t.rows.Store(end)
+	t.inst[t.active.Load()].visible.Store(end)
 }
 
 // BeginApply pins the active instance for a batch of UpdateCell calls;
@@ -394,7 +429,7 @@ func (t *Table) Switch() SwitchResult {
 	newA := 1 - oldA
 	rows := t.rows.Load()
 	// The new active instance exposes everything committed so far,
-	// including inserts that were hidden while it was inactive (appendRun
+	// including inserts that were hidden while it was inactive (reserve
 	// keeps both instances' storage the same length).
 	t.inst[newA].visible.Store(rows)
 	t.active.Store(newA)

@@ -29,7 +29,11 @@
 //   - Only appends grow a column (AppendRows and AppendColumns, one at a
 //     time under the table's appendMu, and the replica's CopyInserts);
 //     rows are written above the published row count, where nothing
-//     reads, and the count is stored last.
+//     reads, and the count is stored last. AppendRows fills a chunk run
+//     of every column before moving to the next run; AppendColumns hands
+//     its caller each column's runs in turn to fill in place (a
+//     checkpoint restore decodes into them) and publishes nothing if the
+//     caller fails.
 //   - An existing cell is written only by UpdateCell (the holder of the
 //     record's lock, inside BeginApply/EndApply, in the active instance),
 //     by SyncTo (in the inactive instance, which no transaction touches),

@@ -4,6 +4,8 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"hash/crc32"
+	"io"
 	"sync"
 	"sync/atomic"
 
@@ -537,7 +539,9 @@ func (s *System) CheckpointDB(cfs wal.FS, dir string, extras map[string]int64) (
 		if err != nil {
 			return 0, fmt.Errorf("core: checkpoint %s: %w", path, err)
 		}
-		err = checkpoint.Write(f, c.snap.Handle.Table(), c.snap.Inst, c.entry.Rows)
+		// The manifest's whole-file checksum is taken as the file is written.
+		hash := crc32.New(wal.Castagnoli)
+		err = checkpoint.Write(io.MultiWriter(f, hash), c.snap.Handle.Table(), c.snap.Inst, c.entry.Rows)
 		if err == nil {
 			err = f.Sync()
 		}
@@ -547,9 +551,7 @@ func (s *System) CheckpointDB(cfs wal.FS, dir string, extras map[string]int64) (
 		if err != nil {
 			return 0, fmt.Errorf("core: checkpoint %s: %w", path, err)
 		}
-		if c.entry.FileCRC, err = checkpoint.FileCRC(cfs, path); err != nil {
-			return 0, fmt.Errorf("core: checkpoint %s: %w", path, err)
-		}
+		c.entry.FileCRC = hash.Sum32()
 		man.Tables = append(man.Tables, c.entry)
 	}
 	mpath := seqDir + "/" + checkpoint.ManifestName
