@@ -314,7 +314,7 @@ func TestAdhocFilterGroupByEndToEnd(t *testing.T) {
 	sys.Run(200)
 
 	cutoff := int64(ch.LoadDay - 30)
-	q, err := sys.Build(query.Scan(ch.TOrderLine).
+	q, err := sys.Prepare(query.Scan(ch.TOrderLine).
 		Named("wh-revenue").
 		Filter(query.Ge("ol_delivery_d", cutoff)).
 		GroupBy("ol_w_id").

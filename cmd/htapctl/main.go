@@ -140,6 +140,14 @@ func main() {
 	mix := db.QuerySet()
 	round := 0
 	pick := func() elastichtap.Query {
+		if stmt != nil {
+			// Stamp this round's date cutoff into the prepared report.
+			q, err := stmt.WithArgs(elastichtap.Args{"since": db.Day() - 7})
+			if err != nil {
+				log.Fatal(err)
+			}
+			return q
+		}
 		switch strings.ToUpper(*queryName) {
 		case "Q1":
 			return elastichtap.Q1(db)
@@ -167,16 +175,9 @@ func main() {
 		sys.Run(*txns)
 		rate, _ := sys.Freshness()
 		var rep elastichtap.QueryReport
-		switch {
-		case stmt != nil && forced != nil:
-			// Stamped prepared report, pinned to the operator's state.
-			rep, err = stmt.QueryInState(ctx, elastichtap.Args{"since": db.Day() - 7}, *forced)
-		case stmt != nil:
-			// Stamp this round's date cutoff into the prepared report.
-			rep, err = stmt.Query(ctx, elastichtap.Args{"since": db.Day() - 7})
-		case forced != nil:
+		if forced != nil {
 			rep, err = sys.QueryInStateContext(ctx, pick(), *forced)
-		default:
+		} else {
 			rep, err = sys.QueryContext(ctx, pick())
 		}
 		if errors.Is(err, elastichtap.ErrCancelled) {

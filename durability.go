@@ -285,8 +285,11 @@ func applyRecord(db *ch.DB, rec *wal.Record, rows [][]int64) ([][]int64, error) 
 		t := h.Table()
 		switch op.Kind {
 		case wal.OpUpdate:
-			if op.Row >= t.Rows() {
-				return rows, fmt.Errorf("log updates row %d of %q beyond %d rows", op.Row, op.Table, t.Rows())
+			if op.Row < 0 || op.Row >= t.Rows() {
+				return rows, fmt.Errorf("log updates row %d of %q outside its %d rows", op.Row, op.Table, t.Rows())
+			}
+			if w := len(t.Schema().Columns); int(op.Col) >= w {
+				return rows, fmt.Errorf("log updates column %d of %q (width %d)", op.Col, op.Table, w)
 			}
 			t.BeginApply()
 			t.UpdateCell(op.Row, int(op.Col), op.Val, rec.CommitTS)

@@ -465,3 +465,34 @@ func TestOpenFromDirRejectsReplicaRowsAboveRows(t *testing.T) {
 		t.Fatal("manifest with replica rows above rows restored")
 	}
 }
+
+// TestOpenFromDirRejectsUnappliableRecords: a log record whose checksum
+// holds but which addresses a cell the table does not have is refused
+// with an error; replay used to hand it to UpdateCell, which panicked.
+func TestOpenFromDirRejectsUnappliableRecords(t *testing.T) {
+	fs, _ := checkpointedSystem(t)
+	for _, tc := range []struct {
+		name string
+		op   wal.Op
+	}{
+		{"column past the schema", wal.Op{Kind: wal.OpUpdate, Table: ch.TWarehouse, Col: 99}},
+		{"negative row", wal.Op{Kind: wal.OpUpdate, Table: ch.TWarehouse, Row: -3}},
+	} {
+		img := fs.Crash(true)
+		l, err := wal.Open(img, "data/"+walName, wal.SyncAlways, 0, 0)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, err := l.Append(&wal.Record{TxnID: 1, CommitTS: 1, Ops: []wal.Op{tc.op}}, nil); err != nil {
+			t.Fatal(err)
+		}
+		l.Close()
+		s, _, err := OpenFromDir(img, "data")
+		if err == nil {
+			s.Close()
+			t.Errorf("%s: log record applied", tc.name)
+		} else if !strings.Contains(err.Error(), "log updates") {
+			t.Errorf("%s: %v, want the replay to refuse the record", tc.name, err)
+		}
+	}
+}

@@ -65,7 +65,7 @@ func main() {
 	for round := 1; round <= 8; round++ {
 		sys.Run(2000)
 		plan := plans[(round-1)%len(plans)]
-		q, err := sys.Build(plan)
+		q, err := sys.Prepare(plan)
 		if err != nil {
 			log.Fatal(err)
 		}

@@ -51,8 +51,12 @@ func main() {
 		// prepared tile and bounds the wait: a refresh that cannot answer
 		// in time is cancelled at the next morsel boundary, not queued
 		// behind the dashboard forever.
+		q, err := today.WithArgs(elastichtap.Args{"since": db.Day()})
+		if err != nil {
+			log.Fatal(err)
+		}
 		ctx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
-		rep, err := today.Query(ctx, elastichtap.Args{"since": db.Day()})
+		rep, err := sys.QueryContext(ctx, q)
 		cancel()
 		if err != nil {
 			log.Fatal(err)

@@ -38,7 +38,7 @@ func main() {
 		OrderBy("revenue", true).
 		Limit(5)
 
-	q, err := sys.Build(plan)
+	q, err := sys.Prepare(plan)
 	if err != nil {
 		log.Fatal(err)
 	}

@@ -42,7 +42,7 @@
 //     interleave their morsels on the shared elastic worker pool.
 //   - Prepare(plan) binds a logical plan carrying query.Param
 //     placeholders once — catalog lookup, predicate typing, kernel
-//     selection — and returns a Stmt whose Query(ctx, Args{...}) stamps
+//     selection — and returns a Stmt whose WithArgs(Args{...}) stamps
 //     values into the compiled predicate tests per execution, bitwise
 //     identical to rebinding with the values inlined.
 //
@@ -80,7 +80,7 @@
 //
 //	sys, _ := elastichtap.New(
 //		elastichtap.WithAlpha(0.7),
-//		elastichtap.WithByteScale(300/0.01),
+//		elastichtap.WithEmulatedScale(0.01, 300),
 //	)
 //	defer sys.Close()
 //	db := sys.LoadCH(0.01, 42)          // CH-benCHmark at SF 0.01
@@ -104,8 +104,9 @@
 //		Agg(query.Sum("ol_amount").As("revenue"), query.Count()).
 //		OrderBy("revenue", true).
 //		Limit(5)
-//	stmt, _ := sys.Prepare(plan)                              // bind once
-//	rep, _ = stmt.Query(ctx, elastichtap.Args{"since": day})  // stamp per run
+//	stmt, _ := sys.Prepare(plan)                          // bind once
+//	q, _ := stmt.WithArgs(elastichtap.Args{"since": day}) // stamp per run
+//	rep, _ = sys.QueryContext(ctx, q)
 //
 // The built-in Q1, Q3, Q6, Q12, Q18 and Q19 are themselves prepared
 // statements, bound once per database and stamped with their default
@@ -182,15 +183,10 @@ func WithElasticCores(n int) Option {
 	return func(o *options) { o.elasticCores = &n }
 }
 
-// WithByteScale multiplies measured bytes before the cost model, letting a
-// small loaded database emulate a larger scale factor's timings (shapes
-// depend on ratios, which the scale preserves).
-func WithByteScale(x float64) Option {
-	return func(o *options) { o.byteScale = &x }
-}
-
-// WithEmulatedScale is WithByteScale expressed as intent: report timings
-// as if the loaded scale factor were target (e.g. the paper's SF 300).
+// WithEmulatedScale multiplies measured bytes before the cost model by
+// targetSF/loadedSF, so a small loaded database reports the timings of a
+// larger scale factor (e.g. the paper's SF 300); shapes depend on ratios,
+// which the scale preserves.
 func WithEmulatedScale(loadedSF, targetSF float64) Option {
 	return func(o *options) {
 		x := 0.0
@@ -219,7 +215,7 @@ type QueryReport = core.QueryReport
 type Query = olap.Query
 
 // Plan re-exports the declarative builder's logical plan; construct with
-// package elastichtap/query and compile with System.Build.
+// package elastichtap/query and compile with System.Prepare.
 type Plan = query.Plan
 
 // DB is a loaded CH-benCHmark database.
@@ -324,15 +320,6 @@ func (s *System) StartWorkload(paymentPct int) error {
 
 // Run synchronously executes n transactions across the OLTP worker pool.
 func (s *System) Run(n int) { s.inner.InjectTransactions(n) }
-
-// Build compiles a logical plan (package elastichtap/query) against the
-// loaded database into an executable Query.
-func (s *System) Build(p *Plan) (Query, error) {
-	if s.db == nil {
-		return nil, fmt.Errorf("elastichtap: Build: %w", ErrNoDatabase)
-	}
-	return p.Bind(s.db)
-}
 
 // OLTPThroughput reports the modeled transactional throughput with the
 // current placement and no analytical interference.

@@ -120,7 +120,7 @@ func TestFacadeOptionKnobs(t *testing.T) {
 		WithAlpha(0.9),
 		WithElasticity(false),
 		WithElasticCores(2),
-		WithByteScale(1000),
+		WithEmulatedScale(0.005, 5), // a byte scale of 1000
 	)
 	if err != nil {
 		t.Fatal(err)
@@ -193,7 +193,7 @@ func TestFacadeOptionValidation(t *testing.T) {
 		{"one-socket", WithTopology(1, 8), "WithTopology"}, // no second home socket: an error here, not a panic at the first hybrid migration
 		{"bandwidth", WithBandwidth(-1, 1), "WithBandwidth"},
 		{"elastic-cores", WithElasticCores(-1), "WithElasticCores"},
-		{"byte-scale", WithByteScale(0), "byte scale"},
+		{"byte-scale", WithEmulatedScale(0, 300), "byte scale"},
 	}
 	for _, tc := range cases {
 		if _, err := New(tc.opt); err == nil || !strings.Contains(err.Error(), tc.want) {
@@ -219,8 +219,8 @@ func TestFacadeNoDatabaseErrors(t *testing.T) {
 	if _, err := sys.QueryBatchContext(context.Background(), []Query{Q19(nil)}); !errors.Is(err, ErrNoDatabase) {
 		t.Fatalf("QueryBatch before LoadCH: err = %v", err)
 	}
-	if _, err := sys.Build(nil); !errors.Is(err, ErrNoDatabase) {
-		t.Fatalf("Build before LoadCH: err = %v", err)
+	if _, err := sys.Prepare(nil); !errors.Is(err, ErrNoDatabase) {
+		t.Fatalf("Prepare before LoadCH: err = %v", err)
 	}
 
 	// A query built from a nil DB must fail descriptively even on a loaded

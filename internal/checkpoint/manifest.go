@@ -226,7 +226,9 @@ func ReadManifest(r io.Reader) (*Manifest, error) {
 		if int64(nd) > te.Rows {
 			return nil, fmt.Errorf("checkpoint: table %q claims %d dirty of %d rows", te.Name, nd, te.Rows)
 		}
-		te.Dirty = make([]int64, 0, nd)
+		// The count is not yet checksummed: grow with the rows actually
+		// read rather than trusting it for one allocation.
+		te.Dirty = make([]int64, 0, min(nd, 1<<12))
 		for k := uint32(0); k < nd; k++ {
 			row, err := cr.readU64()
 			if err != nil {

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"encoding/binary"
 	"reflect"
+	"runtime"
 	"strings"
 	"testing"
 
@@ -89,6 +90,30 @@ func TestManifestRejectsContradictoryCounts(t *testing.T) {
 		if _, err := ReadManifest(bytes.NewReader(buf.Bytes())); err == nil {
 			t.Errorf("%s: manifest accepted", name)
 		}
+	}
+}
+
+// TestManifestDirtyCountNotTrusted: the dirty-row count is read before
+// the manifest's checksum, so a claim of 2^24 dirty rows backed by no
+// bytes must fail without allocating for the claim.
+func TestManifestDirtyCountNotTrusted(t *testing.T) {
+	le := binary.LittleEndian
+	b := le.AppendUint32([]byte(manifestMagic), manifestVersion)
+	b = le.AppendUint64(le.AppendUint64(le.AppendUint64(b, 1), 1), 0) // clock, commits, WAL position
+	b = le.AppendUint32(b, 0)                                         // extras
+	b = le.AppendUint32(b, 1)                                         // tables
+	b = append(le.AppendUint32(b, 1), 't')
+	b = le.AppendUint64(le.AppendUint64(b, 1<<40), 0) // rows, replica rows
+	b = le.AppendUint32(b, 1<<24)                     // dirty count, then EOF
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	_, err := ReadManifest(bytes.NewReader(b))
+	runtime.ReadMemStats(&after)
+	if err == nil {
+		t.Fatal("truncated manifest accepted")
+	}
+	if got := after.TotalAlloc - before.TotalAlloc; got > 1<<20 {
+		t.Fatalf("reading a truncated manifest allocated %d bytes", got)
 	}
 }
 

@@ -117,21 +117,17 @@ func (m *Manager) Aborts() uint64 { return m.aborts.Load() }
 // Begin starts a snapshot-isolated transaction whose wait-die priority is
 // its begin timestamp. The caller owns the returned Txn; RunWithRetry runs
 // its bodies in a recycled one instead.
-func (m *Manager) Begin() *Txn { return m.BeginWithPriority(0) }
-
-// BeginWithPriority starts a transaction that reads a fresh snapshot but
-// keeps an earlier wait-die priority (0 = none). Restarted transactions
-// reuse their original timestamp so they age and cannot starve — the
-// standard wait-die restart rule.
-func (m *Manager) BeginWithPriority(priority uint64) *Txn {
+func (m *Manager) Begin() *Txn {
 	t := &Txn{m: m}
-	m.start(t, priority)
+	m.start(t, 0)
 	return t
 }
 
 // start makes t a fresh active transaction, keeping its buffers. The begin
 // timestamp is drawn inside the mu section that enters it in the active
-// set, so MinActive sees either both or neither.
+// set, so MinActive sees either both or neither. A nonzero priority is an
+// earlier wait-die priority t keeps: restarted transactions reuse their
+// original timestamp so they age and cannot starve.
 //
 //htap:hotpath
 func (m *Manager) start(t *Txn, priority uint64) {

@@ -80,19 +80,14 @@ type Compiled struct {
 	params  []paramSite
 	names   []string
 	stamped bool
-	// cache memoizes the last WithArgs stamping. It is a shared pointer:
-	// WithArgs copies the Compiled by value, and every copy must consult
-	// (and feed) the same cache as the statement it was stamped from. Nil
-	// for parameterless plans.
-	cache *stmtCache
 	// fuse is the Bind-time accumulator/emit layout (see kernel.go). It is
 	// shared by every WithArgs clone: the shape is value-independent, and
 	// each Prepare specializes a concrete kernel from the clone's stamped
 	// predicate values.
 	fuse *fuseShape
 	// builds keeps the dense join build tables between executions (see
-	// build.go). Like cache and fuse it is one pointer shared by every
-	// WithArgs clone; nil for plans without joins.
+	// build.go). Like fuse it is one pointer shared by every WithArgs
+	// clone; nil for plans without joins.
 	builds *buildCache
 }
 
@@ -135,10 +130,9 @@ func (c *Compiled) Prepare() (olap.Exec, int64) {
 // against the dimension's schema and occupy virtual slots after the fact
 // scan list, so downstream group-by and aggregation address them exactly
 // like scanned columns. The returned query is reusable across executions
-// and carries what they share: the last stamping (params.go) and the
-// dense join build tables, which each Prepare brings up to the dimension's
-// current rows rather than re-reading it (see Prepare). A fresh Bind
-// starts cold.
+// and carries what they share: the fused kernel layout and the dense join
+// build tables, which each Prepare brings up to the dimension's current
+// rows rather than re-reading it (see Prepare). A fresh Bind starts cold.
 func (p *Plan) Bind(cat Catalog) (*Compiled, error) {
 	if p == nil {
 		return nil, fmt.Errorf("query: nil plan")
@@ -388,9 +382,6 @@ func (p *Plan) Bind(cat Catalog) (*Compiled, error) {
 		c.limit = p.limit
 	} else if p.limit > 0 {
 		return nil, fmt.Errorf("query: Limit without OrderBy would be non-deterministic; add OrderBy")
-	}
-	if len(c.params) > 0 {
-		c.cache = &stmtCache{}
 	}
 	c.fuse = buildFuseShape(c)
 	if len(c.joins) > 0 {

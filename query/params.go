@@ -6,7 +6,6 @@ import (
 	"math"
 	"slices"
 	"sort"
-	"sync"
 
 	"elastichtap/internal/columnar"
 )
@@ -282,14 +281,6 @@ func (c *Compiled) WithArgs(args Args) (*Compiled, error) {
 			}
 		}
 	}
-	// Reuse fast path: identical values to the last stamping return the
-	// cached clone with no cloning or canonicalization at all.
-	if c.cache != nil {
-		if hit := c.cache.get(args); hit != nil {
-			return hit, nil
-		}
-	}
-
 	// Clone only the slices that actually carry parameter sites; the
 	// rest of the statement is shared read-only with every execution.
 	clone := *c
@@ -342,9 +333,6 @@ func (c *Compiled) WithArgs(args Args) (*Compiled, error) {
 		}
 	}
 	clone.stamped = true
-	if c.cache != nil && cacheableArgs(args) {
-		c.cache.put(args, &clone)
-	}
 	return &clone, nil
 }
 
@@ -355,83 +343,6 @@ func resolveArg(v any, args Args) any {
 		return args[p.name]
 	}
 	return v
-}
-
-// stmtCache remembers the most recently stamped execution of a prepared
-// statement, so re-executing with unchanged argument values returns the
-// cached clone instead of re-cloning predicate slots and re-running the
-// literal-to-test canonicalization. Dashboards refreshing one statement
-// with fixed parameters hit this path on every execution after the
-// first. A stamped statement is never mutated afterwards (Prepare builds
-// a fresh exec), so sharing the cached clone across concurrent
-// executions is safe.
-type stmtCache struct {
-	mu sync.Mutex
-	//htap:guardedby mu
-	args    Args      // always a defensive copy with comparable scalar values
-	stamped *Compiled //htap:guardedby mu
-}
-
-// get returns the cached statement when args match the last-stamped
-// values exactly, nil otherwise.
-func (sc *stmtCache) get(args Args) *Compiled {
-	sc.mu.Lock()
-	defer sc.mu.Unlock()
-	if sc.stamped == nil || !argsEqual(sc.args, args) {
-		return nil
-	}
-	return sc.stamped
-}
-
-// put records a freshly stamped statement under a defensive copy of its
-// args, so a caller mutating the map after the call cannot poison the
-// cache.
-func (sc *stmtCache) put(args Args, stamped *Compiled) {
-	cp := make(Args, len(args))
-	for k, v := range args {
-		cp[k] = v
-	}
-	sc.mu.Lock()
-	sc.args, sc.stamped = cp, stamped
-	sc.mu.Unlock()
-}
-
-// comparableArg reports whether a value participates in cache equality:
-// exactly the scalar kinds predicates accept. Anything else bypasses the
-// reuse path rather than risking a panic on ==.
-func comparableArg(v any) bool {
-	switch v.(type) {
-	case int, int8, int16, int32, int64,
-		uint, uint8, uint16, uint32, uint64,
-		float32, float64, string:
-		return true
-	}
-	return false
-}
-
-// cacheableArgs reports whether every value is a comparable scalar.
-func cacheableArgs(args Args) bool {
-	for _, v := range args {
-		if !comparableArg(v) {
-			return false
-		}
-	}
-	return true
-}
-
-// argsEqual compares argument sets by value. The stored side is known
-// comparable; the incoming side is re-checked to keep == panic-free.
-func argsEqual(stored, incoming Args) bool {
-	if len(stored) != len(incoming) {
-		return false
-	}
-	for k, sv := range stored {
-		iv, ok := incoming[k]
-		if !ok || !comparableArg(iv) || sv != iv {
-			return false
-		}
-	}
-	return true
 }
 
 // makeIntTest canonicalizes a predicate over an int64 column into a raw

@@ -166,8 +166,8 @@ func (s *System) QueryBatchContext(ctx context.Context, qs []Query) ([]QueryRepo
 }
 
 // Handle tracks one asynchronous query submission. Obtain one from
-// System.Submit or Stmt.Submit; then Wait for the outcome, select on
-// Done, poll Report, or Cancel the execution.
+// System.Submit; then Wait for the outcome, select on Done, poll Report,
+// or Cancel the execution.
 type Handle struct {
 	query  string
 	cancel context.CancelFunc
@@ -221,12 +221,6 @@ func (s *System) Submit(ctx context.Context, q Query) (*Handle, error) {
 	if s.db == nil {
 		return nil, fmt.Errorf("elastichtap: Submit: %w", ErrNoDatabase)
 	}
-	return s.submit(ctx, q)
-}
-
-// submit spawns the submission goroutine; callers have validated the
-// database.
-func (s *System) submit(ctx context.Context, q Query) (*Handle, error) {
 	if err := ctx.Err(); err != nil {
 		return nil, olap.CancelErr(err)
 	}
@@ -243,66 +237,22 @@ func (s *System) submit(ctx context.Context, q Query) (*Handle, error) {
 
 // Stmt is a prepared statement: a logical plan bound once against the
 // catalog — name resolution, predicate typing, kernel selection — and
-// executed many times with different parameter values. Create one with
-// System.Prepare over a plan carrying query.Param placeholders; each
-// execution stamps the values into the compiled predicate tests without
-// re-running compilation, and produces results bitwise identical to
-// rebinding the plan with the values inlined. A Stmt is safe for
-// concurrent use.
-type Stmt struct {
-	sys *System
-	c   *query.Compiled
-}
+// executed many times with different parameter values. WithArgs stamps
+// the values into the compiled predicate tests without re-running
+// compilation, bitwise identical to rebinding the plan with the values
+// inlined, and returns a Query for QueryContext, QueryInStateContext or
+// Submit. A Stmt is safe for concurrent use.
+type Stmt = query.Compiled
 
 // Prepare binds a logical plan against the loaded database and returns a
 // reusable prepared statement. Placeholder positions are type-checked
-// against the catalog here; only the values arrive later. Plans without
-// parameters prepare too — Query then takes nil args.
+// against the catalog here; only the values arrive later. A plan without
+// parameters is executable as prepared.
 func (s *System) Prepare(p *Plan) (*Stmt, error) {
 	if s.db == nil {
 		return nil, fmt.Errorf("elastichtap: Prepare: %w", ErrNoDatabase)
 	}
-	c, err := p.Bind(s.db)
-	if err != nil {
-		return nil, err
-	}
-	return &Stmt{sys: s, c: c}, nil
-}
-
-// ParamNames returns the statement's distinct parameter names, sorted;
-// empty for parameterless plans.
-func (st *Stmt) ParamNames() []string { return st.c.ParamNames() }
-
-// Query stamps args into the statement and executes it adaptively (see
-// QueryContext). Missing, unknown or wrongly-typed arguments fail before
-// the system is touched.
-func (st *Stmt) Query(ctx context.Context, args Args) (QueryReport, error) {
-	q, err := st.c.WithArgs(args)
-	if err != nil {
-		return QueryReport{}, err
-	}
-	return st.sys.QueryContext(ctx, q)
-}
-
-// QueryInState stamps args into the statement and executes it with the
-// system pinned to a state (static schedules, A/B comparisons of one
-// prepared report).
-func (st *Stmt) QueryInState(ctx context.Context, args Args, state State) (QueryReport, error) {
-	q, err := st.c.WithArgs(args)
-	if err != nil {
-		return QueryReport{}, err
-	}
-	return st.sys.QueryInStateContext(ctx, q, state)
-}
-
-// Submit stamps args into the statement and enqueues it asynchronously
-// (see System.Submit).
-func (st *Stmt) Submit(ctx context.Context, args Args) (*Handle, error) {
-	q, err := st.c.WithArgs(args)
-	if err != nil {
-		return nil, err
-	}
-	return st.sys.Submit(ctx, q)
+	return p.Bind(s.db)
 }
 
 // TableFreshness reports one table's freshness in isolation: the rate of

@@ -357,8 +357,12 @@ func TestCloseTyped(t *testing.T) {
 	if err != nil {
 		t.Fatal(err) // Prepare only binds; it needs no pool
 	}
-	if _, err := stmt.Query(context.Background(), ch.Q6Args(0, 0, 0, 0)); !errors.Is(err, ErrClosed) {
-		t.Fatalf("Stmt.Query after Close = %v, want ErrClosed", err)
+	q, err := stmt.WithArgs(ch.Q6Args(0, 0, 0, 0))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := sys.QueryContext(context.Background(), q); !errors.Is(err, ErrClosed) {
+		t.Fatalf("stamped statement after Close = %v, want ErrClosed", err)
 	}
 	sys.Close() // still a no-op
 }
@@ -422,21 +426,24 @@ func TestStmtLifecycle(t *testing.T) {
 		t.Fatalf("ParamNames = %v", got)
 	}
 
-	if _, err := stmt.Query(context.Background(), nil); err == nil {
+	if _, err := stmt.WithArgs(nil); err == nil {
 		t.Fatal("missing argument must fail")
 	}
-	if _, err := stmt.Query(context.Background(), Args{"since": 0, "extra": 1}); err == nil {
+	if _, err := stmt.WithArgs(Args{"since": 0, "extra": 1}); err == nil {
 		t.Fatal("unknown argument must fail")
 	}
-	if _, err := stmt.Query(context.Background(), Args{"since": "yesterday"}); !errors.Is(err, query.ErrPredType) {
+	if _, err := stmt.WithArgs(Args{"since": "yesterday"}); !errors.Is(err, query.ErrPredType) {
 		t.Fatalf("wrongly-typed argument = %v, want ErrPredType", err)
+	}
+	if _, err := sys.QueryContext(context.Background(), stmt); err == nil {
+		t.Fatal("unstamped statement must fail")
 	}
 
 	// The stamped statement must equal an inline-literal bind, and one
 	// statement must serve concurrent executions with different args.
 	day := db.Day()
 	wantRep := func(since int64) olap.Result {
-		q, err := sys.Build(query.Scan("orderline").
+		q, err := sys.Prepare(query.Scan("orderline").
 			Named("weekly").
 			Filter(query.Ge("ol_delivery_d", since)).
 			GroupBy("ol_w_id").
@@ -460,7 +467,12 @@ func TestStmtLifecycle(t *testing.T) {
 		wg.Add(1)
 		go func(i int, s int64) {
 			defer wg.Done()
-			rep, err := stmt.Query(context.Background(), Args{"since": s})
+			q, err := stmt.WithArgs(Args{"since": s})
+			if err != nil {
+				t.Errorf("since=%d: %v", s, err)
+				return
+			}
+			rep, err := sys.QueryContext(context.Background(), q)
 			if err != nil {
 				t.Errorf("since=%d: %v", s, err)
 				return

@@ -63,7 +63,11 @@ func TestTenantSessionRoundTrip(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	rep, err = stmt.Query(WithTenant(context.Background(), "etl"), ch.Q6Args(0, 0, 0, 0))
+	q, err := stmt.WithArgs(ch.Q6Args(0, 0, 0, 0))
+	if err != nil {
+		t.Fatal(err)
+	}
+	rep, err = sys.QueryContext(WithTenant(context.Background(), "etl"), q)
 	if err != nil {
 		t.Fatal(err)
 	}
