@@ -1,6 +1,7 @@
 package elastichtap
 
 import (
+	"errors"
 	"fmt"
 	"hash/crc32"
 	"io"
@@ -8,6 +9,7 @@ import (
 
 	"elastichtap/internal/ch"
 	"elastichtap/internal/checkpoint"
+	"elastichtap/internal/columnar"
 	"elastichtap/internal/wal"
 )
 
@@ -174,8 +176,8 @@ func OpenFromDir(fs FS, dir string, opts ...Option) (*System, RecoveryInfo, erro
 		OrdersPerDistrict:    int(man.Extras[extraOrders]),
 		OrderLinesPerOrder:   int(man.Extras[extraOrderLines]),
 	}
-	if sizing.Warehouses <= 0 {
-		return nil, info, fmt.Errorf("elastichtap: OpenFromDir: manifest missing sizing extras")
+	if err := checkSizing(sizing, man); err != nil {
+		return nil, info, fmt.Errorf("elastichtap: OpenFromDir: %w", err)
 	}
 
 	s, err := New(opts...)
@@ -186,72 +188,12 @@ func OpenFromDir(fs FS, dir string, opts ...Option) (*System, RecoveryInfo, erro
 	db.SetDay(man.Extras[extraDay])
 	s.db = db
 
-	seqDir := checkpoint.SeqDir(dir, seq)
-	for _, te := range man.Tables {
-		h := db.Handle(te.Name)
-		if h == nil {
-			s.Close()
-			return nil, info, fmt.Errorf("elastichtap: OpenFromDir: manifest names unknown table %q", te.Name)
-		}
-		path := seqDir + "/" + te.Name + ".ehcp"
-		f, err := fs.Open(path)
-		if err != nil {
-			s.Close()
-			return nil, info, fmt.Errorf("elastichtap: OpenFromDir: %w", err)
-		}
-		// The whole-file checksum is taken in the restoring pass: every
-		// byte the restore reads goes through the hash, and what it leaves
-		// unread after the last section is drained into it, because the
-		// manifest's checksum covers trailing bytes too.
-		hash := crc32.New(wal.Castagnoli)
-		err = checkpoint.ReadInto(io.TeeReader(f, hash), h.Table())
-		if err == nil {
-			_, err = io.Copy(hash, f)
-		}
-		f.Close()
-		if err != nil {
-			s.Close()
-			return nil, info, fmt.Errorf("elastichtap: OpenFromDir: restoring %q: %w", te.Name, err)
-		}
-		if crc := hash.Sum32(); crc != te.FileCRC {
-			s.Close()
-			return nil, info, fmt.Errorf("elastichtap: OpenFromDir: %s: file checksum %08x, manifest says %08x",
-				path, crc, te.FileCRC)
-		}
-		if h.Table().Rows() != te.Rows {
-			s.Close()
-			return nil, info, fmt.Errorf("elastichtap: OpenFromDir: %q restored %d rows, manifest says %d",
-				te.Name, h.Table().Rows(), te.Rows)
-		}
-		bits := h.Table().DirtyOLAP()
-		for _, row := range te.Dirty {
-			bits.Set(int(row))
-		}
+	st, clock, err := restoreAndReplay(fs, dir, seq, man, db)
+	if err != nil {
+		s.Close()
+		return nil, info, fmt.Errorf("elastichtap: OpenFromDir: %w", err)
 	}
-
-	// Replay the WAL suffix. Records apply exactly as live commits did —
-	// same order, same commit timestamps — so inserts reassign identical
-	// row IDs and staleness bits evolve identically.
-	mgr := s.inner.OLTPE.Manager()
-	clock := man.Clock
-	if f, err := fs.Open(dir + "/" + walName); err == nil {
-		var rows [][]int64 // applyRecord's scratch, grown once for the whole log
-		st, rerr := wal.Replay(f, man.WALPos, func(_ int64, rec *wal.Record) (err error) {
-			if rec.CommitTS > clock {
-				clock = rec.CommitTS
-			}
-			rows, err = applyRecord(db, rec, rows)
-			return err
-		})
-		f.Close()
-		if rerr != nil {
-			s.Close()
-			return nil, info, fmt.Errorf("elastichtap: OpenFromDir: replaying log: %w", rerr)
-		}
-		info.ValidPos = st.ValidPos
-		info.Replayed = st.Replayed
-		info.Truncated = st.Truncated
-	}
+	info.ValidPos, info.Replayed, info.Truncated = st.ValidPos, st.Replayed, st.Truncated
 
 	db.RebuildIndexes()
 
@@ -266,46 +208,218 @@ func OpenFromDir(fs FS, dir string, opts ...Option) (*System, RecoveryInfo, erro
 		h.Replica.CopyInserts(h.Table().Active(), 0, te.ReplicaRows)
 	}
 
+	mgr := s.inner.OLTPE.Manager()
 	mgr.RestoreState(clock, man.Commits+uint64(info.Replayed))
 	info.Commits = mgr.Commits()
 	return s, info, nil
 }
 
-// applyRecord applies one replayed commit record to the database,
-// mirroring Txn.Commit's apply step. rows is scratch for the row headers of
-// an insert — the words stay in the record — and is returned for the next
-// record to reuse, the way a recycled Txn keeps its own.
-func applyRecord(db *ch.DB, rec *wal.Record, rows [][]int64) ([][]int64, error) {
+// checkSizing refuses sizing extras that are missing, or that would size
+// the tables past what the image holds. ch.Attach gives every table room
+// for its loaded rows before a byte of it is restored, and a database only
+// grows, so a sizing whose tables would hold more than twice the image's
+// rows is damage — the factor two covers history and new-order, which
+// start empty but are sized like customer and orders. The products are
+// taken in floating point, where hostile extras cannot overflow them.
+func checkSizing(s ch.Sizing, man *checkpoint.Manifest) error {
+	if s.Warehouses <= 0 || s.DistrictsPerWH <= 0 || s.CustomersPerDistrict <= 0 ||
+		s.Items <= 0 || s.OrdersPerDistrict <= 0 || s.OrderLinesPerOrder <= 0 {
+		return fmt.Errorf("manifest missing sizing extras")
+	}
+	var rows float64
+	for _, te := range man.Tables {
+		rows += float64(te.Rows)
+	}
+	w, d := float64(s.Warehouses), float64(s.DistrictsPerWH)
+	items, orders := float64(s.Items), w*d*float64(s.OrdersPerDistrict)
+	sized := w + w*d + 2*w*d*float64(s.CustomersPerDistrict) + 2*orders +
+		orders*float64(s.OrderLinesPerOrder) + items + w*items
+	if sized > 2*rows+1<<10 {
+		return fmt.Errorf("manifest sizing makes room for %.0f rows, the image holds %.0f", sized, rows)
+	}
+	return nil
+}
+
+// restoreAndReplay restores the checkpoint image into db's empty tables and
+// replays the log suffix above it, returning the scan's stats and the
+// transaction clock the log ends at. The log scan starts before the
+// restore: its scanner verifies the prefix below the image's position and
+// decodes the suffix ahead while the tables are read in. The first record
+// applies once every table and its dirty bits are in. Records apply
+// exactly as live commits did — same order, same commit timestamps — so
+// inserts reassign identical row IDs and staleness bits evolve
+// identically.
+func restoreAndReplay(fs FS, dir string, seq uint64, man *checkpoint.Manifest, db *ch.DB) (wal.ReplayStats, uint64, error) {
+	clock := man.Clock
+	var st wal.ReplayStats
+	var restoreErr, replayErr error
+	restored, replayed := make(chan struct{}), make(chan struct{})
+	if f, err := fs.Open(dir + "/" + walName); err == nil {
+		go func() {
+			defer close(replayed)
+			defer f.Close()
+			r := replayer{db: db}
+			waiting := true
+			st, replayErr = wal.Replay(f, man.WALPos, func(_ int64, rec *wal.Record) error {
+				if waiting {
+					if <-restored; restoreErr != nil {
+						return errRestoreFailed
+					}
+					waiting = false
+				}
+				clock = max(clock, rec.CommitTS)
+				return r.apply(rec)
+			})
+		}()
+	} else {
+		close(replayed)
+	}
+	restoreErr = restoreTables(fs, checkpoint.SeqDir(dir, seq), man, db)
+	close(restored)
+	<-replayed
+	if restoreErr != nil {
+		return st, 0, restoreErr
+	}
+	if replayErr != nil {
+		return st, 0, fmt.Errorf("replaying log: %w", replayErr)
+	}
+	return st, clock, nil
+}
+
+// errRestoreFailed stops a log replay whose image could not be restored.
+var errRestoreFailed = errors.New("checkpoint image not restored")
+
+// restoreTables reads every table file of the checkpoint image in seqDir
+// into its (empty) table, checking each file against the manifest, and
+// sets the tables' restored dirty bits.
+func restoreTables(fs FS, seqDir string, man *checkpoint.Manifest, db *ch.DB) error {
+	for _, te := range man.Tables {
+		h := db.Handle(te.Name)
+		if h == nil {
+			return fmt.Errorf("manifest names unknown table %q", te.Name)
+		}
+		path := seqDir + "/" + te.Name + ".ehcp"
+		f, err := fs.Open(path)
+		if err != nil {
+			return err
+		}
+		// The whole-file checksum is taken in the restoring pass: every
+		// byte the restore reads goes through the hash, and what it leaves
+		// unread after the last section is drained into it, because the
+		// manifest's checksum covers trailing bytes too.
+		hash := crc32.New(wal.Castagnoli)
+		err = checkpoint.ReadInto(io.TeeReader(f, hash), h.Table())
+		if err == nil {
+			_, err = io.Copy(hash, f)
+		}
+		f.Close()
+		if err != nil {
+			return fmt.Errorf("restoring %q: %w", te.Name, err)
+		}
+		if crc := hash.Sum32(); crc != te.FileCRC {
+			return fmt.Errorf("%s: file checksum %08x, manifest says %08x", path, crc, te.FileCRC)
+		}
+		if h.Table().Rows() != te.Rows {
+			return fmt.Errorf("%q restored %d rows, manifest says %d", te.Name, h.Table().Rows(), te.Rows)
+		}
+		bits := h.Table().DirtyOLAP()
+		for _, row := range te.Dirty {
+			bits.Set(int(row))
+		}
+	}
+	return nil
+}
+
+// replayer applies replayed commit records the way Txn.Commit's apply step
+// applied them live: per table in first-touch order, all of a record's
+// updates to it as one UpdateCells batch under one pin, then the inserts in
+// log order. Its scratch grows once for the whole log, the way a recycled
+// Txn keeps its own.
+type replayer struct {
+	db    *ch.DB
+	tabs  []*columnar.Table // each op's table, in the record being applied
+	cells []columnar.Cell
+	rows  [][]int64
+	// The last table looked up by name: a record's ops come in runs of one
+	// table, and decoded names are interned, so the comparison is short.
+	lastName string
+	last     *columnar.Table
+}
+
+// apply validates the whole record, then applies it. An update must name a
+// row the table had before the record: a live commit applies its updates
+// before its inserts, so every log the engine writes satisfies that.
+func (r *replayer) apply(rec *wal.Record) error {
+	r.tabs = r.tabs[:0]
 	for i := range rec.Ops {
 		op := &rec.Ops[i]
-		h := db.Handle(op.Table)
-		if h == nil {
-			return rows, fmt.Errorf("log names unknown table %q", op.Table)
+		t, err := r.table(op.Table)
+		if err != nil {
+			return err
 		}
-		t := h.Table()
 		switch op.Kind {
 		case wal.OpUpdate:
 			if op.Row < 0 || op.Row >= t.Rows() {
-				return rows, fmt.Errorf("log updates row %d of %q outside its %d rows", op.Row, op.Table, t.Rows())
+				return fmt.Errorf("log updates row %d of %q outside its %d rows", op.Row, op.Table, t.Rows())
 			}
 			if w := len(t.Schema().Columns); int(op.Col) >= w {
-				return rows, fmt.Errorf("log updates column %d of %q (width %d)", op.Col, op.Table, w)
+				return fmt.Errorf("log updates column %d of %q (width %d)", op.Col, op.Table, w)
 			}
-			t.BeginApply()
-			t.UpdateCell(op.Row, int(op.Col), op.Val, rec.CommitTS)
-			t.EndApply()
 		case wal.OpInsert:
 			if op.Width != len(t.Schema().Columns) {
-				return rows, fmt.Errorf("log inserts width %d into %q (width %d)", op.Width, op.Table, len(t.Schema().Columns))
+				return fmt.Errorf("log inserts width %d into %q (width %d)", op.Width, op.Table, len(t.Schema().Columns))
 			}
-			rows = rows[:0]
-			for r := 0; r < op.NRows; r++ {
-				rows = append(rows, op.Vals[r*op.Width:(r+1)*op.Width])
-			}
-			t.AppendRows(rows, rec.CommitTS)
 		default:
-			return rows, fmt.Errorf("log op kind %d", op.Kind)
+			return fmt.Errorf("log op kind %d", op.Kind)
+		}
+		r.tabs = append(r.tabs, t)
+	}
+	for i, t := range r.tabs {
+		if rec.Ops[i].Kind != wal.OpUpdate || r.updatedBefore(rec, i, t) {
+			continue
+		}
+		r.cells = r.cells[:0]
+		for j := i; j < len(rec.Ops); j++ {
+			if op := &rec.Ops[j]; op.Kind == wal.OpUpdate && r.tabs[j] == t {
+				r.cells = append(r.cells, columnar.Cell{Row: op.Row, Col: int(op.Col), Val: op.Val})
+			}
+		}
+		t.BeginApply()
+		t.UpdateCells(r.cells, rec.CommitTS)
+		t.EndApply()
+	}
+	for i, t := range r.tabs {
+		op := &rec.Ops[i]
+		if op.Kind != wal.OpInsert {
+			continue
+		}
+		r.rows = r.rows[:0]
+		for k := 0; k < op.NRows; k++ {
+			r.rows = append(r.rows, op.Vals[k*op.Width:(k+1)*op.Width])
+		}
+		t.AppendRows(r.rows, rec.CommitTS)
+	}
+	return nil
+}
+
+// updatedBefore reports whether an op of rec before op i updates t.
+func (r *replayer) updatedBefore(rec *wal.Record, i int, t *columnar.Table) bool {
+	for j := range i {
+		if rec.Ops[j].Kind == wal.OpUpdate && r.tabs[j] == t {
+			return true
 		}
 	}
-	return rows, nil
+	return false
+}
+
+// table resolves a logged table name.
+func (r *replayer) table(name string) (*columnar.Table, error) {
+	if name != r.lastName || r.last == nil {
+		h := r.db.Handle(name)
+		if h == nil {
+			return nil, fmt.Errorf("log names unknown table %q", name)
+		}
+		r.lastName, r.last = name, h.Table()
+	}
+	return r.last, nil
 }

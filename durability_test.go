@@ -11,6 +11,7 @@ import (
 
 	"elastichtap/internal/ch"
 	"elastichtap/internal/checkpoint"
+	"elastichtap/internal/columnar"
 	"elastichtap/internal/rde"
 	"elastichtap/internal/wal"
 )
@@ -495,4 +496,130 @@ func TestOpenFromDirRejectsUnappliableRecords(t *testing.T) {
 			t.Errorf("%s: %v, want the replay to refuse the record", tc.name, err)
 		}
 	}
+}
+
+// TestRecoveryMatchesCellAtATimeReference: recovery — the pipelined
+// replay, each commit's updates to a table applied as one batch, overlapped
+// with the restore — ends in the state a reference reaches by restoring the
+// same image with no log suffix and then applying the suffix one
+// UpdateCell or AppendRows call per op, in log order: both instances'
+// cells, row timestamps, both instances' dirty bits, dirtyOLAP and the
+// column and table update counts. Against the live system at the crash
+// point, the recovered active-instance cells are equal, and so are the
+// timestamps of every row the log suffix wrote; the rest carry the
+// restore's timestamp 0.
+func TestRecoveryMatchesCellAtATimeReference(t *testing.T) {
+	fs := wal.NewMemFS()
+	sys, _ := durableSystem(t, fs, SyncAlways)
+	sys.Run(300)
+	seq, err := sys.CheckpointDB(fs, "data")
+	if err != nil {
+		t.Fatal(err)
+	}
+	sys.Run(300)
+	img := fs.Crash(false)
+	_, man := readManifest(t, img, seq)
+
+	got, info, err := OpenFromDir(img, "data")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer got.Close()
+	if info.Replayed < 300 {
+		t.Fatalf("replayed %d commits, want the 300 after the checkpoint at least", info.Replayed)
+	}
+
+	cut := img.Crash(true)
+	if err := cut.Truncate("data/"+walName, man.WALPos); err != nil {
+		t.Fatal(err)
+	}
+	ref, refInfo, err := OpenFromDir(cut, "data")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer ref.Close()
+	if refInfo.Replayed != 0 {
+		t.Fatalf("the cut log replayed %d commits", refInfo.Replayed)
+	}
+	f, err := img.Open("data/" + walName)
+	if err != nil {
+		t.Fatal(err)
+	}
+	_, err = wal.Replay(f, man.WALPos, func(_ int64, rec *wal.Record) error {
+		for _, op := range rec.Ops {
+			tab := ref.db.Handle(op.Table).Table()
+			switch op.Kind {
+			case wal.OpUpdate:
+				tab.BeginApply()
+				tab.UpdateCell(op.Row, int(op.Col), op.Val, rec.CommitTS)
+				tab.EndApply()
+			case wal.OpInsert:
+				var rows [][]int64
+				for r := 0; r < op.NRows; r++ {
+					rows = append(rows, op.Vals[r*op.Width:(r+1)*op.Width])
+				}
+				tab.AppendRows(rows, rec.CommitTS)
+			}
+		}
+		return nil
+	})
+	f.Close()
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	for _, h := range got.db.Tables() {
+		name := h.Table().Schema().Name
+		a, b, live := h.Table(), ref.db.Handle(name).Table(), sys.db.Handle(name).Table()
+		if a.Rows() != b.Rows() || a.Rows() != live.Rows() {
+			t.Fatalf("%s: recovered %d rows, reference %d, live %d", name, a.Rows(), b.Rows(), live.Rows())
+		}
+		for r := int64(0); r < a.Rows(); r++ {
+			for c := range a.Schema().Columns {
+				for k := 0; k < 2; k++ {
+					if x, y := a.ReadCell(k, r, c), b.ReadCell(k, r, c); x != y {
+						t.Fatalf("%s: instance %d row %d col %d = %d, reference %d", name, k, r, c, x, y)
+					}
+				}
+				if x, y := a.ReadActive(r, c), live.ReadActive(r, c); x != y {
+					t.Fatalf("%s: active row %d col %d = %d, live %d", name, r, c, x, y)
+				}
+			}
+			if x, y := a.RowTS(r), b.RowTS(r); x != y {
+				t.Fatalf("%s: row %d timestamp %d, reference %d", name, r, x, y)
+			}
+			if x, y := a.RowTS(r), live.RowTS(r); y > man.Clock && x != y || y <= man.Clock && x != 0 {
+				t.Fatalf("%s: row %d timestamp %d, live %d (image clock %d)", name, r, x, y, man.Clock)
+			}
+			if x, y := a.DirtyOLAP().Test(int(r)), b.DirtyOLAP().Test(int(r)); x != y {
+				t.Fatalf("%s: row %d dirtyOLAP %v, reference %v", name, r, x, y)
+			}
+		}
+		for c := range a.Schema().Columns {
+			if x, y := a.ColumnUpdateCount(c), b.ColumnUpdateCount(c); x != y {
+				t.Fatalf("%s: column %d update count %d, reference %d", name, c, x, y)
+			}
+		}
+		if x, y := a.UpdateCount(), b.UpdateCount(); x != y {
+			t.Fatalf("%s: update count %d, reference %d", name, x, y)
+		}
+		// Last, because it drains them: each instance's dirty bits, as the
+		// rows a sync visits.
+		for _, k := range []int{a.ActiveIndex(), 1 - a.ActiveIndex()} {
+			if x, y := dirtyRows(a, k), dirtyRows(b, k); !reflect.DeepEqual(x, y) {
+				t.Fatalf("%s: instance %d dirty rows %v, reference %v", name, k, x, y)
+			}
+		}
+	}
+}
+
+// dirtyRows drains instance k's dirty bits through a sync and returns the
+// rows it visited, in order.
+func dirtyRows(tab *columnar.Table, k int) []int64 {
+	var rows []int64
+	tab.SyncTo(k, func(row int64) func() {
+		rows = append(rows, row)
+		return func() {}
+	})
+	return rows
 }

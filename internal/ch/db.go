@@ -138,12 +138,14 @@ func Load(e *oltp.Engine, s Sizing, seed int64) *DB {
 // RebuildIndexes repopulates every primary-key index from table contents
 // — the recovery path after checkpoint restore and WAL replay, where rows
 // land without going through the loader or the transaction bodies that
-// normally maintain the indexes.
+// normally maintain the indexes. The indexes share nothing, so each is
+// built on a goroutine of its own.
 func (db *DB) RebuildIndexes() {
 	type keyed struct {
 		h   *oltp.TableHandle
 		key func(read func(col int) int64) uint64
 	}
+	var wg sync.WaitGroup
 	for _, k := range []keyed{
 		{db.Warehouse, func(r func(int) int64) uint64 { return WarehouseKey(r(WID)) }},
 		{db.District, func(r func(int) int64) uint64 { return DistrictKey(r(DWID), r(DID)) }},
@@ -155,13 +157,18 @@ func (db *DB) RebuildIndexes() {
 		{db.Nation, func(r func(int) int64) uint64 { return uint64(r(NNationkey)) }},
 		{db.Region, func(r func(int) int64) uint64 { return uint64(r(RRegionkey)) }},
 	} {
-		t := k.h.Table()
-		rows := t.Rows()
-		for row := int64(0); row < rows; row++ {
-			key := k.key(func(col int) int64 { return t.ReadActive(row, col) })
-			k.h.Index.Put(key, uint64(row))
-		}
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			t := k.h.Table()
+			rows := t.Rows()
+			for row := int64(0); row < rows; row++ {
+				key := k.key(func(col int) int64 { return t.ReadActive(row, col) })
+				k.h.Index.Put(key, uint64(row))
+			}
+		}()
 	}
+	wg.Wait()
 }
 
 func (db *DB) loadDimensions(rng *rand.Rand) {

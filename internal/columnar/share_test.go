@@ -250,15 +250,27 @@ func TestUnshareUnderScanAppendAndCommit(t *testing.T) {
 
 	// The committers take alternate rows, in step, from the end of the full
 	// chunk into the tail chunk, so both first-touch each chunk together.
+	// The first commits a cell at a time, the second three rows a batch
+	// through UpdateCells, whose batches straddle the chunk boundary.
 	for u := int64(0); u < 2; u++ {
 		writers.Add(1)
 		go func() {
 			defer writers.Done()
 			<-start
+			var cells []Cell
 			for row := ChunkSize - 2000 + u; row < loaded; row += 2 {
-				tab.BeginApply()
-				tab.UpdateCell(row, 1, row+bump, uint64(3+row))
-				tab.EndApply()
+				if u == 0 {
+					tab.BeginApply()
+					tab.UpdateCell(row, 1, row+bump, uint64(3+row))
+					tab.EndApply()
+					continue
+				}
+				if cells = append(cells, Cell{Row: row, Col: 1, Val: row + bump}); len(cells) == 3 || row+2 >= loaded {
+					tab.BeginApply()
+					tab.UpdateCells(cells, uint64(3+row))
+					tab.EndApply()
+					cells = cells[:0]
+				}
 			}
 		}()
 	}

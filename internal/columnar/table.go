@@ -2,6 +2,7 @@ package columnar
 
 import (
 	"fmt"
+	"math/bits"
 	"sync"
 	"sync/atomic"
 
@@ -37,6 +38,13 @@ func (in *Instance) Col(c int) *Words { return in.cols[c] }
 // Table is a twin-instance columnar table plus the shared metadata both
 // copies use: string dictionaries, per-row commit timestamps, and the
 // updated-since-ETL bitset that feeds freshness accounting.
+//
+// UpdateCells is the one in-place write path, a commit's cells of the
+// table at a time. It stores every cell, then stamps each written row's
+// timestamp, then adds once per written column to its update count, then
+// sets each row's two dirty bits and adds to the table's update count —
+// so for every row, the timestamp and the column counts are out before
+// the bits that announce it.
 type Table struct {
 	schema Schema
 	dicts  []*Dict
@@ -52,7 +60,7 @@ type Table struct {
 	rows  atomic.Int64 // committed rows (visible in the active instance)
 
 	// dirtyOLAP marks rows updated in place since the delta-ETL last drained
-	// them; only UpdateCell sets it. Inserts need no bits — every row at or
+	// them; only UpdateCells sets it. Inserts need no bits — every row at or
 	// above the replica's watermark is fresh — so a row inserted and then
 	// updated before its first ETL carries a bit above the watermark and is
 	// already counted as an insert: FreshSince counts the bits below it.
@@ -65,7 +73,7 @@ type Table struct {
 
 	// colUpdates counts, per column, every write that changed an existing
 	// cell of an instance. The only writers of an existing cell are
-	// UpdateCell and SyncTo, and both count (store first, then count), so a
+	// UpdateCells and SyncTo, and both count (store first, then count), so a
 	// reader that loads the counter, reads cells, and finds the counter
 	// unmoved has seen no cell of that column change underneath it — in
 	// either instance. Secondary indexes and cached join build sides hang
@@ -74,7 +82,7 @@ type Table struct {
 	// sibling columns churn, and a counter still at zero means every chunk
 	// of the column is still the one both instances share, holding the
 	// appended values — identical in every source because there is one.
-	// UpdateCell counts before it sets the row's update-indication bit, so
+	// UpdateCells counts before it sets the row's update-indication bit, so
 	// whoever sees the bit (SyncTo) sees the column counted.
 	// This is the one per-column update signal the table keeps (the
 	// "updated tuples" flag of the SM's column statistics, §3.2).
@@ -218,18 +226,25 @@ func (t *Table) appendRun(rows [][]int64, ts uint64) int64 {
 // filled the rows are stamped with commit timestamp ts and published, and
 // the first row ID is returned. If fill fails, AppendColumns returns its
 // error and publishes nothing: the rows stay above the row count, where no
-// reader looks, and the next append overwrites them. fill runs under the
-// table's append lock, so it must not append to or update the table.
+// reader looks, and the next append overwrites them. Storage grows a run
+// at a time, just before the run is filled, so a fill that fails early —
+// a restore whose file is shorter than its header claims — has cost only
+// the runs it filled. fill runs under the table's append lock, so it must
+// not append to or update the table.
 func (t *Table) AppendColumns(n int64, ts uint64, fill func(c int, dst []int64) error) (int64, error) {
 	if n == 0 {
 		return t.rows.Load(), nil
 	}
 	t.appendMu.Lock()
 	defer t.appendMu.Unlock()
-	base, end := t.reserve(n)
+	base := t.rows.Load()
+	end := base + n
 	a, b := t.inst[0].cols, t.inst[1].cols
 	for c := range a {
 		for r := base; r < end; {
+			next := min(r&^(ChunkSize-1)+ChunkSize, end)
+			a[c].ensure(next)
+			b[c].ensureShared(a[c], next)
 			dst := a[c].run(r, end)
 			if err := fill(c, dst); err != nil {
 				return 0, err
@@ -240,6 +255,7 @@ func (t *Table) AppendColumns(n int64, ts uint64, fill func(c int, dst []int64) 
 			r += int64(len(dst))
 		}
 	}
+	t.rowTS.ensure(end)
 	for r := base; r < end; {
 		stamps := t.rowTS.run(r, end)
 		for i := range stamps {
@@ -274,35 +290,93 @@ func (t *Table) publish(end int64) {
 	t.inst[t.active.Load()].visible.Store(end)
 }
 
-// BeginApply pins the active instance for a batch of UpdateCell calls;
-// EndApply releases it. Committing transactions bracket their per-table
-// write batch so an instance switch cannot land mid-row.
+// BeginApply pins the active instance for an UpdateCells batch; EndApply
+// releases it. Committing transactions bracket their per-table write batch
+// so an instance switch cannot land mid-row.
 func (t *Table) BeginApply() { t.applyMu.RLock() }
 
 // EndApply releases the pin taken by BeginApply.
 func (t *Table) EndApply() { t.applyMu.RUnlock() }
 
-// UpdateCell writes one cell of a committed row in the active instance,
-// marking the record's update-indication bits. Callers must hold the
-// record's exclusive lock (MV2PL), hold BeginApply for multi-cell batches,
-// and push the pre-image to the version store before calling.
+// Cell is one in-place write of a committed row: Val for column Col of
+// row Row.
+type Cell struct {
+	Row int64
+	Col int
+	Val int64
+}
+
+// UpdateCells writes a batch of cells of committed rows in the active
+// instance at commit timestamp ts and marks their rows' update-indication
+// bits. It is the table's one in-place write path: a commit hands it every
+// cell it writes to the table, and UpdateCell is its one-cell form. Callers
+// must hold each written record's exclusive lock (MV2PL), hold BeginApply
+// around the call, and push the rows' pre-images to the version store
+// first. A cell listed twice ends with its later value.
+//
+// The batch goes out in the order Table's doc states, because of who reads
+// the bits: the delta-ETL clears a row's dirtyOLAP bit and then reads its
+// timestamp to learn whether the bit it cleared was this update's, and
+// SyncTo skips the columns whose count has not moved.
+//
+//htap:hotpath
+func (t *Table) UpdateCells(cells []Cell, ts uint64) {
+	act := t.active.Load()
+	in, twin := t.inst[act], t.inst[1-act]
+	for _, c := range cells {
+		t.claim(in.cols[c.Col], twin.cols[c.Col], c.Col, c.Row)
+		in.cols[c.Col].Store(c.Row, c.Val)
+	}
+	// A commit lists a row's cells together, so a row is stamped and
+	// marked once per run of its cells; a row listed again later is
+	// stamped again, which changes nothing.
+	for i, c := range cells {
+		if i == 0 || cells[i-1].Row != c.Row {
+			t.rowTS.Store(c.Row, int64(ts))
+		}
+	}
+	t.countColumns(cells)
+	for i, c := range cells {
+		if i == 0 || cells[i-1].Row != c.Row {
+			in.dirty.Set(int(c.Row))
+			t.dirtyOLAP.Set(int(c.Row))
+		}
+	}
+	t.updates.Add(int64(len(cells)))
+}
+
+// countColumns adds each written column's cells to its update count, one
+// add per column: the columns of a window of 64 are collected as a mask,
+// then each is counted in one pass over the batch.
+//
+//htap:hotpath
+func (t *Table) countColumns(cells []Cell) {
+	for lo := 0; lo < len(t.colUpdates); lo += 64 {
+		var seen uint64
+		for _, c := range cells {
+			if d := uint(c.Col - lo); d < 64 {
+				seen |= 1 << d
+			}
+		}
+		for ; seen != 0; seen &= seen - 1 {
+			col := lo + bits.TrailingZeros64(seen)
+			n := int64(0)
+			for _, c := range cells {
+				if c.Col == col {
+					n++
+				}
+			}
+			t.colUpdates[col].Add(n)
+		}
+	}
+}
+
+// UpdateCell is UpdateCells for one cell.
 //
 //htap:hotpath
 func (t *Table) UpdateCell(row int64, col int, v int64, ts uint64) {
-	act := t.active.Load()
-	in := t.inst[act]
-	t.claim(in.cols[col], t.inst[1-act].cols[col], col, row)
-	in.cols[col].Store(row, v)
-	// The timestamp goes out before the bits: the delta-ETL clears a
-	// row's dirtyOLAP bit and then reads its timestamp to learn whether the
-	// bit it cleared was this update's, so by the time the bit can be seen
-	// the timestamp must say so. So does the column's count: SyncTo skips
-	// the columns that have none.
-	t.rowTS.Store(row, int64(ts))
-	t.colUpdates[col].Add(1)
-	in.dirty.Set(int(row))
-	t.dirtyOLAP.Set(int(row))
-	t.updates.Add(1)
+	cell := [1]Cell{{Row: row, Col: col, Val: v}}
+	t.UpdateCells(cell[:], ts)
 }
 
 // claim readies w, column col of one instance, for an in-place store at
@@ -447,7 +521,7 @@ func (t *Table) Switch() SwitchResult {
 // inactive one, which no transaction reads or writes, so nothing there is
 // newer than what is copied and lock has nothing to exclude (callers pass a
 // no-op). Commits may run meanwhile: a bit is cleared before its record is
-// read and UpdateCell sets it after its store, so a record committed during
+// read and UpdateCells sets it after its store, so a record committed during
 // its copy is marked again for the next call.
 //
 // Only cells whose word differs are stored, and each such store counts in

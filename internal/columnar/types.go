@@ -19,7 +19,7 @@
 //
 // What the OLAP replica is missing is two facts, each kept once: inserts
 // are the rows at or above the replica's row watermark — an append touches
-// no bitmap — and updates are the dirtyOLAP bits only UpdateCell sets
+// no bitmap — and updates are the dirtyOLAP bits only UpdateCells sets
 // (Table.dirtyOLAP says why FreshSince counts them below the watermark).
 //
 // Access discipline. A column is a Words: plain chunks behind an atomically
@@ -34,14 +34,14 @@
 //     its caller each column's runs in turn to fill in place (a
 //     checkpoint restore decodes into them) and publishes nothing if the
 //     caller fails.
-//   - An existing cell is written only by UpdateCell (the holder of the
-//     record's lock, inside BeginApply/EndApply, in the active instance),
+//   - An existing cell is written only by UpdateCells (the holder of the
+//     records' locks, inside BeginApply/EndApply, in the active instance),
 //     by SyncTo (in the inactive instance, which no transaction touches),
 //     and by the replica's CopyRow and CopyInserts. Each claims the chunk
 //     first: where another directory lists it — the other twin or the
 //     replica, or for the replica a twin — the writer's directory gets a
 //     copy of its own (Table.claim, Replica.claim), so no store ever
-//     lands in memory another directory lists. UpdateCell and SyncTo use
+//     lands in memory another directory lists. UpdateCells and SyncTo use
 //     atomic stores and count in colUpdates.
 //   - Point reads (ReadCell, ReadRow) use atomic loads and are always safe;
 //     what version they see is the transaction manager's business. Run

@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"runtime"
 
+	"elastichtap/internal/columnar"
 	"elastichtap/internal/wal"
 )
 
@@ -58,11 +59,13 @@ type Txn struct {
 	arena []int64
 
 	// Scratch kept across the transactions a recycled Txn runs: the
-	// pre-image gather buffer, the arena's rows as AppendRows takes them,
-	// and the commit record.
-	img  []int64
-	rows [][]int64
-	rec  wal.Record
+	// pre-image gather buffer, one table's writes as UpdateCells takes
+	// them, the arena's rows as AppendRows takes them, and the commit
+	// record.
+	img   []int64
+	cells []columnar.Cell
+	rows  [][]int64
+	rec   wal.Record
 }
 
 // Begin returns the transaction's begin (snapshot) timestamp.
@@ -398,12 +401,9 @@ func (t *Txn) apply(commitTS uint64) {
 		if t.wroteBefore(i, ref) {
 			continue // applied under the pin of its first write
 		}
+		cells := t.tableCells(i, ref)
 		ref.Table.BeginApply()
-		for _, w := range t.writes[i:] {
-			if w.ref == ref {
-				ref.Table.UpdateCell(w.row, w.col, w.val, commitTS)
-			}
-		}
+		ref.Table.UpdateCells(cells, commitTS)
 		ref.Table.EndApply()
 	}
 	for i := range t.inserts {
@@ -414,6 +414,25 @@ func (t *Txn) apply(commitTS uint64) {
 		}
 	}
 }
+
+// tableCells returns the writes to ref's table from writes[i] on as cells,
+// built in the transaction's scratch and valid until the next call.
+func (t *Txn) tableCells(i int, ref *TableRef) []columnar.Cell {
+	if cap(t.cells) < len(t.writes)-i {
+		t.growCells(len(t.writes) - i)
+	}
+	cells := t.cells[:0]
+	for _, w := range t.writes[i:] {
+		if w.ref == ref {
+			cells = cells[:len(cells)+1]
+			cells[len(cells)-1] = columnar.Cell{Row: w.row, Col: w.col, Val: w.val}
+		}
+	}
+	return cells
+}
+
+//htap:coldpath
+func (t *Txn) growCells(n int) { t.cells = make([]columnar.Cell, n+n/2) }
 
 // insertedRows returns the arena rows of one insert as row slices, built in
 // the transaction's scratch and valid until the next call.

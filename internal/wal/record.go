@@ -5,6 +5,9 @@ import (
 	"errors"
 	"fmt"
 	"hash/crc32"
+	"maps"
+	"sync"
+	"sync/atomic"
 )
 
 // Records frame as
@@ -133,6 +136,11 @@ func encodeFrame(buf []byte, rec *Record) int {
 // claimed count is validated against the remaining bytes before any
 // allocation, so malformed payloads return ErrCorrupt instead of
 // panicking or over-allocating.
+//
+// A record takes three allocations at most: the record, its ops and one
+// block holding every insert's values. Table names are interned (see
+// internName), and the values are copied out in a second pass once the
+// first has sized the block.
 func DecodeRecord(payload []byte) (*Record, error) {
 	le := binary.LittleEndian
 	if len(payload) < headerBytes || len(payload) > maxPayload {
@@ -148,8 +156,9 @@ func DecodeRecord(payload []byte) (*Record, error) {
 	if nops < 0 || nops > (len(payload)-p)/3 {
 		return nil, fmt.Errorf("%w: %d ops in %d bytes", ErrCorrupt, nops, len(payload))
 	}
-	rec.Ops = make([]Op, 0, nops)
-	for i := 0; i < nops; i++ {
+	rec.Ops = make([]Op, nops)
+	words := 0
+	for i := range rec.Ops {
 		if len(payload)-p < 3 {
 			return nil, fmt.Errorf("%w: truncated op header", ErrCorrupt)
 		}
@@ -159,7 +168,8 @@ func DecodeRecord(payload []byte) (*Record, error) {
 		if nameLen > maxTableName || len(payload)-p < nameLen {
 			return nil, fmt.Errorf("%w: table name %d bytes", ErrCorrupt, nameLen)
 		}
-		op := Op{Kind: kind, Table: string(payload[p : p+nameLen])}
+		op := &rec.Ops[i]
+		op.Kind, op.Table = kind, internName(payload[p:p+nameLen])
 		p += nameLen
 		switch kind {
 		case OpUpdate:
@@ -180,23 +190,89 @@ func DecodeRecord(payload []byte) (*Record, error) {
 			if op.NRows < 0 || op.Width <= 0 {
 				return nil, fmt.Errorf("%w: insert shape %dx%d", ErrCorrupt, op.NRows, op.Width)
 			}
-			words := op.NRows * op.Width
+			n := op.NRows * op.Width
 			if op.NRows > maxPayload/8 || op.Width > maxPayload/8 ||
-				words > (len(payload)-p)/8 {
+				n > (len(payload)-p)/8 {
 				return nil, fmt.Errorf("%w: insert %dx%d exceeds payload", ErrCorrupt, op.NRows, op.Width)
 			}
-			op.Vals = make([]int64, words)
-			for k := range op.Vals {
-				op.Vals[k] = int64(le.Uint64(payload[p:]))
-				p += 8
-			}
+			p += 8 * n
+			words += n
 		default:
 			return nil, fmt.Errorf("%w: op kind %d", ErrCorrupt, kind)
 		}
-		rec.Ops = append(rec.Ops, op)
 	}
 	if p != len(payload) {
 		return nil, fmt.Errorf("%w: %d trailing bytes", ErrCorrupt, len(payload)-p)
 	}
+	if words > 0 {
+		decodeValues(payload, rec.Ops, make([]int64, words))
+	}
 	return rec, nil
+}
+
+// decodeValues is DecodeRecord's second pass over a payload it has
+// validated: it walks the ops again and decodes each insert's words into
+// its own capped slice of vals.
+func decodeValues(payload []byte, ops []Op, vals []int64) {
+	p := headerBytes
+	for i := range ops {
+		op := &ops[i]
+		p += 3 + len(op.Table)
+		if op.Kind == OpUpdate {
+			p += 20
+			continue
+		}
+		p += 8
+		n := op.NRows * op.Width
+		op.Vals, vals = vals[:n:n], vals[n:]
+		for k := range op.Vals {
+			op.Vals[k] = int64(binary.LittleEndian.Uint64(payload[p:]))
+			p += 8
+		}
+	}
+}
+
+// maxInterned bounds the interned table names. A log names a schema's
+// tables; only a damaged one names more, and those names are allocated per
+// op instead.
+const maxInterned = 256
+
+// tableNames interns decoded table names for every decode in the process,
+// as a map published copy-on-write: a lookup is a load and takes no lock.
+var tableNames struct {
+	mu sync.Mutex
+	m  atomic.Pointer[map[string]string]
+}
+
+// internName returns the table name spelled by b without allocating once
+// the name has been seen.
+func internName(b []byte) string {
+	if m := tableNames.m.Load(); m != nil {
+		if s, ok := (*m)[string(b)]; ok {
+			return s
+		}
+	}
+	return addName(b)
+}
+
+// addName interns a name not seen yet, if there is room.
+func addName(b []byte) string {
+	tableNames.mu.Lock()
+	defer tableNames.mu.Unlock()
+	var m map[string]string
+	if old := tableNames.m.Load(); old != nil {
+		if s, ok := (*old)[string(b)]; ok {
+			return s
+		}
+		if len(*old) >= maxInterned {
+			return string(b)
+		}
+		m = maps.Clone(*old)
+	} else {
+		m = map[string]string{}
+	}
+	s := string(b)
+	m[s] = s
+	tableNames.m.Store(&m)
+	return s
 }
