@@ -9,7 +9,7 @@ import (
 
 	"elastichtap/internal/ch"
 	"elastichtap/internal/checkpoint"
-	"elastichtap/internal/columnar"
+	"elastichtap/internal/txn"
 	"elastichtap/internal/wal"
 )
 
@@ -44,7 +44,8 @@ const (
 	SyncAlways = wal.SyncAlways
 	// SyncInterval fsyncs at most once per configured interval.
 	SyncInterval = wal.SyncInterval
-	// SyncNever leaves fsync to checkpoints and Close.
+	// SyncNever leaves fsync to checkpoints, which sync the log below
+	// their position, and to closing the log (WAL().Close()).
 	SyncNever = wal.SyncNever
 )
 
@@ -188,7 +189,9 @@ func OpenFromDir(fs FS, dir string, opts ...Option) (*System, RecoveryInfo, erro
 	db.SetDay(man.Extras[extraDay])
 	s.db = db
 
-	st, clock, err := restoreAndReplay(fs, dir, seq, man, db)
+	mgr := s.inner.OLTPE.Manager()
+	mgr.RestoreState(man.Clock, man.Commits)
+	st, err := restoreAndReplay(fs, dir, seq, man, db, mgr)
 	if err != nil {
 		s.Close()
 		return nil, info, fmt.Errorf("elastichtap: OpenFromDir: %w", err)
@@ -208,8 +211,6 @@ func OpenFromDir(fs FS, dir string, opts ...Option) (*System, RecoveryInfo, erro
 		h.Replica.CopyInserts(h.Table().Active(), 0, te.ReplicaRows)
 	}
 
-	mgr := s.inner.OLTPE.Manager()
-	mgr.RestoreState(clock, man.Commits+uint64(info.Replayed))
 	info.Commits = mgr.Commits()
 	return s, info, nil
 }
@@ -241,16 +242,15 @@ func checkSizing(s ch.Sizing, man *checkpoint.Manifest) error {
 }
 
 // restoreAndReplay restores the checkpoint image into db's empty tables and
-// replays the log suffix above it, returning the scan's stats and the
-// transaction clock the log ends at. The log scan starts before the
-// restore: its scanner verifies the prefix below the image's position and
-// decodes the suffix ahead while the tables are read in. The first record
-// applies once every table and its dirty bits are in. Records apply
-// exactly as live commits did — same order, same commit timestamps — so
-// inserts reassign identical row IDs and staleness bits evolve
-// identically.
-func restoreAndReplay(fs FS, dir string, seq uint64, man *checkpoint.Manifest, db *ch.DB) (wal.ReplayStats, uint64, error) {
-	clock := man.Clock
+// replays the log suffix above it through mgr, returning the scan's stats.
+// The log scan starts before the restore: its scanner verifies the prefix
+// below the image's position and decodes the suffix ahead while the tables
+// are read in. The first record applies once every table and its dirty
+// bits are in. Each record goes through Manager.Replay, which applies it
+// with the live commit's own code, in log order and at its commit
+// timestamp, so inserts reassign identical row IDs and staleness bits
+// evolve identically.
+func restoreAndReplay(fs FS, dir string, seq uint64, man *checkpoint.Manifest, db *ch.DB, mgr *txn.Manager) (wal.ReplayStats, error) {
 	var st wal.ReplayStats
 	var restoreErr, replayErr error
 	restored, replayed := make(chan struct{}), make(chan struct{})
@@ -258,7 +258,6 @@ func restoreAndReplay(fs FS, dir string, seq uint64, man *checkpoint.Manifest, d
 		go func() {
 			defer close(replayed)
 			defer f.Close()
-			r := replayer{db: db}
 			waiting := true
 			st, replayErr = wal.Replay(f, man.WALPos, func(_ int64, rec *wal.Record) error {
 				if waiting {
@@ -267,8 +266,7 @@ func restoreAndReplay(fs FS, dir string, seq uint64, man *checkpoint.Manifest, d
 					}
 					waiting = false
 				}
-				clock = max(clock, rec.CommitTS)
-				return r.apply(rec)
+				return mgr.Replay(rec)
 			})
 		}()
 	} else {
@@ -278,12 +276,12 @@ func restoreAndReplay(fs FS, dir string, seq uint64, man *checkpoint.Manifest, d
 	close(restored)
 	<-replayed
 	if restoreErr != nil {
-		return st, 0, restoreErr
+		return st, restoreErr
 	}
 	if replayErr != nil {
-		return st, 0, fmt.Errorf("replaying log: %w", replayErr)
+		return st, fmt.Errorf("replaying log: %w", replayErr)
 	}
-	return st, clock, nil
+	return st, nil
 }
 
 // errRestoreFailed stops a log replay whose image could not be restored.
@@ -328,98 +326,4 @@ func restoreTables(fs FS, seqDir string, man *checkpoint.Manifest, db *ch.DB) er
 		}
 	}
 	return nil
-}
-
-// replayer applies replayed commit records the way Txn.Commit's apply step
-// applied them live: per table in first-touch order, all of a record's
-// updates to it as one UpdateCells batch under one pin, then the inserts in
-// log order. Its scratch grows once for the whole log, the way a recycled
-// Txn keeps its own.
-type replayer struct {
-	db    *ch.DB
-	tabs  []*columnar.Table // each op's table, in the record being applied
-	cells []columnar.Cell
-	rows  [][]int64
-	// The last table looked up by name: a record's ops come in runs of one
-	// table, and decoded names are interned, so the comparison is short.
-	lastName string
-	last     *columnar.Table
-}
-
-// apply validates the whole record, then applies it. An update must name a
-// row the table had before the record: a live commit applies its updates
-// before its inserts, so every log the engine writes satisfies that.
-func (r *replayer) apply(rec *wal.Record) error {
-	r.tabs = r.tabs[:0]
-	for i := range rec.Ops {
-		op := &rec.Ops[i]
-		t, err := r.table(op.Table)
-		if err != nil {
-			return err
-		}
-		switch op.Kind {
-		case wal.OpUpdate:
-			if op.Row < 0 || op.Row >= t.Rows() {
-				return fmt.Errorf("log updates row %d of %q outside its %d rows", op.Row, op.Table, t.Rows())
-			}
-			if w := len(t.Schema().Columns); int(op.Col) >= w {
-				return fmt.Errorf("log updates column %d of %q (width %d)", op.Col, op.Table, w)
-			}
-		case wal.OpInsert:
-			if op.Width != len(t.Schema().Columns) {
-				return fmt.Errorf("log inserts width %d into %q (width %d)", op.Width, op.Table, len(t.Schema().Columns))
-			}
-		default:
-			return fmt.Errorf("log op kind %d", op.Kind)
-		}
-		r.tabs = append(r.tabs, t)
-	}
-	for i, t := range r.tabs {
-		if rec.Ops[i].Kind != wal.OpUpdate || r.updatedBefore(rec, i, t) {
-			continue
-		}
-		r.cells = r.cells[:0]
-		for j := i; j < len(rec.Ops); j++ {
-			if op := &rec.Ops[j]; op.Kind == wal.OpUpdate && r.tabs[j] == t {
-				r.cells = append(r.cells, columnar.Cell{Row: op.Row, Col: int(op.Col), Val: op.Val})
-			}
-		}
-		t.BeginApply()
-		t.UpdateCells(r.cells, rec.CommitTS)
-		t.EndApply()
-	}
-	for i, t := range r.tabs {
-		op := &rec.Ops[i]
-		if op.Kind != wal.OpInsert {
-			continue
-		}
-		r.rows = r.rows[:0]
-		for k := 0; k < op.NRows; k++ {
-			r.rows = append(r.rows, op.Vals[k*op.Width:(k+1)*op.Width])
-		}
-		t.AppendRows(r.rows, rec.CommitTS)
-	}
-	return nil
-}
-
-// updatedBefore reports whether an op of rec before op i updates t.
-func (r *replayer) updatedBefore(rec *wal.Record, i int, t *columnar.Table) bool {
-	for j := range i {
-		if rec.Ops[j].Kind == wal.OpUpdate && r.tabs[j] == t {
-			return true
-		}
-	}
-	return false
-}
-
-// table resolves a logged table name.
-func (r *replayer) table(name string) (*columnar.Table, error) {
-	if name != r.lastName || r.last == nil {
-		h := r.db.Handle(name)
-		if h == nil {
-			return nil, fmt.Errorf("log names unknown table %q", name)
-		}
-		r.lastName, r.last = name, h.Table()
-	}
-	return r.last, nil
 }

@@ -210,6 +210,49 @@ func TestSyncNeverLosesOnlyUnsyncedTail(t *testing.T) {
 	}
 }
 
+// TestCheckpointSyncsLogBelowItsPosition: a checkpoint taken under
+// SyncNever makes the log below its position durable before its manifest.
+// Otherwise a crash keeps the image and loses that prefix, the log resumes
+// from the shorter prefix, and every commit it then logs lands below the
+// manifest's position — skipped by the next recovery although each one
+// was fsynced before it was acknowledged.
+func TestCheckpointSyncsLogBelowItsPosition(t *testing.T) {
+	fs := wal.NewMemFS()
+	sys, _ := durableSystem(t, fs, SyncNever)
+	sys.Run(100)
+	seq, err := sys.CheckpointDB(fs, "data")
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	img := fs.Crash(false)
+	sys2, info, err := OpenFromDir(img, "data")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer sys2.Close()
+	if info.Seq != seq || info.ValidPos < info.WALPos {
+		t.Fatalf("checkpoint %d at log position %d survived a log of %d bytes", info.Seq, info.WALPos, info.ValidPos)
+	}
+	if err := sys2.EnableWAL(img, "data", SyncAlways, 0); err != nil {
+		t.Fatal(err)
+	}
+	if err := sys2.StartWorkload(30); err != nil {
+		t.Fatal(err)
+	}
+	sys2.Run(50)
+	acked := sys2.inner.OLTPE.Manager().Commits()
+
+	sys3, info3, err := OpenFromDir(img.Crash(false), "data")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer sys3.Close()
+	if info3.Commits != acked {
+		t.Fatalf("recovered %d commits, the system acknowledged %d", info3.Commits, acked)
+	}
+}
+
 // readManifest returns the raw bytes and the decoded form of checkpoint
 // seq's manifest.
 func readManifest(t *testing.T, fs FS, seq uint64) ([]byte, *checkpoint.Manifest) {

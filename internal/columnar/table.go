@@ -40,11 +40,12 @@ func (in *Instance) Col(c int) *Words { return in.cols[c] }
 // updated-since-ETL bitset that feeds freshness accounting.
 //
 // UpdateCells is the one in-place write path, a commit's cells of the
-// table at a time. It stores every cell, then stamps each written row's
-// timestamp, then adds once per written column to its update count, then
-// sets each row's two dirty bits and adds to the table's update count —
-// so for every row, the timestamp and the column counts are out before
-// the bits that announce it.
+// table at a time. Outside this package its one caller is txn's
+// Txn.apply, for live commits and replayed ones alike. It stores every
+// cell, then stamps each written row's timestamp, then adds once per
+// written column to its update count, then sets each row's two dirty bits
+// and adds to the table's update count — so for every row, the timestamp
+// and the column counts are out before the bits that announce it.
 type Table struct {
 	schema Schema
 	dicts  []*Dict
@@ -310,9 +311,10 @@ type Cell struct {
 // instance at commit timestamp ts and marks their rows' update-indication
 // bits. It is the table's one in-place write path: a commit hands it every
 // cell it writes to the table, and UpdateCell is its one-cell form. Callers
-// must hold each written record's exclusive lock (MV2PL), hold BeginApply
-// around the call, and push the rows' pre-images to the version store
-// first. A cell listed twice ends with its later value.
+// hold BeginApply around the call. A live commit also holds each written
+// record's exclusive lock (MV2PL) and has pushed the rows' pre-images to
+// the version store; a replayed one, applied before any transaction
+// begins, needs neither. A cell listed twice ends with its later value.
 //
 // The batch goes out in the order Table's doc states, because of who reads
 // the bits: the delta-ETL clears a row's dirtyOLAP bit and then reads its

@@ -480,8 +480,8 @@ func (s *System) Close() {
 // proceed while table files are written from the pinned snapshot
 // instances (updates go to the re-activated twin; appends land beyond the
 // captured row watermarks). The manifest is written last, after every
-// table file is synced: a crash mid-checkpoint leaves a manifest-less
-// directory that recovery ignores.
+// table file and the log below the captured position are synced: a crash
+// mid-checkpoint leaves a manifest-less directory that recovery ignores.
 func (s *System) CheckpointDB(cfs wal.FS, dir string, extras map[string]int64) (uint64, error) {
 	tables := s.OLTPE.Tables()
 	mgr := s.OLTPE.Manager()
@@ -527,6 +527,16 @@ func (s *System) CheckpointDB(cfs wal.FS, dir string, extras map[string]int64) (
 		}
 	}()
 
+	// The manifest vouches for the log below its position, so that prefix
+	// is made durable before the manifest can be: otherwise a crash could
+	// keep the image but lose records it skips, and a log resumed from the
+	// shorter prefix would write new commits below the position, where
+	// replay never looks.
+	if l := mgr.WAL(); l != nil {
+		if err := l.Sync(); err != nil {
+			return 0, fmt.Errorf("core: checkpoint: syncing the log: %w", err)
+		}
+	}
 	seq := checkpoint.NextSeq(cfs, dir)
 	seqDir := checkpoint.SeqDir(dir, seq)
 	if err := cfs.MkdirAll(seqDir); err != nil {

@@ -51,6 +51,9 @@ type Manager struct {
 	// pool recycles the Txn of RunWithRetry, with its lock, write and
 	// insert buffers, so a steady-state transaction allocates none of them.
 	pool sync.Pool
+	// replay is the Txn Replay loads each logged commit into; its buffers
+	// last the whole log.
+	replay Txn
 
 	// log, when set, receives every committed write set before it is
 	// applied (write-ahead). gate lets the instance switch, and a checkpoint

@@ -62,7 +62,7 @@ func add(d int64) func(int64) int64 { return func(v int64) int64 { return v + d 
 
 func TestSnapshotIsolationOracle(t *testing.T) {
 	e, h := newSITable(siRows)
-	runSIOracle(t, e.Manager(), h.Ref)
+	runSIOracle(t, e.Manager(), h.Ref, func() bool { return true })
 }
 
 // TestSnapshotIsolationOracleAcrossSwitches holds the same history to the
@@ -84,7 +84,13 @@ func TestSnapshotIsolationOracleAcrossSwitches(t *testing.T) {
 			}
 		}
 	}()
-	runSIOracle(t, e.Manager(), h.Ref)
+	// The history runs on until the exchange has switched 10 times beside
+	// it: at GOMAXPROCS=2 the exchange goroutine can starve beside the
+	// writers for a whole fixed-length history.
+	runSIOracle(t, e.Manager(), h.Ref, func() bool {
+		switches, _, _ := x.Counters()
+		return switches >= 10
+	})
 	close(stop)
 	<-stopped
 	if switches, _, _ := x.Counters(); switches < 10 {
@@ -92,7 +98,10 @@ func TestSnapshotIsolationOracleAcrossSwitches(t *testing.T) {
 	}
 }
 
-func runSIOracle(t *testing.T, m *txn.Manager, ref *txn.TableRef) {
+// runSIOracle runs a history of transfers and counter increments beside
+// snapshot readers and checks every snapshot and the quiesced end state.
+// Each writer runs perW transactions, then more until enough reports true.
+func runSIOracle(t *testing.T, m *txn.Manager, ref *txn.TableRef, enough func() bool) {
 	const (
 		rows    = siRows
 		writers = 4
@@ -110,7 +119,7 @@ func runSIOracle(t *testing.T, m *txn.Manager, ref *txn.TableRef) {
 		go func(seed int64) {
 			defer writing.Done()
 			rng := rand.New(rand.NewSource(seed))
-			for i := 0; i < perW; i++ {
+			for i := 0; i < perW || !enough(); i++ {
 				a := rng.Int63n(rows)
 				if rng.Intn(3) == 0 {
 					started[a].Add(1)
