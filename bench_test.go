@@ -228,8 +228,7 @@ func BenchmarkAblationLockPolicy(b *testing.B) {
 		db := ch.Load(e, ch.TinySizing(), 1)
 		mix := ch.NewMix(db, 50, 7)
 		e.Workers().SetWorkload(mix)
-		e.Workers().SetPlacement(placementOf(8))
-		e.Workers().ExecuteBatch(2000)
+		e.Workers().ExecuteBatch(2000, 8)
 		b.ReportMetric(float64(e.Workers().Retried()), "wait-die-retries")
 		b.ReportMetric(float64(e.Workers().Failed()), "abandoned-txns")
 	}
@@ -242,9 +241,8 @@ func BenchmarkNewOrderThroughput(b *testing.B) {
 	db := ch.Load(e, ch.SizingForScale(0.01), 1)
 	mix := ch.NewMix(db, 0, 3)
 	e.Workers().SetWorkload(mix)
-	e.Workers().SetPlacement(placementOf(8))
 	b.ResetTimer()
-	e.Workers().ExecuteBatch(b.N)
+	e.Workers().ExecuteBatch(b.N, 8)
 }
 
 // txnsPerOp is how many transactions one iteration of the BenchmarkTxn*

@@ -73,8 +73,7 @@ func factSource(db *ch.DB, table string) olap.Source {
 func runNewOrders(t testing.TB, e *oltp.Engine, db *ch.DB, n int) {
 	t.Helper()
 	e.Workers().SetWorkload(ch.NewMix(db, 0, 5))
-	e.Workers().SetPlacement(topology.Placement{PerSocket: []int{2}})
-	e.Workers().ExecuteBatch(n)
+	e.Workers().ExecuteBatch(n, 2)
 }
 
 func TestBuilderPlanMetadataMatchesHandCoded(t *testing.T) {

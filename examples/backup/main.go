@@ -46,12 +46,16 @@ func main() {
 	}
 
 	// Keep the transactional engine busy while the checkpoint streams.
-	sys.Core().OLTPE.Workers().Start()
+	done := make(chan struct{})
+	go func() {
+		defer close(done)
+		sys.Run(2000)
+	}()
 	seq, err := sys.CheckpointDB(fs, dir)
+	<-done
 	if err != nil {
 		log.Fatal(err)
 	}
-	sys.Core().OLTPE.Workers().Stop()
 	fmt.Printf("checkpoint %d streamed with transactions running\n", seq)
 
 	// More commits after the checkpoint: these survive only in the WAL.

@@ -5,7 +5,8 @@
 // The system couples three engines over a modeled NUMA machine:
 //
 //   - an OLTP engine: twin-instance columnar storage, MV2PL snapshot
-//     isolation, cuckoo-hash indexes, an elastic worker pool;
+//     isolation, cuckoo-hash indexes, an elastic worker pool that runs
+//     each transaction batch on the scheduler's current OLTP core count;
 //   - an OLAP engine: a persistent, elastic worker pool — one goroutine
 //     per allocated core, per-socket morsel queues with socket-affine
 //     dispatch and cross-socket work stealing — running morsel-parallel
@@ -21,7 +22,8 @@
 // (hybrid isolated) and S3-NI (hybrid non-isolated) per query. A state's
 // core assignment is a per-socket count for each engine, a pure function
 // of the state and the administrator's thresholds; a migration computes
-// it and resizes both worker pools in one step.
+// it and resizes the OLAP worker pool in one step, and the next
+// transaction batch runs on the OLTP count it left.
 //
 // The public surface is a session API in the shape Go database clients
 // expect — contexts everywhere, asynchronous submission, and prepared
@@ -318,7 +320,11 @@ func (s *System) StartWorkload(paymentPct int) error {
 	return nil
 }
 
-// Run synchronously executes n transactions across the OLTP worker pool.
+// Run synchronously executes n transactions of the installed workload on
+// as many OLTP workers as the scheduler's OLTP placement holds when the
+// batch starts, and from the workload installed then: a StartWorkload
+// during the batch reaches the next one. It is safe to call beside
+// queries and checkpoints.
 func (s *System) Run(n int) { s.inner.InjectTransactions(n) }
 
 // OLTPThroughput reports the modeled transactional throughput with the
@@ -379,8 +385,8 @@ const (
 // Metrics returns a system-wide observability snapshot.
 func (s *System) Metrics() metrics.Snapshot { return s.inner.Metrics() }
 
-// Close releases the system's worker pools: the persistent OLAP pool
-// drains queued work and its goroutines exit. Close is idempotent and
+// Close releases the persistent OLAP worker pool: it drains queued work
+// and its goroutines exit. Close is idempotent and
 // safe to call concurrently with in-flight queries — already-admitted
 // work drains to completion, while queries and submissions arriving
 // after Close fail with an error wrapping ErrClosed. Call it when the

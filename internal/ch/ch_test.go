@@ -155,8 +155,7 @@ func TestMixWorkload(t *testing.T) {
 	db := loadTiny(t)
 	mix := NewMix(db, 50, 9)
 	db.Engine.Workers().SetWorkload(mix)
-	db.Engine.Workers().SetPlacement(topology.Placement{PerSocket: []int{4}})
-	db.Engine.Workers().ExecuteBatch(60)
+	db.Engine.Workers().ExecuteBatch(60, 4)
 	if got := db.Engine.Workers().Executed(); got != 60 {
 		t.Fatalf("executed = %d", got)
 	}

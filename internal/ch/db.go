@@ -48,46 +48,11 @@ func (db *DB) Day() int64 { return db.day.Load() }
 // SetDay restores the logical date (recovery only).
 func (db *DB) SetDay(d int64) { db.day.Store(d) }
 
-// Tables returns every table handle, fact tables first.
-func (db *DB) Tables() []*oltp.TableHandle {
-	return []*oltp.TableHandle{
-		db.OrderLine, db.Orders, db.NewOrderT, db.History, db.Stock,
-		db.Customer, db.District, db.Warehouse, db.Item,
-		db.Supplier, db.Nation, db.Region,
-	}
-}
+// Tables returns every table handle in creation order.
+func (db *DB) Tables() []*oltp.TableHandle { return db.Engine.Tables() }
 
 // Handle returns a table handle by name, or nil.
-func (db *DB) Handle(name string) *oltp.TableHandle {
-	switch name {
-	case TWarehouse:
-		return db.Warehouse
-	case TDistrict:
-		return db.District
-	case TCustomer:
-		return db.Customer
-	case THistory:
-		return db.History
-	case TNewOrder:
-		return db.NewOrderT
-	case TOrders:
-		return db.Orders
-	case TOrderLine:
-		return db.OrderLine
-	case TItem:
-		return db.Item
-	case TStock:
-		return db.Stock
-	case TSupplier:
-		return db.Supplier
-	case TNation:
-		return db.Nation
-	case TRegion:
-		return db.Region
-	default:
-		return nil
-	}
-}
+func (db *DB) Handle(name string) *oltp.TableHandle { return db.Engine.Table(name) }
 
 var nationNames = []string{
 	"ALGERIA", "ARGENTINA", "BRAZIL", "CANADA", "EGYPT", "ETHIOPIA", "FRANCE",

@@ -6,7 +6,6 @@ import (
 
 	"elastichtap/internal/columnar"
 	"elastichtap/internal/oltp"
-	"elastichtap/internal/topology"
 )
 
 func TestDeliveryStampsOrderLines(t *testing.T) {
@@ -113,8 +112,7 @@ func TestFullMixRuns(t *testing.T) {
 	e := oltp.NewEngine()
 	db := Load(e, TinySizing(), 5)
 	e.Workers().SetWorkload(NewFullMix(db, 5))
-	e.Workers().SetPlacement(topology.Placement{PerSocket: []int{4}})
-	e.Workers().ExecuteBatch(100)
+	e.Workers().ExecuteBatch(100, 4)
 	if got := e.Workers().Executed(); got != 100 {
 		t.Fatalf("executed = %d (failed=%d)", got, e.Workers().Failed())
 	}

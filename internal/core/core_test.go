@@ -3,9 +3,11 @@ package core
 import (
 	"context"
 	"strings"
+	"sync"
 	"testing"
 
 	"elastichtap/internal/ch"
+	"elastichtap/internal/oltp"
 	"elastichtap/internal/rde"
 )
 
@@ -55,6 +57,46 @@ func TestMigrationsConserveCoresAndRespectFloors(t *testing.T) {
 		case S2, S3IS:
 			if got := oltpP.On(0); got != 14 {
 				t.Fatalf("state %v: OLTP should own its socket, has %d", st, got)
+			}
+		}
+	}
+}
+
+// workerRecorder is a workload that remembers which worker ids asked it for
+// a transaction body; each body is the wrapped workload's.
+type workerRecorder struct {
+	inner oltp.Workload
+	mu    sync.Mutex
+	seen  map[int]bool
+}
+
+func (w *workerRecorder) Next(worker int) oltp.TxnFunc {
+	w.mu.Lock()
+	w.seen[worker] = true
+	w.mu.Unlock()
+	return w.inner.Next(worker)
+}
+
+// TestInjectTransactionsUsesOLTPPlacement: a batch runs on exactly as many
+// workers as the scheduler's OLTP placement holds after the migration
+// before it, numbered from zero — the scheduler is the only holder of the
+// OLTP core count.
+func TestInjectTransactionsUsesOLTPPlacement(t *testing.T) {
+	sys, db := newTestSystem(t)
+	defer sys.Close()
+	n := 2 * sys.Cfg.Topology.TotalCores()
+	for _, st := range []State{S1, S2, S3IS, S3NI} {
+		sys.Sched.MigrateTo(st)
+		_, oltpP, _ := sys.Sched.Placements()
+		rec := &workerRecorder{inner: ch.NewMix(db, 0, 1), seen: map[int]bool{}}
+		sys.OLTPE.Workers().SetWorkload(rec)
+		sys.InjectTransactions(n)
+		if len(rec.seen) != oltpP.Total() {
+			t.Errorf("%v: batch of %d ran on %d workers, OLTP placement holds %d cores", st, n, len(rec.seen), oltpP.Total())
+		}
+		for w := range oltpP.Total() {
+			if !rec.seen[w] {
+				t.Errorf("%v: worker %d of %d never ran", st, w, oltpP.Total())
 			}
 		}
 	}

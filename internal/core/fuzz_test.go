@@ -3,6 +3,7 @@ package core
 import (
 	"context"
 	"math/rand"
+	"sync"
 	"testing"
 
 	"elastichtap/internal/ch"
@@ -68,14 +69,28 @@ func TestFuzzRandomScheduleEquivalence(t *testing.T) {
 	}
 }
 
-// TestFuzzConcurrentQueriesAndTransactions runs the OLAP path while the
-// worker pool is free-running, ensuring snapshots stay consistent under
-// real concurrency (not just injected batches).
+// TestFuzzConcurrentQueriesAndTransactions runs the OLAP path while a
+// goroutine keeps injecting transaction batches, ensuring snapshots stay
+// consistent under real concurrency (not just batches between queries).
 func TestFuzzConcurrentQueriesAndTransactions(t *testing.T) {
 	sys, db := newTestSystem(t)
 	sys.PrimeReplicas()
-	sys.OLTPE.Workers().Start()
-	defer sys.OLTPE.Workers().Stop()
+	stop := make(chan struct{})
+	var wg sync.WaitGroup
+	wg.Add(1)
+	go func() {
+		defer wg.Done()
+		for {
+			select {
+			case <-stop:
+				return
+			default:
+			}
+			sys.InjectTransactions(50)
+		}
+	}()
+	halt := sync.OnceFunc(func() { close(stop); wg.Wait() })
+	defer halt()
 
 	var last float64
 	for i := 0; i < 6; i++ {
@@ -93,9 +108,9 @@ func TestFuzzConcurrentQueriesAndTransactions(t *testing.T) {
 			t.Fatalf("query %d: bad revenue %v", i, rev)
 		}
 	}
-	sys.OLTPE.Workers().Stop()
+	halt()
 	if sys.OLTPE.Workers().Failed() != 0 {
-		t.Fatalf("free-running pool abandoned %d txns", sys.OLTPE.Workers().Failed())
+		t.Fatalf("concurrent batches abandoned %d txns", sys.OLTPE.Workers().Failed())
 	}
 
 	// The twins agree after a final sync.

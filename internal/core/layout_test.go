@@ -14,7 +14,7 @@ import (
 
 var allStates = []State{S1, S2, S3IS, S3NI}
 
-func noPools(_, _ topology.Placement) {}
+func noPools(topology.Placement) {}
 
 // gridConfig is the scheduler configuration of one golden-table case: the
 // same floor on every socket.
@@ -110,7 +110,7 @@ func TestLayoutMatchesAlgorithm1(t *testing.T) {
 // TestUnplaceableEnginesRejectedAtNew: home sockets the layout could not
 // index are refused when the system is built, which leaves MigrateTo with
 // no failing case — every state of every accepted configuration lays out,
-// and what the pools are handed is what Placements reports.
+// and what the OLAP pool is handed is what Placements reports.
 func TestUnplaceableEnginesRejectedAtNew(t *testing.T) {
 	for _, c := range []struct {
 		name               string
@@ -136,17 +136,17 @@ func TestUnplaceableEnginesRejectedAtNew(t *testing.T) {
 					for _, sockThres := range []int{0, 1, homes[0], homes[0] + 2} {
 						topo := topology.DefaultConfig()
 						topo.Sockets, topo.CoresPerSocket = homes[0], cores
-						var gotOLTP, gotOLAP topology.Placement
+						var gotOLAP topology.Placement
 						s, err := NewScheduler(gridConfig(topo, elastic, floor, sockThres), topo, homes[1], homes[2],
-							func(oltp, olap topology.Placement) { gotOLTP, gotOLAP = oltp, olap })
+							func(olap topology.Placement) { gotOLAP = olap })
 						if err != nil {
 							t.Fatal(err)
 						}
 						for _, st := range allStates {
 							s.MigrateTo(st)
 							_, oltp, olap := s.Placements()
-							if !oltp.Equal(gotOLTP) || !olap.Equal(gotOLAP) {
-								t.Fatalf("%v on %v: pools were handed %v/%v, scheduler holds %v/%v", st, homes, gotOLTP, gotOLAP, oltp, olap)
+							if !olap.Equal(gotOLAP) {
+								t.Fatalf("%v on %v: OLAP pool was handed %v, scheduler holds %v", st, homes, gotOLAP, olap)
 							}
 							for sock := 0; sock < topo.Sockets; sock++ {
 								if oltp.On(sock) < 0 || olap.On(sock) < 0 || oltp.On(sock)+olap.On(sock) > cores {

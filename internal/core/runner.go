@@ -89,15 +89,11 @@ func NewSystem(cfg SystemConfig) (*System, error) {
 	}
 	oltpE := oltp.NewEngine()
 	olapE := olap.NewEngine(cfg.Topology.Sockets)
-	// The one site where placements reach the worker pools: every
-	// migration — the boot into S2, RunQuery's, anyone's Sched.MigrateTo —
-	// resizes both immediately, so the OLAP pool sheds or gains workers
-	// while queries are still in flight.
-	sched, err := NewScheduler(cfg.Scheduler, cfg.Topology, cfg.OLTPSocket, cfg.OLAPSocket,
-		func(oltpP, olapP topology.Placement) {
-			oltpE.Workers().SetPlacement(oltpP)
-			olapE.SetPlacement(olapP)
-		})
+	// The one site where placements reach the OLAP pool: every migration —
+	// the boot into S2, RunQuery's, anyone's Sched.MigrateTo — resizes it
+	// immediately, so it sheds or gains workers while queries are still in
+	// flight. The OLTP pool has no copy: InjectTransactions reads its count.
+	sched, err := NewScheduler(cfg.Scheduler, cfg.Topology, cfg.OLTPSocket, cfg.OLAPSocket, olapE.SetPlacement)
 	if err != nil {
 		return nil, err
 	}
@@ -446,24 +442,26 @@ func (s *System) OLTPThroughputNow() float64 {
 }
 
 // InjectTransactions synchronously executes n transactions from the
-// installed workload across the OLTP worker pool. Experiment drivers call
-// it to advance the transactional state by a deterministic amount that
-// corresponds to a simulated interval.
+// installed workload on as many OLTP workers as the scheduler's OLTP
+// placement holds when the batch starts; a migration during the batch
+// sizes the next one. Experiment drivers call it to advance the
+// transactional state by a deterministic amount that corresponds to a
+// simulated interval.
 func (s *System) InjectTransactions(n int) {
-	s.OLTPE.Workers().ExecuteBatch(n)
+	_, oltpP, _ := s.Sched.Placements()
+	s.OLTPE.Workers().ExecuteBatch(n, oltpP.Total())
 }
 
-// Close shuts the system's worker pools down: the persistent OLAP pool's
-// goroutines drain queued morsels and exit, and the OLTP pool stops if it
-// was free-running. Close is idempotent and safe to call concurrently
-// with in-flight queries — already-admitted tasks drain to completion
-// (retiring workers act as caretakers), while new submissions fail with
-// an error wrapping olap.ErrClosed. Concurrent Close calls all return
-// only after the pools are down.
+// Close shuts the persistent OLAP pool down: its goroutines drain queued
+// morsels and exit (OLTP batches hold no goroutines between calls). Close
+// is idempotent and safe to call concurrently with in-flight queries —
+// already-admitted tasks drain to completion (retiring workers act as
+// caretakers), while new submissions fail with an error wrapping
+// olap.ErrClosed. Concurrent Close calls all return only after the pool
+// is down.
 func (s *System) Close() {
 	s.closeOnce.Do(func() {
 		s.closed.Store(true)
-		s.OLTPE.Workers().Stop()
 		s.OLAPE.Close()
 	})
 }

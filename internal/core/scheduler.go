@@ -11,14 +11,15 @@ import (
 
 // Scheduler owns the state machine: it decides the target state per query
 // (Algorithm 2), lays the state out as cores per engine per socket
-// (Algorithm 1, the pure layout in migrate.go) and hands each layout to
-// the engines' worker pools. It is safe for concurrent use — queries admit
+// (Algorithm 1, the pure layout in migrate.go) and hands each OLAP layout
+// to the OLAP worker pool; the OLTP layout is read from Placements when a
+// transaction batch starts. It is safe for concurrent use — queries admit
 // and migrate from any goroutine.
 type Scheduler struct {
 	topo                   topology.Config
 	oltpSocket, olapSocket int
-	// apply resizes the two worker pools; MigrateTo is its only caller.
-	apply func(oltp, olap topology.Placement)
+	// apply resizes the OLAP worker pool; MigrateTo is its only caller.
+	apply func(olap topology.Placement)
 
 	mu    sync.Mutex
 	cfg   Config //htap:guardedby mu
@@ -31,13 +32,13 @@ type Scheduler struct {
 
 // NewScheduler builds a scheduler for the machine and boots it in S2, full
 // isolation, each engine owning one socket (§5.1). Every layout, the boot
-// one included, reaches the worker pools through apply, which runs while
-// the scheduler lock is held — concurrent migrations resize the pools in
-// migration order and can never leave one sized for a stale state — and
+// one included, reaches the OLAP pool through apply, which runs while the
+// scheduler lock is held — concurrent migrations resize the pool in
+// migration order and can never leave it sized for a stale state — and
 // must not call back into the Scheduler. The engines' home sockets must be
 // two different sockets of the machine: that is all Algorithm 1 needs to
 // place every state, so no later migration can fail.
-func NewScheduler(cfg Config, topo topology.Config, oltpSocket, olapSocket int, apply func(oltp, olap topology.Placement)) (*Scheduler, error) {
+func NewScheduler(cfg Config, topo topology.Config, oltpSocket, olapSocket int, apply func(olap topology.Placement)) (*Scheduler, error) {
 	if err := cfg.Validate(); err != nil {
 		return nil, err
 	}
@@ -118,10 +119,10 @@ func (s *Scheduler) Decide(f rde.Freshness, queryBatch bool) State {
 }
 
 // MigrateTo enforces the target state (Algorithm 1): it records the state
-// with its layout and resizes the engine worker pools at once — running
+// with its layout and resizes the OLAP worker pool at once — running
 // queries shed or gain workers mid-flight. Re-entering the current state,
 // what every query of a steady phase does, keeps the published placements
-// and re-applies them, which the pools take as a no-op.
+// and re-applies the OLAP one, which the pool takes as a no-op.
 //
 //htap:hotpath
 func (s *Scheduler) MigrateTo(st State) {
@@ -133,7 +134,7 @@ func (s *Scheduler) MigrateTo(st State) {
 	}
 	// Still under s.mu: this migration's layout is applied before any
 	// later migration can replace it.
-	s.apply(s.oltp, s.olap)
+	s.apply(s.olap)
 }
 
 // Placements returns the current state and both engines' allocations as

@@ -1,8 +1,8 @@
 // Package oltp assembles the paper's OLTP engine (§3.2): the twin-instance
 // columnar Storage Manager (internal/columnar), the MV2PL Transaction
 // Manager (internal/txn), cuckoo-hash primary indexes (internal/cuckoo)
-// and an elastic Worker pool Manager whose size and placement the RDE
-// engine adjusts at runtime.
+// and an elastic Worker pool Manager that runs each transaction batch on
+// as many workers as the scheduler's OLTP placement holds when it starts.
 //
 // The engine runs no background maintenance. Pre-image versions
 // (internal/vm) are reclaimed by the transactions that push them: each
@@ -19,7 +19,6 @@ import (
 	"elastichtap/internal/columnar"
 	"elastichtap/internal/cuckoo"
 	"elastichtap/internal/index"
-	"elastichtap/internal/topology"
 	"elastichtap/internal/txn"
 )
 
@@ -130,18 +129,14 @@ type Workload interface {
 
 // WorkerManager is the elastic worker pool (§3.2): "The WM exposes an API
 // to set the number of active worker threads and their CPU affinities".
-// Each worker simulates a full transaction queue: generate, execute,
-// repeat. Placement is bookkeeping for the cost model; execution itself
-// uses goroutines.
+// The scheduler owns that number — the OLTP placement — and each batch is
+// handed its worker count when it starts; execution itself uses
+// goroutines, one per worker, each generating and executing transactions.
 type WorkerManager struct {
 	e *Engine
 
-	mu        sync.Mutex
-	placement topology.Placement
-	workload  Workload
-	cancel    chan struct{}
-	wg        sync.WaitGroup
-	running   bool
+	mu       sync.Mutex
+	workload Workload //htap:guardedby mu
 
 	executed atomic.Uint64
 	retried  atomic.Uint64
@@ -152,45 +147,16 @@ func newWorkerManager(e *Engine) *WorkerManager {
 	return &WorkerManager{e: e}
 }
 
-// SetWorkload installs the transaction generator.
+// SetWorkload installs the transaction generator. A batch already running
+// keeps the workload it started with.
 func (wm *WorkerManager) SetWorkload(w Workload) {
 	wm.mu.Lock()
 	defer wm.mu.Unlock()
 	wm.workload = w
 }
 
-// SetPlacement records the worker pool's core allocation. When the pool is
-// running, it is restarted with the new size.
-func (wm *WorkerManager) SetPlacement(p topology.Placement) {
-	wm.mu.Lock()
-	if wm.placement.Equal(p) {
-		wm.mu.Unlock()
-		return // unchanged allocation: don't restart a running pool
-	}
-	running := wm.running
-	wm.mu.Unlock()
-	if running {
-		wm.Stop()
-		wm.mu.Lock()
-		wm.placement = p.Clone()
-		wm.mu.Unlock()
-		wm.Start()
-		return
-	}
-	wm.mu.Lock()
-	wm.placement = p.Clone()
-	wm.mu.Unlock()
-}
-
-// Placement returns the current core allocation.
-func (wm *WorkerManager) Placement() topology.Placement {
-	wm.mu.Lock()
-	defer wm.mu.Unlock()
-	return wm.placement.Clone()
-}
-
-// Executed returns the number of committed transactions processed by the
-// pool (batch and free-running combined).
+// Executed returns the number of committed transactions the pool's
+// batches have processed.
 func (wm *WorkerManager) Executed() uint64 { return wm.executed.Load() }
 
 // Retried returns the number of aborted-and-retried attempts.
@@ -200,50 +166,8 @@ func (wm *WorkerManager) Retried() uint64 { return wm.retried.Load() }
 // retries or hitting non-retryable errors.
 func (wm *WorkerManager) Failed() uint64 { return wm.failed.Load() }
 
-// Start launches one goroutine per allocated core, each generating and
-// executing transactions until Stop.
-func (wm *WorkerManager) Start() {
-	wm.mu.Lock()
-	defer wm.mu.Unlock()
-	if wm.running || wm.workload == nil {
-		return
-	}
-	wm.cancel = make(chan struct{})
-	n := wm.placement.Total()
-	for i := 0; i < n; i++ {
-		wm.wg.Add(1)
-		go wm.run(i, wm.cancel)
-	}
-	wm.running = true
-}
-
-// Stop halts the pool and waits for workers to drain.
-func (wm *WorkerManager) Stop() {
-	wm.mu.Lock()
-	if !wm.running {
-		wm.mu.Unlock()
-		return
-	}
-	close(wm.cancel)
-	wm.running = false
-	wm.mu.Unlock()
-	wm.wg.Wait()
-}
-
-func (wm *WorkerManager) run(worker int, cancel <-chan struct{}) {
-	defer wm.wg.Done()
-	for {
-		select {
-		case <-cancel:
-			return
-		default:
-		}
-		wm.execOne(worker)
-	}
-}
-
-func (wm *WorkerManager) execOne(worker int) {
-	body := wm.workload.Next(worker)
+func (wm *WorkerManager) execOne(workload Workload, worker int) {
+	body := workload.Next(worker)
 	// Wait-die with sticky priorities guarantees progress; the cap only
 	// bounds pathological workloads. Dropping transactions silently would
 	// make injected workload volumes nondeterministic.
@@ -256,24 +180,19 @@ func (wm *WorkerManager) execOne(worker int) {
 	}
 }
 
-// ExecuteBatch synchronously executes n transactions spread across the
-// allocated workers and returns when all have committed. Experiment
-// drivers use it to inject a deterministic amount of transactional work
-// "during" a simulated interval.
-func (wm *WorkerManager) ExecuteBatch(n int) {
+// ExecuteBatch synchronously executes n transactions of the installed
+// workload spread across workers goroutines (at least one) and returns
+// when all have committed. Experiment drivers use it to inject a
+// deterministic amount of transactional work "during" a simulated
+// interval.
+func (wm *WorkerManager) ExecuteBatch(n, workers int) {
 	wm.mu.Lock()
 	workload := wm.workload
-	workers := wm.placement.Total()
 	wm.mu.Unlock()
 	if workload == nil || n <= 0 {
 		return
 	}
-	if workers <= 0 {
-		workers = 1
-	}
-	if workers > n {
-		workers = n
-	}
+	workers = min(max(workers, 1), n)
 	var wg sync.WaitGroup
 	per := n / workers
 	extra := n % workers
@@ -282,14 +201,11 @@ func (wm *WorkerManager) ExecuteBatch(n int) {
 		if w < extra {
 			count++
 		}
-		if count == 0 {
-			continue
-		}
 		wg.Add(1)
 		go func(worker, count int) {
 			defer wg.Done()
 			for i := 0; i < count; i++ {
-				wm.execOne(worker)
+				wm.execOne(workload, worker)
 			}
 		}(w, count)
 	}

@@ -1,12 +1,12 @@
 package oltp
 
 import (
+	"runtime"
+	"sync"
 	"sync/atomic"
 	"testing"
-	"time"
 
 	"elastichtap/internal/columnar"
-	"elastichtap/internal/topology"
 	"elastichtap/internal/txn"
 )
 
@@ -95,8 +95,7 @@ func TestExecuteBatchCounts(t *testing.T) {
 	h.Table().AppendRows([][]int64{{0, 0}}, 0)
 	w := &counterWorkload{ref: h.Ref}
 	e.Workers().SetWorkload(w)
-	e.Workers().SetPlacement(topology.Placement{PerSocket: []int{4}})
-	e.Workers().ExecuteBatch(100)
+	e.Workers().ExecuteBatch(100, 4)
 	if got := e.Workers().Executed(); got != 100 {
 		t.Fatalf("executed = %d", got)
 	}
@@ -110,73 +109,54 @@ func TestExecuteBatchCounts(t *testing.T) {
 
 func TestExecuteBatchZeroAndNoWorkload(t *testing.T) {
 	e := NewEngine()
-	e.Workers().ExecuteBatch(10) // no workload: must be a no-op
+	e.Workers().ExecuteBatch(10, 1) // no workload: must be a no-op
 	if e.Workers().Executed() != 0 {
 		t.Fatal("executed without workload")
 	}
 	h := e.CreateTable(testSchema(), 8, false)
 	h.Table().AppendRows([][]int64{{0, 0}}, 0)
 	e.Workers().SetWorkload(&counterWorkload{ref: h.Ref})
-	e.Workers().ExecuteBatch(0)
+	e.Workers().ExecuteBatch(0, 1)
 	if e.Workers().Executed() != 0 {
 		t.Fatal("executed zero-sized batch")
 	}
 	// Zero workers falls back to one.
-	e.Workers().SetPlacement(topology.Placement{PerSocket: []int{0}})
-	e.Workers().ExecuteBatch(5)
+	e.Workers().ExecuteBatch(5, 0)
 	if e.Workers().Executed() != 5 {
 		t.Fatalf("executed = %d", e.Workers().Executed())
 	}
 }
 
-func TestStartStopFreeRunning(t *testing.T) {
+// TestSetWorkloadDuringBatch: installing a workload while a batch runs is
+// safe, and the batch keeps the workload it started with — it reads the
+// workload once, under the pool's lock, and runs all its transactions from
+// it. Run under -race.
+func TestSetWorkloadDuringBatch(t *testing.T) {
 	e := NewEngine()
 	h := e.CreateTable(testSchema(), 8, false)
 	h.Table().AppendRows([][]int64{{0, 0}}, 0)
-	e.Workers().SetWorkload(&counterWorkload{ref: h.Ref})
-	e.Workers().SetPlacement(topology.Placement{PerSocket: []int{2}})
-	e.Workers().Start()
-	defer e.Workers().Stop()
-	deadline := time.Now().Add(2 * time.Second)
-	for e.Workers().Executed() == 0 {
-		if time.Now().After(deadline) {
-			t.Fatal("free-running pool executed nothing")
+	first, second := &counterWorkload{ref: h.Ref}, &counterWorkload{ref: h.Ref}
+	e.Workers().SetWorkload(first)
+	var wg sync.WaitGroup
+	wg.Add(1)
+	go func() {
+		defer wg.Done()
+		for first.calls.Load() == 0 {
+			runtime.Gosched() // the batch has started
 		}
-		time.Sleep(time.Millisecond)
+		for i := 0; i < 200; i++ {
+			e.Workers().SetWorkload(second)
+		}
+	}()
+	e.Workers().ExecuteBatch(2000, 4)
+	wg.Wait()
+	if got := e.Workers().Executed(); got != 2000 {
+		t.Fatalf("executed = %d", got)
 	}
-	e.Workers().Stop()
-	after := e.Workers().Executed()
-	time.Sleep(10 * time.Millisecond)
-	if e.Workers().Executed() != after {
-		t.Fatal("pool kept running after Stop")
+	if got := h.Table().ReadActive(0, 1); got != 2000 {
+		t.Fatalf("counter = %d (lost updates)", got)
 	}
-	// Stop is idempotent; Start works again.
-	e.Workers().Stop()
-	e.Workers().Start()
-	e.Workers().Stop()
-}
-
-func TestSetPlacementWhileRunningRestarts(t *testing.T) {
-	e := NewEngine()
-	h := e.CreateTable(testSchema(), 8, false)
-	h.Table().AppendRows([][]int64{{0, 0}}, 0)
-	e.Workers().SetWorkload(&counterWorkload{ref: h.Ref})
-	e.Workers().SetPlacement(topology.Placement{PerSocket: []int{2}})
-	e.Workers().Start()
-	e.Workers().SetPlacement(topology.Placement{PerSocket: []int{1, 3}})
-	got := e.Workers().Placement()
-	if got.Total() != 4 {
-		t.Fatalf("placement total = %d", got.Total())
-	}
-	e.Workers().Stop()
-}
-
-func TestPlacementClone(t *testing.T) {
-	e := NewEngine()
-	p := topology.Placement{PerSocket: []int{3}}
-	e.Workers().SetPlacement(p)
-	p.PerSocket[0] = 99
-	if e.Workers().Placement().Total() != 3 {
-		t.Fatal("placement aliases caller storage")
+	if a, b := first.calls.Load(), second.calls.Load(); a != 2000 || b != 0 {
+		t.Fatalf("batch took %d bodies from its workload and %d from one installed after it started", a, b)
 	}
 }
