@@ -1,13 +1,10 @@
 package costmodel
 
 import (
-	"fmt"
 	"math"
 
 	"elastichtap/internal/topology"
 )
-
-func sprintf(format string, args ...any) string { return fmt.Sprintf(format, args...) }
 
 // Model evaluates simulated durations on a fixed machine. It is stateless
 // and safe for concurrent use; all contention inputs are explicit.
@@ -169,7 +166,7 @@ func (m *Model) OLAPScan(req ScanRequest) ScanResult {
 			}
 		}
 		if remoteSockets == 0 {
-			remoteSockets = maxInt(len(req.Workers.Sockets())-1, 0)
+			remoteSockets = max(len(req.Workers.Sockets())-1, 0)
 		}
 		bcastBytes = req.BroadcastBytes * int64(float64(remoteSockets)*m.p.BroadcastBuildPenalty)
 		if bcastBytes > 0 {
@@ -275,13 +272,6 @@ func int64OrZero(xs []int64, i int) int64 {
 		return 0
 	}
 	return xs[i]
-}
-
-func maxInt(a, b int) int {
-	if a > b {
-		return a
-	}
-	return b
 }
 
 // OLTPLoad describes the transactional engine's situation for timing.

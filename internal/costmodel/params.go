@@ -11,6 +11,8 @@
 // phenomenon the paper's scheduler manages.
 package costmodel
 
+import "fmt"
+
 // WorkClass describes the per-core CPU intensity of an analytical operator
 // pipeline. Scan-dominated pipelines process more bytes per second per core
 // than group-by or join pipelines (§5.3: Q6 vs Q1 vs Q19).
@@ -185,5 +187,5 @@ type paramErr string
 func (e paramErr) Error() string { return string(e) }
 
 func errf(format string, args ...any) error {
-	return paramErr("costmodel: " + sprintf(format, args...))
+	return paramErr("costmodel: " + fmt.Sprintf(format, args...))
 }

@@ -134,8 +134,8 @@ func (e *Env) setElasticCores(k int) error {
 	return e.Sys.Sched.SetConfig(cfg)
 }
 
-// cpuFloorForTrade lowers the OLTP per-socket floor so sensitivity sweeps
-// can trade up to `max` cores.
+// allowTrading lowers the OLTP per-socket floor so sensitivity sweeps
+// can trade up to maxCores cores.
 func (e *Env) allowTrading(maxCores int) error {
 	cfg := e.Sys.Sched.Config()
 	for i := range cfg.OLTPCpuThres {

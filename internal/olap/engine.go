@@ -132,8 +132,6 @@ type Engine struct {
 	stopping map[int]*worker // retired workers whose goroutines are still draining
 	nlive    int             //htap:guardedby mu
 	nextID   int             //htap:guardedby mu
-	//htap:guardedby mu
-	tasks []*Task // admission order, across all tenants
 	// tenants/ring/cur are the weighted-fair dispatcher's state: one
 	// runnable list per tenant, served deficit-round-robin (see grab in
 	// tenant.go). A pool that only ever sees untenanted submissions has a
@@ -356,38 +354,21 @@ func (e *Engine) SubmitTenant(q Query, src Source, tn TenantInfo) (*Task, error)
 	} else {
 		t.tq = e.tenantFor(tn)
 		t.tq.tasks = append(t.tq.tasks, t)
-		e.tasks = append(e.tasks, t)
 		e.cond.Broadcast()
 	}
 	e.mu.Unlock()
 	return t, nil
 }
 
-// queuesEmpty reports whether any admitted task still has unclaimed
-// morsels. Callers hold e.mu.
+// queuesEmpty reports whether no tenant has an admitted task with
+// unclaimed morsels. Callers hold e.mu.
 //
 //htap:locked mu
 func (e *Engine) queuesEmpty() bool {
-	for _, t := range e.tasks {
-		if t.unclaimed > 0 {
+	for _, tq := range e.ring {
+		if tq.runnable() {
 			return false
 		}
 	}
 	return true
-}
-
-// removeTask drops a completed task from the admission list and its
-// tenant's runnable list. Callers hold e.mu.
-//
-//htap:locked mu
-func (e *Engine) removeTask(t *Task) {
-	if t.tq != nil {
-		t.tq.removeTask(t)
-	}
-	for i, x := range e.tasks {
-		if x == t {
-			e.tasks = append(e.tasks[:i], e.tasks[i+1:]...)
-			return
-		}
-	}
 }

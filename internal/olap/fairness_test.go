@@ -108,7 +108,7 @@ func TestDRRIdleTenantYieldsPool(t *testing.T) {
 		e.mu.Unlock()
 		task.runMorsel(mi, &sc)
 		e.mu.Lock()
-		task.finishMorsel(e)
+		task.finishMorsel()
 	}
 	e.mu.Unlock()
 	if served != 8 {

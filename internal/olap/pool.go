@@ -48,7 +48,7 @@ func (w *worker) run() {
 		e.mu.Unlock()
 		t.runMorsel(mi, &w.scratch)
 		e.mu.Lock()
-		t.finishMorsel(e)
+		t.finishMorsel()
 	}
 }
 

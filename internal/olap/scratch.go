@@ -6,7 +6,7 @@ package olap
 // are only ever touched by a single goroutine at a time and steady-state
 // execution allocates nothing per morsel: the engine's column-slice
 // header array is taken from here instead of a shared sync.Pool that
-// bounces between cores. The fused kernels (query/kernel_exec.go) keep
+// bounces between cores. The fused kernels (query/aggregate.go) keep
 // their per-row scratch on the consuming goroutine's stack.
 type Scratch struct {
 	cols [][]int64

@@ -136,11 +136,11 @@ func (t *Task) runMorsel(mi int, sc *Scratch) {
 // task. Callers hold e.mu.
 //
 //htap:locked Engine.mu
-func (t *Task) finishMorsel(e *Engine) {
+func (t *Task) finishMorsel() {
 	t.remaining--
 	if t.remaining == 0 {
 		t.stats.Workers = len(t.seen)
-		e.removeTask(t)
+		t.tq.removeTask(t)
 		close(t.done)
 	}
 }
@@ -174,7 +174,7 @@ func (t *Task) Cancel(cause error) {
 		// finishMorsel completes it, bounding cancellation latency by one
 		// morsel's work per active worker.
 		t.stats.Workers = len(t.seen)
-		e.removeTask(t)
+		t.tq.removeTask(t)
 		close(t.done)
 	}
 }
@@ -199,7 +199,7 @@ func (t *Task) drain(ctx context.Context) {
 		e.mu.Unlock()
 		t.runMorsel(mi, &sc)
 		e.mu.Lock()
-		t.finishMorsel(e)
+		t.finishMorsel()
 	}
 	e.mu.Unlock()
 }

@@ -4,7 +4,7 @@ package query
 // of two representations the table takes, and what of it outlives one
 // execution of a bound statement.
 //
-// A build side is either hashed (joinTab in kernel_exec.go) or
+// A build side is either hashed (joinTab in probe.go) or
 // dense: when the key columns' observed [min, max] ranges multiply out to
 // at most denseCellsPerRow cells per build row, the keys are packed
 // arithmetically — Σ (k_d − min_d)·stride_d — into a flat []int32 of

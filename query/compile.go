@@ -28,10 +28,6 @@ type aggPlan struct {
 	condSlot int
 }
 
-// jkey is a composite join key (unused trailing slots stay zero; the key
-// width is fixed per plan so they never collide).
-type jkey [maxJoinCols]int64
-
 // joinPlan is a compiled hash join: where to probe on the fact side and
 // how to build the key→payload table from the dimension.
 type joinPlan struct {
@@ -453,51 +449,4 @@ func isNilCatalog(cat Catalog) bool {
 	}
 	v := reflect.ValueOf(cat)
 	return v.Kind() == reflect.Pointer && v.IsNil()
-}
-
-// --- execution kernels ---
-
-// gkey is a composite group key (unused trailing slots stay zero; the key
-// width is fixed per plan so they never collide).
-type gkey [maxGroupCols]int64
-
-// denseLen bounds the dense fast path for single-column group keys: keys
-// in [0, denseLen) index a flat accumulator array instead of a hash map
-// (warehouse ids, line numbers, small dictionary codes); larger keys
-// spill to the hash table.
-const denseLen = 1024
-
-// acc is one aggregate's partial state. Sum and Avg use sum+count, Min/Max
-// use ext+seen, Count uses count alone.
-type acc struct {
-	sum   float64
-	ext   float64
-	count int64
-	seen  bool
-}
-
-// finishRes applies the post-aggregation stages: Having over emitted
-// rows, then the ordered (top-k) merge.
-//
-//htap:deterministic
-func finishRes(c *Compiled, res olap.Result) olap.Result {
-	if len(c.having) > 0 {
-		kept := res.Rows[:0]
-	rows:
-		for _, row := range res.Rows {
-			for i := range c.having {
-				h := &c.having[i]
-				if !h.fmatch(row[h.slot]) {
-					continue rows
-				}
-			}
-			kept = append(kept, row)
-		}
-		res.Rows = kept
-	}
-	if c.ordered {
-		res.SortedRows = int64(len(res.Rows))
-		res.Rows = olap.SortRows(res.Rows, c.order, c.limit)
-	}
-	return res
 }

@@ -1,7 +1,7 @@
 package query
 
 // Monomorphic fast loops for the hottest fused shapes. The generic
-// loops in kernel_exec.go dispatch per row through small method calls
+// loops in aggregate.go dispatch per row through small method calls
 // and an op switch; these variants are fully inlined — filter bounds,
 // column vectors and accumulator registers live in locals, the probe is
 // written out, and the op sequence is fixed — so the compiled code

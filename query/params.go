@@ -5,7 +5,6 @@ import (
 	"fmt"
 	"math"
 	"slices"
-	"sort"
 
 	"elastichtap/internal/columnar"
 )
@@ -225,7 +224,7 @@ func paramNames(sites []paramSite) []string {
 	for n := range set {
 		names = append(names, n)
 	}
-	sort.Strings(names)
+	slices.Sort(names)
 	return names
 }
 

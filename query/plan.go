@@ -294,8 +294,10 @@ func (p *Plan) Filter(preds ...Pred) *Plan {
 }
 
 // GroupBy sets the grouping keys (γ). Group columns must be int64-typed
-// (ids, dates, codes); result rows carry the key values first, ordered
-// ascending by key.
+// (ids, dates, codes); result rows carry the key values first. Without an
+// OrderBy, rows come ascending by key as the emitted float64 values
+// compare: keys beyond ±2^53 can convert to equal values, and those rows
+// fall back to comparing the next columns.
 func (p *Plan) GroupBy(cols ...string) *Plan {
 	if len(p.groups) > 0 {
 		p.fail(fmt.Errorf("query: GroupBy called twice"))

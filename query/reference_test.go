@@ -332,6 +332,11 @@ func TestFusedMatchesReference(t *testing.T) {
 			GroupBy("pay").Agg(Sum("amount").As("rev")),
 		"probe-group-sum-spill": Scan("bfact").JoinGraph(joinDimC()).
 			GroupBy("jk", "pay").Agg(Sum("amount").As("rev")),
+		// Keyed in the reverse of the columns' load order: the spill table
+		// first sees (0,0), (2,1), (4,2), … and (0,16) only later, so its
+		// insertion order is not key order, and finishRes alone orders it.
+		"probe-group-sum-spill-unsorted": Scan("bfact").JoinGraph(joinDimC()).
+			GroupBy("pay", "jk").Agg(Sum("amount").As("rev"), Count().As("n")),
 		"probe1-group-sum": Scan("bfact").JoinGraph(JoinOn(Rel("bfact"), Rel("bdim1"), "k1", "id")).
 			GroupBy("gid").Agg(Sum("w").As("sw"), Count().As("n")),
 		"chain-probe-group-sum": Scan("bfact").Filter(Between("qty", 5, 45)).
