@@ -1,15 +1,12 @@
 package elastichtap
 
 import (
-	"errors"
 	"fmt"
-	"hash/crc32"
-	"io"
 	"time"
 
 	"elastichtap/internal/ch"
 	"elastichtap/internal/checkpoint"
-	"elastichtap/internal/txn"
+	"elastichtap/internal/columnar"
 	"elastichtap/internal/wal"
 )
 
@@ -21,7 +18,7 @@ import (
 //	fs := elastichtap.DiskFS()
 //	sys.EnableWAL(fs, "data", elastichtap.SyncAlways, 0)
 //	sys.CheckpointDB(fs, "data")      // bootstrap image of the load
-//	... workload runs, commits stream into data/wal.log ...
+//	... workload runs, commits stream into the log under data ...
 //	sys.CheckpointDB(fs, "data")      // later images truncate replay work
 //
 // After a crash:
@@ -52,35 +49,15 @@ const (
 // DiskFS returns the operating-system filesystem.
 func DiskFS() FS { return wal.OSFS{} }
 
-// walName is the commit log's file name under the durability directory.
-const walName = "wal.log"
-
 // EnableWAL attaches a commit write-ahead log under dir: every later
-// commit appends its write set to dir/wal.log before applying, per the
-// sync policy (interval is only read by SyncInterval). An existing log is
-// scanned, truncated at its first corrupt or torn record, and appended
-// to from there. Call it after LoadCH and before the workload; the
-// loaded data itself is persisted by the first CheckpointDB, not the log.
+// commit appends its write set to the directory's log before applying,
+// per the sync policy (interval is only read by SyncInterval). An existing
+// log is scanned, truncated at its first corrupt or torn record, and
+// appended to from there; one that exists but cannot be opened is an
+// error. Call it after LoadCH and before the workload; the loaded data
+// itself is persisted by the first CheckpointDB, not the log.
 func (s *System) EnableWAL(fs FS, dir string, policy SyncPolicy, interval time.Duration) error {
-	if err := fs.MkdirAll(dir); err != nil {
-		return fmt.Errorf("elastichtap: EnableWAL: %w", err)
-	}
-	name := dir + "/" + walName
-	start := int64(0)
-	if f, err := fs.Open(name); err == nil {
-		st, rerr := wal.Replay(f, 0, nil)
-		f.Close()
-		if rerr != nil {
-			return fmt.Errorf("elastichtap: EnableWAL: scanning %s: %w", name, rerr)
-		}
-		if st.Truncated {
-			if err := fs.Truncate(name, st.ValidPos); err != nil {
-				return fmt.Errorf("elastichtap: EnableWAL: %w", err)
-			}
-		}
-		start = st.ValidPos
-	}
-	l, err := wal.Open(fs, name, policy, interval, start)
+	l, err := checkpoint.OpenLog(fs, dir, policy, interval)
 	if err != nil {
 		return fmt.Errorf("elastichtap: EnableWAL: %w", err)
 	}
@@ -148,10 +125,12 @@ type RecoveryInfo struct {
 // durability directory: the latest complete checkpoint image (torn
 // checkpoint directories are skipped), then the WAL suffix above the
 // manifest's position, truncating mentally at the first corrupt or torn
-// record. Indexes are rebuilt and replica watermarks, staleness bits, the
-// transaction clock and the commit count restored, so analytics,
-// freshness metrics and further transactions continue exactly where the
-// crashed process's durable state ended.
+// record. A log, image file or directory that exists but cannot be opened
+// or listed fails the recovery rather than counting as absent. Indexes are
+// rebuilt and replica watermarks, staleness bits, the transaction clock
+// and the commit count restored, so analytics, freshness metrics and
+// further transactions continue exactly where the crashed process's
+// durable state ended.
 //
 // The recovery itself is read-only — the same directory can be opened
 // any number of times, concurrently or repeatedly, with identical
@@ -191,7 +170,17 @@ func OpenFromDir(fs FS, dir string, opts ...Option) (*System, RecoveryInfo, erro
 
 	mgr := s.inner.OLTPE.Manager()
 	mgr.RestoreState(man.Clock, man.Commits)
-	st, err := restoreAndReplay(fs, dir, seq, man, db, mgr)
+	table := func(name string) *columnar.Table {
+		if h := db.Handle(name); h != nil {
+			return h.Table()
+		}
+		return nil
+	}
+	// Each log record goes through Manager.Replay, which applies it with
+	// the live commit's own code, in log order and at its commit timestamp,
+	// so inserts reassign identical row IDs and staleness bits evolve
+	// identically.
+	st, err := checkpoint.Recover(fs, dir, seq, man, table, mgr.Replay)
 	if err != nil {
 		s.Close()
 		return nil, info, fmt.Errorf("elastichtap: OpenFromDir: %w", err)
@@ -237,93 +226,6 @@ func checkSizing(s ch.Sizing, man *checkpoint.Manifest) error {
 		orders*float64(s.OrderLinesPerOrder) + items + w*items
 	if sized > 2*rows+1<<10 {
 		return fmt.Errorf("manifest sizing makes room for %.0f rows, the image holds %.0f", sized, rows)
-	}
-	return nil
-}
-
-// restoreAndReplay restores the checkpoint image into db's empty tables and
-// replays the log suffix above it through mgr, returning the scan's stats.
-// The log scan starts before the restore: its scanner verifies the prefix
-// below the image's position and decodes the suffix ahead while the tables
-// are read in. The first record applies once every table and its dirty
-// bits are in. Each record goes through Manager.Replay, which applies it
-// with the live commit's own code, in log order and at its commit
-// timestamp, so inserts reassign identical row IDs and staleness bits
-// evolve identically.
-func restoreAndReplay(fs FS, dir string, seq uint64, man *checkpoint.Manifest, db *ch.DB, mgr *txn.Manager) (wal.ReplayStats, error) {
-	var st wal.ReplayStats
-	var restoreErr, replayErr error
-	restored, replayed := make(chan struct{}), make(chan struct{})
-	if f, err := fs.Open(dir + "/" + walName); err == nil {
-		go func() {
-			defer close(replayed)
-			defer f.Close()
-			waiting := true
-			st, replayErr = wal.Replay(f, man.WALPos, func(_ int64, rec *wal.Record) error {
-				if waiting {
-					if <-restored; restoreErr != nil {
-						return errRestoreFailed
-					}
-					waiting = false
-				}
-				return mgr.Replay(rec)
-			})
-		}()
-	} else {
-		close(replayed)
-	}
-	restoreErr = restoreTables(fs, checkpoint.SeqDir(dir, seq), man, db)
-	close(restored)
-	<-replayed
-	if restoreErr != nil {
-		return st, restoreErr
-	}
-	if replayErr != nil {
-		return st, fmt.Errorf("replaying log: %w", replayErr)
-	}
-	return st, nil
-}
-
-// errRestoreFailed stops a log replay whose image could not be restored.
-var errRestoreFailed = errors.New("checkpoint image not restored")
-
-// restoreTables reads every table file of the checkpoint image in seqDir
-// into its (empty) table, checking each file against the manifest, and
-// sets the tables' restored dirty bits.
-func restoreTables(fs FS, seqDir string, man *checkpoint.Manifest, db *ch.DB) error {
-	for _, te := range man.Tables {
-		h := db.Handle(te.Name)
-		if h == nil {
-			return fmt.Errorf("manifest names unknown table %q", te.Name)
-		}
-		path := seqDir + "/" + te.Name + ".ehcp"
-		f, err := fs.Open(path)
-		if err != nil {
-			return err
-		}
-		// The whole-file checksum is taken in the restoring pass: every
-		// byte the restore reads goes through the hash, and what it leaves
-		// unread after the last section is drained into it, because the
-		// manifest's checksum covers trailing bytes too.
-		hash := crc32.New(wal.Castagnoli)
-		err = checkpoint.ReadInto(io.TeeReader(f, hash), h.Table())
-		if err == nil {
-			_, err = io.Copy(hash, f)
-		}
-		f.Close()
-		if err != nil {
-			return fmt.Errorf("restoring %q: %w", te.Name, err)
-		}
-		if crc := hash.Sum32(); crc != te.FileCRC {
-			return fmt.Errorf("%s: file checksum %08x, manifest says %08x", path, crc, te.FileCRC)
-		}
-		if h.Table().Rows() != te.Rows {
-			return fmt.Errorf("%q restored %d rows, manifest says %d", te.Name, h.Table().Rows(), te.Rows)
-		}
-		bits := h.Table().DirtyOLAP()
-		for _, row := range te.Dirty {
-			bits.Set(int(row))
-		}
 	}
 	return nil
 }

@@ -3,6 +3,8 @@ package elastichtap
 import (
 	"bytes"
 	"context"
+	"errors"
+	"fmt"
 	"io"
 	"reflect"
 	"sort"
@@ -15,6 +17,9 @@ import (
 	"elastichtap/internal/rde"
 	"elastichtap/internal/wal"
 )
+
+// walName is the commit log's file name under the durability directory.
+const walName = checkpoint.WALName
 
 // durableSystem builds a system over a fault-injectable filesystem with
 // the WAL attached and a bootstrap checkpoint of the freshly loaded
@@ -665,4 +670,88 @@ func dirtyRows(tab *columnar.Table, k int) []int64 {
 		return func() {}
 	})
 	return rows
+}
+
+// errUnreadable is what faultFS returns for a path that exists but cannot
+// be opened or listed.
+var errUnreadable = errors.New("permission denied")
+
+// faultFS is a MemFS on which the paths in fail exist but cannot be
+// opened (files) or listed (directories).
+type faultFS struct {
+	*wal.MemFS
+	fail map[string]bool
+}
+
+func (f faultFS) Open(name string) (io.ReadCloser, error) {
+	if f.fail[name] {
+		return nil, fmt.Errorf("open %s: %w", name, errUnreadable)
+	}
+	return f.MemFS.Open(name)
+}
+
+func (f faultFS) ReadDir(dir string) ([]string, error) {
+	if f.fail[dir] {
+		return nil, fmt.Errorf("readdir %s: %w", dir, errUnreadable)
+	}
+	return f.MemFS.ReadDir(dir)
+}
+
+// TestUnreadableIsNotAbsent: only a not-exist error means a log, an image
+// or the directory is absent. Any other error is returned, because going
+// on without what is there would recover without the logged commits,
+// number a new image over a complete one, or start a log over one that
+// holds commits.
+func TestUnreadableIsNotAbsent(t *testing.T) {
+	fs := wal.NewMemFS()
+	sys, _ := durableSystem(t, fs, SyncAlways)
+	sys.Run(150)
+	img := fs.Crash(false)
+	unopenableLog := faultFS{img, map[string]bool{"data/" + walName: true}}
+
+	t.Run("OpenFromDir", func(t *testing.T) {
+		sys2, info, err := OpenFromDir(unopenableLog, "data")
+		if err == nil {
+			sys2.Close()
+			t.Fatalf("recovered %d commits without the log", info.Commits)
+		}
+		if !errors.Is(err, errUnreadable) {
+			t.Fatalf("err = %v, want the log's open error", err)
+		}
+	})
+
+	t.Run("Latest", func(t *testing.T) {
+		for _, path := range []string{"data", checkpoint.SeqDir("data", 1) + "/" + checkpoint.ManifestName} {
+			_, _, err := OpenFromDir(faultFS{img, map[string]bool{path: true}}, "data")
+			if !errors.Is(err, errUnreadable) {
+				t.Fatalf("%s unreadable: err = %v, want its error", path, err)
+			}
+		}
+	})
+
+	t.Run("CheckpointDB", func(t *testing.T) {
+		before, _ := readManifest(t, fs, 1)
+		seq, err := sys.CheckpointDB(faultFS{fs, map[string]bool{"data": true}}, "data")
+		if !errors.Is(err, errUnreadable) {
+			t.Fatalf("CheckpointDB over an unlistable directory: seq %d, err %v", seq, err)
+		}
+		if after, _ := readManifest(t, fs, 1); !bytes.Equal(before, after) {
+			t.Fatal("image 1 was written over")
+		}
+	})
+
+	t.Run("EnableWAL", func(t *testing.T) {
+		sys2, _, err := OpenFromDir(img, "data")
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer sys2.Close()
+		err = sys2.EnableWAL(unopenableLog, "data", SyncAlways, 0)
+		if l := sys2.WAL(); l != nil {
+			t.Fatalf("EnableWAL over an unopenable log attached one at %d (err %v)", l.Pos(), err)
+		}
+		if !errors.Is(err, errUnreadable) {
+			t.Fatalf("err = %v, want the log's open error", err)
+		}
+	})
 }

@@ -61,7 +61,7 @@ func main() {
 			Agg(query.Avg("ol_quantity").As("avg_qty"), query.Count()),
 	}
 
-	fmt.Println("round  query           class        state  method    resp(s)  rows")
+	fmt.Println("round  query           class         state  method    resp(s)  rows")
 	for round := 1; round <= 8; round++ {
 		sys.Run(2000)
 		plan := plans[(round-1)%len(plans)]
@@ -73,8 +73,8 @@ func main() {
 		if err != nil {
 			log.Fatal(err)
 		}
-		fmt.Printf("%5d  %-14s  %-11v  %-5v  %-8v  %.4f   %d\n",
-			round, rep.Query, plan.Class(), rep.State, rep.Method,
+		fmt.Printf("%5d  %-14s  %-12v  %-5v  %-8v  %.4f   %d\n",
+			round, rep.Query, q.Class(), rep.State, rep.Method,
 			rep.ResponseSeconds, len(rep.Result.Rows))
 	}
 

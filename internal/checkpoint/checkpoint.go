@@ -23,6 +23,26 @@
 // the table's own chunks (columnar.Table.AppendColumns) in one read — one
 // checksum update per run either way. A restore publishes no row unless
 // every section of the file, dictionaries included, has verified.
+//
+// The durability directory is this package's alone: it names every file,
+// writes and lists the images, restores one and opens the log.
+//
+//	<dir>/wal.log            the commit log, shared by every checkpoint
+//	<dir>/ckpt-<seq>/        one complete database image
+//	    <table>.ehcp         per-table v2 checkpoint files
+//	    MANIFEST             written last; a directory without a valid
+//	                         manifest is torn and ignored
+//
+// Every file of an image goes through one routine: create, stream through
+// a CRC32C tee, Sync, Close. The table files go first, each checksum
+// landing in its manifest entry, and the manifest last: it is the image's
+// commit point.
+//
+// Only a not-exist error means absent: no log yet, no image yet, a
+// checkpoint torn before its manifest. A file or directory that exists but
+// cannot be opened or listed is an error, because treating it as absent
+// would recover without the commits it holds, number a new image over a
+// complete one, or start a log over the one already there.
 package checkpoint
 
 import (
@@ -45,43 +65,52 @@ const (
 var ErrCorrupt = fmt.Errorf("checkpoint: corrupt section")
 
 // crcWriter accumulates a CRC32C over everything written since the last
-// endSection, so each format section carries its own checksum.
+// endSection, so each format section carries its own checksum. The first
+// write error sticks: later writes are dropped and flush returns it.
 type crcWriter struct {
 	w   *bufio.Writer
 	crc uint32
 	buf [8]byte
+	err error
 }
 
-func (cw *crcWriter) write(p []byte) error {
-	n, err := cw.w.Write(p)
-	cw.crc = crc32.Update(cw.crc, wal.Castagnoli, p[:n])
-	return err
-}
-
-func (cw *crcWriter) writeU32(v uint32) error {
-	binary.LittleEndian.PutUint32(cw.buf[:4], v)
-	return cw.write(cw.buf[:4])
-}
-
-func (cw *crcWriter) writeU64(v uint64) error {
-	binary.LittleEndian.PutUint64(cw.buf[:8], v)
-	return cw.write(cw.buf[:8])
-}
-
-func (cw *crcWriter) writeStr(s string) error {
-	if err := cw.writeU32(uint32(len(s))); err != nil {
-		return err
+func (cw *crcWriter) write(p []byte) {
+	if cw.err == nil {
+		var n int
+		n, cw.err = cw.w.Write(p)
+		cw.crc = crc32.Update(cw.crc, wal.Castagnoli, p[:n])
 	}
-	return cw.write([]byte(s))
+}
+
+func (cw *crcWriter) writeU32(v uint32) {
+	binary.LittleEndian.PutUint32(cw.buf[:4], v)
+	cw.write(cw.buf[:4])
+}
+
+func (cw *crcWriter) writeU64(v uint64) {
+	binary.LittleEndian.PutUint64(cw.buf[:8], v)
+	cw.write(cw.buf[:8])
+}
+
+func (cw *crcWriter) writeStr(s string) {
+	cw.writeU32(uint32(len(s)))
+	cw.write([]byte(s))
 }
 
 // endSection emits the accumulated checksum (not itself checksummed) and
 // starts the next section.
-func (cw *crcWriter) endSection() error {
+func (cw *crcWriter) endSection() {
 	binary.LittleEndian.PutUint32(cw.buf[:4], cw.crc)
-	_, err := cw.w.Write(cw.buf[:4])
+	cw.write(cw.buf[:4])
 	cw.crc = 0
-	return err
+}
+
+// flush returns the first write error, or flushes the buffer.
+func (cw *crcWriter) flush() error {
+	if cw.err != nil {
+		return cw.err
+	}
+	return cw.w.Flush()
 }
 
 // crcReader mirrors crcWriter: it accumulates a CRC32C over reads and
@@ -148,56 +177,32 @@ func (cr *crcReader) endSection(what string) error {
 // below the watermark (an inactive instance after Switch, or any instance
 // with no concurrent writers).
 func Write(w io.Writer, t *columnar.Table, inst *columnar.Instance, rows int64) error {
-	bw := bufio.NewWriterSize(w, maxRunBytes)
-	if _, err := bw.WriteString(magic); err != nil {
-		return err
-	}
-	var vbuf [4]byte
-	binary.LittleEndian.PutUint32(vbuf[:], version)
-	if _, err := bw.Write(vbuf[:]); err != nil {
-		return err
-	}
-	cw := &crcWriter{w: bw}
+	cw := &crcWriter{w: bufio.NewWriterSize(w, maxRunBytes)}
+	cw.write([]byte(magic))
+	cw.writeU32(version)
+	cw.crc = 0 // the magic and version precede the header section
 	schema := t.Schema()
-	if err := cw.writeStr(schema.Name); err != nil {
-		return err
-	}
-	if err := cw.writeU32(uint32(len(schema.Columns))); err != nil {
-		return err
-	}
+	cw.writeStr(schema.Name)
+	cw.writeU32(uint32(len(schema.Columns)))
 	for _, c := range schema.Columns {
-		if err := cw.writeStr(c.Name); err != nil {
-			return err
-		}
-		if err := cw.write([]byte{byte(c.Type)}); err != nil {
-			return err
-		}
+		cw.writeStr(c.Name)
+		cw.write([]byte{byte(c.Type)})
 	}
-	if err := cw.writeU64(uint64(rows)); err != nil {
-		return err
-	}
-	if err := cw.endSection(); err != nil {
-		return err
-	}
+	cw.writeU64(uint64(rows))
+	cw.endSection()
 	buf := make([]byte, runBytes(rows))
 	for c := range schema.Columns {
-		var werr error
 		inst.Col(c).Scan(0, rows, func(vals []int64, _ int64) {
-			if werr != nil {
+			if cw.err != nil {
 				return
 			}
 			raw := buf[:8*len(vals)]
 			for i, v := range vals {
 				binary.LittleEndian.PutUint64(raw[8*i:], uint64(v))
 			}
-			werr = cw.write(raw)
+			cw.write(raw)
 		})
-		if werr != nil {
-			return werr
-		}
-		if err := cw.endSection(); err != nil {
-			return err
-		}
+		cw.endSection()
 	}
 	for c, def := range schema.Columns {
 		if def.Type != columnar.String {
@@ -205,19 +210,13 @@ func Write(w io.Writer, t *columnar.Table, inst *columnar.Instance, rows int64) 
 		}
 		d := t.Dict(c)
 		n := d.Len()
-		if err := cw.writeU32(uint32(n)); err != nil {
-			return err
-		}
+		cw.writeU32(uint32(n))
 		for code := 0; code < n; code++ {
-			if err := cw.writeStr(d.Str(int64(code))); err != nil {
-				return err
-			}
+			cw.writeStr(d.Str(int64(code)))
 		}
-		if err := cw.endSection(); err != nil {
-			return err
-		}
+		cw.endSection()
 	}
-	return bw.Flush()
+	return cw.flush()
 }
 
 // maxRunBytes is the encoded size of one chunk run, the most column data

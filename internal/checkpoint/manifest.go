@@ -3,21 +3,11 @@ package checkpoint
 import (
 	"bufio"
 	"fmt"
-	"hash/crc32"
 	"io"
-	"sort"
-
-	"elastichtap/internal/wal"
+	"maps"
+	"slices"
 )
 
-// A whole-database checkpoint is a directory:
-//
-//	<dir>/wal.log            the commit log, shared by every checkpoint
-//	<dir>/ckpt-<seq>/        one complete database image
-//	    <table>.ehcp         per-table v2 checkpoint files
-//	    MANIFEST             written last; a directory without a valid
-//	                         manifest is torn and ignored
-//
 // Manifest format (little-endian):
 //
 //	magic "EHMF" | version u32
@@ -79,68 +69,31 @@ type Manifest struct {
 
 // WriteManifest serializes m with a trailing whole-file checksum.
 func WriteManifest(w io.Writer, m *Manifest) error {
-	bw := bufio.NewWriterSize(w, 1<<16)
-	cw := &crcWriter{w: bw}
-	if err := cw.write([]byte(manifestMagic)); err != nil {
-		return err
-	}
-	if err := cw.writeU32(manifestVersion); err != nil {
-		return err
-	}
-	if err := cw.writeU64(m.Clock); err != nil {
-		return err
-	}
-	if err := cw.writeU64(m.Commits); err != nil {
-		return err
-	}
-	if err := cw.writeU64(uint64(m.WALPos)); err != nil {
-		return err
-	}
-	keys := make([]string, 0, len(m.Extras))
-	for k := range m.Extras {
-		keys = append(keys, k)
-	}
-	sort.Strings(keys)
-	if err := cw.writeU32(uint32(len(keys))); err != nil {
-		return err
-	}
+	cw := &crcWriter{w: bufio.NewWriterSize(w, 1<<16)}
+	cw.write([]byte(manifestMagic))
+	cw.writeU32(manifestVersion)
+	cw.writeU64(m.Clock)
+	cw.writeU64(m.Commits)
+	cw.writeU64(uint64(m.WALPos))
+	keys := slices.Sorted(maps.Keys(m.Extras))
+	cw.writeU32(uint32(len(keys)))
 	for _, k := range keys {
-		if err := cw.writeStr(k); err != nil {
-			return err
-		}
-		if err := cw.writeU64(uint64(m.Extras[k])); err != nil {
-			return err
-		}
+		cw.writeStr(k)
+		cw.writeU64(uint64(m.Extras[k]))
 	}
-	if err := cw.writeU32(uint32(len(m.Tables))); err != nil {
-		return err
-	}
+	cw.writeU32(uint32(len(m.Tables)))
 	for _, te := range m.Tables {
-		if err := cw.writeStr(te.Name); err != nil {
-			return err
-		}
-		if err := cw.writeU64(uint64(te.Rows)); err != nil {
-			return err
-		}
-		if err := cw.writeU64(uint64(te.ReplicaRows)); err != nil {
-			return err
-		}
-		if err := cw.writeU32(uint32(len(te.Dirty))); err != nil {
-			return err
-		}
+		cw.writeStr(te.Name)
+		cw.writeU64(uint64(te.Rows))
+		cw.writeU64(uint64(te.ReplicaRows))
+		cw.writeU32(uint32(len(te.Dirty)))
 		for _, row := range te.Dirty {
-			if err := cw.writeU64(uint64(row)); err != nil {
-				return err
-			}
+			cw.writeU64(uint64(row))
 		}
-		if err := cw.writeU32(te.FileCRC); err != nil {
-			return err
-		}
+		cw.writeU32(te.FileCRC)
 	}
-	if err := cw.endSection(); err != nil {
-		return err
-	}
-	return bw.Flush()
+	cw.endSection()
+	return cw.flush()
 }
 
 // ReadManifest parses and checksum-verifies a manifest. A manifest whose
@@ -248,81 +201,4 @@ func ReadManifest(r io.Reader) (*Manifest, error) {
 		return nil, err
 	}
 	return m, nil
-}
-
-// SeqDir names the directory of checkpoint sequence seq under dir.
-func SeqDir(dir string, seq uint64) string {
-	return fmt.Sprintf("%s/ckpt-%08d", dir, seq)
-}
-
-// parseSeq extracts the sequence from a ckpt-<seq> entry name.
-func parseSeq(name string) (uint64, bool) {
-	var seq uint64
-	if _, err := fmt.Sscanf(name, "ckpt-%d", &seq); err != nil {
-		return 0, false
-	}
-	return seq, true
-}
-
-// Latest scans dir for the highest-sequence checkpoint with a valid
-// manifest and returns its sequence and manifest. Directories without a
-// readable manifest (torn checkpoints) are skipped. ok is false when no
-// complete checkpoint exists.
-func Latest(fs wal.FS, dir string) (seq uint64, m *Manifest, ok bool, err error) {
-	names, err := fs.ReadDir(dir)
-	if err != nil {
-		return 0, nil, false, nil // no directory: no checkpoints
-	}
-	var seqs []uint64
-	for _, name := range names {
-		if s, isCkpt := parseSeq(name); isCkpt {
-			seqs = append(seqs, s)
-		}
-	}
-	sort.Slice(seqs, func(i, j int) bool { return seqs[i] > seqs[j] })
-	for _, s := range seqs {
-		f, err := fs.Open(SeqDir(dir, s) + "/" + ManifestName)
-		if err != nil {
-			continue // torn: the manifest never landed
-		}
-		m, merr := ReadManifest(f)
-		f.Close()
-		if merr != nil {
-			continue // torn or corrupt manifest
-		}
-		return s, m, true, nil
-	}
-	return 0, nil, false, nil
-}
-
-// NextSeq returns the sequence number the next checkpoint should use:
-// one above the highest existing ckpt-* entry (complete or torn).
-func NextSeq(fs wal.FS, dir string) uint64 {
-	names, err := fs.ReadDir(dir)
-	if err != nil {
-		return 1
-	}
-	var max uint64
-	for _, name := range names {
-		if s, isCkpt := parseSeq(name); isCkpt && s > max {
-			max = s
-		}
-	}
-	return max + 1
-}
-
-// FileCRC computes the whole-file CRC32C of name in a pass of its own.
-// The engine takes the checksum in the pass that writes or restores the
-// file instead; this is for a reader that has only the path.
-func FileCRC(fs wal.FS, name string) (uint32, error) {
-	f, err := fs.Open(name)
-	if err != nil {
-		return 0, err
-	}
-	defer f.Close()
-	h := crc32.New(wal.Castagnoli)
-	if _, err := io.Copy(h, f); err != nil {
-		return 0, err
-	}
-	return h.Sum32(), nil
 }

@@ -229,8 +229,8 @@ func TestLatestSkipsTornCheckpoints(t *testing.T) {
 	if err != nil || !ok || seq != 2 || m.Clock != 2 {
 		t.Fatalf("Latest = seq %d clock %d ok %v err %v, want seq 2", seq, m.Clock, ok, err)
 	}
-	if next := NextSeq(fs, "db"); next != 4 {
-		t.Fatalf("NextSeq = %d, want 4 (above the torn 3)", next)
+	if next, err := NextSeq(fs, "db"); err != nil || next != 4 {
+		t.Fatalf("NextSeq = %d, %v, want 4 (above the torn 3)", next, err)
 	}
 
 	// A corrupt manifest is torn too.

@@ -93,12 +93,12 @@ type Table struct {
 	// with it everything that decides which chunks the twins share: growth,
 	// the first-write split (unshare) and the switch.
 	appendMu sync.Mutex
-	switchMu sync.Mutex // serializes instance switches
 	// applyMu lets committing transactions pin the active instance for the
 	// duration of their in-place write batch: a switch concurrent with a
 	// multi-cell commit would otherwise split the row across instances
 	// ("returns the starting address of the inactive instance when no
-	// active OLTP worker thread is using it any more", §3.2).
+	// active OLTP worker thread is using it any more", §3.2). Switch holds
+	// it exclusively for its whole body, which also serializes switches.
 	applyMu sync.RWMutex
 }
 
@@ -495,8 +495,6 @@ type SwitchResult struct {
 // into the inactive one with SyncTo and holds commits off until the flip,
 // so no transaction reads a stale value from the new active instance.
 func (t *Table) Switch() SwitchResult {
-	t.switchMu.Lock()
-	defer t.switchMu.Unlock()
 	// Wait for in-flight commit batches: no worker may straddle the flip.
 	t.applyMu.Lock()
 	defer t.applyMu.Unlock()

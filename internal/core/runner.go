@@ -4,8 +4,6 @@ import (
 	"context"
 	"errors"
 	"fmt"
-	"hash/crc32"
-	"io"
 	"sync"
 	"sync/atomic"
 
@@ -475,22 +473,17 @@ func (s *System) Close() {
 // cut and every inactive instance is that cut's image.
 //
 // Streaming happens after the barrier releases — transactions and queries
-// proceed while table files are written from the pinned snapshot
-// instances (updates go to the re-activated twin; appends land beyond the
-// captured row watermarks). The manifest is written last, after every
-// table file and the log below the captured position are synced: a crash
-// mid-checkpoint leaves a manifest-less directory that recovery ignores.
+// proceed while checkpoint.WriteImage writes the table files from the
+// pinned snapshot instances (updates go to the re-activated twin; appends
+// land beyond the captured row watermarks). The log below the captured
+// position is synced before any file is written; the manifest goes last,
+// so a crash mid-checkpoint leaves a manifest-less directory that
+// recovery ignores.
 func (s *System) CheckpointDB(cfs wal.FS, dir string, extras map[string]int64) (uint64, error) {
 	tables := s.OLTPE.Tables()
 	mgr := s.OLTPE.Manager()
-
-	type capture struct {
-		snap  *rde.Snapshot
-		entry checkpoint.TableEntry
-		unpin func()
-	}
-	var caps []capture
 	man := &checkpoint.Manifest{Extras: extras}
+	snaps := make([]checkpoint.Snapshot, 0, len(tables))
 
 	s.admitMu.Lock()
 	s.X.SwitchAndSyncAt(tables, func(set *rde.SnapshotSet) {
@@ -502,26 +495,25 @@ func (s *System) CheckpointDB(cfs wal.FS, dir string, extras map[string]int64) (
 		for i, h := range tables {
 			var dirty []int64 // updated rows only: inserts are Rows − ReplicaRows
 			h.Table().DirtyOLAP().ForEachSet(func(row int) { dirty = append(dirty, int64(row)) })
-			caps = append(caps, capture{
-				snap: &set.Snaps[i],
-				entry: checkpoint.TableEntry{
-					Name:        h.Table().Schema().Name,
-					Rows:        set.Snaps[i].Rows,
-					ReplicaRows: h.Replica.Rows(),
-					Dirty:       dirty,
-				},
+			man.Tables = append(man.Tables, checkpoint.TableEntry{
+				Name:        h.Table().Schema().Name,
+				Rows:        set.Snaps[i].Rows,
+				ReplicaRows: h.Replica.Rows(),
+				Dirty:       dirty,
 			})
+			snaps = append(snaps, checkpoint.Snapshot{Table: h.Table(), Inst: set.Snaps[i].Inst})
 		}
 	})
 	// The exchange held scan latches through the cut, so the pins go on
 	// after it: no other cycle runs before admitMu is released.
-	for i := range caps {
-		caps[i].unpin = s.X.BeginScan(caps[i].entry.Name)
+	unpins := make([]func(), len(man.Tables))
+	for i, te := range man.Tables {
+		unpins[i] = s.X.BeginScan(te.Name)
 	}
 	s.admitMu.Unlock()
 	defer func() {
-		for _, c := range caps {
-			c.unpin()
+		for _, unpin := range unpins {
+			unpin()
 		}
 	}()
 
@@ -535,47 +527,5 @@ func (s *System) CheckpointDB(cfs wal.FS, dir string, extras map[string]int64) (
 			return 0, fmt.Errorf("core: checkpoint: syncing the log: %w", err)
 		}
 	}
-	seq := checkpoint.NextSeq(cfs, dir)
-	seqDir := checkpoint.SeqDir(dir, seq)
-	if err := cfs.MkdirAll(seqDir); err != nil {
-		return 0, fmt.Errorf("core: checkpoint %s: %w", seqDir, err)
-	}
-	for i := range caps {
-		c := &caps[i]
-		path := seqDir + "/" + c.entry.Name + ".ehcp"
-		f, err := cfs.Create(path)
-		if err != nil {
-			return 0, fmt.Errorf("core: checkpoint %s: %w", path, err)
-		}
-		// The manifest's whole-file checksum is taken as the file is written.
-		hash := crc32.New(wal.Castagnoli)
-		err = checkpoint.Write(io.MultiWriter(f, hash), c.snap.Handle.Table(), c.snap.Inst, c.entry.Rows)
-		if err == nil {
-			err = f.Sync()
-		}
-		if cerr := f.Close(); err == nil {
-			err = cerr
-		}
-		if err != nil {
-			return 0, fmt.Errorf("core: checkpoint %s: %w", path, err)
-		}
-		c.entry.FileCRC = hash.Sum32()
-		man.Tables = append(man.Tables, c.entry)
-	}
-	mpath := seqDir + "/" + checkpoint.ManifestName
-	mf, err := cfs.Create(mpath)
-	if err != nil {
-		return 0, fmt.Errorf("core: checkpoint %s: %w", mpath, err)
-	}
-	err = checkpoint.WriteManifest(mf, man)
-	if err == nil {
-		err = mf.Sync()
-	}
-	if cerr := mf.Close(); err == nil {
-		err = cerr
-	}
-	if err != nil {
-		return 0, fmt.Errorf("core: checkpoint %s: %w", mpath, err)
-	}
-	return seq, nil
+	return checkpoint.WriteImage(cfs, dir, man, snaps)
 }

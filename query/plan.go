@@ -32,11 +32,7 @@
 // error checks.
 package query
 
-import (
-	"fmt"
-
-	"elastichtap/internal/costmodel"
-)
+import "fmt"
 
 // maxGroupCols bounds the composite group key width.
 const maxGroupCols = 4
@@ -378,26 +374,6 @@ func (p *Plan) Name() string {
 		return p.name
 	}
 	return fmt.Sprintf("scan(%s)", p.table)
-}
-
-// Class infers the cost-model work class from the plan shape: a join
-// materializes dimension columns per matched row (JoinProject, the
-// heaviest pipeline; Bind lowers it to JoinProbe when no relation column
-// is demanded downstream), grouping hashes per row (ScanGroupBy), and a
-// bare filtered aggregation streams (ScanReduce). The scheduler's
-// Algorithm 2 uses this to time the pipeline when choosing S1/S2/S3; the
-// ordered merge's sort volume is charged separately per merged row.
-func (p *Plan) Class() costmodel.WorkClass {
-	switch {
-	case len(p.graph) > 0:
-		// Payloads are inferred at Bind; until then the heavier join class
-		// is assumed (Bind fixes the compiled class exactly).
-		return costmodel.JoinProject
-	case len(p.groups) > 0:
-		return costmodel.ScanGroupBy
-	default:
-		return costmodel.ScanReduce
-	}
 }
 
 // Err returns the first construction error, if any, without binding.

@@ -246,26 +246,25 @@ func TestMultiColumnGroupKey(t *testing.T) {
 }
 
 func TestClassInference(t *testing.T) {
-	if c := Scan("sales").Agg(Count()).Class(); c != costmodel.ScanReduce {
-		t.Errorf("reduce class = %v", c)
-	}
-	if c := Scan("sales").GroupBy("pid").Agg(Count()).Class(); c != costmodel.ScanGroupBy {
-		t.Errorf("groupby class = %v", c)
-	}
-	// Payloads are inferred at Bind: unbound, a join plan assumes the
-	// heavier class; bound, pid reads the fact column, nothing projects
-	// from product, and the join is an existence probe.
-	semi := Scan("sales").JoinGraph(joinProduct()).GroupBy("pid").Agg(Count())
-	if c := semi.Class(); c != costmodel.JoinProject {
-		t.Errorf("unbound join class = %v", c)
-	}
 	cat, _ := newFixture(t)
-	q, err := semi.Bind(cat)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if c := q.Class(); c != costmodel.JoinProbe {
-		t.Errorf("join class = %v", c)
+	// Payloads are inferred at Bind: pid reads the fact column, nothing
+	// projects from product, and the join is an existence probe.
+	for _, c := range []struct {
+		name string
+		plan *Plan
+		want costmodel.WorkClass
+	}{
+		{"reduce", Scan("sales").Agg(Sum("amount")), costmodel.ScanReduce},
+		{"groupby", Scan("sales").GroupBy("pid").Agg(Count()), costmodel.ScanGroupBy},
+		{"join", Scan("sales").JoinGraph(joinProduct()).GroupBy("pid").Agg(Count()), costmodel.JoinProbe},
+	} {
+		q, err := c.plan.Bind(cat)
+		if err != nil {
+			t.Fatalf("%s: %v", c.name, err)
+		}
+		if got := q.Class(); got != c.want {
+			t.Errorf("%s class = %v, want %v", c.name, got, c.want)
+		}
 	}
 }
 

@@ -91,8 +91,9 @@ type refQuery struct {
 	cat Catalog
 }
 
+// Class is only read by the scheduler, which never runs the reference.
+func (q refQuery) Class() costmodel.WorkClass { return costmodel.ScanReduce }
 func (q refQuery) Name() string               { return q.p.Name() }
-func (q refQuery) Class() costmodel.WorkClass { return q.p.Class() }
 func (q refQuery) FactTable() string          { return q.p.table }
 func (q refQuery) Columns() []int             { return nil }
 
