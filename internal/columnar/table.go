@@ -46,6 +46,10 @@ func (in *Instance) Col(c int) *Words { return in.cols[c] }
 // written column to its update count, then sets each row's two dirty bits
 // and adds to the table's update count — so for every row, the timestamp
 // and the column counts are out before the bits that announce it.
+//
+// A row's timestamp word is also its seqlock: from a live commit's
+// MarkApplying until UpdateCells stamps it, the word carries the Applying
+// flag, and the row's cells may be changing.
 type Table struct {
 	schema Schema
 	dicts  []*Dict
@@ -57,7 +61,7 @@ type Table struct {
 	// that has none, whose twins answer only to each other.
 	replica *Replica
 
-	rowTS *Words       // commit timestamp of each row's newest version
+	rowTS *Words       // commit timestamp of each row's newest version, or Applying-flagged
 	rows  atomic.Int64 // committed rows (visible in the active instance)
 
 	// dirtyOLAP marks rows updated in place since the delta-ETL last drained
@@ -312,9 +316,10 @@ type Cell struct {
 // bits. It is the table's one in-place write path: a commit hands it every
 // cell it writes to the table, and UpdateCell is its one-cell form. Callers
 // hold BeginApply around the call. A live commit also holds each written
-// record's exclusive lock (MV2PL) and has pushed the rows' pre-images to
-// the version store; a replayed one, applied before any transaction
-// begins, needs neither. A cell listed twice ends with its later value.
+// record's exclusive lock (MV2PL), has pushed the rows' pre-images to the
+// version store and has flagged their timestamps; a replayed one, applied
+// before any transaction begins, needs none of it. A cell listed twice
+// ends with its later value.
 //
 // The batch goes out in the order Table's doc states, because of who reads
 // the bits: the delta-ETL clears a row's dirtyOLAP bit and then reads its
@@ -466,8 +471,34 @@ func (t *Table) ReadActive(row int64, col int) int64 {
 	return t.ReadCell(int(t.active.Load()), row, col)
 }
 
-// RowTS returns the commit timestamp of the row's newest version.
+// RowTS returns the commit timestamp of the row's newest version, with the
+// Applying flag set while a commit is writing the row.
 func (t *Table) RowTS(row int64) uint64 { return uint64(t.rowTS.Load(row)) }
+
+// Applying is the flag a row's timestamp word carries from MarkApplying to
+// the UpdateCells that stamps it. Commit timestamps never reach this bit,
+// and a flagged word compares greater than any of them.
+const Applying uint64 = 1 << 63
+
+// MarkApplying flags row's timestamp word: its cells are about to change.
+// The caller holds the row's record lock and has not yet drawn the commit
+// timestamp; UpdateCells replaces the flagged word with that timestamp, or
+// ClearApplying restores the word for a commit that never applied. The
+// lock holder is the only writer of the word, so a load and a store
+// suffice.
+//
+//htap:hotpath
+func (t *Table) MarkApplying(row int64) {
+	t.rowTS.Store(row, int64(uint64(t.rowTS.Load(row))|Applying))
+}
+
+// ClearApplying takes back MarkApplying, before the caller releases the
+// row's lock.
+//
+//htap:coldpath
+func (t *Table) ClearApplying(row int64) {
+	t.rowTS.Store(row, int64(uint64(t.rowTS.Load(row))&^Applying))
+}
 
 // UpdateCount returns the lifetime number of in-place cell updates; zero
 // means the table has only ever been appended to.

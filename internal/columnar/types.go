@@ -43,6 +43,12 @@
 //     copy of its own (Table.claim, Replica.claim), so no store ever
 //     lands in memory another directory lists. UpdateCells and SyncTo use
 //     atomic stores and count in colUpdates.
+//   - A row's timestamp word is written by the appender that publishes
+//     the row and afterwards only by the holder of the row's record lock:
+//     MarkApplying flags it before the commit timestamp is drawn, and
+//     UpdateCells replaces the flagged word with that timestamp (or
+//     ClearApplying unflags it for a commit that never applied). Between
+//     the mark and the stamp, RowTS carries the Applying flag.
 //   - Point reads (ReadCell, ReadRow) use atomic loads and are always safe;
 //     what version they see is the transaction manager's business. Run
 //     reads (Scan, Slice) are plain loads, for rows no writer touches: an

@@ -6,10 +6,7 @@
 // failure.
 package cuckoo
 
-import (
-	"errors"
-	"sync"
-)
+import "sync"
 
 const (
 	bucketSlots  = 4
@@ -18,9 +15,6 @@ const (
 	maxLoadGrow  = 0.94 // resize eagerly past this load factor
 	growthFactor = 2
 )
-
-// ErrNotFound is returned by Delete when the key is absent.
-var ErrNotFound = errors.New("cuckoo: key not found")
 
 type bucket struct {
 	occupied [bucketSlots]bool
@@ -209,37 +203,5 @@ func (t *Table) grow() {
 			return
 		}
 		n *= growthFactor
-	}
-}
-
-// Delete removes the key, returning ErrNotFound if absent.
-func (t *Table) Delete(key uint64) error {
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	for _, h := range [2]uint64{t.h1(key), t.h2(key)} {
-		b := &t.buckets[h]
-		for i := 0; i < bucketSlots; i++ {
-			if b.occupied[i] && b.keys[i] == key {
-				b.occupied[i] = false
-				t.size--
-				return nil
-			}
-		}
-	}
-	return ErrNotFound
-}
-
-// Range calls fn for every entry until fn returns false. Iteration order is
-// unspecified. The table lock is held for the duration.
-func (t *Table) Range(fn func(key, val uint64) bool) {
-	t.mu.RLock()
-	defer t.mu.RUnlock()
-	for bi := range t.buckets {
-		b := &t.buckets[bi]
-		for i := 0; i < bucketSlots; i++ {
-			if b.occupied[i] && !fn(b.keys[i], b.vals[i]) {
-				return
-			}
-		}
 	}
 }

@@ -36,23 +36,6 @@ func TestUpdateInPlace(t *testing.T) {
 	}
 }
 
-func TestDelete(t *testing.T) {
-	tab := New(0)
-	tab.Put(9, 90)
-	if err := tab.Delete(9); err != nil {
-		t.Fatal(err)
-	}
-	if _, ok := tab.Get(9); ok {
-		t.Fatal("deleted key still present")
-	}
-	if err := tab.Delete(9); err != ErrNotFound {
-		t.Fatalf("second delete err = %v, want ErrNotFound", err)
-	}
-	if tab.Len() != 0 {
-		t.Fatalf("Len = %d, want 0", tab.Len())
-	}
-}
-
 func TestGrowthManyKeys(t *testing.T) {
 	const n = 200_000
 	tab := New(16)
@@ -82,37 +65,6 @@ func TestAdversarialKeys(t *testing.T) {
 		if v, ok := tab.Get(i << 32); !ok || v != i {
 			t.Fatalf("Get(%d<<32) = %d,%v", i, v, ok)
 		}
-	}
-}
-
-func TestRange(t *testing.T) {
-	tab := New(0)
-	want := map[uint64]uint64{}
-	for i := uint64(0); i < 1000; i++ {
-		tab.Put(i, i+1)
-		want[i] = i + 1
-	}
-	got := map[uint64]uint64{}
-	tab.Range(func(k, v uint64) bool {
-		got[k] = v
-		return true
-	})
-	if len(got) != len(want) {
-		t.Fatalf("Range visited %d entries, want %d", len(got), len(want))
-	}
-	for k, v := range want {
-		if got[k] != v {
-			t.Fatalf("Range[%d] = %d, want %d", k, got[k], v)
-		}
-	}
-	// Early termination.
-	count := 0
-	tab.Range(func(k, v uint64) bool {
-		count++
-		return count < 10
-	})
-	if count != 10 {
-		t.Fatalf("early-terminated Range visited %d, want 10", count)
 	}
 }
 
@@ -168,31 +120,6 @@ func TestQuickMapEquivalence(t *testing.T) {
 			}
 		}
 		return true
-	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 100}); err != nil {
-		t.Fatal(err)
-	}
-}
-
-func TestQuickDeleteEquivalence(t *testing.T) {
-	f := func(keys []uint8) bool {
-		tab := New(0)
-		ref := map[uint64]uint64{}
-		for i, k8 := range keys {
-			k := uint64(k8)
-			if i%3 == 2 {
-				err := tab.Delete(k)
-				_, had := ref[k]
-				if had != (err == nil) {
-					return false
-				}
-				delete(ref, k)
-			} else {
-				tab.Put(k, uint64(i))
-				ref[k] = uint64(i)
-			}
-		}
-		return tab.Len() == len(ref)
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 100}); err != nil {
 		t.Fatal(err)

@@ -40,7 +40,9 @@ type Exchange struct {
 	// OLAP replicas. At bootstrap each engine gets one full socket (§5.1).
 	OLTPSocket, OLAPSocket int
 
-	exchangeMu sync.Mutex // serializes switch+sync/ETL cycles
+	// exchangeMu serializes switch+sync cycles. ETLs are serialized by
+	// their callers (core's admitMu, or a single-threaded loader).
+	exchangeMu sync.Mutex
 
 	// probe, when set, fires at named internal points: "switch" after a
 	// table's instance switch, inside the commit barrier, "etl" between a
@@ -251,7 +253,10 @@ func (res *ETLResult) addUpdates(snap *Snapshot, switchTS uint64, rep *columnar.
 		if t.RowTS(row) > switchTS {
 			// Re-updated after the snapshot: keep the record fresh for
 			// the next ETL; copying the (older) snapshot value now
-			// would only waste interconnect bandwidth.
+			// would only waste interconnect bandwidth. A word flagged
+			// Applying compares greater too, rightly: flags go on inside
+			// the commit gate and switchTS was drawn at the barrier, so
+			// the commit applying now lies after the cut.
 			bits.Set(i)
 			return
 		}

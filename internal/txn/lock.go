@@ -25,11 +25,6 @@ type LockKey struct {
 type lockState struct {
 	holder  uint64 // priority (begin TS) of the holder; 0 = free
 	waiters int32
-	// committing is set by the holder (MarkCommitting) before it draws its
-	// commit timestamp and stays set until the release: while it is unset,
-	// the holder's commit timestamp does not exist yet and will therefore be
-	// later than the begin timestamp of any transaction already running.
-	committing bool
 }
 
 const lockShards = 256
@@ -44,8 +39,10 @@ type lockShard struct {
 }
 
 // LockTable is a sharded exclusive-lock manager for record locks. Only
-// transactions take them: the RDE's instance synchronization writes the
-// inactive instance, which no transaction touches (see rde.Exchange).
+// writing transactions take them: the RDE's instance synchronization
+// writes the inactive instance, which no transaction touches (see
+// rde.Exchange), and snapshot readers never consult the table — a row's
+// timestamp word tells them whether its cells are changing (readCommitted).
 type LockTable struct {
 	shards [lockShards]lockShard
 }
@@ -98,24 +95,10 @@ func (lt *LockTable) Acquire(k LockKey, priority uint64) error {
 		st.waiters--
 		sh.locks[k] = st
 	}
-	st.holder = priority // a free lock's state is zero: not committing
+	st.holder = priority
 	sh.locks[k] = st
 	sh.mu.Unlock()
 	return nil
-}
-
-// MarkCommitting flags the held lock on k as belonging to a transaction
-// that is about to draw its commit timestamp (see lockState.committing).
-// The caller must be the holder.
-//
-//htap:hotpath
-func (lt *LockTable) MarkCommitting(k LockKey) {
-	sh := lt.shardOf(k)
-	sh.mu.Lock()
-	st := sh.locks[k]
-	st.committing = true
-	sh.locks[k] = st
-	sh.mu.Unlock()
 }
 
 // Release frees the lock on k. The caller must be the holder.
@@ -136,16 +119,4 @@ func (lt *LockTable) Release(k LockKey) {
 		delete(sh.locks, k) // bound the table: no waiters, no state to keep
 	}
 	sh.mu.Unlock()
-}
-
-// Probe reports whether the lock on k is held and, if so, whether its
-// holder has marked it committing.
-//
-//htap:hotpath
-func (lt *LockTable) Probe(k LockKey) (held, committing bool) {
-	sh := lt.shardOf(k)
-	sh.mu.Lock()
-	st := sh.locks[k]
-	sh.mu.Unlock()
-	return st.holder != 0, st.committing
 }

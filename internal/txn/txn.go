@@ -124,51 +124,39 @@ func (t *Txn) Read(ref *TableRef, row int64, col int) (int64, bool) {
 		return w.val, true
 	}
 	if t.holds(t.lockKey(ref, row)) {
-		// We hold the record lock (validated rowTS <= begin at acquire),
-		// so the in-place cells are stable and visible.
-		if row >= ref.Table.Rows() {
-			return 0, false
-		}
+		// We hold the record lock (lock checked the row is published and
+		// rowTS <= begin), so the in-place cells are stable and visible.
 		return ref.Table.ReadActive(row, col), true
 	}
-	return readCommitted(t.m.locks, ref, row, col, t.begin)
+	return readCommitted(ref, row, col, t.begin)
 }
 
-// readCommitted resolves a snapshot read against storage.
+// readCommitted resolves a snapshot read against storage. The row's
+// timestamp word is its seqlock: a commit flags it (columnar.Applying)
+// before drawing its commit timestamp and stamps it once the cells are out.
 //
-// A row's cells change in place only while its record lock is held in the
-// committing state: a transaction marks its locks committing, then draws
-// its commit timestamp, then applies, then releases. So the active instance
-// is read optimistically, seqlock fashion: row timestamp, probe, cell, probe,
-// row timestamp. Two equal timestamps with no committing holder on either
-// side of the cell pin one committed version — an apply that began after
-// the first probe is still holding the lock at the second, one that ended
-// before the second probe has published its timestamp before the second
-// load. A holder that is not committing has written nothing, and whatever
-// it commits will carry a timestamp drawn after this reader began; the
-// cells in place are the reader's version and are read as if unlocked.
-//
-// A committing holder may be on either side of the snapshot — its commit
-// timestamp may predate asOf while its cells are half-written, and its
-// pre-image would then be a value the snapshot must NOT see — so the reader
-// yields until the lock is released and looks again. Only a row whose
-// timestamp has moved past the snapshot goes to the version chain: whoever
-// moved it pushed the pre-image before applying, so that lookup is final.
+//   - A flagged word: the commit's timestamp may be on either side of the
+//     snapshot, and its cells half-written, so the reader yields and looks
+//     again.
+//   - A word past the snapshot: whoever moved it pushed the pre-image
+//     before applying, so the version chain's answer is final.
+//   - Otherwise the cell in place is the snapshot's if the word is
+//     unchanged after the load: a commit writing it meanwhile would have
+//     flagged the word first, and one that flags it later draws its
+//     timestamp after this reader began.
 //
 //htap:hotpath
-func readCommitted(locks *LockTable, ref *TableRef, row int64, col int, asOf uint64) (int64, bool) {
+func readCommitted(ref *TableRef, row int64, col int, asOf uint64) (int64, bool) {
 	if row >= ref.Table.Rows() {
 		return 0, false
 	}
-	k := LockKey{Tab: ref.ID, Row: row}
 	for {
-		ts := ref.Table.RowTS(row)
-		if ts > asOf {
-			return ref.Versions.ReadAsOf(row, col, asOf)
-		}
-		if _, committing := locks.Probe(k); !committing {
+		if ts := ref.Table.RowTS(row); ts&columnar.Applying == 0 {
+			if ts > asOf {
+				return ref.Versions.ReadAsOf(row, col, asOf)
+			}
 			v := ref.Table.ReadActive(row, col)
-			if _, committing = locks.Probe(k); !committing && ref.Table.RowTS(row) == ts {
+			if ref.Table.RowTS(row) == ts {
 				return v, true
 			}
 		}
@@ -204,11 +192,15 @@ func (t *Txn) buffer(ref *TableRef, row int64, col int, val int64) {
 
 // lock takes the record's exclusive lock for this transaction, once:
 // acquire under wait-die, validate first-updater-wins, push the pre-image.
+// A row not yet published is invisible to every snapshot and unlockable.
 //
 //htap:hotpath
 func (t *Txn) lock(ref *TableRef, row int64) error {
 	if t.status != statusActive {
 		return ErrAborted
+	}
+	if row >= ref.Table.Rows() {
+		return t.errInvisible(ref, row)
 	}
 	k := t.lockKey(ref, row)
 	if t.holds(k) {
@@ -264,9 +256,6 @@ func (t *Txn) growImage(width int) { t.img = make([]int64, width) }
 //
 //htap:hotpath
 func (t *Txn) WriteFunc(ref *TableRef, row int64, col int, fn func(old int64) int64) error {
-	if row >= ref.Table.Rows() {
-		return t.errInvisible(ref, row)
-	}
 	if err := t.lock(ref, row); err != nil {
 		return err
 	}
@@ -329,11 +318,13 @@ func (t *Txn) growArena(n int) {
 // in-memory application runs under the log's lock, so log order equals
 // apply order and insert replay reassigns identical row IDs.
 //
-// Every held lock is marked committing before the commit timestamp is
-// drawn: a snapshot reader that finds a lock held but unmarked knows the
-// holder's commit lies after its own begin (see readCommitted). The marks
-// go on inside the commit gate, so a committer parked at a CommitBarrier
-// stalls no reader.
+// Every written row's timestamp word is flagged (Table.MarkApplying)
+// before the commit timestamp is drawn, and apply's UpdateCells stamps it
+// over the flag: a snapshot reader that finds the word unflagged and
+// unchanged across its cell load knows any commit still to come on the row
+// lies after its own begin (see readCommitted). The flags go on inside the
+// commit gate, so a committer parked at a CommitBarrier stalls no reader,
+// and a hard append failure clears them before the locks are released.
 //
 // A nil return means committed and durable per the log's sync policy. An
 // error satisfying wal.IsSyncFailure means the commit DID apply in
@@ -347,8 +338,8 @@ func (t *Txn) Commit() error {
 		return ErrAborted
 	}
 	t.m.gate.RLock()
-	for _, k := range t.held {
-		t.m.locks.MarkCommitting(k)
+	for i := range t.writes {
+		t.writes[i].ref.Table.MarkApplying(t.writes[i].row)
 	}
 	commitTS := t.m.clock.Add(1)
 
@@ -358,6 +349,7 @@ func (t *Txn) Commit() error {
 			if !wal.IsSyncFailure(err) {
 				// The record never reached the log and apply did not run:
 				// nothing committed. Abort.
+				t.unmark()
 				t.m.gate.RUnlock()
 				t.end(statusAborted)
 				return errLogAppend(err)
@@ -383,6 +375,15 @@ func (t *Txn) Commit() error {
 func (t *Txn) logAndApply(log *wal.Log, commitTS uint64) error {
 	_, err := log.Append(t.record(commitTS), func() { t.apply(commitTS) })
 	return err
+}
+
+// unmark clears the flags Commit set, for a commit that never applied.
+//
+//htap:coldpath
+func (t *Txn) unmark() {
+	for i := range t.writes {
+		t.writes[i].ref.Table.ClearApplying(t.writes[i].row)
+	}
 }
 
 //htap:coldpath

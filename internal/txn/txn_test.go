@@ -368,3 +368,26 @@ func TestLockReentrant(t *testing.T) {
 	}
 	lt.Release(k)
 }
+
+// TestWriteRejectsUnpublishedRows: a row at or past the table's row count
+// is in no snapshot, so Write refuses it as WriteFunc does, before taking a
+// lock — the commit that follows writes nothing, stamps no timestamp word
+// and sets no update bit.
+func TestWriteRejectsUnpublishedRows(t *testing.T) {
+	for _, row := range []int64{2, 5, 1 << 20} {
+		m, ref := newTestTable(t, 2)
+		tx := m.Begin()
+		if err := tx.Write(ref, row, 1, 7); err == nil {
+			t.Errorf("Write of row %d of a 2-row table succeeded", row)
+		}
+		if err := tx.WriteFunc(ref, row, 1, func(v int64) int64 { return v + 1 }); err == nil {
+			t.Errorf("WriteFunc of row %d of a 2-row table succeeded", row)
+		}
+		if err := tx.Commit(); err != nil {
+			t.Fatal(err)
+		}
+		if n, bits := ref.Table.UpdateCount(), ref.Table.DirtyOLAP().Count(); n != 0 || bits != 0 {
+			t.Errorf("row %d: after the refused writes UpdateCount = %d, dirty bits = %d, want 0 and 0", row, n, bits)
+		}
+	}
+}

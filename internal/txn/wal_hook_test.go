@@ -3,7 +3,9 @@ package txn
 import (
 	"sync"
 	"testing"
+	"time"
 
+	"elastichtap/internal/columnar"
 	"elastichtap/internal/wal"
 )
 
@@ -96,11 +98,27 @@ func TestCommitAbortsWhenAppendFails(t *testing.T) {
 	if m.Commits() != 0 || m.Aborts() != 1 {
 		t.Fatalf("commits=%d aborts=%d", m.Commits(), m.Aborts())
 	}
-	// The write must not have applied, and the lock must be free.
+	// The flag the commit set on the row must be gone, the write must not
+	// have applied, and the lock must be free. A flag left behind would
+	// make every snapshot read of the row wait forever, so the read is
+	// bounded.
+	if ts := ref.Table.RowTS(0); ts&columnar.Applying != 0 {
+		t.Fatalf("RowTS(0) = %#x: the failed commit left its Applying flag", ts)
+	}
 	check := m.Begin()
 	defer check.Abort()
-	if v, _ := check.Read(ref, 0, 1); v != 100 {
-		t.Fatalf("aborted commit leaked value %d", v)
+	read := make(chan int64, 1)
+	go func() {
+		v, _ := check.Read(ref, 0, 1)
+		read <- v
+	}()
+	select {
+	case v := <-read:
+		if v != 100 {
+			t.Fatalf("aborted commit leaked value %d", v)
+		}
+	case <-time.After(10 * time.Second):
+		t.Fatal("snapshot read of the failed commit's row did not return within 10s")
 	}
 	if err := check.Write(ref, 0, 1, 6); err != nil {
 		t.Fatalf("lock not released: %v", err)
