@@ -324,7 +324,8 @@ func (t *Txn) growArena(n int) {
 // unchanged across its cell load knows any commit still to come on the row
 // lies after its own begin (see readCommitted). The flags go on inside the
 // commit gate, so a committer parked at a CommitBarrier stalls no reader,
-// and a hard append failure clears them before the locks are released.
+// and a commit whose apply never ran (the log lost or refused its record)
+// clears them before the locks are released.
 //
 // A nil return means committed and durable per the log's sync policy. An
 // error satisfying wal.IsSyncFailure means the commit DID apply in
@@ -339,23 +340,26 @@ func (t *Txn) Commit() error {
 	}
 	t.m.gate.RLock()
 	for i := range t.writes {
-		t.writes[i].ref.Table.MarkApplying(t.writes[i].row)
+		w := &t.writes[i]
+		if i > 0 && w.row == t.writes[i-1].row && w.ref == t.writes[i-1].ref {
+			continue // a row's cells are written together: flagged once
+		}
+		w.ref.Table.MarkApplying(w.row)
 	}
 	commitTS := t.m.clock.Add(1)
 
 	var syncErr error
 	if log := t.m.log.Load(); log != nil {
-		if err := t.logAndApply(log, commitTS); err != nil {
-			if !wal.IsSyncFailure(err) {
-				// The record never reached the log and apply did not run:
-				// nothing committed. Abort.
-				t.unmark()
-				t.m.gate.RUnlock()
-				t.end(statusAborted)
-				return errLogAppend(err)
-			}
-			syncErr = err
+		applied, err := t.logAndApply(log, commitTS)
+		if !applied {
+			// The log refused or lost the record and apply did not run:
+			// nothing committed. Abort.
+			t.unmark()
+			t.m.gate.RUnlock()
+			t.end(statusAborted)
+			return errLogAppend(err)
 		}
+		syncErr = err
 	} else {
 		t.apply(commitTS)
 	}
@@ -366,15 +370,20 @@ func (t *Txn) Commit() error {
 	return syncErr
 }
 
-// logAndApply is the write-ahead half of Commit. Read-only transactions
-// log a zero-op record too: recovery then reconstructs the exact clock and
-// commit count, not just state. Off the allocation-free path only for the
-// closure the log runs under its lock; the record itself is reused.
+// logAndApply is the write-ahead half of Commit and reports whether apply
+// ran: whatever the error, the commit applied exactly when it did.
+// Read-only transactions log a zero-op record too: recovery then
+// reconstructs the exact clock and commit count, not just state. Off the
+// allocation-free path only for the closure the log runs under its lock;
+// the record itself is reused.
 //
 //htap:coldpath
-func (t *Txn) logAndApply(log *wal.Log, commitTS uint64) error {
-	_, err := log.Append(t.record(commitTS), func() { t.apply(commitTS) })
-	return err
+func (t *Txn) logAndApply(log *wal.Log, commitTS uint64) (applied bool, err error) {
+	_, err = log.Append(t.record(commitTS), func() {
+		t.apply(commitTS)
+		applied = true
+	})
+	return applied, err
 }
 
 // unmark clears the flags Commit set, for a commit that never applied.

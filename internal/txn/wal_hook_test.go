@@ -153,6 +153,61 @@ func TestCommitSyncFailureStillApplies(t *testing.T) {
 	}
 }
 
+// TestCommitAfterSyncFailureAborts: once a failed fsync has broken the
+// log, a later commit's record never reaches it and its apply never runs,
+// so the commit aborts and takes back the flags it set; left behind, they
+// would make every snapshot read of the row wait and every later lock of
+// it conflict.
+func TestCommitAfterSyncFailureAborts(t *testing.T) {
+	m, ref := newTestTable(t, 2)
+	fs := wal.NewMemFS()
+	l, err := wal.Open(fs, "wal.log", wal.SyncAlways, 0, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	m.SetWAL(l)
+	fs.FailSyncs(0)
+
+	tx := m.Begin()
+	if err := tx.Write(ref, 0, 1, 5); err != nil {
+		t.Fatal(err)
+	}
+	if err := tx.Commit(); !wal.IsSyncFailure(err) {
+		t.Fatalf("first commit err = %v, want sync failure", err)
+	}
+	tx = m.Begin()
+	if err := tx.Write(ref, 0, 1, 6); err != nil {
+		t.Fatal(err)
+	}
+	if err := tx.Commit(); err == nil || wal.IsSyncFailure(err) {
+		t.Fatalf("commit on a broken log = %v, want a hard append failure", err)
+	}
+	if m.Commits() != 1 || m.Aborts() != 1 {
+		t.Fatalf("commits=%d aborts=%d, want 1 and 1", m.Commits(), m.Aborts())
+	}
+	if ts := ref.Table.RowTS(0); ts&columnar.Applying != 0 {
+		t.Fatalf("RowTS(0) = %#x: the refused commit left its Applying flag", ts)
+	}
+	check := m.Begin()
+	defer check.Abort()
+	read := make(chan int64, 1)
+	go func() {
+		v, _ := check.Read(ref, 0, 1)
+		read <- v
+	}()
+	select {
+	case v := <-read:
+		if v != 5 {
+			t.Fatalf("row 0 reads %d, want 5 from the applied commit", v)
+		}
+	case <-time.After(10 * time.Second):
+		t.Fatal("snapshot read of the refused commit's row did not return within 10s")
+	}
+	if err := check.Write(ref, 0, 1, 7); err != nil {
+		t.Fatalf("row 0 not lockable after the refused commit: %v", err)
+	}
+}
+
 // TestCommitBarrierSeesLoggedCommitsCounted: inside a CommitBarrier the
 // commit counter covers exactly the records the log holds — a checkpoint
 // captures both there, and recovery adds the replayed suffix to the count.

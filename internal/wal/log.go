@@ -120,8 +120,8 @@ func (l *Log) Stats() (appends, syncs, grouped int64) {
 // happens after, covering this record and any later ones other
 // committers wrote in the meantime (group commit).
 //
-// On a write error apply has NOT run and the log is broken; on a sync
-// error apply HAS run and the error satisfies IsSyncFailure.
+// On a write error, or on a log already broken, apply has NOT run; on a
+// sync error apply HAS run and the error satisfies IsSyncFailure.
 //
 //htap:hotpath
 func (l *Log) Append(rec *Record, apply func()) (int64, error) {
@@ -198,14 +198,15 @@ func (l *Log) syncTo(end int64) error {
 }
 
 // failSync marks the log broken after a durability failure and wraps the
-// cause so IsSyncFailure recognizes it.
+// cause so IsSyncFailure recognizes it. The sticky error later appends get
+// does not satisfy IsSyncFailure: their records never reach the log.
 //
 //htap:coldpath
 func (l *Log) failSync(err error) error {
 	se := &errSync{err: err}
 	l.mu.Lock()
 	if l.broken == nil {
-		l.broken = se
+		l.broken = fmt.Errorf("wal: log broken: %w", err)
 	}
 	l.mu.Unlock()
 	return se

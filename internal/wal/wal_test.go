@@ -204,8 +204,13 @@ func TestFsyncFailureBreaksLog(t *testing.T) {
 	if !applied {
 		t.Fatal("apply must run before the fsync: the record was written")
 	}
-	if _, err := l.Append(updateRec(3, "stock", 3, 3, 3), nil); err == nil {
+	applied = false
+	_, err = l.Append(updateRec(3, "stock", 3, 3, 3), func() { applied = true })
+	if err == nil {
 		t.Fatal("log accepted an append after a durability failure")
+	}
+	if IsSyncFailure(err) || applied {
+		t.Fatalf("refused append: err=%v applied=%v, want a non-sync error and no apply", err, applied)
 	}
 }
 
