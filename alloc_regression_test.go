@@ -233,7 +233,8 @@ func TestWALAppendAllocBudget(t *testing.T) {
 // TestTxnAllocBudget pins what one CH transaction allocates, workload body
 // included, on one client with no WAL. RunWithRetry recycles one Txn (lock
 // set, write set, insert arena, pre-image buffer); a pre-image push reuses
-// the version it trims; the lock table keeps its states by value. What is
+// the version it trims; a record lock is a word in a block that its
+// first lock allocated, during the warm-up. What is
 // left is the body's own closures — one for Payment, two for NewOrder (the
 // body and the order's index callback) — and, for NewOrder, the column
 // chunks its ~12 inserted rows grow into. A buffer that stops being reused,

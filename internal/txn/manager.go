@@ -21,24 +21,23 @@ var ErrConflict = errors.New("txn: write-write conflict (first updater wins)")
 // aborted or committed.
 var ErrAborted = errors.New("txn: transaction is not active")
 
-// TableRef couples a registered table with its version store and lock
-// namespace. Obtain one from Manager.Register.
+// TableRef couples a registered table with its version store and record
+// locks. Obtain one from Manager.Register.
 type TableRef struct {
-	ID       uint32
 	Table    *columnar.Table
 	Versions *vm.Store
+	Locks    Locks
 }
 
-// Manager issues timestamps, tracks active transactions for version
-// reclamation, and owns the record lock table. Lock conflicts resolve by
-// wait-die (§3.2): older requesters wait, younger ones abort, and restarts
-// keep their original priority — deadlock-free and starvation-free.
+// Manager issues timestamps and tracks active transactions for version
+// reclamation. Record locks (TableRef.Locks) resolve conflicts by wait-die
+// (§3.2): older requesters wait, younger ones abort, and restarts keep
+// their original priority — deadlock-free and starvation-free.
 type Manager struct {
 	// clock only moves forward. Begin timestamps are drawn under mu, so
 	// that a timestamp and its entry in active appear together; commit
 	// timestamps are drawn without it.
 	clock atomic.Uint64
-	locks *LockTable
 
 	mu     sync.Mutex
 	tables []*TableRef //htap:guardedby mu
@@ -70,14 +69,14 @@ type Manager struct {
 
 // NewManager returns an empty transaction manager.
 func NewManager() *Manager {
-	return &Manager{locks: NewLockTable()}
+	return &Manager{}
 }
 
-// Register assigns a lock and version-store namespace to a table.
+// Register gives a table its version store and record locks.
 func (m *Manager) Register(t *columnar.Table) *TableRef {
 	m.mu.Lock()
 	defer m.mu.Unlock()
-	ref := &TableRef{ID: uint32(len(m.tables) + 1), Table: t, Versions: vm.NewStore()}
+	ref := &TableRef{Table: t, Versions: vm.NewStore()}
 	m.tables = append(m.tables, ref)
 	return ref
 }

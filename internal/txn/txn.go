@@ -16,6 +16,11 @@ const (
 	statusAborted
 )
 
+type heldLock struct {
+	ref *TableRef
+	row int64
+}
+
 type writeOp struct {
 	ref *TableRef
 	row int64
@@ -49,7 +54,7 @@ type Txn struct {
 	// held and writes are the lock set and the write set, each kept once,
 	// in acquisition and first-write order. Membership is a backward
 	// linear probe: a NewOrder touches under 64 cells, a Payment 3 rows.
-	held    []LockKey
+	held    []heldLock
 	writes  []writeOp
 	inserts []insertOp
 	// arena holds every inserted row of the transaction, row-major, in
@@ -71,14 +76,10 @@ type Txn struct {
 // Begin returns the transaction's begin (snapshot) timestamp.
 func (t *Txn) Begin() uint64 { return t.begin }
 
-func (t *Txn) lockKey(ref *TableRef, row int64) LockKey {
-	return LockKey{Tab: ref.ID, Row: row}
-}
-
-// holds reports whether this transaction has taken the lock on k.
-func (t *Txn) holds(k LockKey) bool {
+// holds reports whether this transaction has taken the lock on (ref, row).
+func (t *Txn) holds(ref *TableRef, row int64) bool {
 	for i := len(t.held) - 1; i >= 0; i-- {
-		if t.held[i] == k {
+		if t.held[i] == (heldLock{ref, row}) {
 			return true
 		}
 	}
@@ -100,7 +101,7 @@ func (t *Txn) written(ref *TableRef, row int64, col int) *writeOp {
 //htap:coldpath
 func (t *Txn) grow() {
 	if len(t.held) == cap(t.held) {
-		t.held = append(t.held, LockKey{})[:len(t.held)]
+		t.held = append(t.held, heldLock{})[:len(t.held)]
 	}
 	if len(t.writes) == cap(t.writes) {
 		t.writes = append(t.writes, writeOp{})[:len(t.writes)]
@@ -123,7 +124,7 @@ func (t *Txn) Read(ref *TableRef, row int64, col int) (int64, bool) {
 	if w := t.written(ref, row, col); w != nil {
 		return w.val, true
 	}
-	if t.holds(t.lockKey(ref, row)) {
+	if t.holds(ref, row) {
 		// We hold the record lock (lock checked the row is published and
 		// rowTS <= begin), so the in-place cells are stable and visible.
 		return ref.Table.ReadActive(row, col), true
@@ -202,18 +203,17 @@ func (t *Txn) lock(ref *TableRef, row int64) error {
 	if row >= ref.Table.Rows() {
 		return t.errInvisible(ref, row)
 	}
-	k := t.lockKey(ref, row)
-	if t.holds(k) {
+	if t.holds(ref, row) {
 		return nil
 	}
-	if err := t.m.locks.Acquire(k, t.priority); err != nil {
+	if err := ref.Locks.Acquire(row, t.priority); err != nil {
 		return err
 	}
 	if len(t.held) == cap(t.held) {
 		t.grow()
 	}
 	t.held = t.held[:len(t.held)+1]
-	t.held[len(t.held)-1] = k
+	t.held[len(t.held)-1] = heldLock{ref, row}
 	// First-updater-wins: a version committed after our snapshot means
 	// a concurrent writer already won.
 	ts := ref.Table.RowTS(row)
@@ -512,8 +512,8 @@ func (t *Txn) Abort() {
 
 // end releases every lock, leaves the active set and counts an abort.
 func (t *Txn) end(status txnStatus) {
-	for _, k := range t.held {
-		t.m.locks.Release(k)
+	for _, h := range t.held {
+		h.ref.Locks.Release(h.row)
 	}
 	t.held = t.held[:0]
 	t.status = status

@@ -3,8 +3,10 @@ package txn
 import (
 	"errors"
 	"math/rand"
+	"runtime"
 	"sync"
 	"testing"
+	"time"
 
 	"elastichtap/internal/columnar"
 )
@@ -119,14 +121,28 @@ func TestOlderWaitsForYounger(t *testing.T) {
 		// Older requester waits for the younger holder.
 		done <- older.Write(ref, 0, 1, 6)
 	}()
+	// Commit only once the older writer is parked on row 0's lock word:
+	// one that arrived after the commit would find the lock free and fail
+	// the same way without ever waiting.
+	deadline := time.Now().Add(10 * time.Second)
+	for ref.Locks.word(0).Load()&waiting == 0 {
+		if time.Now().After(deadline) {
+			t.Fatal("the older writer never set row 0's waiting bit within 10 s")
+		}
+		runtime.Gosched()
+	}
 	if err := younger.Commit(); err != nil {
 		t.Fatal(err)
 	}
-	err := <-done
-	// After the younger commits, the older acquires the lock but then
-	// fails first-updater-wins validation.
-	if !errors.Is(err, ErrConflict) {
-		t.Fatalf("err = %v, want ErrConflict after wait", err)
+	select {
+	case err := <-done:
+		// After the younger commits, the older acquires the lock but then
+		// fails first-updater-wins validation.
+		if !errors.Is(err, ErrConflict) {
+			t.Fatalf("err = %v, want ErrConflict after wait", err)
+		}
+	case <-time.After(10 * time.Second):
+		t.Fatal("the older writer still waits 10 s after the holder committed: its release woke no waiter")
 	}
 	older.Abort()
 }
@@ -358,15 +374,17 @@ func TestConcurrentTransfersConserveMoney(t *testing.T) {
 }
 
 func TestLockReentrant(t *testing.T) {
-	lt := NewLockTable()
-	k := LockKey{Tab: 1, Row: 1}
-	if err := lt.Acquire(k, 5); err != nil {
+	var l Locks
+	if err := l.Acquire(1, 5); err != nil {
 		t.Fatal(err)
 	}
-	if err := lt.Acquire(k, 5); err != nil {
+	if err := l.Acquire(1, 5); err != nil {
 		t.Fatalf("reentrant acquire: %v", err)
 	}
-	lt.Release(k)
+	l.Release(1)
+	if h := l.word(1).Load(); h != 0 {
+		t.Fatalf("lock word after release = %#x, want 0", h)
+	}
 }
 
 // TestWriteRejectsUnpublishedRows: a row at or past the table's row count

@@ -57,7 +57,7 @@ func NewStore() *Store {
 	return s
 }
 
-func (s *Store) shardOf(row int64) *shard {
+func (s *Store) shardFor(row int64) *shard {
 	return &s.shards[uint64(row)%shardCount]
 }
 
@@ -73,7 +73,7 @@ func (s *Store) shardOf(row int64) *shard {
 //
 //htap:hotpath
 func (s *Store) Push(row int64, ts uint64, image []int64, watermark uint64) {
-	sh := s.shardOf(row)
+	sh := s.shardFor(row)
 	sh.mu.Lock()
 	old := sh.chains[row]
 	// Trim first, so what is cut can carry the new head.
@@ -123,7 +123,7 @@ func newVersion(width int) *Version {
 //
 //htap:hotpath
 func (s *Store) ReadAsOf(row int64, col int, ts uint64) (cell int64, ok bool) {
-	sh := s.shardOf(row)
+	sh := s.shardFor(row)
 	sh.mu.RLock()
 	defer sh.mu.RUnlock() // Push cuts links and rewrites images under the write lock
 	for v := sh.chains[row]; v != nil; v = v.Older {
@@ -136,7 +136,7 @@ func (s *Store) ReadAsOf(row int64, col int, ts uint64) (cell int64, ok bool) {
 
 // ChainLen returns the length of the row's chain (diagnostics, tests).
 func (s *Store) ChainLen(row int64) int {
-	sh := s.shardOf(row)
+	sh := s.shardFor(row)
 	sh.mu.RLock()
 	defer sh.mu.RUnlock()
 	n := 0
