@@ -37,8 +37,9 @@ func fusedBlock(db *ch.DB, cols []int) (olap.Block, int64) {
 }
 
 // TestFusedConsumeZeroAllocsPerMorsel drives a warmed fused local
-// directly: consuming a morsel must be allocation-free for both the
-// ungrouped (Q6) and dense-grouped (Q1) kernels.
+// directly: consuming a morsel must be allocation-free for the ungrouped
+// (Q6), dense-grouped (Q1) and spill-grouped (Q18) kernels — a spill
+// table's per-key merge radix is bookkeeping a warmed local never grows.
 func TestFusedConsumeZeroAllocsPerMorsel(t *testing.T) {
 	e := oltp.NewEngine()
 	db := ch.Load(e, ch.TinySizing(), 1)
@@ -48,6 +49,7 @@ func TestFusedConsumeZeroAllocsPerMorsel(t *testing.T) {
 	}{
 		{"Q1", func() (olap.Query, error) { q, err := ch.Q1Plan(0).Bind(db); return q, err }},
 		{"Q6", func() (olap.Query, error) { q, err := ch.Q6Plan(0, 0, 0, 0).Bind(db); return q, err }},
+		{"Q18", func() (olap.Query, error) { q, err := ch.Q18Plan(0, 0).Bind(db); return q, err }},
 	} {
 		t.Run(p.name, func(t *testing.T) {
 			q, err := p.bind()
@@ -340,5 +342,36 @@ func TestSteadyStateMigrateZeroAllocs(t *testing.T) {
 	}
 	if st := sys.Sched.State(); st != core.S3NI || cores != 28 {
 		t.Fatalf("steady state %v with %d cores, want S3-NI with 28", st, cores)
+	}
+}
+
+// TestGroupedMergeAllocBudget bounds a warmed Q18 execution at SF 0.01:
+// some 4 000 orders, each its own spill group. The merge folds the
+// locals into one presized table per part, applies Having over its
+// arena and emits only the top 100, so what it allocates does not grow
+// with the group count. Measured 188 (4 106 when every group emitted a
+// row before Having and the top-k ran).
+func TestGroupedMergeAllocBudget(t *testing.T) {
+	e := oltp.NewEngine()
+	db := ch.Load(e, ch.SizingForScale(0.01), 1)
+	tab := db.OrderLine.Table()
+	src := olap.Source{Table: tab, Parts: []olap.Part{{
+		Data: tab.Active(), Lo: 0, Hi: tab.Rows(), Socket: 0, Label: "alloc",
+	}}}
+	eng := olap.NewEngine(1)
+	eng.SetPlacement(topology.Placement{PerSocket: []int{2}})
+	defer eng.Close()
+	q, err := ch.Q18Plan(0, 0).Bind(db)
+	if err != nil {
+		t.Fatal(err)
+	}
+	run := func() {
+		if _, _, err := eng.ExecuteContext(context.Background(), q, src); err != nil {
+			t.Fatal(err)
+		}
+	}
+	const budget = 512
+	if avg := testing.AllocsPerRun(10, run); avg > budget {
+		t.Fatalf("warmed Q18 execution allocates %.1f, budget %d", avg, budget)
 	}
 }

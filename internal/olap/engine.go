@@ -58,10 +58,36 @@ type Local interface {
 // receives the locals in morsel order — ascending absolute row ranges —
 // regardless of worker interleaving or cross-socket stealing, so a Merge
 // that combines partials in slice order produces bit-identical float
-// results across runs, placements and mid-query resizes.
+// results across runs, placements and mid-query resizes. Merge runs on
+// the calling goroutine; an Exec that is also a FanMerger has the engine
+// call MergeFan instead.
 type Exec interface {
 	NewLocal() Local
 	Merge(locals []Local) Result
+}
+
+// Fan runs part(i) once for every i in [0, n) and returns when all have
+// returned. The parts may run concurrently, on any goroutines.
+type Fan func(n int, part func(i int))
+
+// SerialFan is the Fan that runs the parts in index order on the calling
+// goroutine.
+func SerialFan(n int, part func(i int)) {
+	for i := range n {
+		part(i)
+	}
+}
+
+// FanMerger is an Exec whose merge splits into independent parts. The
+// engine calls MergeFan with a Fan that runs the parts as pseudo-morsels
+// of the task's tenant, concurrently on the pool and on the waiting
+// goroutine; Merge(locals) must equal MergeFan(locals, SerialFan). Each
+// part still receives every local in morsel order, so a part that folds
+// a disjoint share of the groups in slice order keeps every float total
+// bitwise identical to the serial fold, whichever goroutine runs it.
+type FanMerger interface {
+	Exec
+	MergeFan(locals []Local, fan Fan) Result
 }
 
 // Query describes an analytical query to the engine and the scheduler.

@@ -5,12 +5,14 @@ import "context"
 // Task is one admitted query execution sharing the engine's worker pool.
 // Submit returns it immediately; Wait blocks until every morsel is
 // consumed and merges the per-morsel partials in morsel order. Cancel
-// abandons the task at the next morsel boundary.
+// abandons the task at the next morsel boundary. A merge fan (see
+// Task.fan) is a Task too: its morsels are merge parts, run by part.
 type Task struct {
 	e    *Engine
 	exec Exec
 	cols []int
 	src  Source
+	part func(i int) // set on a merge fan's task, which scans nothing
 
 	morsels []morsel
 	locals  []Local
@@ -119,6 +121,10 @@ func (m morsel) bytes(ncols int) int64 {
 // worker runs a morsel with zero allocations. A Local that implemented
 // ScratchConsumer would be handed it for buffers of its own; none does.
 func (t *Task) runMorsel(mi int, sc *Scratch) {
+	if t.part != nil {
+		t.part(mi)
+		return
+	}
 	m := t.morsels[mi]
 	p := t.src.Parts[m.part]
 	blk := Block{Base: m.lo, N: int(m.hi - m.lo), Cols: sc.colSlices(len(t.cols))}
@@ -179,18 +185,18 @@ func (t *Task) Cancel(cause error) {
 	}
 }
 
-// drain runs queued morsels of this task on the submitting goroutine —
-// the fallback worker when the pool is empty at admission. Morsels
-// claimed by pool workers that appeared mid-drain are left to them; a
-// cancelled context stops the drain at the next morsel boundary (the
-// caller's wait then cancels the task).
-func (t *Task) drain(ctx context.Context) {
+// drain runs queued morsels of this task on the waiting goroutine — the
+// fallback worker when the pool is empty at admission, and a merge fan's
+// helper always. Morsels claimed by pool workers are left to them; a
+// closed stop channel ends the drain at the next morsel boundary (for a
+// scan, the caller's wait then cancels the task). A nil stop never does.
+func (t *Task) drain(stop <-chan struct{}) {
 	e := t.e
 	var sc Scratch // one scratch per draining goroutine
 	e.mu.Lock()
 	t.inline++
 	id := -t.inline // one pseudo-worker id per draining goroutine
-	for ctx.Err() == nil {
+	for !closed(stop) {
 		mi, ok := t.popAny()
 		if !ok {
 			break
@@ -202,6 +208,16 @@ func (t *Task) drain(ctx context.Context) {
 		t.finishMorsel()
 	}
 	e.mu.Unlock()
+}
+
+// closed reports whether ch is closed; a nil ch never is.
+func closed(ch <-chan struct{}) bool {
+	select {
+	case <-ch:
+		return true
+	default:
+		return false
+	}
 }
 
 // WaitContext blocks until the task completes and returns the merged
@@ -228,7 +244,7 @@ func (t *Task) WaitContext(ctx context.Context) (Result, Stats, error) {
 	inline := t.unclaimed > 0 && e.nlive == 0
 	e.mu.Unlock()
 	if inline {
-		t.drain(ctx)
+		t.drain(ctx.Done())
 	}
 	<-t.done
 	// t.err and t.stats are written before done closes; the channel close
@@ -236,5 +252,50 @@ func (t *Task) WaitContext(ctx context.Context) (Result, Stats, error) {
 	if t.err != nil {
 		return Result{}, t.stats, t.err
 	}
+	if fm, ok := t.exec.(FanMerger); ok {
+		return fm.MergeFan(t.locals, t.fan), t.stats, nil
+	}
 	return t.exec.Merge(t.locals), t.stats, nil
+}
+
+// fan is the Fan WaitContext hands a FanMerger. It queues the n parts as
+// the morsels of a merge task on this task's tenant queue, spread across
+// the sockets' queues, so the deficit-round-robin dispatcher and the
+// current placement serve them like scan morsels: pool workers pop and
+// steal them, a caretaker finishes them after a shrink to zero, and the
+// calling goroutine drains them too, whatever the pool's size. A merge
+// runs to completion once begun: cancellation ends a task at its scan's
+// morsel boundaries, and a fan ignores it. One part runs inline.
+func (t *Task) fan(n int, part func(i int)) {
+	e := t.e
+	if n <= 1 {
+		SerialFan(n, part)
+		return
+	}
+	f := &Task{
+		e:       e,
+		part:    part,
+		morsels: make([]morsel, n),
+		seen:    map[int]struct{}{},
+		queue:   make([][]int, e.sockets),
+		heads:   make([]int, e.sockets),
+		done:    make(chan struct{}),
+		stats:   Stats{StolenBytesAt: make([]int64, e.sockets)},
+	}
+	for i := range f.morsels {
+		s := i % e.sockets
+		f.morsels[i].socket = s
+		f.queue[s] = append(f.queue[s], i)
+	}
+	f.unclaimed, f.remaining = n, n
+	e.mu.Lock()
+	f.tq = t.tq
+	if f.tq == nil { // a task that scanned no morsels joined no tenant
+		f.tq = e.tenantFor(TenantInfo{})
+	}
+	f.tq.tasks = append(f.tq.tasks, f)
+	e.cond.Broadcast()
+	e.mu.Unlock()
+	f.drain(nil)
+	<-f.done
 }

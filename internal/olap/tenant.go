@@ -1,5 +1,7 @@
 package olap
 
+import "slices"
+
 // TenantInfo identifies the submitting tenant for weighted-fair dispatch.
 // The zero value is the default tenant at weight 1, which is what the
 // untenanted Submit path uses — a pool with a single tenant dispatches
@@ -68,16 +70,14 @@ func (tq *tenantQueue) take(socket int) (*Task, int, bool, bool) {
 	return nil, 0, false, false
 }
 
-// removeTask drops a completed task from the tenant's runnable list.
-// Callers hold e.mu.
+// removeTask drops a completed task from the tenant's runnable list,
+// clearing the vacated slot so that the list's backing array keeps no
+// finished task, its locals or its merge reachable. Callers hold e.mu.
 //
 //htap:locked Engine.mu
 func (tq *tenantQueue) removeTask(t *Task) {
-	for i, x := range tq.tasks {
-		if x == t {
-			tq.tasks = append(tq.tasks[:i], tq.tasks[i+1:]...)
-			return
-		}
+	if i := slices.Index(tq.tasks, t); i >= 0 {
+		tq.tasks = slices.Delete(tq.tasks, i, i+1)
 	}
 }
 

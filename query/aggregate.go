@@ -31,19 +31,57 @@ type acc struct {
 // groupTab is per-local spill group state: an open-addressed index over
 // insertion-ordered keys, with all accumulator rows packed in one arena
 // at stride nacc — one growable allocation each instead of one map entry
-// plus one []acc per group.
+// plus one []acc per group. rad[i] is key i's merge radix (see radixOf),
+// kept so that a merge part picks out its own keys without hashing them.
 type groupTab struct {
 	mask  uint64
 	shift uint8
 	slots []int32 // index+1 into keys; 0 = empty
 	keys  []gkey
+	rad   []uint8
 	arena []acc
 	nacc  int
 	nkey  int
 }
 
-func newGroupTab(nacc, nkey int) *groupTab {
-	return &groupTab{mask: 63, shift: 58, slots: make([]int32, 64), nacc: nacc, nkey: nkey}
+// newGroupTab returns an empty table with room for n keys before it
+// grows (64 slots at least).
+func newGroupTab(nacc, nkey, n int) *groupTab {
+	slots, shift := 64, uint8(58)
+	for slots*3 < n*4 {
+		slots, shift = slots*2, shift-1
+	}
+	return &groupTab{
+		mask: uint64(slots - 1), shift: shift, slots: make([]int32, slots),
+		keys: make([]gkey, 0, n), rad: make([]uint8, 0, n), arena: make([]acc, 0, n*nacc),
+		nacc: nacc, nkey: nkey,
+	}
+}
+
+// radixOf is a group hash's merge radix: bits 24–31, which no table
+// indexes by (tables take the top bits), so one merge part's keys still
+// spread over every slot of its table.
+func radixOf(h uint64) uint8 { return uint8(h >> 24) }
+
+// partOf maps a merge radix to one of np parts.
+func partOf(rad uint8, np int) int { return int(rad) * np >> 8 }
+
+// probe follows key k's probe sequence from its hash: it returns k's
+// slot value (index+1, or 0 when k is absent) and the slot it ends at.
+func (t *groupTab) probe(k *gkey, full uint64) (int32, uint64) {
+	h := full >> t.shift
+	for {
+		if s := t.slots[h]; s == 0 || t.keys[s-1] == *k {
+			return s, h
+		}
+		h = (h + 1) & t.mask
+	}
+}
+
+// has reports whether key k is in the table.
+func (t *groupTab) has(k *gkey) bool {
+	s, _ := t.probe(k, hashGK(k, t.nkey))
+	return s != 0
 }
 
 func (t *groupTab) grow() {
@@ -68,27 +106,22 @@ func (t *groupTab) grow() {
 //
 //htap:coldpath
 func (t *groupTab) lookup(k *gkey) []acc {
-	h := hashGK(k, t.nkey) >> t.shift
-	for {
-		s := t.slots[h]
-		if s == 0 {
-			break
-		}
-		if t.keys[s-1] == *k {
-			off := int(s-1) * t.nacc
-			return t.arena[off : off+t.nacc]
-		}
-		h = (h + 1) & t.mask
+	full := hashGK(k, t.nkey)
+	s, h := t.probe(k, full)
+	if s != 0 {
+		off := int(s-1) * t.nacc
+		return t.arena[off : off+t.nacc]
 	}
 	if (len(t.keys)+1)*4 > len(t.slots)*3 {
 		t.grow()
-		h = hashGK(k, t.nkey) >> t.shift
+		h = full >> t.shift
 		for t.slots[h] != 0 {
 			h = (h + 1) & t.mask
 		}
 	}
 	idx := len(t.keys)
 	t.keys = append(t.keys, *k)
+	t.rad = append(t.rad, radixOf(full))
 	// One zero acc at a time: append(arena, make([]acc, nacc)...) only skips
 	// its temporary without -race, and the alloc budgets hold under both.
 	for range t.nacc {
@@ -136,7 +169,7 @@ func (e *fexec) NewLocal() olap.Local {
 	if e.gkind == gSpill {
 		// Spill plans always hash: building the table here keeps the
 		// per-block consume paths allocation-free (//htap:hotpath).
-		l.tab = newGroupTab(e.nacc, max(e.ngroup, 1))
+		l.tab = newGroupTab(e.nacc, max(e.ngroup, 1), 0)
 	}
 	return l
 }
@@ -179,7 +212,7 @@ func (l *flocal) growIF(k int64) {
 //htap:coldpath
 func (l *flocal) lookupTab(k gkey) []acc {
 	if l.tab == nil {
-		l.tab = newGroupTab(l.e.nacc, max(l.e.ngroup, 1))
+		l.tab = newGroupTab(l.e.nacc, max(l.e.ngroup, 1), 0)
 	}
 	return l.tab.lookup(&k)
 }

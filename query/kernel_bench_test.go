@@ -37,6 +37,7 @@ func newBenchCatalog(tb testing.TB) (Catalog, *oltp.Engine) {
 		{Name: "qty", Type: columnar.Int64},
 		{Name: "amount", Type: columnar.Float64},
 		{Name: "tag", Type: columnar.String},
+		{Name: "k3", Type: columnar.Int64},
 	}}, 16, false)
 	ft := fact.Table()
 	tags := []string{"web", "store", "phone"}
@@ -50,6 +51,7 @@ func newBenchCatalog(tb testing.TB) (Catalog, *oltp.Engine) {
 			int64(i%50+1),      // qty
 			float64(i%997)/7.0, // amount
 			tags[i%len(tags)],  // tag: dict-coded
+			int64(i%40000),     // k3: 40 000 keys, each in 3 or 4 morsels
 		))
 	}
 	ft.AppendRows(rows, 0)

@@ -20,6 +20,7 @@ import (
 	"elastichtap/internal/columnar"
 	"elastichtap/internal/costmodel"
 	"elastichtap/internal/olap"
+	"elastichtap/internal/oltp"
 )
 
 type (
@@ -305,11 +306,40 @@ func probedTables(q *Compiled) string {
 	return strings.Join(names, " ")
 }
 
+// serialMerge drives q by hand as bench/probe.go does: one local per
+// chunk-sized morsel of the fact table, consumed in order on this
+// goroutine, then merged with the parts run in turn. It returns the
+// result and how many parts the merge split into.
+func serialMerge(e *oltp.Engine, q *Compiled) (olap.Result, int) {
+	exec, _ := q.Prepare()
+	tab := e.Table(q.FactTable()).Table()
+	var locals []olap.Local
+	for lo := int64(0); lo < tab.Rows(); lo += columnar.ChunkSize {
+		hi := min(lo+columnar.ChunkSize, tab.Rows())
+		blk := olap.Block{Base: lo, N: int(hi - lo)}
+		for _, c := range q.Columns() {
+			blk.Cols = append(blk.Cols, tab.Active().Col(c).Slice(lo, hi))
+		}
+		l := exec.NewLocal()
+		l.Consume(blk)
+		locals = append(locals, l)
+	}
+	parts := 0
+	res := exec.(olap.FanMerger).MergeFan(locals, func(n int, part func(int)) {
+		parts = n
+		olap.SerialFan(n, part)
+	})
+	return res, parts
+}
+
 // TestFusedMatchesReference holds every kernel family — each monomorphic
 // fast loop, the generic loops in all three grouping kinds, the
 // post-aggregation stages — to the interpreter, bitwise, at 1, 2 and 4
 // pool workers. The ten-filter and many-aggregate plans have more filters
-// and accumulators (34 CountIf never dedupe) than any CH query.
+// and accumulators (34 CountIf never dedupe) than any CH query. The two
+// spill- cases have enough groups for the merge to fan out into hash
+// partitions; they also hold the merge run serially on hand-driven
+// locals, as bench/probe.go runs it, to the pool-run result.
 //
 // The generic probe is covered per table representation and join count.
 // Every plan with a join runs a second time with its build sides forced
@@ -348,6 +378,17 @@ func TestFusedMatchesReference(t *testing.T) {
 		"avg-having-topk": Scan("bfact").Filter(Ge("qty", 3)).GroupBy("gid").
 			Agg(Sum("amount").As("rev"), Avg("amount").As("avg_amt"), Count().As("n")).
 			Having(Gt("rev", 100)).OrderBy("rev", true).Limit(20),
+		// The spill merge at P > 1: (k3, jk) has 40 000 groups (jk is a
+		// function of k3) of 3 or 4 rows, each row in another morsel, so
+		// the merge folds partials from several locals per group and fans
+		// out into hash partitions on the pool. About half the groups
+		// pass Having; the order column is a count, tied across thousands
+		// of groups, so the top 40 is decided by the group keys.
+		"spill-having-topk": Scan("bfact").GroupBy("k3", "jk").
+			Agg(Sum("amount").As("rev"), Count().As("n")).
+			Having(Gt("rev", 230.0)).OrderBy("n", true).Limit(40),
+		"spill-unordered-many": Scan("bfact").GroupBy("k3", "jk").
+			Agg(Sum("amount").As("rev"), Min("qty"), Avg("amount")),
 	}
 	tenFilters := []Pred{Ge("k1", 5), Le("k1", 99990), Ne("jk", 3), Ge("k2", 1), Ne("k2", 48),
 		Not(Between("gid", 20, 23)), Between("qty", 3, 48), Ne("qty", 25), Between("amount", 1.5, 140.0), Ne("tag", "phone")}
@@ -388,6 +429,18 @@ func TestFusedMatchesReference(t *testing.T) {
 					}
 				}
 				fused := runWorkers(t, e, q, workers)
+				if name == "spill-having-topk" && fused.SortedRows <= int64(len(fused.Rows)) {
+					t.Fatalf("%d rows pass Having, %d emitted: the Limit must fall below the survivors", fused.SortedRows, len(fused.Rows))
+				}
+				if strings.HasPrefix(name, "spill-") {
+					serial, parts := serialMerge(e, q)
+					if parts < 2 {
+						t.Fatalf("the merge ran as %d part(s); this case must fan out", parts)
+					}
+					if !reflect.DeepEqual(serial, fused) {
+						t.Fatalf("the serial Merge diverges from the pool-run one:\nserial: %+v\npool:   %+v", serial, fused)
+					}
+				}
 				if ref := runWorkers(t, e, refQuery{plan, cat}, workers); !reflect.DeepEqual(fused, ref) {
 					t.Fatalf("fused result diverges from the reference:\nfused: %+v\nref:   %+v", fused, ref)
 				}
