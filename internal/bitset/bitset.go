@@ -6,8 +6,9 @@ package bitset
 
 import (
 	"math/bits"
-	"sync"
 	"sync/atomic"
+
+	"elastichtap/internal/rowblock"
 )
 
 const (
@@ -20,22 +21,18 @@ const (
 )
 
 // Atomic is a bitmap whose Set/Clear/Test operations are safe for
-// concurrent use and take no lock: the chunk directory is an immutable
-// slice published through an atomic pointer, as columnar.Words publishes
-// its own, and a bit operation is one atomic access to a word that never
-// moves. Only growth locks (growMu, growers only): it copies the
-// directory, appends zeroed chunks, publishes it and then raises the
+// concurrent use and take no lock: its chunks are listed by a
+// rowblock.Blocks, and a bit operation is one atomic access to a word that
+// never moves. Growth publishes zeroed chunks and only then raises the
 // logical length, so an index below the length always has its chunk.
 type Atomic struct {
-	dir    atomic.Pointer[[][]uint64]
+	blocks rowblock.Blocks[uint64]
 	n      atomic.Int64 // logical length in bits; only grows
-	growMu sync.Mutex
 }
 
 // New returns a bitmap with capacity for n bits, all zero.
 func New(n int) *Atomic {
 	b := &Atomic{}
-	b.dir.Store(new([][]uint64))
 	b.Grow(n)
 	return b
 }
@@ -47,26 +44,20 @@ func (b *Atomic) Len() int { return int(b.n.Load()) }
 //
 //htap:coldpath
 func (b *Atomic) Grow(n int) {
-	b.growMu.Lock()
-	defer b.growMu.Unlock()
-	if int64(n) <= b.n.Load() {
-		return
-	}
-	old := *b.dir.Load()
-	if need := (n + chunkBits - 1) / chunkBits; need > len(old) {
-		dir := make([][]uint64, need)
-		copy(dir, old)
-		for i := len(old); i < need; i++ {
-			dir[i] = make([]uint64, chunkWords)
+	b.blocks.Publish(len(b.blocks.Dir()), (n+chunkBits-1)/chunkBits, func(_ int, c []uint64) []uint64 {
+		if c == nil {
+			c = make([]uint64, chunkWords)
 		}
-		b.dir.Store(&dir)
+		return c
+	})
+	// The length rises only now that the directory covers it, and never falls.
+	for l := b.n.Load(); int64(n) > l && !b.n.CompareAndSwap(l, int64(n)); l = b.n.Load() {
 	}
-	b.n.Store(int64(n))
 }
 
 // word returns the address of word wi, which must lie below the length.
 func (b *Atomic) word(wi int) *uint64 {
-	return &(*b.dir.Load())[wi/chunkWords][wi%chunkWords]
+	return &b.blocks.Dir()[wi/chunkWords][wi%chunkWords]
 }
 
 // Set sets bit i, growing the bitmap if needed. It reports whether the bit
@@ -122,16 +113,11 @@ func (b *Atomic) Test(i int) bool {
 	return atomic.LoadUint64(b.word(i/wordBits))&(uint64(1)<<(i%wordBits)) != 0
 }
 
-// words calls fn with the address of every word holding bits below the
-// length as of the call, in ascending order, until fn returns false.
-func (b *Atomic) words(fn func(wi int, w *uint64) bool) {
-	n := int(b.n.Load())
-	dir := *b.dir.Load()
-	for wi, end := 0, (n+wordBits-1)/wordBits; wi < end; wi++ {
-		if !fn(wi, &dir[wi/chunkWords][wi%chunkWords]) {
-			return
-		}
-	}
+// words returns how many words hold bits below the length as of the call,
+// and a directory that covers them: the length is loaded first, and it is
+// raised only after the directory grows.
+func (b *Atomic) words() (n int, dir [][]uint64) {
+	return (int(b.n.Load()) + wordBits - 1) / wordBits, b.blocks.Dir()
 }
 
 // Count returns the number of set bits.
@@ -148,7 +134,7 @@ func (b *Atomic) CountBelow(limit int) int {
 	if limit <= 0 {
 		return 0
 	}
-	dir := *b.dir.Load()
+	dir := b.blocks.Dir()
 	full := limit / wordBits
 	c := 0
 	for wi := 0; wi < full; wi++ {
@@ -165,12 +151,12 @@ func (b *Atomic) CountBelow(limit int) int {
 // sees a weakly consistent view under concurrent mutation, which matches
 // the RDE's needs: bits set after the scan started may or may not be seen.
 func (b *Atomic) ForEachSet(fn func(i int)) {
-	b.words(func(wi int, addr *uint64) bool {
-		for w := atomic.LoadUint64(addr); w != 0; w &= w - 1 {
+	n, dir := b.words()
+	for wi := 0; wi < n; wi++ {
+		for w := atomic.LoadUint64(&dir[wi/chunkWords][wi%chunkWords]); w != 0; w &= w - 1 {
 			fn(wi*wordBits + bits.TrailingZeros64(w))
 		}
-		return true
-	})
+	}
 }
 
 // DrainSet atomically claims and clears set bits, invoking fn once per
@@ -179,15 +165,16 @@ func (b *Atomic) ForEachSet(fn func(i int)) {
 // after the claim are preserved for the next sync.
 func (b *Atomic) DrainSet(fn func(i int)) int {
 	drained := 0
-	b.words(func(wi int, addr *uint64) bool {
+	n, dir := b.words()
+	for wi := 0; wi < n; wi++ {
+		addr := &dir[wi/chunkWords][wi%chunkWords]
 		if atomic.LoadUint64(addr) == 0 {
-			return true // most words are clean: do not write them
+			continue // most words are clean: do not write them
 		}
 		for w := atomic.SwapUint64(addr, 0); w != 0; w &= w - 1 {
 			fn(wi*wordBits + bits.TrailingZeros64(w))
 			drained++
 		}
-		return true
-	})
+	}
 	return drained
 }

@@ -3,11 +3,10 @@ package ch
 import (
 	"fmt"
 	"math/rand"
-	"sync"
-	"sync/atomic"
 
 	"elastichtap/internal/columnar"
 	"elastichtap/internal/oltp"
+	"elastichtap/internal/rowblock"
 	"elastichtap/internal/txn"
 )
 
@@ -197,36 +196,29 @@ type Mix struct {
 	PaymentPct int
 
 	seed int64
-	// rngs is indexed by worker: an immutable slice, replaced (never
-	// edited) under mu the first time a higher worker number shows up, so
-	// the per-transaction path is one atomic load. A worker's RNG is
-	// seeded by its number alone and used by that worker alone.
-	rngs atomic.Pointer[[]*rand.Rand]
-	mu   sync.Mutex
+	// rngs lists worker w's RNG alone in chunk w, set the first time the
+	// worker asks, so the per-transaction path is one atomic load. A
+	// worker's RNG is seeded by its number alone and used by that worker
+	// alone.
+	rngs rowblock.Blocks[rand.Rand]
 }
 
 // NewMix returns a workload mix with deterministic per-worker RNGs.
 func NewMix(db *DB, paymentPct int, seed int64) *Mix {
-	m := &Mix{DB: db, PaymentPct: paymentPct, seed: seed}
-	m.rngs.Store(new([]*rand.Rand))
-	return m
+	return &Mix{DB: db, PaymentPct: paymentPct, seed: seed}
 }
 
 func (m *Mix) rng(worker int) *rand.Rand {
-	if rngs := *m.rngs.Load(); worker < len(rngs) {
-		return rngs[worker]
+	dir := m.rngs.Dir()
+	if worker >= len(dir) || dir[worker] == nil {
+		dir = m.rngs.Publish(worker, worker+1, func(i int, r []rand.Rand) []rand.Rand {
+			if r == nil {
+				r = []rand.Rand{*rand.New(rand.NewSource(m.seed + int64(i)*7919))}
+			}
+			return r
+		})
 	}
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	rngs := *m.rngs.Load()
-	if worker >= len(rngs) {
-		rngs = append(make([]*rand.Rand, 0, worker+1), rngs...)
-		for i := len(rngs); i <= worker; i++ {
-			rngs = append(rngs, rand.New(rand.NewSource(m.seed+int64(i)*7919)))
-		}
-		m.rngs.Store(&rngs)
-	}
-	return rngs[worker]
+	return &dir[worker][0]
 }
 
 // Next implements oltp.Workload.

@@ -1,9 +1,9 @@
 package columnar
 
 import (
-	"slices"
-	"sync"
 	"sync/atomic"
+
+	"elastichtap/internal/rowblock"
 )
 
 // chunkShift is log2(ChunkSize).
@@ -17,17 +17,12 @@ const ChunkSize = 1 << chunkShift
 // chunkBytes is the memory of one chunk.
 const chunkBytes = ChunkSize * 8
 
-// Words is a growable chunked array of raw 8-byte values.
-//
-// The chunk directory is an immutable slice published through an atomic
-// pointer. Publishing a directory is the only operation that takes a lock,
-// and only publishers take it: under growMu a grower (ensure) copies the
-// directory, appends chunks and stores the new pointer. A published
-// directory is therefore never written again and always lists allocated
-// chunks, and chunks never move — so a reader may load the directory,
-// index it and touch a cell without synchronizing with anyone, and a chunk
-// slice handed out by Scan or Slice stays valid however far the array
-// grows afterwards.
+// Words is a growable chunked array of raw 8-byte values. Its chunks are
+// listed by a rowblock.Blocks, whose package doc says why a reader may
+// load the directory, index it and touch a cell without synchronizing
+// with anyone, and why a chunk slice handed out by Scan or Slice stays
+// valid however far the array grows afterwards. Every directory Words
+// publishes lists allocated chunks up to its end.
 //
 // Up to three Words may list the same chunk: a table's twin instances and
 // its OLAP replica. The twins list every chunk no transaction has updated
@@ -48,13 +43,11 @@ const chunkBytes = ChunkSize * 8
 // atomics only where no writer touches them concurrently (rows of an
 // inactive instance, or rows not yet published).
 type Words struct {
-	dir    atomic.Pointer[[][]int64]
-	growMu sync.Mutex // serializes growers; readers never take it
+	blocks rowblock.Blocks[int64]
 }
 
 func newWords(capHint int64) *Words {
 	w := &Words{}
-	w.dir.Store(new([][]int64))
 	w.ensure(capHint)
 	return w
 }
@@ -62,10 +55,20 @@ func newWords(capHint int64) *Words {
 // chunks is the number of chunks that hold rows [0, n).
 func chunks(n int64) int { return int((n + ChunkSize - 1) >> chunkShift) }
 
-// ensure guarantees storage for rows [0, n).
+// fresh is the Publish callback that allocates a chunk for an empty slot.
+func fresh(_ int, c []int64) []int64 {
+	if c == nil {
+		c = make([]int64, ChunkSize)
+	}
+	return c
+}
+
+// ensure guarantees storage for rows [0, n). It and ensureShared run per
+// column on every append, so where the directory covers n already they
+// only compare its length.
 func (w *Words) ensure(n int64) {
-	if len(*w.dir.Load()) < chunks(n) {
-		w.grow(chunks(n), nil)
+	if d := len(w.blocks.Dir()); d < chunks(n) {
+		w.blocks.Publish(d, chunks(n), fresh)
 	}
 }
 
@@ -73,62 +76,45 @@ func (w *Words) ensure(n int64) {
 // are not allocated but taken from twin, which already covers rows [0, n),
 // so both list the same memory from there on.
 func (w *Words) ensureShared(twin *Words, n int64) {
-	if len(*w.dir.Load()) < chunks(n) {
-		w.grow(chunks(n), func(i int) []int64 { return (*twin.dir.Load())[i] })
+	if d := len(w.blocks.Dir()); d < chunks(n) {
+		w.blocks.Publish(d, chunks(n), func(i int, c []int64) []int64 {
+			if c == nil {
+				c = twin.blocks.Dir()[i]
+			}
+			return c
+		})
 	}
 }
 
 // ensureListing is ensure for a replica that absorbs rows [0, n) of src,
 // one of two twins: a chunk w lacks that src and twin both still list is
-// listed by w as well, and the others are allocated. Appends go on filling
+// listed by w as well, and the others are allocated. src's chunk is loaded
+// once, so the chunk w lists is the one found shared. Appends go on filling
 // a listed tail chunk above the row count, which is above w's watermark.
 func (w *Words) ensureListing(src, twin *Words, n int64) {
-	if len(*w.dir.Load()) >= chunks(n) {
-		return
-	}
-	a, b := *src.dir.Load(), *twin.dir.Load()
-	w.grow(chunks(n), func(i int) []int64 {
-		if &a[i][0] == &b[i][0] {
-			return a[i]
+	w.blocks.Publish(len(w.blocks.Dir()), chunks(n), func(i int, c []int64) []int64 {
+		if s := src.blocks.Dir()[i]; c == nil && twin.lists(s, int64(i)<<chunkShift) {
+			c = s
 		}
-		return nil
+		return fresh(i, c)
 	})
-}
-
-// grow publishes a directory of at least need chunks. A new chunk is the
-// one list names for it or, where list is nil or names none, freshly
-// allocated.
-//
-//htap:coldpath
-func (w *Words) grow(need int, list func(i int) []int64) {
-	w.growMu.Lock()
-	defer w.growMu.Unlock()
-	old := *w.dir.Load()
-	if len(old) >= need {
-		return
-	}
-	dir := make([][]int64, need)
-	copy(dir, old)
-	for i := len(old); i < need; i++ {
-		if list != nil {
-			dir[i] = list(i)
-		}
-		if dir[i] == nil {
-			dir[i] = make([]int64, ChunkSize)
-		}
-	}
-	w.dir.Store(&dir)
 }
 
 // sharesChunk reports whether w and o list the same memory for row i's
 // chunk — false where o has no chunk there yet, as a replica's directory
 // ends at its watermark. Once false for a chunk both list, it stays false:
 // a listed chunk is only ever dropped, by privatize.
+func (w *Words) sharesChunk(o *Words, i int64) bool {
+	return o.lists(w.blocks.Dir()[i>>chunkShift], i)
+}
+
+// lists reports whether o lists chunk c for row i: sharesChunk for a
+// caller that has loaded its own chunk already.
 //
 //htap:hotpath
-func (w *Words) sharesChunk(o *Words, i int64) bool {
-	od, j := *o.dir.Load(), i>>chunkShift
-	return j < int64(len(od)) && &(*w.dir.Load())[j][0] == &od[j][0]
+func (o *Words) lists(c []int64, i int64) bool {
+	od, j := o.blocks.Dir(), i>>chunkShift
+	return j < int64(len(od)) && &c[0] == &od[j][0]
 }
 
 // privatize gives w a copy of row i's chunk in place of the one it shares
@@ -140,30 +126,29 @@ func (w *Words) sharesChunk(o *Words, i int64) bool {
 //
 //htap:coldpath
 func (w *Words) privatize(i int64, a, b *Words) {
-	w.growMu.Lock()
-	defer w.growMu.Unlock()
-	if !w.sharesChunk(a, i) && (b == nil || !w.sharesChunk(b, i)) {
-		return
-	}
-	dir := slices.Clone(*w.dir.Load())
-	own := make([]int64, ChunkSize)
-	copy(own, dir[i>>chunkShift])
-	dir[i>>chunkShift] = own
-	w.dir.Store(&dir)
+	j := int(i >> chunkShift)
+	w.blocks.Publish(j, j+1, func(_ int, c []int64) []int64 {
+		if !a.lists(c, i) && (b == nil || !b.lists(c, i)) {
+			return c
+		}
+		own := make([]int64, ChunkSize)
+		copy(own, c)
+		return own
+	})
 }
 
 // Store atomically writes the value at row i (storage must exist).
 //
 //htap:hotpath
 func (w *Words) Store(i int64, v int64) {
-	atomic.StoreInt64(&(*w.dir.Load())[i>>chunkShift][i&(ChunkSize-1)], v)
+	atomic.StoreInt64(&w.blocks.Dir()[i>>chunkShift][i&(ChunkSize-1)], v)
 }
 
 // Load atomically reads the value at row i.
 //
 //htap:hotpath
 func (w *Words) Load(i int64) int64 {
-	return atomic.LoadInt64(&(*w.dir.Load())[i>>chunkShift][i&(ChunkSize-1)])
+	return atomic.LoadInt64(&w.blocks.Dir()[i>>chunkShift][i&(ChunkSize-1)])
 }
 
 // run returns the raw storage for rows [lo, hi) cut at lo's chunk
@@ -174,7 +159,7 @@ func (w *Words) run(lo, hi int64) []int64 {
 	if end > ChunkSize {
 		end = ChunkSize
 	}
-	return (*w.dir.Load())[lo>>chunkShift][off:end]
+	return w.blocks.Dir()[lo>>chunkShift][off:end]
 }
 
 // Scan iterates rows [lo, hi) in chunk-sized runs, invoking fn with the raw

@@ -101,10 +101,11 @@ func (r *Replica) CopyRow(snap *Instance, row int64) (bytes, aliased int64) {
 // store — and otherwise makes sure no twin lists the chunk before the
 // caller stores into it.
 func (r *Replica) claim(w, src, twin *Words, row int64) bool {
-	if w.sharesChunk(src, row) {
+	c := w.blocks.Dir()[row>>chunkShift]
+	if src.lists(c, row) {
 		return false
 	}
-	if w.sharesChunk(twin, row) {
+	if twin.lists(c, row) {
 		r.table.unshare(w, row, twin, src)
 	}
 	return true
@@ -119,7 +120,7 @@ func (r *Replica) Bytes() (shared, own int64) {
 	t.appendMu.Lock()
 	defer t.appendMu.Unlock()
 	for c, w := range r.cols {
-		for i := range *w.dir.Load() {
+		for i := range w.blocks.Dir() {
 			row := int64(i) << chunkShift
 			if w.sharesChunk(t.inst[0].cols[c], row) || w.sharesChunk(t.inst[1].cols[c], row) {
 				shared += chunkBytes

@@ -395,8 +395,8 @@ func (t *Table) UpdateCell(row int64, col int, v int64, ts uint64) {
 //
 //htap:hotpath
 func (t *Table) claim(w, twin *Words, col int, row int64) {
-	rep := t.replicaCol(col)
-	if w.sharesChunk(twin, row) || rep != nil && w.sharesChunk(rep, row) {
+	rep, c := t.replicaCol(col), w.blocks.Dir()[row>>chunkShift]
+	if twin.lists(c, row) || rep != nil && rep.lists(c, row) {
 		t.unshare(w, row, twin, rep)
 	}
 }
@@ -417,8 +417,9 @@ func (t *Table) replicaCol(col int) *Words {
 // tail while it is copied. The other listers keep the old chunk — a scan
 // holding a slice of it goes on reading memory nobody writes — and a
 // transaction that loaded w's old directory reads the cell as it was before
-// this update, which is what its timestamp and lock-probe validation (txn's
-// readCommitted) takes it for.
+// this update. txn's readCommitted keeps that value only if the row's
+// timestamp word (RowTS), read as a seqlock around the cell, showed no
+// Applying flag and did not change; otherwise it retries.
 //
 //htap:coldpath
 func (t *Table) unshare(w *Words, row int64, a, b *Words) {
@@ -436,9 +437,8 @@ func (t *Table) TwinBytes() (shared, private int64) {
 	t.appendMu.Lock()
 	defer t.appendMu.Unlock()
 	for c, w := range t.inst[0].cols {
-		a, b := *w.dir.Load(), *t.inst[1].cols[c].dir.Load()
-		for i := range a {
-			if &a[i][0] == &b[i][0] {
+		for i := range w.blocks.Dir() {
+			if w.sharesChunk(t.inst[1].cols[c], int64(i)<<chunkShift) {
 				shared += chunkBytes
 			} else {
 				private += 2 * chunkBytes

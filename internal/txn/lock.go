@@ -8,6 +8,8 @@ import (
 	"errors"
 	"sync"
 	"sync/atomic"
+
+	"elastichtap/internal/rowblock"
 )
 
 // ErrDie is returned by Locks.Acquire when a younger transaction requests
@@ -15,11 +17,9 @@ import (
 // restart rather than wait, which makes deadlock impossible.
 var ErrDie = errors.New("txn: wait-die abort (younger requester)")
 
-// lockBlockShift is log2 of the rows one lockBlock covers.
+// lockBlockShift is log2 of the rows one block of lock words covers: a
+// block is 1024 words, 8 KiB.
 const lockBlockShift = 10
-
-// lockBlock is the lock words of 1024 consecutive rows: 8 KiB.
-type lockBlock [1 << lockBlockShift]atomic.Uint64
 
 // waiting is the bit a lock word carries while an older requester waits
 // for its holder. Priorities are begin timestamps and never reach it.
@@ -28,19 +28,18 @@ const waiting uint64 = 1 << 63
 // Locks is one table's record locks: a word per row holding the holder's
 // priority (0 = free) and the waiting bit. Snapshot readers never consult
 // them (readCommitted). The words live in blocks allocated on the first
-// lock of any of their rows, listed by a directory published through an
-// atomic pointer the way columnar.Words publishes chunks. The zero value
-// is ready to use.
+// lock of any of their rows and listed by a rowblock.Blocks. The zero
+// value is ready to use.
 type Locks struct {
-	dir   atomic.Pointer[[]*lockBlock]
-	mu    sync.Mutex // serializes growers; parks the (rare) waiters on freed
-	freed sync.Cond
+	blocks rowblock.Blocks[atomic.Uint64]
+	mu     sync.Mutex // parks the (rare) waiters on freed
+	freed  sync.Cond
 }
 
 // word returns row's lock word, or nil before its block's first lock.
 func (l *Locks) word(row int64) *atomic.Uint64 {
-	if dir, b := l.dir.Load(), row>>lockBlockShift; dir != nil && b < int64(len(*dir)) && (*dir)[b] != nil {
-		return &(*dir)[b][row&(1<<lockBlockShift-1)]
+	if dir, b := l.blocks.Dir(), row>>lockBlockShift; b < int64(len(dir)) && dir[b] != nil {
+		return &dir[b][row&(1<<lockBlockShift-1)]
 	}
 	return nil
 }
@@ -81,7 +80,10 @@ func (l *Locks) Acquire(row int64, priority uint64) error {
 //
 //htap:hotpath
 func (l *Locks) Release(row int64) {
-	h := l.word(row).Swap(0)
+	var h uint64
+	if w := l.word(row); w != nil {
+		h = w.Swap(0)
+	}
 	if h == 0 {
 		panic("txn: release of unheld lock")
 	}
@@ -90,24 +92,18 @@ func (l *Locks) Release(row int64) {
 	}
 }
 
-// grow allocates row's block and publishes a directory that lists it.
+// grow allocates row's block, unless another locker came first, and
+// returns row's word.
 //
 //htap:coldpath
 func (l *Locks) grow(row int64) *atomic.Uint64 {
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	if w := l.word(row); w != nil {
-		return w // another locker came first
-	}
-	var old []*lockBlock
-	if p := l.dir.Load(); p != nil {
-		old = *p
-	}
 	b := int(row >> lockBlockShift)
-	dir := make([]*lockBlock, max(len(old), b+1))
-	copy(dir, old)
-	dir[b] = new(lockBlock)
-	l.dir.Store(&dir)
+	l.blocks.Publish(b, b+1, func(_ int, c []atomic.Uint64) []atomic.Uint64 {
+		if c == nil {
+			c = make([]atomic.Uint64, 1<<lockBlockShift)
+		}
+		return c
+	})
 	return l.word(row)
 }
 
