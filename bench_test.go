@@ -905,6 +905,17 @@ func BenchmarkPrimeReplicas(b *testing.B) {
 	}
 }
 
+// BenchmarkLoadCH times ch.Load at SF 0.01 into a fresh engine: the
+// generators append every table's rows, then RebuildIndexes keys the nine
+// primary indexes — the engine's share of bench/'s setup_s.
+func BenchmarkLoadCH(b *testing.B) {
+	sizing := ch.SizingForScale(0.01)
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		ch.Load(oltp.NewEngine(), sizing, 1)
+	}
+}
+
 // BenchmarkCuckooVsMap compares the cuckoo index against the stdlib map
 // baseline; see also internal/cuckoo benchmarks.
 func BenchmarkCuckooVsMap(b *testing.B) {

@@ -52,8 +52,9 @@ type Report struct {
 	Txn map[string]*Bench `json:"txn,omitempty"`
 	// Columnar groups the twin-instance storage benchmarks — row and batch
 	// appends into chunks the twins share, the first in-place update that
-	// splits one, and the replica prime that lists them (B/op is what the
-	// replicas copy) — the engine-side view of bench/'s setup_s and
+	// splits one, the replica prime that lists them (B/op is what the
+	// replicas copy) and a whole CH load (rows appended, then the primary
+	// indexes keyed) — the engine-side view of bench/'s setup_s and
 	// live_b_per_row.
 	Columnar map[string]*Bench `json:"columnar,omitempty"`
 	// Admit holds the query-admission benchmark — switch and sync,
@@ -81,7 +82,8 @@ func txnBench(name string) bool {
 // group.
 func columnarBench(name string) bool {
 	n := baseName(name)
-	return strings.HasPrefix(n, "BenchmarkAppendRows") || n == "BenchmarkFirstUpdateUnshare" || n == "BenchmarkPrimeReplicas"
+	return strings.HasPrefix(n, "BenchmarkAppendRows") || n == "BenchmarkFirstUpdateUnshare" ||
+		n == "BenchmarkPrimeReplicas" || n == "BenchmarkLoadCH"
 }
 
 // admitBench reports whether a benchmark belongs to the admission group.

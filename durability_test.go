@@ -63,6 +63,11 @@ func TestDurabilityRoundTrip(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	// NewOrder keys its orders as they commit; recovery keys every table
+	// anew (RebuildIndexes). Both must resolve every row's key to it.
+	if err := db.CheckIndexes(); err != nil {
+		t.Errorf("live: %v", err)
+	}
 
 	// Queries are read-only, so the durable image still reflects every
 	// commit (SyncAlways): recovery must reproduce the same answers.
@@ -88,6 +93,9 @@ func TestDurabilityRoundTrip(t *testing.T) {
 			m.ReplicaSharedBytes, m.ReplicaOwnBytes)
 	}
 	db2 := sys2.DB()
+	if err := db2.CheckIndexes(); err != nil {
+		t.Fatalf("recovered: %v", err)
+	}
 	gotQ6, err := sys2.QueryContext(context.Background(), Q6(db2))
 	if err != nil {
 		t.Fatal(err)

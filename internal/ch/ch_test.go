@@ -65,32 +65,12 @@ func TestLoadDeterminism(t *testing.T) {
 	}
 }
 
+// TestIndexesResolveLoadedKeys: the load path (RebuildIndexes over the
+// appended rows) keys every row of the nine indexed tables, each to its
+// own row.
 func TestIndexesResolveLoadedKeys(t *testing.T) {
-	db := loadTiny(t)
-	s := db.Sizing
-	for w := 1; w <= s.Warehouses; w++ {
-		for d := 1; d <= s.DistrictsPerWH; d++ {
-			row, ok := db.District.Index.Get(DistrictKey(int64(w), int64(d)))
-			if !ok {
-				t.Fatalf("district (%d,%d) missing from index", w, d)
-			}
-			dt := db.District.Table()
-			if dt.ReadActive(int64(row), DID) != int64(d) || dt.ReadActive(int64(row), DWID) != int64(w) {
-				t.Fatalf("district index points to wrong row")
-			}
-		}
-	}
-	for i := 1; i <= s.Items; i += 7 {
-		if _, ok := db.Item.Index.Get(ItemKey(int64(i))); !ok {
-			t.Fatalf("item %d missing", i)
-		}
-	}
-	for w := 1; w <= s.Warehouses; w++ {
-		for i := 1; i <= s.Items; i += 11 {
-			if _, ok := db.Stock.Index.Get(StockKey(int64(w), int64(i))); !ok {
-				t.Fatalf("stock (%d,%d) missing", w, i)
-			}
-		}
+	if err := loadTiny(t).CheckIndexes(); err != nil {
+		t.Fatal(err)
 	}
 }
 

@@ -6,6 +6,7 @@ import (
 	"sync"
 	"sync/atomic"
 
+	"elastichtap/internal/columnar"
 	"elastichtap/internal/oltp"
 	"elastichtap/query"
 )
@@ -65,8 +66,8 @@ var regionNames = []string{"AFRICA", "AMERICA", "ASIA", "EUROPE", "MIDDLE EAST"}
 
 // Attach creates the CH-benCHmark tables (empty, with their index
 // plumbing) in the engine and returns the database shell. Load fills it
-// with generated data; recovery fills it from a checkpoint instead and
-// then calls RebuildIndexes.
+// with generated data, recovery from a checkpoint and the log; both then
+// key the indexes with RebuildIndexes.
 func Attach(e *oltp.Engine, s Sizing) *DB {
 	db := &DB{Engine: e, Sizing: s}
 	db.day.Store(LoadDay)
@@ -87,9 +88,10 @@ func Attach(e *oltp.Engine, s Sizing) *DB {
 	return db
 }
 
-// Load generates and loads a deterministic CH-benCHmark database into the
-// engine. Loaded rows carry commit timestamp 0 (visible to every
-// snapshot); primary-key indexes are populated as rows land.
+// Load generates a deterministic CH-benCHmark database into the engine.
+// The generators only append rows, which carry commit timestamp 0
+// (visible to every snapshot); once every table holds its rows,
+// RebuildIndexes keys the primary indexes, as it does for recovery.
 func Load(e *oltp.Engine, s Sizing, seed int64) *DB {
 	rng := rand.New(rand.NewSource(seed))
 	db := Attach(e, s)
@@ -97,170 +99,185 @@ func Load(e *oltp.Engine, s Sizing, seed int64) *DB {
 	db.loadStockItems(rng)
 	db.loadCustomers(rng)
 	db.loadOrders(rng)
+	db.RebuildIndexes()
 	return db
 }
 
-// RebuildIndexes repopulates every primary-key index from table contents
-// — the recovery path after checkpoint restore and WAL replay, where rows
-// land without going through the loader or the transaction bodies that
-// normally maintain the indexes. The indexes share nothing, so each is
-// built on a goroutine of its own.
+// RebuildIndexes keys every primary-key index from its table's rows, in
+// row order. Load ends with it, and recovery calls it after checkpoint
+// restore and WAL replay: in both, rows land without going through the
+// transaction bodies that maintain the indexes as they run. Each key
+// function reads the row's key columns from the active instance. The
+// indexes share nothing, so each is built on a goroutine of its own.
 func (db *DB) RebuildIndexes() {
-	type keyed struct {
-		h   *oltp.TableHandle
-		key func(read func(col int) int64) uint64
-	}
 	var wg sync.WaitGroup
-	for _, k := range []keyed{
-		{db.Warehouse, func(r func(int) int64) uint64 { return WarehouseKey(r(WID)) }},
-		{db.District, func(r func(int) int64) uint64 { return DistrictKey(r(DWID), r(DID)) }},
-		{db.Customer, func(r func(int) int64) uint64 { return CustomerKey(r(CWID), r(CDID), r(CID)) }},
-		{db.Orders, func(r func(int) int64) uint64 { return OrderKey(r(OWID), r(ODID), r(OID)) }},
-		{db.Item, func(r func(int) int64) uint64 { return ItemKey(r(IID)) }},
-		{db.Stock, func(r func(int) int64) uint64 { return StockKey(r(SWID), r(SIID)) }},
-		{db.Supplier, func(r func(int) int64) uint64 { return uint64(r(SuSuppkey)) }},
-		{db.Nation, func(r func(int) int64) uint64 { return uint64(r(NNationkey)) }},
-		{db.Region, func(r func(int) int64) uint64 { return uint64(r(RRegionkey)) }},
+	for _, k := range []struct {
+		h   *oltp.TableHandle
+		key func(t *columnar.Table, row int64) uint64
+	}{
+		{db.Warehouse, func(t *columnar.Table, r int64) uint64 { return WarehouseKey(t.ReadActive(r, WID)) }},
+		{db.District, func(t *columnar.Table, r int64) uint64 {
+			return DistrictKey(t.ReadActive(r, DWID), t.ReadActive(r, DID))
+		}},
+		{db.Customer, func(t *columnar.Table, r int64) uint64 {
+			return CustomerKey(t.ReadActive(r, CWID), t.ReadActive(r, CDID), t.ReadActive(r, CID))
+		}},
+		{db.Orders, func(t *columnar.Table, r int64) uint64 {
+			return OrderKey(t.ReadActive(r, OWID), t.ReadActive(r, ODID), t.ReadActive(r, OID))
+		}},
+		{db.Item, func(t *columnar.Table, r int64) uint64 { return ItemKey(t.ReadActive(r, IID)) }},
+		{db.Stock, func(t *columnar.Table, r int64) uint64 {
+			return StockKey(t.ReadActive(r, SWID), t.ReadActive(r, SIID))
+		}},
+		{db.Supplier, func(t *columnar.Table, r int64) uint64 { return uint64(t.ReadActive(r, SuSuppkey)) }},
+		{db.Nation, func(t *columnar.Table, r int64) uint64 { return uint64(t.ReadActive(r, NNationkey)) }},
+		{db.Region, func(t *columnar.Table, r int64) uint64 { return uint64(t.ReadActive(r, RRegionkey)) }},
 	} {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
 			t := k.h.Table()
-			rows := t.Rows()
-			for row := int64(0); row < rows; row++ {
-				key := k.key(func(col int) int64 { return t.ReadActive(row, col) })
-				k.h.Index.Put(key, uint64(row))
+			for row := range t.Rows() {
+				k.h.Index.Put(k.key(t, row), uint64(row))
 			}
 		}()
 	}
 	wg.Wait()
 }
 
-func (db *DB) loadDimensions(rng *rand.Rand) {
-	s := db.Sizing
-	wt := db.Warehouse.Table()
-	var wrows [][]int64
-	for w := 1; w <= s.Warehouses; w++ {
-		wrows = append(wrows, wt.EncodeRow(
-			w, fmt.Sprintf("WH-%03d", w), city(rng), state(rng),
-			rng.Float64()*0.2, 300000.0,
-		))
-	}
-	base := wt.AppendRows(wrows, 0)
-	for i := range wrows {
-		db.Warehouse.Index.Put(WarehouseKey(int64(i+1)), uint64(base+int64(i)))
-	}
-
-	dt := db.District.Table()
-	var drows [][]int64
-	var dkeys []uint64
-	for w := 1; w <= s.Warehouses; w++ {
-		for d := 1; d <= s.DistrictsPerWH; d++ {
-			drows = append(drows, dt.EncodeRow(
-				d, w, fmt.Sprintf("DIST-%d-%d", w, d), city(rng),
-				rng.Float64()*0.2, 30000.0, int64(s.OrdersPerDistrict+1),
-			))
-			dkeys = append(dkeys, DistrictKey(int64(w), int64(d)))
+// CheckIndexes reports the first way a primary-key index disagrees with
+// its table: an entry count that is not the row count, or a row whose key
+// does not resolve to that row. It derives every key from the row's
+// columns with the schema's key functions, apart from RebuildIndexes'
+// key table, so a key that drifts from the schema fails it on a loaded
+// and on a recovered database alike. The caller keeps transactions out.
+func (db *DB) CheckIndexes() error {
+	for _, c := range []struct {
+		h    *oltp.TableHandle
+		cols []int
+		key  func(v []int64) uint64
+	}{
+		{db.Warehouse, []int{WID}, func(v []int64) uint64 { return WarehouseKey(v[0]) }},
+		{db.District, []int{DWID, DID}, func(v []int64) uint64 { return DistrictKey(v[0], v[1]) }},
+		{db.Customer, []int{CWID, CDID, CID}, func(v []int64) uint64 { return CustomerKey(v[0], v[1], v[2]) }},
+		{db.Orders, []int{OWID, ODID, OID}, func(v []int64) uint64 { return OrderKey(v[0], v[1], v[2]) }},
+		{db.Item, []int{IID}, func(v []int64) uint64 { return ItemKey(v[0]) }},
+		{db.Stock, []int{SWID, SIID}, func(v []int64) uint64 { return StockKey(v[0], v[1]) }},
+		{db.Supplier, []int{SuSuppkey}, func(v []int64) uint64 { return uint64(v[0]) }},
+		{db.Nation, []int{NNationkey}, func(v []int64) uint64 { return uint64(v[0]) }},
+		{db.Region, []int{RRegionkey}, func(v []int64) uint64 { return uint64(v[0]) }},
+	} {
+		t := c.h.Table()
+		if n := int64(c.h.Index.Len()); n != t.Rows() {
+			return fmt.Errorf("ch: %s index holds %d keys for %d rows", t.Schema().Name, n, t.Rows())
+		}
+		v := make([]int64, len(c.cols))
+		for row := range t.Rows() {
+			for i, col := range c.cols {
+				v[i] = t.ReadActive(row, col)
+			}
+			if got, ok := c.h.Index.Get(c.key(v)); !ok || got != uint64(row) {
+				return fmt.Errorf("ch: %s row %d (key columns %v) resolves to row %d, found %v",
+					t.Schema().Name, row, v, got, ok)
+			}
 		}
 	}
-	base = dt.AppendRows(drows, 0)
-	for i, k := range dkeys {
-		db.District.Index.Put(k, uint64(base+int64(i)))
-	}
+	return nil
+}
 
-	rt := db.Region.Table()
-	var rrows [][]int64
+// loadBatch is the number of generated rows an appender holds encoded
+// before it appends them.
+const loadBatch = 1 << 12
+
+// appender appends a table's generated rows, with commit timestamp 0.
+type appender struct {
+	t    *columnar.Table
+	rows [][]int64
+}
+
+// add encodes one row, appending the batch once it is full.
+func (a *appender) add(vals ...any) {
+	a.rows = append(a.rows, a.t.EncodeRow(vals...))
+	if len(a.rows) == loadBatch {
+		a.flush()
+	}
+}
+
+// flush appends the rows added since the last flush.
+func (a *appender) flush() {
+	a.t.AppendRows(a.rows, 0)
+	a.rows = a.rows[:0]
+}
+
+func (db *DB) loadDimensions(rng *rand.Rand) {
+	s := db.Sizing
+	wh := &appender{t: db.Warehouse.Table()}
+	for w := 1; w <= s.Warehouses; w++ {
+		wh.add(
+			w, fmt.Sprintf("WH-%03d", w), city(rng), state(rng),
+			rng.Float64()*0.2, 300000.0,
+		)
+	}
+	wh.flush()
+
+	dist := &appender{t: db.District.Table()}
+	for w := 1; w <= s.Warehouses; w++ {
+		for d := 1; d <= s.DistrictsPerWH; d++ {
+			dist.add(
+				d, w, fmt.Sprintf("DIST-%d-%d", w, d), city(rng),
+				rng.Float64()*0.2, 30000.0, int64(s.OrdersPerDistrict+1),
+			)
+		}
+	}
+	dist.flush()
+
+	region := &appender{t: db.Region.Table()}
 	for i, n := range regionNames {
-		rrows = append(rrows, rt.EncodeRow(i, n))
+		region.add(i, n)
 	}
-	base = rt.AppendRows(rrows, 0)
-	for i := range rrows {
-		db.Region.Index.Put(uint64(i), uint64(base+int64(i)))
-	}
+	region.flush()
 
-	nt := db.Nation.Table()
-	var nrows [][]int64
+	nation := &appender{t: db.Nation.Table()}
 	for i, n := range nationNames {
-		nrows = append(nrows, nt.EncodeRow(i, n, i%len(regionNames)))
+		nation.add(i, n, i%len(regionNames))
 	}
-	base = nt.AppendRows(nrows, 0)
-	for i := range nrows {
-		db.Nation.Index.Put(uint64(i), uint64(base+int64(i)))
-	}
+	nation.flush()
 
-	st := db.Supplier.Table()
-	var srows [][]int64
+	supp := &appender{t: db.Supplier.Table()}
 	for i := 0; i < 100; i++ {
-		srows = append(srows, st.EncodeRow(
+		supp.add(
 			i, fmt.Sprintf("Supplier#%09d", i), i%len(nationNames), rng.Float64()*10000,
-		))
+		)
 	}
-	base = st.AppendRows(srows, 0)
-	for i := range srows {
-		db.Supplier.Index.Put(uint64(i), uint64(base+int64(i)))
-	}
+	supp.flush()
 }
 
 func (db *DB) loadStockItems(rng *rand.Rand) {
 	s := db.Sizing
-	it := db.Item.Table()
-	var irows [][]int64
+	item := &appender{t: db.Item.Table()}
 	for i := 1; i <= s.Items; i++ {
-		irows = append(irows, it.EncodeRow(
+		item.add(
 			i, rng.Int63n(10000), fmt.Sprintf("item-%06d", i),
 			1+rng.Float64()*99, itemData(rng),
-		))
+		)
 	}
-	base := it.AppendRows(irows, 0)
-	for i := range irows {
-		db.Item.Index.Put(ItemKey(int64(i+1)), uint64(base+int64(i)))
-	}
+	item.flush()
 
-	st := db.Stock.Table()
-	const batch = 1 << 14
-	var rows [][]int64
-	var keys []uint64
-	flush := func() {
-		if len(rows) == 0 {
-			return
-		}
-		b := st.AppendRows(rows, 0)
-		for i, k := range keys {
-			db.Stock.Index.Put(k, uint64(b+int64(i)))
-		}
-		rows, keys = rows[:0], keys[:0]
-	}
+	stock := &appender{t: db.Stock.Table()}
 	for w := 1; w <= s.Warehouses; w++ {
 		for i := 1; i <= s.Items; i++ {
-			rows = append(rows, st.EncodeRow(
+			stock.add(
 				i, w, 10+rng.Int63n(91), 0.0, int64(0), int64(0),
 				distInfo(rng), itemData(rng), int64((w*i)%100),
-			))
-			keys = append(keys, StockKey(int64(w), int64(i)))
-			if len(rows) >= batch {
-				flush()
-			}
+			)
 		}
 	}
-	flush()
+	stock.flush()
 }
 
 func (db *DB) loadCustomers(rng *rand.Rand) {
 	s := db.Sizing
-	ct := db.Customer.Table()
-	const batch = 1 << 14
-	var rows [][]int64
-	var keys []uint64
-	flush := func() {
-		if len(rows) == 0 {
-			return
-		}
-		b := ct.AppendRows(rows, 0)
-		for i, k := range keys {
-			db.Customer.Index.Put(k, uint64(b+int64(i)))
-		}
-		rows, keys = rows[:0], keys[:0]
-	}
+	cust := &appender{t: db.Customer.Table()}
 	for w := 1; w <= s.Warehouses; w++ {
 		for d := 1; d <= s.DistrictsPerWH; d++ {
 			for c := 1; c <= s.CustomersPerDistrict; c++ {
@@ -268,75 +285,44 @@ func (db *DB) loadCustomers(rng *rand.Rand) {
 				if rng.Intn(10) == 0 {
 					credit = "BC"
 				}
-				rows = append(rows, ct.EncodeRow(
+				cust.add(
 					c, d, w, firstName(rng), lastName(rng, c), credit,
 					rng.Float64()*0.5, -10.0, 10.0, int64(1), LoadDay-rng.Int63n(1000),
 					int64(((w*13+d*7+c)*17)%25),
-				))
-				keys = append(keys, CustomerKey(int64(w), int64(d), int64(c)))
-				if len(rows) >= batch {
-					flush()
-				}
+				)
 			}
 		}
 	}
-	flush()
+	cust.flush()
 }
 
 func (db *DB) loadOrders(rng *rand.Rand) {
 	s := db.Sizing
-	ot := db.Orders.Table()
-	olt := db.OrderLine.Table()
-	const batch = 1 << 12
-	var orows, olrows [][]int64
-	var okeys []uint64
-	flushOrders := func() {
-		if len(orows) == 0 {
-			return
-		}
-		b := ot.AppendRows(orows, 0)
-		for i, k := range okeys {
-			db.Orders.Index.Put(k, uint64(b+int64(i)))
-		}
-		orows, okeys = orows[:0], okeys[:0]
-	}
-	flushLines := func() {
-		if len(olrows) == 0 {
-			return
-		}
-		olt.AppendRows(olrows, 0)
-		olrows = olrows[:0]
-	}
+	orders := &appender{t: db.Orders.Table()}
+	lines := &appender{t: db.OrderLine.Table()}
 	for w := 1; w <= s.Warehouses; w++ {
 		for d := 1; d <= s.DistrictsPerWH; d++ {
 			for o := 1; o <= s.OrdersPerDistrict; o++ {
 				c := 1 + rng.Intn(s.CustomersPerDistrict)
 				entry := LoadDay - rng.Int63n(365)
 				carrier := int64(1 + rng.Intn(10))
-				orows = append(orows, ot.EncodeRow(
+				orders.add(
 					o, d, w, c, entry, carrier, int64(s.OrderLinesPerOrder), int64(1),
-				))
-				okeys = append(okeys, OrderKey(int64(w), int64(d), int64(o)))
+				)
 				for n := 1; n <= s.OrderLinesPerOrder; n++ {
 					item := 1 + rng.Intn(s.Items)
 					qty := int64(1 + rng.Intn(10))
 					price := 1 + rng.Float64()*99
-					olrows = append(olrows, olt.EncodeRow(
+					lines.add(
 						o, d, w, n, item, w, entry+rng.Int63n(30),
 						qty, float64(qty)*price, distInfo(rng),
-					))
-				}
-				if len(orows) >= batch {
-					flushOrders()
-				}
-				if len(olrows) >= batch {
-					flushLines()
+					)
 				}
 			}
 		}
 	}
-	flushOrders()
-	flushLines()
+	orders.flush()
+	lines.flush()
 }
 
 var cities = []string{"Lausanne", "Geneva", "Zurich", "Bern", "Basel", "Lugano", "Sion", "Chur"}

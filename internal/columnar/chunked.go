@@ -137,18 +137,26 @@ func (w *Words) privatize(i int64, a, b *Words) {
 	})
 }
 
+// cell returns the address of row i's value (storage must exist): one
+// directory load, for a caller that reads and writes the same cell.
+//
+//htap:hotpath
+func (w *Words) cell(i int64) *int64 {
+	return &w.blocks.Dir()[i>>chunkShift][i&(ChunkSize-1)]
+}
+
 // Store atomically writes the value at row i (storage must exist).
 //
 //htap:hotpath
 func (w *Words) Store(i int64, v int64) {
-	atomic.StoreInt64(&w.blocks.Dir()[i>>chunkShift][i&(ChunkSize-1)], v)
+	atomic.StoreInt64(w.cell(i), v)
 }
 
 // Load atomically reads the value at row i.
 //
 //htap:hotpath
 func (w *Words) Load(i int64) int64 {
-	return atomic.LoadInt64(&w.blocks.Dir()[i>>chunkShift][i&(ChunkSize-1)])
+	return atomic.LoadInt64(w.cell(i))
 }
 
 // run returns the raw storage for rows [lo, hi) cut at lo's chunk

@@ -489,7 +489,8 @@ const Applying uint64 = 1 << 63
 //
 //htap:hotpath
 func (t *Table) MarkApplying(row int64) {
-	t.rowTS.Store(row, int64(uint64(t.rowTS.Load(row))|Applying))
+	p := t.rowTS.cell(row)
+	atomic.StoreInt64(p, int64(uint64(atomic.LoadInt64(p))|Applying))
 }
 
 // ClearApplying takes back MarkApplying, before the caller releases the
@@ -497,7 +498,8 @@ func (t *Table) MarkApplying(row int64) {
 //
 //htap:coldpath
 func (t *Table) ClearApplying(row int64) {
-	t.rowTS.Store(row, int64(uint64(t.rowTS.Load(row))&^Applying))
+	p := t.rowTS.cell(row)
+	atomic.StoreInt64(p, int64(uint64(atomic.LoadInt64(p))&^Applying))
 }
 
 // UpdateCount returns the lifetime number of in-place cell updates; zero
