@@ -906,7 +906,8 @@ func BenchmarkPrimeReplicas(b *testing.B) {
 }
 
 // BenchmarkLoadCH times ch.Load at SF 0.01 into a fresh engine: the
-// generators append every table's rows, then RebuildIndexes keys the nine
+// generators write every table's rows column-major into batches that
+// AppendColumns copies into the chunks, then RebuildIndexes keys the nine
 // primary indexes — the engine's share of bench/'s setup_s.
 func BenchmarkLoadCH(b *testing.B) {
 	sizing := ch.SizingForScale(0.01)

@@ -20,11 +20,12 @@ const (
 	chunkBits  = chunkWords * wordBits
 )
 
-// Atomic is a bitmap whose Set/Clear/Test operations are safe for
-// concurrent use and take no lock: its chunks are listed by a
-// rowblock.Blocks, and a bit operation is one atomic access to a word that
-// never moves. Growth publishes zeroed chunks and only then raises the
-// logical length, so an index below the length always has its chunk.
+// Atomic is a bitmap whose operations — Set and Clear, the counts, and
+// ForEachSet and DrainSet — are safe for concurrent use and take no lock:
+// its chunks are listed by a rowblock.Blocks, and Set or Clear is one
+// atomic access to a word that never moves. Growth publishes zeroed
+// chunks and only then raises the logical length, so an index below the
+// length always has its chunk.
 type Atomic struct {
 	blocks rowblock.Blocks[uint64]
 	n      atomic.Int64 // logical length in bits; only grows
@@ -103,14 +104,6 @@ func andWord(addr *uint64, mask uint64) (old uint64) {
 			return old
 		}
 	}
-}
-
-// Test reports whether bit i is set.
-func (b *Atomic) Test(i int) bool {
-	if i < 0 || int64(i) >= b.n.Load() {
-		return false
-	}
-	return atomic.LoadUint64(b.word(i/wordBits))&(uint64(1)<<(i%wordBits)) != 0
 }
 
 // words returns how many words hold bits below the length as of the call,

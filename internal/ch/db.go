@@ -2,6 +2,7 @@ package ch
 
 import (
 	"fmt"
+	"math/bits"
 	"math/rand"
 	"sync"
 	"sync/atomic"
@@ -90,8 +91,11 @@ func Attach(e *oltp.Engine, s Sizing) *DB {
 
 // Load generates a deterministic CH-benCHmark database into the engine.
 // The generators only append rows, which carry commit timestamp 0
-// (visible to every snapshot); once every table holds its rows,
-// RebuildIndexes keys the primary indexes, as it does for recovery.
+// (visible to every snapshot). They set each row's typed words in an
+// appender, whose column-major batch goes into the table through
+// AppendColumns, the path a checkpoint restore takes. Once every table
+// holds its rows, RebuildIndexes keys the primary indexes, as it does for
+// recovery.
 func Load(e *oltp.Engine, s Sizing, seed int64) *DB {
 	rng := rand.New(rand.NewSource(seed))
 	db := Attach(e, s)
@@ -185,91 +189,251 @@ func (db *DB) CheckIndexes() error {
 	return nil
 }
 
-// loadBatch is the number of generated rows an appender holds encoded
-// before it appends them.
+// loadBatch is the number of generated rows an appender holds before it
+// appends them.
 const loadBatch = 1 << 12
 
-// appender appends a table's generated rows, with commit timestamp 0.
+// appender appends a table's generated rows, with commit timestamp 0. A
+// generator sets every column of a row with the setter of the column's
+// kind — i, f and s, or m for a memoized string — and then ends the row.
+// end scatters the row into a column-major batch, and flush hands the
+// batch to AppendColumns, which copies each column into the table's chunk
+// runs. A setter of the wrong kind, or a row ended with a column unset,
+// panics with the table's and the column's names.
 type appender struct {
-	t    *columnar.Table
-	rows [][]int64
+	t     *columnar.Table
+	row   [64]int64 // the row being set; a table has at most 64 columns
+	set   uint64    // columns of row set so far
+	full  uint64
+	kinds [64]columnar.Type
+	memos []memo    // by column; codes is nil for a column m does not set
+	cols  [][]int64 // cols[c][r]: column c of batch row r < n
+	n     int
 }
 
-// add encodes one row, appending the batch once it is full.
-func (a *appender) add(vals ...any) {
-	a.rows = append(a.rows, a.t.EncodeRow(vals...))
-	if len(a.rows) == loadBatch {
+// memo holds the codes of one column's generated strings: name(k) is the
+// k-th, and codes[k] is its code plus one, 0 until k is first drawn.
+type memo struct {
+	codes []int64
+	name  func(int) string
+}
+
+func newAppender(h *oltp.TableHandle) *appender {
+	t := h.Table()
+	defs := t.Schema().Columns
+	a := &appender{
+		t:     t,
+		full:  1<<len(defs) - 1,
+		memos: make([]memo, len(defs)),
+		cols:  make([][]int64, len(defs)),
+	}
+	for c, def := range defs {
+		a.kinds[c] = def.Type
+		a.cols[c] = make([]int64, loadBatch)
+	}
+	return a
+}
+
+// cellError is an appender's panic value: column col of t set with a
+// value of kind got, or, with unset, ended without a value.
+type cellError struct {
+	t     *columnar.Table
+	col   int
+	got   columnar.Type
+	unset bool
+}
+
+func (e cellError) Error() string {
+	def := e.t.Schema().Columns[e.col]
+	if e.unset {
+		return fmt.Sprintf("ch: row of %q ended without column %s", e.t.Schema().Name, def.Name)
+	}
+	return fmt.Sprintf("ch: %s value not assignable to column %s %s of %q",
+		e.got, def.Name, def.Type, e.t.Schema().Name)
+}
+
+// check panics unless column c is of kind k.
+func (a *appender) check(c int, k columnar.Type) {
+	if a.kinds[c] != k {
+		panic(cellError{t: a.t, col: c, got: k})
+	}
+}
+
+// i sets Int64 column c of the current row.
+func (a *appender) i(c int, v int64) {
+	a.check(c, columnar.Int64)
+	a.row[c] = v
+	a.set |= 1 << c
+}
+
+// f sets Float64 column c of the current row.
+func (a *appender) f(c int, v float64) {
+	a.check(c, columnar.Float64)
+	a.row[c] = columnar.EncodeFloat(v)
+	a.set |= 1 << c
+}
+
+// s sets String column c of the current row to v's dictionary code.
+func (a *appender) s(c int, v string) {
+	a.row[c] = a.code(c, v)
+	a.set |= 1 << c
+}
+
+// code is s's kind check and dictionary lookup, out of line so that s
+// inlines.
+func (a *appender) code(c int, v string) int64 {
+	a.check(c, columnar.String)
+	return a.t.Dict(c).Code(v)
+}
+
+// memo lets m set String column c to one of n generated strings, the k-th
+// of which is name(k).
+func (a *appender) memo(c, n int, name func(int) string) {
+	a.check(c, columnar.String)
+	a.memos[c] = memo{codes: make([]int64, n), name: name}
+}
+
+// m sets String column c of the current row to its memo's k-th string.
+// The row holds k until flush resolves it.
+func (a *appender) m(c, k int) {
+	a.row[c] = int64(k)
+	a.set |= 1 << c
+}
+
+// end closes the current row, appending the batch once it is full.
+func (a *appender) end() {
+	if a.set != a.full {
+		panic(cellError{t: a.t, col: bits.TrailingZeros64(^a.set & a.full), unset: true})
+	}
+	for c, col := range a.cols {
+		col[a.n] = a.row[c]
+	}
+	a.set = 0
+	a.n++
+	if a.n == loadBatch {
 		a.flush()
 	}
 }
 
-// flush appends the rows added since the last flush.
+// flush appends the rows ended since the last flush. It first turns each
+// memoized column's string indexes into codes, in row order: only the
+// first draw of an index formats its string and looks it up, so the
+// dictionary assigns codes in first-drawn order, as s would. AppendColumns
+// then asks for each column's runs in row order, so off restarts with
+// each column.
 func (a *appender) flush() {
-	a.t.AppendRows(a.rows, 0)
-	a.rows = a.rows[:0]
+	for c, m := range a.memos {
+		if m.codes == nil {
+			continue
+		}
+		col := a.cols[c][:a.n]
+		for r, k := range col {
+			code := m.codes[k]
+			if code == 0 {
+				code = a.t.Dict(c).Code(m.name(int(k))) + 1
+				m.codes[k] = code
+			}
+			col[r] = code - 1
+		}
+	}
+	col, off := 0, 0
+	// fill never fails, so neither does AppendColumns.
+	_, _ = a.t.AppendColumns(int64(a.n), 0, func(c int, dst []int64) error {
+		if c != col {
+			col, off = c, 0
+		}
+		off += copy(dst, a.cols[c][off:a.n])
+		return nil
+	})
+	a.n = 0
 }
 
 func (db *DB) loadDimensions(rng *rand.Rand) {
 	s := db.Sizing
-	wh := &appender{t: db.Warehouse.Table()}
+	wh := newAppender(db.Warehouse)
 	for w := 1; w <= s.Warehouses; w++ {
-		wh.add(
-			w, fmt.Sprintf("WH-%03d", w), city(rng), state(rng),
-			rng.Float64()*0.2, 300000.0,
-		)
+		wh.i(WID, int64(w))
+		wh.s(WName, fmt.Sprintf("WH-%03d", w))
+		wh.s(WCity, city(rng))
+		wh.s(WState, state(rng))
+		wh.f(WTax, rng.Float64()*0.2)
+		wh.f(WYtd, 300000)
+		wh.end()
 	}
 	wh.flush()
 
-	dist := &appender{t: db.District.Table()}
+	dist := newAppender(db.District)
 	for w := 1; w <= s.Warehouses; w++ {
 		for d := 1; d <= s.DistrictsPerWH; d++ {
-			dist.add(
-				d, w, fmt.Sprintf("DIST-%d-%d", w, d), city(rng),
-				rng.Float64()*0.2, 30000.0, int64(s.OrdersPerDistrict+1),
-			)
+			dist.i(DID, int64(d))
+			dist.i(DWID, int64(w))
+			dist.s(DName, fmt.Sprintf("DIST-%d-%d", w, d))
+			dist.s(DCity, city(rng))
+			dist.f(DTax, rng.Float64()*0.2)
+			dist.f(DYtd, 30000)
+			dist.i(DNextOID, int64(s.OrdersPerDistrict+1))
+			dist.end()
 		}
 	}
 	dist.flush()
 
-	region := &appender{t: db.Region.Table()}
+	region := newAppender(db.Region)
 	for i, n := range regionNames {
-		region.add(i, n)
+		region.i(RRegionkey, int64(i))
+		region.s(RName, n)
+		region.end()
 	}
 	region.flush()
 
-	nation := &appender{t: db.Nation.Table()}
+	nation := newAppender(db.Nation)
 	for i, n := range nationNames {
-		nation.add(i, n, i%len(regionNames))
+		nation.i(NNationkey, int64(i))
+		nation.s(NName, n)
+		nation.i(NRegionkey, int64(i%len(regionNames)))
+		nation.end()
 	}
 	nation.flush()
 
-	supp := &appender{t: db.Supplier.Table()}
+	supp := newAppender(db.Supplier)
 	for i := 0; i < 100; i++ {
-		supp.add(
-			i, fmt.Sprintf("Supplier#%09d", i), i%len(nationNames), rng.Float64()*10000,
-		)
+		supp.i(SuSuppkey, int64(i))
+		supp.s(SuName, fmt.Sprintf("Supplier#%09d", i))
+		supp.i(SuNationkey, int64(i%len(nationNames)))
+		supp.f(SuAcctbal, rng.Float64()*10000)
+		supp.end()
 	}
 	supp.flush()
 }
 
 func (db *DB) loadStockItems(rng *rand.Rand) {
 	s := db.Sizing
-	item := &appender{t: db.Item.Table()}
+	item := newAppender(db.Item)
+	item.memo(IData, itemDatas, itemDataName)
 	for i := 1; i <= s.Items; i++ {
-		item.add(
-			i, rng.Int63n(10000), fmt.Sprintf("item-%06d", i),
-			1+rng.Float64()*99, itemData(rng),
-		)
+		item.i(IID, int64(i))
+		item.i(IImID, rng.Int63n(10000))
+		item.s(IName, fmt.Sprintf("item-%06d", i))
+		item.f(IPrice, 1+rng.Float64()*99)
+		item.m(IData, itemData(rng))
+		item.end()
 	}
 	item.flush()
 
-	stock := &appender{t: db.Stock.Table()}
+	stock := newAppender(db.Stock)
+	stock.memo(SDist, distInfos, distInfoName)
+	stock.memo(SData, itemDatas, itemDataName)
 	for w := 1; w <= s.Warehouses; w++ {
 		for i := 1; i <= s.Items; i++ {
-			stock.add(
-				i, w, 10+rng.Int63n(91), 0.0, int64(0), int64(0),
-				distInfo(rng), itemData(rng), int64((w*i)%100),
-			)
+			stock.i(SIID, int64(i))
+			stock.i(SWID, int64(w))
+			stock.i(SQuantity, 10+rng.Int63n(91))
+			stock.f(SYtd, 0)
+			stock.i(SOrderCnt, 0)
+			stock.i(SRemoteCnt, 0)
+			stock.m(SDist, distInfo(rng))
+			stock.m(SData, itemData(rng))
+			stock.i(SSuSuppkey, int64((w*i)%100))
+			stock.end()
 		}
 	}
 	stock.flush()
@@ -277,7 +441,7 @@ func (db *DB) loadStockItems(rng *rand.Rand) {
 
 func (db *DB) loadCustomers(rng *rand.Rand) {
 	s := db.Sizing
-	cust := &appender{t: db.Customer.Table()}
+	cust := newAppender(db.Customer)
 	for w := 1; w <= s.Warehouses; w++ {
 		for d := 1; d <= s.DistrictsPerWH; d++ {
 			for c := 1; c <= s.CustomersPerDistrict; c++ {
@@ -285,11 +449,19 @@ func (db *DB) loadCustomers(rng *rand.Rand) {
 				if rng.Intn(10) == 0 {
 					credit = "BC"
 				}
-				cust.add(
-					c, d, w, firstName(rng), lastName(rng, c), credit,
-					rng.Float64()*0.5, -10.0, 10.0, int64(1), LoadDay-rng.Int63n(1000),
-					int64(((w*13+d*7+c)*17)%25),
-				)
+				cust.i(CID, int64(c))
+				cust.i(CDID, int64(d))
+				cust.i(CWID, int64(w))
+				cust.s(CFirst, firstName(rng))
+				cust.s(CLast, lastName(rng, c))
+				cust.s(CCredit, credit)
+				cust.f(CDiscount, rng.Float64()*0.5)
+				cust.f(CBalance, -10)
+				cust.f(CYtdPayment, 10)
+				cust.i(CPaymentCnt, 1)
+				cust.i(CSince, LoadDay-rng.Int63n(1000))
+				cust.i(CNationkey, int64(((w*13+d*7+c)*17)%25))
+				cust.end()
 			}
 		}
 	}
@@ -298,25 +470,39 @@ func (db *DB) loadCustomers(rng *rand.Rand) {
 
 func (db *DB) loadOrders(rng *rand.Rand) {
 	s := db.Sizing
-	orders := &appender{t: db.Orders.Table()}
-	lines := &appender{t: db.OrderLine.Table()}
+	orders := newAppender(db.Orders)
+	lines := newAppender(db.OrderLine)
+	lines.memo(OLDistInfo, distInfos, distInfoName)
 	for w := 1; w <= s.Warehouses; w++ {
 		for d := 1; d <= s.DistrictsPerWH; d++ {
 			for o := 1; o <= s.OrdersPerDistrict; o++ {
 				c := 1 + rng.Intn(s.CustomersPerDistrict)
 				entry := LoadDay - rng.Int63n(365)
 				carrier := int64(1 + rng.Intn(10))
-				orders.add(
-					o, d, w, c, entry, carrier, int64(s.OrderLinesPerOrder), int64(1),
-				)
+				orders.i(OID, int64(o))
+				orders.i(ODID, int64(d))
+				orders.i(OWID, int64(w))
+				orders.i(OCID, int64(c))
+				orders.i(OEntryD, entry)
+				orders.i(OCarrierID, carrier)
+				orders.i(OOlCnt, int64(s.OrderLinesPerOrder))
+				orders.i(OAllLocal, 1)
+				orders.end()
 				for n := 1; n <= s.OrderLinesPerOrder; n++ {
 					item := 1 + rng.Intn(s.Items)
 					qty := int64(1 + rng.Intn(10))
 					price := 1 + rng.Float64()*99
-					lines.add(
-						o, d, w, n, item, w, entry+rng.Int63n(30),
-						qty, float64(qty)*price, distInfo(rng),
-					)
+					lines.i(OLOID, int64(o))
+					lines.i(OLDID, int64(d))
+					lines.i(OLWID, int64(w))
+					lines.i(OLNumber, int64(n))
+					lines.i(OLIID, int64(item))
+					lines.i(OLSupplyWID, int64(w))
+					lines.i(OLDeliveryD, entry+rng.Int63n(30))
+					lines.i(OLQuantity, qty)
+					lines.f(OLAmount, float64(qty)*price)
+					lines.m(OLDistInfo, distInfo(rng))
+					lines.end()
 				}
 			}
 		}
@@ -341,11 +527,29 @@ func lastName(rng *rand.Rand, c int) string {
 	return lastSyllables[n/100] + lastSyllables[(n/10)%10] + lastSyllables[n%10]
 }
 
-func itemData(rng *rand.Rand) string {
+// itemDatas is the number of item-data strings: data-0000 … data-0499,
+// then ORIGINAL.
+const itemDatas = 501
+
+// itemData draws an item-data string's index, one in ten ORIGINAL.
+func itemData(rng *rand.Rand) int {
 	if rng.Intn(10) == 0 {
-		return "ORIGINAL"
+		return itemDatas - 1
 	}
-	return fmt.Sprintf("data-%04d", rng.Intn(500))
+	return rng.Intn(itemDatas - 1)
 }
 
-func distInfo(rng *rand.Rand) string { return fmt.Sprintf("dist-%03d", rng.Intn(100)) }
+func itemDataName(k int) string {
+	if k == itemDatas-1 {
+		return "ORIGINAL"
+	}
+	return fmt.Sprintf("data-%04d", k)
+}
+
+// distInfos is the number of dist-info strings, dist-000 … dist-099.
+const distInfos = 100
+
+// distInfo draws a dist-info string's index.
+func distInfo(rng *rand.Rand) int { return rng.Intn(distInfos) }
+
+func distInfoName(k int) string { return fmt.Sprintf("dist-%03d", k) }

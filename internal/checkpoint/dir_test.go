@@ -58,7 +58,7 @@ func TestImageRecoverRoundTrip(t *testing.T) {
 			return nil
 		},
 		func(rec *wal.Record) error {
-			if !dst.DirtyOLAP().Test(5) {
+			if dst.DirtyOLAP().CountBelow(6) == dst.DirtyOLAP().CountBelow(5) {
 				t.Error("a record applied before the dirty bits were in")
 			}
 			txns = append(txns, rec.TxnID)

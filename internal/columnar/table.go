@@ -173,8 +173,9 @@ func (t *Table) DirtyOLAP() *bitset.Atomic { return t.dirtyOLAP }
 // BOTH instances (§3.2: "inserts are pushed to both instances") — stored
 // once where the instances share the chunk, twice where an update has split
 // it — stamps them with commit timestamp ts, and returns the first row ID.
-// rows[i] must have one raw word per column; use EncodeRow for friendly
-// values.
+// rows[i] must have one raw word per column. It is the row-major append,
+// for a committing transaction's inserts; a bulk source that can write a
+// column at a time uses AppendColumns.
 func (t *Table) AppendRows(rows [][]int64, ts uint64) int64 {
 	for _, row := range rows {
 		if len(row) != len(t.schema.Columns) {
@@ -223,19 +224,20 @@ func (t *Table) appendRun(rows [][]int64, ts uint64) int64 {
 }
 
 // AppendColumns is the column-major append, for a source that produces a
-// column at a time: a checkpoint restore decodes each column's section
-// straight into the table's chunks. It allocates n new rows in both
-// instances, then hands fill every chunk run of them, column by column and
-// in row order, to fill in place — dst is the run's storage in instance 0,
-// copied to instance 1 only where that is other memory. Once every run is
-// filled the rows are stamped with commit timestamp ts and published, and
-// the first row ID is returned. If fill fails, AppendColumns returns its
-// error and publishes nothing: the rows stay above the row count, where no
-// reader looks, and the next append overwrites them. Storage grows a run
-// at a time, just before the run is filled, so a fill that fails early —
-// a restore whose file is shorter than its header claims — has cost only
-// the runs it filled. fill runs under the table's append lock, so it must
-// not append to or update the table.
+// column at a time. It has two callers: a checkpoint restore decodes each
+// column's section straight into the table's chunks, and the CH loader
+// copies each column of a batch of generated rows. It allocates n new rows
+// in both instances, then hands fill every chunk run of them, column by
+// column and in row order, to fill in place — dst is the run's storage in
+// instance 0, copied to instance 1 only where that is other memory. Once
+// every run is filled the rows are stamped with commit timestamp ts and
+// published, and the first row ID is returned. If fill fails, AppendColumns
+// returns its error and publishes nothing: the rows stay above the row
+// count, where no reader looks, and the next append overwrites them.
+// Storage grows a run at a time, just before the run is filled, so a fill
+// that fails early — a restore whose file is shorter than its header claims
+// — has cost only the runs it filled. fill runs under the table's append
+// lock, so it must not append to or update the table.
 func (t *Table) AppendColumns(n int64, ts uint64, fill func(c int, dst []int64) error) (int64, error) {
 	if n == 0 {
 		return t.rows.Load(), nil

@@ -75,7 +75,7 @@ func TestUpdateGoesToActiveOnly(t *testing.T) {
 	if got := tab.ReadCell(1-a, 0, 0); got != 1 {
 		t.Fatalf("inactive mutated: %d", got)
 	}
-	if !tab.Instance(a).dirty.Test(0) {
+	if tab.Instance(a).dirty.CountBelow(1) != 1 {
 		t.Fatal("update-indication bit not set")
 	}
 	if tab.RowTS(0) != 5 {
@@ -180,7 +180,7 @@ func TestFreshSince(t *testing.T) {
 	if st.FreshRows() != 2 || st.Rows != 11 {
 		t.Fatalf("fresh = %+v, want 2 fresh of 11", st)
 	}
-	if !tab.DirtyOLAP().Test(10) {
+	if tab.DirtyOLAP().CountBelow(11) == tab.DirtyOLAP().CountBelow(10) {
 		t.Fatal("the updated insert lost its bit; the ETL after its first one would miss a re-update")
 	}
 }

@@ -17,6 +17,12 @@ import (
 	"elastichtap/internal/wal"
 )
 
+// dirtyOLAP reports whether row's updated-since-ETL bit is set.
+func dirtyOLAP(t *columnar.Table, row int64) bool {
+	b := t.DirtyOLAP()
+	return b.CountBelow(int(row)+1) > b.CountBelow(int(row))
+}
+
 // churnOracle holds oltp.TableHandle.Fresh — the one count every freshness
 // probe reads — to an independent recount while CH transactions, instance
 // switches and delta-ETLs interleave.
@@ -112,7 +118,7 @@ func churn(seed int64, body func(rng *rand.Rand)) (stop func()) {
 // switch or ETL in flight — and holds the helper to the recount:
 //
 //   - inserted is Rows − watermark, and the table's rows are Rows;
-//   - updated is the update bits below the watermark, tested one by one;
+//   - updated is the update bits below the watermark, listed one by one;
 //   - every row below the watermark that differs from the replica has its
 //     bit set, so no differing tuple goes uncounted;
 //   - a table no transaction ever updated in place carries no bit at all.
@@ -128,9 +134,15 @@ func (o *churnOracle) check(step string) (fresh, rows int64) {
 		if wm > n {
 			o.t.Fatalf("%s: %s: replica watermark %d above the table's %d rows", step, name, wm, n)
 		}
+		marked := make([]bool, wm)
+		bits.ForEachSet(func(i int) {
+			if int64(i) < wm {
+				marked[i] = true
+			}
+		})
 		var updated, differing int64
 		for r := int64(0); r < wm; r++ {
-			set := bits.Test(int(r))
+			set := marked[r]
 			if set {
 				updated++
 			}
@@ -207,7 +219,7 @@ func TestFreshnessOracleUnderChurn(t *testing.T) {
 		// must not look.
 		before := orders.Fresh()
 		row := o.insertThenUpdate(rng)
-		if row < orders.Replica.Rows() || !orders.Table().DirtyOLAP().Test(int(row)) {
+		if row < orders.Replica.Rows() || !dirtyOLAP(orders.Table(), row) {
 			t.Fatalf("order row %d (watermark %d) should carry an update bit above the watermark", row, orders.Replica.Rows())
 		}
 		if after := orders.Fresh(); after.UpdatedRows != before.UpdatedRows || after.FreshRows() != before.FreshRows()+1 {
@@ -235,10 +247,10 @@ func TestFreshnessOracleUnderChurn(t *testing.T) {
 		step := "after a switch under churn"
 		if etl {
 			step = "after a switch and an ETL under churn"
-			if !o.db.Warehouse.Table().DirtyOLAP().Test(int(wRow)) {
+			if !dirtyOLAP(o.db.Warehouse.Table(), int64(wRow)) {
 				t.Fatalf("%s: warehouse row %d was re-updated after the switch but lost its bit", step, wRow)
 			}
-			if late < orders.Replica.Rows() || !orders.Table().DirtyOLAP().Test(int(late)) {
+			if late < orders.Replica.Rows() || !dirtyOLAP(orders.Table(), late) {
 				t.Fatalf("%s: order row %d postdates the snapshot (watermark %d) but lost its bit", step, late, orders.Replica.Rows())
 			}
 		}

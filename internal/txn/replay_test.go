@@ -58,8 +58,13 @@ func stateOf(tab *columnar.Table) tableState {
 			s.Cells[k] = append(s.Cells[k], row)
 		}
 		s.RowTS = append(s.RowTS, tab.RowTS(r))
-		s.DirtyOLAP = append(s.DirtyOLAP, tab.DirtyOLAP().Test(int(r)))
 	}
+	s.DirtyOLAP = make([]bool, s.Rows)
+	tab.DirtyOLAP().ForEachSet(func(i int) {
+		if int64(i) < s.Rows {
+			s.DirtyOLAP[i] = true
+		}
+	})
 	for c := 0; c < width; c++ {
 		s.ColUpdates = append(s.ColUpdates, tab.ColumnUpdateCount(c))
 	}
