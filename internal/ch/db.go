@@ -93,7 +93,7 @@ func Attach(e *oltp.Engine, s Sizing) *DB {
 // The generators only append rows, which carry commit timestamp 0
 // (visible to every snapshot). They set each row's typed words in an
 // appender, whose column-major batch goes into the table through
-// AppendColumns, the path a checkpoint restore takes. Once every table
+// AppendColumns, the append every row takes. Once every table
 // holds its rows, RebuildIndexes keys the primary indexes, as it does for
 // recovery.
 func Load(e *oltp.Engine, s Sizing, seed int64) *DB {
@@ -319,8 +319,7 @@ func (a *appender) end() {
 // memoized column's string indexes into codes, in row order: only the
 // first draw of an index formats its string and looks it up, so the
 // dictionary assigns codes in first-drawn order, as s would. AppendColumns
-// then asks for each column's runs in row order, so off restarts with
-// each column.
+// then copies each run from the batch at the run's offset.
 func (a *appender) flush() {
 	for c, m := range a.memos {
 		if m.codes == nil {
@@ -336,13 +335,9 @@ func (a *appender) flush() {
 			col[r] = code - 1
 		}
 	}
-	col, off := 0, 0
 	// fill never fails, so neither does AppendColumns.
-	_, _ = a.t.AppendColumns(int64(a.n), 0, func(c int, dst []int64) error {
-		if c != col {
-			col, off = c, 0
-		}
-		off += copy(dst, a.cols[c][off:a.n])
+	_, _ = a.t.AppendColumns(int64(a.n), 0, func(c int, off int64, dst []int64) error {
+		copy(dst, a.cols[c][off:])
 		return nil
 	})
 	a.n = 0

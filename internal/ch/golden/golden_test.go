@@ -3,6 +3,7 @@ package golden
 import (
 	"context"
 	"math/rand"
+	"sort"
 	"testing"
 
 	"elastichtap/internal/ch"
@@ -20,6 +21,14 @@ import (
 func loadTiny(t *testing.T) *ch.DB {
 	t.Helper()
 	return ch.Load(oltp.NewEngine(), ch.TinySizing(), 1)
+}
+
+// sortResult orders result rows by their first column, for comparing
+// results whose group emission order differs by construction; the engine's
+// own merge is deterministic — partials combine in morsel order regardless
+// of worker interleaving.
+func sortResult(r *olap.Result) {
+	sort.Slice(r.Rows, func(i, j int) bool { return r.Rows[i][0] < r.Rows[j][0] })
 }
 
 func execOnActive(t *testing.T, db *ch.DB, q olap.Query) olap.Result {
@@ -66,7 +75,7 @@ func TestQ6MatchesReference(t *testing.T) {
 func TestQ1MatchesReference(t *testing.T) {
 	db := loadTiny(t)
 	res := execOnActive(t, db, &Q1{DB: db})
-	ch.SortResult(&res)
+	sortResult(&res)
 
 	// Reference group-by.
 	tab := db.OrderLine.Table()

@@ -1,8 +1,6 @@
 package ch
 
 import (
-	"sort"
-
 	"elastichtap/internal/olap"
 	"elastichtap/query"
 )
@@ -43,12 +41,4 @@ func (db *DB) Stamped(name string, args query.Args) olap.Query {
 		return olap.Invalid{QueryName: name, Reason: err}
 	}
 	return q
-}
-
-// SortResult orders result rows by their first column (test helper for
-// comparing results whose group emission order differs by construction;
-// the engine's own merge is deterministic — partials combine in morsel
-// order regardless of worker interleaving).
-func SortResult(r *olap.Result) {
-	sort.Slice(r.Rows, func(i, j int) bool { return r.Rows[i][0] < r.Rows[j][0] })
 }

@@ -337,24 +337,22 @@ type restorer struct {
 	cr   *crcReader
 	t    *columnar.Table
 	rows int64
-	done int64  // rows of the current column decoded so far
 	buf  []byte // one chunk run of encoded words
 }
 
-// run decodes the next run of column c into dst with one read and one
-// checksum update, and closes the column after its last run.
-func (rs *restorer) run(c int, dst []int64) error {
+// run decodes the run of column c from row off into dst with one read and
+// one checksum update, and closes the column after its last run.
+func (rs *restorer) run(c int, off int64, dst []int64) error {
 	raw := rs.buf[:8*len(dst)]
 	if err := rs.cr.read(raw); err != nil {
-		return fmt.Errorf("checkpoint: column %d row %d: %w", c, rs.done, err)
+		return fmt.Errorf("checkpoint: column %d row %d: %w", c, off, err)
 	}
 	for i := range dst {
 		dst[i] = int64(binary.LittleEndian.Uint64(raw[8*i:]))
 	}
-	if rs.done += int64(len(dst)); rs.done < rs.rows {
+	if off+int64(len(dst)) < rs.rows {
 		return nil
 	}
-	rs.done = 0
 	return rs.endColumn(c)
 }
 

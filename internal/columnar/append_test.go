@@ -441,24 +441,28 @@ func TestAppendMatchesRowAtATimeOracle(t *testing.T) {
 
 // appendColumns appends cols through AppendColumns, holding fill to its
 // contract: column 0's runs in row order, then column 1's, and so on, each
-// run as long as its chunk and the rows allow.
+// run as long as its chunk and the rows allow, and each handed the offset
+// of its first row in the append.
 func appendColumns(t *testing.T, tab *Table, cols [][]int64, ts uint64) int64 {
 	t.Helper()
 	n := len(cols[0])
 	base := tab.Rows()
 	cur, off := 0, 0
-	got, err := tab.AppendColumns(int64(n), ts, func(c int, dst []int64) error {
+	got, err := tab.AppendColumns(int64(n), ts, func(c int, at int64, dst []int64) error {
 		if c != cur {
 			if c != cur+1 || off != n {
 				t.Fatalf("fill of column %d after %d of column %d's %d rows", c, off, cur, n)
 			}
 			cur, off = c, 0
 		}
+		if at != int64(off) {
+			t.Fatalf("column %d: run handed offset %d, want %d", c, at, off)
+		}
 		if end := base + int64(off+len(dst)); len(dst) == 0 || off+len(dst) > n ||
 			(end-1)>>chunkShift != (base+int64(off))>>chunkShift || end&(ChunkSize-1) != 0 && off+len(dst) != n {
 			t.Fatalf("column %d: run of %d at row %d of an append of %d above %d", c, len(dst), off, n, base)
 		}
-		off += copy(dst, cols[c][off:])
+		off += copy(dst, cols[c][at:])
 		return nil
 	})
 	if err != nil {
@@ -490,7 +494,7 @@ func TestAppendRejectsWrongShapes(t *testing.T) {
 	for _, failAt := range []int{0, 1, 2} {
 		errFill := errors.New("fill failed")
 		calls := 0
-		_, err := tab.AppendColumns(n, 1, func(c int, dst []int64) error {
+		_, err := tab.AppendColumns(n, 1, func(c int, _ int64, dst []int64) error {
 			if calls++; c == failAt && calls > 2*c+1 { // the column's second run
 				return errFill
 			}

@@ -64,8 +64,8 @@ func fresh(_ int, c []int64) []int64 {
 }
 
 // ensure guarantees storage for rows [0, n). It and ensureShared run per
-// column on every append, so where the directory covers n already they
-// only compare its length.
+// column for every appended run that starts a chunk, so where the
+// directory covers n already they only compare its length.
 func (w *Words) ensure(n int64) {
 	if d := len(w.blocks.Dir()); d < chunks(n) {
 		w.blocks.Publish(d, chunks(n), fresh)

@@ -16,13 +16,9 @@ func intSchema(name string, cols ...string) Schema {
 
 // appendSeq appends rows [lo, hi) whose every cell holds its row number.
 func appendSeq(tab *Table, lo, hi int64, ts uint64) {
-	row := lo
-	if _, err := tab.AppendColumns(hi-lo, ts, func(_ int, dst []int64) error {
+	if _, err := tab.AppendColumns(hi-lo, ts, func(_ int, off int64, dst []int64) error {
 		for i := range dst {
-			dst[i] = row + int64(i)
-		}
-		if row += int64(len(dst)); row == hi { // the column's last run
-			row = lo
+			dst[i] = lo + off + int64(i)
 		}
 		return nil
 	}); err != nil {

@@ -169,13 +169,10 @@ func (t *Table) twinOf(in *Instance) *Instance {
 // DirtyOLAP exposes the updated-since-ETL bitset.
 func (t *Table) DirtyOLAP() *bitset.Atomic { return t.dirtyOLAP }
 
-// AppendRows allocates n new committed rows holding the provided rows in
-// BOTH instances (§3.2: "inserts are pushed to both instances") — stored
-// once where the instances share the chunk, twice where an update has split
-// it — stamps them with commit timestamp ts, and returns the first row ID.
-// rows[i] must have one raw word per column. It is the row-major append,
-// for a committing transaction's inserts; a bulk source that can write a
-// column at a time uses AppendColumns.
+// AppendRows is AppendColumns for rows held row-major: it appends rows,
+// each with one raw word per column, with commit timestamp ts and returns
+// the first row ID. It is the append of a committing transaction's
+// inserts, live or replayed.
 func (t *Table) AppendRows(rows [][]int64, ts uint64) int64 {
 	for _, row := range rows {
 		if len(row) != len(t.schema.Columns) {
@@ -183,62 +180,35 @@ func (t *Table) AppendRows(rows [][]int64, ts uint64) int64 {
 				len(row), len(t.schema.Columns), t.schema.Name))
 		}
 	}
-	return t.appendRun(rows, ts)
-}
-
-// appendRun is AppendRows' loop. It works a chunk run at a time, column by
-// column: the destination run of instance 0 is resolved once and filled,
-// and copied to instance 1's run only if that is other memory — a new chunk
-// is allocated once and listed by both instances, so it is not until an
-// update has split it. The cells lie above the published row count, where
-// nothing reads, so they need no atomic stores: storing rows/visible last,
-// under appendMu, is what publishes them.
-func (t *Table) appendRun(rows [][]int64, ts uint64) int64 {
-	n := int64(len(rows))
-	if n == 0 {
-		return t.rows.Load()
-	}
-	t.appendMu.Lock()
-	base, end := t.reserve(n)
-	a, b := t.inst[0].cols, t.inst[1].cols
-	for r := base; r < end; {
-		stamps := t.rowTS.run(r, end)
-		off := int(r - base)
-		for c := range a {
-			dst := a[c].run(r, end)
-			for i := range dst {
-				dst[i] = rows[off+i][c]
-			}
-			if twin := b[c].run(r, end); &twin[0] != &dst[0] {
-				copy(twin, dst)
-			}
+	// fill never fails, so neither does AppendColumns.
+	base, _ := t.AppendColumns(int64(len(rows)), ts, func(c int, off int64, dst []int64) error {
+		for i := range dst {
+			dst[i] = rows[off+int64(i)][c]
 		}
-		for i := range stamps {
-			stamps[i] = int64(ts)
-		}
-		r += int64(len(stamps))
-	}
-	t.publish(end)
-	t.appendMu.Unlock()
+		return nil
+	})
 	return base
 }
 
-// AppendColumns is the column-major append, for a source that produces a
-// column at a time. It has two callers: a checkpoint restore decodes each
-// column's section straight into the table's chunks, and the CH loader
-// copies each column of a batch of generated rows. It allocates n new rows
+// AppendColumns is the table's one append: every row enters through it
+// (§3.2: "inserts are pushed to both instances"). It allocates n new rows
 // in both instances, then hands fill every chunk run of them, column by
-// column and in row order, to fill in place — dst is the run's storage in
-// instance 0, copied to instance 1 only where that is other memory. Once
-// every run is filled the rows are stamped with commit timestamp ts and
-// published, and the first row ID is returned. If fill fails, AppendColumns
-// returns its error and publishes nothing: the rows stay above the row
-// count, where no reader looks, and the next append overwrites them.
-// Storage grows a run at a time, just before the run is filled, so a fill
-// that fails early — a restore whose file is shorter than its header claims
-// — has cost only the runs it filled. fill runs under the table's append
-// lock, so it must not append to or update the table.
-func (t *Table) AppendColumns(n int64, ts uint64, fill func(c int, dst []int64) error) (int64, error) {
+// column and in row order, to fill in place: dst is the run's storage in
+// instance 0, and off the run's first row counted from the append's first
+// row. A new chunk is allocated once and listed by both instances, so dst
+// is copied to instance 1 only where an update has split the chunk. The
+// cells lie above the published row count, where nothing reads, so they
+// need no atomic stores. Once every run is filled the rows are stamped
+// with commit timestamp ts and published — the row count is stored last,
+// under appendMu — and the first row ID is returned. If fill fails,
+// AppendColumns returns its error and publishes nothing: the rows stay
+// above the row count, where no reader looks, and the next append
+// overwrites them. Storage grows a run at a time, just before the run is
+// filled, so a fill that fails early — a restore whose file is shorter
+// than its header claims — has cost only the runs it filled. fill runs
+// under the table's append lock, so it must not append to or update the
+// table.
+func (t *Table) AppendColumns(n int64, ts uint64, fill func(c int, off int64, dst []int64) error) (int64, error) {
 	if n == 0 {
 		return t.rows.Load(), nil
 	}
@@ -249,11 +219,15 @@ func (t *Table) AppendColumns(n int64, ts uint64, fill func(c int, dst []int64) 
 	a, b := t.inst[0].cols, t.inst[1].cols
 	for c := range a {
 		for r := base; r < end; {
-			next := min(r&^(ChunkSize-1)+ChunkSize, end)
-			a[c].ensure(next)
-			b[c].ensureShared(a[c], next)
+			// A run that starts mid-chunk continues the chunk of the last
+			// published row, which both twins list already.
+			if r&(ChunkSize-1) == 0 {
+				next := min(r+ChunkSize, end)
+				a[c].ensure(next)
+				b[c].ensureShared(a[c], next)
+			}
 			dst := a[c].run(r, end)
-			if err := fill(c, dst); err != nil {
+			if err := fill(c, r-base, dst); err != nil {
 				return 0, err
 			}
 			if twin := b[c].run(r, end); &twin[0] != &dst[0] {
@@ -270,31 +244,10 @@ func (t *Table) AppendColumns(n int64, ts uint64, fill func(c int, dst []int64) 
 		}
 		r += int64(len(stamps))
 	}
-	t.publish(end)
-	return base, nil
-}
-
-// reserve ensures storage for n rows above the row count in every column
-// of both instances — the second twin listing the first's new chunks — and
-// in the timestamps, and returns the rows' range. The caller holds
-// appendMu.
-func (t *Table) reserve(n int64) (base, end int64) {
-	base = t.rows.Load()
-	end = base + n
-	a, b := t.inst[0].cols, t.inst[1].cols
-	for c := range a {
-		a[c].ensure(end)
-		b[c].ensureShared(a[c], end)
-	}
-	t.rowTS.ensure(end)
-	return base, end
-}
-
-// publish makes rows below end visible in the active instance only. The
-// caller holds appendMu and has written every cell below end.
-func (t *Table) publish(end int64) {
+	// The rows become visible in the active instance only.
 	t.rows.Store(end)
 	t.inst[t.active.Load()].visible.Store(end)
+	return base, nil
 }
 
 // BeginApply pins the active instance for an UpdateCells batch; EndApply
@@ -538,8 +491,8 @@ func (t *Table) Switch() SwitchResult {
 	newA := 1 - oldA
 	rows := t.rows.Load()
 	// The new active instance exposes everything committed so far,
-	// including inserts that were hidden while it was inactive (reserve
-	// keeps both instances' storage the same length).
+	// including inserts that were hidden while it was inactive
+	// (AppendColumns keeps both instances' storage the same length).
 	t.inst[newA].visible.Store(rows)
 	t.active.Store(newA)
 	t.appendMu.Unlock()
@@ -587,7 +540,9 @@ func (t *Table) SyncTo(src int, lock func(row int64) func()) int {
 }
 
 // EncodeRow converts friendly Go values into raw Words following the
-// schema: int64/int for Int64, float64 for Float64, string for String.
+// schema: int64/int for Int64, float64 for Float64, string for String. It
+// is the test fixtures' encoder: no program path calls it — the loader
+// writes typed words and transactions carry raw ones.
 func (t *Table) EncodeRow(vals ...any) []int64 {
 	if len(vals) != len(t.schema.Columns) {
 		panic(fmt.Sprintf("columnar: EncodeRow got %d values for %d columns of %q",
@@ -595,13 +550,13 @@ func (t *Table) EncodeRow(vals ...any) []int64 {
 	}
 	row := make([]int64, len(vals))
 	for i, v := range vals {
-		row[i] = t.EncodeValue(i, v)
+		row[i] = t.encodeValue(i, v)
 	}
 	return row
 }
 
-// EncodeValue converts one friendly value for column col into a raw word.
-func (t *Table) EncodeValue(col int, v any) int64 {
+// encodeValue converts one friendly value for column col into a raw word.
+func (t *Table) encodeValue(col int, v any) int64 {
 	def := t.schema.Columns[col]
 	switch def.Type {
 	case Int64:

@@ -26,14 +26,14 @@
 // published directory, so a cell access is a load and takes no lock. Who
 // may do what is decided above it:
 //
-//   - Only appends grow a column (AppendRows and AppendColumns, one at a
-//     time under the table's appendMu, and the replica's CopyInserts);
-//     rows are written above the published row count, where nothing
-//     reads, and the count is stored last. AppendRows fills a chunk run
-//     of every column before moving to the next run; AppendColumns hands
-//     its caller each column's runs in turn to fill in place (a
-//     checkpoint restore decodes into them) and publishes nothing if the
-//     caller fails.
+//   - Only appends grow a column: the table's one append loop,
+//     AppendColumns (AppendRows is its row-major form), one at a time
+//     under the table's appendMu, and the replica's CopyInserts. Rows are
+//     written above the published row count, where nothing reads, and the
+//     count is stored last. AppendColumns hands its caller each column's
+//     chunk runs in turn, with each run's offset in the append, to fill in
+//     place (a load copies, a restore decodes, a commit gathers its rows)
+//     and publishes nothing if the caller fails.
 //   - An existing cell is written only by UpdateCells (the holder of the
 //     records' locks, inside BeginApply/EndApply, in the active instance),
 //     by SyncTo (in the inactive instance, which no transaction touches),

@@ -409,10 +409,14 @@ func (h *Harness) twin(ctx context.Context, ckptStep int, commits uint64) (*runn
 	return tw, nil
 }
 
-// verify compares the recovered system against the twin: transaction
-// clock, per-table freshness (before any query disturbs it), then the
-// full query set under a forced state.
+// verify checks the recovered system's primary indexes against its
+// tables, then compares it against the twin: transaction clock, per-table
+// freshness (before any query disturbs it), then the full query set under
+// a forced state.
 func (h *Harness) verify(ctx context.Context, rec *elastichtap.System, twin *runner) error {
+	if err := rec.DB().CheckIndexes(); err != nil {
+		return fmt.Errorf("recovered indexes: %w", err)
+	}
 	mr := rec.Core().OLTPE.Manager()
 	mt := twin.sys.Core().OLTPE.Manager()
 	if mr.Commits() != mt.Commits() {

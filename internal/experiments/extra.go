@@ -75,17 +75,13 @@ func SyncClaim(modified, total int64) SyncClaimRow {
 			{Name: "d", Type: columnar.Int64},
 		},
 	}, realRows)
-	batch := make([][]int64, 0, 1<<14)
-	for i := int64(0); i < realRows; i++ {
-		batch = append(batch, []int64{i, i, i, i})
-		if len(batch) == 1<<14 {
-			tab.AppendRows(batch, 0)
-			batch = batch[:0]
+	// fill never fails, so neither does AppendColumns.
+	_, _ = tab.AppendColumns(realRows, 0, func(_ int, off int64, dst []int64) error {
+		for i := range dst {
+			dst[i] = off + int64(i)
 		}
-	}
-	if len(batch) > 0 {
-		tab.AppendRows(batch, 0)
-	}
+		return nil
+	})
 	for r := int64(0); r < realRows; r++ {
 		tab.UpdateCell(r, 1, r*2, 2)
 	}
