@@ -45,17 +45,14 @@ func TestFusedConsumeZeroAllocsPerMorsel(t *testing.T) {
 	db := ch.Load(e, ch.TinySizing(), 1)
 	for _, p := range []struct {
 		name string
-		bind func() (olap.Query, error)
+		args query.Args
 	}{
-		{"Q1", func() (olap.Query, error) { q, err := ch.Q1Plan(0).Bind(db); return q, err }},
-		{"Q6", func() (olap.Query, error) { q, err := ch.Q6Plan(0, 0, 0, 0).Bind(db); return q, err }},
-		{"Q18", func() (olap.Query, error) { q, err := ch.Q18Plan(0, 0).Bind(db); return q, err }},
+		{"Q1", ch.Q1Args(0)},
+		{"Q6", ch.Q6Args(0, 0, 0, 0)},
+		{"Q18", ch.Q18Args(0)},
 	} {
 		t.Run(p.name, func(t *testing.T) {
-			q, err := p.bind()
-			if err != nil {
-				t.Fatal(err)
-			}
+			q := stamped(t, db, p.name, p.args)
 			exec, _ := q.Prepare()
 			local := exec.NewLocal()
 			blk, _ := fusedBlock(db, q.Columns())
@@ -83,17 +80,14 @@ func TestPreparedExecutionAllocBudget(t *testing.T) {
 
 	for _, p := range []struct {
 		name   string
-		bind   func() (olap.Query, error)
+		args   query.Args
 		budget float64
 	}{
-		{"Q1", func() (olap.Query, error) { q, err := ch.Q1Plan(0).Bind(db); return q, err }, 64},
-		{"Q6", func() (olap.Query, error) { q, err := ch.Q6Plan(0, 0, 0, 0).Bind(db); return q, err }, 64},
+		{"Q1", ch.Q1Args(0), 64},
+		{"Q6", ch.Q6Args(0, 0, 0, 0), 64},
 	} {
 		t.Run(p.name, func(t *testing.T) {
-			q, err := p.bind()
-			if err != nil {
-				t.Fatal(err)
-			}
+			q := stamped(t, db, p.name, p.args)
 			run := func() {
 				if _, _, err := eng.ExecuteContext(context.Background(), q, src); err != nil {
 					t.Fatal(err)
@@ -130,21 +124,18 @@ func TestGraphJoinExecutionAllocBudget(t *testing.T) {
 	for _, p := range []struct {
 		name   string
 		fact   string
-		plan   *query.Plan
+		args   query.Args
 		joins  int64 // relations joined to the fact
 		budget float64
 	}{
 		// Measured 46/47/535 at tiny sizing, with and without -race (51/56/543
 		// when every execution rebuilt its tables); headroom for runner noise.
-		{"Q2", ch.TStock, ch.Q2Plan(0, 0), 3, 64},
-		{"Q5", ch.TOrderLine, ch.Q5Plan(0), 5, 64},
-		{"Q7", ch.TOrderLine, ch.Q7Plan(0), 4, 640},
+		{"Q2", ch.TStock, ch.Q2Args(0, 0), 3, 64},
+		{"Q5", ch.TOrderLine, ch.Q5Args(0), 5, 64},
+		{"Q7", ch.TOrderLine, ch.Q7Args(0), 4, 640},
 	} {
 		t.Run(p.name, func(t *testing.T) {
-			q, err := p.plan.Bind(db)
-			if err != nil {
-				t.Fatal(err)
-			}
+			q := stamped(t, db, p.name, p.args)
 			src := srcFor(p.fact)
 			run := func() {
 				if _, _, err := eng.ExecuteContext(context.Background(), q, src); err != nil {
@@ -173,26 +164,23 @@ func TestNewLocalAllocBudget(t *testing.T) {
 	db := ch.Load(e, ch.TinySizing(), 1)
 	for _, p := range []struct {
 		name    string
-		plan    *query.Plan
+		args    query.Args
 		objects float64
 	}{
 		// One more each for Q2, Q5 and Q7 (2, 2, 4) when a multi-join local
 		// carried its own payload buffer; the rest are as they were.
-		{"Q1", ch.Q1Plan(0), 1},
-		{"Q6", ch.Q6Plan(0, 0, 0, 0), 1},
-		{"Q19", ch.Q19Plan(0, 0, 0, 0), 1},
-		{"Q12", ch.Q12Plan(0), 1},
-		{"Q3", ch.Q3Plan(0), 3},
-		{"Q18", ch.Q18Plan(0, 0), 3},
-		{"Q2", ch.Q2Plan(0, 0), 1},
-		{"Q5", ch.Q5Plan(0), 1},
-		{"Q7", ch.Q7Plan(0), 3},
+		{"Q1", ch.Q1Args(0), 1},
+		{"Q6", ch.Q6Args(0, 0, 0, 0), 1},
+		{"Q19", ch.Q19Args(0, 0, 0, 0), 1},
+		{"Q12", ch.Q12Args(0), 1},
+		{"Q3", ch.Q3Args(0), 3},
+		{"Q18", ch.Q18Args(0), 3},
+		{"Q2", ch.Q2Args(0, 0), 1},
+		{"Q5", ch.Q5Args(0), 1},
+		{"Q7", ch.Q7Args(0), 3},
 	} {
 		t.Run(p.name, func(t *testing.T) {
-			q, err := p.plan.Bind(db)
-			if err != nil {
-				t.Fatal(err)
-			}
+			q := stamped(t, db, p.name, p.args)
 			exec, _ := q.Prepare()
 			if got := testing.AllocsPerRun(20, func() { exec.NewLocal() }); got != p.objects {
 				t.Fatalf("%s: NewLocal allocates %.0f objects, want %.0f", p.name, got, p.objects)
@@ -361,10 +349,7 @@ func TestGroupedMergeAllocBudget(t *testing.T) {
 	eng := olap.NewEngine(1)
 	eng.SetPlacement(topology.Placement{PerSocket: []int{2}})
 	defer eng.Close()
-	q, err := ch.Q18Plan(0, 0).Bind(db)
-	if err != nil {
-		t.Fatal(err)
-	}
+	q := stamped(t, db, "Q18", ch.Q18Args(0))
 	run := func() {
 		if _, _, err := eng.ExecuteContext(context.Background(), q, src); err != nil {
 			t.Fatal(err)

@@ -355,10 +355,7 @@ func BenchmarkQ6Handcoded(b *testing.B) {
 // BenchmarkQ6Handcoded.
 func BenchmarkQ6Builder(b *testing.B) {
 	db, eng, src := benchGoldenSetup(b, 8)
-	q, err := ch.Q6Plan(0, 0, 0, 0).Bind(db)
-	if err != nil {
-		b.Fatal(err)
-	}
+	q := stamped(b, db, "Q6", ch.Q6Args(0, 0, 0, 0))
 	b.SetBytes(src.Rows() * 3 * 8)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
@@ -372,10 +369,7 @@ func BenchmarkQ6Builder(b *testing.B) {
 // BenchmarkQ1Handcoded).
 func BenchmarkQ1Builder(b *testing.B) {
 	db, eng, src := benchGoldenSetup(b, 8)
-	q, err := ch.Q1Plan(0).Bind(db)
-	if err != nil {
-		b.Fatal(err)
-	}
+	q := stamped(b, db, "Q1", ch.Q1Args(0))
 	b.SetBytes(src.Rows() * 4 * 8)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
@@ -415,10 +409,7 @@ func BenchmarkQ19Handcoded(b *testing.B) {
 // BenchmarkQ19Builder is the builder-compiled counterpart.
 func BenchmarkQ19Builder(b *testing.B) {
 	db, eng, src := benchGoldenSetup(b, 8)
-	q, err := ch.Q19Plan(0, 0, 0, 0).Bind(db)
-	if err != nil {
-		b.Fatal(err)
-	}
+	q := stamped(b, db, "Q19", ch.Q19Args(0, 0, 0, 0))
 	b.SetBytes(src.Rows() * 3 * 8)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
@@ -460,10 +451,7 @@ func BenchmarkQ3Handcoded(b *testing.B) {
 // BenchmarkQ3Builder is the builder-compiled counterpart.
 func BenchmarkQ3Builder(b *testing.B) {
 	db, eng, src := benchJoinSetup(b, 8)
-	q, err := ch.Q3Plan(0).Bind(db)
-	if err != nil {
-		b.Fatal(err)
-	}
+	q := stamped(b, db, "Q3", ch.Q3Args(0))
 	b.SetBytes(src.Rows() * 4 * 8)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
@@ -490,10 +478,7 @@ func BenchmarkQ18Handcoded(b *testing.B) {
 // BenchmarkQ18Builder is the builder-compiled counterpart.
 func BenchmarkQ18Builder(b *testing.B) {
 	db, eng, src := benchGoldenSetup(b, 8)
-	q, err := ch.Q18Plan(0, 0).Bind(db)
-	if err != nil {
-		b.Fatal(err)
-	}
+	q := stamped(b, db, "Q18", ch.Q18Args(0))
 	b.SetBytes(src.Rows() * 4 * 8)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
@@ -521,10 +506,7 @@ func BenchmarkQ12Handcoded(b *testing.B) {
 // BenchmarkQ12Builder is the builder-compiled counterpart.
 func BenchmarkQ12Builder(b *testing.B) {
 	db, eng, src := benchJoinSetup(b, 8)
-	q, err := ch.Q12Plan(0).Bind(db)
-	if err != nil {
-		b.Fatal(err)
-	}
+	q := stamped(b, db, "Q12", ch.Q12Args(0))
 	b.SetBytes(src.Rows() * 4 * 8)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
@@ -563,10 +545,7 @@ func BenchmarkQ2Handcoded(b *testing.B) {
 func BenchmarkQ2Builder(b *testing.B) {
 	db, eng, _ := benchGoldenSetup(b, 8)
 	src := benchFactSource(db, ch.TStock)
-	q, err := ch.Q2Plan(0, 0).Bind(db)
-	if err != nil {
-		b.Fatal(err)
-	}
+	q := stamped(b, db, "Q2", ch.Q2Args(0, 0))
 	b.SetBytes(src.Rows() * 2 * 8)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
@@ -596,10 +575,7 @@ func BenchmarkQ5Handcoded(b *testing.B) {
 // how a prepared statement runs in production.
 func BenchmarkQ5Builder(b *testing.B) {
 	db, eng, src := benchGoldenSetup(b, 8)
-	q, err := ch.Q5Plan(0).Bind(db)
-	if err != nil {
-		b.Fatal(err)
-	}
+	q := stamped(b, db, "Q5", ch.Q5Args(0))
 	b.SetBytes(src.Rows() * 3 * 8)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
@@ -613,17 +589,22 @@ func BenchmarkQ5Builder(b *testing.B) {
 // its join tables from row 0 — what the hand-coded twin does each time.
 func BenchmarkQ5BuilderCold(b *testing.B) {
 	db, eng, src := benchGoldenSetup(b, 8)
-	benchCold(b, db, eng, ch.Q5Plan(0), src, 3)
+	benchCold(b, db, eng, ch.Q5PlanParam(), ch.Q5Args(0), src, 3)
 }
 
-// benchCold measures plan.Bind plus one execution per iteration: the
-// binding itself is microseconds (BenchmarkPlannerGraphBind), the rest is
-// a first execution with nothing kept.
-func benchCold(b *testing.B, db *ch.DB, eng *olap.Engine, plan *query.Plan, src olap.Source, words int64) {
+// benchCold measures plan.Bind, stamping args and one execution per
+// iteration: the binding itself is microseconds
+// (BenchmarkPlannerGraphBind), the rest is a first execution with
+// nothing kept.
+func benchCold(b *testing.B, db *ch.DB, eng *olap.Engine, plan *query.Plan, args query.Args, src olap.Source, words int64) {
 	b.SetBytes(src.Rows() * words * 8)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		q, err := plan.Bind(db)
+		stmt, err := plan.Bind(db)
+		if err != nil {
+			b.Fatal(err)
+		}
+		q, err := stmt.WithArgs(args)
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -651,16 +632,13 @@ func BenchmarkQ7Handcoded(b *testing.B) {
 // BenchmarkQ7BuilderCold is BenchmarkQ7Builder with nothing kept.
 func BenchmarkQ7BuilderCold(b *testing.B) {
 	db, eng, src := benchJoinSetup(b, 8)
-	benchCold(b, db, eng, ch.Q7Plan(0), src, 7)
+	benchCold(b, db, eng, ch.Q7PlanParam(), ch.Q7Args(0), src, 7)
 }
 
 // BenchmarkQ7Builder is the builder-compiled counterpart, bound once.
 func BenchmarkQ7Builder(b *testing.B) {
 	db, eng, src := benchJoinSetup(b, 8)
-	q, err := ch.Q7Plan(0).Bind(db)
-	if err != nil {
-		b.Fatal(err)
-	}
+	q := stamped(b, db, "Q7", ch.Q7Args(0))
 	b.SetBytes(src.Rows() * 7 * 8)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
@@ -717,7 +695,11 @@ func BenchmarkRebind(b *testing.B) {
 	b.SetBytes(src.Rows() * 3 * 8)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		q, err := ch.Q6Plan(0, 0, 0, 0).Bind(db)
+		stmt, err := ch.Q6PlanParam().Bind(db)
+		if err != nil {
+			b.Fatal(err)
+		}
+		q, err := stmt.WithArgs(ch.Q6Args(0, 0, 0, 0))
 		if err != nil {
 			b.Fatal(err)
 		}

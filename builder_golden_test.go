@@ -18,44 +18,60 @@ import (
 // references for the declarative builder: these tests assert the
 // builder-compiled plans reproduce their results and scan statistics.
 
-// goldenPairs returns (hand-coded, builder plan) pairs covering default
-// and parameterized forms of Q1, Q6, Q19, the join/ordered/top-k shapes
-// Q3, Q12 and Q18, and the graph-join shapes Q2, Q5 and Q7 planned by
-// greedy join ordering.
+// goldenPairs returns (hand-coded, arguments) pairs covering default and
+// parameterized forms of Q1, Q6, Q19, the join/ordered/top-k shapes Q3,
+// Q12 and Q18, and the graph-join shapes Q2, Q5 and Q7 planned by greedy
+// join ordering. The builder side of a pair is the prepared statement of
+// the hand-coded query's name stamped with args (see stamped): the path
+// the facade and QuerySet run.
 func goldenPairs(db *ch.DB) []struct {
 	name string
 	hand olap.Query
-	plan *query.Plan
+	args query.Args
 } {
 	day := ch.LoadDay
 	return []struct {
 		name string
 		hand olap.Query
-		plan *query.Plan
+		args query.Args
 	}{
-		{"Q1-default", &golden.Q1{DB: db}, ch.Q1Plan(0)},
-		{"Q1-filtered", &golden.Q1{DB: db, MinDeliveryD: int64(day + 5)}, ch.Q1Plan(int64(day + 5))},
-		{"Q6-default", &golden.Q6{DB: db}, ch.Q6Plan(0, 0, 0, 0)},
+		{"Q1-default", &golden.Q1{DB: db}, ch.Q1Args(0)},
+		{"Q1-filtered", &golden.Q1{DB: db, MinDeliveryD: int64(day + 5)}, ch.Q1Args(int64(day + 5))},
+		{"Q6-default", &golden.Q6{DB: db}, ch.Q6Args(0, 0, 0, 0)},
 		{"Q6-bracketed",
 			&golden.Q6{DB: db, DateLo: int64(day - 100), DateHi: int64(day + 10), QtyLo: 3, QtyHi: 7},
-			ch.Q6Plan(int64(day-100), int64(day+10), 3, 7)},
-		{"Q19-default", &golden.Q19{DB: db}, ch.Q19Plan(0, 0, 0, 0)},
+			ch.Q6Args(int64(day-100), int64(day+10), 3, 7)},
+		{"Q19-default", &golden.Q19{DB: db}, ch.Q19Args(0, 0, 0, 0)},
 		{"Q19-bracketed",
 			&golden.Q19{DB: db, QtyLo: 2, QtyHi: 6, PriceLo: 20, PriceHi: 80},
-			ch.Q19Plan(2, 6, 20, 80)},
-		{"Q3-default", &golden.Q3{DB: db}, ch.Q3Plan(0)},
-		{"Q3-top5", &golden.Q3{DB: db, TopN: 5}, ch.Q3Plan(5)},
-		{"Q12-default", &golden.Q12{DB: db}, ch.Q12Plan(0)},
-		{"Q12-since", &golden.Q12{DB: db, DeliveredSince: int64(day - 50)}, ch.Q12Plan(int64(day - 50))},
-		{"Q18-default", &golden.Q18{DB: db}, ch.Q18Plan(0, 0)},
-		{"Q18-tight", &golden.Q18{DB: db, MinRevenue: 3000, TopN: 7}, ch.Q18Plan(3000, 7)},
-		{"Q2-default", &golden.Q2{DB: db}, ch.Q2Plan(0, 0)},
-		{"Q2-bracketed", &golden.Q2{DB: db, QtyLo: 20, QtyHi: 80}, ch.Q2Plan(20, 80)},
-		{"Q5-default", &golden.Q5{DB: db}, ch.Q5Plan(0)},
-		{"Q5-pricey", &golden.Q5{DB: db, MinPrice: 80}, ch.Q5Plan(80)},
-		{"Q7-default", &golden.Q7{DB: db}, ch.Q7Plan(0)},
-		{"Q7-since", &golden.Q7{DB: db, Since: int64(day - 50)}, ch.Q7Plan(int64(day - 50))},
+			ch.Q19Args(2, 6, 20, 80)},
+		{"Q3-default", &golden.Q3{DB: db}, ch.Q3Args(0)},
+		{"Q12-default", &golden.Q12{DB: db}, ch.Q12Args(0)},
+		{"Q12-since", &golden.Q12{DB: db, DeliveredSince: int64(day - 50)}, ch.Q12Args(int64(day - 50))},
+		{"Q18-default", &golden.Q18{DB: db}, ch.Q18Args(0)},
+		{"Q18-tight", &golden.Q18{DB: db, MinRevenue: 3000}, ch.Q18Args(3000)},
+		{"Q2-default", &golden.Q2{DB: db}, ch.Q2Args(0, 0)},
+		{"Q2-bracketed", &golden.Q2{DB: db, QtyLo: 20, QtyHi: 80}, ch.Q2Args(20, 80)},
+		{"Q5-default", &golden.Q5{DB: db}, ch.Q5Args(0)},
+		{"Q5-pricey", &golden.Q5{DB: db, MinPrice: 80}, ch.Q5Args(80)},
+		{"Q7-default", &golden.Q7{DB: db}, ch.Q7Args(0)},
+		{"Q7-since", &golden.Q7{DB: db, Since: int64(day - 50)}, ch.Q7Args(int64(day - 50))},
 	}
+}
+
+// stamped returns the named CH query's prepared statement on db (bound
+// once per DB) stamped with args.
+func stamped(tb testing.TB, db *ch.DB, name string, args query.Args) *query.Compiled {
+	tb.Helper()
+	stmt, err := db.PreparedPlan(name)
+	if err != nil {
+		tb.Fatal(err)
+	}
+	q, err := stmt.WithArgs(args)
+	if err != nil {
+		tb.Fatalf("%s: %v", name, err)
+	}
+	return q
 }
 
 // factSource builds a one-part source over a query's fact table — most
@@ -80,10 +96,7 @@ func TestBuilderPlanMetadataMatchesHandCoded(t *testing.T) {
 	e := oltp.NewEngine()
 	db := ch.Load(e, ch.TinySizing(), 3)
 	for _, p := range goldenPairs(db) {
-		q, err := p.plan.Bind(db)
-		if err != nil {
-			t.Fatalf("%s: bind: %v", p.name, err)
-		}
+		q := stamped(t, db, p.hand.Name(), p.args)
 		if q.Name() != p.hand.Name() {
 			t.Errorf("%s: name %q != %q", p.name, q.Name(), p.hand.Name())
 		}
@@ -112,10 +125,7 @@ func TestBuilderGoldenSingleWorker(t *testing.T) {
 
 	for _, p := range goldenPairs(db) {
 		src := factSource(db, p.hand.FactTable())
-		built, err := p.plan.Bind(db)
-		if err != nil {
-			t.Fatalf("%s: bind: %v", p.name, err)
-		}
+		built := stamped(t, db, p.hand.Name(), p.args)
 		want, wantSt, err := eng.ExecuteContext(context.Background(), p.hand, src)
 		if err != nil {
 			t.Fatalf("%s: hand-coded: %v", p.name, err)
@@ -156,10 +166,7 @@ func TestBuilderGoldenAcrossStates(t *testing.T) {
 		sys.Run(60)
 		for _, st := range []State{S1, S2, S3IS, S3NI} {
 			for _, p := range goldenPairs(db) {
-				built, err := p.plan.Bind(db)
-				if err != nil {
-					t.Fatalf("%s: bind: %v", p.name, err)
-				}
+				built := stamped(t, db, p.hand.Name(), p.args)
 				want, err := sys.QueryInStateContext(context.Background(), p.hand, st)
 				if err != nil {
 					t.Fatalf("sf=%v %v %s: hand-coded: %v", sf, st, p.name, err)
@@ -222,10 +229,7 @@ func TestBuilderGoldenDeterministicUnderStealing(t *testing.T) {
 
 	for _, p := range goldenPairs(db) {
 		src := factSource(db, p.hand.FactTable())
-		built, err := p.plan.Bind(db)
-		if err != nil {
-			t.Fatalf("%s: bind: %v", p.name, err)
-		}
+		built := stamped(t, db, p.hand.Name(), p.args)
 		want, _, err := ref.ExecuteContext(context.Background(), p.hand, src)
 		if err != nil {
 			t.Fatalf("%s: reference: %v", p.name, err)

@@ -28,8 +28,8 @@ import (
 //	// checkpoint image plus the WAL suffix replayed above info.WALPos.
 
 // FS is the filesystem surface the durability layer writes through.
-// DiskFS returns the real one; tests and the crash harness use
-// wal.NewMemFS for fault injection.
+// DiskFS returns the real one; any other implementation of the interface,
+// an in-memory one for fault injection say, plugs in the same way.
 type FS = wal.FS
 
 // SyncPolicy selects when WAL appends are made durable.

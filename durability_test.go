@@ -124,6 +124,31 @@ func TestDurabilityRoundTrip(t *testing.T) {
 	}
 }
 
+// TestSyncFailureCountsAsCommit: a commit whose record was written and
+// applied but whose fsync failed is a commit, not a failed transaction.
+// The log then refuses every later commit, and those fail. So over one
+// batch the commits and the failures add up to the transactions run, and
+// WAL().Sync() returns the sticky failure.
+func TestSyncFailureCountsAsCommit(t *testing.T) {
+	fs := wal.NewMemFS()
+	sys, _ := durableSystem(t, fs, SyncAlways)
+	mgr, wm := sys.inner.OLTPE.Manager(), sys.inner.OLTPE.Workers()
+	commits, failed := mgr.Commits(), wm.Failed()
+	fs.FailSyncs(0)
+	const n = 10
+	sys.Run(n)
+	dc, df := mgr.Commits()-commits, wm.Failed()-failed
+	if dc+df != n {
+		t.Fatalf("%d commits + %d failures after %d transactions", dc, df, n)
+	}
+	if dc == 0 || df == 0 {
+		t.Fatalf("%d commits, %d failures: want the first commit applied and the rest refused", dc, df)
+	}
+	if err := sys.WAL().Sync(); err == nil {
+		t.Fatal("WAL().Sync() = nil after a failed fsync")
+	}
+}
+
 // TestRecoveryDeterministic: recovery is read-only, so opening the same
 // crashed image repeatedly yields identical state.
 func TestRecoveryDeterministic(t *testing.T) {

@@ -136,7 +136,7 @@ func TestMixWorkload(t *testing.T) {
 	mix := NewMix(db, 50, 9)
 	db.Engine.Workers().SetWorkload(mix)
 	db.Engine.Workers().ExecuteBatch(60, 4)
-	if got := db.Engine.Workers().Executed(); got != 60 {
+	if got := db.Engine.Manager().Commits(); got != 60 {
 		t.Fatalf("executed = %d", got)
 	}
 	if db.Engine.Manager().Commits() < 60 {

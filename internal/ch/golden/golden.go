@@ -20,7 +20,7 @@ import (
 const maxOrderLineNumber = 15
 
 // Q1 is CH-benCHmark query 1: scan-filter-groupby over OrderLine, grouping
-// by ol_number with sum/avg/count aggregates. Golden twin of ch.Q1Plan.
+// by ol_number with sum/avg/count aggregates. Golden twin of ch.Q1PlanParam.
 type Q1 struct {
 	DB *ch.DB
 	// MinDeliveryD filters ol_delivery_d > MinDeliveryD; 0 keeps everything.
@@ -101,7 +101,7 @@ func (e *q1Exec) Merge(locals []olap.Local) olap.Result {
 
 // Q6 is CH-benCHmark query 6: scan-filter-reduce over OrderLine summing
 // ol_amount for rows within delivery-date and quantity brackets. Golden
-// twin of ch.Q6Plan.
+// twin of ch.Q6PlanParam.
 type Q6 struct {
 	DB *ch.DB
 	// Date bracket [DateLo, DateHi); zero values select everything.
@@ -175,7 +175,7 @@ func (e *q6Exec) Merge(locals []olap.Local) olap.Result {
 // join of OrderLine with Item under price and quantity brackets, summing
 // revenue. The build side (Item) is broadcast to every probe socket,
 // which the cost model charges (§5.3: "the OLAP engine opts for
-// broadcast-based join for CH-Q19"). Golden twin of ch.Q19Plan.
+// broadcast-based join for CH-Q19"). Golden twin of ch.Q19PlanParam.
 type Q19 struct {
 	DB *ch.DB
 	// Brackets; zero values default to (qty in [1,10], price in [1,100]).

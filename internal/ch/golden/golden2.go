@@ -13,7 +13,7 @@ import (
 // OrderLine inner-joined with Orders on the composite order key, with
 // o_entry_d projected from the dimension into the group key — grouped per
 // order, ordered by revenue descending, top-N. Output shape, broadcast
-// accounting and float arithmetic mirror the builder plan ch.Q3Plan
+// accounting and float arithmetic mirror the builder plan ch.Q3PlanParam
 // exactly; this hand-coded executor is its golden reference.
 type Q3 struct {
 	DB *ch.DB
@@ -133,7 +133,7 @@ func (e *q3Exec) Merge(locals []olap.Local) olap.Result {
 // count delivered lines split into high/low priority by carrier — an
 // OrderLine-Orders join projecting o_carrier_id and o_ol_cnt. Output
 // shape, broadcast accounting and arithmetic mirror the builder plan
-// ch.Q12Plan exactly; this hand-coded executor is its golden reference.
+// ch.Q12PlanParam exactly; this hand-coded executor is its golden reference.
 type Q12 struct {
 	DB *ch.DB
 	// DeliveredSince filters ol_delivery_d >= DeliveredSince.
@@ -238,7 +238,7 @@ func (e *q12Exec) Merge(locals []olap.Local) olap.Result {
 // OrderLine grouped by the composite order key with revenue and line
 // counts, HAVING revenue above a threshold, ordered by revenue descending,
 // top-N. Output shape and float arithmetic mirror the builder plan
-// ch.Q18Plan exactly; this hand-coded executor is its golden reference.
+// ch.Q18PlanParam exactly; this hand-coded executor is its golden reference.
 type Q18 struct {
 	DB *ch.DB
 	// MinRevenue keeps orders with sum(ol_amount) strictly above it

@@ -33,7 +33,7 @@ func narrowedScan(h *oltp.TableHandle, col int, v int64) int64 {
 // europeRegions resolves the region keys named "EUROPE" plus the
 // build-bytes charge for scanning the region dimension (narrowed by the
 // r_name index, two words per row: key and predicate column), mirroring
-// the builder's region build in Q2Plan/Q5Plan.
+// the builder's region build in Q2PlanParam/Q5PlanParam.
 func europeRegions(db *ch.DB) (map[int64]bool, int64) {
 	rt := db.Region.Table()
 	euro := map[int64]bool{}
@@ -52,7 +52,7 @@ func europeRegions(db *ch.DB) (map[int64]bool, int64) {
 // Q2 is CH-benCHmark query 2 (simplified): stock within a quantity
 // bracket joined through supplier → nation → region restricted to
 // EUROPE, grouped per supplier nation with count/min-quantity/
-// avg-balance aggregates. Golden twin of ch.Q2Plan.
+// avg-balance aggregates. Golden twin of ch.Q2PlanParam.
 type Q2 struct {
 	DB *ch.DB
 	// QtyLo/QtyHi bracket s_quantity; QtyHi = 0 defaults to [10, 40].
@@ -190,7 +190,7 @@ func (e *q2Exec) Merge(locals []olap.Local) olap.Result {
 // Q5 is CH-benCHmark query 5 (simplified): order-line revenue per
 // European supplier nation — OrderLine joined with stock, supplier,
 // nation and region (EUROPE) and semi-joined with items at or above a
-// price floor — ordered by revenue descending. Golden twin of ch.Q5Plan.
+// price floor — ordered by revenue descending. Golden twin of ch.Q5PlanParam.
 type Q5 struct {
 	DB *ch.DB
 	// MinPrice keeps items with i_price >= MinPrice (<= 0 defaults to 50).
@@ -333,7 +333,7 @@ func (e *q5Exec) Merge(locals []olap.Local) olap.Result {
 // Q7 is CH-benCHmark query 7 (simplified): shipping volume between
 // supplier and customer nations — delivered order lines joined with
 // orders, customer, stock and supplier, grouped by the two nation keys.
-// Golden twin of ch.Q7Plan.
+// Golden twin of ch.Q7PlanParam.
 type Q7 struct {
 	DB *ch.DB
 	// Since filters ol_delivery_d >= Since (0 keeps everything).

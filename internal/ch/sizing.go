@@ -43,6 +43,8 @@ func SizingForScale(sf float64) Sizing {
 }
 
 // TinySizing returns a minimal database for unit tests.
+//
+//htap:api the unit tests of ten packages load their CH database at this size
 func TinySizing() Sizing {
 	return Sizing{
 		Warehouses:           2,

@@ -207,6 +207,8 @@ type FullMix struct {
 
 // NewFullMix returns a full-mix workload with deterministic per-worker
 // RNGs.
+//
+//htap:api the five-transaction TPC-C mix the benchmark's workloads do not run yet
 func NewFullMix(db *DB, seed int64) *FullMix {
 	return &FullMix{Mix: NewMix(db, 0, seed)}
 }

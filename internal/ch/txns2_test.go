@@ -113,7 +113,7 @@ func TestFullMixRuns(t *testing.T) {
 	db := Load(e, TinySizing(), 5)
 	e.Workers().SetWorkload(NewFullMix(db, 5))
 	e.Workers().ExecuteBatch(100, 4)
-	if got := e.Workers().Executed(); got != 100 {
+	if got := e.Manager().Commits(); got != 100 {
 		t.Fatalf("executed = %d (failed=%d)", got, e.Workers().Failed())
 	}
 	if e.Workers().Failed() != 0 {

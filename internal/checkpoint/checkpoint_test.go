@@ -179,9 +179,9 @@ func TestRestoreRecheckpointsByteIdentical(t *testing.T) {
 		if restored.Rows() != int64(rows) || restored.Active().Visible() != int64(rows) {
 			t.Fatalf("restored %d rows, %d visible, want %d", restored.Rows(), restored.Active().Visible(), rows)
 		}
-		for k := 0; k < 2; k++ {
+		for k, in := range []*columnar.Instance{restored.Active(), restored.Inactive()} {
 			var again bytes.Buffer
-			if err := Write(&again, restored, restored.Instance(k), restored.Rows()); err != nil {
+			if err := Write(&again, restored, in, restored.Rows()); err != nil {
 				t.Fatal(err)
 			}
 			if !bytes.Equal(first.Bytes(), again.Bytes()) {

@@ -268,10 +268,10 @@ func (o *appendOracle) check(t *testing.T, tab *Table, rep *Replica, from int64)
 		t.Fatalf("Rows = %d active = %d, want %d and %d", tab.Rows(), tab.ActiveIndex(), o.rows(), o.active)
 	}
 	for k := 0; k < 2; k++ {
-		if got := tab.Instance(k).Visible(); got != o.visible[k] {
+		if got := tab.inst[k].Visible(); got != o.visible[k] {
 			t.Fatalf("instance %d visible = %d, want %d", k, got, o.visible[k])
 		}
-		if got := tab.Instance(k).DirtyCount(); got != len(o.pending[k]) {
+		if got := tab.inst[k].DirtyCount(); got != len(o.pending[k]) {
 			t.Fatalf("instance %d carries %d update-indication bits, want %d", k, got, len(o.pending[k]))
 		}
 	}
@@ -397,7 +397,7 @@ func TestAppendMatchesRowAtATimeOracle(t *testing.T) {
 				if rng.Intn(2) == 0 {
 					k = o.active
 				}
-				src := tab.Instance(k)
+				src := tab.inst[k]
 				rows := slices.Sorted(maps.Keys(o.updated))
 				for _, row := range rows {
 					if row < o.repRows {

@@ -134,6 +134,8 @@ func (r *Replica) Bytes() (shared, own int64) {
 
 // EqualRow reports whether the replica row matches the instance row
 // byte-for-byte (test helper for the sync/ETL invariants).
+//
+//htap:api rde's and core's tests hold the replica to an instance with it
 func (r *Replica) EqualRow(in *Instance, row int64) bool {
 	for c := range r.cols {
 		if r.cols[c].Load(row) != in.cols[c].Load(row) {

@@ -434,7 +434,7 @@ func TestUnshareUnderScanAppendAndCommit(t *testing.T) {
 	// Column k was never updated: the replica lists each of its chunks with
 	// both twins, however the absorbs fell.
 	for r := int64(0); r < grown; r += ChunkSize {
-		if !rep.Col(0).sharesChunk(tab.Instance(0).Col(0), r) || !rep.Col(0).sharesChunk(tab.Instance(1).Col(0), r) {
+		if !rep.Col(0).sharesChunk(tab.inst[0].Col(0), r) || !rep.Col(0).sharesChunk(tab.inst[1].Col(0), r) {
 			t.Fatalf("the replica holds a copy of key chunk %d", r>>chunkShift)
 		}
 	}

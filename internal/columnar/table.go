@@ -26,6 +26,8 @@ type Instance struct {
 }
 
 // Visible returns the number of rows readable in this instance.
+//
+//htap:api checkpoint's tests check that a restore publishes its rows to readers
 func (in *Instance) Visible() int64 { return in.visible.Load() }
 
 // DirtyCount returns the number of rows updated here since the last sync.
@@ -153,10 +155,9 @@ func (t *Table) ActiveIndex() int { return int(t.active.Load()) }
 func (t *Table) Active() *Instance { return t.inst[t.active.Load()] }
 
 // Inactive returns the inactive instance.
+//
+//htap:api rde's and checkpoint's tests read the snapshot twin through it
 func (t *Table) Inactive() *Instance { return t.inst[1-t.active.Load()] }
-
-// Instance returns instance k (0 or 1).
-func (t *Table) Instance(k int) *Instance { return t.inst[k] }
 
 // twinOf returns the instance that is not in.
 func (t *Table) twinOf(in *Instance) *Instance {
@@ -543,6 +544,8 @@ func (t *Table) SyncTo(src int, lock func(row int64) func()) int {
 // schema: int64/int for Int64, float64 for Float64, string for String. It
 // is the test fixtures' encoder: no program path calls it — the loader
 // writes typed words and transactions carry raw ones.
+//
+//htap:api query's, checkpoint's and index's test fixtures encode rows with it
 func (t *Table) EncodeRow(vals ...any) []int64 {
 	if len(vals) != len(t.schema.Columns) {
 		panic(fmt.Sprintf("columnar: EncodeRow got %d values for %d columns of %q",

@@ -75,7 +75,7 @@ func TestUpdateGoesToActiveOnly(t *testing.T) {
 	if got := tab.ReadCell(1-a, 0, 0); got != 1 {
 		t.Fatalf("inactive mutated: %d", got)
 	}
-	if tab.Instance(a).dirty.CountBelow(1) != 1 {
+	if tab.inst[a].dirty.CountBelow(1) != 1 {
 		t.Fatal("update-indication bit not set")
 	}
 	if tab.RowTS(0) != 5 {

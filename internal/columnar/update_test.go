@@ -20,9 +20,9 @@ func sameTables(t *testing.T, what string, a, b *Table, ra, rb *Replica) {
 	}
 	for k := 0; k < 2; k++ {
 		for c := range a.Schema().Columns {
-			sameWords(t, fmt.Sprintf("%s: instance %d col %d", what, k, c), a.Instance(k).Col(c), b.Instance(k).Col(c), a.Rows())
+			sameWords(t, fmt.Sprintf("%s: instance %d col %d", what, k, c), a.inst[k].Col(c), b.inst[k].Col(c), a.Rows())
 		}
-		sameBits(t, fmt.Sprintf("%s: instance %d dirty", what, k), a.Instance(k).dirty, b.Instance(k).dirty)
+		sameBits(t, fmt.Sprintf("%s: instance %d dirty", what, k), a.inst[k].dirty, b.inst[k].dirty)
 	}
 	sameWords(t, what+": timestamps", a.rowTS, b.rowTS, a.Rows())
 	sameBits(t, what+": dirtyOLAP", a.DirtyOLAP(), b.DirtyOLAP())

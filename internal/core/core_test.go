@@ -40,7 +40,7 @@ func TestBootstrapIsS2(t *testing.T) {
 
 func TestMigrationsConserveCoresAndRespectFloors(t *testing.T) {
 	sys, _ := newTestSystem(t)
-	total := sys.Cfg.Topology.TotalCores()
+	total := sys.Cfg.Topology.Sockets * sys.Cfg.Topology.CoresPerSocket
 	for _, st := range []State{S1, S2, S3IS, S3NI, S1, S3NI, S2} {
 		sys.Sched.MigrateTo(st)
 		_, oltpP, olapP := sys.Sched.Placements()
@@ -84,7 +84,7 @@ func (w *workerRecorder) Next(worker int) oltp.TxnFunc {
 func TestInjectTransactionsUsesOLTPPlacement(t *testing.T) {
 	sys, db := newTestSystem(t)
 	defer sys.Close()
-	n := 2 * sys.Cfg.Topology.TotalCores()
+	n := 2 * sys.Cfg.Topology.Sockets * sys.Cfg.Topology.CoresPerSocket
 	for _, st := range []State{S1, S2, S3IS, S3NI} {
 		sys.Sched.MigrateTo(st)
 		_, oltpP, _ := sys.Sched.Placements()

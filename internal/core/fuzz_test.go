@@ -44,7 +44,7 @@ func TestFuzzRandomScheduleEquivalence(t *testing.T) {
 		}
 		lastCount = count
 
-		total := sys.Cfg.Topology.TotalCores()
+		total := sys.Cfg.Topology.Sockets * sys.Cfg.Topology.CoresPerSocket
 		_, oltpP, olapP := sys.Sched.Placements()
 		if got := oltpP.Total() + olapP.Total(); got != total {
 			t.Fatalf("step %d: cores leaked: %d != %d", step, got, total)

@@ -51,7 +51,7 @@ func TestQuickDecideMatchesSpec(t *testing.T) {
 
 func TestQuickMigrationsConserveAndFloor(t *testing.T) {
 	sys, _ := newTestSystem(t)
-	total := sys.Cfg.Topology.TotalCores()
+	total := sys.Cfg.Topology.Sockets * sys.Cfg.Topology.CoresPerSocket
 	states := []State{S1, S2, S3IS, S3NI}
 	f := func(seq []uint8, elastic uint8, floor uint8) bool {
 		cfg := sys.Sched.Config()

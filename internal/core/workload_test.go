@@ -130,12 +130,12 @@ func TestQueuedQueryCancellationFreesSlot(t *testing.T) {
 		_, _, err := sys.RunQueryContext(ctx, db.Stamped("Q6", ch.Q6Args(0, 0, 0, 0)), QueryOptions{}, nil)
 		errc <- err
 	}()
-	waitFor(t, func() bool { ts, _ := sys.WM.Tenant("narrow"); return ts.Queued == 1 })
+	waitFor(t, func() bool { ts, _ := tenantStats(sys.WM, "narrow"); return ts.Queued == 1 })
 	cancel()
 	if err := <-errc; !errors.Is(err, context.Canceled) {
 		t.Fatalf("queued query cancel: err = %v, want context.Canceled", err)
 	}
-	ts, _ := sys.WM.Tenant("narrow")
+	ts, _ := tenantStats(sys.WM, "narrow")
 	if ts.Queued != 0 || ts.Running != 1 {
 		t.Fatalf("occupancy after cancel = %+v", ts)
 	}
@@ -185,7 +185,7 @@ func TestConcurrentTenantsAllProgress(t *testing.T) {
 	}
 	wg.Wait()
 	for name := range tenants {
-		ts, ok := sys.WM.Tenant(name)
+		ts, ok := tenantStats(sys.WM, name)
 		if !ok || ts.Admitted != perTenant || ts.Running != 0 || ts.Queued != 0 {
 			t.Errorf("tenant %s final stats = %+v (ok=%v)", name, ts, ok)
 		}
@@ -206,4 +206,15 @@ func waitFor(t *testing.T, cond func() bool) {
 		time.Sleep(time.Millisecond)
 	}
 	t.Fatal("condition never became true")
+}
+
+// tenantStats reads one tenant's row of Stats; ok is false for unknown
+// names.
+func tenantStats(m *workload.Manager, name string) (workload.TenantStats, bool) {
+	for _, st := range m.Stats() {
+		if st.Name == name {
+			return st, true
+		}
+	}
+	return workload.TenantStats{}, false
 }

@@ -25,9 +25,6 @@ func New(topo topology.Config, p Params) *Model {
 	return &Model{topo: topo, p: p}
 }
 
-// Topology returns the machine description.
-func (m *Model) Topology() topology.Config { return m.topo }
-
 // Params returns the calibration constants.
 func (m *Model) Params() Params { return m.p }
 
@@ -43,27 +40,6 @@ type Usage struct {
 // ZeroUsage returns an all-idle usage for the machine.
 func (m *Model) ZeroUsage() Usage {
 	return Usage{SocketBW: make([]float64, m.topo.Sockets)}
-}
-
-// Add returns the element-wise sum of two usages, clamped to 1.
-func (u Usage) Add(v Usage) Usage {
-	n := len(u.SocketBW)
-	if len(v.SocketBW) > n {
-		n = len(v.SocketBW)
-	}
-	out := Usage{SocketBW: make([]float64, n)}
-	for i := 0; i < n; i++ {
-		var a, b float64
-		if i < len(u.SocketBW) {
-			a = u.SocketBW[i]
-		}
-		if i < len(v.SocketBW) {
-			b = v.SocketBW[i]
-		}
-		out.SocketBW[i] = clamp01(a + b)
-	}
-	out.Interconnect = clamp01(u.Interconnect + v.Interconnect)
-	return out
 }
 
 // On returns the socket utilization (0 for out-of-range sockets).

@@ -63,7 +63,7 @@ func TestOLAPScanInterconnectBound(t *testing.T) {
 		BytesAt: []int64{int64(bytes), 0},
 		Workers: place(0, 14),
 	})
-	want := bytes / m.Topology().InterconnectBW
+	want := bytes / m.topo.InterconnectBW
 	if res.Seconds < want*0.95 || res.Seconds > want*1.3 {
 		t.Fatalf("remote scan = %vs, want ~%vs", res.Seconds, want)
 	}
@@ -123,7 +123,7 @@ func TestETLTime(t *testing.T) {
 		t.Fatalf("ETL with 1 core (%v) should be slower than with 14 (%v)", one, many)
 	}
 	// With many cores the copy is interconnect-bound.
-	if want := 12e9 / m.Topology().InterconnectBW; many < want*0.99 {
+	if want := 12e9 / m.topo.InterconnectBW; many < want*0.99 {
 		t.Fatalf("ETL faster than the interconnect: %v < %v", many, want)
 	}
 	if m.ETLTime(0, 4) != 0 {
@@ -151,15 +151,6 @@ func TestCoWOverhead(t *testing.T) {
 	}
 	if m.CoWOverhead(10) <= m.CoWOverhead(1) {
 		t.Fatal("more pages must cost more")
-	}
-}
-
-func TestUsageAddClamps(t *testing.T) {
-	u := Usage{SocketBW: []float64{0.7, 0.2}, Interconnect: 0.9}
-	v := Usage{SocketBW: []float64{0.6}, Interconnect: 0.5}
-	sum := u.Add(v)
-	if sum.SocketBW[0] != 1 || sum.SocketBW[1] != 0.2 || sum.Interconnect != 1 {
-		t.Fatalf("Add = %+v", sum)
 	}
 }
 

@@ -245,6 +245,8 @@ type Harness struct {
 
 // New builds the harness: the schedule and all later random choices
 // derive from the seed.
+//
+//htap:api the package is a test harness; its kill-point tests drive it
 func New(seed int64, kill KillPoint) *Harness {
 	rng := rand.New(rand.NewSource(seed))
 	return &Harness{Seed: seed, Kill: kill, steps: newSchedule(rng), rng: rng}
@@ -284,6 +286,8 @@ func (h *Harness) pickBudget(m *measure, kind stepKind) (int64, error) {
 // Run executes the full protocol: measure, kill, recover, verify against
 // the twin. It returns the outcome; err is a harness failure, while
 // verification failures come from the caller comparing the outcome.
+//
+//htap:api the package is a test harness; its kill-point tests drive it
 func (h *Harness) Run(ctx context.Context) (*Outcome, error) {
 	m, err := h.measurePass(ctx, h.Seed)
 	if err != nil {

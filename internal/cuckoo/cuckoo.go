@@ -71,13 +71,6 @@ func (t *Table) Len() int {
 	return t.size
 }
 
-// LoadFactor returns size / capacity.
-func (t *Table) LoadFactor() float64 {
-	t.mu.RLock()
-	defer t.mu.RUnlock()
-	return float64(t.size) / float64(len(t.buckets)*bucketSlots)
-}
-
 // Get returns the value stored for key.
 func (t *Table) Get(key uint64) (uint64, bool) {
 	t.mu.RLock()

@@ -120,12 +120,11 @@ func (e *Env) InjectFor(simSeconds, tps float64) int {
 // so figures exercise every work class the cost model distinguishes.
 func (e *Env) Queries() []olap.Query { return e.DB.QuerySet() }
 
-// Q1, Q6, Q19 return single queries bound to this environment — the
+// Q1 and Q6 return single queries bound to this environment — the
 // builder-compiled prepared statements stamped with default arguments,
 // the same form QuerySet serves.
-func (e *Env) Q1() olap.Query  { return e.DB.Stamped("Q1", ch.Q1Args(0)) }
-func (e *Env) Q6() olap.Query  { return e.DB.Stamped("Q6", ch.Q6Args(0, 0, 0, 0)) }
-func (e *Env) Q19() olap.Query { return e.DB.Stamped("Q19", ch.Q19Args(0, 0, 0, 0)) }
+func (e *Env) Q1() olap.Query { return e.DB.Stamped("Q1", ch.Q1Args(0)) }
+func (e *Env) Q6() olap.Query { return e.DB.Stamped("Q6", ch.Q6Args(0, 0, 0, 0)) }
 
 // setElasticCores rewrites the scheduler's elastic budget mid-experiment.
 func (e *Env) setElasticCores(k int) error {

@@ -262,7 +262,7 @@ func TestMetricsSnapshot(t *testing.T) {
 	if m.TotalRows == 0 || m.Switches == 0 {
 		t.Fatalf("metrics empty: %+v", m)
 	}
-	if m.OLTPCores+m.OLAPCores != env.Sys.Cfg.Topology.TotalCores() {
+	if m.OLTPCores+m.OLAPCores != env.Sys.Cfg.Topology.Sockets*env.Sys.Cfg.Topology.CoresPerSocket {
 		t.Fatalf("core accounting off: %d+%d", m.OLTPCores, m.OLAPCores)
 	}
 	if !strings.Contains(m.String(), "freshness rate") {

@@ -74,10 +74,7 @@ func MultiTenant(opt Options, queries int) ([]TenantRow, error) {
 			return nil, err
 		}
 	}
-	q18, err := ch.Q18Plan(0, 10).Bind(env.DB)
-	if err != nil {
-		return nil, err
-	}
+	q18 := env.DB.Stamped("Q18", ch.Q18Args(0))
 	queryFor := map[string]func() olap.Query{
 		"Q6":  env.Q6,
 		"Q1":  env.Q1,

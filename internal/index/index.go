@@ -58,9 +58,6 @@ func NewSet(t *columnar.Table) *Set {
 	return &Set{t: t, cols: make([]*colIndex, len(t.Schema().Columns))}
 }
 
-// Table returns the indexed table.
-func (s *Set) Table() *columnar.Table { return s.t }
-
 // Lookup returns the ascending ids of the rows holding raw value v
 // (dictionary code for String columns) in column col, complete for rows
 // [0, watermark); an absent value returns nil. Rows at or beyond the

@@ -24,6 +24,9 @@
 //	//htap:deterministic    function: result-order-sensitive merge or
 //	                        assembly code; no map ranges, selects or
 //	                        goroutine spawns (see detmerge)
+//	//htap:api <reason>     declaration under internal/: kept exported
+//	                        though no non-test file uses it, for the
+//	                        reason given (TestInternalExportsAreUsed)
 package lint
 
 import (

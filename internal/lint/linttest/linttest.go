@@ -37,6 +37,8 @@ type expectation struct {
 
 // Run analyzes testdata/src/<pkgpath> under dir with the analyzer and
 // matches diagnostics against the package's want comments.
+//
+//htap:api each analyzer's test drives its testdata through it
 func Run(t *testing.T, dir string, a *lint.Analyzer, pkgpath string) {
 	t.Helper()
 	pkgdir := filepath.Join(dir, "testdata", "src", pkgpath)

@@ -76,7 +76,7 @@ func TestCancelDiscardsUnclaimedMorsels(t *testing.T) {
 
 	exec := &cancelGateExec{started: make(chan struct{}, 16), release: make(chan struct{})}
 	ctx, cancel := context.WithCancel(context.Background())
-	task, err := e.Submit(&cancelGateQuery{exec: exec}, src)
+	task, err := e.SubmitTenant(&cancelGateQuery{exec: exec}, src, TenantInfo{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -144,7 +144,7 @@ func TestCancelOnEmptyPoolInlineDrain(t *testing.T) {
 	exec := &cancelGateExec{started: make(chan struct{}, 16), release: make(chan struct{})}
 	ctx, cancel := context.WithCancel(context.Background())
 	done := make(chan error, 1)
-	task, err := e.Submit(&cancelGateQuery{exec: exec}, src)
+	task, err := e.SubmitTenant(&cancelGateQuery{exec: exec}, src, TenantInfo{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -201,7 +201,7 @@ func TestCancelRacesResizeAndSecondQuery(t *testing.T) {
 	}()
 	for round := 0; round < 30; round++ {
 		ctx, cancel := context.WithCancel(context.Background())
-		victim, err := e.Submit(&sumQuery{exec: &sumExec{}}, src)
+		victim, err := e.SubmitTenant(&sumQuery{exec: &sumExec{}}, src, TenantInfo{})
 		if err != nil {
 			t.Fatal(err)
 		}

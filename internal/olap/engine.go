@@ -143,7 +143,7 @@ type Stats struct {
 // placement the RDE engine adjusts while queries run (the OLAP Worker
 // Manager, §3.3). One goroutine runs per allocated core; each socket has a
 // FIFO morsel queue with socket-affine dispatch, and idle workers steal
-// from other sockets' tails. Multiple Submit callers share the pool
+// from other sockets' tails. Multiple SubmitTenant callers share the pool
 // concurrently; SetPlacement resizes it incrementally and takes effect
 // mid-query.
 type Engine struct {
@@ -183,9 +183,6 @@ func NewEngine(sockets int) *Engine {
 	e.cond = sync.NewCond(&e.mu)
 	return e
 }
-
-// Sockets returns the engine's socket count.
-func (e *Engine) Sockets() int { return e.sockets }
 
 // SetPlacement resizes the worker pool to the given core allocation. The
 // resize is incremental and takes effect immediately, mid-query: sockets
@@ -278,7 +275,7 @@ type morsel struct {
 
 // ExecuteContext runs the query over the source on the shared worker
 // pool and returns the materialized result plus scan statistics. It is
-// Submit followed by WaitContext; concurrent callers interleave their
+// SubmitTenant followed by WaitContext; concurrent callers interleave their
 // morsels on the same workers. When ctx is cancelled or its deadline
 // expires the task is cancelled at the next morsel boundary (see
 // Task.Cancel) and the call returns an error wrapping ErrCancelled and
@@ -301,20 +298,15 @@ func (e *Engine) ExecuteTenantContext(ctx context.Context, q Query, src Source, 
 	return t.WaitContext(ctx)
 }
 
-// Submit admits a query to the pool: work splits into chunk-aligned
+// SubmitTenant admits a query to the pool on behalf of a tenant (the zero
+// TenantInfo is the default tenant): work splits into chunk-aligned
 // morsels enqueued on their home socket's queue, one Local is created per
 // morsel (never more — there is no state for workers that end up with
-// nothing to do), and parked workers wake. When the pool is empty at
-// admission the submitting goroutine drains the task itself during Wait,
-// so a zero placement still makes progress. The task runs as the default
-// tenant; SubmitTenant attributes it to a weighted tenant instead.
-func (e *Engine) Submit(q Query, src Source) (*Task, error) {
-	return e.SubmitTenant(q, src, TenantInfo{})
-}
-
-// SubmitTenant is Submit on behalf of a tenant: the task joins the
-// tenant's runnable list, and the pool's deficit-round-robin dispatcher
-// serves backlogged tenants in proportion to their weights (see grab).
+// nothing to do), and parked workers wake. The task joins the tenant's
+// runnable list, and the pool's deficit-round-robin dispatcher serves
+// backlogged tenants in proportion to their weights (see grab). When the
+// pool is empty at admission the submitting goroutine drains the task
+// itself during Wait, so a zero placement still makes progress.
 func (e *Engine) SubmitTenant(q Query, src Source, tn TenantInfo) (*Task, error) {
 	// Queries carrying a deferred construction error (olap.Invalid, an
 	// unstamped prepared statement) must not reach Prepare.
@@ -370,7 +362,7 @@ func (e *Engine) SubmitTenant(q Query, src Source, tn TenantInfo) (*Task, error)
 	e.mu.Lock()
 	if e.closed {
 		e.mu.Unlock()
-		return nil, fmt.Errorf("olap: Submit %s: %w", q.Name(), ErrClosed)
+		return nil, fmt.Errorf("olap: SubmitTenant %s: %w", q.Name(), ErrClosed)
 	}
 	for i, m := range t.morsels {
 		t.queue[m.socket] = append(t.queue[m.socket], i)

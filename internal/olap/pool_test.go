@@ -120,7 +120,7 @@ func TestMidQueryGrow(t *testing.T) {
 	defer e.Close()
 	e.SetPlacement(topology.Placement{PerSocket: []int{1, 0}})
 	g := &gateExec{release: make(chan struct{})}
-	task, err := e.Submit(&poolQuery{exec: g}, src)
+	task, err := e.SubmitTenant(&poolQuery{exec: g}, src, TenantInfo{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -152,7 +152,7 @@ func TestMidQueryShrink(t *testing.T) {
 	defer e.Close()
 	e.SetPlacement(topology.Placement{PerSocket: []int{4, 0}})
 	g := &gateExec{release: make(chan struct{})}
-	task, err := e.Submit(&poolQuery{exec: g}, src)
+	task, err := e.SubmitTenant(&poolQuery{exec: g}, src, TenantInfo{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -186,7 +186,7 @@ func TestShrinkToZeroStillCompletes(t *testing.T) {
 	defer e.Close()
 	e.SetPlacement(topology.Placement{PerSocket: []int{2, 0}})
 	g := &gateExec{release: make(chan struct{})}
-	task, err := e.Submit(&poolQuery{exec: g}, src)
+	task, err := e.SubmitTenant(&poolQuery{exec: g}, src, TenantInfo{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -311,7 +311,7 @@ func TestCloseDrainsAndRefuses(t *testing.T) {
 	src := nineMorselSource(t)
 	e := NewEngine(2)
 	e.SetPlacement(topology.Placement{PerSocket: []int{2, 0}})
-	task, err := e.Submit(&poolQuery{exec: &fsumExec{}}, src)
+	task, err := e.SubmitTenant(&poolQuery{exec: &fsumExec{}}, src, TenantInfo{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -319,7 +319,7 @@ func TestCloseDrainsAndRefuses(t *testing.T) {
 	if _, _, err := task.WaitContext(context.Background()); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := e.Submit(&poolQuery{exec: &fsumExec{}}, src); err == nil {
+	if _, err := e.SubmitTenant(&poolQuery{exec: &fsumExec{}}, src, TenantInfo{}); err == nil {
 		t.Fatal("submit after Close must fail")
 	}
 	if e.PoolSize() != 0 {

@@ -3,7 +3,7 @@ package olap
 import "context"
 
 // Task is one admitted query execution sharing the engine's worker pool.
-// Submit returns it immediately; Wait blocks until every morsel is
+// SubmitTenant returns it immediately; Wait blocks until every morsel is
 // consumed and merges the per-morsel partials in morsel order. Cancel
 // abandons the task at the next morsel boundary. A merge fan (see
 // Task.fan) is a Task too: its morsels are merge parts, run by part.

@@ -4,7 +4,7 @@ import "slices"
 
 // TenantInfo identifies the submitting tenant for weighted-fair dispatch.
 // The zero value is the default tenant at weight 1, which is what the
-// untenanted Submit path uses — a pool with a single tenant dispatches
+// untenanted ExecuteContext path uses — a pool with a single tenant dispatches
 // exactly as it did before tenancy existed (admission-order FIFO with
 // socket-affine pops and cross-socket steals).
 type TenantInfo struct {

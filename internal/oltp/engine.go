@@ -20,6 +20,7 @@ import (
 	"elastichtap/internal/cuckoo"
 	"elastichtap/internal/index"
 	"elastichtap/internal/txn"
+	"elastichtap/internal/wal"
 )
 
 // TableHandle bundles a table with everything the engines keep per table,
@@ -138,9 +139,8 @@ type WorkerManager struct {
 	mu       sync.Mutex
 	workload Workload //htap:guardedby mu
 
-	executed atomic.Uint64
-	retried  atomic.Uint64
-	failed   atomic.Uint64
+	retried atomic.Uint64
+	failed  atomic.Uint64
 }
 
 func newWorkerManager(e *Engine) *WorkerManager {
@@ -154,10 +154,6 @@ func (wm *WorkerManager) SetWorkload(w Workload) {
 	defer wm.mu.Unlock()
 	wm.workload = w
 }
-
-// Executed returns the number of committed transactions the pool's
-// batches have processed.
-func (wm *WorkerManager) Executed() uint64 { return wm.executed.Load() }
 
 // Retried returns the number of aborted-and-retried attempts.
 func (wm *WorkerManager) Retried() uint64 { return wm.retried.Load() }
@@ -173,9 +169,9 @@ func (wm *WorkerManager) execOne(workload Workload, worker int) {
 	// make injected workload volumes nondeterministic.
 	retries, err := wm.e.mgr.RunWithRetry(1<<20, body)
 	wm.retried.Add(uint64(retries))
-	if err == nil {
-		wm.executed.Add(1)
-	} else {
+	// A commit whose fsync failed applied and counts as a commit; the log
+	// keeps the failure and refuses later commits, which fail here.
+	if err != nil && !wal.IsSyncFailure(err) {
 		wm.failed.Add(1)
 	}
 }

@@ -96,7 +96,7 @@ func TestExecuteBatchCounts(t *testing.T) {
 	w := &counterWorkload{ref: h.Ref}
 	e.Workers().SetWorkload(w)
 	e.Workers().ExecuteBatch(100, 4)
-	if got := e.Workers().Executed(); got != 100 {
+	if got := e.Manager().Commits(); got != 100 {
 		t.Fatalf("executed = %d", got)
 	}
 	if got := h.Table().ReadActive(0, 1); got != 100 {
@@ -110,20 +110,20 @@ func TestExecuteBatchCounts(t *testing.T) {
 func TestExecuteBatchZeroAndNoWorkload(t *testing.T) {
 	e := NewEngine()
 	e.Workers().ExecuteBatch(10, 1) // no workload: must be a no-op
-	if e.Workers().Executed() != 0 {
+	if e.Manager().Commits() != 0 {
 		t.Fatal("executed without workload")
 	}
 	h := e.CreateTable(testSchema(), 8, false)
 	h.Table().AppendRows([][]int64{{0, 0}}, 0)
 	e.Workers().SetWorkload(&counterWorkload{ref: h.Ref})
 	e.Workers().ExecuteBatch(0, 1)
-	if e.Workers().Executed() != 0 {
+	if e.Manager().Commits() != 0 {
 		t.Fatal("executed zero-sized batch")
 	}
 	// Zero workers falls back to one.
 	e.Workers().ExecuteBatch(5, 0)
-	if e.Workers().Executed() != 5 {
-		t.Fatalf("executed = %d", e.Workers().Executed())
+	if e.Manager().Commits() != 5 {
+		t.Fatalf("executed = %d", e.Manager().Commits())
 	}
 }
 
@@ -150,7 +150,7 @@ func TestSetWorkloadDuringBatch(t *testing.T) {
 	}()
 	e.Workers().ExecuteBatch(2000, 4)
 	wg.Wait()
-	if got := e.Workers().Executed(); got != 2000 {
+	if got := e.Manager().Commits(); got != 2000 {
 		t.Fatalf("executed = %d", got)
 	}
 	if got := h.Table().ReadActive(0, 1); got != 2000 {

@@ -52,9 +52,6 @@ func (c Config) Validate() error {
 	return nil
 }
 
-// TotalCores returns the number of hardware threads on the machine.
-func (c Config) TotalCores() int { return c.Sockets * c.CoresPerSocket }
-
 // Placement is an engine's compute allocation: a core count per socket.
 // The scheduler publishes each placement once and replaces it whole on the
 // next migration, so holders may share PerSocket but must not write it.

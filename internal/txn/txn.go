@@ -73,9 +73,6 @@ type Txn struct {
 	rec   wal.Record
 }
 
-// Begin returns the transaction's begin (snapshot) timestamp.
-func (t *Txn) Begin() uint64 { return t.begin }
-
 // holds reports whether this transaction has taken the lock on (ref, row).
 func (t *Txn) holds(ref *TableRef, row int64) bool {
 	for i := len(t.held) - 1; i >= 0; i-- {

@@ -135,6 +135,8 @@ func (s *Store) ReadAsOf(row int64, col int, ts uint64) (cell int64, ok bool) {
 }
 
 // ChainLen returns the length of the row's chain (diagnostics, tests).
+//
+//htap:api txn's tests bound version-chain growth with it
 func (s *Store) ChainLen(row int64) int {
 	sh := s.shardFor(row)
 	sh.mu.RLock()

@@ -130,6 +130,8 @@ func (m *MemFS) CrashAfterWrite(n int64) {
 }
 
 // FailSyncs makes Sync calls fail after n more successful ones.
+//
+//htap:api the facade's and txn's tests inject fsync failures with it
 func (m *MemFS) FailSyncs(n int) {
 	m.mu.Lock()
 	defer m.mu.Unlock()

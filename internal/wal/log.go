@@ -97,13 +97,6 @@ func Open(fs FS, name string, policy SyncPolicy, interval time.Duration, start i
 // record below it has been written and applied.
 func (l *Log) Pos() int64 { return l.pos.Load() }
 
-// Synced returns the byte offset known durable.
-func (l *Log) Synced() int64 {
-	l.syncMu.Lock()
-	defer l.syncMu.Unlock()
-	return l.synced
-}
-
 // Stats reports lifetime append, fsync and group-commit counts.
 func (l *Log) Stats() (appends, syncs, grouped int64) {
 	return l.appends.Load(), l.syncs.Load(), l.grouped.Load()

@@ -408,17 +408,6 @@ func (g *Grant) Release(bytesScanned int64) {
 	t.running--
 }
 
-// Tenant returns one tenant's stats; ok is false for unknown names.
-func (m *Manager) Tenant(name string) (TenantStats, bool) {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	t, ok := m.tenants[m.resolve(name)]
-	if !ok {
-		return TenantStats{}, false
-	}
-	return m.statsLocked(t), true
-}
-
 // Stats snapshots every registered tenant, sorted by name.
 func (m *Manager) Stats() []TenantStats {
 	m.mu.Lock()

@@ -38,14 +38,14 @@ func TestDefaultTenantUnlimited(t *testing.T) {
 		}
 		grants = append(grants, g)
 	}
-	st, ok := m.Tenant(DefaultTenant)
+	st, ok := tenantStats(m, DefaultTenant)
 	if !ok || st.Running != 100 || st.Admitted != 100 {
 		t.Fatalf("default stats = %+v, ok=%v", st, ok)
 	}
 	for _, g := range grants {
 		g.Release(10)
 	}
-	st, _ = m.Tenant("")
+	st, _ = tenantStats(m, DefaultTenant)
 	if st.Running != 0 || st.BytesScanned != 1000 {
 		t.Fatalf("after release: %+v", st)
 	}
@@ -97,7 +97,7 @@ func TestQueueHandoffFIFO(t *testing.T) {
 	}
 	<-admitted
 	<-admitted
-	st, _ := m.Tenant("a")
+	st, _ := tenantStats(m, "a")
 	if st.Running != 0 || st.Queued != 0 {
 		t.Fatalf("occupancy after drain: %+v", st)
 	}
@@ -107,12 +107,12 @@ func waitForQueued(t *testing.T, m *Manager, name string, want int) {
 	t.Helper()
 	deadline := time.Now().Add(5 * time.Second)
 	for time.Now().Before(deadline) {
-		if st, _ := m.Tenant(name); st.Queued == want {
+		if st, _ := tenantStats(m, name); st.Queued == want {
 			return
 		}
 		time.Sleep(time.Millisecond)
 	}
-	st, _ := m.Tenant(name)
+	st, _ := tenantStats(m, name)
 	t.Fatalf("queue depth never reached %d: %+v", want, st)
 }
 
@@ -140,7 +140,7 @@ func TestQueueFullOverload(t *testing.T) {
 	if _, err := m.Admit(context.Background(), "a"); err != nil {
 		t.Fatalf("post-release admit: %v", err)
 	}
-	st, _ := m.Tenant("a")
+	st, _ := tenantStats(m, "a")
 	if st.Rejected != 1 || st.Admitted != 2 {
 		t.Fatalf("counters: %+v", st)
 	}
@@ -191,7 +191,7 @@ func TestBytesBudgetWindowRefill(t *testing.T) {
 		t.Fatalf("post-refill admit: %v", err)
 	}
 	g.Release(100)
-	st, _ := m.Tenant("a")
+	st, _ := tenantStats(m, "a")
 	if st.WindowBytes != 100 || st.BytesScanned != 1600 {
 		t.Fatalf("window accounting: %+v", st)
 	}
@@ -216,7 +216,7 @@ func TestUnmeteredWindowRolls(t *testing.T) {
 		release(100)
 		clk.Advance(5 * DefaultWindow)
 		release(7)
-		if st, _ := m.Tenant(name); st.WindowBytes != 7 || st.BytesScanned != 107 {
+		if st, _ := tenantStats(m, name); st.WindowBytes != 7 || st.BytesScanned != 107 {
 			t.Fatalf("%s: WindowBytes %d, BytesScanned %d; want 7 and 107", name, st.WindowBytes, st.BytesScanned)
 		}
 	}
@@ -244,7 +244,7 @@ func TestCancelQueuedAdmissionFreesSlot(t *testing.T) {
 	}
 	// The queue slot freed: another waiter fits, and releasing the running
 	// grant hands the slot to it — not to the cancelled waiter.
-	st, _ := m.Tenant("a")
+	st, _ := tenantStats(m, "a")
 	if st.Queued != 0 {
 		t.Fatalf("queued = %d after cancel, want 0", st.Queued)
 	}
@@ -260,7 +260,7 @@ func TestCancelQueuedAdmissionFreesSlot(t *testing.T) {
 	g.Release(0)
 	g2 := <-done
 	g2.Release(0)
-	st, _ = m.Tenant("a")
+	st, _ = tenantStats(m, "a")
 	if st.Running != 0 || st.Queued != 0 {
 		t.Fatalf("occupancy after drain: %+v", st)
 	}
@@ -277,7 +277,7 @@ func TestReleaseIdempotent(t *testing.T) {
 	}
 	g.Release(5)
 	g.Release(5) // no-op: must not double-free or double-charge
-	st, _ := m.Tenant("a")
+	st, _ := tenantStats(m, "a")
 	if st.Running != 0 || st.BytesScanned != 5 {
 		t.Fatalf("after double release: %+v", st)
 	}
@@ -370,11 +370,22 @@ func TestConcurrentAdmitRelease(t *testing.T) {
 		}()
 	}
 	wg.Wait()
-	st, _ := m.Tenant("a")
+	st, _ := tenantStats(m, "a")
 	if st.Running != 0 || st.Queued != 0 {
 		t.Fatalf("leaked occupancy: %+v", st)
 	}
 	if st.BytesScanned != admitted.Load() {
 		t.Fatalf("bytes %d != admitted %d", st.BytesScanned, admitted.Load())
 	}
+}
+
+// tenantStats reads one tenant's row of Stats; ok is false for unknown
+// names.
+func tenantStats(m *Manager, name string) (TenantStats, bool) {
+	for _, st := range m.Stats() {
+		if st.Name == name {
+			return st, true
+		}
+	}
+	return TenantStats{}, false
 }

@@ -14,6 +14,30 @@ import (
 	"elastichtap/query"
 )
 
+// chDefaults holds the CH join plans' default arguments.
+var chDefaults = map[string]query.Args{
+	"Q2":  ch.Q2Args(0, 0),
+	"Q3":  ch.Q3Args(0),
+	"Q5":  ch.Q5Args(0),
+	"Q7":  ch.Q7Args(0),
+	"Q12": ch.Q12Args(0),
+}
+
+// bindCH binds plan on db and stamps it with args (nil for a plan
+// without parameters).
+func bindCH(t *testing.T, db *ch.DB, plan *query.Plan, args query.Args) *query.Compiled {
+	t.Helper()
+	stmt, err := plan.Bind(db)
+	if err != nil {
+		t.Fatal(err)
+	}
+	q, err := stmt.WithArgs(args)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return q
+}
+
 // TestDenseMatchesHashedOnCHGraphPlans runs the CH join plans over a
 // database that NewOrder has grown, once with build sides packed densely
 // (and kept between its executions) and once with every build side
@@ -48,11 +72,11 @@ func TestDenseMatchesHashedOnCHGraphPlans(t *testing.T) {
 	}
 	newOrders(50)
 	for name, plan := range map[string]func() *query.Plan{
-		"Q2":  func() *query.Plan { return ch.Q2Plan(0, 0) },
-		"Q3":  func() *query.Plan { return ch.Q3Plan(0) },
-		"Q5":  func() *query.Plan { return ch.Q5Plan(0) },
-		"Q7":  func() *query.Plan { return ch.Q7Plan(0) },
-		"Q12": func() *query.Plan { return ch.Q12Plan(0) },
+		"Q2":  ch.Q2PlanParam,
+		"Q3":  ch.Q3PlanParam,
+		"Q5":  ch.Q5PlanParam,
+		"Q7":  ch.Q7PlanParam,
+		"Q12": ch.Q12PlanParam,
 		// The one shape CH lacks: a single-key payload join on its own
 		// (Q19's is a semi join and runs a monomorphic loop).
 		"OLxItem": func() *query.Plan {
@@ -63,10 +87,7 @@ func TestDenseMatchesHashedOnCHGraphPlans(t *testing.T) {
 		},
 	} {
 		t.Run(name, func(t *testing.T) {
-			dense, err := plan().Bind(db)
-			if err != nil {
-				t.Fatal(err)
-			}
+			dense := bindCH(t, db, plan(), chDefaults[name])
 			// orders grows between the executions: the first growth may push
 			// an o_id past the packed domain and rebuild with headroom, the
 			// second then extends.
@@ -81,10 +102,7 @@ func TestDenseMatchesHashedOnCHGraphPlans(t *testing.T) {
 
 			query.ForceHashJoins(true)
 			defer query.ForceHashJoins(false)
-			hashed, err := plan().Bind(db)
-			if err != nil {
-				t.Fatal(err)
-			}
+			hashed := bindCH(t, db, plan(), chDefaults[name])
 			wantRes, wantStats := exec(hashed)
 			if st := hashed.BuildStats(); st.Hits+st.Extends != 0 {
 				t.Fatalf("forced hashing still reused a table: %+v", st)
@@ -100,7 +118,7 @@ func TestDenseMatchesHashedOnCHGraphPlans(t *testing.T) {
 }
 
 // TestCHGreedyOrdersPinned pins, by relation name, the greedy execution
-// order of every CH plan, literal and parameterized, at two scales:
+// order of every CH plan at two scales:
 // Q5 hoists the selective item semi-join ahead of the stock chain, the
 // chains place in dependency order, and Q18 groups orderline alone. A
 // change to the estimates or the placement rule that moves any of them
@@ -118,25 +136,23 @@ func TestCHGreedyOrdersPinned(t *testing.T) {
 	for _, sz := range []ch.Sizing{ch.TinySizing(), ch.SizingForScale(0.01)} {
 		db := ch.Load(oltp.NewEngine(), sz, 1)
 		for _, p := range []struct {
-			name          string
-			literal, prep *query.Plan
+			name string
+			plan *query.Plan
 		}{
-			{"Q2", ch.Q2Plan(0, 0), ch.Q2PlanParam()},
-			{"Q3", ch.Q3Plan(0), ch.Q3PlanParam()},
-			{"Q5", ch.Q5Plan(0), ch.Q5PlanParam()},
-			{"Q7", ch.Q7Plan(0), ch.Q7PlanParam()},
-			{"Q12", ch.Q12Plan(0), ch.Q12PlanParam()},
-			{"Q18", ch.Q18Plan(0, 0), ch.Q18PlanParam()},
-			{"Q19", ch.Q19Plan(0, 0, 0, 0), ch.Q19PlanParam()},
+			{"Q2", ch.Q2PlanParam()},
+			{"Q3", ch.Q3PlanParam()},
+			{"Q5", ch.Q5PlanParam()},
+			{"Q7", ch.Q7PlanParam()},
+			{"Q12", ch.Q12PlanParam()},
+			{"Q18", ch.Q18PlanParam()},
+			{"Q19", ch.Q19PlanParam()},
 		} {
-			for _, plan := range []*query.Plan{p.literal, p.prep} {
-				q, err := plan.Bind(db)
-				if err != nil {
-					t.Fatalf("%s: %v", p.name, err)
-				}
-				if got := query.ExecOrder(q); !reflect.DeepEqual(got, want[p.name]) {
-					t.Errorf("%s at %d warehouses: order %q, want %q", p.name, sz.Warehouses, got, want[p.name])
-				}
+			q, err := p.plan.Bind(db)
+			if err != nil {
+				t.Fatalf("%s: %v", p.name, err)
+			}
+			if got := query.ExecOrder(q); !reflect.DeepEqual(got, want[p.name]) {
+				t.Errorf("%s at %d warehouses: order %q, want %q", p.name, sz.Warehouses, got, want[p.name])
 			}
 		}
 	}
@@ -166,18 +182,12 @@ func TestEdgeOrderDoesNotChangeAnswers(t *testing.T) {
 	thief.SetPlacement(topology.Placement{PerSocket: []int{0, 6}})
 
 	for name, plan := range map[string]func() *query.Plan{
-		"Q2": func() *query.Plan { return ch.Q2Plan(0, 0) },
-		"Q5": func() *query.Plan { return ch.Q5Plan(0) },
-		"Q7": func() *query.Plan { return ch.Q7Plan(0) },
+		"Q2": ch.Q2PlanParam,
+		"Q5": ch.Q5PlanParam,
+		"Q7": ch.Q7PlanParam,
 	} {
-		written, err := plan().Bind(db)
-		if err != nil {
-			t.Fatal(err)
-		}
-		reversed, err := query.ReverseEdges(plan()).Bind(db)
-		if err != nil {
-			t.Fatal(err)
-		}
+		written := bindCH(t, db, plan(), chDefaults[name])
+		reversed := bindCH(t, db, query.ReverseEdges(plan()), chDefaults[name])
 		if w, r := slices.Sorted(slices.Values(written.Columns())), slices.Sorted(slices.Values(reversed.Columns())); !slices.Equal(w, r) {
 			t.Errorf("%s: scan columns %v, reversed %v", name, written.Columns(), reversed.Columns())
 		}

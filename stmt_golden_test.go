@@ -6,101 +6,50 @@ import (
 	"testing"
 
 	"elastichtap/internal/ch"
+	"elastichtap/internal/ch/golden"
 	"elastichtap/internal/olap"
 	"elastichtap/internal/oltp"
 	"elastichtap/internal/topology"
-	"elastichtap/query"
 )
 
-// stmtGoldenCases pairs each parameterized evaluation plan with literal
-// plans for two argument sets (defaults and a tightened variant), so the
-// same prepared statement is stamped and executed twice per query.
-func stmtGoldenCases(db *ch.DB) []struct {
-	name    string
-	param   *query.Plan
-	argSets []query.Args
-	literal []*query.Plan
-} {
-	day := int64(ch.LoadDay)
-	return []struct {
-		name    string
-		param   *query.Plan
-		argSets []query.Args
-		literal []*query.Plan
-	}{
-		{"Q1", ch.Q1PlanParam(),
-			[]query.Args{ch.Q1Args(0), ch.Q1Args(day + 5)},
-			[]*query.Plan{ch.Q1Plan(0), ch.Q1Plan(day + 5)}},
-		{"Q6", ch.Q6PlanParam(),
-			[]query.Args{ch.Q6Args(0, 0, 0, 0), ch.Q6Args(day-100, day+10, 3, 7)},
-			[]*query.Plan{ch.Q6Plan(0, 0, 0, 0), ch.Q6Plan(day-100, day+10, 3, 7)}},
-		{"Q3", ch.Q3PlanParam(),
-			[]query.Args{ch.Q3Args(0), ch.Q3Args(3)},
-			[]*query.Plan{ch.Q3Plan(0), ch.Q3PlanCarrier(3)}},
-		{"Q12", ch.Q12PlanParam(),
-			[]query.Args{ch.Q12Args(0), ch.Q12Args(day - 50)},
-			[]*query.Plan{ch.Q12Plan(0), ch.Q12Plan(day - 50)}},
-		{"Q18", ch.Q18PlanParam(),
-			[]query.Args{ch.Q18Args(0), ch.Q18Args(3000)},
-			[]*query.Plan{ch.Q18Plan(0, 0), ch.Q18Plan(3000, 0)}},
-		{"Q19", ch.Q19PlanParam(),
-			[]query.Args{ch.Q19Args(0, 0, 0, 0), ch.Q19Args(2, 6, 20, 80)},
-			[]*query.Plan{ch.Q19Plan(0, 0, 0, 0), ch.Q19Plan(2, 6, 20, 80)}},
-	}
-}
-
-// TestStmtGoldenMatchesFreshBind prepares each evaluation query once and
-// stamps it per argument set, requiring results and scan statistics
-// DeepEqual to a fresh per-call Bind of the literal plan — the acceptance
-// bar for prepared statements: stamping must be indistinguishable from
-// recompiling, bit for bit.
+// TestStmtGoldenMatchesFreshBind stamps each evaluation query's prepared
+// statement with every golden pair's arguments, on one and on six
+// workers, requiring results and scan statistics DeepEqual to the
+// hand-coded executor's — the acceptance bar for prepared statements:
+// one bind stamped per execution must answer like an independent
+// implementation, bit for bit. (That stamping equals a fresh bind of the
+// same plan with the values inlined is query's
+// TestParamStampMatchesLiteralBind.)
 func TestStmtGoldenMatchesFreshBind(t *testing.T) {
 	e := oltp.NewEngine()
 	db := ch.Load(e, ch.SizingForScale(0.003), 11)
 	runNewOrders(t, e, db, 60)
-	tab := db.OrderLine.Table()
-	src := olap.Source{Table: tab, Parts: []olap.Part{{
-		Data: tab.Active(), Lo: 0, Hi: tab.Rows(), Socket: 0, Label: "golden",
-	}}}
 
 	for _, workers := range []int{1, 6} {
 		eng := olap.NewEngine(1)
 		eng.SetPlacement(topology.Placement{PerSocket: []int{workers}})
-		for _, tc := range stmtGoldenCases(db) {
-			stmt, err := tc.param.Bind(db) // once per query
+		for _, p := range goldenPairs(db) {
+			src := factSource(db, p.hand.FactTable())
+			got, gotSt, err := eng.ExecuteContext(context.Background(), stamped(t, db, p.hand.Name(), p.args), src)
 			if err != nil {
-				t.Fatalf("%s: prepare: %v", tc.name, err)
+				t.Fatalf("%s: stamped exec: %v", p.name, err)
 			}
-			for i, args := range tc.argSets {
-				stamped, err := stmt.WithArgs(args)
-				if err != nil {
-					t.Fatalf("%s[%d]: stamp: %v", tc.name, i, err)
-				}
-				fresh, err := tc.literal[i].Bind(db) // per-call Bind
-				if err != nil {
-					t.Fatalf("%s[%d]: fresh bind: %v", tc.name, i, err)
-				}
-				got, gotSt, err := eng.ExecuteContext(context.Background(), stamped, src)
-				if err != nil {
-					t.Fatalf("%s[%d]: stamped exec: %v", tc.name, i, err)
-				}
-				want, wantSt, err := eng.ExecuteContext(context.Background(), fresh, src)
-				if err != nil {
-					t.Fatalf("%s[%d]: fresh exec: %v", tc.name, i, err)
-				}
-				if !reflect.DeepEqual(got, want) {
-					t.Errorf("%s[%d] (workers=%d): stamped result != fresh bind\n got %+v\nwant %+v",
-						tc.name, i, workers, got, want)
-				}
-				// Workers varies run to run on the multi-worker engine;
-				// everything else must match exactly.
-				gotSt.Workers, wantSt.Workers = 0, 0
-				gotSt.LocalMorsels, wantSt.LocalMorsels = 0, 0
-				gotSt.StolenMorsels, wantSt.StolenMorsels = 0, 0
-				gotSt.StolenBytesAt, wantSt.StolenBytesAt = nil, nil
-				if !reflect.DeepEqual(gotSt, wantSt) {
-					t.Errorf("%s[%d]: stats %+v != %+v", tc.name, i, gotSt, wantSt)
-				}
+			want, wantSt, err := eng.ExecuteContext(context.Background(), p.hand, src)
+			if err != nil {
+				t.Fatalf("%s: hand-coded exec: %v", p.name, err)
+			}
+			if !reflect.DeepEqual(got, want) {
+				t.Errorf("%s (workers=%d): stamped result != hand-coded\n got %+v\nwant %+v",
+					p.name, workers, got, want)
+			}
+			// Workers varies run to run on the multi-worker engine;
+			// everything else must match exactly.
+			gotSt.Workers, wantSt.Workers = 0, 0
+			gotSt.LocalMorsels, wantSt.LocalMorsels = 0, 0
+			gotSt.StolenMorsels, wantSt.StolenMorsels = 0, 0
+			gotSt.StolenBytesAt, wantSt.StolenBytesAt = nil, nil
+			if !reflect.DeepEqual(gotSt, wantSt) {
+				t.Errorf("%s (workers=%d): stats %+v != %+v", p.name, workers, gotSt, wantSt)
 			}
 		}
 		eng.Close()
@@ -109,8 +58,8 @@ func TestStmtGoldenMatchesFreshBind(t *testing.T) {
 
 // TestFacadeQsArePreparedOncePerDB verifies the facade constructors hit
 // the per-DB statement cache: repeated construction returns stamped
-// clones of one bound statement, and their executions match per-call
-// binds of the literal plans.
+// clones of one bound statement, and their executions match the
+// hand-coded executors.
 func TestFacadeQsArePreparedOncePerDB(t *testing.T) {
 	e := oltp.NewEngine()
 	db := ch.Load(e, ch.SizingForScale(0.003), 11)
@@ -140,30 +89,25 @@ func TestFacadeQsArePreparedOncePerDB(t *testing.T) {
 	eng.SetPlacement(topology.Placement{PerSocket: []int{1}})
 
 	for _, tc := range []struct {
-		q   Query
-		lit *query.Plan
+		q, hand Query
 	}{
-		{Q1(db), ch.Q1Plan(0)},
-		{Q3(db), ch.Q3Plan(0)},
-		{Q6(db), ch.Q6Plan(0, 0, 0, 0)},
-		{Q12(db), ch.Q12Plan(0)},
-		{Q18(db), ch.Q18Plan(0, 0)},
-		{Q19(db), ch.Q19Plan(0, 0, 0, 0)},
+		{Q1(db), &golden.Q1{DB: db}},
+		{Q3(db), &golden.Q3{DB: db}},
+		{Q6(db), &golden.Q6{DB: db}},
+		{Q12(db), &golden.Q12{DB: db}},
+		{Q18(db), &golden.Q18{DB: db}},
+		{Q19(db), &golden.Q19{DB: db}},
 	} {
-		fresh, err := tc.lit.Bind(db)
-		if err != nil {
-			t.Fatalf("%s: %v", tc.q.Name(), err)
-		}
 		got, _, err := eng.ExecuteContext(context.Background(), tc.q, src)
 		if err != nil {
 			t.Fatalf("%s: facade exec: %v", tc.q.Name(), err)
 		}
-		want, _, err := eng.ExecuteContext(context.Background(), fresh, src)
+		want, _, err := eng.ExecuteContext(context.Background(), tc.hand, src)
 		if err != nil {
-			t.Fatalf("%s: fresh exec: %v", tc.q.Name(), err)
+			t.Fatalf("%s: hand-coded exec: %v", tc.q.Name(), err)
 		}
 		if !reflect.DeepEqual(got, want) {
-			t.Errorf("%s: facade prepared result != fresh bind\n got %+v\nwant %+v", tc.q.Name(), got, want)
+			t.Errorf("%s: facade prepared result != hand-coded\n got %+v\nwant %+v", tc.q.Name(), got, want)
 		}
 	}
 }
