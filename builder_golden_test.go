@@ -46,6 +46,7 @@ func goldenPairs(db *ch.DB) []struct {
 			&golden.Q19{DB: db, QtyLo: 2, QtyHi: 6, PriceLo: 20, PriceHi: 80},
 			ch.Q19Args(2, 6, 20, 80)},
 		{"Q3-default", &golden.Q3{DB: db}, ch.Q3Args(0)},
+		{"Q3-carrier", &golden.Q3{DB: db, Carrier: q3Carrier}, ch.Q3Args(q3Carrier)},
 		{"Q12-default", &golden.Q12{DB: db}, ch.Q12Args(0)},
 		{"Q12-since", &golden.Q12{DB: db, DeliveredSince: int64(day - 50)}, ch.Q12Args(int64(day - 50))},
 		{"Q18-default", &golden.Q18{DB: db}, ch.Q18Args(0)},
@@ -58,6 +59,10 @@ func goldenPairs(db *ch.DB) []struct {
 		{"Q7-since", &golden.Q7{DB: db, Since: int64(day - 50)}, ch.Q7Args(int64(day - 50))},
 	}
 }
+
+// q3Carrier is the carrier of the golden Q3 pair with a non-zero carrier
+// argument: the loader delivers every order with a carrier in 1..10.
+const q3Carrier = 3
 
 // stamped returns the named CH query's prepared statement on db (bound
 // once per DB) stamped with args.
@@ -143,6 +148,25 @@ func TestBuilderGoldenSingleWorker(t *testing.T) {
 		if !reflect.DeepEqual(gotSt, wantSt) {
 			t.Errorf("%s: stats %+v != %+v", p.name, gotSt, wantSt)
 		}
+	}
+}
+
+// TestGoldenQ3CarrierFindsOrders keeps the Q3-carrier pair meaningful:
+// on the goldens' database its hand-coded result has rows, so the pair
+// holds a stamped non-zero carrier against an independent reference
+// rather than two empty results.
+func TestGoldenQ3CarrierFindsOrders(t *testing.T) {
+	e := oltp.NewEngine()
+	db := ch.Load(e, ch.SizingForScale(0.003), 11)
+	eng := olap.NewEngine(1)
+	defer eng.Close()
+	q := &golden.Q3{DB: db, Carrier: q3Carrier}
+	res, _, err := eng.ExecuteContext(context.Background(), q, factSource(db, q.FactTable()))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(res.Rows) == 0 {
+		t.Fatalf("carrier %d selects no orders", q3Carrier)
 	}
 }
 

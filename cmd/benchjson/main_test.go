@@ -68,12 +68,13 @@ func TestGapRatios(t *testing.T) {
 	}
 }
 
-// TestGraphJoinQueriesGateSeparately: the graph-join queries carry their
-// own gap budget, so they must be in gap_ratios (tracked) but flagged as
-// graph queries for gating.
-func TestGraphJoinQueriesGateSeparately(t *testing.T) {
+// TestGraphJoinQueriesShareOneGate: the graph-join queries are gated like
+// every other pair — Q7 at 1.6x fails a 1.2 gate, Q2 at 1.1x passes it.
+func TestGraphJoinQueriesShareOneGate(t *testing.T) {
 	const out = `BenchmarkQ7Handcoded  5   100 ns/op
 BenchmarkQ7Builder    5   160 ns/op
+BenchmarkQ2Handcoded  5   100 ns/op
+BenchmarkQ2Builder    5   110 ns/op
 `
 	rep, err := parse(strings.NewReader(out))
 	if err != nil {
@@ -83,13 +84,35 @@ BenchmarkQ7Builder    5   160 ns/op
 	if got := ratios["Q7"]; got != 1.6 {
 		t.Fatalf("Q7 gap ratio = %v, want 1.6", got)
 	}
-	for _, q := range []string{"Q2", "Q5", "Q7"} {
-		if !graphJoinQueries[q] {
-			t.Fatalf("%s missing from graphJoinQueries", q)
-		}
+	bad := overGap(ratios, 1.2)
+	if len(bad) != 1 || !strings.HasPrefix(bad[0], "Q7 builder is 1.60x") {
+		t.Fatalf("gate 1.2 reports %q, want only Q7", bad)
 	}
-	if graphJoinQueries["Q6"] {
-		t.Fatal("Q6 is a single-probe kernel, not a graph query")
+}
+
+// TestRepeatedLinesKeepTheMinimum: under -count N a benchmark prints N
+// lines; the report keeps the fastest one whole, in any order, and the
+// gap ratio pairs the twins' minima.
+func TestRepeatedLinesKeepTheMinimum(t *testing.T) {
+	rep, err := parse(strings.NewReader(`BenchmarkQ1Handcoded-2   40   300 ns/op   10 B/op   1 allocs/op
+BenchmarkQ1Builder-2   40   500 ns/op   20 B/op   2 allocs/op
+BenchmarkQ1Handcoded-2   40   250 ns/op   11 B/op   1 allocs/op
+BenchmarkQ1Builder-2   40   200 ns/op   21 B/op   3 allocs/op
+BenchmarkQ1Handcoded-2   40   280 ns/op   12 B/op   1 allocs/op
+BenchmarkQ1Builder-2   40   260 ns/op   22 B/op   4 allocs/op
+`))
+	if err != nil {
+		t.Fatal(err)
+	}
+	h, b := rep.Benchmarks["BenchmarkQ1Handcoded-2"], rep.Benchmarks["BenchmarkQ1Builder-2"]
+	if h == nil || h.NsPerOp != 250 || h.BytesPerOp != 11 {
+		t.Fatalf("handcoded = %+v, want the 250 ns/op line", h)
+	}
+	if b == nil || b.NsPerOp != 200 || b.BytesPerOp != 21 || b.AllocsPerOp != 3 {
+		t.Fatalf("builder = %+v, want the 200 ns/op line", b)
+	}
+	if got := gapRatios(rep)["Q1"]; got != 0.8 {
+		t.Fatalf("Q1 ratio = %v, want 0.8", got)
 	}
 }
 

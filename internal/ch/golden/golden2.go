@@ -9,8 +9,9 @@ import (
 	"elastichtap/internal/olap"
 )
 
-// Q3 is CH-benCHmark query 3 (simplified): revenue of undelivered orders —
-// OrderLine inner-joined with Orders on the composite order key, with
+// Q3 is CH-benCHmark query 3 (simplified): revenue of the orders with one
+// carrier, undelivered ones by default — OrderLine inner-joined with
+// Orders on the composite order key, with
 // o_entry_d projected from the dimension into the group key — grouped per
 // order, ordered by revenue descending, top-N. Output shape, broadcast
 // accounting and float arithmetic mirror the builder plan ch.Q3PlanParam
@@ -20,6 +21,9 @@ type Q3 struct {
 	// State filters qualifying warehouses by w_state; empty keeps all of
 	// them (the builder plan covers the empty-State form).
 	State string
+	// Carrier keeps the orders whose o_carrier_id equals it, the builder
+	// plan's carrier argument; 0, the default, keeps undelivered orders.
+	Carrier int64
 	// TopN bounds the result (default 10).
 	TopN int
 }
@@ -37,7 +41,7 @@ func (q *Q3) FactTable() string { return ch.TOrderLine }
 // Columns implements olap.Query.
 func (q *Q3) Columns() []int { return []int{ch.OLWID, ch.OLDID, ch.OLOID, ch.OLAmount} }
 
-// Prepare implements olap.Query: builds the undelivered-order hash table
+// Prepare implements olap.Query: builds the carrier's order hash table
 // (OrderKey → entry date) over the orders dimension.
 func (q *Q3) Prepare() (olap.Exec, int64) {
 	topN := q.TopN
@@ -54,11 +58,11 @@ func (q *Q3) Prepare() (olap.Exec, int64) {
 			wOK[wt.ReadActive(r, ch.WID)] = true
 		}
 	}
-	// Undelivered orders from qualifying warehouses.
+	// The carrier's orders from qualifying warehouses.
 	ot := q.DB.Orders.Table()
 	orders := make(map[uint64]int64, 1024) // OrderKey -> entry date
 	for r := int64(0); r < ot.Rows(); r++ {
-		if ot.ReadActive(r, ch.OCarrierID) != 0 {
+		if ot.ReadActive(r, ch.OCarrierID) != q.Carrier {
 			continue
 		}
 		w := ot.ReadActive(r, ch.OWID)
@@ -73,7 +77,7 @@ func (q *Q3) Prepare() (olap.Exec, int64) {
 	// and the entry-date payload. Like the builder, a complete secondary
 	// index over the never-updated carrier column narrows the read set to
 	// the Eq postings, and the cost model is charged for the narrowed scan.
-	buildBytes := narrowedScan(q.DB.Orders, ch.OCarrierID, 0) * 5 * columnar.WordBytes
+	buildBytes := narrowedScan(q.DB.Orders, ch.OCarrierID, q.Carrier) * 5 * columnar.WordBytes
 	return &q3Exec{orders: orders, topN: topN}, buildBytes
 }
 

@@ -6,8 +6,9 @@ package olap
 // are only ever touched by a single goroutine at a time and steady-state
 // execution allocates nothing per morsel: the engine's column-slice
 // header array is taken from here instead of a shared sync.Pool that
-// bounces between cores. The fused kernels (query/aggregate.go) keep
-// their per-row scratch on the consuming goroutine's stack.
+// bounces between cores. The query kernels (query/aggregate.go) keep
+// their vectors — selection, group offsets, payload words — on the
+// consuming goroutine's stack.
 type Scratch struct {
 	cols [][]int64
 }

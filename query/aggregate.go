@@ -1,8 +1,8 @@
 package query
 
-// The aggregate phase of the fused kernels: per-morsel accumulator state,
-// the spill group table, and the single-pass loops that fold a block into
-// a local.
+// The aggregate phase of the kernels: per-morsel accumulator state, the
+// spill group table, and the vector loop that folds a block into a local
+// (its filter and probe stages are in probe.go).
 
 import (
 	"elastichtap/internal/columnar"
@@ -100,17 +100,23 @@ func (t *groupTab) grow() {
 }
 
 // lookup returns key k's accumulator row, creating it zeroed on first
-// touch (CountIf semantics require groups to exist even when every
-// condition fails). Growth amortizes to zero per morsel once the table
-// has seen the key domain.
+// touch.
+func (t *groupTab) lookup(k *gkey) []acc {
+	off := t.offset(k)
+	return t.arena[off : off+t.nacc]
+}
+
+// offset returns the arena offset of key k's accumulator row, creating
+// the row zeroed on first touch (CountIf semantics require groups to
+// exist even when every condition fails). Growth amortizes to zero per
+// morsel once the table has seen the key domain.
 //
 //htap:coldpath
-func (t *groupTab) lookup(k *gkey) []acc {
+func (t *groupTab) offset(k *gkey) int {
 	full := hashGK(k, t.nkey)
 	s, h := t.probe(k, full)
 	if s != 0 {
-		off := int(s-1) * t.nacc
-		return t.arena[off : off+t.nacc]
+		return int(s-1) * t.nacc
 	}
 	if (len(t.keys)+1)*4 > len(t.slots)*3 {
 		t.grow()
@@ -128,8 +134,7 @@ func (t *groupTab) lookup(k *gkey) []acc {
 		t.arena = append(t.arena, acc{})
 	}
 	t.slots[h] = int32(idx + 1)
-	off := idx * t.nacc
-	return t.arena[off : off+t.nacc]
+	return idx * t.nacc
 }
 
 // sumIF is specDenseSumIF's dense group cell: int-sum, float-sum and
@@ -206,34 +211,80 @@ func (l *flocal) growIF(k int64) {
 	l.flatIF = flat
 }
 
-// lookupTab resolves a spilled key through the open-addressed table,
-// creating the table on a dense plan's first overflow key.
+// spillOff resolves a dense plan's key past denseLen through the
+// open-addressed table, creating the table on the first such key.
 //
 //htap:coldpath
-func (l *flocal) lookupTab(k gkey) []acc {
+func (l *flocal) spillOff(k int64) int32 {
 	if l.tab == nil {
-		l.tab = newGroupTab(l.e.nacc, max(l.e.ngroup, 1), 0)
+		l.tab = newGroupTab(l.e.nacc, 1, 0)
 	}
-	return l.tab.lookup(&k)
+	return int32(l.tab.offset(&gkey{k}))
 }
 
-// payStackWords is the payload width Consume gathers on its stack; CH's
-// widest plan (Q7) carries seven words.
+// vecLen is the vector length of the kernel loop: a morsel runs a vector
+// of this many rows through each stage before the next vector starts.
+// Small enough that a vector's columns, selection and payload words stay
+// in L1, large enough that each stage's loop amortizes its setup.
+const vecLen = 256
+
+// rowIota is the selection of a vector no filter or join has narrowed:
+// every row offset, ascending.
+var rowIota = func() (s [vecLen]int32) {
+	for i := range s {
+		s[i] = int32(i)
+	}
+	return s
+}()
+
+// payStackWords is the payload width whose vectors Consume keeps on its
+// stack, 32 KiB of them (a fixed array over 128 KiB would escape to the
+// heap): CH's widest plan (Q7) carries seven words.
 const payStackWords = 16
 
-// widePay is the gather buffer of a plan wider than payStackWords: one
-// per consumed block, allocated by the goroutine that consumes it (never
-// next to another block's).
+// widePay is the payload vectors of a plan wider than payStackWords: one
+// set per consumed block, allocated by the goroutine that consumes it
+// (never next to another block's).
 //
 //htap:coldpath
-func widePay(n int) []int64 { return make([]int64, n) }
+func widePay(n int) [][vecLen]int64 { return make([][vecLen]int64, n) }
 
-// Consume implements olap.Local: one pass over the block, filter →
-// probe → group → accumulate per row. The loop splits per grouping kind
-// so the group-resolve branch is hoisted; the filters, the probe and the
-// accumulator updates are one call each per surviving row. A warmed local
-// consuming a same-shaped block must not allocate (the runtime half of
-// this contract is alloc_regression_test.go).
+// vecs is the working set of the vector in flight. A selection is the
+// ascending row offsets, within the vector, of the rows still alive; each
+// stage reads one and writes the next into sel. Payload vectors are
+// indexed by row offset, not by selection position, so a row's words stay
+// where the join put them however later stages narrow the selection.
+type vecs struct {
+	cols    [][]int64 // the block's columns
+	nscan   int
+	base, n int             // the vector's first row in the block, and its length
+	pay     [][vecLen]int64 // payload words, by payload slot
+	sel     [vecLen]int32
+	goff    [vecLen]int32 // per selected row, its group's accumulator offset
+	// A dense plan's selected rows whose keys pass denseLen, and their
+	// offsets in the spill table.
+	xsel, xoff [vecLen]int32
+	moff       [vecLen]int // per kept row of a probe, its payload's slab offset
+}
+
+// slot returns logical slot s over the vector's rows: a fact column, or
+// past the scan list a payload vector.
+func (v *vecs) slot(s int) []int64 {
+	if s < v.nscan {
+		return v.cols[s][v.base : v.base+v.n]
+	}
+	return v.pay[s-v.nscan][:v.n]
+}
+
+// Consume implements olap.Local: a morsel runs a vector at a time. Each
+// filter narrows the vector's selection, each join probes what is left,
+// the group keys resolve to accumulator offsets, and each op runs one
+// loop over the selection. Rows stay in ascending order through every
+// stage, so each (group, accumulator) pair adds its floats in ascending
+// row order and groups are created in the order their first rows come —
+// the invariant that makes per-morsel totals bitwise reproducible. A
+// warmed local consuming a same-shaped block must not allocate (the
+// runtime half of this contract is alloc_regression_test.go).
 //
 //htap:hotpath
 func (l *flocal) Consume(b olap.Block) {
@@ -244,175 +295,224 @@ func (l *flocal) Consume(b olap.Block) {
 	switch e.spec {
 	case specGlobalSumF2:
 		l.runGlobalSumF2(b)
-	case specGlobalSemiSumF:
-		l.runGlobalSemiSumF(b)
 	case specDenseSumIF:
 		l.runDenseSumIF(b)
-	case specSpillSumF:
-		l.runSpillSumF(b)
 	default:
-		// A multi-join plan gathers each row's payload words on this
-		// goroutine's stack: nothing two workers write is ever adjacent.
-		var stack [payStackWords]int64
-		buf := stack[:]
-		if n := e.c.npayTotal; n > len(stack) {
-			buf = widePay(n)
+		l.consume(b)
+	}
+}
+
+// consume runs the vector loop over one block. The payload vectors live
+// on this goroutine's stack — nothing two workers write is ever adjacent
+// — in this frame, not Consume's, so the fast loops run on a small stack.
+func (l *flocal) consume(b olap.Block) {
+	switch n := l.e.c.npayTotal; {
+	case n == 0:
+		l.run(b, nil)
+	case n <= payStackWords:
+		var stack [payStackWords][vecLen]int64
+		l.run(b, stack[:n])
+	default:
+		l.run(b, widePay(n))
+	}
+}
+
+// run is the vector loop over one block.
+func (l *flocal) run(b olap.Block, pay [][vecLen]int64) {
+	e := l.e
+	v := vecs{cols: b.Cols, nscan: e.nscan, pay: pay}
+	for ; v.base < b.N; v.base += vecLen {
+		v.n = min(vecLen, b.N-v.base)
+		sel := rowIota[:v.n]
+		for fi := range e.filters {
+			f := &e.filters[fi]
+			sel = v.sel[:f.narrow(v.slot(f.slot), sel, v.sel[:])]
+		}
+		for ji := range e.joins {
+			sel = v.sel[:e.joins[ji].probe(&v, sel)]
+		}
+		if len(sel) == 0 {
+			continue
 		}
 		switch e.gkind {
 		case gNone:
-			l.consumeGlobal(b, buf)
+			e.updateGlobal(l.global, &v, sel)
 		case gDense:
-			l.consumeDense(b, buf)
+			nd, nx := l.resolveDense(&v, sel)
+			if nd > 0 {
+				e.updateGroups(l.flat, &v, v.sel[:nd], v.goff[:nd])
+			}
+			if nx > 0 {
+				e.updateGroups(l.tab.arena, &v, v.xsel[:nx], v.xoff[:nx])
+			}
 		default:
-			l.consumeSpill(b, buf)
+			l.resolveSpill(&v, sel)
+			e.updateGroups(l.tab.arena, &v, sel, v.goff[:len(sel)])
 		}
 	}
 }
 
-// update applies every specialized op to row i's accumulator row. Rows
-// arrive in ascending order, so each (group, accumulator) pair adds its
-// floats in ascending row order — the invariant that makes per-morsel
-// totals bitwise reproducible.
-func (e *fexec) update(accs []acc, cols [][]int64, pay []int64, i int) {
+// resolveDense resolves the selection's group keys: a key under denseLen
+// marks its cell present and keeps its row in v.sel with the cell's
+// offset in v.goff; a key past it moves its row to v.xsel with its
+// spill-table offset in v.xoff. It returns how many rows each side got.
+// The two sides hold disjoint groups and each stays ascending, so running
+// one side's ops before the other's keeps every group's row order.
+func (l *flocal) resolveDense(v *vecs, sel []int32) (nd, nx int) {
+	nacc := int32(l.e.nacc)
+	key := v.slot(l.e.c.groups[0])
+	for _, r := range sel {
+		k := key[r]
+		if uint64(k) >= uint64(len(l.present)) {
+			if uint64(k) >= denseLen {
+				v.xsel[nx], v.xoff[nx] = r, l.spillOff(k)
+				nx++
+				continue
+			}
+			l.growDense(k)
+		}
+		l.present[k] = true
+		v.sel[nd], v.goff[nd] = r, int32(k)*nacc
+		nd++
+	}
+	return nd, nx
+}
+
+// resolveSpill resolves the selection's composite group keys to their
+// offsets in the spill table, creating groups in row order. A row whose
+// key repeats the previous row's reuses its offset without hashing: rows
+// of one group often come in runs (Q18's and Q3's order lines).
+func (l *flocal) resolveSpill(v *vecs, sel []int32) {
+	var keys [maxGroupCols][]int64
+	for d, s := range l.e.c.groups {
+		keys[d] = v.slot(s)
+	}
+	ks := keys[:l.e.ngroup]
+	tab := l.tab
+	var prev gkey
+	off := -1
+	for i, r := range sel {
+		var k gkey
+		for d, kv := range ks {
+			k[d] = kv[r]
+		}
+		if off < 0 || k != prev {
+			off, prev = tab.offset(&k), k
+		}
+		v.goff[i] = int32(off)
+	}
+}
+
+// updateGlobal runs each op over the selection into an ungrouped plan's
+// accumulators, the running value held in a register across the loop.
+func (e *fexec) updateGlobal(accs []acc, v *vecs, sel []int32) {
 	for o := range e.ops {
 		op := &e.ops[o]
 		st := &accs[op.acc]
-		var w int64
-		if op.pay {
-			w = pay[op.slot]
-		} else {
-			w = cols[op.slot][i]
+		var src []int64
+		if op.slot >= 0 {
+			src = v.slot(int(op.slot))
 		}
 		switch op.op {
 		case opSumInt:
-			st.sum += float64(w)
-			st.count++
+			sum := st.sum
+			for _, r := range sel {
+				sum += float64(src[r])
+			}
+			st.sum = sum
 		case opSumFloat:
-			st.sum += columnar.DecodeFloat(w)
-			st.count++
-		case opSumIntNC:
-			st.sum += float64(w)
-		case opSumFloatNC:
-			st.sum += columnar.DecodeFloat(w)
+			sum := st.sum
+			for _, r := range sel {
+				sum += columnar.DecodeFloat(src[r])
+			}
+			st.sum = sum
 		case opCount:
-			st.count++
-		case opCountIfRange:
-			if w >= op.lo && w <= op.hi {
-				st.count++
+			st.count += int64(len(sel))
+		case opCountIfInt:
+			n, lo, span, neg := st.count, op.lo, op.span, op.neg
+			for _, r := range sel {
+				if (uint64(src[r]-lo) <= span) != neg {
+					n++
+				}
+			}
+			st.count = n
+		case opCountIfGen:
+			for _, r := range sel {
+				if op.test.match(src[r]) {
+					st.count++
+				}
+			}
+		case opMinInt, opMinFloat, opMaxInt, opMaxFloat:
+			ext, seen := st.ext, st.seen
+			for _, r := range sel {
+				if x := op.value(src[r]); !seen || op.better(x, ext) {
+					ext, seen = x, true
+				}
+			}
+			st.ext, st.seen = ext, seen
+		}
+	}
+}
+
+// updateGroups runs each op over the selection: row sel[i] updates the
+// accumulator row at arena[goff[i]:].
+func (e *fexec) updateGroups(arena []acc, v *vecs, sel, goff []int32) {
+	goff = goff[:len(sel)]
+	for o := range e.ops {
+		op := &e.ops[o]
+		a := arena[op.acc:]
+		var src []int64
+		if op.slot >= 0 {
+			src = v.slot(int(op.slot))
+		}
+		switch op.op {
+		case opSumInt:
+			for i, r := range sel {
+				a[goff[i]].sum += float64(src[r])
+			}
+		case opSumFloat:
+			for i, r := range sel {
+				a[goff[i]].sum += columnar.DecodeFloat(src[r])
+			}
+		case opCount:
+			for _, g := range goff {
+				a[g].count++
+			}
+		case opCountIfInt:
+			lo, span, neg := op.lo, op.span, op.neg
+			for i, r := range sel {
+				if (uint64(src[r]-lo) <= span) != neg {
+					a[goff[i]].count++
+				}
 			}
 		case opCountIfGen:
-			if op.test.match(w) {
-				st.count++
+			for i, r := range sel {
+				if op.test.match(src[r]) {
+					a[goff[i]].count++
+				}
 			}
-		case opMinInt:
-			if v := float64(w); !st.seen || v < st.ext {
-				st.ext, st.seen = v, true
-			}
-		case opMinFloat:
-			if v := columnar.DecodeFloat(w); !st.seen || v < st.ext {
-				st.ext, st.seen = v, true
-			}
-		case opMaxInt:
-			if v := float64(w); !st.seen || v > st.ext {
-				st.ext, st.seen = v, true
-			}
-		case opMaxFloat:
-			if v := columnar.DecodeFloat(w); !st.seen || v > st.ext {
-				st.ext, st.seen = v, true
+		case opMinInt, opMinFloat, opMaxInt, opMaxFloat:
+			for i, r := range sel {
+				if st, x := &a[goff[i]], op.value(src[r]); !st.seen || op.better(x, st.ext) {
+					st.ext, st.seen = x, true
+				}
 			}
 		}
 	}
 }
 
-func (l *flocal) consumeGlobal(b olap.Block, buf []int64) {
-	e := l.e
-	cols := b.Cols
-	accs := l.global
-	pr := prober{e.joins, cols, buf, e.nscan}
-	joined := len(e.joins) > 0
-	for i := 0; i < b.N; i++ {
-		if !e.filterRow(cols, i) {
-			continue
-		}
-		var pay []int64
-		if joined {
-			var ok bool
-			if pay, ok = pr.probe(i); !ok {
-				continue
-			}
-		}
-		e.update(accs, cols, pay, i)
+// value is a min/max op's word as the float it compares.
+func (op *aggOp) value(w int64) float64 {
+	if op.op == opMinFloat || op.op == opMaxFloat {
+		return columnar.DecodeFloat(w)
 	}
+	return float64(w)
 }
 
-func (l *flocal) consumeDense(b olap.Block, buf []int64) {
-	e := l.e
-	cols := b.Cols
-	nacc := e.nacc
-	g := &e.gsrc[0]
-	var kvec []int64
-	if !g.pay {
-		kvec = cols[g.idx]
+// better reports whether x replaces a min/max op's current extreme.
+func (op *aggOp) better(x, ext float64) bool {
+	if op.op == opMinInt || op.op == opMinFloat {
+		return x < ext
 	}
-	pr := prober{e.joins, cols, buf, e.nscan}
-	joined := len(e.joins) > 0
-	for i := 0; i < b.N; i++ {
-		if !e.filterRow(cols, i) {
-			continue
-		}
-		var pay []int64
-		if joined {
-			var ok bool
-			if pay, ok = pr.probe(i); !ok {
-				continue
-			}
-		}
-		var k int64
-		if g.pay {
-			k = pay[g.idx]
-		} else {
-			k = kvec[i]
-		}
-		var accs []acc
-		if uint64(k) < denseLen {
-			if int(k) >= len(l.present) {
-				l.growDense(k)
-			}
-			l.present[k] = true
-			accs = l.flat[int(k)*nacc:]
-		} else {
-			accs = l.lookupTab(gkey{k})
-		}
-		e.update(accs, cols, pay, i)
-	}
-}
-
-func (l *flocal) consumeSpill(b olap.Block, buf []int64) {
-	e := l.e
-	cols := b.Cols
-	gs := e.gsrc[:e.ngroup]
-	pr := prober{e.joins, cols, buf, e.nscan}
-	joined := len(e.joins) > 0
-	for i := 0; i < b.N; i++ {
-		if !e.filterRow(cols, i) {
-			continue
-		}
-		var pay []int64
-		if joined {
-			var ok bool
-			if pay, ok = pr.probe(i); !ok {
-				continue
-			}
-		}
-		var k gkey
-		for d := range gs {
-			g := &gs[d]
-			if g.pay {
-				k[d] = pay[g.idx]
-			} else {
-				k[d] = cols[g.idx][i]
-			}
-		}
-		e.update(l.lookupTab(k), cols, pay, i)
-	}
+	return x > ext
 }

@@ -12,9 +12,8 @@ package query
 // indexed load per key word: no hash, no key compare, no probe chain, and
 // 4 bytes per cell instead of a 16- or 32-byte slot. TPC-C primary keys
 // (warehouse × district × id) are exactly this shape. Sparse domains —
-// arbitrary int64 keys, selectively filtered builds — keep hashing, as do
-// the two monomorphic kernels that inline a hash probe
-// (specGlobalSemiSumF, specSpillSumF). The choice is made from the data.
+// arbitrary int64 keys, selectively filtered builds — keep hashing. The
+// choice is made from the data.
 //
 // Dense tables are kept on the bound statement (buildCache, shared by
 // every WithArgs clone). An entry stays usable while every dimension
@@ -394,11 +393,10 @@ func (bc *buildCache) rebuilt(ji int, keep buildEntry, read int64) {
 
 // buildJoin produces join ji's build side for one execution, and the
 // number of rows its broadcast is charged for: what a from-scratch build
-// reads, whether or not this one had to. dense says whether the kernel
-// can probe a dense table at all. Only reuse runs under the cache's lock;
-// concurrent executions that both miss both build, and the later one's
-// table is kept.
-func (c *Compiled) buildJoin(ji int, dense bool) (side buildSide, scanned int64) {
+// reads, whether or not this one had to. Only reuse runs under the
+// cache's lock; concurrent executions that both miss both build, and the
+// later one's table is kept.
+func (c *Compiled) buildJoin(ji int) (side buildSide, scanned int64) {
 	j := c.joins[ji]
 	rows := j.dim.Table().Rows()
 	cands := j.narrowing(rows)
@@ -406,7 +404,7 @@ func (c *Compiled) buildJoin(ji int, dense bool) (side buildSide, scanned int64)
 	if cands != nil {
 		scanned = int64(len(cands))
 	}
-	dense = dense && !forceHashJoins.Load()
+	dense := !forceHashJoins.Load()
 	var overflowed *denseTab
 	if dense {
 		if side.dn, overflowed = c.builds.reuse(ji, j, rows); side.dn != nil {

@@ -100,7 +100,7 @@ func (c *Compiled) FactTable() string { return c.fact }
 func (c *Compiled) Columns() []int { return c.cols }
 
 // Prepare implements olap.Query: every plan specializes into a
-// single-pass fused kernel from the statement's current predicate values
+// vectorized kernel from the statement's current predicate values
 // (see kernel.go), and each join gets its key→payload build table.
 //
 // Build sides are not static — orders grows with every NewOrder — so a

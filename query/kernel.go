@@ -1,9 +1,13 @@
 package query
 
-// Fused single-pass kernels: the whole plan compiles into one loop over
-// the block — every row is filtered, probed, group-resolved and
-// accumulated before the next row is touched, with no intermediate
-// selection or payload materialization at all.
+// Vectorized kernels: the whole plan compiles into one loop over the
+// block that runs a vector of rows (vecLen, in aggregate.go) at a time
+// through each stage — filters and joins narrow a selection vector of row
+// offsets, joins gather payload words into vectors indexed by row offset,
+// group keys resolve to accumulator offsets, and each accumulator op runs
+// one loop over the selection. Nothing larger than a vector is ever
+// materialized, and the vectors live on the consuming goroutine's stack.
+// Two scan shapes keep fully fused loops (kernel_fast.go).
 //
 // The split between Bind and Prepare matters for prepared statements:
 // WithArgs stamping may change a predicate's evaluation kind (a range
@@ -130,26 +134,28 @@ func buildFuseShape(c *Compiled) *fuseShape {
 
 // --- Prepare-time specialization ---
 
-// aggOp is one specialized per-row accumulator update. The op code is
-// fixed per (aggregate kind, column type, condition shape) at Prepare
-// time, so the row loop dispatches through a dense predictable switch —
-// no per-row interface calls, no per-row kind re-derivation.
+// aggOp is one specialized accumulator update. The op code is fixed per
+// (aggregate kind, column type, condition shape) at Prepare time, and the
+// vector loop takes the op switch once per vector, then runs the op's own
+// loop over the selection: no per-row dispatch, no per-row kind
+// re-derivation. A sum carries no count; the accumulator that counts the
+// selected rows gets an opCount of its own.
 type aggOp struct {
-	op     uint8
-	pay    bool  // read the probed payload row instead of a block column
-	slot   int32 // block slot, or payload index when pay
-	acc    int32
-	lo, hi int64  // opCountIfRange bounds
-	test   *ftest // opCountIfGen condition
+	op   uint8
+	slot int32 // logical slot read (fact scan or payload); -1 for opCount
+	acc  int32
+	// opCountIfInt: the row counts when (uint64(w-lo) <= span) != neg.
+	lo   int64
+	span uint64
+	neg  bool
+	test *ftest // opCountIfGen condition
 }
 
 const (
 	opSumInt uint8 = iota
 	opSumFloat
-	opSumIntNC   // sum only: the first sum accumulator carries the count
-	opSumFloatNC //
 	opCount
-	opCountIfRange
+	opCountIfInt
 	opCountIfGen
 	opMinInt
 	opMinFloat
@@ -157,18 +163,20 @@ const (
 	opMaxFloat
 )
 
-// frange is a specialized inclusive int64-word range filter — the
-// canonical form of every ordered int predicate and every dictionary
-// equality, merged per slot so stacked ranges on one column test once.
-type frange struct {
-	slot   int
-	lo, hi int64
-}
-
-// ffrange is the float64 analogue (decode then compare).
-type ffrange struct {
-	slot   int
-	lo, hi float64
+// intSpan puts an int test in range form: a word w passes when
+// (uint64(w-lo) <= span) != neg — one compare and no branch per row, since
+// the subtraction rotates [lo, hi] onto [0, hi-lo]. ok is false for the
+// float tests.
+func (t *ftest) intSpan() (lo int64, span uint64, neg, ok bool) {
+	switch t.kind {
+	case fIntRange:
+		return t.ilo, uint64(t.ihi - t.ilo), false, true
+	case fIntNe:
+		return t.ilo, 0, true, true
+	case fIntNotRange:
+		return t.ilo, uint64(t.ihi - t.ilo), true, true
+	}
+	return 0, 0, false, false
 }
 
 const (
@@ -176,13 +184,6 @@ const (
 	gDense
 	gSpill
 )
-
-// gsrc locates one group-key column: a fact block slot or a probed
-// payload index.
-type gsrc struct {
-	pay bool
-	idx int
-}
 
 // fexec is a fully specialized fused kernel, instantiated per execution
 // at Prepare time from the statement's current (stamped) predicate
@@ -195,57 +196,39 @@ type fexec struct {
 	nscan  int
 	ngroup int
 
-	// filters, classified from stamped kinds
+	// never is set when some filter can match no row. filters are the
+	// rest, int ranges first: the int ranges on one column merged into
+	// one, so stacked bounds (Ge+Lt) test once.
 	never   bool
-	ranges  []frange
-	franges []ffrange
-	gens    []filter
+	filters []filter
 
 	// joins are the plan's joins in execution order, each with the table
 	// this execution probes: none, one, or several.
 	joins []fjoin
 
-	// grouping
 	gkind uint8
-	gsrc  [maxGroupCols]gsrc // the first ngroup are set; gDense reads gsrc[0]
-
-	ops  []aggOp
-	spec uint8 // monomorphic fast-loop selection (kernel_fast.go)
+	ops   []aggOp
+	spec  uint8 // monomorphic fast-loop selection (kernel_fast.go)
 }
 
-// srcOf splits a logical slot into (index, isPayload): payload columns
-// occupy virtual slots after the fact scan list.
-func (e *fexec) srcOf(slot int) (int, bool) {
-	if slot >= e.nscan {
-		return slot - e.nscan, true
-	}
-	return slot, false
-}
-
-// addRange appends an int range filter, intersecting with an existing
-// range on the same slot so stacked bounds (Ge+Lt) test once per row.
+// addRange intersects an int range filter with the one already on its
+// slot, or adds it.
 func (e *fexec) addRange(slot int, lo, hi int64) {
-	for i := range e.ranges {
-		if e.ranges[i].slot == slot {
-			if lo > e.ranges[i].lo {
-				e.ranges[i].lo = lo
-			}
-			if hi < e.ranges[i].hi {
-				e.ranges[i].hi = hi
-			}
-			if e.ranges[i].lo > e.ranges[i].hi {
+	for i := range e.filters {
+		if f := &e.filters[i]; f.slot == slot {
+			f.ilo, f.ihi = max(f.ilo, lo), min(f.ihi, hi)
+			if f.ilo > f.ihi {
 				e.never = true
 			}
 			return
 		}
 	}
-	e.ranges = append(e.ranges, frange{slot: slot, lo: lo, hi: hi})
+	e.filters = append(e.filters, filter{slot, ftest{kind: fIntRange, ilo: lo, ihi: hi}})
 }
 
 // prepareFused builds the specialized kernel for one execution: filters
-// classify into range/generic forms from their stamped kinds, CountIf
-// conditions specialize, group keys resolve their sources, and each join
-// gets its build side — reused, extended or built (build.go).
+// classify from their stamped kinds, CountIf conditions specialize, and
+// each join gets its build side — reused, extended or built (build.go).
 func (c *Compiled) prepareFused() (olap.Exec, int64) {
 	e := &fexec{
 		c: c, sh: c.fuse,
@@ -253,19 +236,18 @@ func (c *Compiled) prepareFused() (olap.Exec, int64) {
 		nscan:  len(c.cols),
 		ngroup: len(c.groups),
 	}
-	for i := range c.filters {
-		f := &c.filters[i]
+	var others []filter
+	for _, f := range c.filters {
 		switch f.kind {
 		case fIntRange:
 			e.addRange(f.slot, f.ilo, f.ihi)
-		case fFloatRange:
-			e.franges = append(e.franges, ffrange{slot: f.slot, lo: f.flo, hi: f.fhi})
 		case fNever:
 			e.never = true
 		default:
-			e.gens = append(e.gens, *f)
+			others = append(others, f)
 		}
 	}
+	e.filters = append(e.filters, others...)
 	switch e.ngroup {
 	case 0:
 		e.gkind = gNone
@@ -274,63 +256,45 @@ func (c *Compiled) prepareFused() (olap.Exec, int64) {
 	default:
 		e.gkind = gSpill
 	}
-	for d, s := range c.groups {
-		idx, pay := e.srcOf(s)
-		e.gsrc[d] = gsrc{pay: pay, idx: idx}
-	}
 	for ai := range c.fuse.accs {
 		as := &c.fuse.accs[ai]
-		op := aggOp{acc: int32(ai)}
-		slot := as.slot
+		op := aggOp{acc: int32(ai), slot: int32(as.slot)}
 		switch as.kind {
 		case facSum:
-			switch {
-			case as.decode && as.noCount:
-				op.op = opSumFloatNC
-			case as.decode:
+			op.op = opSumInt
+			if as.decode {
 				op.op = opSumFloat
-			case as.noCount:
-				op.op = opSumIntNC
-			default:
-				op.op = opSumInt
+			}
+			if !as.noCount {
+				e.ops = append(e.ops, op, aggOp{op: opCount, slot: -1, acc: op.acc})
+				continue
 			}
 		case facCount:
 			op.op = opCount
-			slot = 0 // fetched, ignored
 		case facCountIf:
 			cond := c.aggs[as.aggIdx].cond
-			if cond.kind == fIntRange {
-				op.op, op.lo, op.hi = opCountIfRange, cond.ilo, cond.ihi
-			} else {
-				op.op, op.test = opCountIfGen, cond
+			op.op, op.test = opCountIfGen, cond
+			if lo, span, neg, ok := cond.intSpan(); ok {
+				op.op, op.lo, op.span, op.neg = opCountIfInt, lo, span, neg
 			}
 		case facMin:
+			op.op = opMinInt
 			if as.decode {
 				op.op = opMinFloat
-			} else {
-				op.op = opMinInt
 			}
 		case facMax:
+			op.op = opMaxInt
 			if as.decode {
 				op.op = opMaxFloat
-			} else {
-				op.op = opMaxInt
 			}
-		}
-		if idx, pay := e.srcOf(slot); pay {
-			op.pay, op.slot = true, int32(idx)
-		} else {
-			op.slot = int32(idx)
 		}
 		e.ops = append(e.ops, op)
 	}
-	// The kernel is picked from the shape before any table exists: the two
-	// fast loops that inline a hash probe need their join hashed.
 	e.spec = e.pickSpec()
 	e.joins = make([]fjoin, 0, len(c.joins))
 	var buildBytes int64
 	for ji, j := range c.joins {
-		side, scanned := c.buildJoin(ji, e.spec == specGeneric)
+		side, scanned := c.buildJoin(ji)
 		buildBytes += scanned * int64(j.words) * columnar.WordBytes
 		e.joins = append(e.joins, fjoin{j, side})
 	}

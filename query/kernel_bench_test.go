@@ -15,7 +15,7 @@ import (
 // Micro-benchmarks for the fused kernel stages in isolation — filter
 // only, filter+probe, filter+probe+aggregate — across the column shapes
 // the specializer distinguishes (int64 ranges, float64 ranges, dict-coded
-// equality). Each fixes one plan shape so a regression in a single loop
+// equality). Each fixes one plan shape so a regression in a single stage
 // (or a spec that silently stops matching its shape) shows up as a
 // per-row cost change in that benchmark alone, instead of being averaged
 // into the end-to-end CH query numbers in the root bench suite.
@@ -38,6 +38,7 @@ func newBenchCatalog(tb testing.TB) (Catalog, *oltp.Engine) {
 		{Name: "amount", Type: columnar.Float64},
 		{Name: "tag", Type: columnar.String},
 		{Name: "k3", Type: columnar.Int64},
+		{Name: "gx", Type: columnar.Int64},
 	}}, 16, false)
 	ft := fact.Table()
 	tags := []string{"web", "store", "phone"}
@@ -52,6 +53,7 @@ func newBenchCatalog(tb testing.TB) (Catalog, *oltp.Engine) {
 			float64(i%997)/7.0, // amount
 			tags[i%len(tags)],  // tag: dict-coded
 			int64(i%40000),     // k3: 40 000 keys, each in 3 or 4 morsels
+			gx(i),
 		))
 	}
 	ft.AppendRows(rows, 0)
@@ -82,7 +84,34 @@ func newBenchCatalog(tb testing.TB) (Catalog, *oltp.Engine) {
 		}
 	}
 	ct.AppendRows(crows, 0)
+
+	// dimw is keyed by gid and carries one word more than the payload the
+	// vector loop gathers on its stack.
+	wcols := []columnar.ColumnDef{{Name: "id", Type: columnar.Int64}}
+	for c := 0; c <= payStackWords; c++ {
+		wcols = append(wcols, columnar.ColumnDef{Name: fmt.Sprintf("w%d", c), Type: columnar.Int64})
+	}
+	dimw := e.CreateTable(columnar.Schema{Name: "bdimw", Columns: wcols}, 16, false)
+	wrows := make([][]int64, 0, 64)
+	for g := 0; g < 64; g++ {
+		row := []int64{int64(g)}
+		for c := 0; c <= payStackWords; c++ {
+			row = append(row, int64((g*(c+3))%97))
+		}
+		wrows = append(wrows, row)
+	}
+	dimw.Table().AppendRows(wrows, 0)
 	return testCatalog{e}, e
+}
+
+// gx is fact row i's dense group key: under 61 mostly, but every 97th row
+// carries one of five keys past denseLen, so vectors mix cells and
+// spilled keys.
+func gx(i int) int64 {
+	if i%97 == 40 {
+		return int64(denseLen + i%5)
+	}
+	return int64(i % 61)
 }
 
 // semiDim1 is the selective single-key existence join against bdim1.
@@ -149,8 +178,8 @@ func BenchmarkKernelFilterCountDict(b *testing.B) {
 }
 
 // BenchmarkKernelFilterProbeSum: one int64 bracket plus a single-key
-// existence probe into the selective dimension, summing a float — the
-// specGlobalSemiSumF shape (inlined open-addressed probe).
+// existence probe into the selective dimension, summing a float — CH-Q19's
+// shape, on the vector loop since its fused loop was retired.
 func BenchmarkKernelFilterProbeSum(b *testing.B) {
 	runKernelBench(b, Scan("bfact").
 		Filter(Between("qty", 5, 45)).
@@ -159,8 +188,8 @@ func BenchmarkKernelFilterProbeSum(b *testing.B) {
 }
 
 // BenchmarkKernelFilterProbeGroupSum: filter, composite-key payload
-// probe, then grouping on the projected payload — the generic fused
-// join+group loop (the fact-side filter keeps specSpillSumF out).
+// probe, then grouping on the projected payload — the vector loop's
+// filter, probe, dense-group and sum stages.
 func BenchmarkKernelFilterProbeGroupSum(b *testing.B) {
 	runKernelBench(b, Scan("bfact").
 		Filter(Between("qty", 5, 45)).
@@ -170,8 +199,8 @@ func BenchmarkKernelFilterProbeGroupSum(b *testing.B) {
 }
 
 // BenchmarkKernelProbeGroupSumSpill: unfiltered composite-key payload
-// probe with composite grouping — the specSpillSumF shape (unrolled key
-// gather, inlined hash chain, open-addressed group table).
+// probe with composite grouping — CH-Q3's shape: the vector loop's probe
+// and its open-addressed group table.
 func BenchmarkKernelProbeGroupSumSpill(b *testing.B) {
 	runKernelBench(b, Scan("bfact").
 		JoinGraph(joinDimC()).

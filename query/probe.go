@@ -1,8 +1,8 @@
 package query
 
-// The probe phase of the fused kernels: the hash functions, the join build
-// side's open-addressed table, the per-row join probe and the per-row
-// filter.
+// The probe phase of the kernels: the hash functions, the join build
+// side's open-addressed table, and the two loops that narrow a vector's
+// selection: a join's probe and a filter's test.
 
 import "elastichtap/internal/columnar"
 
@@ -126,125 +126,143 @@ func (t *joinTab[K]) add(k K, hk uint64, hash func(K) uint64, run *dimRun, i int
 	}
 }
 
-// prober is what a block's probes read besides the row number: the plan's
-// joins, the block's columns, and buf, where a plan with several joins
-// gathers the row's payload words. It is one pointer and not six argument
-// words because probe is a single function over every join and table
-// form: with the six held in registers its inner loops spill their own
-// counters (Q12 +15 %).
-type prober struct {
-	joins []fjoin
-	cols  [][]int64
-	buf   []int64
-	nscan int
+// slab is the build side's payload slab: payload rows of len(payCols)
+// words, addressed by the word offsets probe records.
+func (j *fjoin) slab() []int64 {
+	switch {
+	case j.dn != nil:
+		return j.dn.slab
+	case len(j.keyCols) == 1:
+		return j.j1.slab
+	}
+	return j.jK.slab
 }
 
-// probe resolves the plan's joins for row i in execution order and
-// returns the row's payload words; ok is false when some join has no
-// match. Key word d of a join is read from its logical slot probeSlots[d]
-// (word). A plan with one join gets the matched build row itself, aliased
-// in its table's slab; a plan with several gathers each match's words into
-// buf at the join's payBase — where a later join keyed on them reads them
-// — and gets buf.
+// probe narrows the selection to the rows the join's table holds, in one
+// loop per table form, and returns how many it kept in v.sel. Key word d
+// is read from logical slot probeSlots[d]: a fact column, or the payload
+// vector an earlier join filled. Each kept row's payload words then land
+// in the join's payload vectors at the row's offset, one gather loop per
+// payload column, where the ops, the group keys and later joins read them.
 //
 //htap:hotpath
-func (p *prober) probe(i int) (pay []int64, ok bool) {
-	for ji := range p.joins {
-		j := &p.joins[ji]
-		switch {
-		case j.dn != nil:
-			t := j.dn
+func (j *fjoin) probe(v *vecs, sel []int32) int {
+	var keys [maxJoinCols][]int64
+	for d, s := range j.probeSlots {
+		keys[d] = v.slot(s)
+	}
+	ks := keys[:len(j.probeSlots)]
+	out, moff := v.sel[:], v.moff[:]
+	m := 0
+	switch t := j.dn; {
+	case t != nil && len(ks) == 1:
+		k0, min0, span0 := ks[0], t.min[0], t.span[0]
+		for _, r := range sel {
+			x := uint64(k0[r] - min0)
+			if x >= span0 {
+				continue
+			}
+			if row := t.row(x); row != 0 {
+				out[m], moff[m] = r, (row-1)*t.npay
+				m++
+			}
+		}
+	case t != nil:
+	dense:
+		for _, r := range sel {
 			var cell uint64
-			for d, s := range j.probeSlots {
-				x := uint64(p.word(s, i) - t.min[d])
+			for d, kv := range ks {
+				x := uint64(kv[r] - t.min[d])
 				if x >= t.span[d] {
-					return nil, false
+					continue dense
 				}
 				cell += x * t.stride[d]
 			}
-			r := t.row(cell)
-			if r == 0 {
-				return nil, false
+			if row := t.row(cell); row != 0 {
+				out[m], moff[m] = r, (row-1)*t.npay
+				m++
 			}
-			pay = t.slab[(r-1)*t.npay : r*t.npay]
-		case len(j.keyCols) == 1:
-			t := &j.j1
-			k := p.word(j.probeSlots[0], i)
-			h := hash1(k) >> t.shift
-			for {
+		}
+	case len(ks) == 1:
+		t, k0 := &j.j1, ks[0]
+	hashed1:
+		for _, r := range sel {
+			k := k0[r]
+			for h := hash1(k) >> t.shift; ; h = (h + 1) & t.mask {
 				s := &t.slots[h]
 				if !s.used {
-					return nil, false
+					continue hashed1
 				}
 				if s.key == k {
-					pay = t.slab[s.off : int(s.off)+len(j.payCols)]
-					break
+					out[m], moff[m] = r, int(s.off)
+					m++
+					continue hashed1
 				}
-				h = (h + 1) & t.mask
 			}
-		default:
-			t := &j.jK
+		}
+	default:
+		t := &j.jK
+	hashedK:
+		for _, r := range sel {
 			var k jkey
-			for d, s := range j.probeSlots {
-				k[d] = p.word(s, i)
+			for d, kv := range ks {
+				k[d] = kv[r]
 			}
-			h := hashJK(&k, len(j.keyCols)) >> t.shift
-			for {
+			for h := hashJK(&k, len(ks)) >> t.shift; ; h = (h + 1) & t.mask {
 				s := &t.slots[h]
 				if !s.used {
-					return nil, false
+					continue hashedK
 				}
 				if s.key == k {
-					pay = t.slab[s.off : int(s.off)+len(j.payCols)]
-					break
+					out[m], moff[m] = r, int(s.off)
+					m++
+					continue hashedK
 				}
-				h = (h + 1) & t.mask
 			}
 		}
-		if len(p.joins) == 1 {
-			return pay, true
-		}
-		// Single-word payloads (the common case) skip memmove.
-		if len(pay) == 1 {
-			p.buf[j.payBase] = pay[0]
-		} else {
-			copy(p.buf[j.payBase:], pay)
+	}
+	slab, kept := j.slab(), out[:m]
+	for c := range j.payCols {
+		dst := v.pay[j.payBase+c][:]
+		for k, r := range kept {
+			dst[r] = slab[moff[k]+c]
 		}
 	}
-	return p.buf, true
+	return m
 }
 
-// word reads row i's word of logical slot s: a fact block column, or past
-// the scan list the payload word an earlier join gathered.
-func (p *prober) word(s, i int) int64 {
-	if s < p.nscan {
-		return p.cols[s][i]
+// narrow keeps the rows of sel whose word in src passes the test, in
+// order, writing them to out (which may be sel itself), and returns how
+// many it kept. Every row is written and the count advances only on a
+// pass, so the int loop has no data-dependent branch.
+//
+//htap:hotpath
+func (t *ftest) narrow(src []int64, sel, out []int32) int {
+	m := 0
+	if lo, span, neg, ok := t.intSpan(); ok {
+		for _, r := range sel {
+			out[m] = r
+			if (uint64(src[r]-lo) <= span) != neg {
+				m++
+			}
+		}
+		return m
 	}
-	return p.buf[s-p.nscan]
-}
-
-// filterRow evaluates the specialized range filters then any generic
-// tests for row i.
-func (e *fexec) filterRow(cols [][]int64, i int) bool {
-	for r := range e.ranges {
-		rg := &e.ranges[r]
-		// One branch per range: w ∈ [lo,hi] iff w-lo ≤ hi-lo unsigned
-		// (the subtraction rotates [lo,hi] onto [0,hi-lo]).
-		if uint64(cols[rg.slot][i]-rg.lo) > uint64(rg.hi-rg.lo) {
-			return false
+	if t.kind == fFloatRange {
+		lo, hi := t.flo, t.fhi
+		for _, r := range sel {
+			out[m] = r
+			if d := columnar.DecodeFloat(src[r]); d >= lo && d <= hi {
+				m++
+			}
+		}
+		return m
+	}
+	for _, r := range sel {
+		out[m] = r
+		if t.match(src[r]) {
+			m++
 		}
 	}
-	for r := range e.franges {
-		rg := &e.franges[r]
-		if d := columnar.DecodeFloat(cols[rg.slot][i]); d < rg.lo || d > rg.hi {
-			return false
-		}
-	}
-	for g := range e.gens {
-		f := &e.gens[g]
-		if !f.match(cols[f.slot][i]) {
-			return false
-		}
-	}
-	return true
+	return m
 }

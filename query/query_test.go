@@ -93,13 +93,18 @@ func run(t *testing.T, e *oltp.Engine, q olap.Query) olap.Result {
 }
 
 // runWorkers executes q over its whole fact table on a pool of the given
-// size.
-func runWorkers(t *testing.T, e *oltp.Engine, q olap.Query, workers int) olap.Result {
+// size. cuts, ascending, split the source into parts at those rows; the
+// engine cuts each part into chunk-aligned morsels, so a cut shortens the
+// morsels on either side of it.
+func runWorkers(t *testing.T, e *oltp.Engine, q olap.Query, workers int, cuts ...int64) olap.Result {
 	t.Helper()
 	tab := e.Table(q.FactTable()).Table()
-	src := olap.Source{Table: tab, Parts: []olap.Part{{
-		Data: tab.Active(), Lo: 0, Hi: tab.Rows(), Socket: 0, Label: "test",
-	}}}
+	src := olap.Source{Table: tab}
+	lo := int64(0)
+	for _, hi := range append(cuts, tab.Rows()) {
+		src.Parts = append(src.Parts, olap.Part{Data: tab.Active(), Lo: lo, Hi: hi, Socket: 0, Label: "test"})
+		lo = hi
+	}
 	eng := olap.NewEngine(1)
 	defer eng.Close()
 	eng.SetPlacement(topology.Placement{PerSocket: []int{workers}})

@@ -333,7 +333,7 @@ func serialMerge(e *oltp.Engine, q *Compiled) (olap.Result, int) {
 }
 
 // TestFusedMatchesReference holds every kernel family — each monomorphic
-// fast loop, the generic loops in all three grouping kinds, the
+// fast loop, the vector loop in all three grouping kinds, the
 // post-aggregation stages — to the interpreter, bitwise, at 1, 2 and 4
 // pool workers. The ten-filter and many-aggregate plans have more filters
 // and accumulators (34 CountIf never dedupe) than any CH query. The two
@@ -341,7 +341,14 @@ func serialMerge(e *oltp.Engine, q *Compiled) (olap.Result, int) {
 // partitions; they also hold the merge run serially on hand-driven
 // locals, as bench/probe.go runs it, to the pool-run result.
 //
-// The generic probe is covered per table representation and join count.
+// The vector loop's edges have cases of their own: morsels shorter than
+// a vector and of a length no multiple of it (the "split" cases run on a
+// source cut at row vecLen/2+3), a vector whose every row fails the
+// filter between vectors whose rows pass, dense group keys past denseLen
+// mixed into vectors of cell keys, and a payload one word wider than the
+// vectors Consume keeps on its stack.
+//
+// The vector probe is covered per table representation and join count.
 // Every plan with a join runs a second time with its build sides forced
 // through the hash tables ("-hashed"), which turns bdimc's dense table
 // into a composite-key hash table and leaves bdim1 (sparse: hashed either
@@ -389,6 +396,22 @@ func TestFusedMatchesReference(t *testing.T) {
 			Having(Gt("rev", 230.0)).OrderBy("n", true).Limit(40),
 		"spill-unordered-many": Scan("bfact").GroupBy("k3", "jk").
 			Agg(Sum("amount").As("rev"), Min("qty"), Avg("amount")),
+		"split-chain-probe-group": Scan("bfact").Filter(Between("qty", 5, 45)).
+			JoinGraph(joinDimC(), JoinOn(Rel("bdimc"), Rel("bdim1"), "pay", "id")).
+			GroupBy("pay").Agg(Sum("w").As("sw"), Sum("amount").As("rev"), Count().As("n")),
+		"split-dense-spill-mixed": Scan("bfact").Filter(Ne("qty", 7)).GroupBy("gx").
+			Agg(Sum("amount"), Avg("qty"), Min("amount"), Max("qty"), Count(), CountIf(Ge("qty", 20)).As("big")),
+		// Rows 2·vecLen..3·vecLen-1 of the first morsel are one whole vector.
+		"vector-all-fail": Scan("bfact").Filter(Not(Between("k1", 2*vecLen, 3*vecLen-1))).
+			JoinGraph(joinDimC()).GroupBy("pay").Agg(Sum("amount").As("rev"), Count().As("n")),
+		// Every key past denseLen: the dense cells are never made.
+		"dense-all-spill": Scan("bfact").Filter(Between("k1", denseLen, denseLen+2*vecLen)).GroupBy("k1").
+			Agg(Sum("amount").As("rev"), Count().As("n"), Max("qty")),
+		"dense-spill-mixed-probe": Scan("bfact").JoinGraph(JoinOn(Rel("bfact"), Rel("bdim1"), "k1", "id")).
+			GroupBy("gx").Agg(Sum("w").As("sw"), Sum("amount").As("rev"), Count().As("n")),
+		"wide-payload": Scan("bfact").Filter(Between("qty", 5, 45)).
+			JoinGraph(JoinOn(Rel("bfact"), Rel("bdimw"), "gid", "id")).
+			GroupBy("w0").Agg(wideSums()...),
 	}
 	tenFilters := []Pred{Ge("k1", 5), Le("k1", 99990), Ne("jk", 3), Ge("k2", 1), Ne("k2", 48),
 		Not(Between("gid", 20, 23)), Between("qty", 3, 48), Ne("qty", 25), Between("amount", 1.5, 140.0), Ne("tag", "phone")}
@@ -415,6 +438,10 @@ func TestFusedMatchesReference(t *testing.T) {
 		"chain-probe-group-sum-hashed":  "hashK hash1",
 	}
 	check := func(name string, plan *Plan, hashed bool) {
+		var cuts []int64
+		if strings.HasPrefix(name, "split-") {
+			cuts = []int64{vecLen/2 + 3}
+		}
 		for _, workers := range []int{1, 2, 4} {
 			t.Run(fmt.Sprintf("%s/workers=%d", name, workers), func(t *testing.T) {
 				forceHashJoins.Store(hashed)
@@ -428,7 +455,10 @@ func TestFusedMatchesReference(t *testing.T) {
 						t.Fatalf("the generic loops probe %q, want %q", got, want)
 					}
 				}
-				fused := runWorkers(t, e, q, workers)
+				if strings.HasPrefix(name, "wide-payload") && q.npayTotal <= payStackWords {
+					t.Fatalf("the payload is %d words; this case must be wider than the %d Consume keeps on its stack", q.npayTotal, payStackWords)
+				}
+				fused := runWorkers(t, e, q, workers, cuts...)
 				if name == "spill-having-topk" && fused.SortedRows <= int64(len(fused.Rows)) {
 					t.Fatalf("%d rows pass Having, %d emitted: the Limit must fall below the survivors", fused.SortedRows, len(fused.Rows))
 				}
@@ -441,7 +471,7 @@ func TestFusedMatchesReference(t *testing.T) {
 						t.Fatalf("the serial Merge diverges from the pool-run one:\nserial: %+v\npool:   %+v", serial, fused)
 					}
 				}
-				if ref := runWorkers(t, e, refQuery{plan, cat}, workers); !reflect.DeepEqual(fused, ref) {
+				if ref := runWorkers(t, e, refQuery{plan, cat}, workers, cuts...); !reflect.DeepEqual(fused, ref) {
 					t.Fatalf("fused result diverges from the reference:\nfused: %+v\nref:   %+v", fused, ref)
 				}
 			})
@@ -453,4 +483,14 @@ func TestFusedMatchesReference(t *testing.T) {
 			check(name+"-hashed", plan, true)
 		}
 	}
+}
+
+// wideSums sums every payload word of bdimw but the group key, and a fact
+// column.
+func wideSums() []Agg {
+	aggs := []Agg{Sum("amount").As("rev")}
+	for c := 1; c <= payStackWords; c++ {
+		aggs = append(aggs, Sum(fmt.Sprintf("w%d", c)))
+	}
+	return aggs
 }
