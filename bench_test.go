@@ -365,6 +365,24 @@ func BenchmarkQ6Builder(b *testing.B) {
 	}
 }
 
+// BenchmarkQ6Narrow is BenchmarkQ6Builder at a quantity bracket the
+// benchmark workloads draw: 1–5 over quantities uniform in 1–10 passes
+// about half the rows, at random, where BenchmarkQ6Builder's default
+// bracket passes every row. The choice of Q6's kernel loop rests on this
+// case: a per-row branch mispredicts on it and a branch-free filter does
+// not.
+func BenchmarkQ6Narrow(b *testing.B) {
+	db, eng, src := benchGoldenSetup(b, 8)
+	q := stamped(b, db, "Q6", ch.Q6Args(0, 0, 1, 5))
+	b.SetBytes(src.Rows() * 3 * 8)
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if _, _, err := eng.ExecuteContext(context.Background(), q, src); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
+
 // BenchmarkQ1Builder exercises the generic group-by kernel (compare with
 // BenchmarkQ1Handcoded).
 func BenchmarkQ1Builder(b *testing.B) {

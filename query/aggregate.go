@@ -181,7 +181,7 @@ func (e *fexec) NewLocal() olap.Local {
 
 // denseCap is the cell count a dense array grows to for key k: doubling
 // from 16 until k fits, capped at denseLen (keys past the cap go through
-// lookupTab).
+// spillOff).
 func denseCap(k int64) int {
 	n := 16
 	for n <= int(k) {
@@ -292,19 +292,16 @@ func (l *flocal) Consume(b olap.Block) {
 	if e.never || b.N == 0 {
 		return
 	}
-	switch e.spec {
-	case specGlobalSumF2:
-		l.runGlobalSumF2(b)
-	case specDenseSumIF:
+	if e.spec == specDenseSumIF {
 		l.runDenseSumIF(b)
-	default:
-		l.consume(b)
+		return
 	}
+	l.consume(b)
 }
 
 // consume runs the vector loop over one block. The payload vectors live
 // on this goroutine's stack — nothing two workers write is ever adjacent
-// — in this frame, not Consume's, so the fast loops run on a small stack.
+// — in this frame, not Consume's, so the fast loop runs on a small stack.
 func (l *flocal) consume(b olap.Block) {
 	switch n := l.e.c.npayTotal; {
 	case n == 0:

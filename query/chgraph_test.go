@@ -46,7 +46,9 @@ func bindCH(t *testing.T, db *ch.DB, plan *query.Plan, args query.Args) *query.C
 // one-join and from a multi-join plan: dense from Q12 and OLxItem (one
 // join) and Q2/Q5/Q7 (several, some of each keyed on an earlier join's
 // payload); forced, Q12 probes a composite-key hash table, OLxItem a
-// single-key one, Q5 and Q7 both kinds. Q3 runs its monomorphic loop.
+// single-key one, Q5 and Q7 both kinds. Q3's build side holds only the
+// orders NewOrder added (carrier 0, which the loader never writes) and is
+// rebuilt on every execution, so Q3 is held to the same answers only.
 func TestDenseMatchesHashedOnCHGraphPlans(t *testing.T) {
 	e := oltp.NewEngine()
 	db := ch.Load(e, ch.SizingForScale(0.01), 1)
@@ -78,7 +80,7 @@ func TestDenseMatchesHashedOnCHGraphPlans(t *testing.T) {
 		"Q7":  ch.Q7PlanParam,
 		"Q12": ch.Q12PlanParam,
 		// The one shape CH lacks: a single-key payload join on its own
-		// (Q19's is a semi join and runs a monomorphic loop).
+		// (Q19's is a semi join: it projects no payload).
 		"OLxItem": func() *query.Plan {
 			return query.Scan(ch.TOrderLine).
 				JoinGraph(query.JoinOn(query.Rel(ch.TOrderLine), query.Rel(ch.TItem), "ol_i_id", "i_id")).
@@ -153,6 +155,46 @@ func TestCHGreedyOrdersPinned(t *testing.T) {
 			}
 			if got := query.ExecOrder(q); !reflect.DeepEqual(got, want[p.name]) {
 				t.Errorf("%s at %d warehouses: order %q, want %q", p.name, sz.Warehouses, got, want[p.name])
+			}
+		}
+	}
+}
+
+// TestCHKernelChoicePinned pins which loop each CH plan runs, stamped
+// with arguments from the ranges the benchmark workloads draw: Q1 runs
+// its fused loop (specDenseSumIF) and every other plan the vector loop.
+// fresh-scan's median query time rises by about a third when Q1 runs the
+// vector loop, so a plan edit that breaks its shape match must fail here;
+// Q6's quantity brackets pass about half the rows at random, where the
+// vector loop's branch-free filter beats a fused loop's per-row branch.
+func TestCHKernelChoicePinned(t *testing.T) {
+	db := ch.Load(oltp.NewEngine(), ch.TinySizing(), 1)
+	yearAgo := []int64{ch.LoadDay - 365, ch.LoadDay - 365 + 59}
+	var q6 []query.Args
+	for lo := int64(1); lo <= 3; lo++ {
+		for hi := lo + 4; hi <= lo+6; hi++ {
+			q6 = append(q6, ch.Q6Args(0, 0, lo, hi))
+		}
+	}
+	for _, c := range []struct {
+		name string
+		plan func() *query.Plan
+		args []query.Args
+	}{
+		{"Q1", ch.Q1PlanParam, []query.Args{ch.Q1Args(yearAgo[0]), ch.Q1Args(yearAgo[1])}},
+		{"Q2", ch.Q2PlanParam, []query.Args{ch.Q2Args(10, 40), ch.Q2Args(19, 49)}},
+		{"Q3", ch.Q3PlanParam, []query.Args{ch.Q3Args(0)}},
+		{"Q5", ch.Q5PlanParam, []query.Args{ch.Q5Args(40), ch.Q5Args(59)}},
+		{"Q6", ch.Q6PlanParam, q6},
+		{"Q7", ch.Q7PlanParam, []query.Args{ch.Q7Args(yearAgo[0]), ch.Q7Args(yearAgo[1])}},
+		{"Q12", ch.Q12PlanParam, []query.Args{ch.Q12Args(yearAgo[0]), ch.Q12Args(yearAgo[1])}},
+		{"Q18", ch.Q18PlanParam, []query.Args{ch.Q18Args(200), ch.Q18Args(299)}},
+		{"Q19", ch.Q19PlanParam, []query.Args{ch.Q19Args(1, 6, 1, 61), ch.Q19Args(3, 8, 20, 80)}},
+	} {
+		for _, args := range c.args {
+			fused := query.ProbedTables(bindCH(t, db, c.plan(), args)) == "spec"
+			if want := c.name == "Q1"; fused != want {
+				t.Errorf("%s stamped %v: runs the fused loop %v, want %v", c.name, args, fused, want)
 			}
 		}
 	}

@@ -15,6 +15,11 @@ func ExecOrder(c *Compiled) []string {
 	return names
 }
 
+// ProbedTables exposes probedTables: "spec" when a stamped plan runs
+// Q1's fused loop (kernel_fast.go), else the tables the vector loop
+// probes.
+var ProbedTables = probedTables
+
 // ReverseEdges reverses the plan's join edges in place.
 func ReverseEdges(p *Plan) *Plan {
 	slices.Reverse(p.graph)

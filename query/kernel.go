@@ -7,7 +7,7 @@ package query
 // group keys resolve to accumulator offsets, and each accumulator op runs
 // one loop over the selection. Nothing larger than a vector is ever
 // materialized, and the vectors live on the consuming goroutine's stack.
-// Two scan shapes keep fully fused loops (kernel_fast.go).
+// One scan shape, CH-Q1's, keeps a fully fused loop (kernel_fast.go).
 //
 // The split between Bind and Prepare matters for prepared statements:
 // WithArgs stamping may change a predicate's evaluation kind (a range

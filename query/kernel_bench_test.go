@@ -12,13 +12,13 @@ import (
 	"elastichtap/internal/topology"
 )
 
-// Micro-benchmarks for the fused kernel stages in isolation — filter
-// only, filter+probe, filter+probe+aggregate — across the column shapes
-// the specializer distinguishes (int64 ranges, float64 ranges, dict-coded
-// equality). Each fixes one plan shape so a regression in a single stage
-// (or a spec that silently stops matching its shape) shows up as a
+// Micro-benchmarks for the kernel stages in isolation — filter only,
+// filter+probe, filter+probe+aggregate — across the column shapes Prepare
+// distinguishes (int64 ranges, float64 ranges, dict-coded equality). Each
+// fixes one plan shape so a regression in a single stage shows up as a
 // per-row cost change in that benchmark alone, instead of being averaged
-// into the end-to-end CH query numbers in the root bench suite.
+// into the end-to-end CH query numbers in the root bench suite. Which
+// loop each CH plan runs is pinned by TestCHKernelChoicePinned.
 
 const benchRows = 1 << 17
 
@@ -179,7 +179,7 @@ func BenchmarkKernelFilterCountDict(b *testing.B) {
 
 // BenchmarkKernelFilterProbeSum: one int64 bracket plus a single-key
 // existence probe into the selective dimension, summing a float — CH-Q19's
-// shape, on the vector loop since its fused loop was retired.
+// shape.
 func BenchmarkKernelFilterProbeSum(b *testing.B) {
 	runKernelBench(b, Scan("bfact").
 		Filter(Between("qty", 5, 45)).
@@ -209,8 +209,9 @@ func BenchmarkKernelProbeGroupSumSpill(b *testing.B) {
 }
 
 // BenchmarkKernelDenseGroupSumIntFloat: one bracket and a dense
-// single-key group with int-sum + float-sum — the specDenseSumIF shape
-// (one 24-byte cell update per qualifying row).
+// single-key group with int-sum + float-sum — CH-Q1's shape, the one
+// plan shape with a fused loop (specDenseSumIF: one 24-byte cell update
+// per qualifying row).
 func BenchmarkKernelDenseGroupSumIntFloat(b *testing.B) {
 	runKernelBench(b, Scan("bfact").
 		Filter(Between("qty", 5, 45)).

@@ -284,8 +284,8 @@ func (e *refExec) Merge(locals []olap.Local) olap.Result {
 }
 
 // probedTables prepares q and names the table each of its joins probes,
-// in execution order; "spec" when a monomorphic loop runs instead of the
-// generic ones.
+// in execution order; "spec" when Q1's fused loop runs instead of the
+// vector loop.
 func probedTables(q *Compiled) string {
 	exec, _ := q.Prepare()
 	e := exec.(*fexec)
@@ -332,13 +332,13 @@ func serialMerge(e *oltp.Engine, q *Compiled) (olap.Result, int) {
 	return res, parts
 }
 
-// TestFusedMatchesReference holds every kernel family — each monomorphic
-// fast loop, the vector loop in all three grouping kinds, the
-// post-aggregation stages — to the interpreter, bitwise, at 1, 2 and 4
-// pool workers. The ten-filter and many-aggregate plans have more filters
-// and accumulators (34 CountIf never dedupe) than any CH query. The two
-// spill- cases have enough groups for the merge to fan out into hash
-// partitions; they also hold the merge run serially on hand-driven
+// TestFusedMatchesReference holds every kernel family — Q1's fused loop
+// (dense-group-sum-int-float), the vector loop in all three grouping
+// kinds, the post-aggregation stages — to the interpreter, bitwise, at 1,
+// 2 and 4 pool workers. The ten-filter and many-aggregate plans have more
+// filters and accumulators (34 CountIf never dedupe) than any CH query.
+// The two spill- cases have enough groups for the merge to fan out into
+// hash partitions; they also hold the merge run serially on hand-driven
 // locals, as bench/probe.go runs it, to the pool-run result.
 //
 // The vector loop's edges have cases of their own: morsels shorter than
@@ -358,8 +358,13 @@ func serialMerge(e *oltp.Engine, q *Compiled) (olap.Result, int) {
 //	dense       filter-probe-group-sum           chain-probe-group-sum (bdimc)
 //	hash, 1 key probe1-group-sum                 chain-probe-group-sum (bdim1, keyed on bdimc's payload)
 //	hash, n key filter-probe-group-sum-hashed    chain-probe-group-sum-hashed (bdimc)
+//
+// The dup-key cases join bdimdup, whose later rows repeat keys with other
+// payloads: the later row wins, in the dense table and in both hash
+// tables, as it does in the interpreter.
 func TestFusedMatchesReference(t *testing.T) {
 	cat, e := newBenchCatalog(t)
+	addDupDim(e)
 	cases := map[string]*Plan{
 		"filter-count-int64":   Scan("bfact").Filter(Between("qty", 10, 40), Ge("gid", 8)).Agg(Count()),
 		"filter-count-float64": Scan("bfact").Filter(Between("amount", 20.0, 100.0)).Agg(Count()),
@@ -409,6 +414,10 @@ func TestFusedMatchesReference(t *testing.T) {
 			Agg(Sum("amount").As("rev"), Count().As("n"), Max("qty")),
 		"dense-spill-mixed-probe": Scan("bfact").JoinGraph(JoinOn(Rel("bfact"), Rel("bdim1"), "k1", "id")).
 			GroupBy("gx").Agg(Sum("w").As("sw"), Sum("amount").As("rev"), Count().As("n")),
+		"dup-key-probe-group": Scan("bfact").JoinGraph(JoinOn(Rel("bfact"), Rel("bdimdup"), "gid", "id")).
+			GroupBy("pay").Agg(Sum("w").As("sw"), Sum("amount").As("rev"), Count().As("n")),
+		"dup-key2-probe-group": Scan("bfact").JoinGraph(JoinOn(Rel("bfact"), Rel("bdimdup"), "gid", "id", "k2", "k2")).
+			GroupBy("pay").Agg(Sum("w").As("sw"), Count().As("n")),
 		"wide-payload": Scan("bfact").Filter(Between("qty", 5, 45)).
 			JoinGraph(JoinOn(Rel("bfact"), Rel("bdimw"), "gid", "id")).
 			GroupBy("w0").Agg(wideSums()...),
@@ -428,14 +437,17 @@ func TestFusedMatchesReference(t *testing.T) {
 		cases["ten-filters-"+name] = shape().Filter(tenFilters...).Agg(Sum("amount"), Count())
 		cases["many-aggs-"+name] = shape().Filter(Between("qty", 5, 45)).Agg(manyAggs...)
 	}
-	// probed names, for the six cells above, the table each join of the
-	// plan must be probing through the generic loops.
+	// probed names, for the cells above, the table each join of the plan
+	// must be probing through the vector loop.
 	probed := map[string]string{
 		"filter-probe-group-sum":        "dense",
 		"probe1-group-sum":              "hash1",
 		"filter-probe-group-sum-hashed": "hashK",
 		"chain-probe-group-sum":         "dense hash1",
 		"chain-probe-group-sum-hashed":  "hashK hash1",
+		"dup-key-probe-group":           "dense",
+		"dup-key-probe-group-hashed":    "hash1",
+		"dup-key2-probe-group-hashed":   "hashK",
 	}
 	check := func(name string, plan *Plan, hashed bool) {
 		var cuts []int64
@@ -452,7 +464,7 @@ func TestFusedMatchesReference(t *testing.T) {
 				}
 				if want, ok := probed[name]; ok {
 					if got := probedTables(q); got != want {
-						t.Fatalf("the generic loops probe %q, want %q", got, want)
+						t.Fatalf("the vector loop probes %q, want %q", got, want)
 					}
 				}
 				if strings.HasPrefix(name, "wide-payload") && q.npayTotal <= payStackWords {
@@ -470,6 +482,11 @@ func TestFusedMatchesReference(t *testing.T) {
 					if !reflect.DeepEqual(serial, fused) {
 						t.Fatalf("the serial Merge diverges from the pool-run one:\nserial: %+v\npool:   %+v", serial, fused)
 					}
+				}
+				if strings.HasPrefix(name, "dup-key") && !slices.ContainsFunc(fused.Rows, func(row []float64) bool {
+					return row[slices.Index(fused.Cols, "pay")] >= dupPay
+				}) {
+					t.Fatal("no group carries a later row's payload; the duplicate keys test nothing")
 				}
 				if ref := runWorkers(t, e, refQuery{plan, cat}, workers, cuts...); !reflect.DeepEqual(fused, ref) {
 					t.Fatalf("fused result diverges from the reference:\nfused: %+v\nref:   %+v", fused, ref)
@@ -493,4 +510,30 @@ func wideSums() []Agg {
 		aggs = append(aggs, Sum(fmt.Sprintf("w%d", c)))
 	}
 	return aggs
+}
+
+// dupPay is where bdimdup's later payloads start: every earlier one is
+// below it.
+const dupPay = 8
+
+// addDupDim loads bdimdup(id, k2, pay, w), keyed by id (or by id and k2)
+// on bfact's gid (and k2): one row per id in 0..63, then, appended in a
+// second batch, a row for every third id again, whose pay and w differ
+// from the first row's.
+func addDupDim(e *oltp.Engine) {
+	t := e.CreateTable(columnar.Schema{Name: "bdimdup", Columns: []columnar.ColumnDef{
+		{Name: "id", Type: columnar.Int64},
+		{Name: "k2", Type: columnar.Int64},
+		{Name: "pay", Type: columnar.Int64},
+		{Name: "w", Type: columnar.Float64},
+	}}, 16, false).Table()
+	var first, later [][]int64
+	for g := 0; g < 64; g++ {
+		first = append(first, t.EncodeRow(int64(g), int64(g%50), int64(g%dupPay), float64(g%90)+1))
+		if g%3 == 0 {
+			later = append(later, t.EncodeRow(int64(g), int64(g%50), int64(dupPay+g%5), float64(g)+100.5))
+		}
+	}
+	t.AppendRows(first, 0)
+	t.AppendRows(later, 1)
 }
