@@ -13,10 +13,12 @@ import (
 // width is fixed per plan so they never collide).
 type gkey [maxGroupCols]int64
 
-// denseLen bounds the dense fast path for single-column group keys: keys
-// in [0, denseLen) index a flat accumulator array instead of a hash map
-// (warehouse ids, line numbers, small dictionary codes); larger keys
-// spill to the hash table.
+// denseLen bounds the dense group cells: a key that resolves to a cell
+// under it indexes a flat accumulator array instead of the spill table.
+// A one-word key is its own cell (warehouse ids, line numbers, small
+// dictionary codes); a key of join payload words packs over the words'
+// build-side ranges (Q7's nation pairs; see layoutGroups). Any other key
+// spills to the table.
 const denseLen = 1024
 
 // acc is one aggregate's partial state. Sum and Avg use sum+count, Min/Max
@@ -155,8 +157,8 @@ type flocal struct {
 	e         *fexec
 	globalBuf [4]acc
 	global    []acc   // gNone
-	flat      []acc   // gDense: flat[key*nacc+j]
-	present   []bool  // gDense occupancy
+	flat      []acc   // gDense: flat[cell*nacc+j]
+	present   []bool  // gDense cell occupancy
 	flatIF    []sumIF // specDenseSumIF: dense cells, cnt>0 = present
 	tab       *groupTab
 }
@@ -174,27 +176,38 @@ func (e *fexec) NewLocal() olap.Local {
 	if e.gkind == gSpill {
 		// Spill plans always hash: building the table here keeps the
 		// per-block consume paths allocation-free (//htap:hotpath).
-		l.tab = newGroupTab(e.nacc, max(e.ngroup, 1), 0)
+		l.newTab()
 	}
 	return l
 }
 
-// denseCap is the cell count a dense array grows to for key k: doubling
-// from 16 until k fits, capped at denseLen (keys past the cap go through
-// spillOff).
-func denseCap(k int64) int {
-	n := 16
-	for n <= int(k) {
-		n *= 2
-	}
-	return min(n, denseLen)
-}
-
-// growDense grows the flat array and its occupancy to denseCap(k).
+// newTab creates the local's group table: a spill plan's up front, a
+// dense plan's on its first key outside the cells.
 //
 //htap:coldpath
-func (l *flocal) growDense(k int64) {
-	n := denseCap(k)
+func (l *flocal) newTab() {
+	l.tab = newGroupTab(l.e.nacc, max(l.e.ngroup, 1), 0)
+}
+
+// denseCap is the cell count a dense array grows to for cell x: a packed
+// layout's every cell at once (its ranges came from the data), a one-word
+// key's doubling from 16 until x fits, capped at gcells.
+func (e *fexec) denseCap(x uint64) int {
+	if e.ngroup > 1 {
+		return e.gcells
+	}
+	n := 16
+	for uint64(n) <= x {
+		n *= 2
+	}
+	return min(n, e.gcells)
+}
+
+// growDense grows the flat array and its occupancy to denseCap(x).
+//
+//htap:coldpath
+func (l *flocal) growDense(x uint64) {
+	n := l.e.denseCap(x)
 	flat := make([]acc, n*l.e.nacc)
 	copy(flat, l.flat)
 	present := make([]bool, n)
@@ -206,7 +219,7 @@ func (l *flocal) growDense(k int64) {
 //
 //htap:coldpath
 func (l *flocal) growIF(k int64) {
-	flat := make([]sumIF, denseCap(k))
+	flat := make([]sumIF, l.e.denseCap(uint64(k)))
 	copy(flat, l.flatIF)
 	l.flatIF = flat
 }
@@ -217,7 +230,7 @@ func (l *flocal) growIF(k int64) {
 //htap:coldpath
 func (l *flocal) spillOff(k int64) int32 {
 	if l.tab == nil {
-		l.tab = newGroupTab(l.e.nacc, 1, 0)
+		l.newTab()
 	}
 	return int32(l.tab.offset(&gkey{k}))
 }
@@ -261,8 +274,8 @@ type vecs struct {
 	pay     [][vecLen]int64 // payload words, by payload slot
 	sel     [vecLen]int32
 	goff    [vecLen]int32 // per selected row, its group's accumulator offset
-	// A dense plan's selected rows whose keys pass denseLen, and their
-	// offsets in the spill table.
+	// A dense plan's selected rows whose keys fall outside its cells, and
+	// their offsets in the spill table.
 	xsel, xoff [vecLen]int32
 	moff       [vecLen]int // per kept row of a probe, its payload's slab offset
 }
@@ -343,43 +356,105 @@ func (l *flocal) run(b olap.Block, pay [][vecLen]int64) {
 				e.updateGroups(l.tab.arena, &v, v.xsel[:nx], v.xoff[:nx])
 			}
 		default:
-			l.resolveSpill(&v, sel)
+			l.resolveSpill(&v, sel, &v.goff)
 			e.updateGroups(l.tab.arena, &v, sel, v.goff[:len(sel)])
 		}
 	}
 }
 
-// resolveDense resolves the selection's group keys: a key under denseLen
-// marks its cell present and keeps its row in v.sel with the cell's
-// offset in v.goff; a key past it moves its row to v.xsel with its
+// resolveDense resolves the selection's group keys: a key inside the
+// cells marks its cell present and keeps its row in v.sel with the cell's
+// offset in v.goff; a key outside them moves its row to v.xsel with its
 // spill-table offset in v.xoff. It returns how many rows each side got.
 // The two sides hold disjoint groups and each stays ascending, so running
-// one side's ops before the other's keeps every group's row order.
+// one side's ops before the other's keeps every group's row order. A
+// packed key's words come from build sides whose ranges the cells cover,
+// so only a one-word key past denseLen spills in practice.
 func (l *flocal) resolveDense(v *vecs, sel []int32) (nd, nx int) {
-	nacc := int32(l.e.nacc)
-	key := v.slot(l.e.c.groups[0])
-	for _, r := range sel {
-		k := key[r]
-		if uint64(k) >= uint64(len(l.present)) {
-			if uint64(k) >= denseLen {
-				v.xsel[nx], v.xoff[nx] = r, l.spillOff(k)
-				nx++
-				continue
+	e := l.e
+	nacc := int32(e.nacc)
+	if e.ngroup == 1 {
+		key, lo, span := v.slot(e.c.groups[0]), e.glo[0], e.gspan[0]
+		for _, r := range sel {
+			x := uint64(key[r] - lo)
+			if x >= uint64(len(l.present)) {
+				if x >= span {
+					v.xsel[nx] = r
+					nx++
+					continue
+				}
+				l.growDense(x)
 			}
-			l.growDense(k)
+			l.present[x] = true
+			v.sel[nd], v.goff[nd] = r, int32(x)*nacc
+			nd++
 		}
-		l.present[k] = true
-		v.sel[nd], v.goff[nd] = r, int32(k)*nacc
-		nd++
+	} else if nd = l.resolvePacked(v, sel); nd < 0 {
+		nd = 0
+	rows:
+		for _, r := range sel {
+			var cell uint64
+			for d := range e.ngroup {
+				x := uint64(v.slot(e.c.groups[d])[r] - e.glo[d])
+				if x >= e.gspan[d] {
+					v.xsel[nx] = r
+					nx++
+					continue rows
+				}
+				cell += x * e.gstride[d]
+			}
+			l.present[cell] = true
+			v.sel[nd], v.goff[nd] = r, int32(cell)*nacc
+			nd++
+		}
+	}
+	if nx > 0 {
+		if l.tab == nil {
+			l.newTab()
+		}
+		l.resolveSpill(v, v.xsel[:nx], &v.xoff)
 	}
 	return nd, nx
 }
 
-// resolveSpill resolves the selection's composite group keys to their
-// offsets in the spill table, creating groups in row order. A row whose
+// resolvePacked resolves a packed composite key a word at a time: one
+// subtract and multiply-add per row and word into v.goff, then one pass
+// that marks the cells present. It returns len(sel), or -1, having
+// marked nothing, when some word lies outside its range: resolveDense
+// then takes the vector a row at a time.
+func (l *flocal) resolvePacked(v *vecs, sel []int32) int {
+	e := l.e
+	if l.present == nil {
+		l.growDense(0)
+	}
+	cells := v.goff[:len(sel)]
+	clear(cells)
+	for d := range e.ngroup {
+		kv, lo, stride := v.slot(e.c.groups[d]), e.glo[d], e.gstride[d]
+		var far uint64
+		for i, r := range sel {
+			x := uint64(kv[r] - lo)
+			far = max(far, x)
+			cells[i] += int32(x * stride)
+		}
+		if far >= e.gspan[d] {
+			return -1
+		}
+	}
+	nacc, present := int32(e.nacc), l.present
+	for i, c := range cells {
+		present[c] = true
+		cells[i] = c * nacc
+	}
+	copy(v.sel[:], sel)
+	return len(sel)
+}
+
+// resolveSpill resolves the group keys of rows sel to their offsets in
+// the spill table, into goff, creating groups in row order. A row whose
 // key repeats the previous row's reuses its offset without hashing: rows
 // of one group often come in runs (Q18's and Q3's order lines).
-func (l *flocal) resolveSpill(v *vecs, sel []int32) {
+func (l *flocal) resolveSpill(v *vecs, sel []int32, goff *[vecLen]int32) {
 	var keys [maxGroupCols][]int64
 	for d, s := range l.e.c.groups {
 		keys[d] = v.slot(s)
@@ -396,7 +471,7 @@ func (l *flocal) resolveSpill(v *vecs, sel []int32) {
 		if off < 0 || k != prev {
 			off, prev = tab.offset(&k), k
 		}
-		v.goff[i] = int32(off)
+		goff[i] = int32(off)
 	}
 }
 

@@ -15,6 +15,12 @@ package query
 // arbitrary int64 keys, selectively filtered builds — keep hashing. The
 // choice is made from the data.
 //
+// When a group word is among a join's payload, either form also records
+// each payload word's [min, max] over its rows (payDomain). A plan whose
+// group key is made of payload words packs it with the same arithmetic
+// into dense group cells (layoutGroups in kernel.go): Q7's nation pairs
+// group without a hash.
+//
 // Dense tables are kept on the bound statement (buildCache, shared by
 // every WithArgs clone). An entry stays usable while every dimension
 // column it read — keys, payload, predicates — has ColumnUpdateCount()==0,
@@ -22,7 +28,8 @@ package query
 // read the same chunks (the invariant documented on columnar.Table's
 // colUpdates), and while the stamped build-side predicate values equal
 // the ones it was filtered by. A usable entry is extended with the rows
-// appended since it was built; anything else rebuilds from row 0. What
+// appended since it was built, its payload ranges widened to them;
+// anything else rebuilds from row 0. What
 // Prepare reports as build bytes is always the logical broadcast volume
 // of the join — the rows a from-scratch build would read — so the cost
 // model and the scheduler see the same query whether the table was
@@ -50,9 +57,18 @@ var forceHashJoins atomic.Bool
 // buildSide is what one execution probes for one join: a dense table, or
 // one of the two hash tables selected by the key width.
 type buildSide struct {
-	dn *denseTab
-	j1 joinTab[int64]
-	jK joinTab[jkey]
+	dn  *denseTab
+	j1  joinTab[int64]
+	jK  joinTab[jkey]
+	pay payDomain // a hashed side's; a dense one keeps its own
+}
+
+// payDom is the build side's payload domain.
+func (s *buildSide) payDom() *payDomain {
+	if s.dn != nil {
+		return &s.dn.pay
+	}
+	return &s.pay
 }
 
 // denseTab is the arithmetically packed build table. It is immutable once
@@ -67,11 +83,42 @@ type denseTab struct {
 	slab []int64 // payload rows of npay words each, in insertion order
 	nrow int32
 	npay int
+	pay  payDomain
 	// Key word d of a probe lands at (k_d − min[d])·stride[d] when
 	// k_d − min[d] < span[d]; anything else cannot be in the table.
 	min    [maxJoinCols]int64
 	span   [maxJoinCols]uint64
 	stride [maxJoinCols]uint64
+}
+
+// payDomain is each payload word's [lo, hi] over a build side's slab,
+// so every word a probe gathers lies inside it (a row a later duplicate
+// key replaced still counts: the range is a bound). A plan grouped on
+// payload words packs its group cells over these ranges (kernel.go). lo
+// is nil while the slab is empty, and for a join whose payload holds no
+// group word: nothing reads its ranges.
+type payDomain struct {
+	lo, hi []int64
+}
+
+// coverPay widens d, the payload domain of a build side of join j, by
+// the slab's rows from row from on, when j is ranged.
+func (j *joinPlan) coverPay(d *payDomain, slab []int64, from int) {
+	npay := len(j.payCols)
+	if !j.ranged || from*npay >= len(slab) {
+		return
+	}
+	if d.lo == nil {
+		row := slab[from*npay : (from+1)*npay]
+		d.lo, d.hi = slices.Clone(row), slices.Clone(row)
+	}
+	for c := range npay {
+		lo, hi := d.lo[c], d.hi[c]
+		for off := from*npay + c; off < len(slab); off += npay {
+			lo, hi = min(lo, slab[off]), max(hi, slab[off])
+		}
+		d.lo[c], d.hi[c] = lo, hi
+	}
 }
 
 // keyDomain is what a build's rows look like before a representation is
@@ -197,6 +244,10 @@ func (t *denseTab) extended(j *joinPlan, lo, hi int64, read *int64) *denseTab {
 	})
 	if !fits {
 		return nil
+	}
+	if j.ranged {
+		nt.pay = payDomain{slices.Clone(t.pay.lo), slices.Clone(t.pay.hi)}
+		j.coverPay(&nt.pay, nt.slab, int(t.nrow))
 	}
 	return &nt
 }
@@ -426,6 +477,7 @@ func (c *Compiled) buildJoin(ji int) (side buildSide, scanned int64) {
 			// build over updated columns.
 			if fits {
 				t.elideIdx()
+				j.coverPay(&t.pay, t.slab, 0)
 				var keep buildEntry
 				if j.appendOnly() {
 					keep = buildEntry{tab: t, built: rows, preds: slices.Clone(j.preds)}
@@ -452,6 +504,7 @@ func (c *Compiled) buildJoin(ji int) (side buildSide, scanned int64) {
 			k := run.key(0, i)
 			side.j1.add(k, hash1(k), hash1, run, i)
 		})
+		j.coverPay(&side.pay, side.j1.slab, 0)
 	} else {
 		hash := func(k jkey) uint64 { return hashJK(&k, nkey) }
 		side.jK.init(n0, len(j.payCols))
@@ -462,6 +515,7 @@ func (c *Compiled) buildJoin(ji int) (side buildSide, scanned int64) {
 			}
 			side.jK.add(k, hashJK(&k, nkey), hash, run, i)
 		})
+		j.coverPay(&side.pay, side.jK.slab, 0)
 	}
 	c.builds.rebuilt(ji, buildEntry{}, read)
 	return side, scanned

@@ -43,6 +43,9 @@ type joinPlan struct {
 	// dimension columns touched (keys, payload, predicate columns) —
 	// charged to the cost model as build bytes.
 	words int
+	// ranged is set when a group word is among the payload: the join's
+	// build sides then record their payload ranges (payDomain).
+	ranged bool
 }
 
 // Compiled is a bound, executable plan. It implements olap.Query, so it
@@ -85,6 +88,19 @@ type Compiled struct {
 	// build.go). Like fuse it is one pointer shared by every WithArgs
 	// clone; nil for plans without joins.
 	builds *buildCache
+}
+
+// payJoin finds the join whose payload fills logical slot s, and the
+// column's index among that join's payload; ok is false for a fact
+// column.
+func (c *Compiled) payJoin(s int) (ji, col int, ok bool) {
+	p := s - len(c.cols)
+	for ji, j := range c.joins {
+		if col := p - j.payBase; col >= 0 && col < len(j.payCols) {
+			return ji, col, true
+		}
+	}
+	return 0, 0, false
 }
 
 // Name implements olap.Query.
@@ -305,6 +321,9 @@ func (p *Plan) Bind(cat Catalog) (*Compiled, error) {
 			return nil, fmt.Errorf("query: group column %q is %v; only int64 keys are supported", g, colType(g))
 		}
 		c.groups = append(c.groups, idx)
+		if ji, _, ok := c.payJoin(idx); ok {
+			c.joins[ji].ranged = true
+		}
 	}
 
 	for _, g := range p.groups {

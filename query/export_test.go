@@ -20,6 +20,10 @@ func ExecOrder(c *Compiled) []string {
 // probes.
 var ProbedTables = probedTables
 
+// GroupLayout exposes groupLayout: how a stamped plan's group keys
+// address their accumulators.
+var GroupLayout = groupLayout
+
 // ReverseEdges reverses the plan's join edges in place.
 func ReverseEdges(p *Plan) *Plan {
 	slices.Reverse(p.graph)

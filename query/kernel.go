@@ -206,9 +206,18 @@ type fexec struct {
 	// this execution probes: none, one, or several.
 	joins []fjoin
 
-	gkind uint8
-	ops   []aggOp
-	spec  uint8 // monomorphic fast-loop selection (kernel_fast.go)
+	// gkind is how group keys address accumulators (layoutGroups). A
+	// gDense key resolves to the cell Σ (k_d − glo[d])·gstride[d] when
+	// every k_d − glo[d] < gspan[d], one of gcells; any other key spills to
+	// the group table.
+	gkind   uint8
+	glo     [maxGroupCols]int64
+	gspan   [maxGroupCols]uint64
+	gstride [maxGroupCols]uint64
+	gcells  int
+
+	ops  []aggOp
+	spec uint8 // monomorphic fast-loop selection (kernel_fast.go)
 }
 
 // addRange intersects an int range filter with the one already on its
@@ -248,14 +257,6 @@ func (c *Compiled) prepareFused() (olap.Exec, int64) {
 		}
 	}
 	e.filters = append(e.filters, others...)
-	switch e.ngroup {
-	case 0:
-		e.gkind = gNone
-	case 1:
-		e.gkind = gDense
-	default:
-		e.gkind = gSpill
-	}
 	for ai := range c.fuse.accs {
 		as := &c.fuse.accs[ai]
 		op := aggOp{acc: int32(ai), slot: int32(as.slot)}
@@ -290,7 +291,6 @@ func (c *Compiled) prepareFused() (olap.Exec, int64) {
 		}
 		e.ops = append(e.ops, op)
 	}
-	e.spec = e.pickSpec()
 	e.joins = make([]fjoin, 0, len(c.joins))
 	var buildBytes int64
 	for ji, j := range c.joins {
@@ -298,7 +298,65 @@ func (c *Compiled) prepareFused() (olap.Exec, int64) {
 		buildBytes += scanned * int64(j.words) * columnar.WordBytes
 		e.joins = append(e.joins, fjoin{j, side})
 	}
+	e.layoutGroups()
+	e.spec = e.pickSpec()
 	return e, buildBytes
+}
+
+// layoutGroups picks how group keys address accumulators, once the joins
+// are built. A key whose every word is a join payload word packs into a
+// dense cell over the build sides' ranges for those words (payDomain),
+// when they multiply out to at most denseLen cells: the same arithmetic
+// as denseTab, with no hash and no key compare (Q7's nation pairs). A
+// one-word key of unknown range takes cells [0, denseLen). Any other
+// composite key hashes into the spill table: fact-column keys such as
+// Q3's and Q18's order keys are sparse.
+func (e *fexec) layoutGroups() {
+	switch {
+	case e.ngroup == 0:
+		e.gkind = gNone
+	case e.packGroups():
+		e.gkind = gDense
+	case e.ngroup == 1:
+		e.gkind, e.glo[0], e.gspan[0], e.gstride[0], e.gcells = gDense, 0, denseLen, 1, denseLen
+	default:
+		e.gkind = gSpill
+	}
+}
+
+// packGroups lays the group key out over its words' payload domains, the
+// first word most significant, or reports false when a word is not a
+// payload word or the domains multiply out past denseLen cells.
+func (e *fexec) packGroups() bool {
+	cells := uint64(1)
+	for d := e.ngroup - 1; d >= 0; d-- {
+		lo, hi, ok := e.payRange(e.c.groups[d])
+		if !ok {
+			return false
+		}
+		s := uint64(hi-lo) + 1
+		if s == 0 || s > denseLen/cells {
+			return false
+		}
+		e.glo[d], e.gspan[d], e.gstride[d] = lo, s, cells
+		cells *= s
+	}
+	e.gcells = int(cells)
+	return true
+}
+
+// payRange is the range of the payload word at logical slot s over its
+// join's build side; ok is false for a fact column or an empty build side.
+func (e *fexec) payRange(s int) (lo, hi int64, ok bool) {
+	ji, col, ok := e.c.payJoin(s)
+	if !ok {
+		return 0, 0, false
+	}
+	dom := e.joins[ji].payDom()
+	if dom.lo == nil {
+		return 0, 0, false
+	}
+	return dom.lo[col], dom.hi[col], true
 }
 
 // fjoin is one join of an execution: the compiled join — probe sources

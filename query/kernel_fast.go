@@ -34,7 +34,7 @@ const (
 // shape; filters must already be classified.
 func (e *fexec) pickSpec() uint8 {
 	ops := e.ops
-	if len(e.c.joins) == 0 && e.gkind == gDense &&
+	if len(e.c.joins) == 0 && e.gkind == gDense && e.ngroup == 1 &&
 		len(e.filters) == 1 && e.filters[0].kind == fIntRange &&
 		len(ops) == 3 && ops[0].op == opSumInt && ops[1].op == opCount && ops[1].acc == ops[0].acc &&
 		ops[2].op == opSumFloat {

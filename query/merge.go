@@ -150,9 +150,9 @@ func (e *fexec) MergeFan(locals []olap.Local, fan olap.Fan) olap.Result {
 // keys. Those are the locals' summed table sizes, less as large a share
 // of the excess over the widest table as the smaller of the first and
 // the last table has keys the other holds too: a key domain every morsel
-// revisits, like Q7's nation pairs, merges to about its widest local,
-// and one each morsel owns, like Q18's orders, to the sum. The estimate
-// sizes the merge; it never decides which keys merge.
+// revisits, like (warehouse, district) pairs, merges to about its widest
+// local, and one each morsel owns, like Q18's orders, to the sum. The
+// estimate sizes the merge; it never decides which keys merge.
 func mergedKeys(locals []olap.Local) int {
 	dense, sum, widest := 0, 0, 0
 	var first, last *groupTab
@@ -184,32 +184,18 @@ func mergedKeys(locals []olap.Local) int {
 
 // foldPart folds part p's keys of every local, in morsel order, into a
 // table sized for hint keys. With one part it folds every key; only a
-// spill plan, whose keys are all in the locals' tables, has more.
+// spill plan, whose keys are all in the locals' tables, has more. A
+// dense plan's cells and spilled keys are disjoint groups, so its cells
+// fold first, apart.
 //
 //htap:deterministic
 func (e *fexec) foldPart(locals []olap.Local, p, np, hint int) *groupTab {
 	total := newGroupTab(e.nacc, max(e.ngroup, 1), hint)
+	if e.gkind == gDense {
+		e.foldCells(locals, total)
+	}
 	for _, li := range locals {
-		ll := li.(*flocal)
-		// specDenseSumIF keeps its dense cells in 24-byte sumIF form with
-		// no occupancy stores: the shared count is unconditional, so
-		// cnt>0 is exactly the generic dense path's present bit, and the
-		// fold below adds the same values in the same ascending-key order.
-		for kv := range ll.flatIF {
-			g := &ll.flatIF[kv]
-			if g.cnt > 0 {
-				accs := total.lookup(&gkey{int64(kv)})
-				accs[0].sum += g.qty
-				accs[0].count += g.cnt
-				accs[1].sum += g.amt
-			}
-		}
-		for kv, on := range ll.present {
-			if on {
-				e.mergeInto(total.lookup(&gkey{int64(kv)}), ll.flat[kv*e.nacc:(kv+1)*e.nacc])
-			}
-		}
-		if tab := ll.tab; tab != nil {
+		if tab := li.(*flocal).tab; tab != nil {
 			for i := range tab.keys {
 				if np == 1 || partOf(tab.rad[i], np) == p {
 					e.mergeInto(total.lookup(&tab.keys[i]), tab.arena[i*e.nacc:(i+1)*e.nacc])
@@ -218,6 +204,60 @@ func (e *fexec) foldPart(locals []olap.Local, p, np, hint int) *groupTab {
 		}
 	}
 	return total
+}
+
+// foldCells folds every local's dense cells, in morsel order, into one
+// cell array, then gives each occupied cell's group to total: one key
+// decode and one hash per group, not per group and local.
+//
+//htap:deterministic
+func (e *fexec) foldCells(locals []olap.Local, total *groupTab) {
+	n := 0
+	for _, li := range locals {
+		ll := li.(*flocal)
+		n = max(n, len(ll.present), len(ll.flatIF))
+	}
+	if n == 0 {
+		return
+	}
+	nacc := e.nacc
+	cells, on := make([]acc, n*nacc), make([]bool, n)
+	for _, li := range locals {
+		ll := li.(*flocal)
+		// specDenseSumIF keeps its dense cells in 24-byte sumIF form with
+		// no occupancy stores: the shared count is unconditional, so
+		// cnt>0 is exactly the generic dense path's present bit, and the
+		// fold below adds the same values in the same order.
+		for c := range ll.flatIF {
+			if g := &ll.flatIF[c]; g.cnt > 0 {
+				a := cells[c*nacc:]
+				a[0].sum += g.qty
+				a[0].count += g.cnt
+				a[1].sum += g.amt
+				on[c] = true
+			}
+		}
+		for c, p := range ll.present {
+			if p {
+				e.mergeInto(cells[c*nacc:(c+1)*nacc], ll.flat[c*nacc:(c+1)*nacc])
+				on[c] = true
+			}
+		}
+	}
+	for c, p := range on {
+		if p {
+			k := e.cellKey(c)
+			copy(total.lookup(&k), cells[c*nacc:(c+1)*nacc])
+		}
+	}
+}
+
+// cellKey decodes a dense cell back into its group key.
+func (e *fexec) cellKey(cell int) (k gkey) {
+	for d := 0; d < e.ngroup; d++ {
+		k[d] = e.glo[d] + int64(uint64(cell)/e.gstride[d]%e.gspan[d])
+	}
+	return k
 }
 
 // emitPart renders a part's merged groups that pass Having, w words a

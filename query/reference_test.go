@@ -306,12 +306,28 @@ func probedTables(q *Compiled) string {
 	return strings.Join(names, " ")
 }
 
-// serialMerge drives q by hand as bench/probe.go does: one local per
-// chunk-sized morsel of the fact table, consumed in order on this
-// goroutine, then merged with the parts run in turn. It returns the
-// result and how many parts the merge split into.
-func serialMerge(e *oltp.Engine, q *Compiled) (olap.Result, int) {
+// groupLayout prepares q and names how its group keys address their
+// accumulators: "global" (no group key), "cells" (a one-word key's dense
+// cells), "packed" (a composite key packed into dense cells) or "spill"
+// (the group table).
+func groupLayout(q *Compiled) string {
 	exec, _ := q.Prepare()
+	switch e := exec.(*fexec); {
+	case e.gkind == gNone:
+		return "global"
+	case e.gkind == gSpill:
+		return "spill"
+	case e.ngroup == 1:
+		return "cells"
+	}
+	return "packed"
+}
+
+// serialMerge drives exec, prepared from q, by hand as bench/probe.go
+// does: one local per chunk-sized morsel of the fact table, consumed in
+// order on this goroutine, then merged with the parts run in turn. It
+// returns the result and how many parts the merge split into.
+func serialMerge(e *oltp.Engine, q *Compiled, exec olap.Exec) (olap.Result, int) {
 	tab := e.Table(q.FactTable()).Table()
 	var locals []olap.Local
 	for lo := int64(0); lo < tab.Rows(); lo += columnar.ChunkSize {
@@ -362,9 +378,20 @@ func serialMerge(e *oltp.Engine, q *Compiled) (olap.Result, int) {
 // The dup-key cases join bdimdup, whose later rows repeat keys with other
 // payloads: the later row wins, in the dense table and in both hash
 // tables, as it does in the interpreter.
+//
+// The pack- cases group on join payload words, whose build-side ranges
+// lay out the group cells, dense or hashed: a pair from two joins packs
+// (bdimc's pay in [0, 31] by bdimn's na in [3, 27]), one word packs from
+// its range's low end, and a pair whose ranges multiply past denseLen
+// hashes. The extend- cases bind once and run three times over a
+// dimension appended to in between: a duplicate key whose later payload
+// widens the range the first execution saw, inside denseLen and then past
+// it. The kept build side is extended, not rebuilt, and must widen the
+// ranges it carries, or the last execution packs on stale ranges.
 func TestFusedMatchesReference(t *testing.T) {
 	cat, e := newBenchCatalog(t)
 	addDupDim(e)
+	addNationDim(e)
 	cases := map[string]*Plan{
 		"filter-count-int64":   Scan("bfact").Filter(Between("qty", 10, 40), Ge("gid", 8)).Agg(Count()),
 		"filter-count-float64": Scan("bfact").Filter(Between("amount", 20.0, 100.0)).Agg(Count()),
@@ -421,6 +448,12 @@ func TestFusedMatchesReference(t *testing.T) {
 		"wide-payload": Scan("bfact").Filter(Between("qty", 5, 45)).
 			JoinGraph(JoinOn(Rel("bfact"), Rel("bdimw"), "gid", "id")).
 			GroupBy("w0").Agg(wideSums()...),
+		"pack-two-joins": Scan("bfact").Filter(Between("qty", 5, 45)).JoinGraph(joinDimC(), joinDimN()).
+			GroupBy("pay", "na").Agg(Sum("amount").As("rev"), Count().As("n"), Min("qty")),
+		"pack-one-word": Scan("bfact").JoinGraph(joinDimN()).
+			GroupBy("na").Agg(Sum("amount").As("rev"), Max("qty")),
+		"pack-past-denselen": Scan("bfact").JoinGraph(joinDimC(), joinDimN()).
+			GroupBy("nb", "pay").Agg(Sum("amount").As("rev"), Count().As("n")),
 	}
 	tenFilters := []Pred{Ge("k1", 5), Le("k1", 99990), Ne("jk", 3), Ge("k2", 1), Ne("k2", 48),
 		Not(Between("gid", 20, 23)), Between("qty", 3, 48), Ne("qty", 25), Between("amount", 1.5, 140.0), Ne("tag", "phone")}
@@ -449,6 +482,13 @@ func TestFusedMatchesReference(t *testing.T) {
 		"dup-key-probe-group-hashed":    "hash1",
 		"dup-key2-probe-group-hashed":   "hashK",
 	}
+	// layouts names, for the pack- cases, how their group keys must
+	// address their accumulators, dense build sides or hashed.
+	layouts := map[string]string{
+		"pack-two-joins":     "packed",
+		"pack-one-word":      "cells",
+		"pack-past-denselen": "spill",
+	}
 	check := func(name string, plan *Plan, hashed bool) {
 		var cuts []int64
 		if strings.HasPrefix(name, "split-") {
@@ -467,6 +507,11 @@ func TestFusedMatchesReference(t *testing.T) {
 						t.Fatalf("the vector loop probes %q, want %q", got, want)
 					}
 				}
+				if want, ok := layouts[strings.TrimSuffix(name, "-hashed")]; ok {
+					if got := groupLayout(q); got != want {
+						t.Fatalf("group layout %q, want %q", got, want)
+					}
+				}
 				if strings.HasPrefix(name, "wide-payload") && q.npayTotal <= payStackWords {
 					t.Fatalf("the payload is %d words; this case must be wider than the %d Consume keeps on its stack", q.npayTotal, payStackWords)
 				}
@@ -475,7 +520,8 @@ func TestFusedMatchesReference(t *testing.T) {
 					t.Fatalf("%d rows pass Having, %d emitted: the Limit must fall below the survivors", fused.SortedRows, len(fused.Rows))
 				}
 				if strings.HasPrefix(name, "spill-") {
-					serial, parts := serialMerge(e, q)
+					exec, _ := q.Prepare()
+					serial, parts := serialMerge(e, q, exec)
 					if parts < 2 {
 						t.Fatalf("the merge ran as %d part(s); this case must fan out", parts)
 					}
@@ -500,6 +546,115 @@ func TestFusedMatchesReference(t *testing.T) {
 			check(name+"-hashed", plan, true)
 		}
 	}
+	for _, hashed := range []bool{false, true} {
+		name := "extend-widens-pack"
+		if hashed {
+			name += "-hashed"
+		}
+		for _, workers := range []int{1, 2, 4} {
+			t.Run(fmt.Sprintf("%s/workers=%d", name, workers), func(t *testing.T) {
+				forceHashJoins.Store(hashed)
+				defer forceHashJoins.Store(false)
+				dim := fmt.Sprintf("bdimgrow-%s-%d", name, workers)
+				dt := addGrowDim(e, dim)
+				plan := Scan("bfact").JoinGraph(joinDimC(), JoinOn(Rel("bfact"), Rel(dim), "gid", "id")).
+					GroupBy("pay", "ng").Agg(Sum("amount").As("rev"), Count().As("n"))
+				q, err := plan.Bind(cat)
+				if err != nil {
+					t.Fatal(err)
+				}
+				// Each step appends a duplicate key whose later payload
+				// widens ng's range: 32 × 21 cells still pack, 32 × 41 do not.
+				for step, st := range []struct {
+					id, ng int64
+					layout string
+				}{{-1, 0, "packed"}, {5, 20, "packed"}, {7, 40, "spill"}} {
+					if st.id >= 0 {
+						dt.AppendRows([][]int64{dt.EncodeRow(st.id, st.ng)}, uint64(step))
+					}
+					if got := groupLayout(q); got != st.layout {
+						t.Fatalf("step %d: group layout %q, want %q", step, got, st.layout)
+					}
+					fused := runWorkers(t, e, q, workers)
+					if ref := runWorkers(t, e, refQuery{plan, cat}, workers); !reflect.DeepEqual(fused, ref) {
+						t.Fatalf("step %d: fused result diverges from the reference:\nfused: %+v\nref:   %+v", step, fused, ref)
+					}
+					if st.id >= 0 && !slices.ContainsFunc(fused.Rows, func(row []float64) bool { return row[1] == float64(st.ng) }) {
+						t.Fatalf("step %d: no group carries the appended payload %d", step, st.ng)
+					}
+				}
+				if st := q.BuildStats(); !hashed && st.Extends != 2 {
+					t.Fatalf("build stats %+v: want the kept side extended by each append", st)
+				}
+			})
+		}
+	}
+}
+
+// TestPackedKeyOutsideCellsSpills drives the defensive side of a packed
+// group layout. A build side's payload domain covers every word its probe
+// gathers, so no key falls outside the cells in a real execution; here
+// the layout is narrowed by hand so that pay's values 16..31 do. Those
+// rows must spill to the group table, each vector that holds one running
+// a row at a time, and the answer must still be the interpreter's,
+// bitwise.
+func TestPackedKeyOutsideCellsSpills(t *testing.T) {
+	cat, e := newBenchCatalog(t)
+	addNationDim(e)
+	plan := Scan("bfact").JoinGraph(joinDimC(), joinDimN()).
+		GroupBy("pay", "na").Agg(Sum("amount").As("rev"), Count().As("n"), Max("qty"))
+	q, err := plan.Bind(cat)
+	if err != nil {
+		t.Fatal(err)
+	}
+	exec, _ := q.Prepare()
+	fe := exec.(*fexec)
+	if fe.gkind != gDense || fe.gspan != [maxGroupCols]uint64{32, 25} || fe.glo[1] != 3 {
+		t.Fatalf("layout %d, spans %v, na from %d: want packed, spans 32 and 25, na from 3", fe.gkind, fe.gspan, fe.glo[1])
+	}
+	// The leading word's span can shrink alone: the strides still hold.
+	fe.gspan[0] = 16
+	got, _ := serialMerge(e, q, exec)
+	if ref := runWorkers(t, e, refQuery{plan, cat}, 1); !reflect.DeepEqual(got, ref) {
+		t.Fatalf("fused result diverges from the reference:\nfused: %+v\nref:   %+v", got, ref)
+	}
+}
+
+// joinDimN joins bdimn on bfact's gid.
+func joinDimN() JoinEdge {
+	return JoinOn(Rel("bfact"), Rel("bdimn"), "gid", "id")
+}
+
+// addNationDim loads bdimn(id, na, nb), one row per id in 0..63: na takes
+// the 25 values 3..27, like a nation key off zero, and nb the 13 values
+// 0, 80, …, 960, so nb's range alone fits denseLen and with another
+// word's does not.
+func addNationDim(e *oltp.Engine) {
+	t := e.CreateTable(columnar.Schema{Name: "bdimn", Columns: []columnar.ColumnDef{
+		{Name: "id", Type: columnar.Int64},
+		{Name: "na", Type: columnar.Int64},
+		{Name: "nb", Type: columnar.Int64},
+	}}, 16, false).Table()
+	var rows [][]int64
+	for g := int64(0); g < 64; g++ {
+		rows = append(rows, t.EncodeRow(g, 3+g*7%25, g%13*80))
+	}
+	t.AppendRows(rows, 0)
+}
+
+// addGrowDim loads a dimension (id, ng) named name, one row per id in
+// 0..63 with ng in 0..9, and returns its table.
+func addGrowDim(e *oltp.Engine, name string) *columnar.Table {
+	t := e.CreateTable(columnar.Schema{Name: name, Columns: []columnar.ColumnDef{
+		{Name: "id", Type: columnar.Int64},
+		{Name: "ng", Type: columnar.Int64},
+	}}, 16, false).Table()
+	var rows [][]int64
+	for g := int64(0); g < 64; g++ {
+		rows = append(rows, t.EncodeRow(g, g%10))
+	}
+	t.AppendRows(rows, 0)
+	return t
 }
 
 // wideSums sums every payload word of bdimw but the group key, and a fact
