@@ -45,10 +45,10 @@ type Snapshot struct {
 	TotalRows   int64
 	DirtyRows   int64 // update-indication bits pending instance sync
 	FreshRows   int64 // rows the OLAP replicas lack
-	VersionRows int   // live MVCC versions: about one per row ever updated, more while SnapshotLag is large
+	VersionRows int   // live MVCC versions: those a snapshot may still read and what later pushes have yet to reclaim; more while SnapshotLag is large
 	// SnapshotLag is the transaction clock minus the oldest active begin
-	// timestamp (txn.Manager.MinActive). Pre-image pushes trim version
-	// chains back to that snapshot and no further, so a leaked transaction
+	// timestamp (txn.Manager.MinActive). Pre-image pushes reclaim versions
+	// back to that snapshot and no further, so a leaked transaction
 	// shows here, and in VersionRows, rather than only in a heap profile.
 	SnapshotLag uint64
 	// TwinSharedBytes and TwinPrivateBytes are where the twin instances'

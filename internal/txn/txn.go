@@ -136,8 +136,11 @@ func (t *Txn) Read(ref *TableRef, row int64, col int) (int64, bool) {
 //   - A flagged word: the commit's timestamp may be on either side of the
 //     snapshot, and its cells half-written, so the reader yields and looks
 //     again.
-//   - A word past the snapshot: whoever moved it pushed the pre-image
-//     before applying, so the version chain's answer is final.
+//   - A word past the snapshot: the commit that stamped it pushed the
+//     pre-image, with its own timestamp as the image's Until, before
+//     applying, so the version chain's answer is final. Nothing the
+//     reader needs is reclaimed: its snapshot is at or above every
+//     pusher's watermark and below that Until.
 //   - Otherwise the cell in place is the snapshot's if the word is
 //     unchanged after the load: a commit writing it meanwhile would have
 //     flagged the word first, and one that flags it later draws its
@@ -189,8 +192,10 @@ func (t *Txn) buffer(ref *TableRef, row int64, col int, val int64) {
 }
 
 // lock takes the record's exclusive lock for this transaction, once:
-// acquire under wait-die, validate first-updater-wins, push the pre-image.
-// A row not yet published is invisible to every snapshot and unlockable.
+// acquire under wait-die, validate first-updater-wins. The pre-image waits
+// for the commit (pushPreImages), so a transaction that aborts leaves no
+// version behind. A row not yet published is invisible to every snapshot
+// and unlockable.
 //
 //htap:hotpath
 func (t *Txn) lock(ref *TableRef, row int64) error {
@@ -213,24 +218,9 @@ func (t *Txn) lock(ref *TableRef, row int64) error {
 	t.held[len(t.held)-1] = heldLock{ref, row}
 	// First-updater-wins: a version committed after our snapshot means
 	// a concurrent writer already won.
-	ts := ref.Table.RowTS(row)
-	if ts > t.begin {
+	if ref.Table.RowTS(row) > t.begin {
 		return ErrConflict
 	}
-	// Push the full-row pre-image NOW, not at commit: once this
-	// transaction's commit timestamp is past a reader's snapshot, that
-	// reader resolves through the version chain, so the chain must hold
-	// the pre-lock image before the first cell is applied. If this
-	// transaction aborts, the pushed version duplicates the live row
-	// (same timestamp, same values) — harmless, and cut like any other
-	// by a later push.
-	width := len(ref.Table.Schema().Columns)
-	if cap(t.img) < width {
-		t.growImage(width)
-	}
-	img := t.img[:width]
-	ref.Table.ReadRow(ref.Table.ActiveIndex(), row, img)
-	ref.Versions.Push(row, ts, img, t.watermark)
 	return nil
 }
 
@@ -308,9 +298,9 @@ func (t *Txn) growArena(n int) {
 	t.arena = arena
 }
 
-// Commit applies the write set to the active instances (the full-row
-// pre-images went to the delta store when the locks were taken), appends
-// inserts to both instances, and releases all locks. With a WAL attached
+// Commit pushes each written row's full-row pre-image to the delta store,
+// applies the write set to the active instances, appends inserts to both
+// instances, and releases all locks. With a WAL attached
 // (Manager.SetWAL) the write set is appended to the log first; the
 // in-memory application runs under the log's lock, so log order equals
 // apply order and insert replay reassigns identical row IDs.
@@ -319,10 +309,14 @@ func (t *Txn) growArena(n int) {
 // before the commit timestamp is drawn, and apply's UpdateCells stamps it
 // over the flag: a snapshot reader that finds the word unflagged and
 // unchanged across its cell load knows any commit still to come on the row
-// lies after its own begin (see readCommitted). The flags go on inside the
-// commit gate, so a committer parked at a CommitBarrier stalls no reader,
-// and a commit whose apply never ran (the log lost or refused its record)
-// clears them before the locks are released.
+// lies after its own begin (see readCommitted). The pre-images are pushed
+// between the draw and the apply, stamped with the commit timestamp as the
+// end of their currency: no reader can miss one, because a reader that
+// finds the word past its snapshot found it stamped, after the push. The
+// flags go on inside the commit gate, so a committer parked at a
+// CommitBarrier stalls no reader, and a commit whose apply never ran (the
+// log lost or refused its record) clears them before the locks are
+// released; the versions it pushed duplicate the rows it left in place.
 //
 // A nil return means committed and durable per the log's sync policy. An
 // error satisfying wal.IsSyncFailure means the commit DID apply in
@@ -344,6 +338,8 @@ func (t *Txn) Commit() error {
 		w.ref.Table.MarkApplying(w.row)
 	}
 	commitTS := t.m.clock.Add(1)
+	// Here, not in apply: Replay applies logged commits and pushes nothing.
+	t.pushPreImages(commitTS)
 
 	var syncErr error
 	if log := t.m.log.Load(); log != nil {
@@ -365,6 +361,29 @@ func (t *Txn) Commit() error {
 	t.m.gate.RUnlock()
 	t.end(statusCommitted)
 	return syncErr
+}
+
+// pushPreImages pushes the image each written row had before this commit:
+// current from the timestamp under the row's Applying flag until commitTS.
+// The rows are locked and flagged and the gate is held, so the active
+// instance holds exactly that image and no switch can move it.
+//
+//htap:hotpath
+func (t *Txn) pushPreImages(commitTS uint64) {
+	for i := range t.writes {
+		w := &t.writes[i]
+		if i > 0 && w.row == t.writes[i-1].row && w.ref == t.writes[i-1].ref {
+			continue // one image per row, as Commit flags it once
+		}
+		tab := w.ref.Table
+		width := len(tab.Schema().Columns)
+		if cap(t.img) < width {
+			t.growImage(width)
+		}
+		img := t.img[:width]
+		tab.ReadRow(tab.ActiveIndex(), w.row, img)
+		w.ref.Versions.Push(w.row, tab.RowTS(w.row)&^columnar.Applying, commitTS, img, t.watermark)
+	}
 }
 
 // logAndApply is the write-ahead half of Commit and reports whether apply
@@ -398,8 +417,8 @@ func errLogAppend(err error) error { return fmt.Errorf("txn: commit log append: 
 // apply writes the write set in place, then appends the inserts. Tables
 // are taken in first-touch order and each is pinned once, for ALL of this
 // transaction's writes to it, so a concurrent instance switch cannot split
-// a row's (or a table's) cells across the twins. Pre-images were pushed at
-// lock time, so snapshot readers can already resolve around these rows.
+// a row's (or a table's) cells across the twins. Commit has pushed the
+// pre-images, so snapshot readers can already resolve around these rows.
 //
 //htap:hotpath
 func (t *Txn) apply(commitTS uint64) {

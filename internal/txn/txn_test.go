@@ -235,10 +235,16 @@ func TestGCReclaimsOldVersions(t *testing.T) {
 	tx.Abort()
 }
 
-// TestVersionsBoundedByRowsLocked: with one client nothing but the last
-// pre-image of each row is ever kept, however many transactions run.
+// TestVersionsBoundedByRowsLocked: with one client a version outlives the
+// commit after it — that commit's watermark has passed it — so however many
+// transactions run over however many rows, a version-store shard keeps at
+// most the chain of the last row pushed to it, and each of those chains is
+// that row's newest pre-image.
 func TestVersionsBoundedByRowsLocked(t *testing.T) {
-	const rows = 300
+	const (
+		rows   = 3000
+		shards = 128 // vm's shard count
+	)
 	m, ref := newTestTable(t, rows)
 	locked := map[int64]bool{}
 	rng := rand.New(rand.NewSource(7))
@@ -251,39 +257,47 @@ func TestVersionsBoundedByRowsLocked(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	if n := ref.Versions.Len(); n > len(locked) {
-		t.Fatalf("%d versions live for %d distinct rows locked", n, len(locked))
+	n := ref.Versions.Len()
+	t.Logf("%d versions for %d distinct rows locked", n, len(locked))
+	if n > shards {
+		t.Fatalf("%d versions live for %d distinct rows locked, want at most %d, one per shard", n, len(locked), shards)
 	}
 }
 
-// TestSnapshotReaderSurvivesTrimming: the version an active reader needs
-// outlives every push made while it runs, and the first push after it
-// finishes collapses the chain.
+// TestSnapshotReaderSurvivesTrimming: the versions an active reader needs
+// outlive every push made while it runs — its row's own, and the sweeps of
+// a neighbour's pushes in the same version-store shard — and the first push
+// after it finishes collapses the chain.
 func TestSnapshotReaderSurvivesTrimming(t *testing.T) {
-	m, ref := newTestTable(t, 1)
-	update := func(v int64) {
+	const updates = 1000
+	m, ref := newTestTable(t, 129) // rows 0 and 128 share a shard
+	update := func(row, v int64) {
 		t.Helper()
 		if _, err := m.RunWithRetry(0, func(tx *Txn) error {
-			return tx.Write(ref, 0, 1, v)
+			return tx.Write(ref, row, 1, v)
 		}); err != nil {
 			t.Fatal(err)
 		}
 	}
-	update(42)
-	reader := m.Begin() // pins the snapshot that reads 42
-	for i := 0; i < 10_000; i++ {
-		update(int64(1000 + i))
+	update(0, 42)
+	reader := m.Begin() // pins the snapshot that reads 42, and row 128's 100
+	update(128, 43)
+	for i := 0; i < updates; i++ {
+		update(0, int64(1000+i))
 	}
 	if v, ok := reader.Read(ref, 0, 1); !ok || v != 42 {
 		t.Fatalf("pinned snapshot lost: %d,%v", v, ok)
 	}
+	if v, ok := reader.Read(ref, 128, 1); !ok || v != 100 {
+		t.Fatalf("pinned snapshot lost its neighbour: %d,%v", v, ok)
+	}
 	// Everything committed after the reader began is still chained, and
 	// nothing older than what it reads is.
-	if n := ref.Versions.ChainLen(0); n != 10_000 {
-		t.Fatalf("chain under an active reader = %d, want 10000", n)
+	if n := ref.Versions.ChainLen(0); n != updates {
+		t.Fatalf("chain under an active reader = %d, want %d", n, updates)
 	}
 	reader.Abort()
-	update(7)
+	update(0, 7)
 	if n := ref.Versions.ChainLen(0); n != 1 {
 		t.Fatalf("chain after the reader finished = %d, want 1", n)
 	}

@@ -1,22 +1,30 @@
 // Package vm implements the OLTP engine's multi-versioned delta storage
 // (§3.2): per-record version chains in newest-to-oldest order, following
-// the MVCC survey of Wu et al. Updates push full-row pre-images before
-// overwriting the active instance in place, so snapshot-isolated readers
-// can traverse to the version visible at their begin timestamp.
+// the MVCC survey of Wu et al. A commit pushes each written row's full-row
+// pre-image before overwriting the active instance in place, so
+// snapshot-isolated readers can traverse to the version visible at their
+// begin timestamp.
 //
-// Versions are reclaimed where they are pushed: every Push carries the
-// oldest snapshot any transaction can still read (txn.Manager.MinActive)
-// and drops what lies behind it, so a chain holds one version per commit
-// the oldest active reader has not seen, plus one. There is no background
-// collector and nothing to start; a row that was ever updated keeps its
-// last pre-image.
+// A version knows when it stopped being current (Until, the commit that
+// overwrote it), and that makes it garbage once the reclamation watermark
+// (txn.Manager.MinActive: the oldest snapshot any transaction, running or
+// yet to begin, can read) reaches Until — every reader then reads a newer
+// image (Wu et al., VLDB 2017; Böttcher et al., VLDB 2019). Versions are
+// reclaimed where they are pushed, against the pusher's watermark, in two
+// ways. Push cuts the row's own chain after its last version the watermark
+// has not passed. And each shard queues its pushes first-in first-out:
+// every Push looks at the oldest four, and deletes the chain of a row whose
+// head is still the queued version once the watermark has passed its
+// Until, so a row updated once is not kept forever. There is no background
+// collector and nothing to start; what a quiesced store holds is the
+// chains its shards' last pushes could not yet sweep.
 //
 // Reclaimed versions are recycled, image buffer included: the first version
-// a push cuts off becomes that push's own node, and one more is parked on
-// the shard for the next push that cuts nothing (anything beyond that is
-// left to the Go collector, so the store holds no more than one idle
-// version per shard). With one writer a chain is one version, which every
-// push to the row overwrites in place — a steady-state push allocates
+// a push cuts off becomes that push's own node, and swept heads and one more
+// cut version are parked on the shard for the next pushes that cut nothing
+// (beyond maxSpare of them they are left to the Go collector). With one
+// writer a chain is one version, which every push to the row overwrites in
+// place or a sweep hands to the next push — a steady-state push allocates
 // nothing. That is also why Push copies the image it is given and ReadAsOf
 // hands out a cell rather than the image slice: an image is rewritten under
 // the shard's write lock, so it may only be read under the shard's read
@@ -27,20 +35,51 @@ import "sync"
 
 const shardCount = 128
 
+// sweepBudget is how many queued pushes one Push looks at. Past the one it
+// queues, three more: a backlog queued while a long transaction held the
+// watermark back drains at three a push once it moves (at two, CH's stock
+// and customer stores ended a mixed run holding thousands of unreachable
+// chains the sweep had not reached, instead of about one a shard).
+const sweepBudget = 4
+
+// maxSpare is how many reclaimed versions a shard keeps for reuse: two, for
+// a transaction that pushes two rows of one shard. With one, a CH NewOrder
+// (ten-odd stock rows over 128 shards) allocated 0.66 versions per commit.
+const maxSpare = 2
+
 // Version is one entry of a newest-to-oldest chain.
 type Version struct {
 	// TS is the commit timestamp at which this image became current.
 	TS uint64
+	// Until is the commit timestamp that overwrote it: the first one at
+	// which the image is no longer current.
+	Until uint64
 	// Image is the full row pre-image (raw column words).
 	Image []int64
 	// Older points to the next (older) version.
 	Older *Version
 }
 
+// pushed is one queued push: the row and the Until it gave the row's head.
+// The pair names that version for as long as it is the head: a later
+// commit's push to the row carries a later Until. It holds no pointer, so
+// the queue keeps no cut version from the collector.
+type pushed struct {
+	row   int64
+	until uint64
+}
+
 type shard struct {
 	mu     sync.RWMutex
-	chains map[int64]*Version
-	spare  *Version // one trimmed version awaiting reuse
+	chains heads
+	// spare lists, through Older, up to maxSpare reclaimed versions
+	// awaiting reuse; nspare counts them.
+	spare  *Version
+	nspare int
+	// queue is a ring of the shard's pushes in push order, n of them from
+	// queue[first]; its length is zero or a power of two.
+	queue    []pushed
+	first, n int
 }
 
 // Store holds version chains for one table, sharded by row ID.
@@ -49,63 +88,110 @@ type Store struct {
 }
 
 // NewStore returns an empty version store.
-func NewStore() *Store {
-	s := &Store{}
-	for i := range s.shards {
-		s.shards[i].chains = make(map[int64]*Version)
-	}
-	return s
-}
+func NewStore() *Store { return &Store{} }
 
 func (s *Store) shardFor(row int64) *shard {
 	return &s.shards[uint64(row)%shardCount]
 }
 
-// Push prepends a copy of image, the pre-image that was current as of commit
-// timestamp ts, and cuts the chain after its newest version with TS <=
-// watermark. watermark is the pusher's reclamation bound: no transaction,
-// running or yet to begin, reads as of a timestamp below it, and a reader at
-// or above it stops at that version, so nothing older can be reached again.
-// A stale (smaller) watermark only keeps more. Callers must hold the
-// record's exclusive lock, so pushes for one row are serialized and a chain
-// is ordered by TS; reads may proceed concurrently. image is the caller's
-// to reuse once Push returns.
+// Push prepends a copy of image, the pre-image that was current from commit
+// timestamp ts until commit timestamp until, and reclaims what watermark
+// has passed: the row's versions with Until <= watermark, and the chains of
+// the shard's oldest queued pushes (see sweep). watermark is the pusher's
+// reclamation bound: no transaction, running or yet to begin, reads as of a
+// timestamp below it, and a reader at or above a version's Until reads a
+// newer image, so that version can never be reached again. A stale
+// (smaller) watermark only keeps more. Callers must hold the record's
+// exclusive lock, so pushes for one row are serialized and a chain is
+// ordered by TS; reads may proceed concurrently. image is the caller's to
+// reuse once Push returns.
 //
 //htap:hotpath
-func (s *Store) Push(row int64, ts uint64, image []int64, watermark uint64) {
+func (s *Store) Push(row int64, ts, until uint64, image []int64, watermark uint64) {
 	sh := s.shardFor(row)
 	sh.mu.Lock()
-	old := sh.chains[row]
-	// Trim first, so what is cut can carry the new head.
-	older, cut := old, (*Version)(nil)
-	if ts <= watermark {
-		older, cut = nil, old
-	} else {
-		for v := old; v != nil; v = v.Older {
-			if v.TS <= watermark {
-				cut, v.Older = v.Older, nil
-				break
-			}
-		}
+	sh.sweep(row, watermark)
+	old := sh.chains.get(row)
+	// Trim first, so what is cut can carry the new head: Until falls along
+	// the chain, so everything from the first passed version on goes.
+	older := old
+	link := &older
+	for *link != nil && (*link).Until > watermark {
+		link = &(*link).Older
 	}
-	head := cut
+	head := *link
+	*link = nil
 	if head == nil {
-		head, sh.spare = sh.spare, nil
+		if head = sh.spare; head != nil {
+			sh.spare, sh.nspare = head.Older, sh.nspare-1
+		}
 	} else if head.Older != nil {
-		sh.spare = head.Older
-		sh.spare.Older = nil
+		sh.park(head.Older)
 	}
 	if head == nil || cap(head.Image) < len(image) {
 		head = newVersion(len(image))
 	}
-	head.TS = ts
+	head.TS, head.Until = ts, until
 	head.Image = head.Image[:len(image)]
 	copy(head.Image, image)
 	head.Older = older
 	if head != old {
-		sh.chains[row] = head
+		sh.chains.put(row, head)
 	}
+	if sh.n == len(sh.queue) {
+		sh.grow()
+	}
+	sh.queue[(sh.first+sh.n)&(len(sh.queue)-1)] = pushed{row, until}
+	sh.n++
 	sh.mu.Unlock()
+}
+
+// sweep looks at up to sweepBudget of the oldest queued pushes, stopping at
+// one whose Until the watermark has not passed. A row whose head is still
+// the queued version holds nothing a reader can reach — Until falls along
+// the chain, so every older version is passed too — and its entry goes,
+// the head parked as the spare. An entry whose row has been pushed again,
+// or swept, since is stale and dropped; the later push has its own entry.
+// So is one of row, which the caller is pushing: its trim reclaims the
+// chain and reuses the head in place, with no delete and insert. The
+// caller holds sh.mu.
+func (sh *shard) sweep(row int64, watermark uint64) {
+	for i := 0; i < sweepBudget && sh.n > 0; i++ {
+		e := sh.queue[sh.first]
+		if e.until > watermark {
+			return
+		}
+		sh.first = (sh.first + 1) & (len(sh.queue) - 1)
+		sh.n--
+		if e.row == row {
+			continue
+		}
+		if v := sh.chains.get(e.row); v != nil && v.Until == e.until {
+			sh.chains.del(e.row)
+			sh.park(v)
+		}
+	}
+}
+
+// park lists v, and drops what it links, for a later push to reuse, unless
+// the shard already keeps maxSpare. The caller holds sh.mu.
+func (sh *shard) park(v *Version) {
+	if sh.nspare < maxSpare {
+		v.Older, sh.spare = sh.spare, v
+		sh.nspare++
+	}
+}
+
+// grow doubles the push queue: a shard's first push, or one made while a
+// snapshot reader holds the watermark back.
+//
+//htap:coldpath
+func (sh *shard) grow() {
+	queue := make([]pushed, max(8, 2*len(sh.queue)))
+	for i := 0; i < sh.n; i++ {
+		queue[i] = sh.queue[(sh.first+i)&(len(sh.queue)-1)]
+	}
+	sh.queue, sh.first = queue, 0
 }
 
 // newVersion allocates a version with room for a width-word image: a row's
@@ -119,14 +205,14 @@ func newVersion(width int) *Version {
 // ReadAsOf returns cell col of the newest image of the row with TS <= ts,
 // traversing newest-to-oldest. ok is false when no version old enough
 // exists (the row was created after ts, or ts is below a watermark some
-// Push has trimmed to).
+// Push has reclaimed to).
 //
 //htap:hotpath
 func (s *Store) ReadAsOf(row int64, col int, ts uint64) (cell int64, ok bool) {
 	sh := s.shardFor(row)
 	sh.mu.RLock()
 	defer sh.mu.RUnlock() // Push cuts links and rewrites images under the write lock
-	for v := sh.chains[row]; v != nil; v = v.Older {
+	for v := sh.chains.get(row); v != nil; v = v.Older {
 		if v.TS <= ts {
 			return v.Image[col], true
 		}
@@ -142,7 +228,7 @@ func (s *Store) ChainLen(row int64) int {
 	sh.mu.RLock()
 	defer sh.mu.RUnlock()
 	n := 0
-	for v := sh.chains[row]; v != nil; v = v.Older {
+	for v := sh.chains.get(row); v != nil; v = v.Older {
 		n++
 	}
 	return n
@@ -154,8 +240,8 @@ func (s *Store) Len() int {
 	for i := range s.shards {
 		sh := &s.shards[i]
 		sh.mu.RLock()
-		for _, v := range sh.chains {
-			for ; v != nil; v = v.Older {
+		for _, slot := range sh.chains.slots {
+			for v := slot.head; v != nil; v = v.Older {
 				n++
 			}
 		}

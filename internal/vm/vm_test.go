@@ -10,9 +10,9 @@ import (
 
 func TestPushReadAsOf(t *testing.T) {
 	s := NewStore()
-	s.Push(1, 10, []int64{100}, 0)
-	s.Push(1, 20, []int64{200}, 0)
-	s.Push(1, 30, []int64{300}, 0)
+	s.Push(1, 10, 20, []int64{100}, 0)
+	s.Push(1, 20, 30, []int64{200}, 0)
+	s.Push(1, 30, 40, []int64{300}, 0)
 
 	cases := []struct {
 		ts   uint64
@@ -41,7 +41,7 @@ func TestPushReadAsOf(t *testing.T) {
 func TestNewestToOldestOrder(t *testing.T) {
 	s := NewStore()
 	for ts := uint64(1); ts <= 5; ts++ {
-		s.Push(7, ts, []int64{int64(ts)}, 0)
+		s.Push(7, ts, ts+1, []int64{int64(ts)}, 0)
 	}
 	if s.ChainLen(7) != 5 {
 		t.Fatalf("chain len = %d", s.ChainLen(7))
@@ -64,11 +64,12 @@ func TestMissingRow(t *testing.T) {
 func TestGC(t *testing.T) {
 	s := NewStore()
 	for ts := uint64(10); ts <= 40; ts += 10 {
-		s.Push(1, ts, []int64{int64(ts)}, 0)
+		s.Push(1, ts, ts+10, []int64{int64(ts)}, 0)
 	}
 	// Oldest active reader at 35: versions 10 and 20 are unreachable
-	// (30 is the newest visible at 35, and must stay).
-	s.Push(1, 50, []int64{50}, 35)
+	// (they stopped being current at 20 and 30; 30 is current until 40,
+	// so it is what a reader at 35 sees, and must stay).
+	s.Push(1, 50, 60, []int64{50}, 35)
 	if n := s.ChainLen(1); n != 3 {
 		t.Fatalf("chain = %d, want 3 (50, 40, 30)", n)
 	}
@@ -82,64 +83,109 @@ func TestGC(t *testing.T) {
 
 func TestGCHeadOnly(t *testing.T) {
 	s := NewStore()
-	s.Push(1, 10, []int64{1}, 100)
-	if img, ok := s.ReadAsOf(1, 0, 100); !ok || img != 1 {
+	s.Push(1, 10, 20, []int64{1}, 10)
+	if img, ok := s.ReadAsOf(1, 0, 15); !ok || img != 1 {
 		t.Fatal("head lost")
 	}
-	// A pushed version at or below the watermark is all its row keeps.
-	s.Push(1, 20, []int64{2}, 100)
+	// A version the watermark has passed is not kept behind the next one.
+	s.Push(1, 20, 30, []int64{2}, 20)
 	if n := s.ChainLen(1); n != 1 {
 		t.Fatalf("chain = %d, want 1", n)
 	}
-	if img, ok := s.ReadAsOf(1, 0, 100); !ok || img != 2 {
+	if img, ok := s.ReadAsOf(1, 0, 25); !ok || img != 2 {
 		t.Fatalf("head after trim: %v %v", img, ok)
 	}
 }
 
 // TestTrimAgreesWithKeepEverything drives random pushes with random
-// non-decreasing watermarks against a store that never trims: every read at
-// or above the watermark must see the same version.
+// non-decreasing watermarks against a store that never reclaims: every read
+// a snapshot reader makes of the chain — at or above the watermark, below
+// the row's current timestamp — must see the same version. The eight rows
+// share two shards, so pushes sweep each other's chains.
 func TestTrimAgreesWithKeepEverything(t *testing.T) {
 	rng := rand.New(rand.NewSource(1))
 	const rows = 8
+	id := func(r int) int64 { return int64(r%2) + int64(r/2)*shardCount }
 	s, oracle := NewStore(), NewStore()
 	rowTS := make([]uint64, rows)
 	var clock, watermark uint64
 	for i := 0; i < 5000; i++ {
-		row := rng.Int63n(rows)
-		// One in four pushes repeats the row's timestamp, as the pre-image
-		// of a transaction that then aborts does.
-		if rng.Intn(4) != 0 {
-			clock += uint64(1 + rng.Intn(3))
-			rowTS[row] = clock
-		}
+		r := rng.Intn(rows)
 		if rng.Intn(3) == 0 {
 			watermark += uint64(rng.Int63n(int64(clock-watermark) + 1))
 		}
+		clock += uint64(1 + rng.Intn(3))
 		img := []int64{int64(i)}
-		s.Push(row, rowTS[row], img, watermark)
-		oracle.Push(row, rowTS[row], img, 0)
-		for r := int64(0); r < rows; r++ {
+		s.Push(id(r), rowTS[r], clock, img, watermark)
+		oracle.Push(id(r), rowTS[r], clock, img, 0)
+		// One commit in four pushes and then fails to apply, as one whose
+		// log append fails does: the row keeps its timestamp.
+		if rng.Intn(4) != 0 {
+			rowTS[r] = clock
+		}
+		for r := 0; r < rows; r++ {
 			for _, at := range []uint64{watermark, watermark + uint64(rng.Intn(4)), clock, clock + 1} {
-				got, gok := s.ReadAsOf(r, 0, at)
-				want, wok := oracle.ReadAsOf(r, 0, at)
+				if at >= rowTS[r] {
+					continue // read in place
+				}
+				got, gok := s.ReadAsOf(id(r), 0, at)
+				want, wok := oracle.ReadAsOf(id(r), 0, at)
 				if gok != wok || (gok && got != want) {
-					t.Fatalf("push %d: ReadAsOf(row %d, %d) with watermark %d = %v,%v; untrimmed %v,%v",
-						i, r, at, watermark, got, gok, want, wok)
+					t.Fatalf("push %d: ReadAsOf(row %d, %d) with watermark %d = %v,%v; unreclaimed %v,%v",
+						i, id(r), at, watermark, got, gok, want, wok)
 				}
 			}
 		}
 	}
 	if s.Len() >= oracle.Len()/10 {
-		t.Fatalf("trimmed store holds %d of %d versions", s.Len(), oracle.Len())
+		t.Fatalf("reclaiming store holds %d of %d versions", s.Len(), oracle.Len())
+	}
+}
+
+// TestSweepReclaimsRowsNotPushedAgain: a row pushed once is not kept once
+// the watermark passes its Until. Later pushes to other rows of its shard
+// sweep it — the store ends with the one chain a reader may still need —
+// and hand its version on, so a push to a row without a chain allocates
+// nothing in steady state.
+func TestSweepReclaimsRowsNotPushedAgain(t *testing.T) {
+	const rows = 1000
+	s := NewStore()
+	img := []int64{1, 2, 3}
+	for r := int64(0); r < rows; r++ {
+		s.Push(r*shardCount, 1, 2, img, 1) // shard 0, each current until 2
+	}
+	// A reader at 1 holds the watermark: a push sweeps nothing it needs.
+	s.Push(rows*shardCount, 1, 2, img, 1)
+	if n := s.Len(); n != rows+1 {
+		t.Fatalf("%d versions under a reader at 1, want %d", n, rows+1)
+	}
+	if v, ok := s.ReadAsOf(0, 2, 1); !ok || v != 3 {
+		t.Fatalf("ReadAsOf(0, col 2, 1) = %d,%v after a push at watermark 1", v, ok)
+	}
+	next, ts := int64(rows+1), uint64(2)
+	push := func() {
+		s.Push(next*shardCount, ts, ts+1, img, ts)
+		next, ts = next+1, ts+1
+	}
+	for i := 0; i < rows; i++ {
+		push()
+	}
+	if n := s.Len(); n != 1 {
+		t.Fatalf("%d versions after the watermark passed all but the newest, want 1", n)
+	}
+	if _, ok := s.ReadAsOf(0, 0, 1); ok {
+		t.Fatal("a swept row still resolves")
+	}
+	if avg := testing.AllocsPerRun(100, push); avg != 0 {
+		t.Fatalf("a push to a new row allocates %.1f times once sweeps recycle, want 0", avg)
 	}
 }
 
 func TestLen(t *testing.T) {
 	s := NewStore()
-	s.Push(1, 1, []int64{1}, 0)
-	s.Push(1, 2, []int64{2}, 0)
-	s.Push(200, 1, []int64{3}, 0)
+	s.Push(1, 1, 2, []int64{1}, 0)
+	s.Push(1, 2, 3, []int64{2}, 0)
+	s.Push(200, 1, 3, []int64{3}, 0)
 	if s.Len() != 3 {
 		t.Fatalf("Len = %d", s.Len())
 	}
@@ -169,8 +215,12 @@ func TestQuickVisibilityMatchesReference(t *testing.T) {
 			}
 			sorted[i], sorted[min] = sorted[min], sorted[i]
 		}
-		for _, ts := range sorted {
-			s.Push(3, ts, []int64{int64(ts)}, 0)
+		for i, ts := range sorted {
+			until := uint64(math.MaxUint64)
+			if i+1 < len(sorted) {
+				until = sorted[i+1]
+			}
+			s.Push(3, ts, until, []int64{int64(ts)}, 0)
 		}
 		var want uint64
 		for _, ts := range sorted {
@@ -215,9 +265,13 @@ func TestReadersNeverSeeARecycledImage(t *testing.T) {
 			if ts > 2 {
 				watermark = ts - 2
 			}
-			s.Push(row, ts, img, watermark)
-			// A neighbour in the same shard takes and returns the spare.
-			s.Push(row+shardCount, ts, img, ts)
+			s.Push(row, ts, ts+1, img, watermark)
+			// Neighbours in the same shard: one pushed every time, and one
+			// every fifth, whose chain a sweep deletes and hands on.
+			s.Push(row+shardCount, ts, ts+1, img, watermark)
+			if ts%5 == 0 {
+				s.Push(row+2*shardCount, ts, ts+1, img, watermark)
+			}
 			pushed.Store(ts)
 		}
 	}()
@@ -242,5 +296,37 @@ func TestReadersNeverSeeARecycledImage(t *testing.T) {
 	<-done
 	if n := s.ChainLen(row); n > 3 {
 		t.Fatalf("chain = %d versions with a watermark two commits behind", n)
+	}
+}
+
+// TestHeadsMatchMap drives one shard's head table and a Go map through the
+// same random puts and deletes — rows of one shard, as Push makes them,
+// over a key range that makes long probe runs wrap around the table — and
+// compares every row after each step, and the count at the end.
+func TestHeadsMatchMap(t *testing.T) {
+	rng := rand.New(rand.NewSource(3))
+	var h heads
+	ref := map[int64]*Version{}
+	const keys = 300
+	for i := 0; i < 20_000; i++ {
+		row := 5 + shardCount*rng.Int63n(keys)
+		if rng.Intn(3) == 0 {
+			h.del(row)
+			delete(ref, row)
+		} else {
+			v := &Version{TS: uint64(i)}
+			h.put(row, v)
+			ref[row] = v
+		}
+		if i%97 == 0 {
+			for k := int64(0); k < keys; k++ {
+				if r := 5 + shardCount*k; h.get(r) != ref[r] {
+					t.Fatalf("step %d: row %d head %v, map has %v", i, r, h.get(r), ref[r])
+				}
+			}
+		}
+	}
+	if h.n != len(ref) {
+		t.Fatalf("table counts %d rows, map %d", h.n, len(ref))
 	}
 }
