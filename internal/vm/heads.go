@@ -1,5 +1,7 @@
 package vm
 
+import "math/bits"
+
 // heads maps one shard's row IDs to their chain heads. It is an open-address
 // table with linear probing and deletion by backward shift, so it keeps no
 // tombstones: a sweep deletes a row per push and the push inserts another,
@@ -90,10 +92,7 @@ func (h *heads) del(row int64) {
 func (h *heads) grow() {
 	old := h.slots
 	size := max(8, 2*len(old))
-	h.slots, h.n, h.shift = make([]headSlot, size), 0, uint8(64)
-	for s := size; s > 1; s >>= 1 {
-		h.shift--
-	}
+	h.slots, h.n, h.shift = make([]headSlot, size), 0, uint8(64-bits.Len(uint(size-1)))
 	for _, s := range old {
 		if s.head != nil {
 			h.put(s.row, s.head)
