@@ -269,7 +269,7 @@ func TestVersionsBoundedByRowsLocked(t *testing.T) {
 // a neighbour's pushes in the same version-store shard — and the first push
 // after it finishes collapses the chain.
 func TestSnapshotReaderSurvivesTrimming(t *testing.T) {
-	const updates = 1000
+	const updates = 10_000
 	m, ref := newTestTable(t, 129) // rows 0 and 128 share a shard
 	update := func(row, v int64) {
 		t.Helper()

@@ -12,7 +12,10 @@
 // image (Wu et al., VLDB 2017; Böttcher et al., VLDB 2019). Versions are
 // reclaimed where they are pushed, against the pusher's watermark, in two
 // ways. Push cuts the row's own chain after its last version the watermark
-// has not passed. And each shard queues its pushes first-in first-out:
+// has not passed; a shard keeps each chain's oldest version beside its
+// head, so a push made while a reader holds the watermark below it cuts
+// nothing and walks nothing. And each shard queues its pushes first-in
+// first-out:
 // every Push looks at the oldest four, and deletes the chain of a row whose
 // head is still the queued version once the watermark has passed its
 // Until, so a row updated once is not kept forever. There is no background
@@ -69,9 +72,16 @@ type pushed struct {
 	until uint64
 }
 
+// chain is one row's versions, head the newest and tail the oldest. Until
+// falls along a chain, so the tail's is its smallest: a push whose
+// watermark has not passed it has nothing to cut, and walks nothing.
+type chain struct {
+	head, tail *Version
+}
+
 type shard struct {
 	mu     sync.RWMutex
-	chains heads
+	chains map[int64]chain
 	// spare lists, through Older, up to maxSpare reclaimed versions
 	// awaiting reuse; nspare counts them.
 	spare  *Version
@@ -88,7 +98,13 @@ type Store struct {
 }
 
 // NewStore returns an empty version store.
-func NewStore() *Store { return &Store{} }
+func NewStore() *Store {
+	s := &Store{}
+	for i := range s.shards {
+		s.shards[i].chains = make(map[int64]chain)
+	}
+	return s
+}
 
 func (s *Store) shardFor(row int64) *shard {
 	return &s.shards[uint64(row)%shardCount]
@@ -111,22 +127,27 @@ func (s *Store) Push(row int64, ts, until uint64, image []int64, watermark uint6
 	sh := s.shardFor(row)
 	sh.mu.Lock()
 	sh.sweep(row, watermark)
-	old := sh.chains.get(row)
-	// Trim first, so what is cut can carry the new head: Until falls along
-	// the chain, so everything from the first passed version on goes.
-	older := old
-	link := &older
-	for *link != nil && (*link).Until > watermark {
-		link = &(*link).Older
+	old := sh.chains[row]
+	c := old
+	// Trim first, so what is cut can carry the new head: everything from
+	// the first version the watermark has passed on goes.
+	var head *Version
+	if c.tail != nil && c.tail.Until <= watermark {
+		link := &c.head
+		c.tail = nil
+		for (*link).Until > watermark {
+			c.tail = *link
+			link = &(*link).Older
+		}
+		head, *link = *link, nil
+		if head.Older != nil {
+			sh.park(head.Older)
+		}
 	}
-	head := *link
-	*link = nil
 	if head == nil {
 		if head = sh.spare; head != nil {
 			sh.spare, sh.nspare = head.Older, sh.nspare-1
 		}
-	} else if head.Older != nil {
-		sh.park(head.Older)
 	}
 	if head == nil || cap(head.Image) < len(image) {
 		head = newVersion(len(image))
@@ -134,9 +155,12 @@ func (s *Store) Push(row int64, ts, until uint64, image []int64, watermark uint6
 	head.TS, head.Until = ts, until
 	head.Image = head.Image[:len(image)]
 	copy(head.Image, image)
-	head.Older = older
-	if head != old {
-		sh.chains.put(row, head)
+	head.Older, c.head = c.head, head
+	if c.tail == nil {
+		c.tail = head
+	}
+	if c != old {
+		sh.chains[row] = c
 	}
 	if sh.n == len(sh.queue) {
 		sh.grow()
@@ -166,9 +190,9 @@ func (sh *shard) sweep(row int64, watermark uint64) {
 		if e.row == row {
 			continue
 		}
-		if v := sh.chains.get(e.row); v != nil && v.Until == e.until {
-			sh.chains.del(e.row)
-			sh.park(v)
+		if c := sh.chains[e.row]; c.head != nil && c.head.Until == e.until {
+			delete(sh.chains, e.row)
+			sh.park(c.head)
 		}
 	}
 }
@@ -212,7 +236,7 @@ func (s *Store) ReadAsOf(row int64, col int, ts uint64) (cell int64, ok bool) {
 	sh := s.shardFor(row)
 	sh.mu.RLock()
 	defer sh.mu.RUnlock() // Push cuts links and rewrites images under the write lock
-	for v := sh.chains.get(row); v != nil; v = v.Older {
+	for v := sh.chains[row].head; v != nil; v = v.Older {
 		if v.TS <= ts {
 			return v.Image[col], true
 		}
@@ -228,7 +252,7 @@ func (s *Store) ChainLen(row int64) int {
 	sh.mu.RLock()
 	defer sh.mu.RUnlock()
 	n := 0
-	for v := sh.chains.get(row); v != nil; v = v.Older {
+	for v := sh.chains[row].head; v != nil; v = v.Older {
 		n++
 	}
 	return n
@@ -240,8 +264,8 @@ func (s *Store) Len() int {
 	for i := range s.shards {
 		sh := &s.shards[i]
 		sh.mu.RLock()
-		for _, slot := range sh.chains.slots {
-			for v := slot.head; v != nil; v = v.Older {
+		for _, c := range sh.chains {
+			for v := c.head; v != nil; v = v.Older {
 				n++
 			}
 		}

@@ -298,35 +298,3 @@ func TestReadersNeverSeeARecycledImage(t *testing.T) {
 		t.Fatalf("chain = %d versions with a watermark two commits behind", n)
 	}
 }
-
-// TestHeadsMatchMap drives one shard's head table and a Go map through the
-// same random puts and deletes — rows of one shard, as Push makes them,
-// over a key range that makes long probe runs wrap around the table — and
-// compares every row after each step, and the count at the end.
-func TestHeadsMatchMap(t *testing.T) {
-	rng := rand.New(rand.NewSource(3))
-	var h heads
-	ref := map[int64]*Version{}
-	const keys = 300
-	for i := 0; i < 20_000; i++ {
-		row := 5 + shardCount*rng.Int63n(keys)
-		if rng.Intn(3) == 0 {
-			h.del(row)
-			delete(ref, row)
-		} else {
-			v := &Version{TS: uint64(i)}
-			h.put(row, v)
-			ref[row] = v
-		}
-		if i%97 == 0 {
-			for k := int64(0); k < keys; k++ {
-				if r := 5 + shardCount*k; h.get(r) != ref[r] {
-					t.Fatalf("step %d: row %d head %v, map has %v", i, r, h.get(r), ref[r])
-				}
-			}
-		}
-	}
-	if h.n != len(ref) {
-		t.Fatalf("table counts %d rows, map %d", h.n, len(ref))
-	}
-}
