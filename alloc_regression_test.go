@@ -213,9 +213,9 @@ func TestWALAppendAllocBudget(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	rec := &wal.Record{TxnID: 1, CommitTS: 2, Ops: []wal.Op{
-		{Kind: wal.OpUpdate, Table: "orderline", Row: 3, Col: 4, Val: 5},
-		{Kind: wal.OpInsert, Table: "orderline", NRows: 1, Width: 4, Vals: []int64{1, 2, 3, 4}},
+	rec := &wal.Record{CommitTS: 2, Ops: []wal.Op{
+		{Kind: wal.OpUpdate, Table: 6, Row: 3, Col: 4, Val: 5},
+		{Kind: wal.OpInsert, Table: 6, NRows: 1, Width: 4, Vals: []int64{1, 2, 3, 4}},
 	}}
 	apply := func() {}
 	// Warm: grows the encode buffer and gives the backing file capacity.

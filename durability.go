@@ -167,6 +167,10 @@ func OpenFromDir(fs FS, dir string, opts ...Option) (*System, RecoveryInfo, erro
 	db := ch.Attach(s.inner.OLTPE, sizing)
 	db.SetDay(man.Extras[extraDay])
 	s.db = db
+	if err := checkTableOrder(db, man); err != nil {
+		s.Close()
+		return nil, info, fmt.Errorf("elastichtap: OpenFromDir: %w", err)
+	}
 
 	mgr := s.inner.OLTPE.Manager()
 	mgr.RestoreState(man.Clock, man.Commits)
@@ -202,6 +206,21 @@ func OpenFromDir(fs FS, dir string, opts ...Option) (*System, RecoveryInfo, erro
 
 	info.Commits = mgr.Commits()
 	return s, info, nil
+}
+
+// checkTableOrder refuses a manifest whose table list is not the engine's
+// tables in creation order: the log names a table by its index there.
+func checkTableOrder(db *ch.DB, man *checkpoint.Manifest) error {
+	tables := db.Tables()
+	if len(man.Tables) != len(tables) {
+		return fmt.Errorf("manifest lists %d tables, the engine has %d", len(man.Tables), len(tables))
+	}
+	for i, te := range man.Tables {
+		if name := tables[i].Table().Schema().Name; te.Name != name {
+			return fmt.Errorf("manifest lists %q as table %d, the engine %q", te.Name, i, name)
+		}
+	}
+	return nil
 }
 
 // checkSizing refuses sizing extras that are missing, or that would size

@@ -548,24 +548,51 @@ func TestOpenFromDirRejectsReplicaRowsAboveRows(t *testing.T) {
 	}
 }
 
+// TestOpenFromDirRejectsReorderedTables: a manifest that lists the image's
+// tables in an order other than the engine's is refused, though every
+// file restores by its name: the log names a table by its index in that
+// order, so replay would apply one table's records to another.
+func TestOpenFromDirRejectsReorderedTables(t *testing.T) {
+	fs, seq := checkpointedSystem(t)
+	_, man := readManifest(t, fs, seq)
+	man.Tables[0], man.Tables[1] = man.Tables[1], man.Tables[0]
+	f, err := fs.Create(checkpoint.SeqDir("data", seq) + "/" + checkpoint.ManifestName)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := checkpoint.WriteManifest(f, man); err != nil {
+		t.Fatal(err)
+	}
+	f.Close()
+	s, _, err := OpenFromDir(fs, "data")
+	if err == nil {
+		s.Close()
+		t.Fatal("manifest with its tables reordered restored")
+	}
+	if want := fmt.Sprintf("manifest lists %q as table 0", man.Tables[0].Name); !strings.Contains(err.Error(), want) {
+		t.Fatalf("%v, want an error containing %q", err, want)
+	}
+}
+
 // TestOpenFromDirRejectsUnappliableRecords: a log record whose checksum
 // holds but which addresses a cell the table does not have is refused
 // with an error; replay used to hand it to UpdateCell, which panicked.
 func TestOpenFromDirRejectsUnappliableRecords(t *testing.T) {
+	const warehouseID = 0 // the first table ch.Attach creates
 	fs, _ := checkpointedSystem(t)
 	for _, tc := range []struct {
 		name string
 		op   wal.Op
 	}{
-		{"column past the schema", wal.Op{Kind: wal.OpUpdate, Table: ch.TWarehouse, Col: 99}},
-		{"negative row", wal.Op{Kind: wal.OpUpdate, Table: ch.TWarehouse, Row: -3}},
+		{"column past the schema", wal.Op{Kind: wal.OpUpdate, Table: warehouseID, Col: 99}},
+		{"negative row", wal.Op{Kind: wal.OpUpdate, Table: warehouseID, Row: -3}},
 	} {
 		img := fs.Crash(true)
 		l, err := wal.Open(img, "data/"+walName, wal.SyncAlways, 0, 0)
 		if err != nil {
 			t.Fatal(err)
 		}
-		if _, err := l.Append(&wal.Record{TxnID: 1, CommitTS: 1, Ops: []wal.Op{tc.op}}, nil); err != nil {
+		if _, err := l.Append(&wal.Record{CommitTS: 1, Ops: []wal.Op{tc.op}}, nil); err != nil {
 			t.Fatal(err)
 		}
 		l.Close()
@@ -628,7 +655,7 @@ func TestRecoveryMatchesCellAtATimeReference(t *testing.T) {
 	}
 	_, err = wal.Replay(f, man.WALPos, func(_ int64, rec *wal.Record) error {
 		for _, op := range rec.Ops {
-			tab := ref.db.Handle(op.Table).Table()
+			tab := ref.db.Tables()[op.Table].Table()
 			switch op.Kind {
 			case wal.OpUpdate:
 				tab.BeginApply()

@@ -19,7 +19,7 @@ func imageDir(t *testing.T) (*wal.MemFS, uint64) {
 	}
 	var walPos int64
 	for id := uint64(1); id <= 3; id++ {
-		if _, err := l.Append(&wal.Record{TxnID: id, CommitTS: id}, func() {}); err != nil {
+		if _, err := l.Append(&wal.Record{CommitTS: id}, func() {}); err != nil {
 			t.Fatal(err)
 		}
 		if id == 1 {
@@ -61,7 +61,7 @@ func TestImageRecoverRoundTrip(t *testing.T) {
 			if dst.DirtyOLAP().CountBelow(6) == dst.DirtyOLAP().CountBelow(5) {
 				t.Error("a record applied before the dirty bits were in")
 			}
-			txns = append(txns, rec.TxnID)
+			txns = append(txns, rec.CommitTS)
 			return nil
 		})
 	if err != nil {

@@ -13,7 +13,7 @@ import (
 //	magic "EHMF" | version u32
 //	clock u64 | commits u64 | wal position u64
 //	extras: u32 count, per entry (string key, u64 value), sorted by key
-//	tables: u32 count, per table:
+//	tables: u32 count, per table, in the order the commit log numbers them:
 //	    name | rows u64 | replica rows u64
 //	    dirty rows: u32 count, u64 row indices (OLAP-stale rows)
 //	    file CRC32C u32 (whole <table>.ehcp file)
@@ -22,10 +22,14 @@ import (
 // The manifest is the commit point of a checkpoint: table files are
 // written and synced before it, so a crash mid-checkpoint leaves either a
 // complete image or a manifest-less directory that recovery skips.
+//
+// Version 2 is the first whose log names a table by its id, its index in
+// the manifest's table list; a version 1 image, whose log names tables by
+// name, is refused.
 
 const (
 	manifestMagic   = "EHMF"
-	manifestVersion = 1
+	manifestVersion = 2
 	// ManifestName is the file a checkpoint directory commits with.
 	ManifestName = "MANIFEST"
 )
@@ -63,7 +67,8 @@ type Manifest struct {
 	// Extras carries engine-defined scalars (current day, sizing) that
 	// must survive recovery. Serialized sorted by key.
 	Extras map[string]int64
-	// Tables lists every table in the image.
+	// Tables lists every table in the image, in the engine's creation
+	// order: a log record's table id is an index into it.
 	Tables []TableEntry
 }
 

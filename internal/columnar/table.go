@@ -170,10 +170,10 @@ func (t *Table) twinOf(in *Instance) *Instance {
 // DirtyOLAP exposes the updated-since-ETL bitset.
 func (t *Table) DirtyOLAP() *bitset.Atomic { return t.dirtyOLAP }
 
-// AppendRows is AppendColumns for rows held row-major: it appends rows,
-// each with one raw word per column, with commit timestamp ts and returns
-// the first row ID. It is the append of a committing transaction's
-// inserts, live or replayed.
+// AppendRows is AppendColumns for rows held one slice each: it appends
+// rows, each with one raw word per column, with commit timestamp ts and
+// returns the first row ID. A commit does not go through it: it fills
+// AppendColumns from its own row-major insert arena.
 func (t *Table) AppendRows(rows [][]int64, ts uint64) int64 {
 	for _, row := range rows {
 		if len(row) != len(t.schema.Columns) {

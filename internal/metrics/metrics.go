@@ -48,8 +48,10 @@ type Snapshot struct {
 	VersionRows int   // live MVCC versions: those a snapshot may still read and what later pushes have yet to reclaim; more while SnapshotLag is large
 	// SnapshotLag is the transaction clock minus the oldest active begin
 	// timestamp (txn.Manager.MinActive). Pre-image pushes reclaim versions
-	// back to that snapshot and no further, so a leaked transaction
-	// shows here, and in VersionRows, rather than only in a heap profile.
+	// back to that snapshot and no further — the pushed row's own and
+	// those of the rows queued oldest on its shard — so a leaked
+	// transaction shows here, and in VersionRows, rather than only in a
+	// heap profile.
 	SnapshotLag uint64
 	// TwinSharedBytes and TwinPrivateBytes are where the twin instances'
 	// cells are (columnar.Table.TwinBytes, summed over tables): chunks both

@@ -6,9 +6,11 @@
 //
 // The engine runs no background maintenance. Pre-image versions
 // (internal/vm) are reclaimed by the transactions that push them: each
-// push trims its row's chain back to the oldest active snapshot, so there
-// is no collector to start or stop, and a transaction that never finishes
-// holds every chain at its begin timestamp (metrics.Snapshot.SnapshotLag).
+// push trims its row's chain back to the oldest active snapshot and drops
+// the chains of its shard's oldest queued rows that no snapshot can reach
+// any more, so there is no collector to start or stop, and a transaction
+// that never finishes holds every chain at its begin timestamp
+// (metrics.Snapshot.SnapshotLag).
 package oltp
 
 import (

@@ -3,6 +3,7 @@ package txn
 import (
 	"errors"
 	"fmt"
+	"math"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -27,6 +28,9 @@ type TableRef struct {
 	Table    *columnar.Table
 	Versions *vm.Store
 	Locks    Locks
+	// id is the table's index in registration order: the commit log names
+	// the table by it (wal.Op.Table).
+	id uint16
 }
 
 // Manager issues timestamps and tracks active transactions for version
@@ -72,11 +76,15 @@ func NewManager() *Manager {
 	return &Manager{}
 }
 
-// Register gives a table its version store and record locks.
+// Register gives a table its version store, record locks and the next
+// table id.
 func (m *Manager) Register(t *columnar.Table) *TableRef {
 	m.mu.Lock()
 	defer m.mu.Unlock()
-	ref := &TableRef{Table: t, Versions: vm.NewStore()}
+	if len(m.tables) > math.MaxUint16 {
+		panic(fmt.Sprintf("txn: table %q is past the %d tables the log can name", t.Schema().Name, math.MaxUint16+1))
+	}
+	ref := &TableRef{Table: t, Versions: vm.NewStore(), id: uint16(len(m.tables))}
 	m.tables = append(m.tables, ref)
 	return ref
 }

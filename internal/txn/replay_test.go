@@ -29,6 +29,10 @@ func registerTable(m *Manager, name string, width, rows int) *TableRef {
 	return m.Register(tab)
 }
 
+// acctID and histID are the ids newReplayTables' tables log under: their
+// indexes in registration order.
+const acctID, histID = 0, 1
+
 // newReplayTables registers an updated table "acct" (3 columns, rows
 // rows) and an insert-mostly table "hist" (2 columns, rows/2 rows) with m,
 // loaded with the same values on every call.
@@ -189,28 +193,28 @@ func TestReplayMatchesLiveCommits(t *testing.T) {
 // either — no table, nor the clock or the commit count, changes.
 func TestReplayRefusesWholeRecord(t *testing.T) {
 	const rows = 8
-	update := wal.Op{Kind: wal.OpUpdate, Table: "acct", Row: 1, Col: 2, Val: 99}
-	insert := wal.Op{Kind: wal.OpInsert, Table: "hist", NRows: 1, Width: 2, Vals: []int64{5, 6}}
+	update := wal.Op{Kind: wal.OpUpdate, Table: acctID, Row: 1, Col: 2, Val: 99}
+	insert := wal.Op{Kind: wal.OpInsert, Table: histID, NRows: 1, Width: 2, Vals: []int64{5, 6}}
 	for _, tc := range []struct {
 		name  string
 		valid wal.Op
 		bad   wal.Op
 		want  string
 	}{
-		{"unknown table", update, wal.Op{Kind: wal.OpUpdate, Table: "nope"}, `log names unknown table "nope"`},
-		{"negative row", insert, wal.Op{Kind: wal.OpUpdate, Table: "acct", Row: -1}, "log updates row -1"},
-		{"row at Rows()", update, wal.Op{Kind: wal.OpUpdate, Table: "acct", Row: rows}, "log updates row 8"},
-		{"row inserted by the record", insert, wal.Op{Kind: wal.OpUpdate, Table: "hist", Row: rows / 2}, "log updates row 4"},
-		{"column past the width", insert, wal.Op{Kind: wal.OpUpdate, Table: "acct", Col: 3}, "log updates column 3"},
-		{"wrong insert width", update, wal.Op{Kind: wal.OpInsert, Table: "acct", NRows: 1, Width: 2, Vals: []int64{1, 2}}, "log inserts width 2"},
-		{"unknown kind", update, wal.Op{Kind: 9, Table: "acct"}, "log op kind 9"},
+		{"unknown table", update, wal.Op{Kind: wal.OpUpdate, Table: 2}, "log names table 2, past the 2 registered"},
+		{"negative row", insert, wal.Op{Kind: wal.OpUpdate, Table: acctID, Row: -1}, "log updates row -1"},
+		{"row at Rows()", update, wal.Op{Kind: wal.OpUpdate, Table: acctID, Row: rows}, "log updates row 8"},
+		{"row inserted by the record", insert, wal.Op{Kind: wal.OpUpdate, Table: histID, Row: rows / 2}, "log updates row 4"},
+		{"column past the width", insert, wal.Op{Kind: wal.OpUpdate, Table: acctID, Col: 3}, "log updates column 3"},
+		{"wrong insert width", update, wal.Op{Kind: wal.OpInsert, Table: acctID, NRows: 1, Width: 2, Vals: []int64{1, 2}}, "log inserts width 2"},
+		{"unknown kind", update, wal.Op{Kind: 9, Table: acctID}, "log op kind 9"},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			m := NewManager()
 			m.RestoreState(10, 3)
 			acct, hist := newReplayTables(m, rows)
 			before := [2]tableState{stateOf(acct.Table), stateOf(hist.Table)}
-			err := m.Replay(&wal.Record{TxnID: 1, CommitTS: 11, Ops: []wal.Op{tc.valid, tc.bad}})
+			err := m.Replay(&wal.Record{CommitTS: 11, Ops: []wal.Op{tc.valid, tc.bad}})
 			if err == nil || !strings.Contains(err.Error(), tc.want) {
 				t.Fatalf("replay returned %v, want an error containing %q", err, tc.want)
 			}
@@ -235,17 +239,17 @@ func TestReplayAllocs(t *testing.T) {
 	registerTable(m, "new_order", 3, 0)
 	registerTable(m, "order_line", 10, 0)
 
-	rec := &wal.Record{Ops: []wal.Op{{Kind: wal.OpUpdate, Table: "district", Row: 3, Col: 10, Val: 1}}}
+	rec := &wal.Record{Ops: []wal.Op{{Kind: wal.OpUpdate, Table: 0, Row: 3, Col: 10, Val: 1}}}
 	for i := int64(0); i < 10; i++ {
 		for _, col := range []uint32{2, 13, 14, 16} {
-			rec.Ops = append(rec.Ops, wal.Op{Kind: wal.OpUpdate, Table: "stock", Row: i * 7, Col: col, Val: i})
+			rec.Ops = append(rec.Ops, wal.Op{Kind: wal.OpUpdate, Table: 1, Row: i * 7, Col: col, Val: i})
 		}
 	}
 	for _, ins := range []struct {
-		name        string
+		table       uint16
 		rows, width int
-	}{{"orders", 1, 8}, {"new_order", 1, 3}, {"order_line", 10, 10}} {
-		rec.Ops = append(rec.Ops, wal.Op{Kind: wal.OpInsert, Table: ins.name, NRows: ins.rows, Width: ins.width,
+	}{{2, 1, 8}, {3, 1, 3}, {4, 10, 10}} {
+		rec.Ops = append(rec.Ops, wal.Op{Kind: wal.OpInsert, Table: ins.table, NRows: ins.rows, Width: ins.width,
 			Vals: make([]int64, ins.rows*ins.width)})
 	}
 	replay := func() {

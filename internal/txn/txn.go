@@ -65,11 +65,9 @@ type Txn struct {
 
 	// Scratch kept across the transactions a recycled Txn runs: the
 	// pre-image gather buffer, one table's writes as UpdateCells takes
-	// them, the arena's rows as AppendRows takes them, and the commit
-	// record.
+	// them, and the commit record.
 	img   []int64
 	cells []columnar.Cell
-	rows  [][]int64
 	rec   wal.Record
 }
 
@@ -434,11 +432,32 @@ func (t *Txn) apply(commitTS uint64) {
 	}
 	for i := range t.inserts {
 		ins := &t.inserts[i]
-		first := ins.ref.Table.AppendRows(t.insertedRows(ins), commitTS)
+		first := t.appendInsert(ins, commitTS)
 		if ins.onCommit != nil {
 			ins.onCommit(first)
 		}
 	}
+}
+
+// appendInsert appends one insert's rows from the arena to its table and
+// returns the first row ID. The arena is row-major and AppendColumns fills
+// a column run at a time: the run's k-th word is column c of row off+k.
+// It is off the linted allocation-free path only for that fill closure,
+// which stays on the stack because AppendColumns does not let fill escape
+// (CI's "Hot accessors inline" step checks it; TestTxnAllocBudget pins the
+// whole commit).
+//
+//htap:coldpath
+func (t *Txn) appendInsert(ins *insertOp, commitTS uint64) int64 {
+	rows, width := t.arena[ins.lo:ins.hi], ins.width
+	// fill never fails, so neither does AppendColumns.
+	first, _ := ins.ref.Table.AppendColumns(int64(len(rows)/width), commitTS, func(c int, off int64, dst []int64) error {
+		for k, r := 0, int(off)*width+c; k < len(dst); k, r = k+1, r+width {
+			dst[k] = rows[r]
+		}
+		return nil
+	})
+	return first
 }
 
 // tableCells returns the writes to ref's table from writes[i] on as cells,
@@ -460,24 +479,6 @@ func (t *Txn) tableCells(i int, ref *TableRef) []columnar.Cell {
 //htap:coldpath
 func (t *Txn) growCells(n int) { t.cells = make([]columnar.Cell, n+n/2) }
 
-// insertedRows returns the arena rows of one insert as row slices, built in
-// the transaction's scratch and valid until the next call.
-func (t *Txn) insertedRows(ins *insertOp) [][]int64 {
-	n := (ins.hi - ins.lo) / ins.width
-	if cap(t.rows) < n {
-		t.growRows(n)
-	}
-	rows := t.rows[:n]
-	for i := range rows {
-		off := ins.lo + i*ins.width
-		rows[i] = t.arena[off : off+ins.width]
-	}
-	return rows
-}
-
-//htap:coldpath
-func (t *Txn) growRows(n int) { t.rows = make([][]int64, n+n/2) }
-
 // wroteBefore reports whether a write earlier than writes[i] is to ref.
 func (t *Txn) wroteBefore(i int, ref *TableRef) bool {
 	for j := i - 1; j >= 0; j-- {
@@ -492,11 +493,11 @@ func (t *Txn) wroteBefore(i int, ref *TableRef) bool {
 // transaction's reusable record; insert ops alias the arena.
 func (t *Txn) record(commitTS uint64) *wal.Record {
 	rec := &t.rec
-	rec.TxnID, rec.CommitTS, rec.Ops = t.begin, commitTS, rec.Ops[:0]
+	rec.CommitTS, rec.Ops = commitTS, rec.Ops[:0]
 	for _, w := range t.writes {
 		rec.Ops = append(rec.Ops, wal.Op{
 			Kind:  wal.OpUpdate,
-			Table: w.ref.Table.Schema().Name,
+			Table: w.ref.id,
 			Row:   w.row,
 			Col:   uint32(w.col),
 			Val:   w.val,
@@ -508,7 +509,7 @@ func (t *Txn) record(commitTS uint64) *wal.Record {
 		}
 		rec.Ops = append(rec.Ops, wal.Op{
 			Kind:  wal.OpInsert,
-			Table: ins.ref.Table.Schema().Name,
+			Table: ins.ref.id,
 			NRows: (ins.hi - ins.lo) / ins.width,
 			Width: ins.width,
 			Vals:  t.arena[ins.lo:ins.hi],

@@ -193,6 +193,41 @@ func TestInsertVisibility(t *testing.T) {
 	after.Abort()
 }
 
+// TestCommitAppendsInsertsFromTheArena: a commit turns each insert's
+// row-major arena rows into the table's columns, one chunk run at a time.
+// Two inserts in one commit, the first crossing a chunk boundary, read
+// back cell for cell as the body wrote them.
+func TestCommitAppendsInsertsFromTheArena(t *testing.T) {
+	const below = 2 // rows the first insert fills before the boundary
+	m, ref := newTestTable(t, columnar.ChunkSize-below)
+	sizes := []int{below + 3, 4}
+	firsts := make([]int64, len(sizes))
+	tx := m.Begin()
+	for k, n := range sizes {
+		slot, err := tx.Insert(ref, n, func(first int64) { firsts[k] = first })
+		if err != nil {
+			t.Fatal(err)
+		}
+		for i := range slot {
+			slot[i] = int64(1000*k + i) // row i/2, column i%2
+		}
+	}
+	if err := tx.Commit(); err != nil {
+		t.Fatal(err)
+	}
+	if want := []int64{columnar.ChunkSize - below, columnar.ChunkSize + 3}; firsts[0] != want[0] || firsts[1] != want[1] {
+		t.Fatalf("inserts got first rows %v, want %v", firsts, want)
+	}
+	for k, n := range sizes {
+		for i := 0; i < 2*n; i++ {
+			row, col := firsts[k]+int64(i/2), i%2
+			if v, want := ref.Table.ReadActive(row, col), int64(1000*k+i); v != want {
+				t.Fatalf("insert %d: row %d col %d = %d, want %d", k, row, col, v, want)
+			}
+		}
+	}
+}
+
 func TestRunWithRetry(t *testing.T) {
 	m, ref := newTestTable(t, 1)
 	attempts := 0

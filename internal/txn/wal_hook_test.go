@@ -66,7 +66,7 @@ func TestCommitWritesAhead(t *testing.T) {
 		t.Fatalf("first record %+v", first)
 	}
 	up, ins := first.Ops[0], first.Ops[1]
-	if up.Kind != wal.OpUpdate || up.Table != "acct" || up.Row != 0 || up.Col != 1 || up.Val != 777 {
+	if up.Kind != wal.OpUpdate || up.Table != ref.id || up.Row != 0 || up.Col != 1 || up.Val != 777 {
 		t.Fatalf("update op %+v", up)
 	}
 	if ins.Kind != wal.OpInsert || ins.NRows != 2 || ins.Width != 2 ||

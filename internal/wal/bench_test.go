@@ -17,10 +17,10 @@ func BenchmarkWALAppend(b *testing.B) {
 			if err != nil {
 				b.Fatal(err)
 			}
-			rec := &Record{TxnID: 1, CommitTS: 2}
+			rec := &Record{CommitTS: 2}
 			for i := 0; i < ops; i++ {
 				rec.Ops = append(rec.Ops, Op{
-					Kind: OpUpdate, Table: "stock", Row: int64(i), Col: 3, Val: int64(i),
+					Kind: OpUpdate, Table: 8, Row: int64(i), Col: 3, Val: int64(i),
 				})
 			}
 			sz := int64(frameHeader + payloadSize(rec))
@@ -45,8 +45,8 @@ func BenchmarkWALReplay(b *testing.B) {
 		b.Fatal(err)
 	}
 	const recs, rows, width = 2000, 4, 8
-	ins := &Record{TxnID: 1, CommitTS: 2, Ops: []Op{{
-		Kind: OpInsert, Table: "orderline", NRows: rows, Width: width,
+	ins := &Record{CommitTS: 2, Ops: []Op{{
+		Kind: OpInsert, Table: 6, NRows: rows, Width: width,
 		Vals: make([]int64, rows*width),
 	}}}
 	for i := 0; i < recs; i++ {

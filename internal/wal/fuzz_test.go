@@ -18,21 +18,21 @@ func FuzzWALDecode(f *testing.F) {
 		encodeFrame(buf, rec)
 		return buf
 	}
-	f.Add(seed(&Record{TxnID: 1, CommitTS: 2, Ops: []Op{
-		{Kind: OpUpdate, Table: "stock", Row: 9, Col: 3, Val: -4},
+	f.Add(seed(&Record{CommitTS: 2, Ops: []Op{
+		{Kind: OpUpdate, Table: 8, Row: 9, Col: 3, Val: -4},
 	}}))
-	f.Add(seed(&Record{TxnID: 7, CommitTS: 8, Ops: []Op{
-		{Kind: OpInsert, Table: "orders", NRows: 2, Width: 3, Vals: []int64{1, 2, 3, 4, 5, 6}},
-		{Kind: OpUpdate, Table: "district", Row: 0, Col: 0, Val: 0},
+	f.Add(seed(&Record{CommitTS: 8, Ops: []Op{
+		{Kind: OpInsert, Table: 5, NRows: 2, Width: 3, Vals: []int64{1, 2, 3, 4, 5, 6}},
+		{Kind: OpUpdate, Table: 1, Row: 0, Col: 0, Val: 0},
 	}}))
 	f.Add([]byte{})
 	f.Add([]byte{0xff, 0xff, 0xff, 0xff, 0, 0, 0, 0})
 	// A frame whose CRC is valid but whose payload claims a giant insert.
-	hostile := make([]byte, frameHeader+headerBytes+3+8)
+	hostile := make([]byte, frameHeader+headerBytes+opBytes+8)
 	le := binary.LittleEndian
-	le.PutUint32(hostile[frameHeader+16:], 1) // one op
+	le.PutUint32(hostile[frameHeader+8:], 1) // one op
 	hostile[frameHeader+headerBytes] = byte(OpInsert)
-	le.PutUint32(hostile[frameHeader+headerBytes+3:], 1<<31-1) // absurd NRows
+	le.PutUint32(hostile[frameHeader+headerBytes+opBytes:], 1<<31-1) // absurd NRows
 	le.PutUint32(hostile[0:], uint32(len(hostile)-frameHeader))
 	le.PutUint32(hostile[4:], crc32.Checksum(hostile[frameHeader:], Castagnoli))
 	f.Add(hostile)

@@ -5,9 +5,6 @@ import (
 	"errors"
 	"fmt"
 	"hash/crc32"
-	"maps"
-	"sync"
-	"sync/atomic"
 )
 
 // Records frame as
@@ -16,13 +13,16 @@ import (
 //
 // with a little-endian payload of
 //
-//	u64 txn id | u64 commit timestamp | u32 op count
-//	per op: u8 kind | u16 table name length | table name
+//	u64 commit timestamp | u32 op count
+//	per op: u8 kind | u16 table id
 //	        update: u64 row | u32 col | u64 value
 //	        insert: u32 row count | u32 width | rows*width u64 words
 //
-// CRC32C is the Castagnoli polynomial (hardware-accelerated on amd64 and
-// arm64), the same checksum the checkpoint format uses.
+// A table id is the table's index in registration order (txn.Manager's
+// Register), which is the engine's creation order and the order the
+// checkpoint manifest lists the tables in. CRC32C is the Castagnoli
+// polynomial (hardware-accelerated on amd64 and arm64), the same checksum
+// the checkpoint format uses.
 
 // OpKind distinguishes write-set operations.
 type OpKind uint8
@@ -38,7 +38,7 @@ const (
 // Op is one operation of a committed write set.
 type Op struct {
 	Kind  OpKind
-	Table string
+	Table uint16 // the table's id (see the format above)
 
 	// Update fields.
 	Row int64
@@ -53,19 +53,17 @@ type Op struct {
 
 // Record is one committed transaction's write set.
 type Record struct {
-	TxnID    uint64
 	CommitTS uint64
 	Ops      []Op
 }
 
 const (
-	frameHeader = 8         // u32 len + u32 crc
-	headerBytes = 8 + 8 + 4 // txn id + commit ts + op count
+	frameHeader = 8     // u32 len + u32 crc
+	headerBytes = 8 + 4 // commit ts + op count
+	opBytes     = 1 + 2 // kind + table id
 	// maxPayload caps a claimed record length so a corrupt or hostile
 	// header can never trigger a huge allocation or over-read.
 	maxPayload = 1 << 26
-	// maxTableName bounds decoded table names.
-	maxTableName = 1 << 12
 )
 
 // Castagnoli is the CRC32C table shared by WAL and checkpoint framing.
@@ -82,7 +80,7 @@ func payloadSize(rec *Record) int {
 	n := headerBytes
 	for i := range rec.Ops {
 		op := &rec.Ops[i]
-		n += 1 + 2 + len(op.Table)
+		n += opBytes
 		if op.Kind == OpUpdate {
 			n += 8 + 4 + 8
 		} else {
@@ -99,17 +97,14 @@ func payloadSize(rec *Record) int {
 func encodeFrame(buf []byte, rec *Record) int {
 	le := binary.LittleEndian
 	p := frameHeader
-	le.PutUint64(buf[p:], rec.TxnID)
-	le.PutUint64(buf[p+8:], rec.CommitTS)
-	le.PutUint32(buf[p+16:], uint32(len(rec.Ops)))
+	le.PutUint64(buf[p:], rec.CommitTS)
+	le.PutUint32(buf[p+8:], uint32(len(rec.Ops)))
 	p += headerBytes
 	for i := range rec.Ops {
 		op := &rec.Ops[i]
 		buf[p] = byte(op.Kind)
-		le.PutUint16(buf[p+1:], uint16(len(op.Table)))
-		p += 3
-		copy(buf[p:], op.Table)
-		p += len(op.Table)
+		le.PutUint16(buf[p+1:], op.Table)
+		p += opBytes
 		if op.Kind == OpUpdate {
 			le.PutUint64(buf[p:], uint64(op.Row))
 			le.PutUint32(buf[p+8:], op.Col)
@@ -138,39 +133,31 @@ func encodeFrame(buf []byte, rec *Record) int {
 // panicking or over-allocating.
 //
 // A record takes three allocations at most: the record, its ops and one
-// block holding every insert's values. Table names are interned (see
-// internName), and the values are copied out in a second pass once the
-// first has sized the block.
+// block holding every insert's values, copied out in a second pass once
+// the first has sized the block. Table ids are not checked here: the
+// registered tables are the replayer's (txn.Manager.Replay).
 func DecodeRecord(payload []byte) (*Record, error) {
 	le := binary.LittleEndian
 	if len(payload) < headerBytes || len(payload) > maxPayload {
 		return nil, fmt.Errorf("%w: payload %d bytes", ErrCorrupt, len(payload))
 	}
-	rec := &Record{
-		TxnID:    le.Uint64(payload),
-		CommitTS: le.Uint64(payload[8:]),
-	}
-	nops := int(le.Uint32(payload[16:]))
+	rec := &Record{CommitTS: le.Uint64(payload)}
+	nops := int(le.Uint32(payload[8:]))
 	p := headerBytes
-	// Each op takes at least 3 bytes; reject counts the payload can't hold.
-	if nops < 0 || nops > (len(payload)-p)/3 {
+	// Each op takes at least opBytes; reject counts the payload can't hold.
+	if nops < 0 || nops > (len(payload)-p)/opBytes {
 		return nil, fmt.Errorf("%w: %d ops in %d bytes", ErrCorrupt, nops, len(payload))
 	}
 	rec.Ops = make([]Op, nops)
 	words := 0
 	for i := range rec.Ops {
-		if len(payload)-p < 3 {
+		if len(payload)-p < opBytes {
 			return nil, fmt.Errorf("%w: truncated op header", ErrCorrupt)
 		}
 		kind := OpKind(payload[p])
-		nameLen := int(le.Uint16(payload[p+1:]))
-		p += 3
-		if nameLen > maxTableName || len(payload)-p < nameLen {
-			return nil, fmt.Errorf("%w: table name %d bytes", ErrCorrupt, nameLen)
-		}
 		op := &rec.Ops[i]
-		op.Kind, op.Table = kind, internName(payload[p:p+nameLen])
-		p += nameLen
+		op.Kind, op.Table = kind, le.Uint16(payload[p+1:])
+		p += opBytes
 		switch kind {
 		case OpUpdate:
 			if len(payload)-p < 20 {
@@ -217,7 +204,7 @@ func decodeValues(payload []byte, ops []Op, vals []int64) {
 	p := headerBytes
 	for i := range ops {
 		op := &ops[i]
-		p += 3 + len(op.Table)
+		p += opBytes
 		if op.Kind == OpUpdate {
 			p += 20
 			continue
@@ -230,49 +217,4 @@ func decodeValues(payload []byte, ops []Op, vals []int64) {
 			p += 8
 		}
 	}
-}
-
-// maxInterned bounds the interned table names. A log names a schema's
-// tables; only a damaged one names more, and those names are allocated per
-// op instead.
-const maxInterned = 256
-
-// tableNames interns decoded table names for every decode in the process,
-// as a map published copy-on-write: a lookup is a load and takes no lock.
-var tableNames struct {
-	mu sync.Mutex
-	m  atomic.Pointer[map[string]string]
-}
-
-// internName returns the table name spelled by b without allocating once
-// the name has been seen.
-func internName(b []byte) string {
-	if m := tableNames.m.Load(); m != nil {
-		if s, ok := (*m)[string(b)]; ok {
-			return s
-		}
-	}
-	return addName(b)
-}
-
-// addName interns a name not seen yet, if there is room.
-func addName(b []byte) string {
-	tableNames.mu.Lock()
-	defer tableNames.mu.Unlock()
-	var m map[string]string
-	if old := tableNames.m.Load(); old != nil {
-		if s, ok := (*old)[string(b)]; ok {
-			return s
-		}
-		if len(*old) >= maxInterned {
-			return string(b)
-		}
-		m = maps.Clone(*old)
-	} else {
-		m = map[string]string{}
-	}
-	s := string(b)
-	m[s] = s
-	tableNames.m.Store(&m)
-	return s
 }

@@ -59,9 +59,9 @@ func replayLog(t *testing.T, n int) ([]byte, []*Record, []int64) {
 	var recs []*Record
 	var pos []int64
 	for i := 0; i < n; i++ {
-		rec := updateRec(uint64(i), "stock", int64(i), uint32(i%7), int64(-i))
+		rec := updateRec(uint64(i), 8, int64(i), uint32(i%7), int64(-i))
 		if i%3 == 0 {
-			rec = insertRec(uint64(i), "orderline", 1+i%4, 10)
+			rec = insertRec(uint64(i), 6, 1+i%4, 10)
 		}
 		start := l.Pos()
 		if _, err := l.Append(rec, nil); err != nil {
@@ -194,24 +194,29 @@ func TestReplayGoroutineGoneOnPanic(t *testing.T) {
 	settles(t, before, "after a panicking callback")
 }
 
-// TestDecodeRecordAllocs pins what decoding a NewOrder-shaped record costs:
-// the record, its ops and one block of insert values — no string per op's
-// table name, no slice per insert.
+// TestDecodeRecordAllocs pins what a NewOrder-shaped record costs: its
+// encoded size, three bytes an op ahead of the op's own fields, and its
+// decode, the record, its ops and one block of insert values — no slice
+// per insert.
 func TestDecodeRecordAllocs(t *testing.T) {
-	rec := &Record{TxnID: 9, CommitTS: 10}
-	rec.Ops = append(rec.Ops, Op{Kind: OpUpdate, Table: "district", Row: 3, Col: 10, Val: 3001})
+	rec := &Record{CommitTS: 10}
+	rec.Ops = append(rec.Ops, Op{Kind: OpUpdate, Table: 1, Row: 3, Col: 10, Val: 3001})
 	for i := 0; i < 39; i++ {
-		rec.Ops = append(rec.Ops, Op{Kind: OpUpdate, Table: "stock", Row: int64(100 + i/4), Col: uint32(2 + i%4), Val: int64(i)})
+		rec.Ops = append(rec.Ops, Op{Kind: OpUpdate, Table: 8, Row: int64(100 + i/4), Col: uint32(2 + i%4), Val: int64(i)})
 	}
 	for _, ins := range []struct {
-		table       string
+		table       uint16
 		rows, width int
-	}{{"orders", 1, 8}, {"neworder", 1, 3}, {"orderline", 10, 10}} {
+	}{{5, 1, 8}, {4, 1, 3}, {6, 10, 10}} {
 		rec.Ops = append(rec.Ops, Op{Kind: OpInsert, Table: ins.table, NRows: ins.rows, Width: ins.width,
 			Vals: make([]int64, ins.rows*ins.width)})
 	}
 	buf := make([]byte, frameHeader+payloadSize(rec))
 	payload := buf[frameHeader:encodeFrame(buf, rec)]
+	const size = 8 + 4 + 40*(3+20) + 3*(3+4+4) + 8*(1*8+1*3+10*10)
+	if len(payload) != size {
+		t.Fatalf("payload of 40 updates and 3 inserts: %d bytes, want %d", len(payload), size)
+	}
 	allocs := testing.AllocsPerRun(100, func() {
 		if _, err := DecodeRecord(payload); err != nil {
 			t.Fatal(err)

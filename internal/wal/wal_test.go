@@ -9,18 +9,18 @@ import (
 	"time"
 )
 
-func updateRec(id uint64, table string, row int64, col uint32, val int64) *Record {
-	return &Record{TxnID: id, CommitTS: id + 1, Ops: []Op{
+func updateRec(ts uint64, table uint16, row int64, col uint32, val int64) *Record {
+	return &Record{CommitTS: ts, Ops: []Op{
 		{Kind: OpUpdate, Table: table, Row: row, Col: col, Val: val},
 	}}
 }
 
-func insertRec(id uint64, table string, rows, width int) *Record {
+func insertRec(ts uint64, table uint16, rows, width int) *Record {
 	vals := make([]int64, rows*width)
 	for i := range vals {
-		vals[i] = int64(id)*1000 + int64(i)
+		vals[i] = int64(ts)*1000 + int64(i)
 	}
-	return &Record{TxnID: id, CommitTS: id + 1, Ops: []Op{
+	return &Record{CommitTS: ts, Ops: []Op{
 		{Kind: OpInsert, Table: table, NRows: rows, Width: width, Vals: vals},
 	}}
 }
@@ -56,11 +56,11 @@ func TestAppendReplayRoundTrip(t *testing.T) {
 	fs := NewMemFS()
 	l := openLog(t, fs, SyncAlways)
 	want := []*Record{
-		updateRec(1, "stock", 42, 2, 7),
-		insertRec(3, "orderline", 4, 10),
-		{TxnID: 5, CommitTS: 6, Ops: []Op{
-			{Kind: OpUpdate, Table: "district", Row: 1, Col: 6, Val: 99},
-			{Kind: OpInsert, Table: "orders", NRows: 1, Width: 8, Vals: make([]int64, 8)},
+		updateRec(1, 8, 42, 2, 7),
+		insertRec(3, 6, 4, 10),
+		{CommitTS: 5, Ops: []Op{
+			{Kind: OpUpdate, Table: 1, Row: 1, Col: 6, Val: 99},
+			{Kind: OpInsert, Table: 5, NRows: 1, Width: 8, Vals: make([]int64, 8)},
 		}},
 	}
 	var mid int64
@@ -85,7 +85,7 @@ func TestAppendReplayRoundTrip(t *testing.T) {
 		t.Fatalf("valid pos %d, log pos %d", st.ValidPos, l.Pos())
 	}
 	for i := range want {
-		if got[i].TxnID != want[i].TxnID || got[i].CommitTS != want[i].CommitTS ||
+		if got[i].CommitTS != want[i].CommitTS ||
 			len(got[i].Ops) != len(want[i].Ops) {
 			t.Fatalf("record %d: got %+v want %+v", i, got[i], want[i])
 		}
@@ -108,8 +108,8 @@ func TestAppendReplayRoundTrip(t *testing.T) {
 	if st2.Records != len(want) || st2.Replayed != len(want)-1 || len(above) != len(want)-1 {
 		t.Fatalf("watermark replay: stats %+v, %d records", st2, len(above))
 	}
-	if above[0].TxnID != want[1].TxnID {
-		t.Fatalf("watermark replay starts at txn %d, want %d", above[0].TxnID, want[1].TxnID)
+	if above[0].CommitTS != want[1].CommitTS {
+		t.Fatalf("watermark replay starts at commit %d, want %d", above[0].CommitTS, want[1].CommitTS)
 	}
 }
 
@@ -117,7 +117,7 @@ func TestTornTailRecoversToLastValidRecord(t *testing.T) {
 	fs := NewMemFS()
 	l := openLog(t, fs, SyncAlways)
 	for i := uint64(1); i <= 5; i++ {
-		if _, err := l.Append(insertRec(i, "orders", 2, 8), nil); err != nil {
+		if _, err := l.Append(insertRec(i, 5, 2, 8), nil); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -126,13 +126,13 @@ func TestTornTailRecoversToLastValidRecord(t *testing.T) {
 	// Tear the next record partway through its write.
 	fs.CrashAfterWrite(10)
 	applied := false
-	if _, err := l.Append(insertRec(6, "orders", 2, 8), func() { applied = true }); !errors.Is(err, ErrCrash) {
+	if _, err := l.Append(insertRec(6, 5, 2, 8), func() { applied = true }); !errors.Is(err, ErrCrash) {
 		t.Fatalf("torn append error = %v, want ErrCrash", err)
 	}
 	if applied {
 		t.Fatal("apply ran despite torn write")
 	}
-	if _, err := l.Append(updateRec(7, "stock", 1, 1, 1), nil); err == nil {
+	if _, err := l.Append(updateRec(7, 8, 1, 1, 1), nil); err == nil {
 		t.Fatal("log accepted an append after breaking")
 	}
 
@@ -150,11 +150,11 @@ func TestTornTailRecoversToLastValidRecord(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := l2.Append(updateRec(8, "stock", 3, 2, 4), nil); err != nil {
+	if _, err := l2.Append(updateRec(8, 8, 3, 2, 4), nil); err != nil {
 		t.Fatal(err)
 	}
 	recs, st = replayAll(t, img, 0)
-	if st.Truncated || len(recs) != 6 || recs[5].TxnID != 8 {
+	if st.Truncated || len(recs) != 6 || recs[5].CommitTS != 8 {
 		t.Fatalf("post-resume replay: stats %+v, %d records", st, len(recs))
 	}
 }
@@ -164,7 +164,7 @@ func TestBitFlipDetected(t *testing.T) {
 	l := openLog(t, fs, SyncAlways)
 	var positions []int64
 	for i := uint64(1); i <= 4; i++ {
-		pos, err := l.Append(updateRec(i, "warehouse", int64(i), 5, int64(i)*10), nil)
+		pos, err := l.Append(updateRec(i, 0, int64(i), 5, int64(i)*10), nil)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -192,12 +192,12 @@ func TestBitFlipDetected(t *testing.T) {
 func TestFsyncFailureBreaksLog(t *testing.T) {
 	fs := NewMemFS()
 	l := openLog(t, fs, SyncAlways)
-	if _, err := l.Append(updateRec(1, "stock", 1, 1, 1), nil); err != nil {
+	if _, err := l.Append(updateRec(1, 8, 1, 1, 1), nil); err != nil {
 		t.Fatal(err)
 	}
 	fs.FailSyncs(0)
 	applied := false
-	_, err := l.Append(updateRec(2, "stock", 2, 2, 2), func() { applied = true })
+	_, err := l.Append(updateRec(2, 8, 2, 2, 2), func() { applied = true })
 	if !IsSyncFailure(err) {
 		t.Fatalf("append with failing fsync = %v, want sync failure", err)
 	}
@@ -205,7 +205,7 @@ func TestFsyncFailureBreaksLog(t *testing.T) {
 		t.Fatal("apply must run before the fsync: the record was written")
 	}
 	applied = false
-	_, err = l.Append(updateRec(3, "stock", 3, 3, 3), func() { applied = true })
+	_, err = l.Append(updateRec(3, 8, 3, 3, 3), func() { applied = true })
 	if err == nil {
 		t.Fatal("log accepted an append after a durability failure")
 	}
@@ -218,7 +218,7 @@ func TestSyncNeverLosesUnsyncedOnCrash(t *testing.T) {
 	fs := NewMemFS()
 	l := openLog(t, fs, SyncNever)
 	for i := uint64(1); i <= 3; i++ {
-		if _, err := l.Append(updateRec(i, "item", int64(i), 0, 1), nil); err != nil {
+		if _, err := l.Append(updateRec(i, 7, int64(i), 0, 1), nil); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -226,7 +226,7 @@ func TestSyncNeverLosesUnsyncedOnCrash(t *testing.T) {
 		t.Fatal(err)
 	}
 	for i := uint64(4); i <= 6; i++ {
-		if _, err := l.Append(updateRec(i, "item", int64(i), 0, 1), nil); err != nil {
+		if _, err := l.Append(updateRec(i, 7, int64(i), 0, 1), nil); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -250,14 +250,14 @@ func TestSyncIntervalPolicy(t *testing.T) {
 	}
 	// First append syncs (lastSync zero value is long past); later ones
 	// within the hour do not.
-	if _, err := l.Append(updateRec(1, "item", 1, 0, 1), nil); err != nil {
+	if _, err := l.Append(updateRec(1, 7, 1, 0, 1), nil); err != nil {
 		t.Fatal(err)
 	}
 	after1 := l.Synced()
 	if after1 != l.Pos() {
 		t.Fatalf("first interval append left synced=%d pos=%d", after1, l.Pos())
 	}
-	if _, err := l.Append(updateRec(2, "item", 2, 0, 1), nil); err != nil {
+	if _, err := l.Append(updateRec(2, 7, 2, 0, 1), nil); err != nil {
 		t.Fatal(err)
 	}
 	if l.Synced() != after1 {
@@ -281,7 +281,7 @@ func TestConcurrentAppendOrderMatchesReplay(t *testing.T) {
 			defer wg.Done()
 			for i := 0; i < per; i++ {
 				id := uint64(w*per + i + 1)
-				rec := updateRec(id, "stock", int64(id), 1, int64(id))
+				rec := updateRec(id, 8, int64(id), 1, int64(id))
 				if _, err := l.Append(rec, func() {
 					mu.Lock()
 					applied = append(applied, id)
@@ -302,8 +302,8 @@ func TestConcurrentAppendOrderMatchesReplay(t *testing.T) {
 		t.Fatalf("replayed %d records (stats %+v), want %d", len(recs), st, workers*per)
 	}
 	for i, rec := range recs {
-		if rec.TxnID != applied[i] {
-			t.Fatalf("replay order diverges at %d: log has txn %d, apply order has %d", i, rec.TxnID, applied[i])
+		if rec.CommitTS != applied[i] {
+			t.Fatalf("replay order diverges at %d: log has commit %d, apply order has %d", i, rec.CommitTS, applied[i])
 		}
 	}
 	appends, syncs, grouped := l.Stats()
