@@ -38,8 +38,9 @@ func fusedBlock(db *ch.DB, cols []int) (olap.Block, int64) {
 
 // TestFusedConsumeZeroAllocsPerMorsel drives a warmed fused local
 // directly: consuming a morsel must be allocation-free for the ungrouped
-// (Q6), dense-grouped (Q1) and spill-grouped (Q18) kernels — a spill
-// table's per-key merge radix is bookkeeping a warmed local never grows.
+// (Q6), dense-grouped (Q1) and join-grouped (Q18) kernels — a warmed
+// join-grouped local has every accumulator block the morsel's orders
+// resolve into.
 func TestFusedConsumeZeroAllocsPerMorsel(t *testing.T) {
 	e := oltp.NewEngine()
 	db := ch.Load(e, ch.TinySizing(), 1)
@@ -167,10 +168,12 @@ func TestGraphJoinExecutionAllocBudget(t *testing.T) {
 // Submit, so whatever a local allocates there sits next to its
 // neighbours': accumulators only, never a buffer a worker writes per row
 // (a multi-join plan's gathered payload words live on the consuming
-// goroutine's stack). The flocal itself; plus, for composite group keys
-// on fact columns (Q3's and Q18's order keys), the group table and its
-// slots. Q7's key is two join payload words, which pack into dense cells
-// the local allocates on its first consumed block, not here.
+// goroutine's stack). The flocal itself, and only that: a spill plan adds
+// its group table and the table's slots, and no CH plan spills. Q7's key
+// is two join payload words, which pack into dense cells, and Q3's and
+// Q18's order keys address their orders join's entries, in blocks from
+// one arena through one directory; the local allocates those on its first
+// consumed block, not here.
 func TestNewLocalAllocBudget(t *testing.T) {
 	e := oltp.NewEngine()
 	db := ch.Load(e, ch.TinySizing(), 1)
@@ -180,14 +183,15 @@ func TestNewLocalAllocBudget(t *testing.T) {
 		objects float64
 	}{
 		// One more each for Q2, Q5 and Q7 (2, 2, 4) when a multi-join local
-		// carried its own payload buffer, and Q7 took 3 while its nation
-		// pairs hashed into a group table; the rest are as they were.
+		// carried its own payload buffer, Q7 took 3 while its nation pairs
+		// hashed into a group table, and Q3 and Q18 took 3 while their
+		// order keys did.
 		{"Q1", ch.Q1Args(0), 1},
 		{"Q6", ch.Q6Args(0, 0, 0, 0), 1},
 		{"Q19", ch.Q19Args(0, 0, 0, 0), 1},
 		{"Q12", ch.Q12Args(0), 1},
-		{"Q3", ch.Q3Args(0), 3},
-		{"Q18", ch.Q18Args(0), 3},
+		{"Q3", ch.Q3Args(0), 1},
+		{"Q18", ch.Q18Args(0), 1},
 		{"Q2", ch.Q2Args(0, 0), 1},
 		{"Q5", ch.Q5Args(0), 1},
 		{"Q7", ch.Q7Args(0), 1},
@@ -347,10 +351,11 @@ func TestSteadyStateMigrateZeroAllocs(t *testing.T) {
 }
 
 // TestGroupedMergeAllocBudget bounds a warmed Q18 execution at SF 0.01:
-// some 4 000 orders, each its own spill group. The merge folds the
-// locals into one presized table per part, applies Having over its
-// arena and emits only the top 100, so what it allocates does not grow
-// with the group count. Measured 188 (4 106 when every group emitted a
+// some 4 000 orders, each its own group. The merge folds the locals'
+// accumulator blocks a block at a time, applies Having as it renders the
+// groups and emits only the top 100, so what it allocates does not grow
+// with the group count. Measured 87 (188 while the groups hashed into a
+// table per local and per merge part; 4 106 when every group emitted a
 // row before Having and the top-k ran).
 func TestGroupedMergeAllocBudget(t *testing.T) {
 	e := oltp.NewEngine()

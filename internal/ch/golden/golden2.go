@@ -255,8 +255,9 @@ type Q18 struct {
 // Name implements olap.Query.
 func (q *Q18) Name() string { return "Q18" }
 
-// Class implements olap.Query.
-func (q *Q18) Class() costmodel.WorkClass { return costmodel.ScanGroupBy }
+// Class implements olap.Query: the builder plan probes orders for each
+// order line's order and projects nothing, an existence probe.
+func (q *Q18) Class() costmodel.WorkClass { return costmodel.JoinProbe }
 
 // FactTable implements olap.Query.
 func (q *Q18) FactTable() string { return ch.TOrderLine }
@@ -264,8 +265,11 @@ func (q *Q18) FactTable() string { return ch.TOrderLine }
 // Columns implements olap.Query.
 func (q *Q18) Columns() []int { return []int{ch.OLWID, ch.OLDID, ch.OLOID, ch.OLAmount} }
 
-// Prepare implements olap.Query: no build side — Q18 is a pure
-// group-by/having/top-k over the fact table.
+// Prepare implements olap.Query. The answer is a group-by/having/top-k
+// over the fact table alone: the builder plan's orders join keeps every
+// order line, since each one's order commits with it, so this executor
+// leaves it out. Broadcast accounting mirrors that join: every orders row
+// charges its three key columns.
 func (q *Q18) Prepare() (olap.Exec, int64) {
 	minRev := q.MinRevenue
 	if minRev <= 0 {
@@ -275,7 +279,7 @@ func (q *Q18) Prepare() (olap.Exec, int64) {
 	if topN <= 0 {
 		topN = 100
 	}
-	return &q18Exec{minRev: minRev, topN: topN}, 0
+	return &q18Exec{minRev: minRev, topN: topN}, q.DB.Orders.Table().Rows() * 3 * columnar.WordBytes
 }
 
 type q18Exec struct {

@@ -124,12 +124,21 @@ func Q12Args(deliveredSince int64) query.Args {
 }
 
 // Q18PlanParam is CH-Q18 (simplified) as a logical plan: OrderLine
-// grouped by the composite order key, keeping orders whose revenue
-// exceeds the min_revenue parameter (a Having site, stamped in float
-// space), ordered by revenue descending, top-100.
+// joined with Orders on the composite order key, as CH-benCHmark's Q18
+// joins them, grouped by that key, keeping orders whose revenue exceeds
+// the min_revenue parameter (a Having site, stamped in float space),
+// ordered by revenue descending, top-100. The join keeps every order line
+// — each one's order is committed with it — and projects nothing; it is
+// there because its build side fixes the group, so each order's
+// accumulators are addressed by the entry the probe finds (a groupjoin)
+// instead of by hashing the key.
 func Q18PlanParam() *query.Plan {
+	ol := query.Rel(TOrderLine)
+	orders := query.Rel(TOrders)
 	return query.Scan(TOrderLine).
 		Named("Q18").
+		JoinGraph(query.JoinOn(ol, orders,
+			"ol_w_id", "o_w_id", "ol_d_id", "o_d_id", "ol_o_id", "o_id")).
 		GroupBy("ol_w_id", "ol_d_id", "ol_o_id").
 		Agg(query.Sum("ol_amount").As("revenue"), query.Count().As("lines")).
 		Having(query.Gt("revenue", query.Param("min_revenue"))).

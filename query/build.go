@@ -19,7 +19,10 @@ package query
 // each payload word's [min, max] over its rows (payDomain). A plan whose
 // group key is made of payload words packs it with the same arithmetic
 // into dense group cells (layoutGroups in kernel.go): Q7's nation pairs
-// group without a hash.
+// group without a hash. A plan whose group key is a join's whole key,
+// with or without that join's payload words, groups on the entry its
+// probe resolves instead: a dense side's cell, a hashed side's build row. Each
+// entry holds one key, so it is one group (Q3's and Q18's orders).
 //
 // Dense tables are kept on the bound statement (buildCache, shared by
 // every WithArgs clone). An entry stays usable while every dimension

@@ -21,6 +21,7 @@ var chDefaults = map[string]query.Args{
 	"Q5":  ch.Q5Args(0),
 	"Q7":  ch.Q7Args(0),
 	"Q12": ch.Q12Args(0),
+	"Q18": ch.Q18Args(0),
 }
 
 // bindCH binds plan on db and stamps it with args (nil for a plan
@@ -46,9 +47,16 @@ func bindCH(t *testing.T, db *ch.DB, plan *query.Plan, args query.Args) *query.C
 // one-join and from a multi-join plan: dense from Q12 and OLxItem (one
 // join) and Q2/Q5/Q7 (several, some of each keyed on an earlier join's
 // payload); forced, Q12 probes a composite-key hash table, OLxItem a
-// single-key one, Q5 and Q7 both kinds. Q3's build side holds only the
-// orders NewOrder added (carrier 0, which the loader never writes) and is
-// rebuilt on every execution, so Q3 is held to the same answers only.
+// single-key one, Q5 and Q7 both kinds. Q3 and Q18 group on the entry
+// their orders probe resolved (the gJoin layout), a dense cell here and a
+// hash slot when forced. Q18's orders side holds every order and is kept:
+// each batch's new orders extend it. Q3's holds only the orders NewOrder
+// added (carrier 0, which the loader never writes), so a batch's new
+// o_ids can run past its packed domain, and the side is rebuilt with
+// headroom when they do and extended otherwise: at SF 0.1, between
+// 2 000-NewOrder batches, it was rebuilt at executions 0, 1, 2, 4, 7 and
+// 11 of 12. Here every batch of 20 overflows it, so Q3 is held to the same
+// answers only.
 func TestDenseMatchesHashedOnCHGraphPlans(t *testing.T) {
 	e := oltp.NewEngine()
 	db := ch.Load(e, ch.SizingForScale(0.01), 1)
@@ -79,6 +87,7 @@ func TestDenseMatchesHashedOnCHGraphPlans(t *testing.T) {
 		"Q5":  ch.Q5PlanParam,
 		"Q7":  ch.Q7PlanParam,
 		"Q12": ch.Q12PlanParam,
+		"Q18": ch.Q18PlanParam,
 		// The one shape CH lacks: a single-key payload join on its own
 		// (Q19's is a semi join: it projects no payload).
 		"OLxItem": func() *query.Plan {
@@ -122,7 +131,7 @@ func TestDenseMatchesHashedOnCHGraphPlans(t *testing.T) {
 // TestCHGreedyOrdersPinned pins, by relation name, the greedy execution
 // order of every CH plan at two scales:
 // Q5 hoists the selective item semi-join ahead of the stock chain, the
-// chains place in dependency order, and Q18 groups orderline alone. A
+// chains place in dependency order, and Q18 probes orders alone. A
 // change to the estimates or the placement rule that moves any of them
 // changes what the benchmark runs.
 func TestCHGreedyOrdersPinned(t *testing.T) {
@@ -132,7 +141,7 @@ func TestCHGreedyOrdersPinned(t *testing.T) {
 		"Q5":  {"item", "stock", "supplier", "nation", "region"},
 		"Q7":  {"orders", "customer", "stock", "supplier"},
 		"Q12": {"orders"},
-		"Q18": nil,
+		"Q18": {"orders"},
 		"Q19": {"item"},
 	}
 	for _, sz := range []ch.Sizing{ch.TinySizing(), ch.SizingForScale(0.01)} {
@@ -171,8 +180,10 @@ func TestCHGreedyOrdersPinned(t *testing.T) {
 // It pins each plan's group layout too. Q7's (supplier nation, customer
 // nation) key packs into dense cells over the build sides' nation ranges;
 // hashed into the group table it ran about 1.6× slower in the kernel.
-// Q3's and Q18's order keys are fact columns and sparse, so they hash;
-// Q2, Q5 and Q12 group on one word, Q1 on one fact column.
+// Q3's and Q18's order keys are their orders join's key (Q3's with the
+// join's o_entry_d payload), so they address the orders entry the probe
+// resolved; hashed into the group table, BenchmarkQ18Builder ran about
+// 1.5× slower. Q2, Q5 and Q12 group on one word, Q1 on one fact column.
 func TestCHKernelChoicePinned(t *testing.T) {
 	db := ch.Load(oltp.NewEngine(), ch.TinySizing(), 1)
 	yearAgo := []int64{ch.LoadDay - 365, ch.LoadDay - 365 + 59}
@@ -190,12 +201,12 @@ func TestCHKernelChoicePinned(t *testing.T) {
 	}{
 		{"Q1", ch.Q1PlanParam, []query.Args{ch.Q1Args(yearAgo[0]), ch.Q1Args(yearAgo[1])}, "cells"},
 		{"Q2", ch.Q2PlanParam, []query.Args{ch.Q2Args(10, 40), ch.Q2Args(19, 49)}, "cells"},
-		{"Q3", ch.Q3PlanParam, []query.Args{ch.Q3Args(0)}, "spill"},
+		{"Q3", ch.Q3PlanParam, []query.Args{ch.Q3Args(0)}, "join"},
 		{"Q5", ch.Q5PlanParam, []query.Args{ch.Q5Args(40), ch.Q5Args(59)}, "cells"},
 		{"Q6", ch.Q6PlanParam, q6, "global"},
 		{"Q7", ch.Q7PlanParam, []query.Args{ch.Q7Args(yearAgo[0]), ch.Q7Args(yearAgo[1])}, "packed"},
 		{"Q12", ch.Q12PlanParam, []query.Args{ch.Q12Args(yearAgo[0]), ch.Q12Args(yearAgo[1])}, "cells"},
-		{"Q18", ch.Q18PlanParam, []query.Args{ch.Q18Args(200), ch.Q18Args(299)}, "spill"},
+		{"Q18", ch.Q18PlanParam, []query.Args{ch.Q18Args(200), ch.Q18Args(299)}, "join"},
 		{"Q19", ch.Q19PlanParam, []query.Args{ch.Q19Args(1, 6, 1, 61), ch.Q19Args(3, 8, 20, 80)}, "global"},
 	} {
 		for _, args := range c.args {

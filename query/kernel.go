@@ -24,6 +24,9 @@ package query
 // interpreter in reference_test.go holds under stealing and resizes.
 
 import (
+	"math"
+	"slices"
+
 	"elastichtap/internal/columnar"
 	"elastichtap/internal/olap"
 )
@@ -183,6 +186,7 @@ const (
 	gNone uint8 = iota
 	gDense
 	gSpill
+	gJoin
 )
 
 // fexec is a fully specialized fused kernel, instantiated per execution
@@ -215,6 +219,15 @@ type fexec struct {
 	gspan   [maxGroupCols]uint64
 	gstride [maxGroupCols]uint64
 	gcells  int
+
+	// A gJoin key is the entry its group join, joins[gjoin], resolved the
+	// row to: a dense side's cell, a hashed side's build row. Group word d
+	// decodes from that entry's key word gword[d] when gword[d] >= 0, and
+	// from its payload column ^gword[d] otherwise. gblocks accumulator
+	// blocks of joinBlockCells entries cover the side.
+	gjoin   int
+	gword   [maxGroupCols]int
+	gblocks int
 
 	ops  []aggOp
 	spec uint8 // monomorphic fast-loop selection (kernel_fast.go)
@@ -296,7 +309,7 @@ func (c *Compiled) prepareFused() (olap.Exec, int64) {
 	for ji, j := range c.joins {
 		side, scanned := c.buildJoin(ji)
 		buildBytes += scanned * int64(j.words) * columnar.WordBytes
-		e.joins = append(e.joins, fjoin{j, side})
+		e.joins = append(e.joins, fjoin{joinPlan: j, buildSide: side})
 	}
 	e.layoutGroups()
 	e.spec = e.pickSpec()
@@ -307,21 +320,65 @@ func (c *Compiled) prepareFused() (olap.Exec, int64) {
 // are built. A key whose every word is a join payload word packs into a
 // dense cell over the build sides' ranges for those words (payDomain),
 // when they multiply out to at most denseLen cells: the same arithmetic
-// as denseTab, with no hash and no key compare (Q7's nation pairs). A
-// one-word key of unknown range takes cells [0, denseLen). Any other
-// composite key hashes into the spill table: fact-column keys such as
-// Q3's and Q18's order keys are sparse.
+// as denseTab, with no hash and no key compare (Q7's nation pairs). A key
+// that holds a join's whole key, the rest of it that join's payload,
+// addresses the build entry the probe resolved (joinGroups: Q3's and
+// Q18's order keys). A one-word key of unknown range takes cells
+// [0, denseLen). Any other composite key hashes into the spill table.
 func (e *fexec) layoutGroups() {
 	switch {
 	case e.ngroup == 0:
 		e.gkind = gNone
 	case e.packGroups():
 		e.gkind = gDense
+	case e.joinGroups():
+		e.gkind = gJoin
 	case e.ngroup == 1:
 		e.gkind, e.glo[0], e.gspan[0], e.gstride[0], e.gcells = gDense, 0, denseLen, 1, denseLen
 	default:
 		e.gkind = gSpill
 	}
+}
+
+// joinGroups looks for a join whose build entry fixes the group: the
+// group words include every key word of the join (the slot its probe
+// reads that word from), and each other group word is a payload word of
+// the same join. Group and entry are then one to one — a row the probe
+// matched carries the entry's key, and the probe gathered the entry's
+// payload — so the entry addresses the group's accumulators: the
+// groupjoin of Moerkotte and Neumann (VLDB 2011). A group of payload
+// words alone does not qualify: many entries can share those. It
+// reports false, too, when the side has more entries than an int32
+// counts.
+func (e *fexec) joinGroups() bool {
+joins:
+	for ji := range e.joins {
+		j := &e.joins[ji]
+		var word [maxGroupCols]int
+		for d, s := range e.c.groups {
+			if k := slices.Index(j.probeSlots, s); k >= 0 {
+				word[d] = k
+			} else if pj, col, ok := e.c.payJoin(s); ok && pj == ji {
+				word[d] = ^col
+			} else {
+				continue joins
+			}
+		}
+		for _, s := range j.probeSlots {
+			if !slices.Contains(e.c.groups, s) {
+				continue joins
+			}
+		}
+		n := j.entries()
+		if n > math.MaxInt32 {
+			continue
+		}
+		j.grouped = true
+		e.gjoin, e.gword = ji, word
+		e.gblocks = (n + joinBlockCells - 1) / joinBlockCells
+		return true
+	}
+	return false
 }
 
 // packGroups lays the group key out over its words' payload domains, the
@@ -362,8 +419,90 @@ func (e *fexec) payRange(s int) (lo, hi int64, ok bool) {
 // fjoin is one join of an execution: the compiled join — probe sources
 // (fact scan slots or earlier joins' payload slots), key and payload
 // widths, where its payload lands among the plan's payload words — and the
-// table this execution probes for it.
+// table this execution probes for it. grouped marks a gJoin plan's group
+// join, whose probe records each kept row's entry.
 type fjoin struct {
 	*joinPlan
 	buildSide
+	grouped bool
+}
+
+// entries is how many entries the join's probe resolves keys to: a dense
+// side's cells (its rows, when it is its own index), a hashed side's
+// rows. Not a hashed side's slots: they scatter the keys one morsel holds
+// over the whole table, a block per group, where its rows come in load
+// order, as the fact rows do.
+func (j *fjoin) entries() int {
+	switch t := j.dn; {
+	case t != nil && t.idx == nil:
+		return int(t.nrow)
+	case t != nil:
+		return len(t.idx)
+	case len(j.keyCols) == 1:
+		return int(j.j1.rows)
+	}
+	return int(j.jK.rows)
+}
+
+// slotsByRow is a hashed group join's map from build row to slot, which
+// blockKeys reads a row's key from; nil for a dense side.
+func (j *fjoin) slotsByRow() []int32 {
+	switch {
+	case j.dn != nil:
+		return nil
+	case len(j.keyCols) == 1:
+		return j.j1.byRow()
+	}
+	return j.jK.byRow()
+}
+
+// blockKeys decodes the group keys of the cells of the group join's entry
+// block b that on marks, into keys: the key words an entry holds — a
+// dense cell's arithmetically, as cellKey does, a hashed row's from its
+// slot (slotOf, from slotsByRow) — and the payload of the row it resolves
+// to. A dense entry's key words are its digits in the strides: the
+// block's first entry is divided out once, and each next cell counts one
+// more into the last word.
+func (e *fexec) blockKeys(b int, on []bool, keys *[joinBlockCells]gkey, slotOf []int32) {
+	j := &e.joins[e.gjoin]
+	t, nkey, npay := j.dn, len(j.keyCols), len(j.payCols)
+	var x [maxJoinCols]uint64
+	if t != nil {
+		for d := range nkey {
+			x[d] = uint64(b*joinBlockCells) / t.stride[d] % t.span[d]
+		}
+	}
+	for c, occupied := range on {
+		ent := b*joinBlockCells + c
+		if occupied {
+			var key jkey
+			var pay []int64
+			switch {
+			case t != nil:
+				for d := range nkey {
+					key[d] = t.min[d] + int64(x[d])
+				}
+				row := t.row(uint64(ent)) - 1
+				pay = t.slab[row*npay : (row+1)*npay]
+			case nkey == 1:
+				key[0], pay = j.j1.slots[slotOf[ent]].key, j.j1.slab[ent*npay:(ent+1)*npay]
+			default:
+				key, pay = j.jK.slots[slotOf[ent]].key, j.jK.slab[ent*npay:(ent+1)*npay]
+			}
+			k := &keys[c]
+			for d, w := range e.gword[:e.ngroup] {
+				if w >= 0 {
+					k[d] = key[w]
+				} else {
+					k[d] = pay[^w]
+				}
+			}
+		}
+		for d := nkey - 1; t != nil; d-- {
+			if x[d]++; d == 0 || x[d] < t.span[d] {
+				break
+			}
+			x[d] = 0
+		}
+	}
 }

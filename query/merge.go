@@ -38,25 +38,29 @@ func (e *fexec) emitInto(row []float64, k *gkey, accs []acc) {
 	for d := 0; d < e.ngroup; d++ {
 		row[d] = float64(k[d])
 	}
-	for j, em := range e.sh.emits {
-		st := &accs[em.acc]
-		var v float64
-		switch em.kind {
-		case aggCount, aggCountIf:
-			v = float64(st.count)
-		case aggSum:
-			v = st.sum
-		case aggAvg:
-			// The count lives on the shared carrier accumulator; noCount
-			// sums only track their own total. An average over no rows is 0.
-			if cnt := accs[em.cnt].count; cnt != 0 {
-				v = st.sum / float64(cnt)
-			}
-		default: // aggMin, aggMax
-			v = st.ext
-		}
-		row[e.ngroup+j] = v
+	for j := range e.sh.emits {
+		row[e.ngroup+j] = e.emitValue(j, accs)
 	}
+}
+
+// emitValue is output aggregate j of a merged accumulator row.
+func (e *fexec) emitValue(j int, accs []acc) float64 {
+	em := &e.sh.emits[j]
+	st := &accs[em.acc]
+	switch em.kind {
+	case aggCount, aggCountIf:
+		return float64(st.count)
+	case aggSum:
+		return st.sum
+	case aggAvg:
+		// The count lives on the shared carrier accumulator; noCount sums
+		// only track their own total. An average over no rows is 0.
+		if cnt := accs[em.cnt].count; cnt != 0 {
+			return st.sum / float64(cnt)
+		}
+		return 0
+	}
+	return st.ext // aggMin, aggMax
 }
 
 // keep reports whether an emitted row passes every Having predicate.
@@ -93,19 +97,21 @@ func (e *fexec) Merge(locals []olap.Local) olap.Result {
 	return e.MergeFan(locals, olap.SerialFan)
 }
 
-// MergeFan implements olap.FanMerger. A spill plan's grouped merge is a
-// fan of P hash partitions, P derived from the keys its locals merge to
+// MergeFan implements olap.FanMerger. A grouped merge is a fan of P
+// parts, each owning a disjoint share of the groups. A gJoin plan's parts
+// are contiguous ranges of its group join's entries (mergeJoin). A spill
+// plan's are hash partitions, P derived from the keys its locals merge to
 // (mergedKeys; one part per mergeKeysPerPart, and a dense plan's merge is
-// one part). A part owns the keys whose radix maps to it. It folds them
+// one part): a part owns the keys whose radix maps to it, and folds them
 // from every local in morsel order into a table presized from its share
-// of that count, applies Having over its arena, and emits only what it
-// keeps: all survivors, or under an OrderBy with a Limit the top k of
-// them, by the olap.Order finishRes sorts with. Every group's
-// accumulators see the locals in morsel order whichever goroutine runs
-// its part, so float totals are bitwise identical to one serial fold,
-// which is what P = 1 is. Every global winner is among its own part's
-// top k, so finishRes picks and orders the result from the parts' rows
-// alone.
+// of that count. Each part applies Having as it renders its groups and
+// keeps only what passes: all survivors, or under an OrderBy with a
+// Limit the top k of them, by the olap.Order finishRes sorts with. Every
+// group's accumulators see the locals in morsel order whichever goroutine
+// runs its part, so float totals are bitwise identical to one serial
+// fold, which is what P = 1 is. Every global winner is among its own
+// part's top k, so finishRes picks and orders the result from the parts'
+// rows alone.
 //
 //htap:deterministic
 func (e *fexec) MergeFan(locals []olap.Local, fan olap.Fan) olap.Result {
@@ -125,15 +131,20 @@ func (e *fexec) MergeFan(locals []olap.Local, fan olap.Fan) olap.Result {
 		}
 		return finishRes(c, res, kept)
 	}
-	n := mergedKeys(locals)
-	np := 1 // a dense plan's few keys fold in one part
-	if e.gkind == gSpill {
-		np = min(max(n/mergeKeysPerPart, 1), maxMergeParts)
+	var parts []mergePart
+	if e.gkind == gJoin {
+		parts = e.mergeJoin(locals, fan, w)
+	} else {
+		n := mergedKeys(locals)
+		np := 1 // a dense plan's few keys fold in one part
+		if e.gkind == gSpill {
+			np = min(max(n/mergeKeysPerPart, 1), maxMergeParts)
+		}
+		parts = make([]mergePart, np)
+		fan(np, func(p int) {
+			e.emitPart(e.foldPart(locals, p, np, n/np), w, &parts[p])
+		})
 	}
-	parts := make([]mergePart, np)
-	fan(np, func(p int) {
-		e.emitPart(e.foldPart(locals, p, np, n/np), w, &parts[p])
-	})
 	rows, kept := 0, 0
 	for p := range parts {
 		rows, kept = rows+len(parts[p].rows), kept+parts[p].kept
@@ -145,14 +156,90 @@ func (e *fexec) MergeFan(locals []olap.Local, fan olap.Fan) olap.Result {
 	return finishRes(c, res, kept)
 }
 
-// mergedKeys estimates how many keys the locals merge to: the widest
-// dense array, whose cells are the dense key domain, plus the spilled
-// keys. Those are the locals' summed table sizes, less as large a share
-// of the excess over the widest table as the smaller of the first and
-// the last table has keys the other holds too: a key domain every morsel
-// revisits, like (warehouse, district) pairs, merges to about its widest
-// local, and one each morsel owns, like Q18's orders, to the sum. The
-// estimate sizes the merge; it never decides which keys merge.
+// mergeJoin is a gJoin plan's grouped merge. It lists, for each block of
+// the group join's entries, the locals that touched it, in morsel order,
+// and cuts the touched blocks, in entry order, into P contiguous parts of
+// equal length, one per mergeKeysPerPart entries they hold (up to
+// maxMergeParts). A part takes its blocks in turn: it folds each block's
+// occupied cells from those locals into one block of totals, and renders
+// the groups of the cells some local occupied, their keys decoded from
+// the entries (blockKeys) once their aggregates show they may be kept
+// (sink.admits). No group is hashed, and a part holds one block of totals
+// at a time.
+//
+//htap:deterministic
+func (e *fexec) mergeJoin(locals []olap.Local, fan olap.Fan, w int) []mergePart {
+	// Block b's locals are who[start[b]:start[b+1]]: count them, sum the
+	// counts up, fill each block's run with start[b] as its cursor, which
+	// leaves start[b] where start[b+1] began, and shift start back.
+	start := make([]int32, e.gblocks+1)
+	for _, li := range locals {
+		for _, b := range li.(*flocal).blocks {
+			start[b+1]++
+		}
+	}
+	var blocks []int
+	for b := range e.gblocks {
+		if start[b+1] > 0 {
+			blocks = append(blocks, b)
+		}
+		start[b+1] += start[b]
+	}
+	who := make([]int32, start[e.gblocks])
+	for i, li := range locals {
+		for _, b := range li.(*flocal).blocks {
+			who[start[b]] = int32(i)
+			start[b]++
+		}
+	}
+	copy(start[1:], start[:e.gblocks])
+	start[0] = 0
+	np := min(max(len(blocks)*joinBlockCells/mergeKeysPerPart, 1), maxMergeParts)
+	parts := make([]mergePart, np)
+	nacc := e.nacc
+	slotOf := e.joins[e.gjoin].slotsByRow()
+	fan(np, func(p int) {
+		own := blocks[p*len(blocks)/np : (p+1)*len(blocks)/np]
+		out := e.newSink(w, len(own)*joinBlockCells)
+		total, on := make([]acc, joinBlockCells*nacc), make([]bool, joinBlockCells)
+		var keys [joinBlockCells]gkey
+		for _, b := range own {
+			clear(total)
+			clear(on)
+			for _, li := range who[start[b]:start[b+1]] {
+				ll := locals[li].(*flocal)
+				base := int(ll.dir[b]-1) * joinBlockCells
+				for c, occupied := range ll.present[base : base+joinBlockCells] {
+					if occupied {
+						at := (base + c) * nacc
+						e.mergeInto(total[c*nacc:(c+1)*nacc], ll.flat[at:at+nacc])
+						on[c] = true
+					}
+				}
+			}
+			for c, occupied := range on {
+				on[c] = occupied && out.admits(total[c*nacc:(c+1)*nacc])
+			}
+			e.blockKeys(b, on, &keys, slotOf)
+			for c, occupied := range on {
+				if occupied {
+					out.offer(&keys[c], total[c*nacc:(c+1)*nacc])
+				}
+			}
+		}
+		out.finish(&parts[p])
+	})
+	return parts
+}
+
+// mergedKeys estimates how many keys a spill or dense plan's locals merge
+// to: the widest dense array, whose cells are the dense key domain, plus
+// the spilled keys. Those are the locals' summed table sizes, less as
+// large a share of the excess over the widest table as the smaller of the
+// first and the last table has keys the other holds too: a key domain
+// every morsel revisits, like (warehouse, district) pairs, merges to about
+// its widest local, and one each morsel owns to the sum. The estimate
+// sizes the merge; it never decides which keys merge.
 func mergedKeys(locals []olap.Local) int {
 	dense, sum, widest := 0, 0, 0
 	var first, last *groupTab
@@ -260,46 +347,136 @@ func (e *fexec) cellKey(cell int) (k gkey) {
 	return k
 }
 
-// emitPart renders a part's merged groups that pass Having, w words a
-// row, into one slab: under an OrderBy with a Limit below the group count
-// a TopK keeps the best limit rows and the slab holds limit+1 of them
-// (the spare takes the next candidate); otherwise every survivor is
-// emitted.
+// emitPart renders a spill or dense plan's merged part through a sink.
 //
 //htap:deterministic
 func (e *fexec) emitPart(total *groupTab, w int, out *mergePart) {
-	c := e.c
-	slot := func(slab []float64, i int) []float64 { return slab[i*w : (i+1)*w : (i+1)*w] }
-	accs := func(i int) []acc { return total.arena[i*e.nacc : (i+1)*e.nacc] }
-	if k := c.limit; c.ordered && k > 0 && k < len(total.keys) {
-		slab := make([]float64, (k+1)*w)
-		top := olap.NewTopK(c.order, k, make([][]float64, 0, k))
-		next, row := 0, slot(slab, 0)
-		for i := range total.keys {
-			e.emitInto(row, &total.keys[i], accs(i))
-			if !e.keep(row) {
-				continue
-			}
-			out.kept++
-			if row = top.Offer(row); row == nil {
-				next++
-				row = slot(slab, next)
-			}
+	s := e.newSink(w, len(total.keys))
+	for i := range total.keys {
+		if accs := total.arena[i*e.nacc : (i+1)*e.nacc]; s.admits(accs) {
+			s.offer(&total.keys[i], accs)
 		}
-		out.rows = top.Rows()
+	}
+	s.finish(out)
+}
+
+// sink renders a merge part's groups, w words a row, into one slab and
+// keeps the rows that pass Having: under an OrderBy with a Limit below
+// the part's groups a TopK keeps the best limit rows and the slab holds
+// limit+1 of them (the spare takes the next candidate); otherwise every
+// survivor stays, and the slab has a row for each group.
+//
+// A group goes through admits, on its accumulators alone, before its key
+// is rendered. Every row the TopK hands back — displaced, or refused —
+// ranks behind the row it now holds last, so the best order value among
+// them bounds that row's from behind; a group whose order value (an
+// aggregate) is strictly behind the bound cannot be kept, and a group
+// that passes Having is counted as a survivor without being rendered.
+type sink struct {
+	e     *fexec
+	w     int
+	slab  []float64
+	topk  bool
+	top   olap.TopK
+	spare []float64 // under a TopK, the slab row the next group renders into
+	next  int       // the spare's slab row
+	kept  int
+	// aggsOnly is set when every Having predicate is on an aggregate, so
+	// admits decides Having alone.
+	aggsOnly bool
+	// bounded is set once the TopK handed back a row, and bound is the
+	// best order value among those rows; both stay unset when the order
+	// column is a group word.
+	bounded bool
+	bound   float64
+}
+
+// newSink returns a sink for a part of at most groups groups.
+func (e *fexec) newSink(w, groups int) sink {
+	s := sink{e: e, w: w, aggsOnly: true}
+	for i := range e.c.having {
+		s.aggsOnly = s.aggsOnly && e.c.having[i].slot >= e.ngroup
+	}
+	n := groups
+	if k := e.c.limit; e.c.ordered && k > 0 && k < groups {
+		s.topk, n = true, k+1
+		s.top = olap.NewTopK(e.c.order, k, make([][]float64, 0, k))
+	}
+	s.slab = make([]float64, n*w)
+	if s.topk {
+		s.spare = s.slot(0)
+	}
+	return s
+}
+
+func (s *sink) slot(i int) []float64 { return s.slab[i*s.w : (i+1)*s.w : (i+1)*s.w] }
+
+// admits reports whether the group with merged accumulators accs still
+// needs its row rendered: it passes the Having predicates on aggregates,
+// and it is not strictly behind the bound.
+//
+//htap:deterministic
+func (s *sink) admits(accs []acc) bool {
+	e := s.e
+	for i := range e.c.having {
+		h := &e.c.having[i]
+		if h.slot >= e.ngroup && !h.fmatch(e.emitValue(h.slot-e.ngroup, accs)) {
+			return false
+		}
+	}
+	if !s.bounded || !s.aggsOnly {
+		return true
+	}
+	ord := e.c.order
+	v := e.emitValue(ord.Col-e.ngroup, accs)
+	if (ord.Desc && v < s.bound) || (!ord.Desc && v > s.bound) {
+		s.kept++
+		return false
+	}
+	return true
+}
+
+// offer renders group k from its merged accumulators and keeps the row
+// when it passes Having; admits has passed it.
+//
+//htap:deterministic
+func (s *sink) offer(k *gkey, accs []acc) {
+	row := s.spare
+	if !s.topk {
+		row = s.slot(s.kept)
+	}
+	s.e.emitInto(row, k, accs)
+	if !s.aggsOnly && !s.e.keep(row) {
 		return
 	}
-	slab := make([]float64, len(total.keys)*w)
-	for i := range total.keys {
-		row := slot(slab, out.kept)
-		e.emitInto(row, &total.keys[i], accs(i))
-		if e.keep(row) {
-			out.kept++
+	s.kept++
+	if !s.topk {
+		return
+	}
+	back := s.top.Offer(row)
+	if back == nil {
+		s.next++
+		s.spare = s.slot(s.next)
+		return
+	}
+	s.spare = back
+	if ord := s.e.c.order; ord.Col >= s.e.ngroup {
+		if v := back[ord.Col]; !s.bounded || (ord.Desc && v > s.bound) || (!ord.Desc && v < s.bound) {
+			s.bounded, s.bound = true, v
 		}
 	}
-	out.rows = make([][]float64, out.kept)
+}
+
+// finish hands the kept rows and the survivor count to out.
+func (s *sink) finish(out *mergePart) {
+	out.kept = s.kept
+	if s.topk {
+		out.rows = s.top.Rows()
+		return
+	}
+	out.rows = make([][]float64, s.kept)
 	for i := range out.rows {
-		out.rows[i] = slot(slab, i)
+		out.rows[i] = s.slot(i)
 	}
 }
 

@@ -51,12 +51,15 @@ type joinTab[K comparable] struct {
 	shift uint8
 	slots []jslot[K]
 	slab  []int64
-	n     int // keys held
+	n     int   // keys held
+	rows  int32 // rows loaded, each one's payload in the slab
 }
 
+// jslot is one key and the build row it resolves to, the last loaded
+// under it; the row's payload starts at slab word row·len(payCols).
 type jslot[K comparable] struct {
 	key  K
-	off  int32
+	row  int32
 	used bool
 }
 
@@ -105,7 +108,8 @@ func (t *joinTab[K]) grow(hash func(K) uint64) {
 // last row's payload; rows arrive ascending, index-narrowed or not, so
 // both resolve duplicates identically.
 func (t *joinTab[K]) add(k K, hk uint64, hash func(K) uint64, run *dimRun, i int) {
-	off := int32(len(t.slab))
+	row := t.rows
+	t.rows++
 	t.slab = run.appendPay(t.slab, i)
 	if (t.n+1)*4 > len(t.slots)*3 {
 		t.grow(hash)
@@ -114,16 +118,27 @@ func (t *joinTab[K]) add(k K, hk uint64, hash func(K) uint64, run *dimRun, i int
 	for {
 		s := &t.slots[h]
 		if !s.used {
-			s.key, s.off, s.used = k, off, true
+			s.key, s.row, s.used = k, row, true
 			t.n++
 			return
 		}
 		if s.key == k {
-			s.off = off // last row wins
+			s.row = row // last row wins
 			return
 		}
 		h = (h + 1) & t.mask
 	}
+}
+
+// byRow maps each build row a key resolves to back to that key's slot.
+func (t *joinTab[K]) byRow() []int32 {
+	slot := make([]int32, t.rows)
+	for h := range t.slots {
+		if s := &t.slots[h]; s.used {
+			slot[s.row] = int32(h)
+		}
+	}
+	return slot
 }
 
 // slab is the build side's payload slab: payload rows of len(payCols)
@@ -144,9 +159,13 @@ func (j *fjoin) slab() []int64 {
 // vector an earlier join filled. Each kept row's payload words then land
 // in the join's payload vectors at the row's offset, one gather loop per
 // payload column, where the ops, the group keys and later joins read them.
+// A gJoin plan's group join probes in probeGroup instead.
 //
 //htap:hotpath
 func (j *fjoin) probe(v *vecs, sel []int32) int {
+	if j.grouped {
+		return j.probeGroup(v, sel)
+	}
 	var keys [maxJoinCols][]int64
 	for d, s := range j.probeSlots {
 		keys[d] = v.slot(s)
@@ -184,7 +203,7 @@ func (j *fjoin) probe(v *vecs, sel []int32) int {
 			}
 		}
 	case len(ks) == 1:
-		t, k0 := &j.j1, ks[0]
+		t, k0, npay := &j.j1, ks[0], len(j.payCols)
 	hashed1:
 		for _, r := range sel {
 			k := k0[r]
@@ -194,14 +213,14 @@ func (j *fjoin) probe(v *vecs, sel []int32) int {
 					continue hashed1
 				}
 				if s.key == k {
-					out[m], moff[m] = r, int(s.off)
+					out[m], moff[m] = r, int(s.row)*npay
 					m++
 					continue hashed1
 				}
 			}
 		}
 	default:
-		t := &j.jK
+		t, npay := &j.jK, len(j.payCols)
 	hashedK:
 		for _, r := range sel {
 			var k jkey
@@ -214,10 +233,93 @@ func (j *fjoin) probe(v *vecs, sel []int32) int {
 					continue hashedK
 				}
 				if s.key == k {
-					out[m], moff[m] = r, int(s.off)
+					out[m], moff[m] = r, int(s.row)*npay
 					m++
 					continue hashedK
 				}
+			}
+		}
+	}
+	slab, kept := j.slab(), out[:m]
+	for c := range j.payCols {
+		dst := v.pay[j.payBase+c][:]
+		for k, r := range kept {
+			dst[r] = slab[moff[k]+c]
+		}
+	}
+	return m
+}
+
+// probeGroup is probe for a gJoin plan's group join: it also records, at
+// each kept row's offset in v.ent, the entry it resolved the row to — the
+// dense cell, or the hashed side's build row. A hashed side looks a key
+// up once per run of rows that repeat it (order lines come in runs per
+// order): row is what the previous row's key resolved to, -1 when absent,
+// -2 before the first row.
+func (j *fjoin) probeGroup(v *vecs, sel []int32) int {
+	var keys [maxJoinCols][]int64
+	for d, s := range j.probeSlots {
+		keys[d] = v.slot(s)
+	}
+	ks := keys[:len(j.probeSlots)]
+	out, moff, ent, npay := v.sel[:], v.moff[:], v.ent[:], len(j.payCols)
+	m := 0
+	switch t := j.dn; {
+	case t != nil:
+	dense:
+		for _, r := range sel {
+			var cell uint64
+			for d, kv := range ks {
+				x := uint64(kv[r] - t.min[d])
+				if x >= t.span[d] {
+					continue dense
+				}
+				cell += x * t.stride[d]
+			}
+			if row := t.row(cell); row != 0 {
+				out[m], moff[m], ent[r] = r, (row-1)*npay, int32(cell)
+				m++
+			}
+		}
+	case len(ks) == 1:
+		t, k0 := &j.j1, ks[0]
+		prev, row := int64(0), int32(-2)
+		for _, r := range sel {
+			if k := k0[r]; row == -2 || k != prev {
+				prev, row = k, -1
+				for h := hash1(k) >> t.shift; t.slots[h].used; h = (h + 1) & t.mask {
+					if s := &t.slots[h]; s.key == k {
+						row = s.row
+						break
+					}
+				}
+			}
+			if row >= 0 {
+				out[m], moff[m], ent[r] = r, int(row)*npay, row
+				m++
+			}
+		}
+	default:
+		t := &j.jK
+		var prev jkey
+		row := int32(-2)
+		for _, r := range sel {
+			var k jkey
+			for d, kv := range ks {
+				k[d] = kv[r]
+			}
+			if row == -2 || k != prev {
+				prev, row = k, -1
+				for h := hashJK(&k, len(ks)) >> t.shift; t.slots[h].used; h = (h + 1) & t.mask {
+					if s := &t.slots[h]; s.key == k {
+						row = s.row
+						break
+					}
+				}
+			}
+			if row >= 0 {
+				out[m], moff[m], ent[r] = r, int(row)*npay, row
+				m++
 			}
 		}
 	}

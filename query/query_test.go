@@ -409,6 +409,71 @@ func TestCompositeJoinKey(t *testing.T) {
 	}
 }
 
+// TestGroupJoinTopKTiesAcrossParts holds a gJoin plan's range-partitioned
+// merge to the interpreter where the Limit cuts through a tie: 20 000
+// groups, one per gjdim entry, so the merge splits into several parts of
+// contiguous entries; the order column, a max over the group's rows,
+// takes its top value in 400 groups spread over every part, and the top
+// 40 of them are decided by the leading group word, a permutation of the
+// entry. Each part keeps only its own top k, and its bound on what it can
+// still keep must let every tied group through to the TopK.
+func TestGroupJoinTopKTiesAcrossParts(t *testing.T) {
+	e := oltp.NewEngine()
+	fact := e.CreateTable(columnar.Schema{Name: "gjfact", Columns: []columnar.ColumnDef{
+		{Name: "k", Type: columnar.Int64},
+		{Name: "q", Type: columnar.Int64},
+		{Name: "amt", Type: columnar.Float64},
+	}}, 16, false).Table()
+	dim := e.CreateTable(columnar.Schema{Name: "gjdim", Columns: []columnar.ColumnDef{
+		{Name: "id", Type: columnar.Int64},
+		{Name: "perm", Type: columnar.Int64},
+	}}, 16, false).Table()
+	const groups = 20_000
+	var frows, drows [][]int64
+	for i := int64(0); i < 2*groups; i++ {
+		frows = append(frows, fact.EncodeRow(i%groups, i%groups%50+1, float64(i%977)/8))
+	}
+	for id := int64(0); id < groups; id++ {
+		drows = append(drows, dim.EncodeRow(id, id*7919%groups))
+	}
+	fact.AppendRows(frows, 0)
+	dim.AppendRows(drows, 0)
+	cat := testCatalog{e}
+	plan := Scan("gjfact").JoinGraph(JoinOn(Rel("gjfact"), Rel("gjdim"), "k", "id")).
+		GroupBy("perm", "k").Agg(Max("q").As("top"), Sum("amt").As("rev")).
+		OrderBy("top", true).Limit(40)
+	q, err := plan.Bind(cat)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := groupLayout(q); got != "join" {
+		t.Fatalf("group layout %q, want join", got)
+	}
+	exec, _ := q.Prepare()
+	serial, parts := serialMerge(e, q, exec)
+	if parts < 2 {
+		t.Fatalf("the merge ran as %d part(s); %d groups must split it", parts, groups)
+	}
+	lo, hi := int64(groups), int64(0)
+	for _, row := range serial.Rows {
+		if row[2] != 50 {
+			t.Fatalf("row %v: every kept row must carry the tied top value 50", row)
+		}
+		lo, hi = min(lo, int64(row[1])), max(hi, int64(row[1]))
+	}
+	if len(serial.Rows) != 40 || hi-lo <= groups/int64(parts) {
+		t.Fatalf("%d rows over entries %d..%d: the winners must span more than one of %d parts", len(serial.Rows), lo, hi, parts)
+	}
+	if ref := runWorkers(t, e, refQuery{plan, cat}, 2); !reflect.DeepEqual(serial, ref) {
+		t.Fatalf("fused result diverges from the reference:\nfused: %+v\nref:   %+v", serial, ref)
+	}
+	for _, workers := range []int{1, 2, 4} {
+		if fused := runWorkers(t, e, q, workers); !reflect.DeepEqual(fused, serial) {
+			t.Fatalf("workers=%d: the pool-run merge diverges from the serial one:\npool:   %+v\nserial: %+v", workers, fused, serial)
+		}
+	}
+}
+
 func TestOrderByLimitTopK(t *testing.T) {
 	cat, e := newFixture(t)
 	// Revenue by product: pid 1 -> 31.5, pid 2 -> 19.5, pid 3 -> 12.

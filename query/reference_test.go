@@ -308,8 +308,8 @@ func probedTables(q *Compiled) string {
 
 // groupLayout prepares q and names how its group keys address their
 // accumulators: "global" (no group key), "cells" (a one-word key's dense
-// cells), "packed" (a composite key packed into dense cells) or "spill"
-// (the group table).
+// cells), "packed" (a composite key packed into dense cells), "join" (the
+// build entry a join's probe resolved) or "spill" (the group table).
 func groupLayout(q *Compiled) string {
 	exec, _ := q.Prepare()
 	switch e := exec.(*fexec); {
@@ -317,6 +317,8 @@ func groupLayout(q *Compiled) string {
 		return "global"
 	case e.gkind == gSpill:
 		return "spill"
+	case e.gkind == gJoin:
+		return "join"
 	case e.ngroup == 1:
 		return "cells"
 	}
@@ -388,10 +390,26 @@ func serialMerge(e *oltp.Engine, q *Compiled, exec olap.Exec) (olap.Result, int)
 // widens the range the first execution saw, inside denseLen and then past
 // it. The kept build side is extended, not rebuilt, and must widen the
 // ranges it carries, or the last execution packs on stale ranges.
+//
+// The join- cases group on the entry a join's probe resolved (gJoin):
+// every key word of bdimc (Q18's shape), its key plus its payload (Q3's),
+// bdimdup's key plus payload, whose idx is no identity, so a payload read
+// from the cell instead of the row the cell holds is another row's, and
+// (split-join-interleaved) bdimgj's (gid, jk), whose cells lie 101 apart
+// from one fact row to the next, so one morsel touches hundreds of
+// accumulator blocks; in join-then-semi a later join narrows the rows
+// whose entries the group join recorded. Two plans must not take it: a
+// group that misses one of bdimc's key words (join-missing-key-word;
+// probe-group-sum-spill as well), and one that adds another join's
+// payload to bdimc's key (join-key-other-pay). join-extend-rebuild binds
+// once and runs three times over a dimension appended to in between:
+// first keys past the packed domain, which rebuild the kept side, then a
+// duplicate key with a new payload, which extends it.
 func TestFusedMatchesReference(t *testing.T) {
 	cat, e := newBenchCatalog(t)
 	addDupDim(e)
 	addNationDim(e)
+	addPairDim(e)
 	cases := map[string]*Plan{
 		"filter-count-int64":   Scan("bfact").Filter(Between("qty", 10, 40), Ge("gid", 8)).Agg(Count()),
 		"filter-count-float64": Scan("bfact").Filter(Between("amount", 20.0, 100.0)).Agg(Count()),
@@ -454,6 +472,22 @@ func TestFusedMatchesReference(t *testing.T) {
 			GroupBy("na").Agg(Sum("amount").As("rev"), Max("qty")),
 		"pack-past-denselen": Scan("bfact").JoinGraph(joinDimC(), joinDimN()).
 			GroupBy("nb", "pay").Agg(Sum("amount").As("rev"), Count().As("n")),
+		"join-all-keys": Scan("bfact").JoinGraph(joinDimC()).
+			GroupBy("jk", "k2").Agg(Sum("amount").As("rev"), Count().As("n")).
+			Having(Gt("rev", 60000.0)).OrderBy("rev", true).Limit(30),
+		"join-key-pay": Scan("bfact").Filter(Between("qty", 5, 45)).JoinGraph(joinDimC()).
+			GroupBy("jk", "k2", "pay").Agg(Sum("amount").As("rev"), Min("qty"), CountIf(Ge("qty", 20)).As("big")),
+		"dup-key-join-group": Scan("bfact").JoinGraph(JoinOn(Rel("bfact"), Rel("bdimdup"), "gid", "id")).
+			GroupBy("gid", "pay").Agg(Sum("w").As("sw"), Sum("amount").As("rev"), Count().As("n")),
+		"split-join-interleaved": Scan("bfact").Filter(Ne("qty", 7)).
+			JoinGraph(JoinOn(Rel("bfact"), Rel("bdimgj"), "gid", "gid", "jk", "jk")).
+			GroupBy("gid", "jk", "gw").Agg(Sum("amount").As("rev"), Count().As("n"), Max("qty")),
+		"join-then-semi": Scan("bfact").JoinGraph(joinDimC(), semiDim1()).
+			GroupBy("jk", "k2", "pay").Agg(Sum("amount").As("rev"), Count().As("n")),
+		"join-missing-key-word": Scan("bfact").JoinGraph(joinDimC()).
+			GroupBy("k2").Agg(Sum("pay").As("sp"), Count().As("n")),
+		"join-key-other-pay": Scan("bfact").JoinGraph(joinDimC(), joinDimN()).
+			GroupBy("jk", "k2", "na").Agg(Sum("amount").As("rev"), Count().As("n")),
 	}
 	tenFilters := []Pred{Ge("k1", 5), Le("k1", 99990), Ne("jk", 3), Ge("k2", 1), Ne("k2", 48),
 		Not(Between("gid", 20, 23)), Between("qty", 3, 48), Ne("qty", 25), Between("amount", 1.5, 140.0), Ne("tag", "phone")}
@@ -485,9 +519,17 @@ func TestFusedMatchesReference(t *testing.T) {
 	// layouts names, for the pack- cases, how their group keys must
 	// address their accumulators, dense build sides or hashed.
 	layouts := map[string]string{
-		"pack-two-joins":     "packed",
-		"pack-one-word":      "cells",
-		"pack-past-denselen": "spill",
+		"pack-two-joins":         "packed",
+		"pack-one-word":          "cells",
+		"pack-past-denselen":     "spill",
+		"join-all-keys":          "join",
+		"join-key-pay":           "join",
+		"dup-key-join-group":     "join",
+		"split-join-interleaved": "join",
+		"join-then-semi":         "join",
+		"join-missing-key-word":  "cells",
+		"join-key-other-pay":     "spill",
+		"probe-group-sum-spill":  "spill",
 	}
 	check := func(name string, plan *Plan, hashed bool) {
 		var cuts []int64
@@ -510,6 +552,11 @@ func TestFusedMatchesReference(t *testing.T) {
 				if want, ok := layouts[strings.TrimSuffix(name, "-hashed")]; ok {
 					if got := groupLayout(q); got != want {
 						t.Fatalf("group layout %q, want %q", got, want)
+					}
+				}
+				if strings.HasPrefix(name, "split-join-interleaved") {
+					if n := blocksTouched(e, q); n < 100 {
+						t.Fatalf("the first morsel touches %d accumulator blocks; the keys must interleave", n)
 					}
 				}
 				if strings.HasPrefix(name, "wide-payload") && q.npayTotal <= payStackWords {
@@ -589,6 +636,81 @@ func TestFusedMatchesReference(t *testing.T) {
 			})
 		}
 	}
+	for _, hashed := range []bool{false, true} {
+		name := "join-extend-rebuild"
+		if hashed {
+			name += "-hashed"
+		}
+		for _, workers := range []int{1, 2, 4} {
+			t.Run(fmt.Sprintf("%s/workers=%d", name, workers), func(t *testing.T) {
+				forceHashJoins.Store(hashed)
+				defer forceHashJoins.Store(false)
+				dim := fmt.Sprintf("bdimgrow-%s-%d", name, workers)
+				dt := addGrowDim(e, dim)
+				plan := Scan("bfact").JoinGraph(JoinOn(Rel("bfact"), Rel(dim), "k1", "id")).
+					GroupBy("k1", "ng").Agg(Sum("amount").As("rev"), Count().As("n"))
+				q, err := plan.Bind(cat)
+				if err != nil {
+					t.Fatal(err)
+				}
+				// Step 1 appends ids 64..95, past the kept side's packed ids
+				// 0..63: it is rebuilt. Step 2 appends id 5 again with a
+				// payload no row had: it is extended, and group (5, 17)
+				// replaces (5, 5).
+				for step, rows := range [][][]int64{nil, growRows(dt, 64, 96), {dt.EncodeRow(int64(5), int64(17))}} {
+					if rows != nil {
+						dt.AppendRows(rows, uint64(step))
+					}
+					if got := groupLayout(q); got != "join" {
+						t.Fatalf("step %d: group layout %q, want join", step, got)
+					}
+					fused := runWorkers(t, e, q, workers)
+					if ref := runWorkers(t, e, refQuery{plan, cat}, workers); !reflect.DeepEqual(fused, ref) {
+						t.Fatalf("step %d: fused result diverges from the reference:\nfused: %+v\nref:   %+v", step, fused, ref)
+					}
+					if want := [...]float64{63, 95, 5}[step]; !slices.ContainsFunc(fused.Rows, func(row []float64) bool {
+						return row[0] == want && (step < 2 || row[1] == 17)
+					}) {
+						t.Fatalf("step %d: no group for the appended key %v", step, want)
+					}
+				}
+				if st := q.BuildStats(); !hashed && (st.Rebuilds != 2 || st.Extends != 1) {
+					t.Fatalf("build stats %+v: want the kept side rebuilt for the new ids and extended for the duplicate", st)
+				}
+			})
+		}
+	}
+}
+
+// growRows encodes rows (id, id%10) of a grow dimension for ids in
+// [lo, hi).
+func growRows(t *columnar.Table, lo, hi int64) [][]int64 {
+	var rows [][]int64
+	for id := lo; id < hi; id++ {
+		rows = append(rows, t.EncodeRow(id, id%10))
+	}
+	return rows
+}
+
+// blocksTouched prepares q, a gJoin plan, consumes the fact table's first
+// morsel into one local and counts the accumulator blocks it touched.
+func blocksTouched(e *oltp.Engine, q *Compiled) int {
+	exec, _ := q.Prepare()
+	tab := e.Table(q.FactTable()).Table()
+	hi := min(int64(columnar.ChunkSize), tab.Rows())
+	blk := olap.Block{N: int(hi)}
+	for _, c := range q.Columns() {
+		blk.Cols = append(blk.Cols, tab.Active().Col(c).Slice(0, hi))
+	}
+	l := exec.NewLocal()
+	l.Consume(blk)
+	n := 0
+	for _, at := range l.(*flocal).dir {
+		if at != 0 {
+			n++
+		}
+	}
+	return n
 }
 
 // TestPackedKeyOutsideCellsSpills drives the defensive side of a packed
@@ -618,6 +740,23 @@ func TestPackedKeyOutsideCellsSpills(t *testing.T) {
 	if ref := runWorkers(t, e, refQuery{plan, cat}, 1); !reflect.DeepEqual(got, ref) {
 		t.Fatalf("fused result diverges from the reference:\nfused: %+v\nref:   %+v", got, ref)
 	}
+}
+
+// addPairDim loads bdimgj(gid, jk, gw), one row per (gid, jk) pair of
+// gid in 0..63 and jk in 0..99, in key order, with gw = (gid+jk)%7.
+func addPairDim(e *oltp.Engine) {
+	t := e.CreateTable(columnar.Schema{Name: "bdimgj", Columns: []columnar.ColumnDef{
+		{Name: "gid", Type: columnar.Int64},
+		{Name: "jk", Type: columnar.Int64},
+		{Name: "gw", Type: columnar.Int64},
+	}}, 16, false).Table()
+	var rows [][]int64
+	for g := int64(0); g < 64; g++ {
+		for j := int64(0); j < 100; j++ {
+			rows = append(rows, t.EncodeRow(g, j, (g+j)%7))
+		}
+	}
+	t.AppendRows(rows, 0)
 }
 
 // joinDimN joins bdimn on bfact's gid.
