@@ -171,7 +171,7 @@ func TestGraphJoinExecutionAllocBudget(t *testing.T) {
 // goroutine's stack). The flocal itself, and only that: a spill plan adds
 // its group table and the table's slots, and no CH plan spills. Q7's key
 // is two join payload words, which pack into dense cells, and Q3's and
-// Q18's order keys address their orders join's entries, in blocks from
+// Q18's order keys address their orders join's build rows, in blocks from
 // one arena through one directory; the local allocates those on its first
 // consumed block, not here.
 func TestNewLocalAllocBudget(t *testing.T) {
@@ -354,7 +354,7 @@ func TestSteadyStateMigrateZeroAllocs(t *testing.T) {
 // some 4 000 orders, each its own group. The merge folds the locals'
 // accumulator blocks a block at a time, applies Having as it renders the
 // groups and emits only the top 100, so what it allocates does not grow
-// with the group count. Measured 87 (188 while the groups hashed into a
+// with the group count. Measured 69 (188 while the groups hashed into a
 // table per local and per merge part; 4 106 when every group emitted a
 // row before Having and the top-k ran).
 func TestGroupedMergeAllocBudget(t *testing.T) {

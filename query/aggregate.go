@@ -21,19 +21,20 @@ type gkey [maxGroupCols]int64
 // spills to the table.
 const denseLen = 1024
 
-// joinBlockCells is a gJoin accumulator block's width in build entries:
-// a local allocates a block on the first row that resolves into it.
-// Order lines that NewOrder appends interleave every district, so one
-// such morsel touches a short entry range in each of them; small blocks
-// keep the cells a morsel allocates but never fills few. Serially
-// consuming Q18's order lines at SF 0.1 after 25 000 NewOrders took 16.5,
-// 14.0, 17.0 and 19.4 ms at 8, 16, 32 and 64 cells (minima of 10 runs;
-// 8 cells spends the gain on a directory twice as long).
-const joinBlockCells = 16
+// joinBlockCells is a gJoin accumulator block's width in build rows: a
+// local allocates a block on the first row that resolves into it. A
+// morsel's fact rows resolve to a short run of build rows (CH's order
+// lines to the orders appended with them), so a few blocks cover it.
+// Serially consuming Q18's order lines at SF 0.1 after 25 000 NewOrders
+// read the same at 16, 64 and 256 rows a block (about 13 ms, within the
+// runs' spread); at 64 the directory stays short and a stray row
+// allocates few unused cells.
+const joinBlockCells = 64
 
 // joinFirstCells is how many cells a gJoin local makes room for when it
-// touches its first block; the arena doubles from there.
-const joinFirstCells = 1024
+// touches its first block, about what a morsel of Q18's order lines
+// fills; the arena doubles from there.
+const joinFirstCells = 2048
 
 // acc is one aggregate's partial state. Sum and Avg use sum+count, Min/Max
 // use ext+seen, Count uses count alone.
@@ -329,8 +330,8 @@ type vecs struct {
 	// A dense plan's selected rows whose keys fall outside its cells, and
 	// their offsets in the spill table.
 	xsel, xoff [vecLen]int32
-	moff       [vecLen]int   // per kept row of a probe, its payload's slab offset
-	ent        [vecLen]int32 // gJoin: per row offset, the group join's entry
+	brow       [vecLen]int32 // per kept row of a probe, the build row it resolved to
+	ent        [vecLen]int32 // gJoin: per row offset, the group join's build row
 }
 
 // slot returns logical slot s over the vector's rows: a fact column, or

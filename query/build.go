@@ -20,9 +20,9 @@ package query
 // group key is made of payload words packs it with the same arithmetic
 // into dense group cells (layoutGroups in kernel.go): Q7's nation pairs
 // group without a hash. A plan whose group key is a join's whole key,
-// with or without that join's payload words, groups on the entry its
-// probe resolves instead: a dense side's cell, a hashed side's build row. Each
-// entry holds one key, so it is one group (Q3's and Q18's orders).
+// with or without that join's payload words, groups on the build row its
+// probe resolves instead, dense or hashed: each row a key resolves to
+// holds one key, so it is one group (Q3's and Q18's orders).
 //
 // Dense tables are kept on the bound statement (buildCache, shared by
 // every WithArgs clone). An entry stays usable while every dimension
@@ -47,11 +47,19 @@ import (
 	"elastichtap/internal/columnar"
 )
 
-// denseCellsPerRow bounds a dense table's sparsity: it may address at
-// most this many cells per build row. At 4 the index costs at most 16
-// bytes per key — a single-key hash slot, under half of a composite one
-// at 3/4 load — and most CH dimensions pack at exactly 1.
-const denseCellsPerRow = 4
+// denseCellsPerRow bounds the sparsity of a dense table with nkey key
+// words: it may address at most this many cells per build row, so its
+// index costs a key no more than a hash slot would. A single-key slot is
+// 16 bytes, 4 cells. A composite slot is 32 bytes at most 3/4 full, 43
+// bytes a key or more, and 8 cells (32 bytes) stay under it. Most CH
+// dimensions pack at exactly 1; orders that NewOrder grows from a few
+// warehouses pack sparser, o_id running ahead in their districts alone.
+func denseCellsPerRow(nkey int) uint64 {
+	if nkey == 1 {
+		return 4
+	}
+	return 8
+}
 
 // forceHashJoins is a test knob sending every build side down the hash
 // path, so dense executions can be checked identical against hashed ones.
@@ -148,27 +156,38 @@ func (dom *keyDomain) note(run *dimRun, i int) {
 // newDenseTab lays out a dense table over dom, or returns nil when the
 // domain is too sparse to pack. prev, the table a key just overflowed,
 // adds geometric headroom on the sides that grew — half the old span — so
-// a growing dimension (orders under NewOrder) rebuilds O(log n) times; the
-// headroom is dropped when it alone would break the sparsity bound.
+// a growing dimension (orders under NewOrder) rebuilds O(log n) times.
+// The rows' own domain must pack within denseCellsPerRow; the headroom
+// may take the table to twice that, and is dropped only past it.
+// Dropping it wherever it alone broke denseCellsPerRow rebuilt a sparse
+// table (a skewed dimension's) on every execution that added a key.
 func newDenseTab(j *joinPlan, dom *keyDomain, prev *denseTab) *denseTab {
 	if dom.n == 0 || dom.n >= math.MaxInt32 {
 		return nil
 	}
 	nkey := len(j.keyCols)
-	layout := func(lo, hi [maxJoinCols]int64) *denseTab {
+	// grid lays the key words out over [lo, hi] within perRow cells a row,
+	// returning how many cells that takes, or nil.
+	grid := func(lo, hi [maxJoinCols]int64, perRow uint64) (*denseTab, uint64) {
 		t := &denseTab{npay: len(j.payCols), min: lo}
-		limit, cells := uint64(dom.n)*denseCellsPerRow, uint64(1)
+		limit, cells := uint64(dom.n)*perRow, uint64(1)
 		for d := nkey - 1; d >= 0; d-- {
 			s := uint64(hi[d]-lo[d]) + 1
 			if s == 0 || s > limit/cells {
-				return nil
+				return nil, 0
 			}
 			t.span[d], t.stride[d] = s, cells
 			cells *= s
 		}
-		t.idx = make([]int32, cells)
-		t.slab = make([]int64, 0, int(dom.n)*t.npay)
-		return t
+		for d := nkey; d < maxJoinCols; d++ {
+			t.span[d] = 1 // an absent word reads 0: see probe
+		}
+		return t, cells
+	}
+	perRow := denseCellsPerRow(nkey)
+	t, cells := grid(dom.lo, dom.hi, perRow)
+	if t == nil {
+		return nil
 	}
 	if prev != nil {
 		lo, hi := dom.lo, dom.hi
@@ -181,11 +200,13 @@ func newDenseTab(j *joinPlan, dom *keyDomain, prev *denseTab) *denseTab {
 				hi[d] += room
 			}
 		}
-		if t := layout(lo, hi); t != nil {
-			return t
+		if roomy, n := grid(lo, hi, 2*perRow); roomy != nil {
+			t, cells = roomy, n
 		}
 	}
-	return layout(dom.lo, dom.hi)
+	t.idx = make([]int32, cells)
+	t.slab = make([]int64, 0, int(dom.n)*t.npay)
+	return t
 }
 
 // add puts row i of run into the table; later rows win duplicate keys. It
@@ -213,6 +234,21 @@ func (t *denseTab) row(p uint64) int {
 		return int(p) + 1
 	}
 	return int(t.idx[p])
+}
+
+// cellsByRow maps each slab row a key resolves to back to that key's
+// cell, or is nil when the table is its own index.
+func (t *denseTab) cellsByRow() []int {
+	if t.idx == nil {
+		return nil
+	}
+	cell := make([]int, t.nrow)
+	for p, r := range t.idx {
+		if r != 0 {
+			cell[r-1] = p
+		}
+	}
+	return cell
 }
 
 // elideIdx drops an idx that is the identity.

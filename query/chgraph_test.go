@@ -47,16 +47,16 @@ func bindCH(t *testing.T, db *ch.DB, plan *query.Plan, args query.Args) *query.C
 // one-join and from a multi-join plan: dense from Q12 and OLxItem (one
 // join) and Q2/Q5/Q7 (several, some of each keyed on an earlier join's
 // payload); forced, Q12 probes a composite-key hash table, OLxItem a
-// single-key one, Q5 and Q7 both kinds. Q3 and Q18 group on the entry
-// their orders probe resolved (the gJoin layout), a dense cell here and a
-// hash slot when forced. Q18's orders side holds every order and is kept:
-// each batch's new orders extend it. Q3's holds only the orders NewOrder
-// added (carrier 0, which the loader never writes), so a batch's new
-// o_ids can run past its packed domain, and the side is rebuilt with
-// headroom when they do and extended otherwise: at SF 0.1, between
-// 2 000-NewOrder batches, it was rebuilt at executions 0, 1, 2, 4, 7 and
-// 11 of 12. Here every batch of 20 overflows it, so Q3 is held to the same
-// answers only.
+// single-key one, Q5 and Q7 both kinds. Q3 and Q18 group on the orders
+// row their probe resolved (the gJoin layout), the row of a dense side
+// here and of a hashed one when forced. Q18's orders side holds every
+// order and is kept: each batch's new orders extend it. Q3's holds only
+// the orders NewOrder added (carrier 0, which the loader never writes),
+// so a batch's new o_ids can run past its packed domain, and the side is
+// rebuilt with headroom when they do and extended otherwise: at SF 0.1,
+// between 2 000-NewOrder batches, it was rebuilt at executions 0, 1, 2, 4,
+// 7 and 11 of 12. Here every batch of 20 overflows it, so Q3 is held to
+// the same answers only.
 func TestDenseMatchesHashedOnCHGraphPlans(t *testing.T) {
 	e := oltp.NewEngine()
 	db := ch.Load(e, ch.SizingForScale(0.01), 1)
@@ -128,6 +128,60 @@ func TestDenseMatchesHashedOnCHGraphPlans(t *testing.T) {
 	}
 }
 
+// TestQ18OrdersSideKeptUnderSkew grows orders from one warehouse of 14,
+// so o_id runs ahead in its districts alone and the orders domain packs
+// at about six cells a row: past a single key's bound, inside a composite
+// key's (denseCellsPerRow), while half a span of headroom on o_id takes
+// it past that bound too. Q18 runs after every batch of ten NewOrders,
+// and its orders side must stay dense, keep the headroom the first
+// overflow gives it and extend from then on, not rebuild each time a new
+// o_id passes the packed edge. The answers stay those of a forced-hash
+// execution.
+func TestQ18OrdersSideKeptUnderSkew(t *testing.T) {
+	e := oltp.NewEngine()
+	db := ch.Load(e, ch.SizingForScale(0.01), 1)
+	eng := olap.NewEngine(1)
+	defer eng.Close()
+	eng.SetPlacement(topology.Placement{PerSocket: []int{2}})
+	rng := rand.New(rand.NewSource(9))
+	newOrders := func(n int) {
+		for i := 0; i < n; i++ {
+			if _, err := e.Manager().RunWithRetry(1000, db.NewOrder(rng, 1)); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	exec := func(q *query.Compiled) olap.Result {
+		tab := db.Handle(q.FactTable()).Table()
+		src := olap.Source{Table: tab, Parts: []olap.Part{{Data: tab.Active(), Lo: 0, Hi: tab.Rows(), Label: "test"}}}
+		res, _, err := eng.ExecuteContext(context.Background(), q, src)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return res
+	}
+	newOrders(2500)
+	q := bindCH(t, db, ch.Q18PlanParam(), ch.Q18Args(0))
+	const runs = 9
+	var got olap.Result
+	for i := 0; i < runs; i++ {
+		if i > 0 {
+			newOrders(10)
+		}
+		got = exec(q)
+	}
+	// The first execution builds with no headroom, and the first new o_id
+	// past it rebuilds with some.
+	if st := q.BuildStats(); st.Rebuilds > 2 || st.Hits+st.Extends < runs-2 {
+		t.Fatalf("orders side rebuilt %d times in %d executions (%+v): the skewed domain lost its headroom", st.Rebuilds, runs, st)
+	}
+	query.ForceHashJoins(true)
+	defer query.ForceHashJoins(false)
+	if want := exec(bindCH(t, db, ch.Q18PlanParam(), ch.Q18Args(0))); !reflect.DeepEqual(got, want) {
+		t.Fatalf("dense and hashed orders sides disagree:\ndense:  %+v\nhashed: %+v", got, want)
+	}
+}
+
 // TestCHGreedyOrdersPinned pins, by relation name, the greedy execution
 // order of every CH plan at two scales:
 // Q5 hoists the selective item semi-join ahead of the stock chain, the
@@ -181,9 +235,9 @@ func TestCHGreedyOrdersPinned(t *testing.T) {
 // nation) key packs into dense cells over the build sides' nation ranges;
 // hashed into the group table it ran about 1.6× slower in the kernel.
 // Q3's and Q18's order keys are their orders join's key (Q3's with the
-// join's o_entry_d payload), so they address the orders entry the probe
-// resolved; hashed into the group table, BenchmarkQ18Builder ran about
-// 1.5× slower. Q2, Q5 and Q12 group on one word, Q1 on one fact column.
+// join's o_entry_d payload), so they address the orders row the probe
+// resolved; hashed into the group table (with no orders join),
+// BenchmarkQ18Builder ran about 1.4× slower. Q2, Q5 and Q12 group on one word, Q1 on one fact column.
 func TestCHKernelChoicePinned(t *testing.T) {
 	db := ch.Load(oltp.NewEngine(), ch.TinySizing(), 1)
 	yearAgo := []int64{ch.LoadDay - 365, ch.LoadDay - 365 + 59}

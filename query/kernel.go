@@ -24,7 +24,6 @@ package query
 // interpreter in reference_test.go holds under stealing and resizes.
 
 import (
-	"math"
 	"slices"
 
 	"elastichtap/internal/columnar"
@@ -220,11 +219,11 @@ type fexec struct {
 	gstride [maxGroupCols]uint64
 	gcells  int
 
-	// A gJoin key is the entry its group join, joins[gjoin], resolved the
-	// row to: a dense side's cell, a hashed side's build row. Group word d
-	// decodes from that entry's key word gword[d] when gword[d] >= 0, and
-	// from its payload column ^gword[d] otherwise. gblocks accumulator
-	// blocks of joinBlockCells entries cover the side.
+	// A gJoin key is the build row its group join, joins[gjoin], resolved
+	// the row to (its entry). Group word d decodes from that entry's key
+	// word gword[d] when gword[d] >= 0, and from its payload column
+	// ^gword[d] otherwise. gblocks accumulator blocks of joinBlockCells
+	// entries cover the side.
 	gjoin   int
 	gword   [maxGroupCols]int
 	gblocks int
@@ -322,7 +321,7 @@ func (c *Compiled) prepareFused() (olap.Exec, int64) {
 // when they multiply out to at most denseLen cells: the same arithmetic
 // as denseTab, with no hash and no key compare (Q7's nation pairs). A key
 // that holds a join's whole key, the rest of it that join's payload,
-// addresses the build entry the probe resolved (joinGroups: Q3's and
+// addresses the build row the probe resolved (joinGroups: Q3's and
 // Q18's order keys). A one-word key of unknown range takes cells
 // [0, denseLen). Any other composite key hashes into the spill table.
 func (e *fexec) layoutGroups() {
@@ -343,13 +342,12 @@ func (e *fexec) layoutGroups() {
 // joinGroups looks for a join whose build entry fixes the group: the
 // group words include every key word of the join (the slot its probe
 // reads that word from), and each other group word is a payload word of
-// the same join. Group and entry are then one to one — a row the probe
+// the same join. The probe resolves each key to one build row, the last
+// loaded under it, so group and row are one to one — a row the probe
 // matched carries the entry's key, and the probe gathered the entry's
-// payload — so the entry addresses the group's accumulators: the
+// payload — and the row addresses the group's accumulators: the
 // groupjoin of Moerkotte and Neumann (VLDB 2011). A group of payload
-// words alone does not qualify: many entries can share those. It
-// reports false, too, when the side has more entries than an int32
-// counts.
+// words alone does not qualify: many entries can share those.
 func (e *fexec) joinGroups() bool {
 joins:
 	for ji := range e.joins {
@@ -369,13 +367,9 @@ joins:
 				continue joins
 			}
 		}
-		n := j.entries()
-		if n > math.MaxInt32 {
-			continue
-		}
 		j.grouped = true
 		e.gjoin, e.gword = ji, word
-		e.gblocks = (n + joinBlockCells - 1) / joinBlockCells
+		e.gblocks = (j.entries() + joinBlockCells - 1) / joinBlockCells
 		return true
 	}
 	return false
@@ -420,89 +414,70 @@ func (e *fexec) payRange(s int) (lo, hi int64, ok bool) {
 // (fact scan slots or earlier joins' payload slots), key and payload
 // widths, where its payload lands among the plan's payload words — and the
 // table this execution probes for it. grouped marks a gJoin plan's group
-// join, whose probe records each kept row's entry.
+// join, whose probe records each kept row's build row.
 type fjoin struct {
 	*joinPlan
 	buildSide
 	grouped bool
 }
 
-// entries is how many entries the join's probe resolves keys to: a dense
-// side's cells (its rows, when it is its own index), a hashed side's
-// rows. Not a hashed side's slots: they scatter the keys one morsel holds
-// over the whole table, a block per group, where its rows come in load
-// order, as the fact rows do.
+// entries is how many entries the join's probe resolves keys to: the
+// build side's rows, dense or hashed, each one's payload in the slab.
+// Fact rows and the dimension rows they join arrive in the same order
+// (NewOrder appends an order and its lines together), so a morsel's rows
+// resolve to a short run of entries.
 func (j *fjoin) entries() int {
-	switch t := j.dn; {
-	case t != nil && t.idx == nil:
-		return int(t.nrow)
-	case t != nil:
-		return len(t.idx)
+	switch {
+	case j.dn != nil:
+		return int(j.dn.nrow)
 	case len(j.keyCols) == 1:
 		return int(j.j1.rows)
 	}
 	return int(j.jK.rows)
 }
 
-// slotsByRow is a hashed group join's map from build row to slot, which
-// blockKeys reads a row's key from; nil for a dense side.
-func (j *fjoin) slotsByRow() []int32 {
+// keyAt maps each build row a key resolves to back to where that key is
+// held, for entryKey: a dense side's cell, a hashed side's slot. It is
+// nil for a dense side that is its own index, whose row r is cell r.
+func (j *fjoin) keyAt() []int {
 	switch {
 	case j.dn != nil:
-		return nil
+		return j.dn.cellsByRow()
 	case len(j.keyCols) == 1:
-		return j.j1.byRow()
+		return j.j1.slotsByRow()
 	}
-	return j.jK.byRow()
+	return j.jK.slotsByRow()
 }
 
-// blockKeys decodes the group keys of the cells of the group join's entry
-// block b that on marks, into keys: the key words an entry holds — a
-// dense cell's arithmetically, as cellKey does, a hashed row's from its
-// slot (slotOf, from slotsByRow) — and the payload of the row it resolves
-// to. A dense entry's key words are its digits in the strides: the
-// block's first entry is divided out once, and each next cell counts one
-// more into the last word.
-func (e *fexec) blockKeys(b int, on []bool, keys *[joinBlockCells]gkey, slotOf []int32) {
+// entryKey decodes the group key of the group join's build row row: its
+// key words from where keyAt says the key is held — a dense cell's digits
+// in the strides, as cellKey does, or a hashed slot's key — and its other
+// words from the row's payload.
+func (e *fexec) entryKey(row int, keyAt []int) (k gkey) {
 	j := &e.joins[e.gjoin]
-	t, nkey, npay := j.dn, len(j.keyCols), len(j.payCols)
-	var x [maxJoinCols]uint64
-	if t != nil {
-		for d := range nkey {
-			x[d] = uint64(b*joinBlockCells) / t.stride[d] % t.span[d]
+	var key jkey
+	switch t := j.dn; {
+	case t != nil:
+		cell := row
+		if keyAt != nil {
+			cell = keyAt[row]
+		}
+		for d := range j.keyCols {
+			key[d] = t.min[d] + int64(uint64(cell)/t.stride[d]%t.span[d])
+		}
+	case len(j.keyCols) == 1:
+		key[0] = j.j1.slots[keyAt[row]].key
+	default:
+		key = j.jK.slots[keyAt[row]].key
+	}
+	npay := len(j.payCols)
+	pay := j.slab()[row*npay : (row+1)*npay]
+	for d, w := range e.gword[:e.ngroup] {
+		if w >= 0 {
+			k[d] = key[w]
+		} else {
+			k[d] = pay[^w]
 		}
 	}
-	for c, occupied := range on {
-		ent := b*joinBlockCells + c
-		if occupied {
-			var key jkey
-			var pay []int64
-			switch {
-			case t != nil:
-				for d := range nkey {
-					key[d] = t.min[d] + int64(x[d])
-				}
-				row := t.row(uint64(ent)) - 1
-				pay = t.slab[row*npay : (row+1)*npay]
-			case nkey == 1:
-				key[0], pay = j.j1.slots[slotOf[ent]].key, j.j1.slab[ent*npay:(ent+1)*npay]
-			default:
-				key, pay = j.jK.slots[slotOf[ent]].key, j.jK.slab[ent*npay:(ent+1)*npay]
-			}
-			k := &keys[c]
-			for d, w := range e.gword[:e.ngroup] {
-				if w >= 0 {
-					k[d] = key[w]
-				} else {
-					k[d] = pay[^w]
-				}
-			}
-		}
-		for d := nkey - 1; t != nil; d-- {
-			if x[d]++; d == 0 || x[d] < t.span[d] {
-				break
-			}
-			x[d] = 0
-		}
-	}
+	return k
 }

@@ -162,10 +162,9 @@ func (e *fexec) MergeFan(locals []olap.Local, fan olap.Fan) olap.Result {
 // equal length, one per mergeKeysPerPart entries they hold (up to
 // maxMergeParts). A part takes its blocks in turn: it folds each block's
 // occupied cells from those locals into one block of totals, and renders
-// the groups of the cells some local occupied, their keys decoded from
-// the entries (blockKeys) once their aggregates show they may be kept
-// (sink.admits). No group is hashed, and a part holds one block of totals
-// at a time.
+// the groups of the cells some local occupied, each key decoded from its
+// entry (entryKey) once its aggregates show it may be kept (sink.admits).
+// No group is hashed, and a part holds one block of totals at a time.
 //
 //htap:deterministic
 func (e *fexec) mergeJoin(locals []olap.Local, fan olap.Fan, w int) []mergePart {
@@ -197,12 +196,11 @@ func (e *fexec) mergeJoin(locals []olap.Local, fan olap.Fan, w int) []mergePart 
 	np := min(max(len(blocks)*joinBlockCells/mergeKeysPerPart, 1), maxMergeParts)
 	parts := make([]mergePart, np)
 	nacc := e.nacc
-	slotOf := e.joins[e.gjoin].slotsByRow()
+	keyAt := e.joins[e.gjoin].keyAt()
 	fan(np, func(p int) {
 		own := blocks[p*len(blocks)/np : (p+1)*len(blocks)/np]
 		out := e.newSink(w, len(own)*joinBlockCells)
 		total, on := make([]acc, joinBlockCells*nacc), make([]bool, joinBlockCells)
-		var keys [joinBlockCells]gkey
 		for _, b := range own {
 			clear(total)
 			clear(on)
@@ -218,12 +216,9 @@ func (e *fexec) mergeJoin(locals []olap.Local, fan olap.Fan, w int) []mergePart 
 				}
 			}
 			for c, occupied := range on {
-				on[c] = occupied && out.admits(total[c*nacc:(c+1)*nacc])
-			}
-			e.blockKeys(b, on, &keys, slotOf)
-			for c, occupied := range on {
-				if occupied {
-					out.offer(&keys[c], total[c*nacc:(c+1)*nacc])
+				if accs := total[c*nacc : (c+1)*nacc]; occupied && out.admits(accs) {
+					k := e.entryKey(b*joinBlockCells+c, keyAt)
+					out.offer(&k, accs)
 				}
 			}
 		}

@@ -36,6 +36,9 @@ func hashGK(k *gkey, n int) uint64 {
 	return h
 }
 
+// zeroWords is the third key word a two-word dense probe reads.
+var zeroWords [vecLen]int64
+
 // jkey is a composite join key (unused trailing slots stay zero; the key
 // width is fixed per plan so they never collide).
 type jkey [maxJoinCols]int64
@@ -130,19 +133,20 @@ func (t *joinTab[K]) add(k K, hk uint64, hash func(K) uint64, run *dimRun, i int
 	}
 }
 
-// byRow maps each build row a key resolves to back to that key's slot.
-func (t *joinTab[K]) byRow() []int32 {
-	slot := make([]int32, t.rows)
+// slotsByRow maps each build row a key resolves to back to that key's
+// slot.
+func (t *joinTab[K]) slotsByRow() []int {
+	slot := make([]int, t.rows)
 	for h := range t.slots {
 		if s := &t.slots[h]; s.used {
-			slot[s.row] = int32(h)
+			slot[s.row] = h
 		}
 	}
 	return slot
 }
 
 // slab is the build side's payload slab: payload rows of len(payCols)
-// words, addressed by the word offsets probe records.
+// words, the row probe records starting at word row·len(payCols).
 func (j *fjoin) slab() []int64 {
 	switch {
 	case j.dn != nil:
@@ -159,19 +163,17 @@ func (j *fjoin) slab() []int64 {
 // vector an earlier join filled. Each kept row's payload words then land
 // in the join's payload vectors at the row's offset, one gather loop per
 // payload column, where the ops, the group keys and later joins read them.
-// A gJoin plan's group join probes in probeGroup instead.
+// A gJoin plan's group join also leaves each kept row's build row at the
+// row's offset in v.ent, where the group resolves from it.
 //
 //htap:hotpath
 func (j *fjoin) probe(v *vecs, sel []int32) int {
-	if j.grouped {
-		return j.probeGroup(v, sel)
-	}
 	var keys [maxJoinCols][]int64
 	for d, s := range j.probeSlots {
 		keys[d] = v.slot(s)
 	}
 	ks := keys[:len(j.probeSlots)]
-	out, moff := v.sel[:], v.moff[:]
+	out, brow := v.sel[:], v.brow[:]
 	m := 0
 	switch t := j.dn; {
 	case t != nil && len(ks) == 1:
@@ -182,28 +184,33 @@ func (j *fjoin) probe(v *vecs, sel []int32) int {
 				continue
 			}
 			if row := t.row(x); row != 0 {
-				out[m], moff[m] = r, (row-1)*t.npay
+				out[m], brow[m] = r, int32(row-1)
 				m++
 			}
 		}
 	case t != nil:
-	dense:
+		// A composite key has two or three words; a two-word key's table
+		// gives its third word span 1 and stride 0, and the probe reads 0
+		// for it, so one unrolled loop serves both.
+		k0, k1, k2 := ks[0], ks[1], zeroWords[:]
+		if len(ks) == maxJoinCols {
+			k2 = ks[2]
+		}
+		lo0, lo1, lo2 := t.min[0], t.min[1], t.min[2]
+		s0, s1, s2 := t.span[0], t.span[1], t.span[2]
+		st0, st1, st2 := t.stride[0], t.stride[1], t.stride[2]
 		for _, r := range sel {
-			var cell uint64
-			for d, kv := range ks {
-				x := uint64(kv[r] - t.min[d])
-				if x >= t.span[d] {
-					continue dense
-				}
-				cell += x * t.stride[d]
+			x0, x1, x2 := uint64(k0[r]-lo0), uint64(k1[r]-lo1), uint64(k2[r]-lo2)
+			if x0 >= s0 || x1 >= s1 || x2 >= s2 {
+				continue
 			}
-			if row := t.row(cell); row != 0 {
-				out[m], moff[m] = r, (row-1)*t.npay
+			if row := t.row(x0*st0 + x1*st1 + x2*st2); row != 0 {
+				out[m], brow[m] = r, int32(row-1)
 				m++
 			}
 		}
 	case len(ks) == 1:
-		t, k0, npay := &j.j1, ks[0], len(j.payCols)
+		t, k0 := &j.j1, ks[0]
 	hashed1:
 		for _, r := range sel {
 			k := k0[r]
@@ -213,14 +220,14 @@ func (j *fjoin) probe(v *vecs, sel []int32) int {
 					continue hashed1
 				}
 				if s.key == k {
-					out[m], moff[m] = r, int(s.row)*npay
+					out[m], brow[m] = r, s.row
 					m++
 					continue hashed1
 				}
 			}
 		}
 	default:
-		t, npay := &j.jK, len(j.payCols)
+		t := &j.jK
 	hashedK:
 		for _, r := range sel {
 			var k jkey
@@ -233,101 +240,23 @@ func (j *fjoin) probe(v *vecs, sel []int32) int {
 					continue hashedK
 				}
 				if s.key == k {
-					out[m], moff[m] = r, int(s.row)*npay
+					out[m], brow[m] = r, s.row
 					m++
 					continue hashedK
 				}
 			}
 		}
 	}
-	slab, kept := j.slab(), out[:m]
+	slab, kept, npay := j.slab(), out[:m], len(j.payCols)
 	for c := range j.payCols {
 		dst := v.pay[j.payBase+c][:]
 		for k, r := range kept {
-			dst[r] = slab[moff[k]+c]
+			dst[r] = slab[int(brow[k])*npay+c]
 		}
 	}
-	return m
-}
-
-// probeGroup is probe for a gJoin plan's group join: it also records, at
-// each kept row's offset in v.ent, the entry it resolved the row to — the
-// dense cell, or the hashed side's build row. A hashed side looks a key
-// up once per run of rows that repeat it (order lines come in runs per
-// order): row is what the previous row's key resolved to, -1 when absent,
-// -2 before the first row.
-func (j *fjoin) probeGroup(v *vecs, sel []int32) int {
-	var keys [maxJoinCols][]int64
-	for d, s := range j.probeSlots {
-		keys[d] = v.slot(s)
-	}
-	ks := keys[:len(j.probeSlots)]
-	out, moff, ent, npay := v.sel[:], v.moff[:], v.ent[:], len(j.payCols)
-	m := 0
-	switch t := j.dn; {
-	case t != nil:
-	dense:
-		for _, r := range sel {
-			var cell uint64
-			for d, kv := range ks {
-				x := uint64(kv[r] - t.min[d])
-				if x >= t.span[d] {
-					continue dense
-				}
-				cell += x * t.stride[d]
-			}
-			if row := t.row(cell); row != 0 {
-				out[m], moff[m], ent[r] = r, (row-1)*npay, int32(cell)
-				m++
-			}
-		}
-	case len(ks) == 1:
-		t, k0 := &j.j1, ks[0]
-		prev, row := int64(0), int32(-2)
-		for _, r := range sel {
-			if k := k0[r]; row == -2 || k != prev {
-				prev, row = k, -1
-				for h := hash1(k) >> t.shift; t.slots[h].used; h = (h + 1) & t.mask {
-					if s := &t.slots[h]; s.key == k {
-						row = s.row
-						break
-					}
-				}
-			}
-			if row >= 0 {
-				out[m], moff[m], ent[r] = r, int(row)*npay, row
-				m++
-			}
-		}
-	default:
-		t := &j.jK
-		var prev jkey
-		row := int32(-2)
-		for _, r := range sel {
-			var k jkey
-			for d, kv := range ks {
-				k[d] = kv[r]
-			}
-			if row == -2 || k != prev {
-				prev, row = k, -1
-				for h := hashJK(&k, len(ks)) >> t.shift; t.slots[h].used; h = (h + 1) & t.mask {
-					if s := &t.slots[h]; s.key == k {
-						row = s.row
-						break
-					}
-				}
-			}
-			if row >= 0 {
-				out[m], moff[m], ent[r] = r, int(row)*npay, row
-				m++
-			}
-		}
-	}
-	slab, kept := j.slab(), out[:m]
-	for c := range j.payCols {
-		dst := v.pay[j.payBase+c][:]
+	if j.grouped {
 		for k, r := range kept {
-			dst[r] = slab[moff[k]+c]
+			v.ent[r] = brow[k]
 		}
 	}
 	return m

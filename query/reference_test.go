@@ -309,7 +309,7 @@ func probedTables(q *Compiled) string {
 // groupLayout prepares q and names how its group keys address their
 // accumulators: "global" (no group key), "cells" (a one-word key's dense
 // cells), "packed" (a composite key packed into dense cells), "join" (the
-// build entry a join's probe resolved) or "spill" (the group table).
+// build row a join's probe resolved) or "spill" (the group table).
 func groupLayout(q *Compiled) string {
 	exec, _ := q.Prepare()
 	switch e := exec.(*fexec); {
@@ -391,14 +391,14 @@ func serialMerge(e *oltp.Engine, q *Compiled, exec olap.Exec) (olap.Result, int)
 // it. The kept build side is extended, not rebuilt, and must widen the
 // ranges it carries, or the last execution packs on stale ranges.
 //
-// The join- cases group on the entry a join's probe resolved (gJoin):
-// every key word of bdimc (Q18's shape), its key plus its payload (Q3's),
-// bdimdup's key plus payload, whose idx is no identity, so a payload read
-// from the cell instead of the row the cell holds is another row's, and
-// (split-join-interleaved) bdimgj's (gid, jk), whose cells lie 101 apart
-// from one fact row to the next, so one morsel touches hundreds of
-// accumulator blocks; in join-then-semi a later join narrows the rows
-// whose entries the group join recorded. Two plans must not take it: a
+// The join- cases group on the build row a join's probe resolved
+// (gJoin): every key word of bdimc (Q18's shape), its key plus its
+// payload (Q3's), bdimdup's key plus payload, whose idx is no identity,
+// so a key or payload read at the row's number as if it were its cell is
+// another key's, and (split-join-interleaved) bdimgj's (gid, jk), whose
+// rows lie 101 apart from one fact row to the next, so one morsel touches
+// every one of the side's 100 accumulator blocks; in join-then-semi a
+// later join narrows the rows whose build rows the group join recorded. Two plans must not take it: a
 // group that misses one of bdimc's key words (join-missing-key-word;
 // probe-group-sum-spill as well), and one that adds another join's
 // payload to bdimc's key (join-key-other-pay). join-extend-rebuild binds
