@@ -264,7 +264,7 @@ func benchTxn(b *testing.B, paymentPct int) {
 			}
 		}
 	}
-	run(txnsPerOp) // chains pushed, buffers grown, the Txn pooled
+	run(txnsPerOp) // buffers grown, the Txn pooled
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {

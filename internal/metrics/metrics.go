@@ -45,7 +45,7 @@ type Snapshot struct {
 	TotalRows   int64
 	DirtyRows   int64 // update-indication bits pending instance sync
 	FreshRows   int64 // rows the OLAP replicas lack
-	VersionRows int   // live MVCC versions: those a snapshot may still read and what later pushes have yet to reclaim; more while SnapshotLag is large
+	VersionRows int   // live MVCC versions: those a snapshot may still read and what later pushes have yet to reclaim; 0 under one client, whose commits push none, and more while SnapshotLag is large
 	// SnapshotLag is the transaction clock minus the oldest active begin
 	// timestamp (txn.Manager.MinActive). Pre-image pushes reclaim versions
 	// back to that snapshot and no further — the pushed row's own and

@@ -43,7 +43,13 @@ type Manager struct {
 	// timestamps are drawn without it.
 	clock atomic.Uint64
 
-	mu     sync.Mutex
+	mu sync.Mutex
+	// open counts the running transactions. It changes only inside the mu
+	// sections of start and end, beside the lock's own word, and start
+	// raises it before drawing the begin timestamp: a commit that loads it
+	// after drawing its own timestamp counts every transaction that drew a
+	// smaller one and has not ended (see Txn.Commit).
+	open   atomic.Int64
 	tables []*TableRef //htap:guardedby mu
 	// active holds the begin timestamp of every running transaction, one
 	// slot each (Txn.slot); 0 marks a free slot. It grows to the largest
@@ -66,6 +72,13 @@ type Manager struct {
 	// consistent: committers hold it shared, CommitBarrier exclusive.
 	log  atomic.Pointer[wal.Log]
 	gate sync.RWMutex
+
+	// probe, when set, fires at named internal points: "begin" in start
+	// just after the begin timestamp is drawn, with mu held, and "commit"
+	// in Commit between flagging the written rows and drawing the commit
+	// timestamp. Tests use it to stop a transaction inside those windows;
+	// production leaves it nil.
+	probe atomic.Pointer[func(point string)]
 
 	commits atomic.Uint64
 	aborts  atomic.Uint64
@@ -142,7 +155,9 @@ func (m *Manager) Begin() *Txn {
 //htap:hotpath
 func (m *Manager) start(t *Txn, priority uint64) {
 	m.mu.Lock()
+	m.open.Add(1)
 	ts := m.clock.Add(1)
+	m.fireProbe("begin")
 	slot, watermark := -1, ts // ts is the newest begin there is
 	for i, b := range m.active {
 		if b == 0 {
@@ -165,6 +180,13 @@ func (m *Manager) start(t *Txn, priority uint64) {
 	}
 	t.status = statusActive
 	t.held, t.writes, t.inserts, t.arena = t.held[:0], t.writes[:0], t.inserts[:0], t.arena[:0]
+}
+
+// fireProbe invokes the installed probe, if any.
+func (m *Manager) fireProbe(point string) {
+	if fn := m.probe.Load(); fn != nil {
+		(*fn)(point)
+	}
 }
 
 // addSlot extends the active set by one free slot and returns its index.

@@ -138,7 +138,10 @@ func (t *Txn) Read(ref *TableRef, row int64, col int) (int64, bool) {
 //     pre-image, with its own timestamp as the image's Until, before
 //     applying, so the version chain's answer is final. Nothing the
 //     reader needs is reclaimed: its snapshot is at or above every
-//     pusher's watermark and below that Until.
+//     pusher's watermark and below that Until. And the commit did push:
+//     it skips its pre-images only when it finds no other transaction
+//     open after drawing its timestamp, and this reader, whose begin is
+//     below that timestamp, was counted open before it drew its begin.
 //   - Otherwise the cell in place is the snapshot's if the word is
 //     unchanged after the load: a commit writing it meanwhile would have
 //     flagged the word first, and one that flags it later draws its
@@ -296,12 +299,12 @@ func (t *Txn) growArena(n int) {
 	t.arena = arena
 }
 
-// Commit pushes each written row's full-row pre-image to the delta store,
-// applies the write set to the active instances, appends inserts to both
-// instances, and releases all locks. With a WAL attached
-// (Manager.SetWAL) the write set is appended to the log first; the
-// in-memory application runs under the log's lock, so log order equals
-// apply order and insert replay reassigns identical row IDs.
+// Commit pushes each written row's full-row pre-image to the delta store
+// if another transaction is open, applies the write set to the active
+// instances, appends inserts to both instances, and releases all locks.
+// With a WAL attached (Manager.SetWAL) the write set is appended to the
+// log first; the in-memory application runs under the log's lock, so log
+// order equals apply order and insert replay reassigns identical row IDs.
 //
 // Every written row's timestamp word is flagged (Table.MarkApplying)
 // before the commit timestamp is drawn, and apply's UpdateCells stamps it
@@ -310,7 +313,13 @@ func (t *Txn) growArena(n int) {
 // lies after its own begin (see readCommitted). The pre-images are pushed
 // between the draw and the apply, stamped with the commit timestamp as the
 // end of their currency: no reader can miss one, because a reader that
-// finds the word past its snapshot found it stamped, after the push. The
+// finds the word past its snapshot found it stamped, after the push. They
+// are pushed only if the manager counts another open transaction once the
+// commit timestamp is drawn. If this one is alone, every snapshot still to
+// come begins above the commit and none can read an image from before it,
+// so the rows' chains are dropped instead (vm.Store.Forget): a lone client
+// pays for no version. The count is raised before a begin timestamp is
+// drawn, so a reader with a smaller snapshot is always in it. The
 // flags go on inside the commit gate, so a committer parked at a
 // CommitBarrier stalls no reader, and a commit whose apply never ran (the
 // log lost or refused its record) clears them before the locks are
@@ -335,9 +344,12 @@ func (t *Txn) Commit() error {
 		}
 		w.ref.Table.MarkApplying(w.row)
 	}
+	t.m.fireProbe("commit")
 	commitTS := t.m.clock.Add(1)
 	// Here, not in apply: Replay applies logged commits and pushes nothing.
-	t.pushPreImages(commitTS)
+	// Loaded after the draw, never before: a reader that begins between
+	// the flags and the draw has a snapshot below commitTS.
+	t.pushPreImages(commitTS, t.m.open.Load() == 1)
 
 	var syncErr error
 	if log := t.m.log.Load(); log != nil {
@@ -364,14 +376,20 @@ func (t *Txn) Commit() error {
 // pushPreImages pushes the image each written row had before this commit:
 // current from the timestamp under the row's Applying flag until commitTS.
 // The rows are locked and flagged and the gate is held, so the active
-// instance holds exactly that image and no switch can move it.
+// instance holds exactly that image and no switch can move it. alone says
+// no other transaction was open once commitTS was drawn: then no snapshot
+// can read the images, and each row's chain is forgotten instead.
 //
 //htap:hotpath
-func (t *Txn) pushPreImages(commitTS uint64) {
+func (t *Txn) pushPreImages(commitTS uint64, alone bool) {
 	for i := range t.writes {
 		w := &t.writes[i]
 		if i > 0 && w.row == t.writes[i-1].row && w.ref == t.writes[i-1].ref {
 			continue // one image per row, as Commit flags it once
+		}
+		if alone {
+			w.ref.Versions.Forget(w.row, commitTS)
+			continue
 		}
 		tab := w.ref.Table
 		width := len(tab.Schema().Columns)
@@ -536,6 +554,7 @@ func (t *Txn) end(status txnStatus) {
 	t.status = status
 	t.m.mu.Lock()
 	t.m.active[t.slot] = 0
+	t.m.open.Add(-1)
 	t.m.mu.Unlock()
 	if status == statusAborted {
 		t.m.aborts.Add(1)

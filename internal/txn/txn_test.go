@@ -257,9 +257,10 @@ func TestGCReclaimsOldVersions(t *testing.T) {
 		}); err != nil {
 			t.Fatal(err)
 		}
-		// No other transaction is active: each push drops its predecessor.
-		if n := ref.Versions.ChainLen(0); n != 1 {
-			t.Fatalf("chain after update %d = %d, want 1", i, n)
+		// No other transaction is active: no snapshot can read the
+		// pre-image, so none is kept.
+		if n := ref.Versions.ChainLen(0); n != 0 {
+			t.Fatalf("chain after update %d = %d, want 0", i, n)
 		}
 	}
 	// The newest committed value must survive.
@@ -270,11 +271,13 @@ func TestGCReclaimsOldVersions(t *testing.T) {
 	tx.Abort()
 }
 
-// TestVersionsBoundedByRowsLocked: with one client a version outlives the
-// commit after it — that commit's watermark has passed it — so however many
-// transactions run over however many rows, a version-store shard keeps at
-// most the chain of the last row pushed to it, and each of those chains is
-// that row's newest pre-image.
+// TestVersionsBoundedByRowsLocked: a reader begun afresh before each
+// transaction keeps every commit pushing its pre-image, and the version
+// outlives only the commit after it — that commit's watermark, the reader's
+// newer begin, has passed it — so however many transactions run over
+// however many rows, a version-store shard keeps at most the chain of the
+// last row pushed to it, and each of those chains is that row's newest
+// pre-image.
 func TestVersionsBoundedByRowsLocked(t *testing.T) {
 	const (
 		rows   = 3000
@@ -283,15 +286,19 @@ func TestVersionsBoundedByRowsLocked(t *testing.T) {
 	m, ref := newTestTable(t, rows)
 	locked := map[int64]bool{}
 	rng := rand.New(rand.NewSource(7))
+	reader := m.Begin()
 	for i := 0; i < 100_000; i++ {
 		row := rng.Int63n(rows)
 		locked[row] = true
+		reader.Abort()
+		reader = m.Begin()
 		if _, err := m.RunWithRetry(0, func(tx *Txn) error {
 			return tx.WriteFunc(ref, row, 1, func(v int64) int64 { return v + 1 })
 		}); err != nil {
 			t.Fatal(err)
 		}
 	}
+	reader.Abort()
 	n := ref.Versions.Len()
 	t.Logf("%d versions for %d distinct rows locked", n, len(locked))
 	if n > shards {
@@ -301,8 +308,10 @@ func TestVersionsBoundedByRowsLocked(t *testing.T) {
 
 // TestSnapshotReaderSurvivesTrimming: the versions an active reader needs
 // outlive every push made while it runs — its row's own, and the sweeps of
-// a neighbour's pushes in the same version-store shard — and the first push
-// after it finishes collapses the chain.
+// a neighbour's pushes in the same version-store shard — and the first
+// commit after it finishes, with nothing else open, drops the chain. While
+// the reader is open a single client's every commit pushes: the chain
+// grows by one per update.
 func TestSnapshotReaderSurvivesTrimming(t *testing.T) {
 	const updates = 10_000
 	m, ref := newTestTable(t, 129) // rows 0 and 128 share a shard
@@ -333,8 +342,8 @@ func TestSnapshotReaderSurvivesTrimming(t *testing.T) {
 	}
 	reader.Abort()
 	update(0, 7)
-	if n := ref.Versions.ChainLen(0); n != 1 {
-		t.Fatalf("chain after the reader finished = %d, want 1", n)
+	if n := ref.Versions.ChainLen(0); n != 0 {
+		t.Fatalf("chain after the reader finished = %d, want 0", n)
 	}
 }
 

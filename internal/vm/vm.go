@@ -3,7 +3,11 @@
 // the MVCC survey of Wu et al. A commit pushes each written row's full-row
 // pre-image before overwriting the active instance in place, so
 // snapshot-isolated readers can traverse to the version visible at their
-// begin timestamp.
+// begin timestamp. A commit that is the only transaction open once it has
+// drawn its commit timestamp pushes nothing: every later snapshot begins
+// above that timestamp, so no reader can want the image, and Forget drops
+// the row's chain instead — a version is made only while a snapshot may
+// still need it, as in Silo (Tu et al., SOSP 2013).
 //
 // A version knows when it stopped being current (Until, the commit that
 // overwrote it), and that makes it garbage once the reclamation watermark
@@ -18,23 +22,28 @@
 // first-out:
 // every Push looks at the oldest four, and deletes the chain of a row whose
 // head is still the queued version once the watermark has passed its
-// Until, so a row updated once is not kept forever. There is no background
+// Until, so a row updated once is not kept forever. Forget sweeps its shard
+// the same way, against its commit timestamp. There is no background
 // collector and nothing to start; what a quiesced store holds is the
-// chains its shards' last pushes could not yet sweep.
+// chains its shards' last pushes and forgets could not yet sweep.
 //
 // Reclaimed versions are recycled, image buffer included: the first version
 // a push cuts off becomes that push's own node, and swept heads and one more
 // cut version are parked on the shard for the next pushes that cut nothing
 // (beyond maxSpare of them they are left to the Go collector). With one
-// writer a chain is one version, which every push to the row overwrites in
-// place or a sweep hands to the next push — a steady-state push allocates
-// nothing. That is also why Push copies the image it is given and ReadAsOf
-// hands out a cell rather than the image slice: an image is rewritten under
-// the shard's write lock, so it may only be read under the shard's read
-// lock, never through a slice that outlives it.
+// writer beside a reader that renews its snapshot, a chain is one version,
+// which every push to the row overwrites in place or a sweep hands to the
+// next push — a steady-state push allocates nothing. That is also why Push
+// copies the image it is given and ReadAsOf hands out a cell rather than
+// the image slice: an image is rewritten under the shard's write lock, so
+// it may only be read under the shard's read lock, never through a slice
+// that outlives it.
 package vm
 
-import "sync"
+import (
+	"sync"
+	"sync/atomic"
+)
 
 const shardCount = 128
 
@@ -82,6 +91,10 @@ type chain struct {
 type shard struct {
 	mu     sync.RWMutex
 	chains map[int64]chain
+	// held is len(chains), stored under mu whenever a push or a forget
+	// leaves the shard, so Forget can skip a shard with no chain without
+	// taking the lock.
+	held atomic.Int64
 	// spare lists, through Older, up to maxSpare reclaimed versions
 	// awaiting reuse; nspare counts them.
 	spare  *Version
@@ -167,6 +180,31 @@ func (s *Store) Push(row int64, ts, until uint64, image []int64, watermark uint6
 	}
 	sh.queue[(sh.first+sh.n)&(len(sh.queue)-1)] = pushed{row, until}
 	sh.n++
+	sh.held.Store(int64(len(sh.chains)))
+	sh.mu.Unlock()
+}
+
+// Forget stands in for a Push when no transaction but the committer is
+// open once it has drawn commitTS: every later snapshot begins above
+// commitTS, so neither the pre-image this commit replaces nor anything
+// chained before it can be read again, and commitTS is a valid watermark.
+// The row's chain is dropped and the shard's queue swept against commitTS.
+// A shard that holds no chain costs one atomic load. Callers hold the
+// record's exclusive lock, as for Push.
+//
+//htap:hotpath
+func (s *Store) Forget(row int64, commitTS uint64) {
+	sh := s.shardFor(row)
+	if sh.held.Load() == 0 {
+		return
+	}
+	sh.mu.Lock()
+	sh.sweep(row, commitTS)
+	if c, ok := sh.chains[row]; ok {
+		delete(sh.chains, row)
+		sh.park(c.head)
+	}
+	sh.held.Store(int64(len(sh.chains)))
 	sh.mu.Unlock()
 }
 
