@@ -84,6 +84,8 @@ func TestPreparedExecutionAllocBudget(t *testing.T) {
 		args   query.Args
 		budget float64
 	}{
+		// Measured 26/20 at tiny sizing, at GOMAXPROCS 2 and 8, with and
+		// without -race.
 		{"Q1", ch.Q1Args(0), 64},
 		{"Q6", ch.Q6Args(0, 0, 0, 0), 64},
 	} {
@@ -109,7 +111,7 @@ func TestPreparedExecutionAllocBudget(t *testing.T) {
 // nothing for them (BuildBytes still reports the logical broadcast the
 // planner costs): what is left is the task, one local per morsel and the
 // merge — Q7's share being its nation pairs' dense cells, one array per
-// local (31 objects in all at tiny sizing; 60 while the pairs hashed into
+// local (27 objects in all at tiny sizing; 60 while the pairs hashed into
 // a group table per local). None of it grows with fact rows, so a budget
 // miss means either the per-row kernel path started allocating or a build
 // side stopped being reused.
@@ -132,16 +134,17 @@ func TestGraphJoinExecutionAllocBudget(t *testing.T) {
 		joins  int64 // relations joined to the fact
 		budget float64
 	}{
-		// Measured 34/32/31 at tiny sizing, at GOMAXPROCS 2 and 8, with and
-		// without -race (46/47/535 before the vector loop and Q7's dense
+		// Measured 30/28/27 at tiny sizing, at GOMAXPROCS 2 and 8, with and
+		// without -race (34/32/31 while a dense plan's one-part merge went
+		// through the fan, 46/47/535 before the vector loop and Q7's dense
 		// cells, 51/56/543 when every execution rebuilt its tables). Each
 		// budget is its measurement plus 25 %, rounded up: room for a Go
 		// release whose runtime allocates a few objects differently (CI
 		// also runs 1.23), none for an allocation per fact row (100 stock
 		// and 1200 orderline rows at tiny sizing).
-		{"Q2", ch.TStock, ch.Q2Args(0, 0), 3, 43},
-		{"Q5", ch.TOrderLine, ch.Q5Args(0), 5, 40},
-		{"Q7", ch.TOrderLine, ch.Q7Args(0), 4, 39},
+		{"Q2", ch.TStock, ch.Q2Args(0, 0), 3, 38},
+		{"Q5", ch.TOrderLine, ch.Q5Args(0), 5, 35},
+		{"Q7", ch.TOrderLine, ch.Q7Args(0), 4, 34},
 	} {
 		t.Run(p.name, func(t *testing.T) {
 			q := stamped(t, db, p.name, p.args)

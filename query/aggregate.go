@@ -16,9 +16,9 @@ type gkey [maxGroupCols]int64
 // denseLen bounds the dense group cells: a key that resolves to a cell
 // under it indexes a flat accumulator array instead of the spill table.
 // A one-word key is its own cell (warehouse ids, line numbers, small
-// dictionary codes); a key of join payload words packs over the words'
-// build-side ranges (Q7's nation pairs; see layoutGroups). Any other key
-// spills to the table.
+// dictionary codes), and one past denseLen spills to the table; a key of
+// join payload words packs over the words' build-side ranges (Q7's
+// nation pairs; see layoutGroups), which hold every word it can take.
 const denseLen = 1024
 
 // joinBlockCells is a gJoin accumulator block's width in build rows: a
@@ -48,14 +48,12 @@ type acc struct {
 // groupTab is per-local spill group state: an open-addressed index over
 // insertion-ordered keys, with all accumulator rows packed in one arena
 // at stride nacc — one growable allocation each instead of one map entry
-// plus one []acc per group. rad[i] is key i's merge radix (see radixOf),
-// kept so that a merge part picks out its own keys without hashing them.
+// plus one []acc per group.
 type groupTab struct {
 	mask  uint64
 	shift uint8
 	slots []int32 // index+1 into keys; 0 = empty
 	keys  []gkey
-	rad   []uint8
 	arena []acc
 	nacc  int
 	nkey  int
@@ -70,18 +68,10 @@ func newGroupTab(nacc, nkey, n int) *groupTab {
 	}
 	return &groupTab{
 		mask: uint64(slots - 1), shift: shift, slots: make([]int32, slots),
-		keys: make([]gkey, 0, n), rad: make([]uint8, 0, n), arena: make([]acc, 0, n*nacc),
+		keys: make([]gkey, 0, n), arena: make([]acc, 0, n*nacc),
 		nacc: nacc, nkey: nkey,
 	}
 }
-
-// radixOf is a group hash's merge radix: bits 24–31, which no table
-// indexes by (tables take the top bits), so one merge part's keys still
-// spread over every slot of its table.
-func radixOf(h uint64) uint8 { return uint8(h >> 24) }
-
-// partOf maps a merge radix to one of np parts.
-func partOf(rad uint8, np int) int { return int(rad) * np >> 8 }
 
 // probe follows key k's probe sequence from its hash: it returns k's
 // slot value (index+1, or 0 when k is absent) and the slot it ends at.
@@ -93,12 +83,6 @@ func (t *groupTab) probe(k *gkey, full uint64) (int32, uint64) {
 		}
 		h = (h + 1) & t.mask
 	}
-}
-
-// has reports whether key k is in the table.
-func (t *groupTab) has(k *gkey) bool {
-	s, _ := t.probe(k, hashGK(k, t.nkey))
-	return s != 0
 }
 
 func (t *groupTab) grow() {
@@ -144,7 +128,6 @@ func (t *groupTab) offset(k *gkey) int {
 	}
 	idx := len(t.keys)
 	t.keys = append(t.keys, *k)
-	t.rad = append(t.rad, radixOf(full))
 	// One zero acc at a time: append(arena, make([]acc, nacc)...) only skips
 	// its temporary without -race, and the alloc budgets hold under both.
 	for range t.nacc {
@@ -425,45 +408,29 @@ func (l *flocal) run(b olap.Block, pay [][vecLen]int64) {
 // spill-table offset in v.xoff. It returns how many rows each side got.
 // The two sides hold disjoint groups and each stays ascending, so running
 // one side's ops before the other's keeps every group's row order. A
-// packed key's words come from build sides whose ranges the cells cover,
-// so only a one-word key past denseLen spills in practice.
+// packed key never leaves its cells (resolvePacked), so only a one-word
+// key spills.
 func (l *flocal) resolveDense(v *vecs, sel []int32) (nd, nx int) {
 	e := l.e
+	if e.ngroup > 1 {
+		l.resolvePacked(v, sel)
+		return len(sel), 0
+	}
 	nacc := int32(e.nacc)
-	if e.ngroup == 1 {
-		key, lo, span := v.slot(e.c.groups[0]), e.glo[0], e.gspan[0]
-		for _, r := range sel {
-			x := uint64(key[r] - lo)
-			if x >= uint64(len(l.present)) {
-				if x >= span {
-					v.xsel[nx] = r
-					nx++
-					continue
-				}
-				l.growDense(x)
+	key, lo, span := v.slot(e.c.groups[0]), e.glo[0], e.gspan[0]
+	for _, r := range sel {
+		x := uint64(key[r] - lo)
+		if x >= uint64(len(l.present)) {
+			if x >= span {
+				v.xsel[nx] = r
+				nx++
+				continue
 			}
-			l.present[x] = true
-			v.sel[nd], v.goff[nd] = r, int32(x)*nacc
-			nd++
+			l.growDense(x)
 		}
-	} else if nd = l.resolvePacked(v, sel); nd < 0 {
-		nd = 0
-	rows:
-		for _, r := range sel {
-			var cell uint64
-			for d := range e.ngroup {
-				x := uint64(v.slot(e.c.groups[d])[r] - e.glo[d])
-				if x >= e.gspan[d] {
-					v.xsel[nx] = r
-					nx++
-					continue rows
-				}
-				cell += x * e.gstride[d]
-			}
-			l.present[cell] = true
-			v.sel[nd], v.goff[nd] = r, int32(cell)*nacc
-			nd++
-		}
+		l.present[x] = true
+		v.sel[nd], v.goff[nd] = r, int32(x)*nacc
+		nd++
 	}
 	if nx > 0 {
 		if l.tab == nil {
@@ -476,10 +443,11 @@ func (l *flocal) resolveDense(v *vecs, sel []int32) (nd, nx int) {
 
 // resolvePacked resolves a packed composite key a word at a time: one
 // subtract and multiply-add per row and word into v.goff, then one pass
-// that marks the cells present. It returns len(sel), or -1, having
-// marked nothing, when some word lies outside its range: resolveDense
-// then takes the vector a row at a time.
-func (l *flocal) resolvePacked(v *vecs, sel []int32) int {
+// that marks the cells present. Each word is gathered from the build side
+// whose payDomain laid out its range, so none can lie outside it; one
+// that does is a layout defect, and resolvePacked panics before it marks
+// a cell.
+func (l *flocal) resolvePacked(v *vecs, sel []int32) {
 	e := l.e
 	if l.present == nil {
 		l.growDense(0)
@@ -495,7 +463,7 @@ func (l *flocal) resolvePacked(v *vecs, sel []int32) int {
 			cells[i] += int32(x * stride)
 		}
 		if far >= e.gspan[d] {
-			return -1
+			panic("query: a packed group word lies outside the range its build side's payDomain holds")
 		}
 	}
 	nacc, present := int32(e.nacc), l.present
@@ -504,7 +472,6 @@ func (l *flocal) resolvePacked(v *vecs, sel []int32) int {
 		cells[i] = c * nacc
 	}
 	copy(v.sel[:], sel)
-	return len(sel)
 }
 
 // resolveJoin resolves the selection's groups from the entries the group

@@ -199,8 +199,9 @@ func BenchmarkKernelFilterProbeGroupSum(b *testing.B) {
 }
 
 // BenchmarkKernelProbeGroupSumSpill: unfiltered composite-key payload
-// probe with composite grouping — CH-Q3's shape: the vector loop's probe
-// and its open-addressed group table.
+// probe, grouped on a composite key that no join fixes (a fact column and
+// a payload word): the vector loop's probe, its open-addressed group
+// table and the spill merge, which no CH plan reaches.
 func BenchmarkKernelProbeGroupSumSpill(b *testing.B) {
 	runKernelBench(b, Scan("bfact").
 		JoinGraph(joinDimC()).

@@ -1,8 +1,9 @@
 package query
 
 // The merge phase of the fused kernels: locals fold in morsel order into
-// per-part totals, each part emits the rows that pass Having (only its top
-// k under a Limit), and finishRes orders the result.
+// totals (a group join's into per-part totals), each part emits the rows
+// that pass Having (only its top k under a Limit), and finishRes orders
+// the result.
 
 import "elastichtap/internal/olap"
 
@@ -74,9 +75,10 @@ func (e *fexec) keep(row []float64) bool {
 	return true
 }
 
-// mergeKeysPerPart is how many merged keys one merge part folds: a
-// grouped merge splits into one part per this many, up to maxMergeParts.
-// Below it a fold is over before a fan hands it out.
+// mergeKeysPerPart is how many group-join entries one merge part folds: a
+// gJoin merge splits into one part per this many, up to maxMergeParts.
+// Below it a fold is over before a fan hands it out. No other merge
+// splits.
 const (
 	mergeKeysPerPart = 1 << 13
 	maxMergeParts    = 16
@@ -97,19 +99,17 @@ func (e *fexec) Merge(locals []olap.Local) olap.Result {
 	return e.MergeFan(locals, olap.SerialFan)
 }
 
-// MergeFan implements olap.FanMerger. A grouped merge is a fan of P
-// parts, each owning a disjoint share of the groups. A gJoin plan's parts
-// are contiguous ranges of its group join's entries (mergeJoin). A spill
-// plan's are hash partitions, P derived from the keys its locals merge to
-// (mergedKeys; one part per mergeKeysPerPart, and a dense plan's merge is
-// one part): a part owns the keys whose radix maps to it, and folds them
-// from every local in morsel order into a table presized from its share
-// of that count. Each part applies Having as it renders its groups and
-// keeps only what passes: all survivors, or under an OrderBy with a
-// Limit the top k of them, by the olap.Order finishRes sorts with. Every
-// group's accumulators see the locals in morsel order whichever goroutine
-// runs its part, so float totals are bitwise identical to one serial
-// fold, which is what P = 1 is. Every global winner is among its own
+// MergeFan implements olap.FanMerger. Only a gJoin plan's grouped merge
+// fans out: its P parts are contiguous ranges of its group join's
+// entries (mergeJoin), each owning a disjoint share of the groups. Any
+// other grouped merge is one part, run on the calling goroutine:
+// foldPart folds every local in morsel order into one group table, and
+// emitPart renders it through one sink. A part applies Having as it
+// renders its groups and keeps only what passes: all survivors, or under
+// an OrderBy with a Limit the top k of them, by the olap.Order finishRes
+// sorts with. Every group's accumulators see the locals in morsel order
+// whichever goroutine runs its part, so float totals are bitwise
+// identical to one serial fold. Every global winner is among its own
 // part's top k, so finishRes picks and orders the result from the parts'
 // rows alone.
 //
@@ -118,7 +118,8 @@ func (e *fexec) MergeFan(locals []olap.Local, fan olap.Fan) olap.Result {
 	c := e.c
 	res := olap.Result{Cols: c.outCols}
 	w := e.ngroup + len(e.sh.emits)
-	if e.gkind == gNone {
+	switch e.gkind {
+	case gNone:
 		total := make([]acc, e.nacc)
 		for _, li := range locals {
 			e.mergeInto(total, li.(*flocal).global)
@@ -130,21 +131,13 @@ func (e *fexec) MergeFan(locals []olap.Local, fan olap.Fan) olap.Result {
 			res.Rows, kept = [][]float64{row}, 1
 		}
 		return finishRes(c, res, kept)
+	case gDense, gSpill:
+		var part mergePart
+		e.emitPart(e.foldPart(locals), w, &part)
+		res.Rows = part.rows
+		return finishRes(c, res, part.kept)
 	}
-	var parts []mergePart
-	if e.gkind == gJoin {
-		parts = e.mergeJoin(locals, fan, w)
-	} else {
-		n := mergedKeys(locals)
-		np := 1 // a dense plan's few keys fold in one part
-		if e.gkind == gSpill {
-			np = min(max(n/mergeKeysPerPart, 1), maxMergeParts)
-		}
-		parts = make([]mergePart, np)
-		fan(np, func(p int) {
-			e.emitPart(e.foldPart(locals, p, np, n/np), w, &parts[p])
-		})
-	}
+	parts := e.mergeJoin(locals, fan, w)
 	rows, kept := 0, 0
 	for p := range parts {
 		rows, kept = rows+len(parts[p].rows), kept+parts[p].kept
@@ -227,61 +220,29 @@ func (e *fexec) mergeJoin(locals []olap.Local, fan olap.Fan, w int) []mergePart 
 	return parts
 }
 
-// mergedKeys estimates how many keys a spill or dense plan's locals merge
-// to: the widest dense array, whose cells are the dense key domain, plus
-// the spilled keys. Those are the locals' summed table sizes, less as
-// large a share of the excess over the widest table as the smaller of the
-// first and the last table has keys the other holds too: a key domain
-// every morsel revisits, like (warehouse, district) pairs, merges to about
-// its widest local, and one each morsel owns to the sum. The estimate
-// sizes the merge; it never decides which keys merge.
-func mergedKeys(locals []olap.Local) int {
-	dense, sum, widest := 0, 0, 0
-	var first, last *groupTab
-	for _, li := range locals {
-		ll := li.(*flocal)
-		dense = max(dense, len(ll.flatIF), len(ll.present))
-		if t := ll.tab; t != nil && len(t.keys) > 0 {
-			sum, widest = sum+len(t.keys), max(widest, len(t.keys))
-			if first == nil {
-				first = t
-			}
-			last = t
-		}
-	}
-	if first == nil {
-		return dense
-	}
-	if len(first.keys) > len(last.keys) {
-		first, last = last, first
-	}
-	recur := 0
-	for i := range first.keys {
-		if last.has(&first.keys[i]) {
-			recur++
-		}
-	}
-	return dense + sum - (sum-widest)*recur/len(first.keys)
-}
-
-// foldPart folds part p's keys of every local, in morsel order, into a
-// table sized for hint keys. With one part it folds every key; only a
-// spill plan, whose keys are all in the locals' tables, has more. A
-// dense plan's cells and spilled keys are disjoint groups, so its cells
-// fold first, apart.
+// foldPart folds a spill or dense plan's merge, its one part: every
+// local, in morsel order, into a table presized for the widest local's
+// keys (its cells, or its table's keys). A dense plan's cells and spilled
+// keys are disjoint groups, so its cells fold first, apart.
 //
 //htap:deterministic
-func (e *fexec) foldPart(locals []olap.Local, p, np, hint int) *groupTab {
-	total := newGroupTab(e.nacc, max(e.ngroup, 1), hint)
+func (e *fexec) foldPart(locals []olap.Local) *groupTab {
+	n := 0
+	for _, li := range locals {
+		ll := li.(*flocal)
+		n = max(n, len(ll.present), len(ll.flatIF))
+		if ll.tab != nil {
+			n = max(n, len(ll.tab.keys))
+		}
+	}
+	total := newGroupTab(e.nacc, max(e.ngroup, 1), n)
 	if e.gkind == gDense {
 		e.foldCells(locals, total)
 	}
 	for _, li := range locals {
 		if tab := li.(*flocal).tab; tab != nil {
 			for i := range tab.keys {
-				if np == 1 || partOf(tab.rad[i], np) == p {
-					e.mergeInto(total.lookup(&tab.keys[i]), tab.arena[i*e.nacc:(i+1)*e.nacc])
-				}
+				e.mergeInto(total.lookup(&tab.keys[i]), tab.arena[i*e.nacc:(i+1)*e.nacc])
 			}
 		}
 	}
@@ -342,7 +303,7 @@ func (e *fexec) cellKey(cell int) (k gkey) {
 	return k
 }
 
-// emitPart renders a spill or dense plan's merged part through a sink.
+// emitPart renders a spill or dense plan's merged groups through a sink.
 //
 //htap:deterministic
 func (e *fexec) emitPart(total *groupTab, w int, out *mergePart) {

@@ -328,7 +328,8 @@ func groupLayout(q *Compiled) string {
 // serialMerge drives exec, prepared from q, by hand as bench/probe.go
 // does: one local per chunk-sized morsel of the fact table, consumed in
 // order on this goroutine, then merged with the parts run in turn. It
-// returns the result and how many parts the merge split into.
+// returns the result and how many parts the merge handed its fan, 0 when
+// it never called the fan.
 func serialMerge(e *oltp.Engine, q *Compiled, exec olap.Exec) (olap.Result, int) {
 	tab := e.Table(q.FactTable()).Table()
 	var locals []olap.Local
@@ -355,8 +356,9 @@ func serialMerge(e *oltp.Engine, q *Compiled, exec olap.Exec) (olap.Result, int)
 // kinds, the post-aggregation stages — to the interpreter, bitwise, at 1,
 // 2 and 4 pool workers. The ten-filter and many-aggregate plans have more
 // filters and accumulators (34 CountIf never dedupe) than any CH query.
-// The two spill- cases have enough groups for the merge to fan out into
-// hash partitions; they also hold the merge run serially on hand-driven
+// The two spill- cases fold 40 000 groups from several locals each in
+// one merge part, which never calls the fan (only a group join's merge
+// fans out); they also hold the merge run serially on hand-driven
 // locals, as bench/probe.go runs it, to the pool-run result.
 //
 // The vector loop's edges have cases of their own: morsels shorter than
@@ -435,11 +437,10 @@ func TestFusedMatchesReference(t *testing.T) {
 		"avg-having-topk": Scan("bfact").Filter(Ge("qty", 3)).GroupBy("gid").
 			Agg(Sum("amount").As("rev"), Avg("amount").As("avg_amt"), Count().As("n")).
 			Having(Gt("rev", 100)).OrderBy("rev", true).Limit(20),
-		// The spill merge at P > 1: (k3, jk) has 40 000 groups (jk is a
-		// function of k3) of 3 or 4 rows, each row in another morsel, so
-		// the merge folds partials from several locals per group and fans
-		// out into hash partitions on the pool. About half the groups
-		// pass Having; the order column is a count, tied across thousands
+		// The spill merge: (k3, jk) has 40 000 groups (jk is a function
+		// of k3) of 3 or 4 rows, each row in another morsel, so the merge
+		// folds partials from several locals per group into one table.
+		// About half the groups pass Having; the order column is a count, tied across thousands
 		// of groups, so the top 40 is decided by the group keys.
 		"spill-having-topk": Scan("bfact").GroupBy("k3", "jk").
 			Agg(Sum("amount").As("rev"), Count().As("n")).
@@ -569,8 +570,8 @@ func TestFusedMatchesReference(t *testing.T) {
 				if strings.HasPrefix(name, "spill-") {
 					exec, _ := q.Prepare()
 					serial, parts := serialMerge(e, q, exec)
-					if parts < 2 {
-						t.Fatalf("the merge ran as %d part(s); this case must fan out", parts)
+					if parts != 0 {
+						t.Fatalf("the merge fanned out into %d part(s); a spill merge is one part and never calls the fan", parts)
 					}
 					if !reflect.DeepEqual(serial, fused) {
 						t.Fatalf("the serial Merge diverges from the pool-run one:\nserial: %+v\npool:   %+v", serial, fused)
@@ -713,14 +714,13 @@ func blocksTouched(e *oltp.Engine, q *Compiled) int {
 	return n
 }
 
-// TestPackedKeyOutsideCellsSpills drives the defensive side of a packed
-// group layout. A build side's payload domain covers every word its probe
+// TestPackedKeyOutsideRangePanics drives the assertion of a packed group
+// layout. A build side's payload domain covers every word its probe
 // gathers, so no key falls outside the cells in a real execution; here
-// the layout is narrowed by hand so that pay's values 16..31 do. Those
-// rows must spill to the group table, each vector that holds one running
-// a row at a time, and the answer must still be the interpreter's,
-// bitwise.
-func TestPackedKeyOutsideCellsSpills(t *testing.T) {
+// the layout is narrowed by hand so that pay's values 16..31 do. The
+// first vector that holds one must panic rather than mark a wrong cell
+// or drop the row.
+func TestPackedKeyOutsideRangePanics(t *testing.T) {
 	cat, e := newBenchCatalog(t)
 	addNationDim(e)
 	plan := Scan("bfact").JoinGraph(joinDimC(), joinDimN()).
@@ -736,10 +736,12 @@ func TestPackedKeyOutsideCellsSpills(t *testing.T) {
 	}
 	// The leading word's span can shrink alone: the strides still hold.
 	fe.gspan[0] = 16
-	got, _ := serialMerge(e, q, exec)
-	if ref := runWorkers(t, e, refQuery{plan, cat}, 1); !reflect.DeepEqual(got, ref) {
-		t.Fatalf("fused result diverges from the reference:\nfused: %+v\nref:   %+v", got, ref)
-	}
+	defer func() {
+		if r := recover(); !strings.Contains(fmt.Sprint(r), "outside the range") {
+			t.Fatalf("a packed word outside its range resolved with %v, want the range assertion's panic", r)
+		}
+	}()
+	serialMerge(e, q, exec)
 }
 
 // addPairDim loads bdimgj(gid, jk, gw), one row per (gid, jk) pair of
