@@ -126,9 +126,10 @@ type RecoveryInfo struct {
 // checkpoint directories are skipped), then the WAL suffix above the
 // manifest's position, truncating mentally at the first corrupt or torn
 // record. A log, image file or directory that exists but cannot be opened
-// or listed fails the recovery rather than counting as absent. Indexes are
-// rebuilt and replica watermarks, staleness bits, the transaction clock
-// and the commit count restored, so analytics, freshness metrics and
+// or listed fails the recovery rather than counting as absent, and so does
+// a row its primary-key index cannot hold (ch.DB.RebuildIndexes). Indexes
+// are rebuilt and replica watermarks, staleness bits, the transaction
+// clock and the commit count restored, so analytics, freshness metrics and
 // further transactions continue exactly where the crashed process's
 // durable state ended.
 //
@@ -191,7 +192,10 @@ func OpenFromDir(fs FS, dir string, opts ...Option) (*System, RecoveryInfo, erro
 	}
 	info.ValidPos, info.Replayed, info.Truncated = st.ValidPos, st.Replayed, st.Truncated
 
-	db.RebuildIndexes()
+	if err := db.RebuildIndexes(); err != nil {
+		s.Close()
+		return nil, info, fmt.Errorf("elastichtap: OpenFromDir: %w", err)
+	}
 
 	// Replica watermarks: each replica absorbs again the prefix it had
 	// absorbed — listing the chunks the twins share, copying the rest.

@@ -94,8 +94,10 @@ func writeFile(t *testing.T, fs FS, name string, data []byte) {
 // manifest's own — so that checksum-valid nonsense reaches the code that
 // trusts decoded numbers. OpenFromDir must never panic or hang, and
 // returns having left no goroutine behind, including when a restore fails
-// while the log scanner runs. An image it does open must re-checkpoint to
-// one that restores the same cells.
+// while the log scanner runs. An image it does open must have primary-key
+// indexes that agree with its rows (a resealed key column that moves a row
+// out of its key's place fails the open instead), and must re-checkpoint
+// to one that restores the same cells.
 func FuzzOpenFromDir(f *testing.F) {
 	base, err := fuzzImage()
 	if err != nil {
@@ -131,6 +133,9 @@ func FuzzOpenFromDir(f *testing.F) {
 		before := runtime.NumGoroutine()
 		s, _, err := OpenFromDir(img, "data")
 		if err == nil {
+			if err := s.db.CheckIndexes(); err != nil {
+				t.Errorf("an image that opens has indexes that disagree with its rows: %v", err)
+			}
 			reopened(t, s)
 			s.Close()
 		}

@@ -14,6 +14,7 @@ import (
 	"elastichtap/internal/ch"
 	"elastichtap/internal/checkpoint"
 	"elastichtap/internal/columnar"
+	"elastichtap/internal/oltp"
 	"elastichtap/internal/rde"
 	"elastichtap/internal/wal"
 )
@@ -602,6 +603,52 @@ func TestOpenFromDirRejectsUnappliableRecords(t *testing.T) {
 			t.Errorf("%s: log record applied", tc.name)
 		} else if !strings.Contains(err.Error(), "log updates") {
 			t.Errorf("%s: %v, want the replay to refuse the record", tc.name, err)
+		}
+	}
+}
+
+// TestOpenFromDirRejectsMisplacedKeys: a logged update that moves a key
+// column replays cleanly, but the row it leaves is not where its key index
+// needs it, and recovery refuses the image with an error instead of
+// indexing the row under a key it does not hold: a stock row given
+// another row's key, a customer outside the key domain, an order id that
+// leaves a gap in its district, and a district whose next order id does
+// not follow its last order.
+func TestOpenFromDirRejectsMisplacedKeys(t *testing.T) {
+	id := map[string]uint16{}
+	for i, h := range ch.Attach(oltp.NewEngine(), ch.TinySizing()).Tables() {
+		id[h.Table().Schema().Name] = uint16(i)
+	}
+	fs, _ := checkpointedSystem(t)
+	for _, tc := range []struct {
+		name string
+		op   wal.Op
+		want error
+	}{
+		{"stock key repeated", wal.Op{Table: id[ch.TStock], Row: 3, Col: ch.SIID, Val: 1}, oltp.ErrMisplacedRow},
+		{"customer warehouse outside", wal.Op{Table: id[ch.TCustomer], Row: 0, Col: ch.CWID, Val: 99}, oltp.ErrMisplacedRow},
+		{"order id gap", wal.Op{Table: id[ch.TOrders], Row: 0, Col: ch.OID, Val: 2}, oltp.ErrMisplacedRow},
+		{"district next order id", wal.Op{Table: id[ch.TDistrict], Row: 0, Col: ch.DNextOID, Val: 1000}, nil},
+	} {
+		img := fs.Crash(true)
+		l, err := wal.Open(img, "data/"+walName, wal.SyncAlways, 0, 0)
+		if err != nil {
+			t.Fatal(err)
+		}
+		tc.op.Kind = wal.OpUpdate
+		if _, err := l.Append(&wal.Record{CommitTS: 1, Ops: []wal.Op{tc.op}}, nil); err != nil {
+			t.Fatal(err)
+		}
+		l.Close()
+		s, _, err := OpenFromDir(img, "data")
+		switch {
+		case err == nil:
+			s.Close()
+			t.Errorf("%s: image restored", tc.name)
+		case tc.want != nil && !errors.Is(err, tc.want):
+			t.Errorf("%s: %v, want %v", tc.name, err, tc.want)
+		case tc.want == nil && !strings.Contains(err.Error(), "does not follow its last order"):
+			t.Errorf("%s: %v, want the district's next order id refused", tc.name, err)
 		}
 	}
 }

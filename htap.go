@@ -5,8 +5,10 @@
 // The system couples three engines over a modeled NUMA machine:
 //
 //   - an OLTP engine: twin-instance columnar storage, MV2PL snapshot
-//     isolation, cuckoo-hash indexes, an elastic worker pool that runs
-//     each transaction batch on the scheduler's current OLTP core count;
+//     isolation, primary keys resolved by arithmetic on CH's dense keys
+//     where the paper (§3.2) probes a cuckoo hash index, an elastic
+//     worker pool that runs each transaction batch on the scheduler's
+//     current OLTP core count;
 //   - an OLAP engine: a persistent, elastic worker pool — one goroutine
 //     per allocated core, per-socket morsel queues with socket-affine
 //     dispatch and cross-socket work stealing — running morsel-parallel

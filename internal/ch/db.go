@@ -65,27 +65,30 @@ var nationNames = []string{
 
 var regionNames = []string{"AFRICA", "AMERICA", "ASIA", "EUROPE", "MIDDLE EAST"}
 
-// Attach creates the CH-benCHmark tables (empty, with their index
-// plumbing) in the engine and returns the database shell. Load fills it
-// with generated data, recovery from a checkpoint and the log; both then
-// key the indexes with RebuildIndexes.
+// suppliers is the supplier table's row count at every scale.
+const suppliers = 100
+
+// Attach creates the CH-benCHmark tables (empty) in the engine and
+// returns the database shell. Load fills it with generated data, recovery
+// from a checkpoint and the log; both then build the primary-key indexes
+// with RebuildIndexes.
 func Attach(e *oltp.Engine, s Sizing) *DB {
 	db := &DB{Engine: e, Sizing: s}
 	db.day.Store(LoadDay)
 
 	schemas := Schemas()
-	db.Warehouse = e.CreateTable(schemas[TWarehouse], int64(s.Warehouses), true)
-	db.District = e.CreateTable(schemas[TDistrict], int64(s.Warehouses*s.DistrictsPerWH), true)
-	db.Customer = e.CreateTable(schemas[TCustomer], s.Customers(), true)
-	db.History = e.CreateTable(schemas[THistory], s.Customers(), false)
-	db.NewOrderT = e.CreateTable(schemas[TNewOrder], s.Orders(), false)
-	db.Orders = e.CreateTable(schemas[TOrders], s.Orders(), true)
-	db.OrderLine = e.CreateTable(schemas[TOrderLine], s.OrderLines(), false)
-	db.Item = e.CreateTable(schemas[TItem], int64(s.Items), true)
-	db.Stock = e.CreateTable(schemas[TStock], s.StockRows(), true)
-	db.Supplier = e.CreateTable(schemas[TSupplier], 100, true)
-	db.Nation = e.CreateTable(schemas[TNation], int64(len(nationNames)), true)
-	db.Region = e.CreateTable(schemas[TRegion], int64(len(regionNames)), true)
+	db.Warehouse = e.CreateTable(schemas[TWarehouse], int64(s.Warehouses))
+	db.District = e.CreateTable(schemas[TDistrict], int64(s.Warehouses*s.DistrictsPerWH))
+	db.Customer = e.CreateTable(schemas[TCustomer], s.Customers())
+	db.History = e.CreateTable(schemas[THistory], s.Customers())
+	db.NewOrderT = e.CreateTable(schemas[TNewOrder], s.Orders())
+	db.Orders = e.CreateTable(schemas[TOrders], s.Orders())
+	db.OrderLine = e.CreateTable(schemas[TOrderLine], s.OrderLines())
+	db.Item = e.CreateTable(schemas[TItem], int64(s.Items))
+	db.Stock = e.CreateTable(schemas[TStock], s.StockRows())
+	db.Supplier = e.CreateTable(schemas[TSupplier], suppliers)
+	db.Nation = e.CreateTable(schemas[TNation], int64(len(nationNames)))
+	db.Region = e.CreateTable(schemas[TRegion], int64(len(regionNames)))
 	return db
 }
 
@@ -94,8 +97,8 @@ func Attach(e *oltp.Engine, s Sizing) *DB {
 // (visible to every snapshot). They set each row's typed words in an
 // appender, whose column-major batch goes into the table through
 // AppendColumns, the append every row takes. Once every table
-// holds its rows, RebuildIndexes keys the primary indexes, as it does for
-// recovery.
+// holds its rows, RebuildIndexes builds the primary indexes, as it does
+// for recovery.
 func Load(e *oltp.Engine, s Sizing, seed int64) *DB {
 	rng := rand.New(rand.NewSource(seed))
 	db := Attach(e, s)
@@ -103,50 +106,84 @@ func Load(e *oltp.Engine, s Sizing, seed int64) *DB {
 	db.loadStockItems(rng)
 	db.loadCustomers(rng)
 	db.loadOrders(rng)
-	db.RebuildIndexes()
+	if err := db.RebuildIndexes(); err != nil {
+		panic(err) // the generators write every key where its index needs it
+	}
 	return db
 }
 
-// RebuildIndexes keys every primary-key index from its table's rows, in
-// row order. Load ends with it, and recovery calls it after checkpoint
-// restore and WAL replay: in both, rows land without going through the
-// transaction bodies that maintain the indexes as they run. Each key
-// function reads the row's key columns from the active instance. The
-// indexes share nothing, so each is built on a goroutine of its own.
-func (db *DB) RebuildIndexes() {
-	var wg sync.WaitGroup
-	for _, k := range []struct {
-		h   *oltp.TableHandle
-		key func(t *columnar.Table, row int64) uint64
+// RebuildIndexes builds every primary-key index from its table's rows.
+// Load ends with it, and recovery calls it after restore and replay, where
+// rows land without the NewOrder bodies that maintain the orders index.
+// A key is oltp.Key(warehouse, district, id). The orders index appends
+// each district's ids in row order; every other keyed table must hold its
+// whole domain in key order, checked row by row, and resolves a key by
+// arithmetic. Each index is built on a goroutine of its own. Last, each
+// district's next order id must follow its last order (TPC-C's
+// consistency condition 2), or a later NewOrder would leave a gap. A row
+// out of place, damage a restored image's checksums missed, is an error
+// wrapping oltp.ErrMisplacedRow. The caller keeps transactions out.
+func (db *DB) RebuildIndexes() error {
+	s := db.Sizing
+	wh, dist := oltp.Dim{Lo: 1, Span: int64(s.Warehouses)}, oltp.Dim{Lo: 1, Span: int64(s.DistrictsPerWH)}
+	ids := func(lo, n int64) oltp.Dim { return oltp.Dim{Lo: lo, Span: n} }
+	// A component the key lacks is always 0; a span of 0 appends ids.
+	none, appendFrom1 := ids(0, 1), ids(1, 0)
+	keyed := []struct {
+		h    *oltp.TableHandle
+		cols [3]int // the key's (warehouse, district, id) columns; -1 where it has none
+		dims [3]oltp.Dim
 	}{
-		{db.Warehouse, func(t *columnar.Table, r int64) uint64 { return WarehouseKey(t.ReadActive(r, WID)) }},
-		{db.District, func(t *columnar.Table, r int64) uint64 {
-			return DistrictKey(t.ReadActive(r, DWID), t.ReadActive(r, DID))
-		}},
-		{db.Customer, func(t *columnar.Table, r int64) uint64 {
-			return CustomerKey(t.ReadActive(r, CWID), t.ReadActive(r, CDID), t.ReadActive(r, CID))
-		}},
-		{db.Orders, func(t *columnar.Table, r int64) uint64 {
-			return OrderKey(t.ReadActive(r, OWID), t.ReadActive(r, ODID), t.ReadActive(r, OID))
-		}},
-		{db.Item, func(t *columnar.Table, r int64) uint64 { return ItemKey(t.ReadActive(r, IID)) }},
-		{db.Stock, func(t *columnar.Table, r int64) uint64 {
-			return StockKey(t.ReadActive(r, SWID), t.ReadActive(r, SIID))
-		}},
-		{db.Supplier, func(t *columnar.Table, r int64) uint64 { return uint64(t.ReadActive(r, SuSuppkey)) }},
-		{db.Nation, func(t *columnar.Table, r int64) uint64 { return uint64(t.ReadActive(r, NNationkey)) }},
-		{db.Region, func(t *columnar.Table, r int64) uint64 { return uint64(t.ReadActive(r, RRegionkey)) }},
-	} {
+		{db.Warehouse, [3]int{WID, -1, -1}, [3]oltp.Dim{wh, none, none}},
+		{db.District, [3]int{DWID, DID, -1}, [3]oltp.Dim{wh, dist, none}},
+		{db.Customer, [3]int{CWID, CDID, CID}, [3]oltp.Dim{wh, dist, ids(1, int64(s.CustomersPerDistrict))}},
+		{db.Orders, [3]int{OWID, ODID, OID}, [3]oltp.Dim{wh, dist, appendFrom1}},
+		{db.Item, [3]int{-1, -1, IID}, [3]oltp.Dim{none, none, ids(1, int64(s.Items))}},
+		{db.Stock, [3]int{SWID, -1, SIID}, [3]oltp.Dim{wh, none, ids(1, int64(s.Items))}},
+		{db.Supplier, [3]int{-1, -1, SuSuppkey}, [3]oltp.Dim{none, none, ids(0, suppliers)}},
+		{db.Nation, [3]int{-1, -1, NNationkey}, [3]oltp.Dim{none, none, ids(0, int64(len(nationNames)))}},
+		{db.Region, [3]int{-1, -1, RRegionkey}, [3]oltp.Dim{none, none, ids(0, int64(len(regionNames)))}},
+	}
+	errs := make([]error, len(keyed))
+	var wg sync.WaitGroup
+	for i, k := range keyed {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
 			t := k.h.Table()
-			for row := range t.Rows() {
-				k.h.Index.Put(k.key(t, row), uint64(row))
+			idx, err := oltp.NewKeyIndex(k.dims, t.Rows(), func(row int64) (key [3]int64) {
+				for j, c := range k.cols {
+					if c >= 0 {
+						key[j] = t.ReadActive(row, c)
+					}
+				}
+				return key
+			})
+			if err != nil {
+				errs[i] = fmt.Errorf("ch: %s index: %w", t.Schema().Name, err)
+				return
 			}
+			k.h.Index = idx
 		}()
 	}
 	wg.Wait()
+	for _, err := range errs {
+		if err != nil {
+			return err
+		}
+	}
+	t := db.District.Table()
+	for row := range t.Rows() {
+		w, d, next := t.ReadActive(row, DWID), t.ReadActive(row, DID), t.ReadActive(row, DNextOID)
+		if next < 1 || next >= 1<<40 {
+			return fmt.Errorf("ch: district (%d, %d)'s next order id %d is out of range", w, d, next)
+		}
+		_, last := db.Orders.Index.Get(OrderKey(w, d, next-1))
+		if _, past := db.Orders.Index.Get(OrderKey(w, d, next)); next > 1 && !last || past {
+			return fmt.Errorf("ch: district (%d, %d)'s next order id %d does not follow its last order", w, d, next)
+		}
+	}
+	return nil
 }
 
 // CheckIndexes reports the first way a primary-key index disagrees with
@@ -390,7 +427,7 @@ func (db *DB) loadDimensions(rng *rand.Rand) {
 	nation.flush()
 
 	supp := newAppender(db.Supplier)
-	for i := 0; i < 100; i++ {
+	for i := 0; i < suppliers; i++ {
 		supp.i(SuSuppkey, int64(i))
 		supp.s(SuName, fmt.Sprintf("Supplier#%09d", i))
 		supp.i(SuNationkey, int64(i%len(nationNames)))

@@ -117,11 +117,9 @@ func (e *q3Exec) Merge(locals []olap.Local) olap.Result {
 	}
 	rows := make([][]float64, 0, len(total))
 	for k, rev := range total {
-		// Unpack OrderKey(w, d, o) = (w*100+d)<<40 | o.
-		o := int64(k & (1<<40 - 1))
-		wd := int64(k >> 40)
+		// Unpack OrderKey(w, d, o) = w<<48 | d<<40 | o.
 		rows = append(rows, []float64{
-			float64(wd / 100), float64(wd % 100), float64(o),
+			float64(k >> 48), float64(k >> 40 & 0xff), float64(k & (1<<40 - 1)),
 			float64(e.orders[k]), rev,
 		})
 	}

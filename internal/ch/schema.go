@@ -6,7 +6,10 @@
 // in the paper's evaluation.
 package ch
 
-import "elastichtap/internal/columnar"
+import (
+	"elastichtap/internal/columnar"
+	"elastichtap/internal/oltp"
+)
 
 // Table names.
 const (
@@ -214,23 +217,27 @@ func Schemas() map[string]columnar.Schema {
 	}
 }
 
-// Primary-key encodings: every indexable key packs into a uint64 so the
-// cuckoo index can serve it directly.
+// Primary-key encodings: a key is oltp.Key(warehouse, district, id), each
+// table passing 0 for the components its key lacks. Every keyed table but
+// orders is loaded in key order and never grows, so its oltp.KeyIndex
+// resolves a key to its row by arithmetic alone; orders' index appends
+// each district's order ids (RebuildIndexes). The paper's engine hashes keys into
+// a cuckoo index (§3.2); these dense keys need no hash.
 
 // WarehouseKey encodes a warehouse primary key.
-func WarehouseKey(w int64) uint64 { return uint64(w) }
+func WarehouseKey(w int64) uint64 { return oltp.Key(w, 0, 0) }
 
 // DistrictKey encodes a district primary key.
-func DistrictKey(w, d int64) uint64 { return uint64(w)*100 + uint64(d) }
+func DistrictKey(w, d int64) uint64 { return oltp.Key(w, d, 0) }
 
 // CustomerKey encodes a customer primary key.
-func CustomerKey(w, d, c int64) uint64 { return DistrictKey(w, d)*1_000_000 + uint64(c) }
+func CustomerKey(w, d, c int64) uint64 { return oltp.Key(w, d, c) }
 
 // ItemKey encodes an item primary key.
-func ItemKey(i int64) uint64 { return uint64(i) }
+func ItemKey(i int64) uint64 { return oltp.Key(0, 0, i) }
 
 // StockKey encodes a stock primary key.
-func StockKey(w, i int64) uint64 { return uint64(w)*1_000_000 + uint64(i) }
+func StockKey(w, i int64) uint64 { return oltp.Key(w, 0, i) }
 
 // OrderKey encodes an order primary key.
-func OrderKey(w, d, o int64) uint64 { return DistrictKey(w, d)<<40 | uint64(o) }
+func OrderKey(w, d, o int64) uint64 { return oltp.Key(w, d, o) }

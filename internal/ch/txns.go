@@ -10,7 +10,9 @@ import (
 	"elastichtap/internal/txn"
 )
 
-// lookup resolves a primary key to a row ID via the cuckoo index.
+// lookup resolves a primary key to a row ID through the table's key index:
+// arithmetic on the key for every table it is called on (oltp.KeyIndex),
+// where the paper's engine probes a cuckoo hash index.
 func lookup(h *oltp.TableHandle, key uint64) (int64, error) {
 	row, ok := h.Index.Get(key)
 	if !ok {
@@ -64,8 +66,13 @@ func (db *DB) NewOrder(rng *rand.Rand, w int64) oltp.TxnFunc {
 			return err
 		}
 
+		// The district's lock, taken by the write above, is held until
+		// the commit has appended the order and run this callback: one
+		// NewOrder at a time appends to a district's ids.
 		o, err := t.Insert(db.Orders.Ref, 1, func(first int64) {
-			db.Orders.Index.Put(OrderKey(w, d, oID), uint64(first))
+			if !db.Orders.Index.Put(OrderKey(w, d, oID), uint64(first)) {
+				panic(fmt.Sprintf("ch: order %d of district (%d, %d) leaves a gap in its index", oID, w, d))
+			}
 		})
 		if err != nil {
 			return err

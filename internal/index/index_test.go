@@ -161,7 +161,7 @@ func TestLookupRowsStayValid(t *testing.T) {
 	e := oltp.NewEngine()
 	h := e.CreateTable(columnar.Schema{Name: "t", Columns: []columnar.ColumnDef{
 		{Name: "v", Type: columnar.Int64},
-	}}, 16, false)
+	}}, 16)
 	tab := h.Table()
 	appendVals := func(ts uint64, vals ...int64) {
 		rows := make([][]int64, len(vals))

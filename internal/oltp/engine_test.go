@@ -32,9 +32,9 @@ func (w *counterWorkload) Next(worker int) TxnFunc {
 
 func TestCreateTableAndLookup(t *testing.T) {
 	e := NewEngine()
-	h := e.CreateTable(testSchema(), 8, true)
-	if h.Index == nil {
-		t.Fatal("index requested but nil")
+	h := e.CreateTable(testSchema(), 8)
+	if h.Index != nil {
+		t.Fatal("a new table has an index before its caller sets one")
 	}
 	if e.Table("t") != h {
 		t.Fatal("lookup by name failed")
@@ -45,16 +45,12 @@ func TestCreateTableAndLookup(t *testing.T) {
 	if len(e.Tables()) != 1 {
 		t.Fatal("Tables() wrong")
 	}
-	h2 := e.CreateTable(columnar.Schema{Name: "u", Columns: testSchema().Columns}, 8, false)
-	if h2.Index != nil {
-		t.Fatal("index not requested but present")
-	}
 	defer func() {
 		if recover() == nil {
 			t.Fatal("duplicate table name must panic")
 		}
 	}()
-	e.CreateTable(testSchema(), 8, true)
+	e.CreateTable(testSchema(), 8)
 }
 
 // TestTablesKeepCreationOrder: the catalog has an order — every call
@@ -65,7 +61,7 @@ func TestTablesKeepCreationOrder(t *testing.T) {
 	names := []string{"m", "z", "a", "k", "b", "y", "c", "x", "d", "w", "e", "v"}
 	var want []*TableHandle
 	for _, n := range names {
-		want = append(want, e.CreateTable(columnar.Schema{Name: n, Columns: testSchema().Columns}, 8, false))
+		want = append(want, e.CreateTable(columnar.Schema{Name: n, Columns: testSchema().Columns}, 8))
 		for rep := 0; rep < 3; rep++ {
 			got := e.Tables()
 			if len(got) != len(want) {
@@ -83,7 +79,7 @@ func TestTablesKeepCreationOrder(t *testing.T) {
 	}
 	held := e.Tables()
 	_ = append(held, nil)
-	last := e.CreateTable(columnar.Schema{Name: "last", Columns: testSchema().Columns}, 8, false)
+	last := e.CreateTable(columnar.Schema{Name: "last", Columns: testSchema().Columns}, 8)
 	if got := e.Tables(); got[len(got)-1] != last {
 		t.Fatal("appending to a returned slice took the catalog's next slot")
 	}
@@ -91,7 +87,7 @@ func TestTablesKeepCreationOrder(t *testing.T) {
 
 func TestExecuteBatchCounts(t *testing.T) {
 	e := NewEngine()
-	h := e.CreateTable(testSchema(), 8, false)
+	h := e.CreateTable(testSchema(), 8)
 	h.Table().AppendRows([][]int64{{0, 0}}, 0)
 	w := &counterWorkload{ref: h.Ref}
 	e.Workers().SetWorkload(w)
@@ -113,7 +109,7 @@ func TestExecuteBatchZeroAndNoWorkload(t *testing.T) {
 	if e.Manager().Commits() != 0 {
 		t.Fatal("executed without workload")
 	}
-	h := e.CreateTable(testSchema(), 8, false)
+	h := e.CreateTable(testSchema(), 8)
 	h.Table().AppendRows([][]int64{{0, 0}}, 0)
 	e.Workers().SetWorkload(&counterWorkload{ref: h.Ref})
 	e.Workers().ExecuteBatch(0, 1)
@@ -133,7 +129,7 @@ func TestExecuteBatchZeroAndNoWorkload(t *testing.T) {
 // it. Run under -race.
 func TestSetWorkloadDuringBatch(t *testing.T) {
 	e := NewEngine()
-	h := e.CreateTable(testSchema(), 8, false)
+	h := e.CreateTable(testSchema(), 8)
 	h.Table().AppendRows([][]int64{{0, 0}}, 0)
 	first, second := &counterWorkload{ref: h.Ref}, &counterWorkload{ref: h.Ref}
 	e.Workers().SetWorkload(first)

@@ -23,7 +23,7 @@ func TestNoIncrementLostAcrossSwitches(t *testing.T) {
 	h := e.CreateTable(columnar.Schema{
 		Name:    "counters",
 		Columns: []columnar.ColumnDef{{Name: "n", Type: columnar.Int64}},
-	}, rows, false)
+	}, rows)
 	tab := h.Table()
 	zero := make([][]int64, rows)
 	for i := range zero {

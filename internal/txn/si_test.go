@@ -49,7 +49,7 @@ func newSITable(rows int) (*oltp.Engine, *oltp.TableHandle) {
 			{Name: "cnt", Type: columnar.Int64},
 			{Name: "neg", Type: columnar.Int64},
 		},
-	}, int64(rows), false)
+	}, int64(rows))
 	rs := make([][]int64, rows)
 	for i := range rs {
 		rs[i] = []int64{int64(i), siInitial, 0, 0}

@@ -38,7 +38,7 @@ func ordersFixture(tb testing.TB) (Catalog, *oltp.Engine) {
 		{Name: "w", Type: columnar.Int64},
 		{Name: "o", Type: columnar.Int64},
 		{Name: "amount", Type: columnar.Float64},
-	}}, 16, false)
+	}}, 16)
 	ft := fact.Table()
 	var rows [][]int64
 	for rep := 0; rep < 2; rep++ {
@@ -55,7 +55,7 @@ func ordersFixture(tb testing.TB) (Catalog, *oltp.Engine) {
 		{Name: "o", Type: columnar.Int64},
 		{Name: "cust", Type: columnar.Int64},
 		{Name: "flag", Type: columnar.Int64},
-	}}, 16, false)
+	}}, 16)
 	dt := dim.Table()
 	rows = nil
 	for w := 1; w <= ordWarehouses; w++ {
@@ -70,7 +70,7 @@ func ordersFixture(tb testing.TB) (Catalog, *oltp.Engine) {
 	cust := e.CreateTable(columnar.Schema{Name: "cdim", Columns: []columnar.ColumnDef{
 		{Name: "cust", Type: columnar.Int64},
 		{Name: "nation", Type: columnar.Int64},
-	}}, 16, false)
+	}}, 16)
 	ct := cust.Table()
 	rows = nil
 	for c := 0; c < 9; c++ {

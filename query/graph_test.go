@@ -26,7 +26,7 @@ func graphFixture(t *testing.T) (Catalog, *oltp.Engine) {
 		{Name: "day", Type: columnar.Int64},
 		{Name: "pid", Type: columnar.Int64},
 		{Name: "amount", Type: columnar.Float64},
-	}}, 16, false)
+	}}, 16)
 	ft := fact.Table()
 	ft.AppendRows([][]int64{
 		ft.EncodeRow(1, 1, 10.0),
@@ -40,7 +40,7 @@ func graphFixture(t *testing.T) (Catalog, *oltp.Engine) {
 		{Name: "pid", Type: columnar.Int64},
 		{Name: "mid", Type: columnar.Int64},
 		{Name: "grade", Type: columnar.Int64},
-	}}, 4, false)
+	}}, 4)
 	pt := prod.Table()
 	pt.AppendRows([][]int64{
 		pt.EncodeRow(1, 100, 7),
@@ -52,7 +52,7 @@ func graphFixture(t *testing.T) (Catalog, *oltp.Engine) {
 		{Name: "mid", Type: columnar.Int64},
 		{Name: "region", Type: columnar.Int64},
 		{Name: "grade", Type: columnar.Int64},
-	}}, 4, false)
+	}}, 4)
 	mt := maker.Table()
 	mt.AppendRows([][]int64{
 		mt.EncodeRow(100, 1, 1),

@@ -39,7 +39,7 @@ func newBenchCatalog(tb testing.TB) (Catalog, *oltp.Engine) {
 		{Name: "tag", Type: columnar.String},
 		{Name: "k3", Type: columnar.Int64},
 		{Name: "gx", Type: columnar.Int64},
-	}}, 16, false)
+	}}, 16)
 	ft := fact.Table()
 	tags := []string{"web", "store", "phone"}
 	rows := make([][]int64, 0, benchRows)
@@ -62,7 +62,7 @@ func newBenchCatalog(tb testing.TB) (Catalog, *oltp.Engine) {
 	dim1 := e.CreateTable(columnar.Schema{Name: "bdim1", Columns: []columnar.ColumnDef{
 		{Name: "id", Type: columnar.Int64},
 		{Name: "w", Type: columnar.Float64},
-	}}, 16, false)
+	}}, 16)
 	dt := dim1.Table()
 	drows := make([][]int64, 0, 20000)
 	for i := 0; i < 20000; i++ {
@@ -75,7 +75,7 @@ func newBenchCatalog(tb testing.TB) (Catalog, *oltp.Engine) {
 		{Name: "jk", Type: columnar.Int64},
 		{Name: "k2", Type: columnar.Int64},
 		{Name: "pay", Type: columnar.Int64},
-	}}, 16, false)
+	}}, 16)
 	ct := dimc.Table()
 	crows := make([][]int64, 0, 100*50)
 	for a := 0; a < 100; a++ {
@@ -91,7 +91,7 @@ func newBenchCatalog(tb testing.TB) (Catalog, *oltp.Engine) {
 	for c := 0; c <= payStackWords; c++ {
 		wcols = append(wcols, columnar.ColumnDef{Name: fmt.Sprintf("w%d", c), Type: columnar.Int64})
 	}
-	dimw := e.CreateTable(columnar.Schema{Name: "bdimw", Columns: wcols}, 16, false)
+	dimw := e.CreateTable(columnar.Schema{Name: "bdimw", Columns: wcols}, 16)
 	wrows := make([][]int64, 0, 64)
 	for g := 0; g < 64; g++ {
 		row := []int64{int64(g)}
@@ -232,7 +232,7 @@ func BenchmarkKernelMultiProbeWorkers(b *testing.B) {
 	dimg := e.CreateTable(columnar.Schema{Name: "bdimg", Columns: []columnar.ColumnDef{
 		{Name: "gid", Type: columnar.Int64},
 		{Name: "grp", Type: columnar.Int64},
-	}}, 16, false)
+	}}, 16)
 	var rows [][]int64
 	for g := 0; g < 64; g++ {
 		rows = append(rows, dimg.Table().EncodeRow(int64(g), int64(g%8)))

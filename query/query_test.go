@@ -32,7 +32,7 @@ func newFixture(t *testing.T) (Catalog, *oltp.Engine) {
 		{Name: "qty", Type: columnar.Int64},
 		{Name: "amount", Type: columnar.Float64},
 		{Name: "tag", Type: columnar.String},
-	}}, 16, false)
+	}}, 16)
 	st := sales.Table()
 	var rows [][]int64
 	for _, r := range []struct {
@@ -55,7 +55,7 @@ func newFixture(t *testing.T) (Catalog, *oltp.Engine) {
 		{Name: "pid", Type: columnar.Int64},
 		{Name: "price", Type: columnar.Float64},
 		{Name: "category", Type: columnar.String},
-	}}, 4, false)
+	}}, 4)
 	pt := product.Table()
 	pt.AppendRows([][]int64{
 		pt.EncodeRow(1, 5.25, "tools"),
@@ -68,7 +68,7 @@ func newFixture(t *testing.T) (Catalog, *oltp.Engine) {
 		{Name: "day", Type: columnar.Int64},
 		{Name: "pid", Type: columnar.Int64},
 		{Name: "factor", Type: columnar.Int64},
-	}}, 8, false)
+	}}, 8)
 	dt := daily.Table()
 	dt.AppendRows([][]int64{
 		dt.EncodeRow(1, 1, 10),
@@ -423,11 +423,11 @@ func TestGroupJoinTopKTiesAcrossParts(t *testing.T) {
 		{Name: "k", Type: columnar.Int64},
 		{Name: "q", Type: columnar.Int64},
 		{Name: "amt", Type: columnar.Float64},
-	}}, 16, false).Table()
+	}}, 16).Table()
 	dim := e.CreateTable(columnar.Schema{Name: "gjdim", Columns: []columnar.ColumnDef{
 		{Name: "id", Type: columnar.Int64},
 		{Name: "perm", Type: columnar.Int64},
-	}}, 16, false).Table()
+	}}, 16).Table()
 	const groups = 20_000
 	var frows, drows [][]int64
 	for i := int64(0); i < 2*groups; i++ {
@@ -616,7 +616,7 @@ func TestCountIfEmitsZeroForSpillRangeGroups(t *testing.T) {
 	big := e.CreateTable(columnar.Schema{Name: "big", Columns: []columnar.ColumnDef{
 		{Name: "bucket", Type: columnar.Int64},
 		{Name: "v", Type: columnar.Int64},
-	}}, 8, false)
+	}}, 8)
 	bt := big.Table()
 	bt.AppendRows([][]int64{
 		bt.EncodeRow(1, 5),    // dense key, cond fails

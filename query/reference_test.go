@@ -751,7 +751,7 @@ func addPairDim(e *oltp.Engine) {
 		{Name: "gid", Type: columnar.Int64},
 		{Name: "jk", Type: columnar.Int64},
 		{Name: "gw", Type: columnar.Int64},
-	}}, 16, false).Table()
+	}}, 16).Table()
 	var rows [][]int64
 	for g := int64(0); g < 64; g++ {
 		for j := int64(0); j < 100; j++ {
@@ -775,7 +775,7 @@ func addNationDim(e *oltp.Engine) {
 		{Name: "id", Type: columnar.Int64},
 		{Name: "na", Type: columnar.Int64},
 		{Name: "nb", Type: columnar.Int64},
-	}}, 16, false).Table()
+	}}, 16).Table()
 	var rows [][]int64
 	for g := int64(0); g < 64; g++ {
 		rows = append(rows, t.EncodeRow(g, 3+g*7%25, g%13*80))
@@ -789,7 +789,7 @@ func addGrowDim(e *oltp.Engine, name string) *columnar.Table {
 	t := e.CreateTable(columnar.Schema{Name: name, Columns: []columnar.ColumnDef{
 		{Name: "id", Type: columnar.Int64},
 		{Name: "ng", Type: columnar.Int64},
-	}}, 16, false).Table()
+	}}, 16).Table()
 	var rows [][]int64
 	for g := int64(0); g < 64; g++ {
 		rows = append(rows, t.EncodeRow(g, g%10))
@@ -822,7 +822,7 @@ func addDupDim(e *oltp.Engine) {
 		{Name: "k2", Type: columnar.Int64},
 		{Name: "pay", Type: columnar.Int64},
 		{Name: "w", Type: columnar.Float64},
-	}}, 16, false).Table()
+	}}, 16).Table()
 	var first, later [][]int64
 	for g := 0; g < 64; g++ {
 		first = append(first, t.EncodeRow(int64(g), int64(g%50), int64(g%dupPay), float64(g%90)+1))
