@@ -155,19 +155,20 @@ type sumIF struct {
 // A gJoin local carves its blocks from flat, one after another in the
 // order it first touches them, and finds them through dir: dir[b] is 1 +
 // the position in flat of the group join's entry block b, 0 while the
-// block is untouched; blocks lists them the other way round, for the
-// merge. So a local costs a fixed number of objects however many blocks
-// it touches.
+// block is untouched. Past dir's length, its capacity lists them the
+// other way round, for the merge (blocks). So a local costs a fixed
+// number of objects however many blocks it touches.
+//
+// The engine allocates a task's locals at once, one per morsel, so the
+// struct is held to 240 bytes, a size class of its own (TestFlocalSize).
 type flocal struct {
 	e         *fexec
 	globalBuf [4]acc
-	global    []acc   // gNone
-	flat      []acc   // gDense: flat[cell*nacc+j]; gJoin: the touched blocks' cells
+	flat      []acc   // gNone: the accumulators; gDense: flat[cell*nacc+j]; gJoin: the touched blocks' cells
 	present   []bool  // gDense, gJoin: cell occupancy
 	flatIF    []sumIF // specDenseSumIF: dense cells, cnt>0 = present
 	tab       *groupTab
 	dir       []int32 // gJoin: per entry block, 1 + its block in flat
-	blocks    []int32 // gJoin: per block in flat, its entry block
 }
 
 // NewLocal implements olap.Exec.
@@ -175,9 +176,9 @@ func (e *fexec) NewLocal() olap.Local {
 	l := &flocal{e: e}
 	if e.gkind == gNone {
 		if e.nacc <= len(l.globalBuf) {
-			l.global = l.globalBuf[:e.nacc]
+			l.flat = l.globalBuf[:e.nacc]
 		} else {
-			l.global = make([]acc, e.nacc)
+			l.flat = make([]acc, e.nacc)
 		}
 	}
 	if e.gkind == gSpill {
@@ -234,11 +235,17 @@ func (l *flocal) growIF(k int64) {
 // touchBlock gives entry block b of a gJoin plan zeroed cells at the end
 // of flat, and returns 1 + the block's position in flat. The arena
 // doubles when it is full (append would grow a large one by a quarter,
-// copying it again every few blocks).
+// copying it again every few blocks), and so does the room for blocks
+// past dir's length.
 //
 //htap:coldpath
 func (l *flocal) touchBlock(b uint32) int32 {
 	nacc, n := l.e.nacc, len(l.present)
+	if g, k := len(l.dir), n/joinBlockCells; g+k == cap(l.dir) {
+		dir := make([]int32, g, g+min(2*k, g))
+		copy(dir[:g+k], l.dir[:g+k])
+		l.dir = dir
+	}
 	if n+joinBlockCells > cap(l.present) {
 		c := max(2*cap(l.present), min(l.e.gblocks*joinBlockCells, joinFirstCells))
 		flat, present := make([]acc, n*nacc, c*nacc), make([]bool, n, c)
@@ -248,17 +255,30 @@ func (l *flocal) touchBlock(b uint32) int32 {
 	}
 	l.flat = l.flat[:(n+joinBlockCells)*nacc]
 	l.present = l.present[:n+joinBlockCells]
-	l.blocks = append(l.blocks, int32(b))
-	l.dir[b] = int32(len(l.blocks))
+	blocks := l.blocks()
+	blocks[len(blocks)-1] = int32(b)
+	l.dir[b] = int32(len(blocks))
 	return l.dir[b]
 }
 
 // newDir makes a gJoin local's block directory, on its first consumed
 // block rather than in NewLocal, so the engine's back-to-back locals stay
-// small.
+// small. Its capacity has room past its length for as many blocks as the
+// arena's first cells hold.
 //
 //htap:coldpath
-func (l *flocal) newDir() { l.dir = make([]int32, l.e.gblocks) }
+func (l *flocal) newDir() {
+	g := l.e.gblocks
+	l.dir = make([]int32, g, g+min(g, joinFirstCells/joinBlockCells))
+}
+
+// blocks lists a gJoin local's touched entry blocks in the order it
+// carved them from flat, one per joinBlockCells cells of present: the
+// words of dir's capacity past its length.
+func (l *flocal) blocks() []int32 {
+	n := len(l.dir)
+	return l.dir[n : n+len(l.present)/joinBlockCells]
+}
 
 // spillOff resolves a dense plan's key past denseLen through the
 // open-addressed table, creating the table on the first such key.
@@ -383,7 +403,7 @@ func (l *flocal) run(b olap.Block, pay [][vecLen]int64) {
 		}
 		switch e.gkind {
 		case gNone:
-			e.updateGlobal(l.global, &v, sel)
+			e.updateGlobal(l.flat, &v, sel)
 		case gDense:
 			nd, nx := l.resolveDense(&v, sel)
 			if nd > 0 {

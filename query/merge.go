@@ -122,7 +122,7 @@ func (e *fexec) MergeFan(locals []olap.Local, fan olap.Fan) olap.Result {
 	case gNone:
 		total := make([]acc, e.nacc)
 		for _, li := range locals {
-			e.mergeInto(total, li.(*flocal).global)
+			e.mergeInto(total, li.(*flocal).flat)
 		}
 		row := make([]float64, w)
 		e.emitInto(row, &gkey{}, total)
@@ -166,7 +166,7 @@ func (e *fexec) mergeJoin(locals []olap.Local, fan olap.Fan, w int) []mergePart 
 	// leaves start[b] where start[b+1] began, and shift start back.
 	start := make([]int32, e.gblocks+1)
 	for _, li := range locals {
-		for _, b := range li.(*flocal).blocks {
+		for _, b := range li.(*flocal).blocks() {
 			start[b+1]++
 		}
 	}
@@ -179,7 +179,7 @@ func (e *fexec) mergeJoin(locals []olap.Local, fan olap.Fan, w int) []mergePart 
 	}
 	who := make([]int32, start[e.gblocks])
 	for i, li := range locals {
-		for _, b := range li.(*flocal).blocks {
+		for _, b := range li.(*flocal).blocks() {
 			who[start[b]] = int32(i)
 			start[b]++
 		}

@@ -166,6 +166,14 @@ func (j *fjoin) slab() []int64 {
 // A gJoin plan's group join also leaves each kept row's build row at the
 // row's offset in v.ent, where the group resolves from it.
 //
+// The dense one-word loops keep rows without a branch, as narrow does:
+// a filtered build side (Q19's and Q5's items) has holes at random, and
+// a branch on them mispredicted on about every other row; without it,
+// BenchmarkQ19Narrow ran 1.7× and BenchmarkQ5Builder 1.5× faster. The
+// composite and hashed loops still branch on a miss: a composite loop
+// folded the same way ran BenchmarkQ3Builder about 1.5× slower, its
+// misses coming in runs of one order's lines, which a branch predicts.
+//
 //htap:hotpath
 func (j *fjoin) probe(v *vecs, sel []int32) int {
 	var keys [maxJoinCols][]int64
@@ -177,16 +185,27 @@ func (j *fjoin) probe(v *vecs, sel []int32) int {
 	m := 0
 	switch t := j.dn; {
 	case t != nil && len(ks) == 1:
+		// The span test is the idx load's bounds check; a fact key is
+		// almost always inside the span, so it predicts well.
 		k0, min0, span0 := ks[0], t.min[0], t.span[0]
+		if t.idx == nil {
+			for _, r := range sel {
+				x := uint64(k0[r] - min0)
+				out[m], brow[m] = r, int32(x)
+				if x < span0 {
+					m++
+				}
+			}
+			break
+		}
+		idx := t.idx[:span0]
 		for _, r := range sel {
-			x := uint64(k0[r] - min0)
-			if x >= span0 {
-				continue
+			x, row := uint64(k0[r]-min0), int32(0)
+			if x < uint64(len(idx)) {
+				row = idx[x]
 			}
-			if row := t.row(x); row != 0 {
-				out[m], brow[m] = r, int32(row-1)
-				m++
-			}
+			out[m], brow[m] = r, row-1
+			m += int(uint32(-row) >> 31)
 		}
 	case t != nil:
 		// A composite key has two or three words; a two-word key's table

@@ -6,6 +6,7 @@ import (
 	"reflect"
 	"strings"
 	"testing"
+	"unsafe"
 
 	"elastichtap/internal/columnar"
 	"elastichtap/internal/costmodel"
@@ -699,5 +700,15 @@ func TestJoinAndOrderBindErrors(t *testing.T) {
 		if err == nil || !strings.Contains(err.Error(), tc.want) {
 			t.Errorf("%s: err = %v, want mention of %q", tc.name, err, tc.want)
 		}
+	}
+}
+
+// TestFlocalSize holds a morsel's local to 240 bytes. The engine
+// allocates one per morsel when a query is submitted, so a field that
+// takes the struct into the next size class (288 bytes) costs every plan
+// 48 bytes a morsel.
+func TestFlocalSize(t *testing.T) {
+	if n := unsafe.Sizeof(flocal{}); n > 240 {
+		t.Fatalf("flocal is %d bytes, want at most 240", n)
 	}
 }
